@@ -428,10 +428,27 @@ def cmd_construct(args) -> int:
 
 
 def _parse_box(text: str) -> Box:
-    parts = [Fraction(p) for p in text.split(":")]
+    parts = text.split(":")
     if len(parts) != 4:
         raise ParseError("box must be x_lo:x_hi:y_lo:y_hi")
-    return Box(parts[0], parts[1], parts[2], parts[3])
+    try:
+        x_lo, x_hi, y_lo, y_hi = (Fraction(p) for p in parts)
+    except (ValueError, ZeroDivisionError):
+        raise ParseError(f"box bounds must be rationals: {text!r}") from None
+    if x_lo >= x_hi or y_lo >= y_hi:
+        raise ParseError("box must satisfy x_lo < x_hi and y_lo < y_hi")
+    return Box(x_lo, x_hi, y_lo, y_hi)
+
+
+def _resolution(text: str) -> int:
+    """Value of --res: an integer of at least 2."""
+    try:
+        res = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if res < 2:
+        raise argparse.ArgumentTypeError("resolution must be at least 2")
+    return res
 
 
 def cmd_ovals(args) -> int:
@@ -767,7 +784,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ovals", help="count real ovals by certified marching squares")
     add_common(p, curve=True)
     p.add_argument("--box", help="x_lo:x_hi:y_lo:y_hi (rationals)")
-    p.add_argument("--res", type=int, default=256)
+    p.add_argument("--res", type=_resolution, default=256)
     p.add_argument("--emit-polylines", help="write oval polylines to this file")
     p.set_defaults(handler=cmd_ovals)
 
@@ -775,7 +792,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p, field=True, curve=True)
     p.add_argument("--all-ovals", action="store_true")
     p.add_argument("--box")
-    p.add_argument("--res", type=int, default=256)
+    p.add_argument("--res", type=_resolution, default=256)
     p.add_argument("--spacing", type=float, default=1.5e-3)
     p.set_defaults(handler=cmd_certify)
 

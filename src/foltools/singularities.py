@@ -25,7 +25,7 @@ from .fields import (
 )
 from .gaussian import GaussianRational, ONE, ZERO, gr
 from .polyring import MultiPoly, exact_divide, homogenize, is_squarefree, poly_gcd, resultant
-from .uniroots import Coeffs, qi_roots, ugcd, utrim
+from .uniroots import Coeffs, qi_roots, ucoprime, ugcd, utrim
 
 
 @dataclass(frozen=True)
@@ -251,7 +251,7 @@ def residual_avoids_curve(enum: Enumeration, f: MultiPoly) -> bool:
         proved = False
         for other in witnesses:
             elim = _elimination_in_x(other, f)
-            if elim is not None and len(ugcd(fac, elim)) == 1:
+            if elim is not None and ucoprime(fac, elim):
                 proved = True
                 break
         if not proved:
@@ -260,14 +260,14 @@ def residual_avoids_curve(enum: Enumeration, f: MultiPoly) -> bool:
         fv = _substitute_x(f, x0)
         if not fv:
             return False  # curve contains the whole vertical line
-        if len(ugcd(fac, fv)) != 1:
+        if not ucoprime(fac, fv):
             return False
     for fac in enum.unresolved_inf:
         F = homogenize(f, int(f.degree))
         inf_restriction = _binary_form_coeffs(_restrict_infinity(F))
         if not inf_restriction:
             return False
-        if len(ugcd(fac, inf_restriction)) != 1:
+        if not ucoprime(fac, inf_restriction):
             return False
     return True
 

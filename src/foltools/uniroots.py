@@ -4,11 +4,19 @@ Root extraction is complete for linear factors (rational-root search over
 Z[i] divisors) and for quadratic remainders (exact square roots in Q(i)).
 Whatever is left provably has no roots in Q(i); its degree is reported as
 the residual count.
+
+Rational-root candidates p/q are tested on Gaussian integers: with the
+coefficients c_k scaled into Z[i], p/q is a root exactly when
+sum c_k p^k q^(n-k) = 0.  Coprimality (and so squarefreeness) is first
+tested modulo one prime P = 1 (mod 4), mapping i to a square root of -1
+mod P; coprime images prove coprimality over Q(i), and anything else falls
+back to the exact Euclidean gcd.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -85,6 +93,8 @@ def usquarefree(c: Coeffs) -> Coeffs:
     d = uderiv(c)
     if not d:
         return umonic(list(c)) if c else []
+    if _coprime_mod_p(c, d):
+        return umonic(list(c))
     g = ugcd(c, d)
     if udeg(g) == 0:
         return umonic(list(c))
@@ -93,11 +103,73 @@ def usquarefree(c: Coeffs) -> Coeffs:
     return umonic(q)
 
 
+def ucoprime(a: Coeffs, b: Coeffs) -> bool:
+    """Whether gcd(a, b) is a nonzero constant; always the same answer as len(ugcd(a, b)) == 1."""
+    a, b = utrim(list(a)), utrim(list(b))
+    return _coprime_mod_p(a, b) or len(ugcd(a, b)) == 1
+
+
 def deflate(c: Coeffs, root: GaussianRational) -> Coeffs:
     """Divide by (x - root); the root must be exact."""
     q, r = udivmod(c, [-root, ONE])
     assert not r, "deflation by a non-root"
     return q
+
+
+# -- coprimality certificate modulo one prime ----------------------------------
+
+_P = 998244353  # prime, 1 (mod 4); 3 generates its multiplicative group
+_I_MOD_P = pow(3, (_P - 1) // 4, _P)  # a square root of -1: the image of i
+
+
+def _image_mod_p(c: Coeffs) -> list[int] | None:
+    """c in F_P[x] under i -> _I_MOD_P, or None when a denominator is divisible by P."""
+    out = []
+    for a in c:
+        re, im = a.re, a.im
+        den = re.denominator * im.denominator
+        if den % _P == 0:
+            return None
+        v = re.numerator * im.denominator + _I_MOD_P * im.numerator * re.denominator
+        out.append(v * pow(den, -1, _P) % _P)
+    return out
+
+
+def _fp_gcd_degree(a: list[int], b: list[int]) -> int:
+    """Degree of gcd(a, b) in F_P[x]; both nonzero with nonzero leading coefficients."""
+    while b:
+        a = list(a)
+        inv = pow(b[-1], -1, _P)
+        nb = len(b)
+        while len(a) >= nb:
+            f = a[-1] * inv % _P
+            if f:
+                k = len(a) - nb
+                for j in range(nb - 1):
+                    a[k + j] = (a[k + j] - f * b[j]) % _P
+            a.pop()
+        while a and not a[-1]:
+            a.pop()
+        a, b = b, a
+    return len(a) - 1
+
+
+def _coprime_mod_p(a: Coeffs, b: Coeffs) -> bool:
+    """True proves gcd(a, b) = 1 over Q(i); False proves nothing.
+
+    The images exist only when every denominator is prime to P, so a and b
+    scale into Z[i][x] by integers that are units mod P.  A common factor g
+    of positive degree can be taken primitive in Z[i][x], and by Gauss's
+    lemma it divides both scaled polynomials there, so lc(g) divides both
+    leading coefficients.  When neither of those vanishes mod P, g keeps its
+    degree in F_P[x] and divides both images, which are then not coprime.
+    """
+    if len(a) < 2 or len(b) < 2:
+        return False
+    ia, ib = _image_mod_p(a), _image_mod_p(b)
+    if ia is None or ib is None or not ia[-1] or not ib[-1]:
+        return False
+    return _fp_gcd_degree(ia, ib) == 0
 
 
 # -- Gaussian integer arithmetic ----------------------------------------------
@@ -233,19 +305,28 @@ def gi_factor(u: GInt) -> list[tuple[GInt, int]]:
     return out
 
 
-def gi_divisors(u: GInt) -> list[GInt]:
-    """All divisors of u up to units (one representative per associate class)."""
+def _divisor_count(factors: list[tuple[GInt, int]]) -> int:
+    return math.prod(mult + 1 for _, mult in factors)
+
+
+def _divisors_of(factors: list[tuple[GInt, int]]) -> list[GInt]:
     divs: list[GInt] = [(1, 0)]
-    for prime, mult in gi_factor(u):
+    for prime, mult in factors:
         more: list[GInt] = []
         pk: GInt = (1, 0)
         for _ in range(mult):
             pk = gi_mul(pk, prime)
             more.extend(gi_mul(d, pk) for d in divs)
         divs.extend(more)
-        if len(divs) > _CANDIDATE_CAP:
-            raise RootSearchOverflow("divisor enumeration too large")
     return divs
+
+
+def gi_divisors(u: GInt) -> list[GInt]:
+    """All divisors of u up to units (one representative per associate class)."""
+    factors = gi_factor(u)
+    if _divisor_count(factors) > _CANDIDATE_CAP:
+        raise RootSearchOverflow("divisor enumeration too large")
+    return _divisors_of(factors)
 
 
 # -- roots in Q(i) -------------------------------------------------------------
@@ -294,27 +375,36 @@ def _quadratic_roots(c: Coeffs) -> list[GaussianRational] | None:
     return [(-a1 + s) * inv, (-a1 - s) * inv]
 
 
-def _rational_root_candidates(c: Coeffs) -> list[GaussianRational] | None:
-    """All rational-root candidates, or None when the search would explode."""
-    ints = _to_gauss_integers(c)
-    c0, cn = ints[0], ints[-1]
+def _candidate_pairs(ints: list[GInt]) -> Iterator[tuple[GInt, GInt]] | None:
+    """Every rational-root candidate p/q as a Gaussian-integer pair (p, q), or None when the search would explode."""
     try:
-        d0 = gi_divisors(c0)
-        dn = gi_divisors(cn)
+        f0, fn = gi_factor(ints[0]), gi_factor(ints[-1])
     except RootSearchOverflow:
         return None
-    if len(d0) * len(dn) * 4 > _CANDIDATE_CAP:
+    # counted before any divisor is built, so an oversized search costs only the factorizations
+    if _divisor_count(f0) * _divisor_count(fn) * 4 > _CANDIDATE_CAP:
         return None
-    out = []
-    for p in d0:
-        for q in dn:
-            qn = gi_norm(q)
-            for u in UNITS:
-                pu = gi_mul(p, u)
-                # (pu / q) as a Gaussian rational: pu * conj(q) / |q|^2
-                num = gi_mul(pu, (q[0], -q[1]))
-                out.append(GaussianRational(Fraction(num[0], qn), Fraction(num[1], qn)))
-    return out
+    d0, dn = _divisors_of(f0), _divisors_of(fn)
+    return ((gi_mul(p, u), q) for p in d0 for q in dn for u in UNITS)
+
+
+def _gi_vanishes(ints: list[GInt], p: GInt, q: GInt) -> bool:
+    """Whether sum ints[k] p^k q^(n-k) = 0 in Z[i], i.e. p/q is a root (q != 0)."""
+    pr, pi = p
+    qr, qi = q
+    ar, ai = ints[-1]
+    qkr, qki = qr, qi  # q^(n-k) for the coefficient being added
+    for cr, ci in reversed(ints[:-1]):
+        ar, ai = ar * pr - ai * pi + cr * qkr - ci * qki, ar * pi + ai * pr + cr * qki + ci * qkr
+        qkr, qki = qkr * qr - qki * qi, qkr * qi + qki * qr
+    return not ar and not ai
+
+
+def _as_gaussian_rational(p: GInt, q: GInt) -> GaussianRational:
+    """p / q as p * conj(q) / |q|^2."""
+    qn = gi_norm(q)
+    num = gi_mul(p, (q[0], -q[1]))
+    return GaussianRational(Fraction(num[0], qn), Fraction(num[1], qn))
 
 
 def qi_roots(c: Coeffs) -> RootReport:
@@ -345,23 +435,13 @@ def qi_roots(c: Coeffs) -> RootReport:
                 return report
             report.roots.extend(roots)
             return report
-        try:
-            candidates = _rational_root_candidates(c)
-        except RootSearchOverflow:
-            candidates = None
+        ints = _to_gauss_integers(c)
+        candidates = _candidate_pairs(ints)
         if candidates is None:
             report.uncertain_degree += udeg(c)
             report.uncertain.append(c)
             return report
-        found = None
-        seen: set[GaussianRational] = set()
-        for cand in candidates:
-            if cand in seen:
-                continue
-            seen.add(cand)
-            if ueval(c, cand).is_zero():
-                found = cand
-                break
+        found = next((_as_gaussian_rational(p, q) for p, q in candidates if _gi_vanishes(ints, p, q)), None)
         if found is None:
             report.residual_degree += udeg(c)
             report.unresolved.append(c)
@@ -374,17 +454,6 @@ def qi_roots(c: Coeffs) -> RootReport:
 # -- Sturm sequences over the real rationals -----------------------------------
 
 RCoeffs = list[Fraction]
-
-
-def real_coeffs(c: Coeffs) -> RCoeffs:
-    out = []
-    for a in c:
-        if a.im:
-            raise ValueError("polynomial has non-real coefficients")
-        out.append(a.re)
-    while out and not out[-1]:
-        out.pop()
-    return out
 
 
 def _rdivmod(a: RCoeffs, b: RCoeffs) -> tuple[RCoeffs, RCoeffs]:

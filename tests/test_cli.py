@@ -249,3 +249,24 @@ def test_paper_suite_deterministic_report(tmp_path):
     assert run(["paper-suite", "--report", str(r1)]) == 0
     assert run(["paper-suite", "--report", str(r2)]) == 0
     assert r1.read_bytes() == r2.read_bytes()
+
+
+@pytest.mark.parametrize("box", ["a:1:-1:1", "1/0:1:-1:1", "1:-1:-1:1", "-1:1:1:1", "1:2:3"])
+def test_malformed_box_is_a_usage_error(eee_doc, box, capsys):
+    assert run(["ovals", eee_doc, "--curve", "circle", f"--box={box}", "--res", "8"]) == 2
+    assert "parse error: box" in capsys.readouterr().err
+    argv = ["certify", eee_doc, "--field", "eee", "--curve", "circle", f"--box={box}", "--res", "8"]
+    assert run(argv) == 2
+
+
+def test_well_formed_box_still_counts(eee_doc, capsys):
+    assert run(["ovals", eee_doc, "--curve", "circle", "--box=-2:2:-2:2", "--res", "8"]) == 0
+    assert "ovals: 1" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("res", ["0", "1", "-3"])
+def test_resolution_below_two_is_a_usage_error(eee_doc, res, capsys):
+    assert run(["ovals", eee_doc, "--curve", "circle", f"--res={res}"]) == 2
+    assert "resolution must be at least 2" in capsys.readouterr().err
+    assert run(["certify", eee_doc, "--field", "eee", "--curve", "circle", f"--res={res}"]) == 2
+    assert "resolution must be at least 2" in capsys.readouterr().err

@@ -3,17 +3,32 @@ from fractions import Fraction
 
 import pytest
 
+from foltools.errors import RootSearchOverflow
 from foltools.gaussian import GaussianRational, gr
 from foltools.uniroots import (
+    UNITS,
+    _P,
+    _I_MOD_P,
+    _as_gaussian_rational,
+    _candidate_pairs,
+    _coprime_mod_p,
+    _gi_vanishes,
+    _to_gauss_integers,
     count_real_roots,
     factor_int,
     gi_divisors,
     gi_factor,
     gi_gcd,
+    gi_mul,
     gi_norm,
     qi_roots,
+    ucoprime,
+    uderiv,
     udivmod,
+    ueval,
     ugcd,
+    umonic,
+    usquarefree,
 )
 
 
@@ -102,3 +117,151 @@ def test_udivmod_and_gcd():
     assert q == [gr(-1), gr(1)] and r == []
     g = ugcd([gr(-1), gr(0), gr(1)], [gr(1), gr(1)])
     assert g == [gr(1), gr(1)]
+
+
+# -- integer candidate test against the Q(i) Horner reference --------------------
+
+
+def _poly_from_roots(roots, lead=gr(1)):
+    coeffs = [lead]
+    for r in roots:
+        new = [gr(0)] * (len(coeffs) + 1)
+        for i, c in enumerate(coeffs):
+            new[i + 1] = new[i + 1] + c
+            new[i] = new[i] - c * r
+        coeffs = new
+    return coeffs
+
+
+def _reference_first_root(c):
+    """The first root of the divisor search as a GaussianRational Horner loop."""
+    ints = _to_gauss_integers(c)
+    seen = set()
+    for p in gi_divisors(ints[0]):
+        for q in gi_divisors(ints[-1]):
+            qn = gi_norm(q)
+            for u in UNITS:
+                num = gi_mul(gi_mul(p, u), (q[0], -q[1]))
+                cand = GaussianRational(Fraction(num[0], qn), Fraction(num[1], qn))
+                if cand in seen:
+                    continue
+                seen.add(cand)
+                if ueval(c, cand).is_zero():
+                    return cand
+    return None
+
+
+def _random_gaussian(rnd, span=4, den=3):
+    re = Fraction(rnd.randint(-span, span), rnd.randint(1, den))
+    im = Fraction(rnd.randint(-span, span), rnd.randint(1, den)) if rnd.random() < 0.5 else Fraction(0)
+    return GaussianRational(re, im)
+
+
+def test_integer_candidate_test_matches_horner_reference():
+    rnd = random.Random(7)
+    checked = 0
+    for _ in range(60):
+        roots = []
+        for _k in range(rnd.randint(1, 4)):
+            roots += [_random_gaussian(rnd)] * rnd.randint(1, 3)
+        lead = _random_gaussian(rnd) or gr(1)
+        coeffs = _poly_from_roots(roots, lead)
+        if rnd.random() < 0.3:  # times x^2 - 2, which has no Q(i) root
+            coeffs = [a - 2 * b for a, b in zip([gr(0), gr(0)] + coeffs, coeffs + [gr(0), gr(0)])]
+        c = usquarefree(coeffs)
+        if c[0].is_zero():
+            c = c[1:]
+        if len(c) < 4:
+            continue
+        ints = _to_gauss_integers(c)
+        pairs = _candidate_pairs(ints)
+        assert pairs is not None
+        for n, (p, q) in enumerate(pairs):
+            if n == 400:
+                break
+            assert _gi_vanishes(ints, p, q) == ueval(c, _as_gaussian_rational(p, q)).is_zero()
+        # degree >= 3 with x^2 - 2 the only non-Q(i) factor: some nonzero root exists
+        assert qi_roots(c).roots[0] == _reference_first_root(c)
+        checked += 1
+    assert checked >= 20
+
+
+def test_integer_candidate_test_on_known_roots():
+    # 6x^3 - 11x^2 + 6x - 1 = (x - 1)(2x - 1)(3x - 1); candidates p/q from divisors of 1 and 6
+    ints = [(-1, 0), (6, 0), (-11, 0), (6, 0)]
+    assert _gi_vanishes(ints, (1, 0), (2, 0))
+    assert _gi_vanishes(ints, (2, 0), (6, 0))  # the same root, not in lowest terms
+    assert not _gi_vanishes(ints, (-1, 0), (2, 0))
+    # x^3 + x has the Gaussian root i = (1+i)/(1-i)
+    assert _gi_vanishes([(0, 0), (1, 0), (0, 0), (1, 0)], (1, 1), (1, -1))
+
+
+# -- coprimality certificate modulo a prime ----------------------------------------
+
+
+def test_image_of_i_is_a_square_root_of_minus_one():
+    assert _P % 4 == 1 and _I_MOD_P * _I_MOD_P % _P == _P - 1
+
+
+def test_squarefree_input_is_certified():
+    c = _poly_from_roots([gr(1), gr(2), gr(0, -1)])
+    assert _coprime_mod_p(c, uderiv(c))
+    assert usquarefree(c) == umonic(c)
+    assert ucoprime(c, uderiv(c))
+
+
+def test_repeated_root_falls_back_to_exact_gcd():
+    c = _poly_from_roots([gr(1), gr(1), gr(0, -1)])  # (x - 1)^2 (x + i)
+    assert not _coprime_mod_p(c, uderiv(c))
+    assert not ucoprime(c, uderiv(c))
+    assert usquarefree(c) == _poly_from_roots([gr(1), gr(0, -1)])
+
+
+def test_leading_coefficient_divisible_by_the_prime_falls_back():
+    c = [gr(1), gr(0), gr(_P)]  # P x^2 + 1 is squarefree but vanishes to degree 0 mod P
+    assert not _coprime_mod_p(c, uderiv(c))
+    assert ucoprime(c, uderiv(c))
+    assert usquarefree(c) == umonic(c)
+
+
+def test_polynomials_equal_mod_p_are_still_coprime():
+    x, x_minus_p = [gr(0), gr(1)], [gr(-_P), gr(1)]
+    assert not _coprime_mod_p(x, x_minus_p)
+    assert ucoprime(x, x_minus_p)
+
+
+def test_zero_and_constant_inputs_take_the_exact_path():
+    x = [gr(0), gr(1)]
+    assert ucoprime([gr(3)], x) and ucoprime(x, [gr(0, 2)])
+    assert not ucoprime([], x)  # gcd(0, x) = x
+    assert not ucoprime([], [])
+    assert ucoprime([], [gr(5)])
+    assert not _coprime_mod_p([gr(3)], x) and not _coprime_mod_p([], x)
+
+
+def test_ucoprime_agrees_with_exact_gcd():
+    rnd = random.Random(11)
+    pool = [_random_gaussian(rnd, span=3, den=2) for _ in range(6)]
+    for _ in range(80):
+        a = _poly_from_roots(rnd.sample(pool, rnd.randint(0, 3)), _random_gaussian(rnd) or gr(1))
+        b = _poly_from_roots(rnd.sample(pool, rnd.randint(0, 3)), _random_gaussian(rnd) or gr(1))
+        assert ucoprime(a, b) == (len(ugcd(a, b)) == 1)
+
+
+# -- searches too large to run ------------------------------------------------------
+
+
+def test_constant_term_beyond_factoring_cap_is_uncertain():
+    n = 10**21 + 7  # norm 10^42 + ... exceeds the factoring cap
+    rep = qi_roots([gr(n), gr(1), gr(0), gr(1)])
+    assert rep.uncertain_degree == 3
+    assert rep.roots == [] and rep.residual_degree == 0
+    assert len(rep.uncertain) == 1
+
+
+def test_too_many_divisors_is_uncertain():
+    n = 5 * 13 * 17 * 29 * 37 * 41 * 53 * 61 * 73  # 4^9 Gaussian divisors
+    with pytest.raises(RootSearchOverflow):
+        gi_divisors((n, 0))
+    rep = qi_roots([gr(n), gr(1), gr(0), gr(1)])
+    assert rep.uncertain_degree == 3 and rep.roots == []
