@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -686,8 +687,22 @@ def cmd_paper_suite(args) -> int:
 # -- parser ------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads every token starting with a single '-' as a value.
+
+    Boxes, weights and rationals may start with '-' ("--box -2:2:-2:2",
+    "--weights -3,1,2", "--a -1/2"), where stock argparse takes only plain
+    negative numbers as values.  The only single-dash option here is -h,
+    which argparse still matches before it asks this pattern.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-[^-]")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="foltools",
         description="Exact verification toolkit for planar polynomial vector fields",
     )

@@ -335,12 +335,3 @@ def gallery(
             notes=("level +1/100 of the two-ellipse product: four lens-shaped ovals",),
         )
     raise PreconditionError(f"unknown gallery name {name!r}; choose from {GALLERY_NAMES}")
-
-
-def gallery_log_foliations() -> list[GalleryEntry]:
-    """The gallery entries that are logarithmic with an explicit spec."""
-    entries = [gallery("three-lines")]
-    e1 = gallery("example1")
-    if e1.log_spec is not None:
-        entries.append(e1)
-    return entries

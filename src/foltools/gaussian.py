@@ -36,10 +36,6 @@ class GaussianRational:
     # -- constructors -------------------------------------------------
 
     @staticmethod
-    def from_int(n: int) -> "GaussianRational":
-        return GaussianRational(Fraction(n), Fraction(0))
-
-    @staticmethod
     def coerce(x) -> "GaussianRational":
         if isinstance(x, GaussianRational):
             return x
@@ -54,9 +50,6 @@ class GaussianRational:
 
     def is_real(self) -> bool:
         return not self.im
-
-    def is_one(self) -> bool:
-        return self.re == 1 and not self.im
 
     # -- arithmetic ---------------------------------------------------
 
@@ -83,9 +76,6 @@ class GaussianRational:
         )
 
     __rmul__ = __mul__
-
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
 
     def norm(self) -> Fraction:
         """|z|^2 as an exact rational."""

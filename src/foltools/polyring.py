@@ -17,6 +17,7 @@ from typing import Iterable
 
 from .errors import ArityMismatch
 from .gaussian import GaussianRational, ONE, ZERO, gr
+from .uniroots import ucoprime, ugcd, utrim
 
 Exponent = tuple[int, ...]
 
@@ -265,18 +266,6 @@ class MultiPoly:
 # -- module-level operations ---------------------------------------------------
 
 
-def add(a: MultiPoly, b: MultiPoly) -> MultiPoly:
-    return a + b
-
-
-def mul(a: MultiPoly, b: MultiPoly) -> MultiPoly:
-    return a * b
-
-
-def partial(p: MultiPoly, var: int) -> MultiPoly:
-    return p.partial(var)
-
-
 def homogenize(f: MultiPoly, n: int) -> MultiPoly:
     """Z^n * f(X/Z, Y/Z): embed an affine curve at projective degree n."""
     if f.arity != 2:
@@ -365,16 +354,6 @@ def _coeffs_in(f: MultiPoly, var: int) -> dict[int, MultiPoly]:
     return {e: p for e, p in out.items() if not p.is_zero()}
 
 
-def _from_coeffs(coeffs: dict[int, MultiPoly], var: int, arity: int) -> MultiPoly:
-    total = MultiPoly.zero(arity)
-    unit = [0] * arity
-    unit[var] = 1
-    v = MultiPoly(arity, {tuple(unit): ONE})
-    for e, p in coeffs.items():
-        total = total + p * v**e
-    return total
-
-
 def _content(f: MultiPoly, var: int) -> MultiPoly:
     cont = MultiPoly.zero(f.arity)
     for p in _coeffs_in(f, var).values():
@@ -414,60 +393,26 @@ def _pseudo_rem(a: MultiPoly, b: MultiPoly, var: int) -> MultiPoly:
     return r
 
 
-def _field_euclid(a: MultiPoly, b: MultiPoly, var: int) -> MultiPoly:
-    """Univariate gcd over Q(i) (all other variables absent), monic."""
-    def coeffs(p: MultiPoly) -> list[GaussianRational]:
-        out = [GaussianRational.coerce(0)] * (p.degree_in(var) + 1)
-        for e, c in p.terms.items():
-            out[e[var]] = c
-        return out
-
-    fa, fb = coeffs(a), coeffs(b)
-
-    def trim(c):
-        while c and c[-1].is_zero():
-            c.pop()
-        return c
-
-    fa, fb = trim(fa), trim(fb)
-    while fb:
-        inv = fb[-1].inverse()
-        while len(fa) >= len(fb):
-            if fa[-1].is_zero():
-                fa.pop()
-                continue
-            k = len(fa) - len(fb)
-            f = fa[-1] * inv
-            for i, bc in enumerate(fb):
-                fa[k + i] = fa[k + i] - f * bc
-            fa.pop()
-        fa, fb = fb, trim(fa)
-    unit = [0] * a.arity
-    unit[var] = 1
-    mono = tuple(unit)
-    out: dict[Exponent, GaussianRational] = {}
-    lead = fa[-1].inverse()
-    for k, c in enumerate(fa):
-        if not c.is_zero():
-            out[tuple(m * k for m in mono)] = c * lead
-    return MultiPoly(a.arity, out)
-
-
-def _specialize_keeping(p: MultiPoly, var: int, point: list[GaussianRational]) -> MultiPoly:
-    """Substitute constants for every variable except `var`."""
-    out: dict[Exponent, GaussianRational] = {}
+def _specialize_keeping(p: MultiPoly, var: int, point: list[GaussianRational]) -> list[GaussianRational]:
+    """Coefficients in `var`, low to high, after substituting constants for every other variable."""
+    out = [ZERO] * (p.degree_in(var) + 1)
     for exp, c in p.terms.items():
         val = c
         for v in range(p.arity):
             if v != var and exp[v]:
                 val = val * point[v] ** exp[v]
-        key = tuple(exp[v] if v == var else 0 for v in range(p.arity))
-        s = out.get(key, ZERO) + val
-        if s.is_zero():
-            out.pop(key, None)
-        else:
-            out[key] = s
-    return MultiPoly(p.arity, out)
+        out[exp[var]] = out[exp[var]] + val
+    return utrim(out)
+
+
+def _from_univariate(c: list[GaussianRational], var: int, arity: int) -> MultiPoly:
+    """The polynomial in `var` alone with coefficients c, low to high."""
+    exp = [0] * arity
+    terms: dict[Exponent, GaussianRational] = {}
+    for k, coeff in enumerate(c):
+        exp[var] = k
+        terms[tuple(exp)] = coeff
+    return MultiPoly(arity, terms)
 
 
 def _coprimality_fast_path(pa: MultiPoly, pb: MultiPoly, var: int) -> bool:
@@ -486,12 +431,7 @@ def _coprimality_fast_path(pa: MultiPoly, pb: MultiPoly, var: int) -> bool:
             point[v] = GaussianRational.coerce(trial + idx + (1 if trial else 0))
         if lca.evaluate(point).is_zero() or lcb.evaluate(point).is_zero():
             continue
-        sa = _specialize_keeping(pa, var, point)
-        sb = _specialize_keeping(pb, var, point)
-        g = _field_euclid(sa, sb, var)
-        if g.is_constant():
-            return True
-        return False
+        return ucoprime(_specialize_keeping(pa, var, point), _specialize_keeping(pb, var, point))
     return False
 
 
@@ -567,7 +507,9 @@ def poly_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     if var < 0:
         return MultiPoly.constant(a.arity, 1)
     if all(max(a.degree_in(v), b.degree_in(v)) == 0 for v in range(a.arity) if v != var):
-        return _field_euclid(a, b, var)
+        # no other variable occurs, so there is nothing to substitute
+        g = ugcd(_specialize_keeping(a, var, []), _specialize_keeping(b, var, []))
+        return _from_univariate(g, var, a.arity)
     if a.degree_in(var) == 0 or b.degree_in(var) == 0:
         # one input lives entirely in the other variables
         thin, thick = (a, b) if a.degree_in(var) == 0 else (b, a)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DegenerateInput, PreconditionError
 from .polyring import MultiPoly, leading_form
-from .uniroots import count_real_roots
+from .uniroots import count_real_roots, utrim
 
 MAX_SUBDIVISION_DEPTH = 6
 _INT64_SAFE = 1 << 62
@@ -200,7 +200,7 @@ def _interval_eval(f: MultiPoly, xlo: Fraction, xhi: Fraction, ylo: Fraction, yh
 
 
 def _edge_restriction(f: MultiPoly, p1, p2) -> tuple[list[Fraction], Fraction, Fraction]:
-    """f restricted to an axis-aligned segment, as univariate coefficients."""
+    """f restricted to an axis-aligned segment, as trimmed univariate coefficients."""
     (x1, y1), (x2, y2) = p1, p2
     coeffs: dict[int, Fraction] = {}
     if y1 == y2:  # horizontal: varies in x
@@ -212,7 +212,7 @@ def _edge_restriction(f: MultiPoly, p1, p2) -> tuple[list[Fraction], Fraction, F
             coeffs[b] = coeffs.get(b, Fraction(0)) + c.re * x1**a
         lo, hi = min(y1, y2), max(y1, y2)
     top = max(coeffs, default=0)
-    return [coeffs.get(k, Fraction(0)) for k in range(top + 1)], lo, hi
+    return utrim([coeffs.get(k, Fraction(0)) for k in range(top + 1)]), lo, hi
 
 
 def _edge_is_zero_free(f: MultiPoly, p1, p2) -> bool:
@@ -222,8 +222,6 @@ def _edge_is_zero_free(f: MultiPoly, p1, p2) -> bool:
     on the half-open interval certifies the whole closed edge.
     """
     coeffs, lo, hi = _edge_restriction(f, p1, p2)
-    while coeffs and not coeffs[-1]:
-        coeffs.pop()
     if not coeffs:
         return False  # f vanishes identically on the edge line
     if len(coeffs) == 1:
@@ -250,8 +248,6 @@ def compactness_check(f: MultiPoly) -> bool:
     vertical = restriction[-1] if len(restriction) == degree + 1 else Fraction(0)
     if not vertical:
         return False  # the direction (0 : 1) is a real zero of the top form
-    while restriction and not restriction[-1]:
-        restriction.pop()
     return count_real_roots(restriction) == 0
 
 

@@ -59,16 +59,6 @@ class ProjectivePoint:
             return CHART_Y
         return CHART_X
 
-    def visible_charts(self) -> list[str]:
-        out = []
-        if not self.coords[2].is_zero():
-            out.append(CHART_Z)
-        if not self.coords[1].is_zero():
-            out.append(CHART_Y)
-        if not self.coords[0].is_zero():
-            out.append(CHART_X)
-        return out
-
     def chart_coords(self, chart: str) -> tuple[GaussianRational, GaussianRational]:
         X, Y, Z = self.coords
         if chart == CHART_Z:
@@ -322,10 +312,6 @@ def infinite_singularities(form: ProjectiveOneForm) -> Enumeration:
         out.points.append(ProjectivePoint.make(ZERO, ONE, ZERO))
     out.points = sorted(set(out.points), key=str)
     return out
-
-
-def all_singularities(field: AffineVectorField) -> tuple[Enumeration, Enumeration]:
-    return affine_singularities(field), infinite_singularities(projectivize(field))
 
 
 # -- dicritical classification ------------------------------------------------------

@@ -29,59 +29,65 @@ _FACTOR_DIGIT_CAP = 10**40  # norms beyond this abort rather than risk unsound o
 _CANDIDATE_CAP = 200_000
 
 
-# -- generic coefficient-list helpers ----------------------------------------
+# -- coefficient lists over a field --------------------------------------------
+#
+# These helpers take lists of any exact field elements: GaussianRational for
+# roots in Q(i), Fraction for Sturm counts.  They use only +, -, *, 1 / x and
+# truth values, so one Euclid serves both fields.
 
 
-def utrim(c: Coeffs) -> Coeffs:
-    while c and c[-1].is_zero():
+def utrim(c: list) -> list:
+    while c and not c[-1]:
         c.pop()
     return c
 
 
-def udeg(c: Coeffs) -> int:
+def udeg(c: list) -> int:
     return len(c) - 1
 
 
-def ueval(c: Coeffs, x: GaussianRational) -> GaussianRational:
-    acc = ZERO
-    for coeff in reversed(c):
+def ueval(c: list, x):
+    """c(x) by Horner's rule; c must be nonempty."""
+    coeffs = reversed(c)
+    acc = next(coeffs)
+    for coeff in coeffs:
         acc = acc * x + coeff
     return acc
 
 
-def uderiv(c: Coeffs) -> Coeffs:
+def uderiv(c: list) -> list:
     return utrim([c[k] * k for k in range(1, len(c))])
 
 
-def uscale(c: Coeffs, s: GaussianRational) -> Coeffs:
+def uscale(c: list, s) -> list:
     return [a * s for a in c]
 
 
-def umonic(c: Coeffs) -> Coeffs:
-    return uscale(c, c[-1].inverse())
+def umonic(c: list) -> list:
+    return uscale(c, 1 / c[-1])
 
 
-def udivmod(a: Coeffs, b: Coeffs) -> tuple[Coeffs, Coeffs]:
+def udivmod(a: list, b: list) -> tuple[list, list]:
     b = utrim(list(b))
     if not b:
         raise ZeroDivisionError("univariate division by zero")
     a = utrim(list(a))
-    q = [ZERO] * max(0, len(a) - len(b) + 1)
-    inv = b[-1].inverse()
-    while len(a) >= len(b):
-        if a[-1].is_zero():
-            a.pop()
-            continue
-        k = len(a) - len(b)
-        f = a[-1] * inv
-        q[k] = f
-        for i, bc in enumerate(b):
-            a[k + i] = a[k + i] - f * bc
-        a.pop()
+    inv = 1 / b[-1]
+    nb = len(b) - 1
+    q = [inv * 0] * max(0, len(a) - nb)
+    while len(a) > nb:
+        lead = a.pop()
+        if lead:
+            k = len(a) - nb
+            f = lead * inv
+            q[k] = f
+            for i in range(nb):
+                a[k + i] = a[k + i] - f * b[i]
     return utrim(q), utrim(a)
 
 
-def ugcd(a: Coeffs, b: Coeffs) -> Coeffs:
+def ugcd(a: list, b: list) -> list:
+    """Monic gcd (empty when both are zero)."""
     a, b = utrim(list(a)), utrim(list(b))
     while b:
         a, b = b, udivmod(a, b)[1]
@@ -456,32 +462,11 @@ def qi_roots(c: Coeffs) -> RootReport:
 RCoeffs = list[Fraction]
 
 
-def _rdivmod(a: RCoeffs, b: RCoeffs) -> tuple[RCoeffs, RCoeffs]:
-    a = list(a)
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    while len(a) >= len(b):
-        if not a[-1]:
-            a.pop()
-            continue
-        k = len(a) - len(b)
-        f = a[-1] / b[-1]
-        q[k] = f
-        for i, bc in enumerate(b):
-            a[k + i] -= f * bc
-        a.pop()
-    while a and not a[-1]:
-        a.pop()
-    return q, a
-
-
 def sturm_chain(c: RCoeffs) -> list[RCoeffs]:
-    p0 = list(c)
-    p1 = [c[k] * k for k in range(1, len(c))]
-    chain = [p0]
-    if p1:
-        chain.append(p1)
+    """c, c' and the negated remainders (deg c >= 1); the last element is gcd(c, c') up to a constant."""
+    chain = [c, uderiv(c)]
     while len(chain[-1]) > 1:
-        _, r = _rdivmod(chain[-2], chain[-1])
+        r = udivmod(chain[-2], chain[-1])[1]
         if not r:
             break
         chain.append([-x for x in r])
@@ -493,31 +478,17 @@ def _sign_variations(vals: list[int]) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a * b < 0)
 
 
-def _eval_r(c: RCoeffs, x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for coeff in reversed(c):
-        acc = acc * x + coeff
-    return acc
-
-
 def count_real_roots(c: RCoeffs, lo: Fraction | None = None, hi: Fraction | None = None) -> int:
     """Number of distinct real roots in (lo, hi]; None means +-infinity."""
-    c = list(c)
-    while c and not c[-1]:
-        c.pop()
+    c = utrim(list(c))
     if len(c) <= 1:
         return 0
-    g = c
-    # work with the squarefree part so the chain is a genuine Sturm chain
-    d = [c[k] * k for k in range(1, len(c))]
-    while d and not d[-1]:
-        d.pop()
-    a, b = list(c), d
-    while b:
-        a, b = b, _rdivmod(a, b)[1]
-    if len(a) > 1:
-        g, _ = _rdivmod(c, [x / a[-1] for x in a])
-    chain = sturm_chain(g)
+    chain = sturm_chain(c)
+    g = chain[-1]
+    if len(g) > 1:
+        # c has multiple roots and g = gcd(c, c') up to a constant: the chain
+        # divided by g is a Sturm chain of c / g, which has each root of c once
+        chain = [udivmod(p, g)[0] for p in chain]
 
     def var_at(x: Fraction | None, sign_inf: int) -> int:
         vals = []
@@ -530,7 +501,7 @@ def count_real_roots(c: RCoeffs, lo: Fraction | None = None, hi: Fraction | None
                     s = -s
                 vals.append(s)
             else:
-                v = _eval_r(p, x)
+                v = ueval(p, x)
                 vals.append(0 if not v else (1 if v > 0 else -1))
         return _sign_variations(vals)
 

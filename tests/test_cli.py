@@ -270,3 +270,37 @@ def test_resolution_below_two_is_a_usage_error(eee_doc, res, capsys):
     assert "resolution must be at least 2" in capsys.readouterr().err
     assert run(["certify", eee_doc, "--field", "eee", "--curve", "circle", f"--res={res}"]) == 2
     assert "resolution must be at least 2" in capsys.readouterr().err
+
+
+def _joined(argv):
+    """argv with each `--option -value` pair written as `--option=-value`."""
+    out = []
+    for arg in argv:
+        if out and out[-1].startswith("--") and arg.startswith("-") and not arg.startswith("--"):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ovals", "DOC", "--curve", "circle", "--box", "-2:2:-2:2", "--res", "8"],
+        ["construct", "log", "--curves", "X;Y;Y - X - Z", "--weights", "-3,1,2"],
+        ["construct", "eee", "--g", "-x^2 - y^2 + 1", "--h", "x - 2", "--a", "-1/2", "--b", "-3"],
+    ],
+)
+def test_option_values_may_start_with_a_dash(eee_doc, argv, capsys):
+    argv = [eee_doc if a == "DOC" else a for a in argv]
+    assert _joined(argv) != argv
+    assert run(argv) == 0
+    spaced = capsys.readouterr()
+    assert run(_joined(argv)) == 0
+    assert capsys.readouterr() == spaced
+
+
+@pytest.mark.parametrize("box", ["-2:x:-2:2", "-2:2:-2", "-1:1:1:1"])
+def test_malformed_negative_box_is_a_usage_error(eee_doc, box, capsys):
+    assert run(["ovals", eee_doc, "--curve", "circle", "--box", box, "--res", "8"]) == 2
+    assert "parse error: box" in capsys.readouterr().err

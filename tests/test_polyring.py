@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -8,6 +9,9 @@ from foltools.gaussian import gr
 from foltools.polyring import (
     MINUS_INFINITY,
     MultiPoly,
+    _coprimality_fast_path,
+    _primitive_part,
+    _subresultant_gcd,
     affine_vars,
     const2,
     dehomogenize,
@@ -119,6 +123,42 @@ def test_gcd_basics(rng):
         g = poly_gcd(a * c, b * c)
         assert exact_divide(g, poly_gcd(g, c)) is not None  # c divides the gcd up to units
         assert exact_divide(a * c, g) is not None and exact_divide(b * c, g) is not None
+
+
+def _linear_product(v, roots):
+    out = MultiPoly.constant(v.arity, 1)
+    for r in roots:
+        out = out * (v - MultiPoly.constant(v.arity, r))
+    return out
+
+
+@pytest.mark.parametrize("v", [x, y, Z], ids=["x", "y", "Z-in-arity-3"])
+def test_univariate_gcd_is_the_planted_common_product(v):
+    rnd = random.Random(23)
+    pool = [gr(1), gr(-2), gr(0, 1), gr(1, -1), gr("1/2", 3)]
+    for _ in range(25):
+        ra = Counter(rnd.choices(pool, k=rnd.randint(1, 5)))
+        rb = Counter(rnd.choices(pool, k=rnd.randint(1, 5)))
+        a = _linear_product(v, ra.elements()) * gr(rnd.randint(1, 4), rnd.randint(-2, 2))
+        b = _linear_product(v, rb.elements()) * gr(rnd.randint(-4, -1), rnd.randint(-2, 2))
+        assert poly_gcd(a, b) == _linear_product(v, (ra & rb).elements())
+
+
+def test_specialisation_certificate_implies_trivial_gcd(rng):
+    coprime = undecided = 0
+    for _ in range(100):
+        c = random_poly(rng, max_degree=2, nonzero=True) if rng.random() < 0.5 else MultiPoly.constant(2, 1)
+        a = random_poly(rng, max_degree=2, nonzero=True) * c
+        b = random_poly(rng, max_degree=2, nonzero=True) * c
+        if a.degree_in(1) < 1 or b.degree_in(1) < 1:
+            continue
+        pa, pb = _primitive_part(a, 1), _primitive_part(b, 1)
+        if _coprimality_fast_path(pa, pb, 1):
+            coprime += 1
+            assert _subresultant_gcd(pa, pb, 1).is_constant()
+        else:
+            undecided += 1
+    assert coprime > 10 and undecided > 10
 
 
 def test_gcd_homogeneous_fast_path():

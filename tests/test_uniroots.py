@@ -265,3 +265,30 @@ def test_too_many_divisors_is_uncertain():
         gi_divisors((n, 0))
     rep = qi_roots([gr(n), gr(1), gr(0), gr(1)])
     assert rep.uncertain_degree == 3 and rep.roots == []
+
+
+# -- Sturm counts against known roots -------------------------------------------------
+
+
+def test_sturm_count_matches_known_roots():
+    rnd = random.Random(41)
+    multiple_root_endpoints = 0
+    for _ in range(120):
+        roots = sorted({Fraction(rnd.randint(-12, 12), rnd.randint(1, 4)) for _ in range(rnd.randint(1, 4))})
+        mults = [rnd.randint(1, 3) for _ in roots]
+        lead = gr(Fraction(rnd.choice([-3, -1, 1, 2]), rnd.randint(1, 3)))
+        c = _poly_from_roots([gr(r) for r, m in zip(roots, mults) for _ in range(m)], lead)
+        c = [z.re for z in c]
+        if rnd.random() < 0.5:  # times x^2 + b x + a with b^2 < 4a: no real root
+            a, b = rnd.randint(2, 5), rnd.randint(-2, 2)
+            c = [a * u + b * v + w for u, v, w in zip(c + [0, 0], [0] + c + [0], [0, 0] + c)]
+        gaps = [(r + s) / 2 for r, s in zip(roots, roots[1:])]
+        ends = [None, roots[0] - 1, roots[-1] + 1] + roots + gaps
+        for lo in ends:
+            for hi in ends:
+                if lo is not None and hi is not None and lo >= hi:
+                    continue
+                expected = sum(1 for r in roots if (lo is None or lo < r) and (hi is None or r <= hi))
+                assert count_real_roots(c, lo, hi) == expected, (c, lo, hi)
+                multiple_root_endpoints += any(r in (lo, hi) and m > 1 for r, m in zip(roots, mults))
+    assert multiple_root_endpoints > 100
