@@ -1,7 +1,8 @@
 """Command-line interface: certificates in, certificates out.
 
 Exit codes: 0 every check passed, 1 a verification failed, 2 usage or parse
-error, 3 an Unknown/Unsupported/uncertified outcome was encountered.
+error, 3 an Unknown/Unsupported/uncertified outcome was encountered, 141
+(128 + SIGPIPE) stdout was closed before the output was written.
 Machine-readable JSON accompanies human output on 0 and 1 (--json / --report).
 """
 
@@ -9,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -69,6 +71,7 @@ EXIT_OK = 0
 EXIT_FAILED = 1
 EXIT_USAGE = 2
 EXIT_UNKNOWN = 3
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE: what a shell shows for a writer whose reader left early
 
 
 def _load_document(path: str) -> SystemDocument:
@@ -851,7 +854,16 @@ def run(argv: list[str]) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe (e.g. `| head`): point stdout at devnull
+        # so the flush at interpreter exit does not raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        sys.exit(EXIT_BROKEN_PIPE)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

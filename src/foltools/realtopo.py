@@ -1,16 +1,21 @@
 """Real ovals of plane curves: certified counting and numeric tracing.
 
-Topology comes from exact signs: grid nodes are rational, every sign
-decision is integer arithmetic (vectorized in int64 when a proven bound
-says it cannot overflow, arbitrary-precision otherwise).  Floating point
-only places vertices inside cells.  Ambiguous cells are resolved by
-subdivision with exact signs, never by a midpoint heuristic; when depth
-runs out the affected ovals are reported uncertified with a warning.
+Topology comes from exact signs: grid nodes are rational, and every sign
+is proven.  The scaled integer values are computed in int64 when a proven
+bound says they cannot overflow; otherwise a float64 Horner decides each
+sign whose value clears a rigorous rounding-error bound, and every other
+node is evaluated in exact integers (a filtered predicate in the sense of
+Shewchuk, 1997).  Floating point only places vertices inside cells.
+Ambiguous cells are resolved by subdivision with exact signs, never by a
+midpoint heuristic; when depth runs out the affected ovals are reported
+uncertified with a warning.  Uncrossed cell edges of each loop are proven
+zero-free by Sturm counts, one chain per lattice line.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field as dfield
 from fractions import Fraction
 
@@ -18,7 +23,7 @@ import numpy as np
 
 from .errors import DegenerateInput, PreconditionError
 from .polyring import MultiPoly, leading_form
-from .uniroots import count_real_roots, utrim
+from .uniroots import count_real_roots, sturm_counter, utrim
 
 MAX_SUBDIVISION_DEPTH = 6
 _INT64_SAFE = 1 << 62
@@ -130,8 +135,95 @@ def _lattice(lo: Fraction, hi: Fraction, n: int) -> tuple[int, int, int]:
     return a, s, d
 
 
+def _horner(w: list[int], x: int) -> int:
+    acc = w[-1]
+    for a in range(len(w) - 2, -1, -1):
+        acc = acc * x + w[a]
+    return acc
+
+
+def _gamma(k: int) -> float:
+    """Higham's gamma_k = k u / (1 - k u) for binary64, u = 2^-53."""
+    u = 2.0**-53
+    return k * u / (1 - k * u)
+
+
+def _crossing_nodes(signs: np.ndarray) -> np.ndarray:
+    """Mask of the nodes with a 4-neighbour of the other sign."""
+    h = signs[:, :-1] * signs[:, 1:] < 0
+    v = signs[:-1, :] * signs[1:, :] < 0
+    mask = np.zeros(signs.shape, dtype=bool)
+    mask[:, :-1] |= h
+    mask[:, 1:] |= h
+    mask[:-1, :] |= v
+    mask[1:, :] |= v
+    return mask
+
+
+def _filtered_signs(rows: list[list[int]], nx: list[int]) -> np.ndarray:
+    """Exact signs of the row polynomials rows[j] at the abscissae nx[i].
+
+    A float64 Horner value p^ with the running bound M^ = Horner(|fl(w)|, |x|)
+    satisfies |p^ - p| <= gamma_{2d+1} M <= 2 gamma_{2d+2} M^ (Higham,
+    Accuracy and Stability of Numerical Algorithms, 5.1; the extra rounding
+    is that of the coefficients), so its sign is taken when |p^| exceeds that
+    bound and both are finite.  Every other node, every row whose
+    coefficients overflow a float, and the whole grid when an abscissa is not
+    exact in float64 are evaluated by the exact integer Horner.
+    """
+    degx = len(rows[0]) - 1
+    signs = np.zeros((len(rows), len(nx)), dtype=np.int8)
+    exact = np.ones(signs.shape, dtype=bool)
+    if max(abs(nx[0]), abs(nx[-1])) < 1 << 53:
+        xs = np.array(nx, dtype=np.float64)
+        coeffs = np.zeros((len(rows), degx + 1))
+        for j, w in enumerate(rows):
+            try:
+                coeffs[j] = [float(c) for c in w]
+            except OverflowError:
+                coeffs[j] = np.inf  # M^ is infinite: the whole row goes to the exact Horner
+        p = np.zeros(signs.shape)
+        m = np.zeros(signs.shape)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for a in range(degx, -1, -1):
+                p = p * xs + coeffs[:, a : a + 1]
+                m = m * np.abs(xs) + np.abs(coeffs[:, a : a + 1])
+            decided = np.isfinite(p) & np.isfinite(m) & (np.abs(p) > 2 * _gamma(2 * degx + 2) * m)
+        signs[decided] = np.sign(p[decided])
+        exact = ~decided
+    for j, i in zip(*(k.tolist() for k in np.nonzero(exact))):
+        v = _horner(rows[j], nx[i])
+        signs[j, i] = 0 if v == 0 else (1 if v > 0 else -1)
+    return signs
+
+
+def _box_lattice(box: Box, resolution: int, shift: int) -> tuple[int, int, int, int, int, int, int]:
+    """(ax, sx, dx, ay, sy, dy, n): a lattice one step larger than the box on
+    every side, shifted by shift/257 and shift/251 of a step to dodge exact
+    zeros at nodes."""
+    sx = (box.x_hi - box.x_lo) / resolution
+    sy = (box.y_hi - box.y_lo) / resolution
+    delta_x = sx * shift / Fraction(257)
+    delta_y = sy * shift / Fraction(251)
+    n = resolution + 2
+    return (
+        *_lattice(box.x_lo - sx + delta_x, box.x_hi + sx + delta_x, n),
+        *_lattice(box.y_lo - sy + delta_y, box.y_hi + sy + delta_y, n),
+        n,
+    )
+
+
 def _sign_grid(ip: _IntPoly, ax: int, sx: int, dx: int, ay: int, sy: int, dy: int, n: int):
-    """Signs (and integer values) of f at the (n+1)^2 lattice nodes."""
+    """Exact signs of f at the (n+1)^2 lattice nodes, and float values of f.
+
+    Both arrays are indexed [j][i].  When a proven bound says int64 cannot
+    overflow, the scaled integer values are computed in int64 and every node
+    gets a float value.  Otherwise the signs come from a filtered float
+    Horner with an exact integer fallback (`_filtered_signs`), and float
+    values are computed only at nodes with a 4-neighbour of the other sign,
+    the only ones the mesher reads; each is the exact integer value divided
+    by lcm * dx^degx * dy^degy, correctly rounded.  Every other value is NaN.
+    """
     dx_pows = [dx**k for k in range(ip.degx + 1)]
     dy_pows = [dy**k for k in range(ip.degy + 1)]
     nx_max = max(abs(ax), abs(ax + n * sx))
@@ -141,31 +233,25 @@ def _sign_grid(ip: _IntPoly, ax: int, sx: int, dx: int, ay: int, sy: int, dy: in
     bound = coef_bound * max(ny_max, 1) ** ip.degy * max(dy, 1) ** ip.degy
     bound *= max(dx, 1) ** ip.degx
     bound *= max(nx_max, 1) ** ip.degx * (ip.degx + 1)
-    use_numpy = bound < _INT64_SAFE
-    signs = np.zeros((n + 1, n + 1), dtype=np.int8)  # [j][i]
-    values: list[list[int]] | None = None if use_numpy else []
-    nx = ax + sx * np.arange(n + 1, dtype=np.int64) if use_numpy else [ax + sx * i for i in range(n + 1)]
-    float_vals = np.zeros((n + 1, n + 1), dtype=np.float64)
-    scale = float(ip.lcm) * float(dx) ** ip.degx * float(dy) ** ip.degy
-    for j in range(n + 1):
-        w = ip.row_coefficients(ay + j * sy, dy_pows, dx_pows)
-        if use_numpy:
+    rows = [ip.row_coefficients(ay + j * sy, dy_pows, dx_pows) for j in range(n + 1)]
+    if bound < _INT64_SAFE:
+        nx = ax + sx * np.arange(n + 1, dtype=np.int64)
+        signs = np.zeros((n + 1, n + 1), dtype=np.int8)
+        float_vals = np.zeros((n + 1, n + 1), dtype=np.float64)
+        scale = float(ip.lcm) * float(dx) ** ip.degx * float(dy) ** ip.degy
+        for j, w in enumerate(rows):
             acc = np.full(n + 1, w[ip.degx], dtype=np.int64)
             for a in range(ip.degx - 1, -1, -1):
                 acc = acc * nx + w[a]
             signs[j] = np.sign(acc)
             float_vals[j] = acc.astype(np.float64) / scale
-        else:
-            row_vals = []
-            for i in range(n + 1):
-                acc = w[ip.degx]
-                x = nx[i]
-                for a in range(ip.degx - 1, -1, -1):
-                    acc = acc * x + w[a]
-                row_vals.append(acc)
-            values.append(row_vals)
-            signs[j] = [0 if v == 0 else (1 if v > 0 else -1) for v in row_vals]
-            float_vals[j] = [float(Fraction(v) / (ip.lcm * dx_pows[-1] * dy_pows[-1])) for v in row_vals]
+        return signs, float_vals
+    nx = [ax + sx * i for i in range(n + 1)]
+    signs = _filtered_signs(rows, nx)
+    denom = ip.lcm * dx_pows[-1] * dy_pows[-1]
+    float_vals = np.full((n + 1, n + 1), np.nan)
+    for j, i in zip(*(k.tolist() for k in np.nonzero(_crossing_nodes(signs)))):
+        float_vals[j, i] = _horner(rows[j], nx[i]) / denom
     return signs, float_vals
 
 
@@ -199,34 +285,45 @@ def _interval_eval(f: MultiPoly, xlo: Fraction, xhi: Fraction, ylo: Fraction, yh
     return lo_total, hi_total
 
 
-def _edge_restriction(f: MultiPoly, p1, p2) -> tuple[list[Fraction], Fraction, Fraction]:
-    """f restricted to an axis-aligned segment, as trimmed univariate coefficients."""
-    (x1, y1), (x2, y2) = p1, p2
+def _line_restriction(f: MultiPoly, kind: str, at: Fraction) -> list[Fraction]:
+    """Trimmed coefficients of f on the horizontal line y = at ("h", in x)
+    or the vertical line x = at ("v", in y)."""
     coeffs: dict[int, Fraction] = {}
-    if y1 == y2:  # horizontal: varies in x
-        for (a, b), c in f.terms.items():
-            coeffs[a] = coeffs.get(a, Fraction(0)) + c.re * y1**b
-        lo, hi = min(x1, x2), max(x1, x2)
-    else:
-        for (a, b), c in f.terms.items():
-            coeffs[b] = coeffs.get(b, Fraction(0)) + c.re * x1**a
-        lo, hi = min(y1, y2), max(y1, y2)
+    for (a, b), c in f.terms.items():
+        if kind == "h":
+            coeffs[a] = coeffs.get(a, Fraction(0)) + c.re * at**b
+        else:
+            coeffs[b] = coeffs.get(b, Fraction(0)) + c.re * at**a
     top = max(coeffs, default=0)
-    return utrim([coeffs.get(k, Fraction(0)) for k in range(top + 1)]), lo, hi
+    return utrim([coeffs.get(k, Fraction(0)) for k in range(top + 1)])
 
 
-def _edge_is_zero_free(f: MultiPoly, p1, p2) -> bool:
-    """Exact proof (Sturm count) that f has no zero on the segment [p1, p2].
+class _LatticeLines:
+    """Exact proofs (Sturm counts) that f has no zero on a lattice edge.
 
-    Endpoints are lattice nodes with nonzero exact sign, so a zero count of 0
-    on the half-open interval certifies the whole closed edge.
+    f restricted to an edge depends only on the edge's line, so each line
+    gets one Sturm chain, and its sign variations are memoized per node.
+    Endpoints are lattice nodes with nonzero exact sign, so a zero count on
+    the half-open interval certifies the whole closed edge.
     """
-    coeffs, lo, hi = _edge_restriction(f, p1, p2)
-    if not coeffs:
-        return False  # f vanishes identically on the edge line
-    if len(coeffs) == 1:
-        return bool(coeffs[0])
-    return count_real_roots(coeffs, lo, hi) == 0
+
+    def __init__(self, f: MultiPoly, nodes_x: list[Fraction], nodes_y: list[Fraction]):
+        self.f = f
+        self.nodes_x = nodes_x
+        self.nodes_y = nodes_y
+        self._counters: dict[tuple[str, int], Callable | None] = {}
+
+    def edge_is_zero_free(self, kind: str, i: int, j: int) -> bool:
+        if kind == "h":
+            line, at, lo, hi = ("h", j), self.nodes_y[j], self.nodes_x[i], self.nodes_x[i + 1]
+        else:
+            line, at, lo, hi = ("v", i), self.nodes_x[i], self.nodes_y[j], self.nodes_y[j + 1]
+        if line not in self._counters:
+            coeffs = _line_restriction(self.f, kind, at)
+            # None: f vanishes identically on the line
+            self._counters[line] = sturm_counter(coeffs) if coeffs else None
+        count = self._counters[line]
+        return count is not None and count(lo, hi) == 0
 
 
 # -- compactness and the default box --------------------------------------------------
@@ -627,16 +724,7 @@ def count_ovals(
     warnings: list[str] = []
     shift_num = 0
     while True:
-        # a lattice slightly larger than the box, shifted to dodge exact zeros
-        sx = (box.x_hi - box.x_lo) / resolution
-        sy = (box.y_hi - box.y_lo) / resolution
-        delta_x = sx * shift_num / Fraction(257)
-        delta_y = sy * shift_num / Fraction(251)
-        x_lo, x_hi = box.x_lo - sx + delta_x, box.x_hi + sx + delta_x
-        y_lo, y_hi = box.y_lo - sy + delta_y, box.y_hi + sy + delta_y
-        n = resolution + 2
-        ax, sxi, dx = _lattice(x_lo, x_hi, n)
-        ay, syi, dy = _lattice(y_lo, y_hi, n)
+        ax, sxi, dx, ay, syi, dy, n = _box_lattice(box, resolution, shift_num)
         signs, fvals = _sign_grid(ip, ax, sxi, dx, ay, syi, dy, n)
         if not (signs == 0).any():
             break
@@ -656,34 +744,23 @@ def count_ovals(
         warnings.append(f"{open_chains} open chain(s) reached the search boundary")
 
     result = OvalSet(box=box, resolution=resolution, warnings=warnings, open_chains=open_chains)
-    edge_memo: dict = {}
+    lines = _LatticeLines(f, nodes_x, nodes_y)
     for chain, cells in zip(loops, mesher._loop_cells):
         verts = [mesher.vertex_pos[k] for k in chain]
         ok = True
         if any(c in mesher.uncertified_cells for c in cells):
             ok = False
         if certify and ok:
-            ok = _certify_loop(f, mesher, cells, nodes_x, nodes_y, edge_memo)
+            ok = _certify_loop(mesher, cells, lines)
         result.ovals.append(Oval(verts, bool(ok) if certify else False))
     result.ovals.sort(key=lambda o: (min(v[0] for v in o.vertices), min(v[1] for v in o.vertices)))
     return result
 
 
-def _certify_loop(f, mesher: _Mesher, cells, nodes_x, nodes_y, memo: dict) -> bool:
+def _certify_loop(mesher: _Mesher, cells, lines: _LatticeLines) -> bool:
     for i, j in cells:
-        for kind, ei, ej in _cell_edges(i, j).values():
-            key = (kind, ei, ej)
-            if key in mesher.crossed_edges:
-                continue
-            if key not in memo:
-                if kind == "h":
-                    p1 = (nodes_x[ei], nodes_y[ej])
-                    p2 = (nodes_x[ei + 1], nodes_y[ej])
-                else:
-                    p1 = (nodes_x[ei], nodes_y[ej])
-                    p2 = (nodes_x[ei], nodes_y[ej + 1])
-                memo[key] = _edge_is_zero_free(f, p1, p2)
-            if not memo[key]:
+        for key in _cell_edges(i, j).values():
+            if key not in mesher.crossed_edges and not lines.edge_is_zero_free(*key):
                 return False
     return True
 
@@ -707,10 +784,18 @@ def compile_gradient(f: MultiPoly):
     return _compile(f.partial(0)), _compile(f.partial(1))
 
 
-def newton_project(f: MultiPoly, pt, tol: float = 1e-13, max_iter: int = 60):
-    """Project a point onto f = 0 along the gradient; None when it fails."""
-    ev = _compile(f)
-    gx, gy = compile_gradient(f)
+def _compile_with_gradient(f: MultiPoly):
+    return (_compile(f), *compile_gradient(f))
+
+
+def newton_project(f: MultiPoly, pt, tol: float = 1e-13, max_iter: int = 60, compiled=None):
+    """Project a point onto f = 0 along the gradient; None when it fails.
+
+    `compiled` is an optional (f, f_x, f_y) evaluator triple from
+    `_compile_with_gradient(f)`, so callers projecting many points compile
+    once; the result is the same either way.
+    """
+    ev, gx, gy = compiled if compiled is not None else _compile_with_gradient(f)
     x, y = float(pt[0]), float(pt[1])
     for _ in range(max_iter):
         v = ev(x, y)
@@ -739,9 +824,8 @@ def trace_oval(
     """
     if not f.has_real_coefficients():
         raise PreconditionError("real coefficients required")
-    ev = _compile(f)
-    gx, gy = compile_gradient(f)
-    start = newton_project(f, seed, tol)
+    ev, gx, gy = compiled = _compile_with_gradient(f)
+    start = newton_project(f, seed, tol, compiled=compiled)
     if start is None:
         raise PreconditionError("seed failed to project onto the curve")
     x, y = start
@@ -783,12 +867,13 @@ def trace_oval(
 
 def refine_polyline(f: MultiPoly, pts: list[tuple[float, float]]) -> list[tuple[float, float]]:
     """Insert curve-projected midpoints between consecutive vertices (closed)."""
+    compiled = _compile_with_gradient(f)
     out: list[tuple[float, float]] = []
     for k in range(len(pts) - 1):
         out.append(pts[k])
         mx = 0.5 * (pts[k][0] + pts[k + 1][0])
         my = 0.5 * (pts[k][1] + pts[k + 1][1])
-        proj = newton_project(f, (mx, my))
+        proj = newton_project(f, (mx, my), compiled=compiled)
         out.append(proj if proj is not None else (mx, my))
     out.append(pts[-1])
     return out

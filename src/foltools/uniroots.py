@@ -16,7 +16,7 @@ back to the exact Euclidean gcd.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -478,33 +478,55 @@ def _sign_variations(vals: list[int]) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a * b < 0)
 
 
-def count_real_roots(c: RCoeffs, lo: Fraction | None = None, hi: Fraction | None = None) -> int:
-    """Number of distinct real roots in (lo, hi]; None means +-infinity."""
-    c = utrim(list(c))
+def sturm_counter(c: RCoeffs) -> Callable[[Fraction | None, Fraction | None], int]:
+    """count(lo, hi): the number of distinct real roots of c in (lo, hi]; None means +-infinity.
+
+    The Sturm chain is built once and scaled to integer coefficients, and
+    the sign variations at each finite point are memoized, so counting on
+    many intervals of one polynomial evaluates the chain once per distinct
+    endpoint, in integer arithmetic.
+    """
+    c = utrim([Fraction(v) for v in c])
     if len(c) <= 1:
-        return 0
+        return lambda lo=None, hi=None: 0
     chain = sturm_chain(c)
     g = chain[-1]
     if len(g) > 1:
         # c has multiple roots and g = gcd(c, c') up to a constant: the chain
         # divided by g is a Sturm chain of c / g, which has each root of c once
         chain = [udivmod(p, g)[0] for p in chain]
+    at_plus_inf = _sign_variations([1 if p[-1] > 0 else -1 for p in chain])
+    at_minus_inf = _sign_variations([(1 if p[-1] > 0 else -1) * (-1) ** (len(p) - 1) for p in chain])
+    # each element times the (positive) lcm of its denominators: same signs
+    int_chain = []
+    for p in chain:
+        lcm = math.lcm(*(q.denominator for q in p))
+        int_chain.append([q.numerator * (lcm // q.denominator) for q in p])
+    memo: dict[Fraction, int] = {}
 
-    def var_at(x: Fraction | None, sign_inf: int) -> int:
-        vals = []
-        for p in chain:
-            if x is None:
-                lead = p[-1]
-                deg = len(p) - 1
-                s = 1 if lead > 0 else -1
-                if sign_inf < 0 and deg % 2 == 1:
-                    s = -s
-                vals.append(s)
-            else:
-                v = ueval(p, x)
-                vals.append(0 if not v else (1 if v > 0 else -1))
-        return _sign_variations(vals)
+    def variations(x: Fraction) -> int:
+        v = memo.get(x)
+        if v is None:
+            n, d = x.numerator, x.denominator
+            vals = []
+            for p in int_chain:
+                # d^deg(p) p(n/d) = sum p_k n^k d^(deg(p)-k), of the sign of p(x) as d > 0
+                acc, d_pow = p[-1], 1
+                for k in range(len(p) - 2, -1, -1):
+                    d_pow *= d
+                    acc = acc * n + p[k] * d_pow
+                vals.append((acc > 0) - (acc < 0))
+            v = memo[x] = _sign_variations(vals)
+        return v
 
-    vlo = var_at(lo, -1) if lo is None else var_at(lo, 0)
-    vhi = var_at(hi, +1) if hi is None else var_at(hi, 0)
-    return vlo - vhi
+    def count(lo: Fraction | None = None, hi: Fraction | None = None) -> int:
+        vlo = at_minus_inf if lo is None else variations(lo)
+        vhi = at_plus_inf if hi is None else variations(hi)
+        return vlo - vhi
+
+    return count
+
+
+def count_real_roots(c: RCoeffs, lo: Fraction | None = None, hi: Fraction | None = None) -> int:
+    """Number of distinct real roots in (lo, hi]; None means +-infinity."""
+    return sturm_counter(c)(lo, hi)

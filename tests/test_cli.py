@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from foltools.cli import run
+import foltools
+from foltools.cli import EXIT_BROKEN_PIPE, run
 
 EEE_DOC = """
 [field eee]
@@ -304,3 +309,24 @@ def test_option_values_may_start_with_a_dash(eee_doc, argv, capsys):
 def test_malformed_negative_box_is_a_usage_error(eee_doc, box, capsys):
     assert run(["ovals", eee_doc, "--curve", "circle", "--box", box, "--res", "8"]) == 2
     assert "parse error: box" in capsys.readouterr().err
+
+
+def test_closed_stdout_exits_quietly():
+    # the reader is gone before the first write (as with `| head` on long
+    # output): no traceback, the documented exit code
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=str(Path(foltools.__file__).resolve().parent.parent))
+    argv = ["construct", "log", "--curves", "X;Y;X+Y+Z", "--weights", "-3,1,2"]
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "foltools.cli", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == EXIT_BROKEN_PIPE
+    assert b"Traceback" not in proc.stderr and b"BrokenPipeError" not in proc.stderr

@@ -1,13 +1,23 @@
 import math
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from foltools import realtopo
 from foltools.construct import gallery
 from foltools.errors import DegenerateInput, PreconditionError
 from foltools.gaussian import gr
 from foltools.polyring import affine_vars, const2
 from foltools.realtopo import (
     Box,
+    _compile_with_gradient,
+    _filtered_signs,
+    _IntPoly,
+    _LatticeLines,
+    _box_lattice,
+    _line_restriction,
+    _sign_grid,
     compactness_check,
     count_ovals,
     default_box,
@@ -16,6 +26,7 @@ from foltools.realtopo import (
     trace_oval,
 )
 from foltools.textio import parse_poly
+from foltools.uniroots import count_real_roots
 
 x, y = affine_vars()
 circle = x**2 + y**2 - const2(1)
@@ -137,4 +148,120 @@ def test_refine_polyline_stays_on_curve():
 def test_newton_project():
     pt = newton_project(circle, (1.2, 0.1))
     assert pt is not None and abs(math.hypot(*pt) - 1.0) < 1e-12
-    assert newton_project(circle, (1e9, 1e9)) is None or True  # far seeds may fail
+    far = newton_project(circle, (1e9, 1e9))  # far seeds may fail, but never land off the curve
+    assert far is None or abs(math.hypot(*far) - 1.0) < 1e-12
+
+
+def test_precompiled_closures_change_no_bit(monkeypatch):
+    # refine_polyline and trace_oval compile f and its gradient once and hand
+    # the closures to newton_project; recompiling per call gives the same bits
+    f = (x**2 + const2(2) * y**2 - const2(1)) * (x**2 + y**2 - const2(9))
+    seeds = [(1.2, 0.1), (0.3, -0.8), (-2.0, 2.5), (0.0, 0.0), (1e9, 1e9)]
+    compiled = _compile_with_gradient(f)
+    assert [newton_project(f, p, compiled=compiled) for p in seeds] == [newton_project(f, p) for p in seeds]
+    assert newton_project(f, (0.0, 0.0)) is None  # the failing path is covered too
+
+    traced = trace_oval(f, (1.01, 0.0), spacing=4e-3)
+    refined = refine_polyline(f, traced)
+    plain = realtopo.newton_project
+
+    def recompiling(f, pt, tol=1e-13, max_iter=60, compiled=None):
+        return plain(f, pt, tol, max_iter)
+
+    monkeypatch.setattr(realtopo, "newton_project", recompiling)
+    assert trace_oval(f, (1.01, 0.0), spacing=4e-3) == traced
+    assert refine_polyline(f, traced) == refined
+
+
+# -- the sign grid against exact integer Horner ---------------------------------------
+
+
+def _check_grid(f, ax, sx, dx, ay, sy, dy, n) -> dict:
+    """Compare _sign_grid with an exact node-by-node evaluation; return path facts."""
+    ip = _IntPoly(f)
+    signs, vals = _sign_grid(ip, ax, sx, dx, ay, sy, dy, n)
+    denom = ip.lcm * dx**ip.degx * dy**ip.degy
+    dx_pows = [dx**k for k in range(ip.degx + 1)]
+    dy_pows = [dy**k for k in range(ip.degy + 1)]
+    exact = [[0] * (n + 1) for _ in range(n + 1)]
+    overflowing_rows = 0
+    for j in range(n + 1):
+        w = ip.row_coefficients(ay + j * sy, dy_pows, dx_pows)
+        overflowing_rows += any(abs(c) > 2**1023 for c in w)
+        for i in range(n + 1):
+            exact[j][i] = sum(c * (ax + i * sx) ** a for a, c in enumerate(w))
+    for j in range(n + 1):
+        for i in range(n + 1):
+            v = exact[j][i]
+            assert signs[j, i] == (v > 0) - (v < 0), (j, i)
+            if not np.isnan(vals[j, i]):
+                assert vals[j, i] == float(Fraction(v, denom)), (j, i)
+    bigint = bool(np.isnan(vals).any())
+    if bigint:  # every node the mesher reads has a value, and only those
+        for j in range(n + 1):
+            for i in range(n + 1):
+                nbrs = [(j, i - 1), (j, i + 1), (j - 1, i), (j + 1, i)]
+                crossing = any(0 <= b <= n and 0 <= a <= n and exact[j][i] * exact[b][a] < 0 for b, a in nbrs)
+                assert np.isnan(vals[j, i]) != crossing, (j, i)
+    return {"bigint": bigint, "zeros": int((signs == 0).sum()), "overflowing_rows": overflowing_rows}
+
+
+def test_sign_grid_bigint_matches_exact_horner():
+    scaled = circle.scale(gr(10**15))
+    # unshifted, the circle passes through lattice nodes (1, 0) etc.; the
+    # shifted lattices have denominators 257 and 251
+    facts = [_check_grid(scaled, *_box_lattice(Box.square(2), 32, shift)) for shift in (0, 1, 2)]
+    assert all(fa["bigint"] for fa in facts)
+    assert facts[0]["zeros"] > 0 and facts[1]["zeros"] == facts[2]["zeros"] == 0
+    ovals = count_ovals(scaled, Box.square(2), 32)
+    assert any("shifted" in w for w in ovals.warnings)
+    assert ovals.count == 1 and ovals.certified_count == 1
+
+
+def test_sign_grid_overflowing_rows_use_exact_fallback():
+    # rows far from y = 0 have coefficients beyond float range and are
+    # evaluated exactly; the rows near it still go through the float filter
+    huge = (x**2 + y**2 - const2(1)).scale(gr(10**274)) + y**6 * const2(10**286)
+    facts = _check_grid(huge, *_box_lattice(Box.square(2), 8, 1))
+    assert facts["bigint"] and 0 < facts["overflowing_rows"] < 11
+
+
+def test_float_filter_sends_cancelling_nodes_to_exact_horner():
+    # K (3x - 1)(x + 5)(x - 2) + s at x = k/3: near x = 1/3, -5 and 2 the
+    # float Horner cancels to noise, and its sign is often wrong
+    wrong_float_signs = 0
+    for K in (10**17, 10**18 + 1, 3**40, 7**25):
+        for s in (1, -1, 2, -3):
+            f = const2(K) * (const2(3) * x - const2(1)) * (x + const2(5)) * (x - const2(2)) + const2(s)
+            ip = _IntPoly(f)
+            row = ip.row_coefficients(0, [1], [3**k for k in range(ip.degx + 1)])
+            nx = list(range(-20, 21))
+            exact = [sum(c * v**a for a, c in enumerate(row)) for v in nx]
+            naive = np.zeros(len(nx))
+            for c in reversed(row):
+                naive = naive * np.array(nx, dtype=float) + float(c)
+            wrong_float_signs += sum(np.sign(p) != (e > 0) - (e < 0) for p, e in zip(naive, exact))
+            assert _filtered_signs([row], nx)[0].tolist() == [(e > 0) - (e < 0) for e in exact]
+    assert wrong_float_signs > 0
+
+
+def test_lattice_lines_match_per_edge_sturm_counts():
+    # one Sturm chain per lattice line gives the per-edge answers
+    f = quartic * ((x - const2("1/3")) ** 2 + const2(2) * y**2 - const2("1/4"))
+    nodes_x = [Fraction(k, 7) - 2 for k in range(29)]
+    nodes_y = [Fraction(k, 6) - Fraction(7, 3) for k in range(29)]
+    lines = _LatticeLines(f, nodes_x, nodes_y)
+    zero_free = 0
+    for kind in ("h", "v"):
+        for i in range(28):
+            for j in range(28):
+                if kind == "h":
+                    coeffs, lo, hi = _line_restriction(f, "h", nodes_y[j]), nodes_x[i], nodes_x[i + 1]
+                else:
+                    coeffs, lo, hi = _line_restriction(f, "v", nodes_x[i]), nodes_y[j], nodes_y[j + 1]
+                expected = count_real_roots(coeffs, lo, hi) == 0
+                assert lines.edge_is_zero_free(kind, i, j) == expected, (kind, i, j)
+                zero_free += expected
+    assert 0 < zero_free < 2 * 28 * 28
+    # y = 0 is the lattice line j = 14, where y * f vanishes identically
+    assert not _LatticeLines(y * f, nodes_x, nodes_y).edge_is_zero_free("h", 3, 14)

@@ -15,6 +15,7 @@ from foltools.uniroots import (
     _gi_vanishes,
     _to_gauss_integers,
     count_real_roots,
+    sturm_counter,
     factor_int,
     gi_divisors,
     gi_factor,
@@ -284,11 +285,13 @@ def test_sturm_count_matches_known_roots():
             c = [a * u + b * v + w for u, v, w in zip(c + [0, 0], [0] + c + [0], [0, 0] + c)]
         gaps = [(r + s) / 2 for r, s in zip(roots, roots[1:])]
         ends = [None, roots[0] - 1, roots[-1] + 1] + roots + gaps
+        shared = sturm_counter(c)  # one chain and its memoized variations for every interval
         for lo in ends:
             for hi in ends:
                 if lo is not None and hi is not None and lo >= hi:
                     continue
                 expected = sum(1 for r in roots if (lo is None or lo < r) and (hi is None or r <= hi))
                 assert count_real_roots(c, lo, hi) == expected, (c, lo, hi)
+                assert shared(lo, hi) == expected, (c, lo, hi)
                 multiple_root_endpoints += any(r in (lo, hi) and m > 1 for r, m in zip(roots, mults))
     assert multiple_root_endpoints > 100

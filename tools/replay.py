@@ -1,0 +1,122 @@
+"""Replay every job of a benchmark workload against one source tree.
+
+    python3 tools/replay.py --workload geometry [--src DIR] [--out FILE.json] [--work DIR]
+    python3 tools/replay.py --compare A.json B.json
+
+The first form regenerates the workload's pool entries (the (kind, index)
+pairs recorded in perfbench/answers.json) and its named jobs with
+perfbench/gen.py, runs each one in this process through `foltools.cli.run`
+imported from DIR (default: this checkout's src/), and prints one row per
+job: id, exit code, a sha256 prefix of stdout and wall seconds.  `--out`
+also writes the rows as JSON.  The second form lists every job whose exit
+code or stdout differs between two such files and exits 1 if there is one,
+so a change that must keep output byte-identical can be checked by
+replaying the parent's tree and the change's tree.
+
+Only the standard library is used here; perfbench/ is read, never written.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import importlib
+import io
+import json
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
+
+
+def load_jobs(workload: str) -> list:
+    sys.path.insert(0, str(PERFBENCH))
+    import gen
+
+    answers = json.loads((PERFBENCH / "answers.json").read_text(encoding="utf-8"))
+    recorded = answers["workloads"][workload]
+    jobs = [gen.POOL_JOB[entry["kind"]](entry["i"]) for entry in recorded["pool"]]
+    return jobs + gen.NAMED_JOBS[workload]()
+
+
+def import_cli(src: Path):
+    sys.path.insert(0, str(src))
+    cli = importlib.import_module("foltools.cli")
+    if not Path(cli.__file__).resolve().is_relative_to(src.resolve()):
+        raise SystemExit(f"foltools was imported from {cli.__file__}, not from {src}")
+    return cli
+
+
+def replay(workload: str, src: Path, work: Path) -> list[dict]:
+    jobs = load_jobs(workload)
+    cli = import_cli(src)
+    rows = []
+    for job in jobs:
+        path = None
+        if job.doc is not None:
+            path = work / (job.id.replace("/", "_") + ".fol")
+            path.write_text(job.doc, encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        start = time.perf_counter()
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                rc = cli.run(job.args(None if path is None else str(path)))
+        except Exception as exc:  # a crash is a row, not the end of the replay
+            rc = f"crash: {type(exc).__name__}: {exc}"
+        seconds = time.perf_counter() - start
+        row = {
+            "id": job.id,
+            "rc": rc,
+            "stdout_sha": hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()[:16],
+            "seconds": round(seconds, 4),
+        }
+        rows.append(row)
+        print(f"{row['id']:<28} {str(row['rc']):>4} {row['stdout_sha']} {row['seconds']:9.3f}", flush=True)
+    print(f"{len(rows)} jobs, {sum(r['seconds'] for r in rows):.1f} s")
+    return rows
+
+
+def compare(a_path: Path, b_path: Path) -> int:
+    a = {r["id"]: r for r in json.loads(a_path.read_text(encoding="utf-8"))}
+    b = {r["id"]: r for r in json.loads(b_path.read_text(encoding="utf-8"))}
+    differ = 0
+    for job_id in sorted(a.keys() | b.keys()):
+        ra, rb = a.get(job_id), b.get(job_id)
+        if ra is None or rb is None:
+            print(f"{job_id}: only in {a_path if rb is None else b_path}")
+        elif (ra["rc"], ra["stdout_sha"]) != (rb["rc"], rb["stdout_sha"]):
+            print(f"{job_id}: rc {ra['rc']} -> {rb['rc']}, stdout {ra['stdout_sha']} -> {rb['stdout_sha']}")
+        else:
+            continue
+        differ += 1
+    time_a = sum(r["seconds"] for r in a.values())
+    time_b = sum(r["seconds"] for r in b.values())
+    print(f"{differ} of {len(a.keys() | b.keys())} job(s) differ; {time_a:.1f} s -> {time_b:.1f} s")
+    return 1 if differ else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--workload", choices=("algebra", "geometry"))
+    parser.add_argument("--src", type=Path, default=ROOT / "src", help="source tree holding foltools/")
+    parser.add_argument("--out", type=Path, help="write the rows as JSON here")
+    parser.add_argument("--work", type=Path, help="where to make the temporary directory for the generated documents")
+    parser.add_argument("--compare", nargs=2, type=Path, metavar=("A.json", "B.json"))
+    args = parser.parse_args(argv)
+    if args.compare:
+        return compare(*args.compare)
+    if not args.workload:
+        parser.error("--workload or --compare is required")
+    with tempfile.TemporaryDirectory(dir=args.work) as tmp:
+        rows = replay(args.workload, args.src, Path(tmp))
+    if args.out:
+        args.out.write_text(json.dumps(rows, indent=1) + "\n", encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
