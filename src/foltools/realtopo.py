@@ -6,9 +6,10 @@ bound says they cannot overflow; otherwise a float64 Horner decides each
 sign whose value clears a rigorous rounding-error bound, and every other
 node is evaluated in exact integers (a filtered predicate in the sense of
 Shewchuk, 1997).  Floating point only places vertices inside cells.
-Ambiguous cells are resolved by subdivision with exact signs, never by a
-midpoint heuristic; when depth runs out the affected ovals are reported
-uncertified with a warning.  Uncrossed cell edges of each loop are proven
+Ambiguous cells are resolved by subdivision, never by a midpoint
+heuristic: a cell's sub-lattice is again an integer lattice, evaluated the
+same way as the coarse grid; when depth runs out the affected ovals are
+reported uncertified with a warning.  Uncrossed cell edges of each loop are proven
 zero-free by Sturm counts, one chain per lattice line.
 """
 
@@ -430,105 +431,83 @@ def _cell_edges(i: int, j: int) -> dict[str, tuple]:
     }
 
 
-class _Mesher:
-    """Extracts closed contours from exact signs on a lattice."""
+def _cases(signs: np.ndarray) -> np.ndarray:
+    """The corner sign pattern of every cell of a sign grid indexed [j][i]."""
+    neg = (signs < 0).astype(np.int8)
+    return neg[:-1, :-1] + 2 * neg[:-1, 1:] + 4 * neg[1:, 1:] + 8 * neg[1:, :-1]
 
-    def __init__(self, f: MultiPoly, ip: _IntPoly, grids, n: int, nodes_x, nodes_y):
-        self.f = f
+
+def _edge_point(kind: str, x: float, y: float, step: float, va, vb) -> tuple[float, float]:
+    """Zero of the linear interpolant on the edge of length `step` from (x, y)
+    along x ("h") or y ("v"), where f takes the values va and vb at its ends.
+    Integer values give t = va/(va - vb) correctly rounded."""
+    t = va / (va - vb) if va != vb else 0.5
+    return (x + t * step, y) if kind == "h" else (x, y + t * step)
+
+
+class _Mesher:
+    """Extracts closed contours from exact signs on an integer lattice.
+
+    The lattice is (ax, sx, dx, ay, sy, dy, n) as from `_box_lattice`; the
+    m x m sub-lattice of cell (i, j) is again an integer lattice, so
+    subdivision takes its signs from `_sign_grid` and its values from the
+    same integer Horner.
+    """
+
+    def __init__(self, ip: _IntPoly, lattice: tuple, grids):
         self.ip = ip
+        self.lattice = lattice
         self.signs, self.fvals = grids
-        self.n = n
-        self.nodes_x = nodes_x  # exact Fractions of lattice lines
-        self.nodes_y = nodes_y
+        ax, sx, dx, ay, sy, dy, n = lattice
+        self.xs = [(ax + i * sx) / dx for i in range(n + 1)]  # nodes, correctly rounded
+        self.ys = [(ay + j * sy) / dy for j in range(n + 1)]
         self.segments: list[tuple] = []
         self.vertex_pos: dict[tuple, tuple[float, float]] = {}
         self.uncertified_cells: set[tuple[int, int]] = set()
         self.warnings: list[str] = []
         self.crossed_edges: set[tuple] = set()
-        self._loop_cells: list[set] = []
-
-    # ---- exact helpers
-
-    def _exact_sign(self, x: Fraction, y: Fraction) -> int:
-        v = self.f.evaluate((x, y))
-        q = v.re
-        return 0 if not q else (1 if q > 0 else -1)
 
     def _edge_vertex(self, kind: str, i: int, j: int) -> tuple:
         key = (kind, i, j)
         if key not in self.vertex_pos:
-            if kind == "h":
-                x1, x2 = float(self.nodes_x[i]), float(self.nodes_x[i + 1])
-                y = float(self.nodes_y[j])
-                v1, v2 = self.fvals[j][i], self.fvals[j][i + 1]
-                t = v1 / (v1 - v2) if v1 != v2 else 0.5
-                self.vertex_pos[key] = (x1 + t * (x2 - x1), y)
-            else:
-                y1, y2 = float(self.nodes_y[j]), float(self.nodes_y[j + 1])
-                x = float(self.nodes_x[i])
-                v1, v2 = self.fvals[j][i], self.fvals[j + 1][i]
-                t = v1 / (v1 - v2) if v1 != v2 else 0.5
-                self.vertex_pos[key] = (x, y1 + t * (y2 - y1))
+            i2, j2 = (i + 1, j) if kind == "h" else (i, j + 1)
+            step = self.xs[i2] - self.xs[i] if kind == "h" else self.ys[j2] - self.ys[j]
+            va, vb = self.fvals[j][i], self.fvals[j2][i2]
+            self.vertex_pos[key] = _edge_point(kind, self.xs[i], self.ys[j], step, va, vb)
         self.crossed_edges.add(key)
         return key
 
-    # ---- cell processing
-
     def run(self):
-        s = self.signs
-        neg = s < 0
-        c0 = neg[:-1, :-1]
-        c1 = neg[:-1, 1:]
-        c2 = neg[1:, 1:]
-        c3 = neg[1:, :-1]
-        case = (
-            c0.astype(np.int8)
-            + 2 * c1.astype(np.int8)
-            + 4 * c2.astype(np.int8)
-            + 8 * c3.astype(np.int8)
-        )
-        js, iis = np.nonzero((case != 0) & (case != 15))
-        for j, i in zip(js.tolist(), iis.tolist()):
-            self._process_cell(i, j, int(case[j, i]))
+        self._march(_cases(self.signs), self._edge_vertex)
 
-    def _process_cell(self, i: int, j: int, pattern: int):
-        edges = _cell_edges(i, j)
-        if pattern in _AMBIGUOUS:
-            self._subdivide_cell(i, j)
-            return
-        for a, b in _SEGMENTS[pattern]:
-            ka = self._edge_vertex(*edges[a])
-            kb = self._edge_vertex(*edges[b])
-            self.segments.append((ka, kb, (i, j)))
+    def _march(self, cases: np.ndarray, vertex: Callable, cell: tuple[int, int] | None = None):
+        """Emit the segments of every crossed cell; `vertex(kind, a, b)` names the
+        crossing on an edge.  On the coarse grid each segment is tagged with its
+        cell and ambiguous cells are subdivided; a subgrid has no ambiguous cell
+        and tags its segments with the parent `cell`."""
+        js, iis = np.nonzero((cases != 0) & (cases != 15))
+        for j, i in zip(js.tolist(), iis.tolist()):
+            pattern = int(cases[j, i])
+            if pattern in _AMBIGUOUS:
+                self._subdivide_cell(i, j)
+                continue
+            edges = _cell_edges(i, j)
+            for a, b in _SEGMENTS[pattern]:
+                self.segments.append((vertex(*edges[a]), vertex(*edges[b]), cell or (i, j)))
 
     # ---- ambiguous-cell subdivision
 
     def _subdivide_cell(self, i: int, j: int):
-        x1, x2 = self.nodes_x[i], self.nodes_x[i + 1]
-        y1, y2 = self.nodes_y[j], self.nodes_y[j + 1]
+        ax, sx, dx, ay, sy, dy, _ = self.lattice
         for depth in range(1, MAX_SUBDIVISION_DEPTH + 1):
             m = 1 << depth
-            xs = [x1 + (x2 - x1) * k / m for k in range(m + 1)]
-            ys = [y1 + (y2 - y1) * k / m for k in range(m + 1)]
-            sub = [[self._exact_sign(xs[a], ys[b]) for a in range(m + 1)] for b in range(m + 1)]
-            if any(0 in rowv for rowv in sub):
+            sub = (m * (ax + i * sx), sx, m * dx, m * (ay + j * sy), sy, m * dy, m)
+            signs, _ = _sign_grid(self.ip, *sub)
+            if (signs == 0).any():
                 continue  # a finer lattice node hit the curve; deepen
-            ambiguous = False
-            for b in range(m):
-                for a in range(m):
-                    bits = (
-                        (sub[b][a] < 0)
-                        + 2 * (sub[b][a + 1] < 0)
-                        + 4 * (sub[b + 1][a + 1] < 0)
-                        + 8 * (sub[b + 1][a] < 0)
-                    )
-                    if bits in _AMBIGUOUS:
-                        ambiguous = True
-                        break
-                if ambiguous:
-                    break
-            if not ambiguous:
-                self._emit_subgrid(i, j, xs, ys, sub)
+            cases = _cases(signs)
+            if not np.isin(cases, _AMBIGUOUS).any():
+                self._emit_subgrid(i, j, sub, signs, cases)
                 return
         self.uncertified_cells.add((i, j))
         self.warnings.append(
@@ -537,173 +516,94 @@ class _Mesher:
         )
         # fall back to one diagonal pairing so chains still close
         edges = _cell_edges(i, j)
-        ka = self._edge_vertex(*edges["B"])
-        kb = self._edge_vertex(*edges["L"])
-        kc = self._edge_vertex(*edges["T"])
-        kd = self._edge_vertex(*edges["R"])
-        self.segments.append((ka, kb, (i, j)))
-        self.segments.append((kc, kd, (i, j)))
+        for a, b in (("B", "L"), ("T", "R")):
+            self.segments.append((self._edge_vertex(*edges[a]), self._edge_vertex(*edges[b]), (i, j)))
 
-    def _emit_subgrid(self, i: int, j: int, xs, ys, sub):
-        m = len(xs) - 1
-        parent_edges = _cell_edges(i, j)
+    def _emit_subgrid(self, i: int, j: int, sub: tuple, signs: np.ndarray, cases: np.ndarray):
+        ax, sx, dx, ay, sy, dy, m = sub
+        dx_pows = [dx**k for k in range(self.ip.degx + 1)]
+        dy_pows = [dy**k for k in range(self.ip.degy + 1)]
+
+        def value(a: int, b: int) -> int:
+            return _horner(self.ip.row_coefficients(ay + b * sy, dy_pows, dx_pows), ax + a * sx)
 
         def sub_vertex(kind: str, a: int, b: int) -> tuple:
             key = ("s", i, j, kind, a, b)
             if key not in self.vertex_pos:
-                if kind == "h":
-                    va = self.f.evaluate((xs[a], ys[b])).re
-                    vb = self.f.evaluate((xs[a + 1], ys[b])).re
-                    t = float(Fraction(va, va - vb)) if va != vb else 0.5
-                    self.vertex_pos[key] = (
-                        float(xs[a]) + t * float(xs[a + 1] - xs[a]),
-                        float(ys[b]),
-                    )
-                else:
-                    va = self.f.evaluate((xs[a], ys[b])).re
-                    vb = self.f.evaluate((xs[a], ys[b + 1])).re
-                    t = float(Fraction(va, va - vb)) if va != vb else 0.5
-                    self.vertex_pos[key] = (
-                        float(xs[a]),
-                        float(ys[b]) + t * float(ys[b + 1] - ys[b]),
-                    )
+                a2, b2 = (a + 1, b) if kind == "h" else (a, b + 1)
+                step = sx / dx if kind == "h" else sy / dy
+                x, y = (ax + a * sx) / dx, (ay + b * sy) / dy
+                self.vertex_pos[key] = _edge_point(kind, x, y, step, value(a, b), value(a2, b2))
             return key
 
-        # map boundary sub-crossings to parent edges when unique, else chord-pair
-        def boundary_key(kind: str, a: int, b: int) -> tuple:
-            if kind == "h" and b == 0:
-                side, parent = "B", parent_edges["B"]
-            elif kind == "h" and b == m:
-                side, parent = "T", parent_edges["T"]
-            elif kind == "v" and a == 0:
-                side, parent = "L", parent_edges["L"]
-            elif kind == "v" and a == m:
-                side, parent = "R", parent_edges["R"]
-            else:
-                return sub_vertex(kind, a, b)
-            crossings = boundary_crossings[side]
-            if len(crossings) == 1:
-                return self._edge_vertex(*parent)
-            return sub_vertex(kind, a, b)
-
-        boundary_crossings = {"B": [], "T": [], "L": [], "R": []}
-        for a in range(m):
-            if sub[0][a] * sub[0][a + 1] < 0:
-                boundary_crossings["B"].append(a)
-            if sub[m][a] * sub[m][a + 1] < 0:
-                boundary_crossings["T"].append(a)
-            if sub[a][0] * sub[a + 1][0] < 0:
-                boundary_crossings["L"].append(a)
-            if sub[a][m] * sub[a + 1][m] < 0:
-                boundary_crossings["R"].append(a)
-        for side, parent in parent_edges.items():
-            cr = boundary_crossings[side]
-            if len(cr) > 1:
+        # a side crossed once maps to its parent edge's vertex; a side crossed
+        # more often is chord-paired locally
+        parent_edges = _cell_edges(i, j)
+        sides = {  # side: (edge kind, its index in the sub-lattice, its signs)
+            "B": ("h", 0, signs[0]),
+            "T": ("h", m, signs[m]),
+            "L": ("v", 0, signs[:, 0]),
+            "R": ("v", m, signs[:, m]),
+        }
+        to_parent: dict[tuple, tuple] = {}
+        for side, (kind, at, line) in sides.items():
+            crossed = np.flatnonzero(line[:-1] != line[1:]).tolist()
+            keys = [(kind, k, at) if kind == "h" else (kind, at, k) for k in crossed]
+            if len(keys) == 1:
+                to_parent[keys[0]] = self._edge_vertex(*parent_edges[side])
+            elif len(keys) > 1:
                 self.uncertified_cells.add((i, j))
                 self.warnings.append(
-                    f"cell ({i},{j}): {len(cr)} crossings on one shared edge; "
+                    f"cell ({i},{j}): {len(keys)} crossings on one shared edge; "
                     "neighbor resolution too coarse, pairing locally"
                 )
-
-        extra_chords: list[tuple] = []
-        for side, parent in parent_edges.items():
-            cr = boundary_crossings[side]
-            if len(cr) > 1:
-                kind = "h" if side in ("B", "T") else "v"
-                fixed = 0 if side in ("B", "L") else m
-                keys = []
-                for a in cr:
-                    if kind == "h":
-                        keys.append(sub_vertex("h", a, fixed))
-                    else:
-                        keys.append(sub_vertex("v", fixed, a))
+                keys = [sub_vertex(*k) for k in keys]
                 # leave one crossing to link with the coarse neighbor if it saw one
-                start = 0
-                if len(cr) % 2 == 1:
-                    parent_key = self._edge_vertex(*parent)
-                    extra_chords.append((keys[0], parent_key, (i, j)))
-                    start = 1
-                for k in range(start, len(keys) - 1, 2):
-                    extra_chords.append((keys[k], keys[k + 1], (i, j)))
-        self.segments.extend(extra_chords)
+                start = len(keys) % 2
+                if start:
+                    self.segments.append((keys[0], self._edge_vertex(*parent_edges[side]), (i, j)))
+                self.segments.extend((p, q, (i, j)) for p, q in zip(keys[start::2], keys[start + 1 :: 2]))
 
-        for b in range(m):
-            for a in range(m):
-                bits = (
-                    (sub[b][a] < 0)
-                    + 2 * (sub[b][a + 1] < 0)
-                    + 4 * (sub[b + 1][a + 1] < 0)
-                    + 8 * (sub[b + 1][a] < 0)
-                )
-                if bits in (0, 15):
-                    continue
-                local = {
-                    "B": ("h", a, b),
-                    "T": ("h", a, b + 1),
-                    "L": ("v", a, b),
-                    "R": ("v", a + 1, b),
-                }
-                for ea, eb in _SEGMENTS[bits]:
-                    ka = boundary_key(*local[ea])
-                    kb = boundary_key(*local[eb])
-                    self.segments.append((ka, kb, (i, j)))
+        def vertex(kind: str, a: int, b: int) -> tuple:
+            return to_parent.get((kind, a, b)) or sub_vertex(kind, a, b)
+
+        self._march(cases, vertex, (i, j))
 
     # ---- chain assembly
 
-    def assemble(self) -> tuple[list[list[tuple]], int]:
+    def assemble(self) -> tuple[list[tuple[list[tuple], set]], int]:
+        """(closed chains, each with the cells it crosses; number of open chains)."""
         adjacency: dict[tuple, list[int]] = {}
         for idx, (ka, kb, _cell) in enumerate(self.segments):
             adjacency.setdefault(ka, []).append(idx)
             adjacency.setdefault(kb, []).append(idx)
         used = [False] * len(self.segments)
-        loops: list[list[tuple]] = []
+
+        def extend(chain: list[tuple], cells: set):
+            """Append unused segments at the chain's end until it closes or stops."""
+            while not (chain[-1] == chain[0] and len(chain) > 2):
+                tail = chain[-1]
+                idx = next((k for k in adjacency.get(tail, []) if not used[k]), None)
+                if idx is None:
+                    return
+                ka, kb, cell = self.segments[idx]
+                used[idx] = True
+                cells.add(cell)
+                chain.append(kb if ka == tail else ka)
+
+        loops: list[tuple[list[tuple], set]] = []
         open_chains = 0
-        for start in range(len(self.segments)):
+        for start, (ka, kb, cell) in enumerate(self.segments):
             if used[start]:
                 continue
-            chain = [self.segments[start][0], self.segments[start][1]]
-            cells = {self.segments[start][2]}
             used[start] = True
-            closed = False
-            # extend forward from chain end
-            progressing = True
-            while progressing:
-                progressing = False
-                tail = chain[-1]
-                if tail == chain[0] and len(chain) > 2:
-                    closed = True
-                    break
-                for idx in adjacency.get(tail, []):
-                    if used[idx]:
-                        continue
-                    ka, kb, cell = self.segments[idx]
-                    used[idx] = True
-                    cells.add(cell)
-                    chain.append(kb if ka == tail else ka)
-                    progressing = True
-                    break
-            if not closed:
-                # try extending backwards
-                progressing = True
-                while progressing:
-                    progressing = False
-                    head = chain[0]
-                    if head == chain[-1] and len(chain) > 2:
-                        closed = True
-                        break
-                    for idx in adjacency.get(head, []):
-                        if used[idx]:
-                            continue
-                        ka, kb, cell = self.segments[idx]
-                        used[idx] = True
-                        cells.add(cell)
-                        chain.insert(0, kb if ka == head else ka)
-                        progressing = True
-                        break
-                closed = chain[0] == chain[-1] and len(chain) > 2
-            if closed:
-                loops.append(chain)
-                self._loop_cells.append(cells)
+            chain, cells = [ka, kb], {cell}
+            extend(chain, cells)
+            chain.reverse()
+            extend(chain, cells)
+            chain.reverse()
+            if chain[0] == chain[-1] and len(chain) > 2:
+                loops.append((chain, cells))
             else:
                 open_chains += 1
         return loops, open_chains
@@ -724,8 +624,8 @@ def count_ovals(
     warnings: list[str] = []
     shift_num = 0
     while True:
-        ax, sxi, dx, ay, syi, dy, n = _box_lattice(box, resolution, shift_num)
-        signs, fvals = _sign_grid(ip, ax, sxi, dx, ay, syi, dy, n)
+        lattice = _box_lattice(box, resolution, shift_num)
+        signs, fvals = _sign_grid(ip, *lattice)
         if not (signs == 0).any():
             break
         shift_num += 1
@@ -734,9 +634,7 @@ def count_ovals(
     if shift_num:
         warnings.append(f"lattice shifted {shift_num} time(s) to avoid exact zeros at nodes")
 
-    nodes_x = [Fraction(ax + i * sxi, dx) for i in range(n + 1)]
-    nodes_y = [Fraction(ay + j * syi, dy) for j in range(n + 1)]
-    mesher = _Mesher(f, ip, (signs, fvals), n, nodes_x, nodes_y)
+    mesher = _Mesher(ip, lattice, (signs, fvals))
     mesher.run()
     loops, open_chains = mesher.assemble()
     warnings.extend(mesher.warnings)
@@ -744,8 +642,11 @@ def count_ovals(
         warnings.append(f"{open_chains} open chain(s) reached the search boundary")
 
     result = OvalSet(box=box, resolution=resolution, warnings=warnings, open_chains=open_chains)
+    ax, sx, dx, ay, sy, dy, n = lattice
+    nodes_x = [Fraction(ax + i * sx, dx) for i in range(n + 1)]
+    nodes_y = [Fraction(ay + j * sy, dy) for j in range(n + 1)]
     lines = _LatticeLines(f, nodes_x, nodes_y)
-    for chain, cells in zip(loops, mesher._loop_cells):
+    for chain, cells in loops:
         verts = [mesher.vertex_pos[k] for k in chain]
         ok = True
         if any(c in mesher.uncertified_cells for c in cells):

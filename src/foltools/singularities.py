@@ -24,8 +24,8 @@ from .fields import (
     projectivize,
 )
 from .gaussian import GaussianRational, ONE, ZERO, gr
-from .polyring import MultiPoly, exact_divide, homogenize, is_squarefree, poly_gcd, resultant
-from .uniroots import Coeffs, qi_roots, ucoprime, ugcd, utrim
+from .polyring import MultiPoly, _specialize_keeping, exact_divide, homogenize, is_squarefree, poly_gcd, resultant
+from .uniroots import Coeffs, qi_roots, ucoprime, ugcd
 
 
 @dataclass(frozen=True)
@@ -142,20 +142,7 @@ def _univar(p: MultiPoly, var: int) -> Coeffs:
     other = [v for v in range(p.arity) if v != var]
     if any(p.degree_in(v) > 0 for v in other):
         raise ValueError("polynomial is not univariate in the requested variable")
-    out = [ZERO] * (p.degree_in(var) + 1)
-    for exp, c in p.terms.items():
-        out[exp[var]] = c
-    return utrim(out)
-
-
-def _substitute_x(p: MultiPoly, x0: GaussianRational) -> Coeffs:
-    """p(x0, y) as a univariate coefficient list in y."""
-    out: dict[int, GaussianRational] = {}
-    for (a, b), c in p.terms.items():
-        v = c * x0**a
-        out[b] = out.get(b, ZERO) + v
-    coeffs = [out.get(k, ZERO) for k in range(max(out, default=0) + 1)]
-    return utrim(coeffs)
+    return _specialize_keeping(p, var, [ZERO] * p.arity)
 
 
 def _elimination_in_x(A: MultiPoly, B: MultiPoly) -> Coeffs | None:
@@ -189,24 +176,18 @@ def pair_common_zeros(A: MultiPoly, B: MultiPoly) -> Enumeration:
     if dA == 0 and dB == 0:
         return out  # coprime x-polynomials: no common zeros at all
     if dA == 0 or dB == 0:
-        U, W = (A, B) if dA == 0 else (B, A)
-        if U.is_constant():
+        eliminant = A if dA == 0 else B
+        if eliminant.is_constant():
             return out
-        rep = qi_roots(_univar(U, 0))
-        out.residual += rep.residual_degree
-        out.uncertain += rep.uncertain_degree
-        out.unresolved_x.extend(rep.unresolved + rep.uncertain)
-        xs = rep.roots
     else:
-        res = resultant(A, B, 1)
-        rep = qi_roots(_univar(res, 0))
-        out.residual += rep.residual_degree
-        out.uncertain += rep.uncertain_degree
-        out.unresolved_x.extend(rep.unresolved + rep.uncertain)
-        xs = rep.roots
-    for x0 in xs:
-        a0 = _substitute_x(A, x0)
-        b0 = _substitute_x(B, x0)
+        eliminant = resultant(A, B, 1)
+    rep = qi_roots(_univar(eliminant, 0))
+    out.residual += rep.residual_degree
+    out.uncertain += rep.uncertain_degree
+    out.unresolved_x.extend(rep.unresolved + rep.uncertain)
+    for x0 in rep.roots:
+        a0 = _specialize_keeping(A, 1, [x0, ZERO])  # A(x0, y)
+        b0 = _specialize_keeping(B, 1, [x0, ZERO])
         if not a0 and not b0:
             raise NonIsolatedSingularities(f"line x = {x0} is entirely singular")
         gy = b0 if not a0 else (a0 if not b0 else ugcd(a0, b0))
@@ -247,14 +228,14 @@ def residual_avoids_curve(enum: Enumeration, f: MultiPoly) -> bool:
         if not proved:
             return False
     for x0, fac in enum.unresolved_y:
-        fv = _substitute_x(f, x0)
+        fv = _specialize_keeping(f, 1, [x0, ZERO])
         if not fv:
             return False  # curve contains the whole vertical line
         if not ucoprime(fac, fv):
             return False
     for fac in enum.unresolved_inf:
         F = homogenize(f, int(f.degree))
-        inf_restriction = _binary_form_coeffs(_restrict_infinity(F))
+        inf_restriction = _specialize_keeping(F, 1, [ONE, ZERO, ZERO])  # F(1, t, 0)
         if not inf_restriction:
             return False
         if not ucoprime(fac, inf_restriction):
@@ -283,14 +264,6 @@ def _restrict_infinity(F: MultiPoly) -> MultiPoly:
     return MultiPoly(3, {e: c for e, c in F.terms.items() if e[2] == 0})
 
 
-def _binary_form_coeffs(F0: MultiPoly) -> Coeffs:
-    """F0(1, t, 0) for a binary form in X, Y (arity 3, Z-free)."""
-    out: dict[int, GaussianRational] = {}
-    for (a, b, _), c in F0.terms.items():
-        out[b] = out.get(b, ZERO) + c
-    return utrim([out.get(k, ZERO) for k in range(max(out, default=0) + 1)])
-
-
 def infinite_singularities(form: ProjectiveOneForm) -> Enumeration:
     """Singular points on Z = 0: common zeros of P, Q, R restricted there."""
     P0, Q0, R0 = (_restrict_infinity(G) for G in (form.P, form.Q, form.R))
@@ -300,7 +273,7 @@ def infinite_singularities(form: ProjectiveOneForm) -> Enumeration:
     out = Enumeration(system=(P0, Q0, R0))
     if g.is_constant():
         return out
-    coeffs = _binary_form_coeffs(g)
+    coeffs = _specialize_keeping(g, 1, [ONE, ZERO, ZERO])  # g(1, t, 0)
     if len(coeffs) > 1:
         rep = qi_roots(coeffs)
         out.residual += rep.residual_degree
@@ -452,7 +425,7 @@ def _infinity_points_of_curve(F: MultiPoly) -> tuple[list[ProjectivePoint], int]
     if F0.is_zero():
         raise DegenerateInput("curve contains the line at infinity")
     pts = []
-    coeffs = _binary_form_coeffs(F0)
+    coeffs = _specialize_keeping(F0, 1, [ONE, ZERO, ZERO])  # F0(1, t, 0)
     residual = 0
     if len(coeffs) > 1:
         rep = qi_roots(coeffs)

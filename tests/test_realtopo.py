@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -265,3 +266,114 @@ def test_lattice_lines_match_per_edge_sturm_counts():
     assert 0 < zero_free < 2 * 28 * 28
     # y = 0 is the lattice line j = 14, where y * f vanishes identically
     assert not _LatticeLines(y * f, nodes_x, nodes_y).edge_is_zero_free("h", 3, 14)
+
+
+def test_subdivision_lattices_refine_their_cell(monkeypatch):
+    # each sub-lattice the mesher evaluates spans its coarse cell in m equal
+    # steps, and its signs are those of f at the rational nodes
+    f = parse_poly("(x^2+y^2)^2 - 4*x*y", 2)  # the saddle at the origin exhausts every depth
+    lattices = []
+    plain = realtopo._sign_grid
+
+    def recording(ip, *lattice):
+        lattices.append(lattice)
+        return plain(ip, *lattice)
+
+    monkeypatch.setattr(realtopo, "_sign_grid", recording)
+    ovals = count_ovals(f, Box(Fraction(-3, 2), Fraction(3, 2), Fraction(-2), Fraction(2)), 5)
+    assert ovals.warnings == ["cell (3,3) still ambiguous at depth 6; count may be unreliable there"]
+    (ax, sx, dx, ay, sy, dy, _), subs = lattices[0], lattices[1:]
+    assert [sub[-1] for sub in subs] == [2, 4, 8, 16, 32, 64]
+    x1, x2 = Fraction(ax + 3 * sx, dx), Fraction(ax + 4 * sx, dx)
+    y1, y2 = Fraction(ay + 3 * sy, dy), Fraction(ay + 4 * sy, dy)
+    for sax, ssx, sdx, say, ssy, sdy, m in subs:
+        assert (Fraction(sax, sdx), Fraction(sax + m * ssx, sdx)) == (x1, x2)
+        assert (Fraction(say, sdy), Fraction(say + m * ssy, sdy)) == (y1, y2)
+        if m <= 8:
+            signs, _ = plain(_IntPoly(f), sax, ssx, sdx, say, ssy, sdy, m)
+            for b in range(m + 1):
+                for a in range(m + 1):
+                    v = f.evaluate((x1 + (x2 - x1) * a / m, y1 + (y2 - y1) * b / m)).re
+                    assert signs[b, a] == (v > 0) - (v < 0), (m, a, b)
+
+
+# -- characterization of the mesher's output ------------------------------------------
+
+
+def _fingerprint(ovals) -> tuple:
+    """Per oval: vertex count, certified flag and a sha256 prefix of the
+    vertices as float.hex; then the warnings and the open-chain count."""
+    per_oval = []
+    for o in ovals.ovals:
+        text = " ".join(f"{vx.hex()},{vy.hex()}" for vx, vy in o.vertices)
+        per_oval.append((len(o.vertices), o.certified, hashlib.sha256(text.encode()).hexdigest()[:16]))
+    return per_oval, ovals.warnings, ovals.open_chains
+
+
+SHARED_EDGE = "3 crossings on one shared edge; neighbor resolution too coarse, pairing locally"
+OPEN_2 = "2 open chain(s) reached the search boundary"
+
+
+@pytest.mark.parametrize(
+    "curve, box, res, expected",
+    [
+        # the cell at the origin is ambiguous and one subdivision resolves it
+        ("x*y - 1/100", Box.square(1), 3, ([], [OPEN_2], 2)),
+        # a true crossing: depth runs out and the cell is paired on a diagonal
+        (
+            "x*y",
+            Box.square(1),
+            8,
+            (
+                [],
+                [
+                    "lattice shifted 1 time(s) to avoid exact zeros at nodes",
+                    "cell (4,4) still ambiguous at depth 6; count may be unreliable there",
+                    OPEN_2,
+                ],
+                2,
+            ),
+        ),
+        # three sub-crossings on one edge of the subdivided cell
+        (
+            "((x-1/4)*(y-1/4) - 1/100)*((x-3/32)^2 + (y-15/64)^2 - 1/16)",
+            Box.square(1),
+            4,
+            ([], [f"cell (3,3): {SHARED_EDGE}", OPEN_2], 2),
+        ),
+        # closed ovals through subdivided cells: resolved at depth 1, at
+        # depth 2, not resolved, and with three crossings on a shared edge
+        (
+            "(x^2+y^2)^2 - 4*x*y + 1/100",
+            Box.square(2),
+            5,
+            ([(5, True, "dee5641f46c74696"), (5, True, "3568544610d9f663")], [], 0),
+        ),
+        ("(x^2+y^2)^2 - 4*x*y - 1/100", Box.square(2), 5, ([(17, True, "4f3f59b305d65bf9")], [], 0)),
+        # a box taller than wide: vertices on vertical sub-edges
+        (
+            "(x^2+y^2)^2 - 4*x*y - 1/100",
+            Box(Fraction(-3, 2), Fraction(3, 2), Fraction(-2), Fraction(2)),
+            5,
+            ([(15, True, "840e6d7f38a659df")], [], 0),
+        ),
+        (
+            "(x^2+y^2)^2 - 4*x*y",
+            Box.square(2),
+            5,
+            (
+                [(5, False, "a973aa9d54e06117"), (5, False, "1f7bf9941f07985b")],
+                ["cell (3,3) still ambiguous at depth 6; count may be unreliable there"],
+                0,
+            ),
+        ),
+        (
+            "((x-3/8)^2 + (y+5/16)^2 - 7/64)*((x+1/16)^2 + 2*(y+3/16)^2 - 7/64) + 1/5000",
+            Box.square(1),
+            4,
+            ([(15, False, "f86e1ff22047aac7"), (19, False, "dfca444433aa1061")], [f"cell (3,2): {SHARED_EDGE}"], 0),
+        ),
+    ],
+)
+def test_mesher_output_is_pinned(curve, box, res, expected):
+    assert _fingerprint(count_ovals(parse_poly(curve, 2), box, res)) == expected

@@ -7,11 +7,14 @@ The first form regenerates the workload's pool entries (the (kind, index)
 pairs recorded in perfbench/answers.json) and its named jobs with
 perfbench/gen.py, runs each one in this process through `foltools.cli.run`
 imported from DIR (default: this checkout's src/), and prints one row per
-job: id, exit code, a sha256 prefix of stdout and wall seconds.  `--out`
-also writes the rows as JSON.  The second form lists every job whose exit
-code or stdout differs between two such files and exits 1 if there is one,
-so a change that must keep output byte-identical can be checked by
-replaying the parent's tree and the change's tree.
+job: id, exit code, a sha256 prefix of stdout, wall seconds and, for an
+`ovals` job, a sha256 prefix of the polylines it writes with
+`--emit-polylines` into the work directory ("-" when it writes none), so a
+moved vertex shows even when the counts do not change.  `--out` also writes
+the rows as JSON.  The second form lists every job whose exit code, stdout
+or polylines differ between two such files and exits 1 if there is one, so a
+change that must keep output byte-identical can be checked by replaying the
+parent's tree and the change's tree.
 
 Only the standard library is used here; perfbench/ is read, never written.
 """
@@ -31,6 +34,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
+FIELDS = ("rc", "stdout_sha", "polylines_sha")  # what --compare compares
 
 
 def load_jobs(workload: str) -> list:
@@ -57,14 +61,19 @@ def replay(workload: str, src: Path, work: Path) -> list[dict]:
     rows = []
     for job in jobs:
         path = None
+        stem = job.id.replace("/", "_")
         if job.doc is not None:
-            path = work / (job.id.replace("/", "_") + ".fol")
+            path = work / (stem + ".fol")
             path.write_text(job.doc, encoding="utf-8")
+        argv = job.args(None if path is None else str(path))
+        polylines = work / (stem + ".polylines")
+        if job.command == "ovals":
+            argv += ["--emit-polylines", str(polylines)]
         out, err = io.StringIO(), io.StringIO()
         start = time.perf_counter()
         try:
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                rc = cli.run(job.args(None if path is None else str(path)))
+                rc = cli.run(argv)
         except Exception as exc:  # a crash is a row, not the end of the replay
             rc = f"crash: {type(exc).__name__}: {exc}"
         seconds = time.perf_counter() - start
@@ -72,10 +81,14 @@ def replay(workload: str, src: Path, work: Path) -> list[dict]:
             "id": job.id,
             "rc": rc,
             "stdout_sha": hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()[:16],
+            "polylines_sha": hashlib.sha256(polylines.read_bytes()).hexdigest()[:16] if polylines.exists() else "-",
             "seconds": round(seconds, 4),
         }
         rows.append(row)
-        print(f"{row['id']:<28} {str(row['rc']):>4} {row['stdout_sha']} {row['seconds']:9.3f}", flush=True)
+        print(
+            f"{row['id']:<28} {str(row['rc']):>4} {row['stdout_sha']} {row['polylines_sha']:<16} {row['seconds']:9.3f}",
+            flush=True,
+        )
     print(f"{len(rows)} jobs, {sum(r['seconds'] for r in rows):.1f} s")
     return rows
 
@@ -88,8 +101,8 @@ def compare(a_path: Path, b_path: Path) -> int:
         ra, rb = a.get(job_id), b.get(job_id)
         if ra is None or rb is None:
             print(f"{job_id}: only in {a_path if rb is None else b_path}")
-        elif (ra["rc"], ra["stdout_sha"]) != (rb["rc"], rb["stdout_sha"]):
-            print(f"{job_id}: rc {ra['rc']} -> {rb['rc']}, stdout {ra['stdout_sha']} -> {rb['stdout_sha']}")
+        elif [ra.get(k) for k in FIELDS] != [rb.get(k) for k in FIELDS]:
+            print(f"{job_id}: " + ", ".join(f"{k} {ra.get(k)} -> {rb.get(k)}" for k in FIELDS))
         else:
             continue
         differ += 1
