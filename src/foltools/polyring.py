@@ -12,12 +12,14 @@ larger exponent tuple first.
 
 from __future__ import annotations
 
+import itertools
+import math
 from fractions import Fraction
 from typing import Iterable
 
 from .errors import ArityMismatch
 from .gaussian import GaussianRational, ONE, ZERO, gr
-from .uniroots import ucoprime, ugcd, utrim
+from .uniroots import GInt, coprime_mod_p, gi_divmod, gi_mul, ugcd, utrim
 
 Exponent = tuple[int, ...]
 
@@ -415,23 +417,51 @@ def _from_univariate(c: list[GaussianRational], var: int, arity: int) -> MultiPo
     return MultiPoly(arity, terms)
 
 
+def _gaussian_integer_coeffs(f: MultiPoly, var: int) -> tuple[int, dict[int, list[tuple[Exponent, GInt]]]]:
+    """f scaled into Z[i] and viewed as univariate in var.
+
+    Returns (s, view): s is the lcm of f's denominators, and view maps each
+    degree in var to the terms (exponent, Z[i] coefficient) of s*f of that degree.
+    """
+    s = math.lcm(*(q.denominator for c in f.terms.values() for q in (c.re, c.im)))
+    view: dict[int, list[tuple[Exponent, GInt]]] = {}
+    for exp, c in f.terms.items():
+        coeff = (c.re.numerator * (s // c.re.denominator), c.im.numerator * (s // c.im.denominator))
+        view.setdefault(exp[var], []).append((exp, coeff))
+    return s, view
+
+
+def _gi_value(terms: list[tuple[Exponent, GInt]], point: list[int]) -> GInt:
+    """The sum of the Z[i] terms at an integer point."""
+    re = im = 0
+    for exp, (cr, ci) in terms:
+        m = math.prod(t**k for t, k in zip(point, exp))
+        re += cr * m
+        im += ci * m
+    return re, im
+
+
 def _coprimality_fast_path(pa: MultiPoly, pb: MultiPoly, var: int) -> bool:
     """Sound certificate that two var-primitive polynomials are coprime in var.
 
-    Specialize the other variables at a point where both leading coefficients
-    survive; a constant univariate gcd there forces deg_var(gcd) = 0, which
-    for primitive inputs means a trivial gcd.  False means "unknown".
+    Specialize the other variables at each of 8 points where both leading
+    coefficients survive and ask the certificate modulo P there; a coprime
+    image at any of them forces deg_var(gcd) = 0, which for primitive inputs
+    means a trivial gcd.  False means "unknown".
     """
     others = [v for v in range(pa.arity) if v != var]
-    lca = _coeffs_in(pa, var)[pa.degree_in(var)]
-    lcb = _coeffs_in(pb, var)[pb.degree_in(var)]
+    views = [_gaussian_integer_coeffs(p, var)[1] for p in (pa, pb)]
     for trial in range(8):
-        point = [GaussianRational.coerce(0)] * pa.arity
+        point = [1] * pa.arity  # var's own exponent then contributes a factor 1
         for idx, v in enumerate(others):
-            point[v] = GaussianRational.coerce(trial + idx + (1 if trial else 0))
-        if lca.evaluate(point).is_zero() or lcb.evaluate(point).is_zero():
-            continue
-        return ucoprime(_specialize_keeping(pa, var, point), _specialize_keeping(pb, var, point))
+            point[v] = trial + idx + (1 if trial else 0)
+        # nonzero integer multiples of the specialisations: the same gcd
+        sa, sb = (
+            [GaussianRational(*_gi_value(view.get(e, []), point)) for e in range(max(view) + 1)]
+            for view in views
+        )
+        if not sa[-1].is_zero() and not sb[-1].is_zero() and coprime_mod_p(sa, sb):
+            return True
     return False
 
 
@@ -460,11 +490,9 @@ def _subresultant_gcd(pa: MultiPoly, pb: MultiPoly, var: int) -> MultiPoly:
         assert quotient is not None, "subresultant divisibility must hold"
         A, B = B, quotient
         g = _coeffs_in(A, var)[A.degree_in(var)]
-        if delta == 0:
-            h = h  # unchanged
-        elif delta == 1:
+        if delta == 1:
             h = g
-        else:
+        elif delta > 1:
             hq = exact_divide(g**delta, h ** (delta - 1))
             assert hq is not None
             h = hq
@@ -537,60 +565,127 @@ def is_squarefree(f: MultiPoly) -> bool:
     return poly_gcd(f, acc).is_constant() if not acc.is_zero() else False
 
 
-# -- resultants (Bareiss fraction-free determinant of the Sylvester matrix) ----
+# -- resultants by evaluation and interpolation over Z[i] -----------------------
+
+
+def _gi_det(m: list[list[GInt]]) -> GInt:
+    """Determinant of a square Z[i] matrix by fraction-free Bareiss elimination (m is consumed)."""
+    n = len(m)
+    sign, prev = 1, (1, 0)
+    for k in range(n - 1):
+        if m[k][k] == (0, 0):
+            pivot = next((r for r in range(k + 1, n) if m[r][k] != (0, 0)), None)
+            if pivot is None:
+                return (0, 0)
+            m[k], m[pivot] = m[pivot], m[k]
+            sign = -sign
+        rk, pk = m[k], m[k][k]
+        for i in range(k + 1, n):
+            ri, mik = m[i], m[i][k]
+            for j in range(k + 1, n):
+                a, b = gi_mul(ri[j], pk), gi_mul(mik, rk[j])
+                ri[j], rem = gi_divmod((a[0] - b[0], a[1] - b[1]), prev)
+                assert rem == (0, 0), "Bareiss divisibility must hold"
+        prev = pk
+    det = m[n - 1][n - 1]
+    return det if sign > 0 else (-det[0], -det[1])
+
+
+def _interpolate(values: list[int]) -> list[int]:
+    """Coefficients, low to high, of the integer polynomial f of degree < len(values) with f(t) = values[t].
+
+    Newton forward differences: Delta^k f(t) / k! is an integer for every
+    integer polynomial f, so every division is exact.
+    """
+    diff, newton = list(values), []
+    for k in range(1, len(values) + 1):
+        newton.append(diff[0])
+        steps = [divmod(b - a, k) for a, b in zip(diff, diff[1:])]
+        assert not any(r for _, r in steps), "Newton differences must divide exactly"
+        diff = [q for q, _ in steps]
+    coeffs: list[int] = []
+    for k in range(len(newton) - 1, -1, -1):  # coeffs * (t - k) + newton[k]
+        coeffs = [0] + coeffs
+        for j in range(len(coeffs) - 1):
+            coeffs[j] -= k * coeffs[j + 1]
+        coeffs[0] += newton[k]
+    return coeffs
+
+
+def _interpolate_grid(values: dict[tuple[int, ...], int], sizes: list[int]) -> dict[tuple[int, ...], int]:
+    """Coefficients of the integer polynomial whose values on the grid prod(range(size)) are given.
+
+    One axis at a time: fixing the later coordinates at integers leaves an
+    integer polynomial in the current one, and after interpolating it each
+    coefficient is again an integer polynomial in the coordinates not yet done.
+    """
+    for axis, size in enumerate(sizes):
+        out: dict[tuple[int, ...], int] = {}
+        for point in values:
+            if point[axis]:
+                continue
+            line = [values[point[:axis] + (t,) + point[axis + 1 :]] for t in range(size)]
+            for k, c in enumerate(_interpolate(line)):
+                out[point[:axis] + (k,) + point[axis + 1 :]] = c
+        values = out
+    return values
 
 
 def resultant(a: MultiPoly, b: MultiPoly, var: int) -> MultiPoly:
-    """Resultant of a and b with respect to `var`; a polynomial in the others."""
+    """Resultant of a and b with respect to `var`; a polynomial in the others.
+
+    Collins' evaluation method without primes: with a and b scaled into
+    Z[i] by sa and sb, the Sylvester determinant is taken by integer Bareiss
+    at every point of a grid of integers in the other variables, one point
+    more per variable than a bound on the resultant's degree in it, and
+    interpolated exactly.  Evaluation commutes with the determinant, so a
+    leading coefficient that vanishes at a grid point does no harm.  The
+    result is Res(sa*a, sb*b) / (sa^deg_var(b) * sb^deg_var(a)).
+    """
     a._check_arity(b)
+    if not 0 <= var < a.arity:
+        raise ValueError(f"variable index {var} out of range for arity {a.arity}")
     da, db = a.degree_in(var), b.degree_in(var)
     if da < 0 or db < 0:
         raise ValueError("resultant of a zero polynomial")
     if da == 0 and db == 0:
         return MultiPoly.constant(a.arity, 1)
-    ac, bc = _coeffs_in(a, var), _coeffs_in(b, var)
-    zero = MultiPoly.zero(a.arity)
     if da == 0:
         return a**db
     if db == 0:
         return b**da
+    sa, va = _gaussian_integer_coeffs(a, var)
+    sb, vb = _gaussian_integer_coeffs(b, var)
+    others = [v for v in range(a.arity) if v != var]
+    # A Sylvester entry a_e has total degree at most deg(a) - e, which bounds
+    # the resultant's total degree by db*deg(a) + da*deg(b) - da*db.
+    total = db * int(a.degree) + da * int(b.degree) - da * db
+    sizes = [min(da * b.degree_in(v) + db * a.degree_in(v), total) + 1 for v in others]
     n = da + db
-    rows: list[list[MultiPoly]] = []
-    for i in range(db):
-        row = [zero] * n
-        for e, c in ac.items():
-            row[i + (da - e)] = c
-        rows.append(row)
-    for i in range(da):
-        row = [zero] * n
-        for e, c in bc.items():
-            row[i + (db - e)] = c
-        rows.append(row)
-    return _bareiss_det(rows)
-
-
-def _bareiss_det(m: list[list[MultiPoly]]) -> MultiPoly:
-    n = len(m)
-    arity = m[0][0].arity
-    sign = 1
-    prev = MultiPoly.constant(arity, 1)
-    for k in range(n - 1):
-        if m[k][k].is_zero():
-            pivot = next((r for r in range(k + 1, n) if not m[r][k].is_zero()), None)
-            if pivot is None:
-                return MultiPoly.zero(arity)
-            m[k], m[pivot] = m[pivot], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
-                q = exact_divide(num, prev)
-                assert q is not None, "Bareiss divisibility must hold"
-                m[i][j] = q
-            m[i][k] = MultiPoly.zero(arity)
-        prev = m[k][k]
-    det = m[n - 1][n - 1]
-    return det if sign > 0 else -det
+    dets: dict[tuple[int, ...], GInt] = {}
+    for point in itertools.product(*(range(size) for size in sizes)):
+        full = [1] * a.arity  # var's own exponent then contributes a factor 1
+        for v, t in zip(others, point):
+            full[v] = t
+        rows = []
+        for view, width, count in ((va, da, db), (vb, db, da)):
+            entries = {e: _gi_value(terms, full) for e, terms in view.items()}
+            for i in range(count):
+                row = [(0, 0)] * n
+                for e, c in entries.items():
+                    row[i + width - e] = c
+                rows.append(row)
+        dets[point] = _gi_det(rows)
+    re = _interpolate_grid({p: d[0] for p, d in dets.items()}, sizes)
+    im = _interpolate_grid({p: d[1] for p, d in dets.items()}, sizes)
+    scale = sa**db * sb**da
+    terms: dict[Exponent, GaussianRational] = {}
+    for point, r in re.items():
+        exp = [0] * a.arity
+        for v, k in zip(others, point):
+            exp[v] = k
+        terms[tuple(exp)] = GaussianRational(Fraction(r, scale), Fraction(im[point], scale))
+    return MultiPoly(a.arity, terms)
 
 
 # -- small construction helpers ----------------------------------------------

@@ -99,7 +99,7 @@ def usquarefree(c: Coeffs) -> Coeffs:
     d = uderiv(c)
     if not d:
         return umonic(list(c)) if c else []
-    if _coprime_mod_p(c, d):
+    if coprime_mod_p(c, d):
         return umonic(list(c))
     g = ugcd(c, d)
     if udeg(g) == 0:
@@ -112,7 +112,7 @@ def usquarefree(c: Coeffs) -> Coeffs:
 def ucoprime(a: Coeffs, b: Coeffs) -> bool:
     """Whether gcd(a, b) is a nonzero constant; always the same answer as len(ugcd(a, b)) == 1."""
     a, b = utrim(list(a)), utrim(list(b))
-    return _coprime_mod_p(a, b) or len(ugcd(a, b)) == 1
+    return coprime_mod_p(a, b) or len(ugcd(a, b)) == 1
 
 
 def deflate(c: Coeffs, root: GaussianRational) -> Coeffs:
@@ -160,7 +160,7 @@ def _fp_gcd_degree(a: list[int], b: list[int]) -> int:
     return len(a) - 1
 
 
-def _coprime_mod_p(a: Coeffs, b: Coeffs) -> bool:
+def coprime_mod_p(a: Coeffs, b: Coeffs) -> bool:
     """True proves gcd(a, b) = 1 over Q(i); False proves nothing.
 
     The images exist only when every denominator is prime to P, so a and b

@@ -4,11 +4,13 @@ from collections import Counter
 import pytest
 
 from conftest import random_poly
+from foltools import polyring
 from foltools.errors import ArityMismatch
 from foltools.gaussian import gr
 from foltools.polyring import (
     MINUS_INFINITY,
     MultiPoly,
+    _coeffs_in,
     _coprimality_fast_path,
     _primitive_part,
     _subresultant_gcd,
@@ -189,6 +191,119 @@ def test_resultant_eliminates():
     r2 = resultant(line1, line2, 1)
     # common zero at (1,1): eliminant vanishes at x=1
     assert r2.evaluate((gr(1), gr(0))).is_zero()
+
+
+def _sylvester_bareiss(a, b, var):
+    """Reference resultant: Bareiss on the Sylvester matrix with MultiPoly entries."""
+    da, db = a.degree_in(var), b.degree_in(var)
+    n = da + db
+    if n == 0:
+        return MultiPoly.constant(a.arity, 1)
+    zero = MultiPoly.zero(a.arity)
+    m = []
+    for p, dp, count in ((a, da, db), (b, db, da)):
+        for i in range(count):
+            row = [zero] * n
+            for e, c in _coeffs_in(p, var).items():
+                row[i + dp - e] = c
+            m.append(row)
+    sign, prev = 1, MultiPoly.constant(a.arity, 1)
+    for k in range(n - 1):
+        if m[k][k].is_zero():
+            pivot = next((r for r in range(k + 1, n) if not m[r][k].is_zero()), None)
+            if pivot is None:
+                return zero
+            m[k], m[pivot] = m[pivot], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = exact_divide(m[i][j] * m[k][k] - m[i][k] * m[k][j], prev)
+            m[i][k] = zero
+        prev = m[k][k]
+    return m[n - 1][n - 1] if sign > 0 else -m[n - 1][n - 1]
+
+
+@pytest.mark.parametrize("arity,var", [(2, 0), (2, 1), (3, 0), (3, 1), (3, 2)])
+def test_resultant_matches_sylvester_bareiss(arity, var):
+    rnd = random.Random(31 + 7 * arity + var)
+    checked = 0
+    while checked < (25 if arity == 2 else 8):
+        a = random_poly(rnd, arity=arity, max_degree=3, nonzero=True)
+        b = random_poly(rnd, arity=arity, max_degree=3 if arity == 2 else 2, nonzero=True)
+        if a.degree_in(var) < 1 or b.degree_in(var) < 1:
+            continue
+        assert resultant(a, b, var) == _sylvester_bareiss(a, b, var)
+        checked += 1
+
+
+def test_resultant_gaussian_denominators_and_vanishing_leading_coefficients():
+    lc = x * (x - const2(1)) * (x - const2(2))  # zero at the first three interpolation points
+    a = lc * y**2 + const2(gr("1/3", "2/5")) * y - x.scale(gr("1/7"))
+    b = (x - const2(1)) * (x - const2(3)) * y.scale(gr(0, "3/4")) + (x**2).scale(gr("5/6", -1))
+    c = (y**3).scale(gr("2/9")) + lc * y - const2(gr(0, "1/11"))
+    for p, q in ((a, b), (b, a), (a, c), (c, b)):
+        for var in (0, 1):
+            assert resultant(p, q, var) == _sylvester_bareiss(p, q, var)
+    P = X * (X - Z) * (X - Z.scale(gr(2))) * Y + Z.scale(gr("1/2", "1/3"))
+    Q = Y**2 - (X * Z).scale(gr(0, "5/7"))
+    for var in range(3):
+        assert resultant(P, Q, var) == _sylvester_bareiss(P, Q, var)
+
+
+def test_resultant_shortcuts_for_degree_zero():
+    a = (x**2).scale(gr("1/2", 1)) - const2(3)  # free of y
+    b = y**3 + x * y - const2(gr(0, "2/3"))
+    assert resultant(a, b, 1) == a**3 == _sylvester_bareiss(a, b, 1)
+    assert resultant(b, a, 1) == a**3 == _sylvester_bareiss(b, a, 1)
+    assert resultant(a, const2(gr(0, 2)), 1) == MultiPoly.constant(2, 1)
+    with pytest.raises(ValueError):
+        resultant(MultiPoly.zero(2), b, 1)
+
+
+def test_resultant_rejects_a_variable_out_of_range():
+    for var in (5, 2, -1):
+        with pytest.raises(ValueError):
+            resultant(x + y, x - y, var)
+    with pytest.raises(ValueError):
+        resultant(X + Y, X - Z, 3)
+
+
+def test_resultant_takes_no_multipoly_determinant():
+    assert not hasattr(polyring, "_bareiss_det")
+
+
+def test_fast_path_certifies_pairs_that_share_a_root_at_x_zero(monkeypatch):
+    # at x = 0, A = y and B = y + y^2 share the root 0; at x = 1 they are coprime
+    A = y + x
+    B = y - x.scale(gr(2)) + y**2
+    assert _coprimality_fast_path(A, B, 1)
+    calls = []
+    subresultant = polyring._subresultant_gcd
+
+    def counting(*args):
+        calls.append(args)
+        return subresultant(*args)
+
+    monkeypatch.setattr(polyring, "_subresultant_gcd", counting)
+    assert poly_gcd(A, B) == const2(1)
+    assert not calls
+
+
+def test_fast_path_never_certifies_a_common_factor(rng):
+    # x*y + 1 specialises to the constant 1 at x = 0, where the leading coefficients vanish
+    c = x * y + const2(1)
+    assert not _coprimality_fast_path(c * (y - const2(1)), c * (y + const2(1)), 1)
+    planted = 0
+    for _ in range(60):
+        c = random_poly(rng, max_degree=2, nonzero=True)
+        if c.degree_in(1) < 1:
+            continue
+        a = random_poly(rng, max_degree=2, nonzero=True) * c
+        b = random_poly(rng, max_degree=2, nonzero=True) * c
+        pa, pb = _primitive_part(a, 1), _primitive_part(b, 1)
+        assert not _coprimality_fast_path(pa, pb, 1)
+        planted += 1
+    assert planted > 20
 
 
 def test_evaluate_and_shift():

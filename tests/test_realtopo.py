@@ -96,10 +96,20 @@ def test_true_crossing_exhausts_subdivision():
     assert all(not o.certified for o in ovals.ovals)
 
 
-def test_subdivision_resolves_near_saddle():
-    # smooth hyperbola whose two arcs share coarse cells near the origin
+def test_subdivision_resolves_near_saddle(monkeypatch):
+    # smooth hyperbola whose two arcs share a coarse cell near the origin:
+    # at res 3 that cell is ambiguous and subdivision separates the arcs
     f = x * y - const2("1/100")
-    ovals = count_ovals(f, Box.square(1), 4)
+    calls = []
+    subdivide = realtopo._Mesher._subdivide_cell
+
+    def counting(self, *args, **kwargs):
+        calls.append(args)
+        return subdivide(self, *args, **kwargs)
+
+    monkeypatch.setattr(realtopo._Mesher, "_subdivide_cell", counting)
+    ovals = count_ovals(f, Box.square(1), 3)
+    assert calls, "no cell was subdivided"
     assert not any("depth" in w for w in ovals.warnings)
     assert ovals.open_chains >= 2  # both non-compact arcs leave the box
 

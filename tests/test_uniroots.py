@@ -11,9 +11,9 @@ from foltools.uniroots import (
     _I_MOD_P,
     _as_gaussian_rational,
     _candidate_pairs,
-    _coprime_mod_p,
     _gi_vanishes,
     _to_gauss_integers,
+    coprime_mod_p,
     count_real_roots,
     sturm_counter,
     factor_int,
@@ -206,28 +206,28 @@ def test_image_of_i_is_a_square_root_of_minus_one():
 
 def test_squarefree_input_is_certified():
     c = _poly_from_roots([gr(1), gr(2), gr(0, -1)])
-    assert _coprime_mod_p(c, uderiv(c))
+    assert coprime_mod_p(c, uderiv(c))
     assert usquarefree(c) == umonic(c)
     assert ucoprime(c, uderiv(c))
 
 
 def test_repeated_root_falls_back_to_exact_gcd():
     c = _poly_from_roots([gr(1), gr(1), gr(0, -1)])  # (x - 1)^2 (x + i)
-    assert not _coprime_mod_p(c, uderiv(c))
+    assert not coprime_mod_p(c, uderiv(c))
     assert not ucoprime(c, uderiv(c))
     assert usquarefree(c) == _poly_from_roots([gr(1), gr(0, -1)])
 
 
 def test_leading_coefficient_divisible_by_the_prime_falls_back():
     c = [gr(1), gr(0), gr(_P)]  # P x^2 + 1 is squarefree but vanishes to degree 0 mod P
-    assert not _coprime_mod_p(c, uderiv(c))
+    assert not coprime_mod_p(c, uderiv(c))
     assert ucoprime(c, uderiv(c))
     assert usquarefree(c) == umonic(c)
 
 
 def test_polynomials_equal_mod_p_are_still_coprime():
     x, x_minus_p = [gr(0), gr(1)], [gr(-_P), gr(1)]
-    assert not _coprime_mod_p(x, x_minus_p)
+    assert not coprime_mod_p(x, x_minus_p)
     assert ucoprime(x, x_minus_p)
 
 
@@ -237,7 +237,7 @@ def test_zero_and_constant_inputs_take_the_exact_path():
     assert not ucoprime([], x)  # gcd(0, x) = x
     assert not ucoprime([], [])
     assert ucoprime([], [gr(5)])
-    assert not _coprime_mod_p([gr(3)], x) and not _coprime_mod_p([], x)
+    assert not coprime_mod_p([gr(3)], x) and not coprime_mod_p([], x)
 
 
 def test_ucoprime_agrees_with_exact_gcd():
