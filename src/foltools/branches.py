@@ -17,18 +17,20 @@ from .fields import (
     CHART_Z,
     AffineVectorField,
     ProjectiveOneForm,
+    chart_var,
     deprojectivize,
     invariance_check,
     projectivize,
 )
 from .gaussian import GaussianRational, ZERO, gr
-from .polyring import MultiPoly, exact_divide, homogenize, is_squarefree
+from .polyring import MultiPoly, dehomogenize, exact_divide, homogenize, is_squarefree
 from .series import PowerSeries, compose_poly
 from .singularities import (
     ProjectivePoint,
-    _chart_curve,
     _chart_field,
     _infinity_points_of_curve,
+    _nodal,
+    _order_and_node,
     affine_singularities,
     curve_singularities_decided,
     infinite_singularities,
@@ -94,10 +96,9 @@ def _branches_at_chart_point(
     v0: GaussianRational,
     truncation: int,
 ) -> list[Branch]:
-    local = g.shift((u0, v0))
-    if not local.evaluate((ZERO, ZERO)).is_zero():
+    order, node, local = _order_and_node(g, u0, v0)
+    if order == 0:
         raise PreconditionError(f"{base} is not on the curve")
-    order = int(min(sum(e) for e in local.terms))
     t = PowerSeries.identity(truncation)
     if order == 1:
         if not local.coefficient((0, 1)).is_zero():
@@ -109,13 +110,12 @@ def _branches_at_chart_point(
         return [Branch(base, chart, phi1, phi2, truncation, True)]
     if order != 2:
         raise UnsupportedBranch(f"point of order {order}; only smooth points and nodes supported")
+    if not node:
+        raise UnsupportedBranch("order-2 point with a repeated tangent (cusp-like)")
     a = local.coefficient((2, 0))
     b = local.coefficient((1, 1))
     c = local.coefficient((0, 2))
-    disc = b * b - gr(4) * a * c
-    if disc.is_zero():
-        raise UnsupportedBranch("order-2 point with a repeated tangent (cusp-like)")
-    sq = disc.sqrt()
+    sq = (b * b - gr(4) * a * c).sqrt()
     if sq is None:
         raise UnsupportedBranch("node tangent directions lie outside Q(i)")
     branches = []
@@ -168,10 +168,7 @@ def local_branches(f: MultiPoly, point: ProjectivePoint, truncation: int | None 
         raise PreconditionError("curve must be squarefree")
     n = truncation if truncation is not None else default_truncation(2, int(f.degree))
     chart = point.chart()
-    if chart == CHART_Z:
-        g = f
-    else:
-        g = _chart_curve(homogenize(f, int(f.degree)), chart)
+    g = dehomogenize(homogenize(f, int(f.degree)), chart_var(chart))
     u0, v0 = point.chart_coords(chart)
     return _branches_at_chart_point(g, point, chart, u0, v0, n)
 
@@ -339,17 +336,17 @@ def infinity_branch_data(
     if not F.evaluate(point.coords).is_zero():
         raise PreconditionError(f"{point} is not on the projective closure of the curve")
     chart = point.chart()
-    g = _chart_curve(F, chart)
+    var = chart_var(chart)
+    g = dehomogenize(F, var)
     u0, v0 = point.chart_coords(chart)
-    local = g.shift((u0, v0))
-    order = int(min(sum(e) for e in local.terms))
+    order, _node, local = _order_and_node(g, u0, v0)
     if order != 1 or local.coefficient((1, 0)).is_zero():
         raise PreconditionError("curve does not meet the line at infinity transversally here")
     branch = _branches_at_chart_point(g, point, chart, u0, v0, N)[0]
     # branch is parameterized by v (phi2 = v0 + t with v0 = 0 on Z = 0)
     driving = field.p if chart == CHART_X else field.q
     m = field.m
-    transform = _chart_curve(homogenize(driving, m), chart) if not driving.is_zero() else MultiPoly.zero(2)
+    transform = dehomogenize(homogenize(driving, m), var) if not driving.is_zero() else MultiPoly.zero(2)
     series = compose_poly(transform, branch.phi1, branch.phi2)
     l = series.order()
     if l is None:
@@ -365,31 +362,6 @@ def infinity_branch_data(
 # -- genus and Euler characteristic of nodal curves ------------------------------
 
 
-def _closure_is_nodal(f: MultiPoly) -> bool | None:
-    """All singular points of the projective closure are nodes (tangency to
-    the line at infinity is irrelevant here)."""
-    records, decided = curve_singularities_decided(f)
-    if any(not rec.is_node for rec in records):
-        return False
-    undecided = not decided
-    F = homogenize(f, int(f.degree))
-    pts, residual = _infinity_points_of_curve(F)
-    undecided = undecided or residual > 0
-    for pt in pts:
-        chart = pt.chart()
-        g = _chart_curve(F, chart)
-        u0, v0 = pt.chart_coords(chart)
-        local = g.shift((u0, v0))
-        order = int(min(sum(e) for e in local.terms))
-        if order >= 2:
-            a = local.coefficient((2, 0))
-            b = local.coefficient((1, 1))
-            c = local.coefficient((0, 2))
-            if order != 2 or (b * b - gr(4) * a * c).is_zero():
-                return False
-    return None if undecided else True
-
-
 def genus_and_chi(
     f: MultiPoly, component_degrees: list[int], component_node_counts: list[int]
 ) -> tuple[list[int], int]:
@@ -403,7 +375,7 @@ def genus_and_chi(
         raise PreconditionError("one node count per component degree required")
     if sum(component_degrees) != int(f.degree):
         raise PreconditionError("component degrees must sum to deg f")
-    nodal = _closure_is_nodal(f)
+    nodal = _nodal(f, include_infinity=True, transversal=False)
     if nodal is False:
         raise PreconditionError("curve is not nodal; genus formula does not apply")
     if nodal is None:

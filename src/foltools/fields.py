@@ -9,9 +9,11 @@ Its projective one-form is (ZQ + YR) dX - (ZP + XR) dY + (YP - XQ) dZ with
 P, Q, R the degree-m homogenizations of p, q, r; the coefficients are
 homogeneous of degree m+1 and satisfy X*P + Y*Q + Z*R = 0 identically.
 
-Chart convention: a one-form a*du + b*dv corresponds to the chart vector
-field (-b, a), so the Z = 1 chart of the projectivized form recovers
-(p + x*r, q + y*r) exactly.
+Chart convention: chart "x", "y" or "z" sets X, Y or Z (index `chart_var`)
+to 1 and keeps the other two coordinates in order, so Z = 0 is the chart
+line v = 0 in charts "x" and "y".  A one-form a*du + b*dv corresponds to the
+chart vector field (-b, a), so the Z = 1 chart of the projectivized form
+recovers (p + x*r, q + y*r) exactly.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from .errors import DegenerateInput, PreconditionError
 from .gaussian import GaussianRational
 from .polyring import (
     MultiPoly,
+    dehomogenize,
     exact_divide,
     homogenize,
     leading_form,
@@ -32,6 +35,25 @@ CHART_Z = "z"  # coords (x, y) = (X/Z, Y/Z)
 CHART_Y = "y"  # coords (u, v) = (X/Y, Z/Y)
 CHART_X = "x"  # coords (u, v) = (Y/X, Z/X)
 CHARTS = (CHART_Z, CHART_Y, CHART_X)
+_CHART_VAR = {CHART_X: 0, CHART_Y: 1, CHART_Z: 2}
+
+
+def chart_var(chart: str) -> int:
+    """Index of the homogeneous coordinate that `chart` sets to 1."""
+    try:
+        return _CHART_VAR[chart]
+    except KeyError:
+        raise ValueError(f"unknown chart {chart!r}") from None
+
+
+def _reduced_pair(a: MultiPoly, b: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
+    """(a, b) divided by their polynomial gcd."""
+    g = poly_gcd(a, b)
+    if not g.is_constant():
+        qa, qb = exact_divide(a, g), exact_divide(b, g)
+        assert qa is not None and qb is not None
+        a, b = qa, qb
+    return a, b
 
 
 @dataclass(frozen=True)
@@ -114,25 +136,10 @@ class ProjectiveOneForm:
         Returns reduced components (common polynomial factor removed), so the
         result is the local holomorphic representative with isolated zeros.
         """
-        one = MultiPoly.constant(2, GaussianRational.coerce(1))
-        u, v = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
-        if chart == CHART_Z:
-            subs = {0: u, 1: v, 2: one}
-            a, b = -self.Q.substitute(subs), self.P.substitute(subs)
-        elif chart == CHART_Y:
-            subs = {0: u, 1: one, 2: v}
-            a, b = -self.R.substitute(subs), self.P.substitute(subs)
-        elif chart == CHART_X:
-            subs = {0: one, 1: u, 2: v}
-            a, b = -self.R.substitute(subs), self.Q.substitute(subs)
-        else:
-            raise ValueError(f"unknown chart {chart!r}")
-        g = poly_gcd(a, b)
-        if not g.is_constant():
-            qa, qb = exact_divide(a, g), exact_divide(b, g)
-            assert qa is not None and qb is not None
-            a, b = qa, qb
-        return a, b
+        var = chart_var(chart)
+        i, j = (k for k in range(3) if k != var)
+        forms = (self.P, self.Q, self.R)
+        return _reduced_pair(-dehomogenize(forms[j], var), dehomogenize(forms[i], var))
 
 
 @dataclass(frozen=True)
@@ -247,11 +254,9 @@ def deprojectivize(form: ProjectiveOneForm) -> AffineVectorField:
     The chart field is (-Q(x,y,1), P(x,y,1)); when its degree is m+1 the top
     parts factor as x*r and y*r by the projective condition, giving the r-part.
     """
-    one = MultiPoly.constant(2, GaussianRational.coerce(1))
     x, y = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
-    subs = {0: x, 1: y, 2: one}
-    a = -form.Q.substitute(subs)
-    b = form.P.substitute(subs)
+    a = -dehomogenize(form.Q)
+    b = dehomogenize(form.P)
     m = form.m
     d = int(max(a.degree, b.degree))
     if d <= m:

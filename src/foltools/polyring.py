@@ -282,13 +282,15 @@ def homogenize(f: MultiPoly, n: int) -> MultiPoly:
     return MultiPoly(3, out)
 
 
-def dehomogenize(F: MultiPoly) -> MultiPoly:
-    """Substitute Z = 1."""
+def dehomogenize(F: MultiPoly, var: int = 2) -> MultiPoly:
+    """Set coordinate `var` to 1 (default Z); the other two keep their order."""
     if F.arity != 3:
         raise ArityMismatch("dehomogenize expects a projective (arity-3) polynomial")
+    if var not in (0, 1, 2):
+        raise ValueError(f"no coordinate {var!r} in a projective polynomial")
     out: dict[Exponent, GaussianRational] = {}
-    for (a, b, _c), coeff in F.terms.items():
-        key = (a, b)
+    for exp, coeff in F.terms.items():
+        key = exp[:var] + exp[var + 1 :]
         s = out.get(key, ZERO) + coeff
         if s.is_zero():
             out.pop(key, None)

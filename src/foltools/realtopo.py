@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DegenerateInput, PreconditionError
 from .polyring import MultiPoly, leading_form
-from .uniroots import count_real_roots, sturm_counter, utrim
+from .uniroots import count_real_roots, sturm_counter, ueval, utrim
 
 MAX_SUBDIVISION_DEPTH = 6
 _INT64_SAFE = 1 << 62
@@ -136,13 +136,6 @@ def _lattice(lo: Fraction, hi: Fraction, n: int) -> tuple[int, int, int]:
     return a, s, d
 
 
-def _horner(w: list[int], x: int) -> int:
-    acc = w[-1]
-    for a in range(len(w) - 2, -1, -1):
-        acc = acc * x + w[a]
-    return acc
-
-
 def _gamma(k: int) -> float:
     """Higham's gamma_k = k u / (1 - k u) for binary64, u = 2^-53."""
     u = 2.0**-53
@@ -193,7 +186,7 @@ def _filtered_signs(rows: list[list[int]], nx: list[int]) -> np.ndarray:
         signs[decided] = np.sign(p[decided])
         exact = ~decided
     for j, i in zip(*(k.tolist() for k in np.nonzero(exact))):
-        v = _horner(rows[j], nx[i])
+        v = ueval(rows[j], nx[i])
         signs[j, i] = 0 if v == 0 else (1 if v > 0 else -1)
     return signs
 
@@ -252,7 +245,7 @@ def _sign_grid(ip: _IntPoly, ax: int, sx: int, dx: int, ay: int, sy: int, dy: in
     denom = ip.lcm * dx_pows[-1] * dy_pows[-1]
     float_vals = np.full((n + 1, n + 1), np.nan)
     for j, i in zip(*(k.tolist() for k in np.nonzero(_crossing_nodes(signs)))):
-        float_vals[j, i] = _horner(rows[j], nx[i]) / denom
+        float_vals[j, i] = ueval(rows[j], nx[i]) / denom
     return signs, float_vals
 
 
@@ -525,7 +518,7 @@ class _Mesher:
         dy_pows = [dy**k for k in range(self.ip.degy + 1)]
 
         def value(a: int, b: int) -> int:
-            return _horner(self.ip.row_coefficients(ay + b * sy, dy_pows, dx_pows), ax + a * sx)
+            return ueval(self.ip.row_coefficients(ay + b * sy, dy_pows, dx_pows), ax + a * sx)
 
         def sub_vertex(kind: str, a: int, b: int) -> tuple:
             key = ("s", i, j, kind, a, b)
@@ -613,7 +606,6 @@ def count_ovals(
     f: MultiPoly,
     box: Box | None = None,
     resolution: int = 256,
-    certify: bool = True,
 ) -> OvalSet:
     """Count closed real components by adaptive marching squares on exact signs."""
     if resolution < 2:
@@ -648,12 +640,8 @@ def count_ovals(
     lines = _LatticeLines(f, nodes_x, nodes_y)
     for chain, cells in loops:
         verts = [mesher.vertex_pos[k] for k in chain]
-        ok = True
-        if any(c in mesher.uncertified_cells for c in cells):
-            ok = False
-        if certify and ok:
-            ok = _certify_loop(mesher, cells, lines)
-        result.ovals.append(Oval(verts, bool(ok) if certify else False))
+        ok = not any(c in mesher.uncertified_cells for c in cells) and _certify_loop(mesher, cells, lines)
+        result.ovals.append(Oval(verts, ok))
     result.ovals.sort(key=lambda o: (min(v[0] for v in o.vertices), min(v[1] for v in o.vertices)))
     return result
 

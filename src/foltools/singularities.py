@@ -16,16 +16,17 @@ from enum import Enum
 
 from .errors import DegenerateInput, NonIsolatedSingularities, PreconditionError
 from .fields import (
-    CHART_X,
-    CHART_Y,
     CHART_Z,
+    CHARTS,
     AffineVectorField,
     ProjectiveOneForm,
+    _reduced_pair,
+    chart_var,
     projectivize,
 )
 from .gaussian import GaussianRational, ONE, ZERO, gr
-from .polyring import MultiPoly, _specialize_keeping, exact_divide, homogenize, is_squarefree, poly_gcd, resultant
-from .uniroots import Coeffs, qi_roots, ucoprime, ugcd
+from .polyring import MultiPoly, _specialize_keeping, dehomogenize, exact_divide, homogenize, is_squarefree, poly_gcd, resultant
+from .uniroots import Coeffs, RootReport, qi_roots, ucoprime, ugcd
 
 
 @dataclass(frozen=True)
@@ -53,24 +54,12 @@ class ProjectivePoint:
 
     def chart(self) -> str:
         """Canonical chart: the one whose normalizing coordinate equals 1."""
-        if not self.coords[2].is_zero():
-            return CHART_Z
-        if not self.coords[1].is_zero():
-            return CHART_Y
-        return CHART_X
+        return next(c for c in CHARTS if not self.coords[chart_var(c)].is_zero())
 
     def chart_coords(self, chart: str) -> tuple[GaussianRational, GaussianRational]:
-        X, Y, Z = self.coords
-        if chart == CHART_Z:
-            inv = Z.inverse()
-            return (X * inv, Y * inv)
-        if chart == CHART_Y:
-            inv = Y.inverse()
-            return (X * inv, Z * inv)
-        if chart == CHART_X:
-            inv = X.inverse()
-            return (Y * inv, Z * inv)
-        raise ValueError(f"unknown chart {chart!r}")
+        var = chart_var(chart)
+        inv = self.coords[var].inverse()
+        return tuple(c * inv for k, c in enumerate(self.coords) if k != var)
 
     def __str__(self) -> str:
         return "(" + " : ".join(str(c) for c in self.coords) + ")"
@@ -264,6 +253,18 @@ def _restrict_infinity(F: MultiPoly) -> MultiPoly:
     return MultiPoly(3, {e: c for e, c in F.terms.items() if e[2] == 0})
 
 
+def _zeros_at_infinity(G: MultiPoly) -> tuple[list[ProjectivePoint], RootReport]:
+    """Q(i) points of G = 0 on Z = 0, (1 : t : 0) then (0 : 1 : 0), and the
+    root report of G(1, t, 0), whose unresolved and uncertain degrees count
+    the points not listed.  G must not vanish on the whole line."""
+    coeffs = _specialize_keeping(G, 1, [ONE, ZERO, ZERO])  # G(1, t, 0)
+    rep = qi_roots(coeffs) if len(coeffs) > 1 else RootReport()
+    pts = [ProjectivePoint.make(ONE, t, ZERO) for t in rep.roots]
+    if G.evaluate((ZERO, ONE, ZERO)).is_zero():
+        pts.append(ProjectivePoint.make(ZERO, ONE, ZERO))
+    return pts, rep
+
+
 def infinite_singularities(form: ProjectiveOneForm) -> Enumeration:
     """Singular points on Z = 0: common zeros of P, Q, R restricted there."""
     P0, Q0, R0 = (_restrict_infinity(G) for G in (form.P, form.Q, form.R))
@@ -273,17 +274,11 @@ def infinite_singularities(form: ProjectiveOneForm) -> Enumeration:
     out = Enumeration(system=(P0, Q0, R0))
     if g.is_constant():
         return out
-    coeffs = _specialize_keeping(g, 1, [ONE, ZERO, ZERO])  # g(1, t, 0)
-    if len(coeffs) > 1:
-        rep = qi_roots(coeffs)
-        out.residual += rep.residual_degree
-        out.uncertain += rep.uncertain_degree
-        out.unresolved_inf.extend(rep.unresolved + rep.uncertain)
-        for t in rep.roots:
-            out.points.append(ProjectivePoint.make(ONE, t, ZERO))
-    if g.evaluate((ZERO, ONE, ZERO)).is_zero():
-        out.points.append(ProjectivePoint.make(ZERO, ONE, ZERO))
-    out.points = sorted(set(out.points), key=str)
+    pts, rep = _zeros_at_infinity(g)
+    out.residual += rep.residual_degree
+    out.uncertain += rep.uncertain_degree
+    out.unresolved_inf.extend(rep.unresolved + rep.uncertain)
+    out.points = sorted(set(pts), key=str)
     return out
 
 
@@ -292,13 +287,7 @@ def infinite_singularities(form: ProjectiveOneForm) -> Enumeration:
 
 def _chart_field(field: AffineVectorField, chart: str) -> tuple[MultiPoly, MultiPoly]:
     if chart == CHART_Z:
-        a, b = field.component_x, field.component_y
-        g = poly_gcd(a, b)
-        if not g.is_constant():
-            qa, qb = exact_divide(a, g), exact_divide(b, g)
-            assert qa is not None and qb is not None
-            a, b = qa, qb
-        return a, b
+        return _reduced_pair(field.component_x, field.component_y)
     return projectivize(field).chart_components(chart)
 
 
@@ -354,17 +343,16 @@ def classify_dicritical(field: AffineVectorField, point: ProjectivePoint) -> Sin
 # -- curve singularities ---------------------------------------------------------
 
 
-def _order_and_node(f: MultiPoly, x0: GaussianRational, y0: GaussianRational) -> tuple[int, bool]:
+def _order_and_node(f: MultiPoly, x0: GaussianRational, y0: GaussianRational) -> tuple[int, bool, MultiPoly]:
+    """Order of f at (x0, y0) (0 off the curve), whether it is a node, and f shifted there."""
     local = f.shift((x0, y0))
     order = int(min(sum(e) for e in local.terms))
     if order != 2:
-        return order, False
-    j2 = local.homogeneous_part(2)
-    a = j2.coefficient((2, 0))
-    b = j2.coefficient((1, 1))
-    c = j2.coefficient((0, 2))
-    disc = b * b - gr(4) * a * c
-    return order, not disc.is_zero()
+        return order, False, local
+    a = local.coefficient((2, 0))
+    b = local.coefficient((1, 1))
+    c = local.coefficient((0, 2))
+    return order, not (b * b - gr(4) * a * c).is_zero(), local
 
 
 def curve_singularities(f: MultiPoly) -> tuple[list[CurveSingularity], Enumeration]:
@@ -412,7 +400,7 @@ def curve_singularities(f: MultiPoly) -> tuple[list[CurveSingularity], Enumerati
         x0, y0 = pt.chart_coords(CHART_Z)
         if not f.evaluate((x0, y0)).is_zero():
             continue
-        order, node = _order_and_node(f, x0, y0)
+        order, node, _local = _order_and_node(f, x0, y0)
         if order >= 2:
             records.append(CurveSingularity(pt, order, node))
     records.sort(key=lambda r: str(r.point))
@@ -420,31 +408,11 @@ def curve_singularities(f: MultiPoly) -> tuple[list[CurveSingularity], Enumerati
 
 
 def _infinity_points_of_curve(F: MultiPoly) -> tuple[list[ProjectivePoint], int]:
-    """Roots of F restricted to Z = 0, plus residual degree."""
-    F0 = _restrict_infinity(F)
-    if F0.is_zero():
+    """Q(i) points of the curve F = 0 on Z = 0, plus the degree left undecided."""
+    if _restrict_infinity(F).is_zero():
         raise DegenerateInput("curve contains the line at infinity")
-    pts = []
-    coeffs = _specialize_keeping(F0, 1, [ONE, ZERO, ZERO])  # F0(1, t, 0)
-    residual = 0
-    if len(coeffs) > 1:
-        rep = qi_roots(coeffs)
-        residual = rep.residual_degree
-        pts = [ProjectivePoint.make(ONE, t, ZERO) for t in rep.roots]
-    if F0.evaluate((ZERO, ONE, ZERO)).is_zero():
-        pts.append(ProjectivePoint.make(ZERO, ONE, ZERO))
-    return pts, residual
-
-
-def _chart_curve(F: MultiPoly, chart: str) -> MultiPoly:
-    one = MultiPoly.constant(2, ONE)
-    u, v = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
-    subs = {
-        CHART_Z: {0: u, 1: v, 2: one},
-        CHART_Y: {0: u, 1: one, 2: v},
-        CHART_X: {0: one, 1: u, 2: v},
-    }[chart]
-    return F.substitute(subs)
+    pts, rep = _zeros_at_infinity(F)
+    return pts, rep.residual_degree + rep.uncertain_degree
 
 
 def curve_singularities_decided(f: MultiPoly) -> tuple[list[CurveSingularity], bool]:
@@ -461,28 +429,33 @@ def curve_singularities_decided(f: MultiPoly) -> tuple[list[CurveSingularity], b
     return records, True
 
 
-def is_nodal(f: MultiPoly, include_infinity: bool = True) -> bool | None:
-    """True / False / None (= undecided because of unresolved coordinates)."""
+def _nodal(f: MultiPoly, include_infinity: bool, transversal: bool) -> bool | None:
+    """Every singular point is a node: True / False / None (= undecided).
+
+    include_infinity adds the closure's points on Z = 0; transversal also
+    requires a smooth one to cross Z = 0 transversally.
+    """
     records, decided = curve_singularities_decided(f)
     if any(not rec.is_node for rec in records):
         return False
     undecided = not decided
     if include_infinity:
         F = homogenize(f, int(f.degree))
-        pts, residual = _infinity_points_of_curve(F)
-        undecided = undecided or residual > 0
+        pts, undecided_degree = _infinity_points_of_curve(F)
+        undecided = undecided or undecided_degree > 0
         for pt in pts:
             chart = pt.chart()
-            g = _chart_curve(F, chart)
             u0, v0 = pt.chart_coords(chart)
-            local = g.shift((u0, v0))
-            order = int(min(sum(e) for e in local.terms))
+            order, node, local = _order_and_node(dehomogenize(F, chart_var(chart)), u0, v0)
             if order == 1:
-                # transversal to Z = 0 (the chart line v = 0) iff du-part present
-                if local.coefficient((1, 0)).is_zero():
+                # Z = 0 is the chart line v = 0: transversal iff the du-part is present
+                if transversal and local.coefficient((1, 0)).is_zero():
                     return False
-            else:
-                o, node = _order_and_node(g, u0, v0)
-                if not (o == 2 and node):
-                    return False
+            elif not node:
+                return False
     return None if undecided else True
+
+
+def is_nodal(f: MultiPoly, include_infinity: bool = True) -> bool | None:
+    """True / False / None (= undecided because of unresolved coordinates)."""
+    return _nodal(f, include_infinity, transversal=include_infinity)

@@ -14,7 +14,7 @@ from foltools.fields import AffineVectorField
 from foltools.gaussian import gr
 from foltools.polyring import affine_vars, const2
 from foltools.series import compose_poly
-from foltools.singularities import ProjectivePoint
+from foltools.singularities import ProjectivePoint, is_nodal
 from foltools.textio import parse_poly
 
 x, y = affine_vars()
@@ -179,6 +179,14 @@ def test_genus_and_chi_cases():
         genus_and_chi(circle, [3], [0])  # degrees do not sum to deg f
 
 
+def test_transversality_only_matters_for_is_nodal():
+    # the parabola's closure is smooth but tangent to Z = 0 at (0 : 1 : 0)
+    parabola = y - x**2
+    assert is_nodal(parabola) is False
+    assert is_nodal(parabola, include_infinity=False) is True
+    assert genus_and_chi(parabola, [2], [0]) == ([0], 2)
+
+
 def test_corollary2_values():
     for n, text, chi in ((1, "x + y - 1", 2), (2, "x^2 + 4*y^2 - 1", 2), (3, "x^2*y + x*y^2 - 1", 0)):
         ok, rep = corollary2_check(n, parse_poly(text, 2))
@@ -191,6 +199,10 @@ def test_corollary2_rejects_bad_curves():
         corollary2_check(3, gallery("nodal-cubic").curve)  # singular
     with pytest.raises(PreconditionError):
         corollary2_check(3, y - x**3)  # one triple point at infinity, not 3
+    # a point on Z = 0 that the root search leaves uncertain is not "no point"
+    f = parse_poly(f"(x + {10**21 + 7}*y)^2*(x + y)*(x + 2*y) + x^3 + 1", 2)
+    with pytest.raises(UncertifiedResult):
+        corollary2_check(4, f)
 
 
 def test_truncation_env_override(monkeypatch):

@@ -121,6 +121,14 @@ def test_nodal_exit_codes(eee_doc, tmp_path, capsys):
     assert run(["nodal", str(cusp), "--curve", "cusp"]) == 1
 
 
+def test_uncertain_point_at_infinity_exits_unknown(tmp_path, capsys):
+    doc = tmp_path / "tangent.fol"
+    doc.write_text(f"[curve f]\nf = (x + {10**21 + 7}*y)^2*(x + y)*(x + 2*y) + x^3 + 1\n")
+    assert run(["nodal", str(doc), "--curve", "f", "--with-infinity"]) == 3
+    assert "nodal: None" in capsys.readouterr().out
+    assert run(["corollary2", str(doc), "--curve", "f"]) == 3
+
+
 def test_multiplicity_and_euler(ex1_doc, capsys):
     assert run(["multiplicity", ex1_doc, "--field", "example1", "--curve", "line"]) == 0
     out = capsys.readouterr().out

@@ -1,11 +1,12 @@
 import pytest
 
-from conftest import random_poly
+from conftest import random_coeff, random_poly
 from foltools.errors import DegenerateInput, PreconditionError
 from foltools.fields import (
     AffineVectorField,
     ProjectiveOneForm,
     affine_one_form,
+    chart_var,
     darboux_check,
     deprojectivize,
     divergence,
@@ -16,7 +17,16 @@ from foltools.fields import (
     projectivize,
 )
 from foltools.gaussian import gr
-from foltools.polyring import MultiPoly, affine_vars, const2, projective_vars
+from foltools.polyring import (
+    MultiPoly,
+    affine_vars,
+    const2,
+    dehomogenize,
+    exact_divide,
+    poly_gcd,
+    projective_vars,
+)
+from foltools.singularities import ProjectivePoint
 from foltools.textio import parse_poly
 
 x, y = affine_vars()
@@ -136,3 +146,100 @@ def test_cofactor_degree_bound_recorded():
     assert cert is not None
     assert cert.degree_bound == fld.m
     assert cert.degree_bound_ok
+
+
+# -- chart convention: the substitution tables the chart maps replaced ----------
+
+ONE2 = const2(1)
+U, V = affine_vars()
+CHART_SUBS = {  # chart -> substitution turning a projective form into its chart
+    "z": {0: U, 1: V, 2: ONE2},
+    "y": {0: U, 1: ONE2, 2: V},
+    "x": {0: ONE2, 1: U, 2: V},
+}
+
+
+def _oracle_chart_components(form, chart):
+    subs = CHART_SUBS[chart]
+    a, b = {
+        "z": (-form.Q.substitute(subs), form.P.substitute(subs)),
+        "y": (-form.R.substitute(subs), form.P.substitute(subs)),
+        "x": (-form.R.substitute(subs), form.Q.substitute(subs)),
+    }[chart]
+    g = poly_gcd(a, b)
+    if not g.is_constant():
+        a, b = exact_divide(a, g), exact_divide(b, g)
+    return a, b
+
+
+def _oracle_chart_coords(point, chart):
+    X0, Y0, Z0 = point.coords
+    if chart == "z":
+        return (X0 / Z0, Y0 / Z0)
+    if chart == "y":
+        return (X0 / Y0, Z0 / Y0)
+    return (Y0 / X0, Z0 / X0)
+
+
+def _random_form(rng, degree):
+    terms = {}
+    for a in range(degree + 1):
+        for b in range(degree + 1 - a):
+            if rng.random() < 0.6:
+                c = random_coeff(rng, complex_prob=0.5)
+                if not c.is_zero():
+                    terms[(a, b, degree - a - b)] = c
+    return MultiPoly(3, terms)
+
+
+def test_chart_var_names_the_coordinate_set_to_one():
+    assert [chart_var(c) for c in ("x", "y", "z")] == [0, 1, 2]
+    with pytest.raises(ValueError):
+        chart_var("w")
+    with pytest.raises(ValueError):
+        dehomogenize(X * Y, 3)
+
+
+def test_dehomogenize_matches_chart_substitution(rng):
+    for _ in range(60):
+        F = _random_form(rng, rng.randint(0, 4))
+        for chart, subs in CHART_SUBS.items():
+            assert dehomogenize(F, chart_var(chart)) == F.substitute(subs)
+
+
+def test_chart_components_match_substitution_tables(rng):
+    checked = 0
+    while checked < 25:
+        p = random_poly(rng, max_degree=3)
+        q = random_poly(rng, max_degree=3)
+        if p.is_zero() and q.is_zero():
+            continue
+        m = int(max(p.degree, q.degree))
+        r = MultiPoly.zero(2)
+        if rng.random() < 0.5:
+            r = MultiPoly(2, {(a, m - a): random_coeff(rng) for a in range(m + 1)})
+        try:
+            form = projectivize(AffineVectorField.make(p, q, r))
+        except DegenerateInput:
+            continue  # not a reduced representative
+        for chart in CHART_SUBS:
+            assert form.chart_components(chart) == _oracle_chart_components(form, chart)
+        checked += 1
+    with pytest.raises(ValueError):
+        form.chart_components("w")
+
+
+def test_projective_point_charts_match_the_if_chains(rng):
+    for _ in range(60):
+        coords = [random_coeff(rng, complex_prob=0.5) if rng.random() < 0.7 else gr(0) for _k in range(3)]
+        if all(c.is_zero() for c in coords):
+            continue
+        pt = ProjectivePoint.make(*coords)
+        X0, Y0, Z0 = pt.coords
+        canonical = "z" if not Z0.is_zero() else ("y" if not Y0.is_zero() else "x")
+        assert pt.chart() == canonical
+        for chart in CHART_SUBS:
+            if not pt.coords[chart_var(chart)].is_zero():
+                assert pt.chart_coords(chart) == _oracle_chart_coords(pt, chart)
+    with pytest.raises(ValueError):
+        ProjectivePoint.affine(1, 2).chart_coords("w")

@@ -2,8 +2,8 @@ import pytest
 
 from foltools.errors import NonIsolatedSingularities, PreconditionError
 from foltools.fields import AffineVectorField, projectivize
-from foltools.gaussian import gr
-from foltools.polyring import MultiPoly, affine_vars, const2
+from foltools.gaussian import ONE, ZERO, gr
+from foltools.polyring import MultiPoly, _specialize_keeping, affine_vars, const2, homogenize
 from foltools.singularities import (
     ProjectivePoint,
     Verdict,
@@ -16,6 +16,7 @@ from foltools.singularities import (
     residual_avoids_curve,
 )
 from foltools.textio import parse_poly
+from foltools.uniroots import qi_roots
 from foltools.construct import gallery
 
 x, y = affine_vars()
@@ -198,3 +199,18 @@ def test_residual_avoidance_certificate():
     assert enum.residual == 2
     assert residual_avoids_curve(enum, x)  # the curve x = 0 avoids them
     assert not residual_avoids_curve(enum, y + const2(1))  # these lie on y = -1
+
+
+def tangent_at_infinity_quartic(N: int) -> MultiPoly:
+    """Smooth at (-N : 1 : 0), where its closure is tangent to Z = 0."""
+    return parse_poly(f"(x + {N}*y)^2*(x + y)*(x + 2*y) + x^3 + 1", 2)
+
+
+def test_uncertain_point_at_infinity_leaves_nodality_undecided():
+    big = tangent_at_infinity_quartic(10**21 + 7)
+    top = _specialize_keeping(homogenize(big, 4), 1, [ONE, ZERO, ZERO])  # f_4(1, t)
+    assert qi_roots(top).uncertain_degree > 0  # the root -1/N is not found
+    assert is_nodal(big) is None
+    assert is_nodal(big, include_infinity=False) is True
+    # with a small N the root is found and the tangency decides
+    assert is_nodal(tangent_at_infinity_quartic(3)) is False
