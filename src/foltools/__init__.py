@@ -109,7 +109,6 @@ from .textio import (
     parse_system,
     print_poly,
     report_json,
-    report_text,
 )
 
 __version__ = "0.1.0"

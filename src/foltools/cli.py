@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
@@ -91,22 +92,36 @@ def _get_curve(doc: SystemDocument, name: str) -> MultiPoly:
     return doc.curves[name].f
 
 
+def _parse_constant(text: str) -> GaussianRational:
+    """One point coordinate, weight or parameter: a constant of Q(i)."""
+    value = parse_poly(text, 2)
+    if not value.is_constant():
+        raise ParseError(f"expected a constant, got {text.strip()!r}")
+    return value.constant_value()
+
+
+def _parse_ints(text: str) -> list[int]:
+    """Comma-separated integers, as --orders and --partition take them."""
+    try:
+        return [int(s) for s in text.split(",") if s.strip()]
+    except ValueError:
+        raise ParseError(f"expected comma-separated integers, got {text!r}") from None
+
+
 def _parse_point(text: str) -> ProjectivePoint:
     if ":" in text:
-        parts = [p.strip() for p in text.split(":")]
+        parts = text.split(":")
         if len(parts) != 3:
             raise ParseError("projective point must be X:Y:Z")
-        vals = [parse_poly(p, 2).constant_value() for p in parts]
-        return ProjectivePoint.make(*vals)
-    parts = [p.strip() for p in text.split(",")]
+        return ProjectivePoint.make(*(_parse_constant(p) for p in parts))
+    parts = text.split(",")
     if len(parts) != 2:
         raise ParseError("affine point must be x,y")
-    vals = [parse_poly(p, 2).constant_value() for p in parts]
-    return ProjectivePoint.affine(*vals)
+    return ProjectivePoint.affine(*(_parse_constant(p) for p in parts))
 
 
 def _parse_weights(text: str) -> list[GaussianRational]:
-    return [parse_poly(chunk, 2).constant_value() for chunk in text.split(",") if chunk.strip()]
+    return [_parse_constant(chunk) for chunk in text.split(",") if chunk.strip()]
 
 
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
@@ -328,7 +343,7 @@ def cmd_bounds(args) -> int:
         payload = {"theorem": "t4", "m": args.m, "bound": value}
         print(value)
     elif t == "harnack":
-        orders = [int(s) for s in args.orders.split(",") if s.strip()] if args.orders else []
+        orders = _parse_ints(args.orders) if args.orders else []
         rep = bounds_mod.harnack_bound(args.m, orders)
         payload = rep.to_dict()
         print(rep.bound)
@@ -343,7 +358,7 @@ def cmd_bounds(args) -> int:
         print(rep.bound)
     elif t == "mk":
         if args.partition:
-            partition = [int(s) for s in args.partition.split(",")]
+            partition = _parse_ints(args.partition)
             value, envelope = bounds_mod.mk_value(args.m, len(partition), partition)
             payload = {"m": args.m, "partition": partition, "value": value, "envelope": envelope}
             print(value)
@@ -396,7 +411,7 @@ def cmd_construct(args) -> int:
     elif kind == "eee":
         g = parse_poly(args.g, 2)
         h = parse_poly(args.h, 2)
-        field, cert = eee_system(g, h, _parse_weights(args.a)[0], _parse_weights(args.b)[0])
+        field, cert = eee_system(g, h, _parse_constant(args.a), _parse_constant(args.b))
         doc = _document_from_parts(fields={"eee": field}, curves={"g": g})
         print(f"# cofactor = {print_poly(cert.cofactor)}, degree m = {field.m}")
     elif kind == "thm2b":
@@ -444,15 +459,23 @@ def _parse_box(text: str) -> Box:
     return Box(x_lo, x_hi, y_lo, y_hi)
 
 
-def _resolution(text: str) -> int:
-    """Value of --res: an integer of at least 2."""
-    try:
-        res = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if res < 2:
-        raise argparse.ArgumentTypeError("resolution must be at least 2")
-    return res
+def _checked(convert, ok, message: str):
+    """An argparse type: `convert` the text and reject a value that fails `ok`."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {convert.__name__} value: {text!r}") from None
+        if not ok(value):
+            raise argparse.ArgumentTypeError(message)
+        return value
+
+    return parse
+
+
+_resolution = _checked(int, lambda res: res >= 2, "resolution must be at least 2")
+_spacing = _checked(float, lambda h: math.isfinite(h) and h > 0, "spacing must be a positive finite number")
 
 
 def cmd_ovals(args) -> int:
@@ -811,7 +834,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--all-ovals", action="store_true")
     p.add_argument("--box")
     p.add_argument("--res", type=_resolution, default=256)
-    p.add_argument("--spacing", type=float, default=1.5e-3)
+    p.add_argument("--spacing", type=_spacing, default=1.5e-3)
     p.set_defaults(handler=cmd_certify)
 
     p = sub.add_parser("iif-check", help="inverse integrating factor identity")

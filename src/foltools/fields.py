@@ -46,16 +46,6 @@ def chart_var(chart: str) -> int:
         raise ValueError(f"unknown chart {chart!r}") from None
 
 
-def _reduced_pair(a: MultiPoly, b: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
-    """(a, b) divided by their polynomial gcd."""
-    g = poly_gcd(a, b)
-    if not g.is_constant():
-        qa, qb = exact_divide(a, g), exact_divide(b, g)
-        assert qa is not None and qb is not None
-        a, b = qa, qb
-    return a, b
-
-
 @dataclass(frozen=True)
 class AffineVectorField:
     """Normal-form planar polynomial field (p + x r, q + y r) of degree m."""
@@ -133,13 +123,16 @@ class ProjectiveOneForm:
     def chart_components(self, chart: str) -> tuple[MultiPoly, MultiPoly]:
         """Vector field of the foliation in one standard affine chart.
 
-        Returns reduced components (common polynomial factor removed), so the
-        result is the local holomorphic representative with isolated zeros.
+        The components share no factor, so the result is the local
+        holomorphic representative with isolated zeros: a common factor h
+        of the two would divide the third coefficient too, by the projective
+        condition, and h homogenized would divide P, Q and R, whose gcd
+        `make` proves constant.
         """
         var = chart_var(chart)
         i, j = (k for k in range(3) if k != var)
         forms = (self.P, self.Q, self.R)
-        return _reduced_pair(-dehomogenize(forms[j], var), dehomogenize(forms[i], var))
+        return -dehomogenize(forms[j], var), dehomogenize(forms[i], var)
 
 
 @dataclass(frozen=True)

@@ -143,9 +143,6 @@ class GaussianRational:
     def __float__(self) -> float:
         return float(self.as_fraction())
 
-    def __complex__(self) -> complex:
-        return complex(float(self.re), float(self.im))
-
     def __bool__(self) -> bool:
         return not self.is_zero()
 

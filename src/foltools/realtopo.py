@@ -10,11 +10,13 @@ Ambiguous cells are resolved by subdivision, never by a midpoint
 heuristic: a cell's sub-lattice is again an integer lattice, evaluated the
 same way as the coarse grid; when depth runs out the affected ovals are
 reported uncertified with a warning.  Uncrossed cell edges of each loop are proven
-zero-free by Sturm counts, one chain per lattice line.
+zero-free by Sturm counts, one chain per lattice line, on the same integer
+rows that give the signs.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field as dfield
@@ -23,7 +25,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DegenerateInput, PreconditionError
-from .polyring import MultiPoly, leading_form
+from .gaussian import ONE
+from .polyring import MultiPoly, _specialize_keeping, leading_form
 from .uniroots import count_real_roots, sturm_counter, ueval, utrim
 
 MAX_SUBDIVISION_DEPTH = 6
@@ -115,6 +118,14 @@ class _IntPoly:
             lcm = lcm * d // math.gcd(lcm, d)
         self.terms = [(a, b, int(c.re * lcm)) for (a, b), c in f.terms.items()]
         self.lcm = lcm
+
+    def transposed(self) -> "_IntPoly":
+        """The same scaled polynomial with x and y exchanged, so its rows are
+        the columns x = x_i of this one."""
+        t = copy.copy(self)
+        t.degx, t.degy = self.degy, self.degx
+        t.terms = [(b, a, c) for a, b, c in self.terms]
+        return t
 
     def row_coefficients(self, ny: int, dy_pows: list[int], dx_pows: list[int]) -> list[int]:
         """Integer Horner coefficients in the x-lattice index for one row."""
@@ -262,65 +273,64 @@ def _interval_pow(lo: Fraction, hi: Fraction, e: int) -> tuple[Fraction, Fractio
     return Fraction(0), max(lo**e, hi**e)
 
 
-def _interval_eval(f: MultiPoly, xlo: Fraction, xhi: Fraction, ylo: Fraction, yhi: Fraction):
+def _interval_eval(coeffs: list[Fraction], lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
+    """Bounds of the polynomial with coefficients `coeffs` (low to high) on
+    [lo, hi], term by term."""
     lo_total, hi_total = Fraction(0), Fraction(0)
-    for (a, b), c in f.terms.items():
-        plo, phi = _interval_pow(xlo, xhi, a)
-        qlo, qhi = _interval_pow(ylo, yhi, b)
-        cands = (plo * qlo, plo * qhi, phi * qlo, phi * qhi)
-        tlo, thi = min(cands), max(cands)
-        cv = c.re
-        if cv >= 0:
-            lo_total += cv * tlo
-            hi_total += cv * thi
+    for k, c in enumerate(coeffs):
+        tlo, thi = _interval_pow(lo, hi, k)
+        if c >= 0:
+            lo_total += c * tlo
+            hi_total += c * thi
         else:
-            lo_total += cv * thi
-            hi_total += cv * tlo
+            lo_total += c * thi
+            hi_total += c * tlo
     return lo_total, hi_total
-
-
-def _line_restriction(f: MultiPoly, kind: str, at: Fraction) -> list[Fraction]:
-    """Trimmed coefficients of f on the horizontal line y = at ("h", in x)
-    or the vertical line x = at ("v", in y)."""
-    coeffs: dict[int, Fraction] = {}
-    for (a, b), c in f.terms.items():
-        if kind == "h":
-            coeffs[a] = coeffs.get(a, Fraction(0)) + c.re * at**b
-        else:
-            coeffs[b] = coeffs.get(b, Fraction(0)) + c.re * at**a
-    top = max(coeffs, default=0)
-    return utrim([coeffs.get(k, Fraction(0)) for k in range(top + 1)])
 
 
 class _LatticeLines:
     """Exact proofs (Sturm counts) that f has no zero on a lattice edge.
 
     f restricted to an edge depends only on the edge's line, so each line
-    gets one Sturm chain, and its sign variations are memoized per node.
-    Endpoints are lattice nodes with nonzero exact sign, so a zero count on
-    the half-open interval certifies the whole closed edge.
+    gets one Sturm chain, and its sign variations are memoized per node.  A
+    horizontal line is a row of `_IntPoly`, a vertical one a row of its
+    transpose: a positive multiple of f on the line as a polynomial in the
+    integer lattice coordinate (nx = dx*x or ny = dy*y), so edges are counted
+    between integer endpoints.  Endpoints are lattice nodes with nonzero
+    exact sign, so a zero count on the half-open interval certifies the
+    whole closed edge.
     """
 
-    def __init__(self, f: MultiPoly, nodes_x: list[Fraction], nodes_y: list[Fraction]):
-        self.f = f
-        self.nodes_x = nodes_x
-        self.nodes_y = nodes_y
+    def __init__(self, ip: _IntPoly, lattice: tuple):
+        ax, sx, dx, ay, sy, dy, _ = lattice
+        dx_pows = [dx**k for k in range(ip.degx + 1)]
+        dy_pows = [dy**k for k in range(ip.degy + 1)]
+        # kind: (rows, the lines' offset and step, the edges' offset and step, row powers)
+        self._axes = {
+            "h": (ip, ay, sy, ax, sx, dy_pows, dx_pows),
+            "v": (ip.transposed(), ax, sx, ay, sy, dx_pows, dy_pows),
+        }
         self._counters: dict[tuple[str, int], Callable | None] = {}
 
     def edge_is_zero_free(self, kind: str, i: int, j: int) -> bool:
-        if kind == "h":
-            line, at, lo, hi = ("h", j), self.nodes_y[j], self.nodes_x[i], self.nodes_x[i + 1]
-        else:
-            line, at, lo, hi = ("v", i), self.nodes_x[i], self.nodes_y[j], self.nodes_y[j + 1]
-        if line not in self._counters:
-            coeffs = _line_restriction(self.f, kind, at)
+        rows, a_line, s_line, a_edge, s_edge, line_pows, edge_pows = self._axes[kind]
+        line, k = (j, i) if kind == "h" else (i, j)
+        if (kind, line) not in self._counters:
+            coeffs = utrim(rows.row_coefficients(a_line + line * s_line, line_pows, edge_pows))
             # None: f vanishes identically on the line
-            self._counters[line] = sturm_counter(coeffs) if coeffs else None
-        count = self._counters[line]
-        return count is not None and count(lo, hi) == 0
+            self._counters[kind, line] = sturm_counter(coeffs) if coeffs else None
+        count = self._counters[kind, line]
+        lo = a_edge + k * s_edge
+        return count is not None and count(lo, lo + s_edge) == 0
 
 
 # -- compactness and the default box --------------------------------------------------
+
+
+def _top_form_on(L: MultiPoly, var: int) -> list[Fraction]:
+    """Trimmed real coefficients of the top form L on the directions with the
+    other coordinate 1: L(1, t) for var 1, L(t, 1) for var 0."""
+    return [c.re for c in _specialize_keeping(L, var, [ONE, ONE])]
 
 
 def compactness_check(f: MultiPoly) -> bool:
@@ -331,26 +341,17 @@ def compactness_check(f: MultiPoly) -> bool:
     if f.is_zero() or f.is_constant():
         raise PreconditionError("curve must be nonconstant")
     L = leading_form(f)
-    coeffs: dict[int, Fraction] = {}
-    degree = int(L.degree)
-    for (a, b), c in L.terms.items():
-        coeffs[b] = coeffs.get(b, Fraction(0)) + c.re
-    restriction = [coeffs.get(k, Fraction(0)) for k in range(degree + 1)]
-    vertical = restriction[-1] if len(restriction) == degree + 1 else Fraction(0)
-    if not vertical:
-        return False  # the direction (0 : 1) is a real zero of the top form
+    restriction = _top_form_on(L, 1)
+    if len(restriction) < int(L.degree) + 1:
+        return False  # no y^n term: the direction (0 : 1) is a real zero of the top form
     return count_real_roots(restriction) == 0
 
 
 def _min_abs_on_interval(coeffs: list[Fraction], lo: Fraction, hi: Fraction, depth: int = 14) -> Fraction:
     """Positive lower bound for |poly| on [lo, hi]; poly must be zero-free there."""
-    from .gaussian import GaussianRational
-
-    terms = {(k, 0): GaussianRational(c, Fraction(0)) for k, c in enumerate(coeffs) if c}
-    f_poly = MultiPoly(2, terms)
 
     def rec(a: Fraction, b: Fraction, d: int) -> Fraction:
-        vlo, vhi = _interval_eval(f_poly, a, b, Fraction(0), Fraction(0))
+        vlo, vhi = _interval_eval(coeffs, a, b)
         if vlo > 0:
             return vlo
         if vhi < 0:
@@ -369,17 +370,7 @@ def default_box(f: MultiPoly) -> Box:
         raise PreconditionError("real locus is unbounded; supply a box explicitly")
     L = leading_form(f)
     n = int(f.degree)
-    row: dict[int, Fraction] = {}
-    col: dict[int, Fraction] = {}
-    for (a, b), c in L.terms.items():
-        row[b] = row.get(b, Fraction(0)) + c.re  # L(1, t)
-        col[a] = col.get(a, Fraction(0)) + c.re  # L(t, 1)
-    r1 = [row.get(k, Fraction(0)) for k in range(n + 1)]
-    r2 = [col.get(k, Fraction(0)) for k in range(n + 1)]
-    lam = min(
-        _min_abs_on_interval(r1, Fraction(-1), Fraction(1)),
-        _min_abs_on_interval(r2, Fraction(-1), Fraction(1)),
-    )
+    lam = min(_min_abs_on_interval(_top_form_on(L, var), Fraction(-1), Fraction(1)) for var in (1, 0))
     lower_mass: dict[int, Fraction] = {}
     for (a, b), c in f.terms.items():
         d = a + b
@@ -634,10 +625,7 @@ def count_ovals(
         warnings.append(f"{open_chains} open chain(s) reached the search boundary")
 
     result = OvalSet(box=box, resolution=resolution, warnings=warnings, open_chains=open_chains)
-    ax, sx, dx, ay, sy, dy, n = lattice
-    nodes_x = [Fraction(ax + i * sx, dx) for i in range(n + 1)]
-    nodes_y = [Fraction(ay + j * sy, dy) for j in range(n + 1)]
-    lines = _LatticeLines(f, nodes_x, nodes_y)
+    lines = _LatticeLines(ip, lattice)
     for chain, cells in loops:
         verts = [mesher.vertex_pos[k] for k in chain]
         ok = not any(c in mesher.uncertified_cells for c in cells) and _certify_loop(mesher, cells, lines)

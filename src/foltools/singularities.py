@@ -20,7 +20,6 @@ from .fields import (
     CHARTS,
     AffineVectorField,
     ProjectiveOneForm,
-    _reduced_pair,
     chart_var,
     projectivize,
 )
@@ -287,7 +286,11 @@ def infinite_singularities(form: ProjectiveOneForm) -> Enumeration:
 
 def _chart_field(field: AffineVectorField, chart: str) -> tuple[MultiPoly, MultiPoly]:
     if chart == CHART_Z:
-        return _reduced_pair(field.component_x, field.component_y)
+        # an affine field's components may share a factor (its one-form is
+        # then not reduced): divide it out to get isolated zeros
+        a, b = field.component_x, field.component_y
+        g = poly_gcd(a, b)
+        return (a, b) if g.is_constant() else (exact_divide(a, g), exact_divide(b, g))
     return projectivize(field).chart_components(chart)
 
 

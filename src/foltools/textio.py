@@ -372,27 +372,3 @@ def report_json(report) -> str:
     """Deterministic machine-readable rendering of any report object."""
     payload = report.to_dict() if hasattr(report, "to_dict") else report
     return json.dumps(to_jsonable(payload), indent=2, sort_keys=True)
-
-
-def report_text(report) -> str:
-    """Flat human-readable key: value rendering."""
-    payload = to_jsonable(report.to_dict() if hasattr(report, "to_dict") else report)
-    lines: list[str] = []
-
-    def walk(prefix: str, value):
-        if isinstance(value, dict):
-            for k in sorted(value):
-                walk(f"{prefix}{k}." if prefix else f"{k}.", value[k]) if isinstance(
-                    value[k], (dict, list)
-                ) else lines.append(f"{prefix}{k} = {value[k]}")
-        elif isinstance(value, list):
-            for idx, item in enumerate(value):
-                if isinstance(item, (dict, list)):
-                    walk(f"{prefix}{idx}.", item)
-                else:
-                    lines.append(f"{prefix}{idx} = {item}")
-        else:
-            lines.append(f"{prefix.rstrip('.')} = {value}")
-
-    walk("", payload)
-    return "\n".join(lines)

@@ -285,6 +285,52 @@ def test_resolution_below_two_is_a_usage_error(eee_doc, res, capsys):
     assert "resolution must be at least 2" in capsys.readouterr().err
 
 
+EEE_ARGS = ["construct", "eee", "--g", "x^2 + y^2 - 1", "--h", "x - 2"]
+POINT_ARGS = ["multiplicity", "EX1", "--field", "example1", "--curve", "line"]
+CERTIFY_ARGS = ["certify", "EEE", "--field", "eee", "--curve", "circle", "--res", "8"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # a value that is not a single constant was cut to its constant term
+        (EEE_ARGS + ["--a", "x + 1"], "parse error: expected a constant"),
+        (EEE_ARGS + ["--b", "2*y"], "parse error: expected a constant"),
+        (["construct", "log", "--curves", "X;Y;Y - X - Z", "--weights", "1,1,x-2"], "parse error: expected a constant"),
+        (["darboux-check", "EEE", "--field", "eee", "--curves", "circle", "--weights", "y"], "parse error: expected a constant"),
+        (POINT_ARGS + ["--point", "y,0"], "parse error: expected a constant"),
+        (POINT_ARGS + ["--point", "0:x:1"], "parse error: expected a constant"),
+        # crashed with IndexError or ValueError
+        (EEE_ARGS + ["--a", ","], "parse error: unexpected character"),
+        (EEE_ARGS + ["--a", "1,2"], "parse error: unexpected character"),
+        (["bounds", "--theorem", "mk", "--m", "4", "--partition", "2,x"], "parse error: expected comma-separated integers"),
+        (["bounds", "--theorem", "harnack", "--m", "4", "--orders", "a"], "parse error: expected comma-separated integers"),
+        (["bounds", "--theorem", "harnack", "--m", "4", "--orders", "2.0"], "parse error: expected comma-separated integers"),
+        # ran out the trace budget
+        (CERTIFY_ARGS + ["--spacing", "0"], "spacing must be a positive finite number"),
+        (CERTIFY_ARGS + ["--spacing=-1e-3"], "spacing must be a positive finite number"),
+        (CERTIFY_ARGS + ["--spacing", "nan"], "spacing must be a positive finite number"),
+        (CERTIFY_ARGS + ["--spacing", "inf"], "spacing must be a positive finite number"),
+        (CERTIFY_ARGS + ["--spacing", "fine"], "invalid float value"),
+    ],
+)
+def test_malformed_value_is_a_usage_error(eee_doc, ex1_doc, argv, message, capsys):
+    argv = [{"EEE": eee_doc, "EX1": ex1_doc}.get(a, a) for a in argv]
+    assert run(argv) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_well_formed_values_still_read(ex1_doc, capsys):
+    assert run(EEE_ARGS + ["--a", " 3/4 ", "--b", "2*3 - 1/2"]) == 0
+    assert "[field eee]" in capsys.readouterr().out
+    assert run(POINT_ARGS[:1] + [ex1_doc] + POINT_ARGS[2:] + ["--point", " 0 , 0 "]) == 0
+    assert "(0 : 0 : 1) branch 0" in capsys.readouterr().out
+    assert run(["bounds", "--theorem", "harnack", "--m", "5", "--orders", " 2, 2,"]) == 0
+    assert capsys.readouterr().out.strip() == "2"
+    assert run(["bounds", "--theorem", "mk", "--m", "4", "--partition", "2,2,2"]) == 0
+    assert capsys.readouterr().out.strip() == "3"
+
+
 def _joined(argv):
     """argv with each `--option -value` pair written as `--option=-value`."""
     out = []

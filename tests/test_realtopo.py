@@ -1,5 +1,6 @@
 import hashlib
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -8,8 +9,8 @@ import pytest
 from foltools import realtopo
 from foltools.construct import gallery
 from foltools.errors import DegenerateInput, PreconditionError
-from foltools.gaussian import gr
-from foltools.polyring import affine_vars, const2
+from foltools.gaussian import GaussianRational, gr
+from foltools.polyring import MultiPoly, affine_vars, const2, leading_form
 from foltools.realtopo import (
     Box,
     _compile_with_gradient,
@@ -17,7 +18,6 @@ from foltools.realtopo import (
     _IntPoly,
     _LatticeLines,
     _box_lattice,
-    _line_restriction,
     _sign_grid,
     compactness_check,
     count_ovals,
@@ -26,8 +26,8 @@ from foltools.realtopo import (
     refine_polyline,
     trace_oval,
 )
-from foltools.textio import parse_poly
-from foltools.uniroots import count_real_roots
+from foltools.textio import parse_poly, print_poly
+from foltools.uniroots import count_real_roots, sturm_counter, utrim
 
 x, y = affine_vars()
 circle = x**2 + y**2 - const2(1)
@@ -256,12 +256,168 @@ def test_float_filter_sends_cancelling_nodes_to_exact_horner():
     assert wrong_float_signs > 0
 
 
+# -- line restrictions against the Fraction code they replaced -------------------------
+
+
+def _line_restriction(f, kind, at):
+    """Oracle: trimmed Fraction coefficients of f on the horizontal line
+    y = at ("h", in x) or the vertical line x = at ("v", in y)."""
+    coeffs = {}
+    for (a, b), c in f.terms.items():
+        if kind == "h":
+            coeffs[a] = coeffs.get(a, Fraction(0)) + c.re * at**b
+        else:
+            coeffs[b] = coeffs.get(b, Fraction(0)) + c.re * at**a
+    top = max(coeffs, default=0)
+    return utrim([coeffs.get(k, Fraction(0)) for k in range(top + 1)])
+
+
+def _oracle_edge_answers(f, lattice):
+    """Oracle: every lattice edge's zero-freeness from Fraction nodes and
+    one Fraction Sturm chain per line, keyed (kind, i, j)."""
+    ax, sx, dx, ay, sy, dy, n = lattice
+    nodes_x = [Fraction(ax + i * sx, dx) for i in range(n + 1)]
+    nodes_y = [Fraction(ay + j * sy, dy) for j in range(n + 1)]
+    answers = {}
+    for kind, across, along in (("h", nodes_y, nodes_x), ("v", nodes_x, nodes_y)):
+        for line, at in enumerate(across):
+            coeffs = _line_restriction(f, kind, at)
+            count = sturm_counter(coeffs) if coeffs else None
+            for k in range(n):
+                key = (kind, k, line) if kind == "h" else (kind, line, k)
+                answers[key] = count is not None and count(along[k], along[k + 1]) == 0
+    return answers
+
+
+def _oracle_top_rows(f):
+    """Oracle: L(1, t) and L(t, 1) of the top form as untrimmed dict loops."""
+    L = leading_form(f)
+    n = int(f.degree)
+    row, col = {}, {}
+    for (a, b), c in L.terms.items():
+        row[b] = row.get(b, Fraction(0)) + c.re
+        col[a] = col.get(a, Fraction(0)) + c.re
+    return [row.get(k, Fraction(0)) for k in range(n + 1)], [col.get(k, Fraction(0)) for k in range(n + 1)]
+
+
+def _oracle_compactness_check(f):
+    restriction, _ = _oracle_top_rows(f)
+    if not restriction[-1]:
+        return False
+    return count_real_roots(restriction) == 0
+
+
+def _oracle_interval_eval(f, xlo, xhi, ylo, yhi):
+    """Oracle: the bivariate term-by-term interval bound."""
+    lo_total, hi_total = Fraction(0), Fraction(0)
+    for (a, b), c in f.terms.items():
+        plo, phi = realtopo._interval_pow(xlo, xhi, a)
+        qlo, qhi = realtopo._interval_pow(ylo, yhi, b)
+        cands = (plo * qlo, plo * qhi, phi * qlo, phi * qhi)
+        tlo, thi = min(cands), max(cands)
+        if c.re >= 0:
+            lo_total, hi_total = lo_total + c.re * tlo, hi_total + c.re * thi
+        else:
+            lo_total, hi_total = lo_total + c.re * thi, hi_total + c.re * tlo
+    return lo_total, hi_total
+
+
+def _oracle_min_abs(coeffs, lo, hi, depth=14):
+    """Oracle: the lower bound through a MultiPoly with y in [0, 0]."""
+    poly = MultiPoly(2, {(k, 0): GaussianRational(c, Fraction(0)) for k, c in enumerate(coeffs) if c})
+
+    def rec(a, b, d):
+        vlo, vhi = _oracle_interval_eval(poly, a, b, Fraction(0), Fraction(0))
+        if vlo > 0:
+            return vlo
+        if vhi < 0:
+            return -vhi
+        if d == 0:
+            raise DegenerateInput("could not bound the top form away from zero")
+        m = (a + b) / 2
+        return min(rec(a, m, d - 1), rec(m, b, d - 1))
+
+    return rec(lo, hi, depth)
+
+
+def _oracle_default_box(f):
+    r1, r2 = _oracle_top_rows(f)
+    lam = min(_oracle_min_abs(r, Fraction(-1), Fraction(1)) for r in (r1, r2))
+    n = int(f.degree)
+    lower_mass = {}
+    for (a, b), c in f.terms.items():
+        if a + b < n:
+            lower_mass[a + b] = lower_mass.get(a + b, Fraction(0)) + abs(c.re)
+    B = Fraction(2)
+    while not lam * B**n > sum(mass * B**d for d, mass in lower_mass.items()):
+        B *= 2
+    return Box(-B, B, -B, B)
+
+
+def _seeded_curve(rng, degree):
+    """A real curve of the given degree whose ovals, if any, lie near the
+    origin: a product of ellipses (and of one line when the degree is odd)
+    plus a small random perturbation of lower degree."""
+    f = const2(1)
+    for _ in range(degree // 2):
+        cx, cy = (const2(Fraction(rng.randint(-4, 4), 8)) for _ in range(2))
+        a, b = (const2(Fraction(rng.randint(1, 4), rng.randint(1, 3))) for _ in range(2))
+        shear = const2(Fraction(rng.randint(-2, 2), 5))
+        u, v = x - cx, y - cy
+        f = f * (a * u**2 + shear * u * v + b * v**2 - const2(Fraction(rng.randint(1, 6), 8)))
+    if degree % 2:
+        f = f * (x + const2(Fraction(rng.randint(-3, 3), 4)) * y - const2(Fraction(rng.randint(-4, 4), 8)))
+    for _ in range(3):
+        da, db = rng.randint(0, degree - 1), rng.randint(0, degree - 1)
+        if da + db < degree:
+            f = f + const2(Fraction(rng.randint(-9, 9), 500)) * x**da * y**db
+    return f
+
+
+def test_top_form_restrictions_match_dict_loops():
+    # compactness_check and default_box read L(1, t) and L(t, 1) through
+    # _specialize_keeping and a univariate interval bound; the dict loops and
+    # the bivariate bound with y in [0, 0] give the same verdicts and boxes
+    rng = random.Random(2024)
+    compact = 0
+    for degree in (2, 3, 4, 5, 6) * 6:
+        f = _seeded_curve(rng, degree)
+        verdict = compactness_check(f)
+        assert verdict == _oracle_compactness_check(f), print_poly(f)
+        if verdict:
+            compact += 1
+            assert default_box(f) == _oracle_default_box(f), print_poly(f)
+    # the same on top forms without a y^n term, with real directions, and
+    # on sums of squares with a real-rootless but nonconstant L(1, t)
+    for text in ("x^2*y + y - 1", "x*y^3 + x^4 - 2", "x^4 - y^4 + 1", "(x^2 + 2*x*y + 3*y^2)^2 - 1", "x^6 + y^6 - x*y"):
+        f = parse_poly(text, 2)
+        assert compactness_check(f) == _oracle_compactness_check(f), text
+        if compactness_check(f):
+            assert default_box(f) == _oracle_default_box(f), text
+    assert compact >= 12
+
+
+def test_lattice_lines_match_fraction_restrictions():
+    # on shifted lattices around seeded curves of degree 2 to 6 every edge
+    # answer of the integer rows equals the Fraction-node Sturm count
+    rng = random.Random(99)
+    for degree in (2, 3, 4, 5, 6):
+        f = _seeded_curve(rng, degree)
+        for box, res, shift in ((Box.square(2), 9, 1), (Box(Fraction(-3, 2), Fraction(5, 3), Fraction(-1), Fraction(2)), 7, 3)):
+            lattice = _box_lattice(box, res, shift)
+            lines = _LatticeLines(_IntPoly(f), lattice)
+            expected = _oracle_edge_answers(f, lattice)
+            assert {key: lines.edge_is_zero_free(*key) for key in expected} == expected, (degree, box)
+            assert 0 < sum(expected.values()) < len(expected)
+
+
 def test_lattice_lines_match_per_edge_sturm_counts():
     # one Sturm chain per lattice line gives the per-edge answers
     f = quartic * ((x - const2("1/3")) ** 2 + const2(2) * y**2 - const2("1/4"))
+    lattice = (-14, 1, 7, -14, 1, 6, 28)  # x_i = i/7 - 2, y_j = j/6 - 7/3
     nodes_x = [Fraction(k, 7) - 2 for k in range(29)]
     nodes_y = [Fraction(k, 6) - Fraction(7, 3) for k in range(29)]
-    lines = _LatticeLines(f, nodes_x, nodes_y)
+    lines = _LatticeLines(_IntPoly(f), lattice)
     zero_free = 0
     for kind in ("h", "v"):
         for i in range(28):
@@ -275,7 +431,7 @@ def test_lattice_lines_match_per_edge_sturm_counts():
                 zero_free += expected
     assert 0 < zero_free < 2 * 28 * 28
     # y = 0 is the lattice line j = 14, where y * f vanishes identically
-    assert not _LatticeLines(y * f, nodes_x, nodes_y).edge_is_zero_free("h", 3, 14)
+    assert not _LatticeLines(_IntPoly(y * f), lattice).edge_is_zero_free("h", 3, 14)
 
 
 def test_subdivision_lattices_refine_their_cell(monkeypatch):

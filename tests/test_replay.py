@@ -1,10 +1,13 @@
 """tools/replay.py --compare: the byte-identity gate between two replays."""
 
+import hashlib
 import importlib.util
 import json
 from pathlib import Path
 
 import pytest
+
+from foltools import cli
 
 SCRIPT = Path(__file__).resolve().parent.parent / "tools" / "replay.py"
 
@@ -17,11 +20,18 @@ def replay():
     return module
 
 
-def row(job_id, rc=0, stdout_sha="aaaa", polylines_sha="-", seconds=0.5):
-    return {"id": job_id, "rc": rc, "stdout_sha": stdout_sha, "polylines_sha": polylines_sha, "seconds": seconds}
+def row(job_id, rc=0, stdout_sha="aaaa", polylines_sha="-", report_sha="-", seconds=0.5):
+    return {
+        "id": job_id,
+        "rc": rc,
+        "stdout_sha": stdout_sha,
+        "polylines_sha": polylines_sha,
+        "report_sha": report_sha,
+        "seconds": seconds,
+    }
 
 
-BASE = [row("ovals/1", polylines_sha="cccc"), row("nodal/2", rc=1, stdout_sha="bbbb")]
+BASE = [row("ovals/1", polylines_sha="cccc"), row("nodal/2", rc=1, stdout_sha="bbbb"), row("paper-suite", report_sha="ffff")]
 
 
 def compare(replay, tmp_path, a_rows, b_rows):
@@ -35,21 +45,44 @@ def test_identical_rows_pass(replay, tmp_path, capsys):
     # the wall time is reported, never compared
     slower = [dict(r, seconds=r["seconds"] * 3) for r in BASE]
     assert compare(replay, tmp_path, BASE, slower) == 0
-    assert "0 of 2 job(s) differ" in capsys.readouterr().out
+    assert "0 of 3 job(s) differ" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("field, value", [("rc", 3), ("stdout_sha", "dddd"), ("polylines_sha", "eeee")])
+@pytest.mark.parametrize(
+    "field, value", [("rc", 3), ("stdout_sha", "dddd"), ("polylines_sha", "eeee"), ("report_sha", "eeee")]
+)
 def test_a_changed_field_fails_and_names_the_job(replay, tmp_path, capsys, field, value):
-    changed = [BASE[0], dict(BASE[1], **{field: value})]
+    changed = [BASE[0], dict(BASE[1], **{field: value}), BASE[2]]
     assert compare(replay, tmp_path, BASE, changed) == 1
     out = capsys.readouterr().out
     assert "nodal/2:" in out and "ovals/1:" not in out
-    assert "1 of 2 job(s) differ" in out
+    assert "1 of 3 job(s) differ" in out
+
+
+@pytest.mark.parametrize("field, value", [("rc", 1), ("stdout_sha", "dddd"), ("report_sha", "eeee")])
+def test_a_changed_paper_suite_row_fails(replay, tmp_path, capsys, field, value):
+    changed = BASE[:2] + [dict(BASE[2], **{field: value})]
+    assert compare(replay, tmp_path, BASE, changed) == 1
+    out = capsys.readouterr().out
+    assert "paper-suite:" in out and "nodal/2:" not in out
+    assert "1 of 3 job(s) differ" in out
 
 
 def test_a_job_in_one_file_only_differs(replay, tmp_path, capsys):
     assert compare(replay, tmp_path, BASE, BASE[:1]) == 1
     out = capsys.readouterr().out
-    assert "nodal/2: only in" in out and "1 of 2 job(s) differ" in out
+    assert "nodal/2: only in" in out and "paper-suite: only in" in out and "2 of 3 job(s) differ" in out
     assert compare(replay, tmp_path, BASE[1:], BASE) == 1
     assert "ovals/1: only in" in capsys.readouterr().out
+
+
+def test_paper_suite_row_hashes_stdout_and_report(replay, tmp_path, capsys):
+    got = replay.paper_suite_row(cli, tmp_path)
+    printed = capsys.readouterr().out
+    report = (tmp_path / "paper-suite.json").read_bytes()
+    assert cli.run(["paper-suite"]) == 0
+    stdout = capsys.readouterr().out
+    assert (got["id"], got["rc"], got["polylines_sha"]) == ("paper-suite", 0, "-")
+    assert got["stdout_sha"] == hashlib.sha256(stdout.encode("utf-8")).hexdigest()[:16]
+    assert got["report_sha"] == hashlib.sha256(report).hexdigest()[:16]
+    assert b'"failed": 0' in report and got["report_sha"] in printed

@@ -1,5 +1,6 @@
 import pytest
 
+from foltools.branches import branch_multiplicity, local_branches
 from foltools.errors import NonIsolatedSingularities, PreconditionError
 from foltools.fields import AffineVectorField, projectivize
 from foltools.gaussian import ONE, ZERO, gr
@@ -214,3 +215,14 @@ def test_uncertain_point_at_infinity_leaves_nodality_undecided():
     assert is_nodal(big, include_infinity=False) is True
     # with a small N the root is found and the tangency decides
     assert is_nodal(tangent_at_infinity_quartic(3)) is False
+
+
+def test_affine_field_with_a_common_factor_is_reduced_in_its_chart():
+    # x*(x - 1), x*y share the factor x: the Z-chart field is (x - 1, y), a
+    # star node at (1, 0) that is regular at the origin, so the branch y = 0
+    # there has multiplicity 0
+    field = AffineVectorField.make(x * (x - const2(1)), x * y)
+    record = classify_dicritical(field, ProjectivePoint.affine(1, 0))
+    assert (record.verdict, record.verdict_reason) == (Verdict.DICRITICAL, "star-node")
+    (branch,) = local_branches(y, ProjectivePoint.affine(0, 0), 6)
+    assert branch_multiplicity(field, branch) == (0, True)

@@ -7,14 +7,15 @@ The first form regenerates the workload's pool entries (the (kind, index)
 pairs recorded in perfbench/answers.json) and its named jobs with
 perfbench/gen.py, runs each one in this process through `foltools.cli.run`
 imported from DIR (default: this checkout's src/), and prints one row per
-job: id, exit code, a sha256 prefix of stdout, wall seconds and, for an
-`ovals` job, a sha256 prefix of the polylines it writes with
-`--emit-polylines` into the work directory ("-" when it writes none), so a
-moved vertex shows even when the counts do not change.  `--out` also writes
-the rows as JSON.  The second form lists every job whose exit code, stdout
-or polylines differ between two such files and exits 1 if there is one, so a
-change that must keep output byte-identical can be checked by replaying the
-parent's tree and the change's tree.
+job: id, exit code, a sha256 prefix of stdout, for an `ovals` job a sha256
+prefix of the polylines it writes with `--emit-polylines` into the work
+directory ("-" when it writes none), so a moved vertex shows even when the
+counts do not change, and wall seconds.  A last row, `paper-suite`, runs
+`paper-suite --report` and hashes its stdout and the JSON report it writes.
+`--out` also writes the rows as JSON.  The second form lists every job whose
+exit code, stdout, polylines or report differ between two such files and
+exits 1 if there is one, so a change that must keep output byte-identical can
+be checked by replaying the parent's tree and the change's tree.
 
 Only the standard library is used here; perfbench/ is read, never written.
 """
@@ -34,7 +35,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
-FIELDS = ("rc", "stdout_sha", "polylines_sha")  # what --compare compares
+FIELDS = ("rc", "stdout_sha", "polylines_sha", "report_sha")  # what --compare compares
 
 
 def load_jobs(workload: str) -> list:
@@ -55,6 +56,46 @@ def import_cli(src: Path):
     return cli
 
 
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+def _file_sha(path: Path | None) -> str:
+    return _sha(path.read_bytes()) if path is not None and path.exists() else "-"
+
+
+def run_row(cli, job_id: str, argv: list[str], polylines: Path | None = None, report: Path | None = None) -> dict:
+    """Run one command in this process; hash its stdout and the files it wrote
+    ("-" for a file it was not asked for or did not write)."""
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = cli.run(argv)
+    except Exception as exc:  # a crash is a row, not the end of the replay
+        rc = f"crash: {type(exc).__name__}: {exc}"
+    seconds = time.perf_counter() - start
+    row = {
+        "id": job_id,
+        "rc": rc,
+        "stdout_sha": _sha(out.getvalue().encode("utf-8")),
+        "polylines_sha": _file_sha(polylines),
+        "report_sha": _file_sha(report),
+        "seconds": round(seconds, 4),
+    }
+    print(
+        f"{row['id']:<28} {str(row['rc']):>4} {row['stdout_sha']} {row['polylines_sha']:<16} "
+        f"{row['report_sha']:<16} {row['seconds']:9.3f}",
+        flush=True,
+    )
+    return row
+
+
+def paper_suite_row(cli, work: Path) -> dict:
+    report = work / "paper-suite.json"
+    return run_row(cli, "paper-suite", ["paper-suite", "--report", str(report)], report=report)
+
+
 def replay(workload: str, src: Path, work: Path) -> list[dict]:
     jobs = load_jobs(workload)
     cli = import_cli(src)
@@ -66,29 +107,12 @@ def replay(workload: str, src: Path, work: Path) -> list[dict]:
             path = work / (stem + ".fol")
             path.write_text(job.doc, encoding="utf-8")
         argv = job.args(None if path is None else str(path))
-        polylines = work / (stem + ".polylines")
+        polylines = None
         if job.command == "ovals":
+            polylines = work / (stem + ".polylines")
             argv += ["--emit-polylines", str(polylines)]
-        out, err = io.StringIO(), io.StringIO()
-        start = time.perf_counter()
-        try:
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                rc = cli.run(argv)
-        except Exception as exc:  # a crash is a row, not the end of the replay
-            rc = f"crash: {type(exc).__name__}: {exc}"
-        seconds = time.perf_counter() - start
-        row = {
-            "id": job.id,
-            "rc": rc,
-            "stdout_sha": hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()[:16],
-            "polylines_sha": hashlib.sha256(polylines.read_bytes()).hexdigest()[:16] if polylines.exists() else "-",
-            "seconds": round(seconds, 4),
-        }
-        rows.append(row)
-        print(
-            f"{row['id']:<28} {str(row['rc']):>4} {row['stdout_sha']} {row['polylines_sha']:<16} {row['seconds']:9.3f}",
-            flush=True,
-        )
+        rows.append(run_row(cli, job.id, argv, polylines))
+    rows.append(paper_suite_row(cli, work))
     print(f"{len(rows)} jobs, {sum(r['seconds'] for r in rows):.1f} s")
     return rows
 
