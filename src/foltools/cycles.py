@@ -12,10 +12,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DegenerateInput, PreconditionError
 from .fields import AffineVectorField, divergence, iif_check, invariance_check
 from .polyring import MultiPoly
-from .realtopo import _compile, compile_gradient, refine_polyline
+from .realtopo import _horner, _horner_with_gradient, refine_polyline
 
 THRESHOLD_FACTOR = 1000.0  # |D| must exceed this multiple of the error estimate
 
@@ -49,21 +51,15 @@ def _require_real(field: AffineVectorField):
         raise PreconditionError("only real vector fields have a dynamical reading")
 
 
-def _midpoint_sums(div_ev, fx_ev, fy_ev, pts) -> tuple[float, float]:
-    """Midpoint-rule D = sum div * dt and T = sum dt along a closed polyline."""
-    D = 0.0
-    T = 0.0
-    for k in range(len(pts) - 1):
-        x1, y1 = pts[k]
-        x2, y2 = pts[k + 1]
-        mx, my = 0.5 * (x1 + x2), 0.5 * (y1 + y2)
-        speed = math.hypot(fx_ev(mx, my), fy_ev(mx, my))
-        if speed < 1e-12:
-            raise DegenerateInput("vector field vanishes on the oval; not a periodic orbit")
-        dt = math.hypot(x2 - x1, y2 - y1) / speed
-        D += div_ev(mx, my) * dt
-        T += dt
-    return D, T
+def _midpoint_sums(div_ev, fx_ev, fy_ev, pts: np.ndarray) -> tuple[float, float]:
+    """Midpoint-rule D = sum div * dt and T = sum dt along a closed polyline,
+    an (n, 2) array."""
+    mx, my = (0.5 * (pts[:-1] + pts[1:])).T
+    speed = np.hypot(fx_ev(mx, my), fy_ev(mx, my))
+    if (speed < 1e-12).any():
+        raise DegenerateInput("vector field vanishes on the oval; not a periodic orbit")
+    dt = np.hypot(*np.diff(pts, axis=0).T) / speed
+    return float(np.sum(div_ev(mx, my) * dt)), float(np.sum(dt))
 
 
 def divergence_integral(
@@ -80,29 +76,27 @@ def divergence_integral(
     the polyline is midpoint-refined until the densities agree to target_rel.
     """
     _require_real(field)
-    if len(oval) < 8:
+    pts = np.asarray(oval, dtype=np.float64)
+    if len(pts) < 8:
         raise PreconditionError("polyline too coarse")
-    if math.hypot(oval[0][0] - oval[-1][0], oval[0][1] - oval[-1][1]) > 1e-9:
+    if math.hypot(*(pts[0] - pts[-1])) > 1e-9:
         raise PreconditionError("polyline is not closed")
-    div_ev = _compile(divergence(field))
-    fx_ev = _compile(field.component_x)
-    fy_ev = _compile(field.component_y)
-    speeds = [math.hypot(fx_ev(px, py), fy_ev(px, py)) for px, py in oval]
-    radius = max(max(abs(px), abs(py)) for px, py in oval)
+    div_ev, fx_ev, fy_ev = (_horner(p) for p in (divergence(field), field.component_x, field.component_y))
+    speeds = np.hypot(fx_ev(*pts.T), fy_ev(*pts.T))
+    radius = float(np.max(np.abs(pts)))
     coeff_scale = sum(
         abs(float(c.re)) * max(radius, 1.0) ** sum(e)
         for part in (field.component_x, field.component_y)
         for e, c in part.terms.items()
     )
-    if max(speeds) < 1e-9 * max(coeff_scale, 1e-12):
+    if speeds.max() < 1e-9 * max(coeff_scale, 1e-12):
         raise DegenerateInput("vector field vanishes along the oval; not a periodic orbit")
-    if min(speeds) < 1e-9 * max(speeds):
+    if speeds.min() < 1e-9 * speeds.max():
         raise DegenerateInput("vector field has a singularity on the oval")
-    pts = list(oval)
     for _ in range(max_refinements + 1):
         coarse = pts[::2]
-        if math.hypot(coarse[-1][0] - pts[-1][0], coarse[-1][1] - pts[-1][1]) > 0:
-            coarse = coarse + [pts[-1]]
+        if (coarse[-1] != pts[-1]).any():
+            coarse = np.vstack([coarse, pts[-1:]])
         D2, T2 = _midpoint_sums(div_ev, fx_ev, fy_ev, pts)
         D1, T1 = _midpoint_sums(div_ev, fx_ev, fy_ev, coarse)
         D = (4.0 * D2 - D1) / 3.0
@@ -136,13 +130,11 @@ def certify_cycle(
 
 
 def _scaled_residual(V: MultiPoly, pts) -> float:
-    ev = _compile(V)
-    gx, gy = compile_gradient(V)
-    worst = 0.0
-    for x, y in pts:
-        scale = max(1.0, math.hypot(gx(x, y), gy(x, y)))
-        worst = max(worst, abs(ev(x, y)) / scale)
-    return worst
+    """Largest |V| / max(1, |grad V|) over the points."""
+    ev, gx, gy = _horner_with_gradient(V)
+    x, y = np.asarray(pts, dtype=np.float64).reshape(-1, 2).T
+    scale = np.fmax(1.0, np.hypot(gx(x, y), gy(x, y)))
+    return float(np.max(np.abs(ev(x, y)) / scale, initial=0.0))
 
 
 def location_check(
@@ -194,8 +186,8 @@ def integrate_orbit(
     _require_real(field)
     if step <= 0:
         raise PreconditionError("step must be positive")
-    fx = _compile(field.component_x)
-    fy = _compile(field.component_y)
+    fx = _horner(field.component_x)
+    fy = _horner(field.component_y)
 
     def rhs(x: float, y: float) -> tuple[float, float]:
         return fx(x, y), fy(x, y)
@@ -233,7 +225,7 @@ def stability_against_orbit(
     if duration is None:
         duration = certificate.period
     traj = integrate_orbit(field, seed, duration, step)
-    ev = _compile(f)
+    ev = _horner(f)
     first = abs(ev(*traj[0]))
     last = abs(ev(*traj[-1]))
     if first < 1e-13:

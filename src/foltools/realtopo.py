@@ -24,13 +24,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DegenerateInput, PreconditionError
+from .errors import DegenerateInput, PreconditionError, UncertifiedResult
 from .gaussian import ONE
 from .polyring import MultiPoly, _specialize_keeping, leading_form
 from .uniroots import count_real_roots, sturm_counter, ueval, utrim
 
 MAX_SUBDIVISION_DEPTH = 6
 _INT64_SAFE = 1 << 62
+_BEYOND_FLOAT = "beyond float range (magnitude above 1.8e308)"
 
 
 # -- rational boxes ----------------------------------------------------------------
@@ -256,7 +257,10 @@ def _sign_grid(ip: _IntPoly, ax: int, sx: int, dx: int, ay: int, sy: int, dy: in
     denom = ip.lcm * dx_pows[-1] * dy_pows[-1]
     float_vals = np.full((n + 1, n + 1), np.nan)
     for j, i in zip(*(k.tolist() for k in np.nonzero(_crossing_nodes(signs)))):
-        float_vals[j, i] = ueval(rows[j], nx[i]) / denom
+        try:
+            float_vals[j, i] = ueval(rows[j], nx[i]) / denom
+        except OverflowError:
+            raise UncertifiedResult(f"a value of f at a lattice node is {_BEYOND_FLOAT}") from None
     return signs, float_vals
 
 
@@ -338,7 +342,7 @@ def compactness_check(f: MultiPoly) -> bool:
     the whole real locus into a bounded region."""
     if not f.has_real_coefficients():
         raise PreconditionError("real coefficients required")
-    if f.is_zero() or f.is_constant():
+    if f.is_constant():
         raise PreconditionError("curve must be nonconstant")
     L = leading_form(f)
     restriction = _top_form_on(L, 1)
@@ -645,34 +649,51 @@ def _certify_loop(mesher: _Mesher, cells, lines: _LatticeLines) -> bool:
 # -- numeric tracing -------------------------------------------------------------------
 
 
-def _compile(f: MultiPoly):
-    terms = [(a, b, float(c.re)) for (a, b), c in f.terms.items()]
-
-    def ev(x: float, y: float) -> float:
-        total = 0.0
-        for a, b, c in terms:
-            total += c * x**a * y**b
-        return total
-
-    return ev
+def _horner_expr(coeffs: dict[int, str], var: str) -> str:
+    """Horner form of sum coeffs[k] * var**k; an absent power costs one product."""
+    top = max(coeffs)
+    expr = coeffs[top]
+    for k in range(top - 1, -1, -1):
+        expr = f"({expr})*{var}" + (f" + {coeffs[k]}" if k in coeffs else "")
+    return expr
 
 
-def compile_gradient(f: MultiPoly):
-    return _compile(f.partial(0)), _compile(f.partial(1))
+def _horner(f: MultiPoly) -> Callable:
+    """Float evaluator of f: one straight-line Horner expression in x over
+    Horner rows in y, compiled once.
 
-
-def _compile_with_gradient(f: MultiPoly):
-    return (_compile(f), *compile_gradient(f))
-
-
-def newton_project(f: MultiPoly, pt, tol: float = 1e-13, max_iter: int = 60, compiled=None):
-    """Project a point onto f = 0 along the gradient; None when it fails.
-
-    `compiled` is an optional (f, f_x, f_y) evaluator triple from
-    `_compile_with_gradient(f)`, so callers projecting many points compile
-    once; the result is the same either way.
+    Each coefficient is the correctly rounded float of f's, written by
+    float.__repr__, which reads back to the same float.  The expression uses
+    only + and *, so it takes Python floats or float64 arrays and gives the
+    same bits on both; a constant is written c + 0.0*x, so arrays keep their
+    shape.
     """
-    ev, gx, gy = compiled if compiled is not None else _compile_with_gradient(f)
+    if not f.has_real_coefficients():
+        raise PreconditionError("real coefficients required")
+    rows: dict[int, dict[int, str]] = {}
+    for (a, b), c in f.terms.items():
+        try:
+            rows.setdefault(a, {})[b] = repr(float(c.re))
+        except OverflowError:
+            raise UncertifiedResult(f"a coefficient is {_BEYOND_FLOAT}") from None
+    if f.is_constant():
+        expr = f"{rows.get(0, {}).get(0, '0.0')} + 0.0*x"
+    else:
+        expr = _horner_expr({a: f"({_horner_expr(row, 'y')})" for a, row in rows.items()}, "x")
+    return eval(f"lambda x, y: {expr}")
+
+
+def _horner_with_gradient(f: MultiPoly) -> tuple[Callable, Callable, Callable]:
+    return _horner(f), _horner(f.partial(0)), _horner(f.partial(1))
+
+
+_NEWTON_TOL = 1e-13  # newton_project's defaults, which _project_all always uses
+_NEWTON_ITER = 60
+
+
+def newton_project(f: MultiPoly, pt, tol: float = _NEWTON_TOL, max_iter: int = _NEWTON_ITER):
+    """Project a point onto f = 0 along the gradient; None when it fails."""
+    ev, gx, gy = _horner_with_gradient(f)
     x, y = float(pt[0]), float(pt[1])
     for _ in range(max_iter):
         v = ev(x, y)
@@ -687,6 +708,32 @@ def newton_project(f: MultiPoly, pt, tol: float = 1e-13, max_iter: int = 60, com
     return None
 
 
+def _project_all(evaluators, seeds: np.ndarray) -> np.ndarray:
+    """`newton_project` with its default tolerance and cap on every row of an
+    (n, 2) array at once, with its per-point rules and arithmetic; a point
+    whose projection fails keeps its seed."""
+    ev, gx, gy = evaluators
+    out = seeds.copy()
+    live = np.arange(len(seeds))  # rows still iterating
+    x, y = seeds[:, 0], seeds[:, 1]
+    with np.errstate(all="ignore"):  # NaN and inf follow the scalar rules, silently
+        for _ in range(_NEWTON_ITER):
+            if not live.size:
+                break
+            v = ev(x, y)
+            dx, dy = gx(x, y), gy(x, y)
+            g2 = dx * dx + dy * dy
+            going = ~(g2 < 1e-24)
+            done = going & (np.abs(v) <= _NEWTON_TOL * np.fmax(1.0, np.sqrt(g2)))
+            out[live[done], 0] = x[done]
+            out[live[done], 1] = y[done]
+            keep = going & ~done
+            live, v, dx, dy, g2 = live[keep], v[keep], dx[keep], dy[keep], g2[keep]
+            x = x[keep] - v * dx / g2
+            y = y[keep] - v * dy / g2
+    return out
+
+
 def trace_oval(
     f: MultiPoly,
     seed: tuple[float, float],
@@ -699,10 +746,8 @@ def trace_oval(
     Every vertex satisfies |f| < tol * |grad f|; the polyline closes exactly
     (last vertex = first).  Raises on singular approach or failure to close.
     """
-    if not f.has_real_coefficients():
-        raise PreconditionError("real coefficients required")
-    ev, gx, gy = compiled = _compile_with_gradient(f)
-    start = newton_project(f, seed, tol, compiled=compiled)
+    ev, gx, gy = _horner_with_gradient(f)
+    start = newton_project(f, seed, tol)
     if start is None:
         raise PreconditionError("seed failed to project onto the curve")
     x, y = start
@@ -742,15 +787,12 @@ def trace_oval(
     raise DegenerateInput("trace did not close within the step budget")
 
 
-def refine_polyline(f: MultiPoly, pts: list[tuple[float, float]]) -> list[tuple[float, float]]:
-    """Insert curve-projected midpoints between consecutive vertices (closed)."""
-    compiled = _compile_with_gradient(f)
-    out: list[tuple[float, float]] = []
-    for k in range(len(pts) - 1):
-        out.append(pts[k])
-        mx = 0.5 * (pts[k][0] + pts[k + 1][0])
-        my = 0.5 * (pts[k][1] + pts[k + 1][1])
-        proj = newton_project(f, (mx, my), compiled=compiled)
-        out.append(proj if proj is not None else (mx, my))
-    out.append(pts[-1])
+def refine_polyline(f: MultiPoly, pts) -> np.ndarray:
+    """Insert curve-projected midpoints between consecutive vertices of a
+    closed polyline, given and returned as an (n, 2) float array; a midpoint
+    whose projection fails is kept as it is."""
+    pts = np.asarray(pts, dtype=np.float64)
+    out = np.empty((2 * len(pts) - 1, 2))
+    out[0::2] = pts
+    out[1::2] = _project_all(_horner_with_gradient(f), 0.5 * (pts[:-1] + pts[1:]))
     return out

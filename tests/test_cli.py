@@ -183,6 +183,20 @@ def test_construct_eee_and_certify(tmp_path, capsys):
     assert "hyperbolic = True" in out_text
 
 
+def test_values_beyond_float_range_exit_3(tmp_path, capsys):
+    doc = tmp_path / "huge.fol"
+    doc.write_text(
+        "[field eee]\n"
+        "p = 10^400*(x^2 + y^2 - 1 - (x - 2)*2*y)\n"
+        "q = 10^400*(x^2 + y^2 - 1 + (x - 2)*2*x)\n\n"
+        "[curve g]\n"
+        "f = 10^400*(x^2 + y^2 - 1)\n"
+    )
+    for argv in (["certify", str(doc), "--field", "eee"], ["ovals", str(doc)]):
+        assert run(argv + ["--curve", "g"]) == 3
+        assert "float range" in capsys.readouterr().err
+
+
 def test_ovals_cli(eee_doc, tmp_path, capsys):
     lines_file = tmp_path / "polylines.txt"
     assert (

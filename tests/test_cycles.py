@@ -12,7 +12,7 @@ from foltools.cycles import (
 )
 from foltools.errors import DegenerateInput, PreconditionError
 from foltools.fields import AffineVectorField
-from foltools.gaussian import gr
+from foltools.gaussian import GaussianRational, gr
 from foltools.polyring import affine_vars, const2
 from foltools.realtopo import trace_oval
 
@@ -80,6 +80,15 @@ def test_location_check_modes(circle_polyline, eee_circle):
     assert not rows[0]["pass"]
     with pytest.raises(PreconditionError):
         location_check(eee_circle, x - const2(99), [circle_polyline], mode="invariant-curve")
+
+
+def test_location_check_rejects_non_real_v():
+    # V = x + i*y is invariant under the rotation (cofactor i), but its float
+    # values cannot be read off the real parts of its coefficients
+    V = x + const2(GaussianRational(0, 1)) * y
+    pts = [(0.0, 0.5 + k / 10) for k in range(10)]
+    with pytest.raises(PreconditionError):
+        location_check(rotation, V, [pts], mode="invariant-curve")
 
 
 def test_location_check_iif_mode_on_rotation(circle_polyline):

@@ -8,13 +8,14 @@ import pytest
 
 from foltools import realtopo
 from foltools.construct import gallery
-from foltools.errors import DegenerateInput, PreconditionError
+from foltools.errors import DegenerateInput, PreconditionError, UncertifiedResult
 from foltools.gaussian import GaussianRational, gr
 from foltools.polyring import MultiPoly, affine_vars, const2, leading_form
 from foltools.realtopo import (
     Box,
-    _compile_with_gradient,
     _filtered_signs,
+    _gamma,
+    _horner,
     _IntPoly,
     _LatticeLines,
     _box_lattice,
@@ -163,25 +164,85 @@ def test_newton_project():
     assert far is None or abs(math.hypot(*far) - 1.0) < 1e-12
 
 
-def test_precompiled_closures_change_no_bit(monkeypatch):
-    # refine_polyline and trace_oval compile f and its gradient once and hand
-    # the closures to newton_project; recompiling per call gives the same bits
-    f = (x**2 + const2(2) * y**2 - const2(1)) * (x**2 + y**2 - const2(9))
-    seeds = [(1.2, 0.1), (0.3, -0.8), (-2.0, 2.5), (0.0, 0.0), (1e9, 1e9)]
-    compiled = _compile_with_gradient(f)
-    assert [newton_project(f, p, compiled=compiled) for p in seeds] == [newton_project(f, p) for p in seeds]
-    assert newton_project(f, (0.0, 0.0)) is None  # the failing path is covered too
+def _random_poly(rng: random.Random, degree: int) -> MultiPoly:
+    terms = {
+        (a, b): gr(Fraction(rng.randint(-60, 60), rng.randint(1, 12)))
+        for a in range(degree + 1)
+        for b in range(degree + 1 - a)
+        if rng.random() < 0.7
+    }
+    return MultiPoly(2, terms)
 
-    traced = trace_oval(f, (1.01, 0.0), spacing=4e-3)
-    refined = refine_polyline(f, traced)
-    plain = realtopo.newton_project
 
-    def recompiling(f, pt, tol=1e-13, max_iter=60, compiled=None):
-        return plain(f, pt, tol, max_iter)
+def test_horner_scalar_and_array_bits_agree():
+    rng = random.Random(7)
+    xs = np.array([rng.uniform(-3, 3) for _ in range(200)])
+    ys = np.array([rng.uniform(-3, 3) for _ in range(200)])
+    for degree in range(7):
+        for _ in range(4):
+            f = _random_poly(rng, degree)
+            for p in (f, f.partial(0), f.partial(1)):
+                ev = _horner(p)
+                scalar = [ev(float(a), float(b)) for a, b in zip(xs, ys)]
+                assert all(type(v) is float for v in scalar)
+                array = ev(xs, ys)
+                assert array.shape == xs.shape  # constants too
+                assert np.array_equal(np.array(scalar).view(np.int64), array.view(np.int64))
 
-    monkeypatch.setattr(realtopo, "newton_project", recompiling)
-    assert trace_oval(f, (1.01, 0.0), spacing=4e-3) == traced
-    assert refine_polyline(f, traced) == refined
+
+def test_horner_within_forward_error_bound():
+    # Horner of degree n perturbs the term of degree k by at most 2k roundings
+    # (Higham 5.1); rows in y of degree <= dy inside a Horner in x of degree
+    # <= dx, plus the rounding of each coefficient, give
+    # |p^ - p| <= gamma_{2 dx + 2 dy + 1} * sum |c| |x|^a |y|^b.
+    rng = random.Random(11)
+    for degree in range(1, 7):
+        for _ in range(6):
+            f = _random_poly(rng, degree)
+            if f.is_constant():
+                continue
+            dx = max(a for a, _ in f.terms)
+            dy = max(b for _, b in f.terms)
+            gamma = Fraction(_gamma(2 * dx + 2 * dy + 1))
+            ev = _horner(f)
+            for _ in range(15):
+                px, py = rng.uniform(-2.5, 2.5), rng.uniform(-2.5, 2.5)
+                fx, fy = Fraction(px), Fraction(py)
+                exact = f.evaluate([gr(fx), gr(fy)]).re
+                mass = sum(abs(c.re) * abs(fx) ** a * abs(fy) ** b for (a, b), c in f.terms.items())
+                assert abs(Fraction(ev(px, py)) - exact) <= gamma * mass
+
+
+def test_horner_preconditions():
+    with pytest.raises(PreconditionError):
+        _horner(x + const2(GaussianRational(0, 1)) * y)
+    with pytest.raises(UncertifiedResult, match="float range"):
+        _horner(circle.scale(gr(10**400)))
+    assert _horner(MultiPoly.zero(2))(-1.5, 2.0) == 0.0
+
+
+def test_refine_polyline_matches_scalar_newton():
+    # the batched projection keeps newton_project's per-point rules, so every
+    # midpoint gets the same bits as a scalar projection, or stays as it is
+    # when that fails.  On this circle |grad f| < 1, so the stop is tol
+    # itself, not tol * |grad f|; a repeated vertex puts its own value at the
+    # midpoint, to reach the other rules
+    small = circle.scale(gr(Fraction(1, 1000)))
+    assert newton_project(small, (1e-13, 0.0)) is None  # g2 < 1e-24
+    assert newton_project(small, (2.0**55, 0.0), max_iter=59) is None  # converges at the 60th step
+    assert newton_project(small, (2.0**56, 0.0)) is None  # needs 61 steps
+    assert newton_project(small, (2.0**56, 0.0), max_iter=61) is not None
+    seeds = [(1e-13, 0.0), (0.0, 0.0), (2.0**55, 0.0), (2.0**56, 0.0), (1e9, 1e9)]
+    product = (x**2 + const2(2) * y**2 - const2(1)) * (x**2 + y**2 - const2(9))
+    for f in (small, product):
+        pts = trace_oval(f, (1.01, 0.0), spacing=4e-3) + [s for seed in seeds for s in (seed, seed)]
+        expected = [pts[0]]
+        for a, b in zip(pts, pts[1:]):
+            mid = (0.5 * (a[0] + b[0]), 0.5 * (a[1] + b[1]))
+            expected += [newton_project(f, mid) or mid, b]
+        refined = refine_polyline(f, pts)
+        assert refined.shape == (2 * len(pts) - 1, 2)
+        assert np.array_equal(refined.view(np.int64), np.array(expected).view(np.int64))
 
 
 # -- the sign grid against exact integer Horner ---------------------------------------

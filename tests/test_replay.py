@@ -20,18 +20,19 @@ def replay():
     return module
 
 
-def row(job_id, rc=0, stdout_sha="aaaa", polylines_sha="-", report_sha="-", seconds=0.5):
+def row(job_id, rc=0, stdout_sha="aaaa", polylines_sha="-", verdict_sha="-", report_sha="-", seconds=0.5):
     return {
         "id": job_id,
         "rc": rc,
         "stdout_sha": stdout_sha,
         "polylines_sha": polylines_sha,
+        "verdict_sha": verdict_sha,
         "report_sha": report_sha,
         "seconds": seconds,
     }
 
 
-BASE = [row("ovals/1", polylines_sha="cccc"), row("nodal/2", rc=1, stdout_sha="bbbb"), row("paper-suite", report_sha="ffff")]
+BASE = [row("ovals/1", polylines_sha="cccc"), row("nodal/2", rc=1, stdout_sha="bbbb", verdict_sha="9999"), row("paper-suite", report_sha="ffff")]
 
 
 def compare(replay, tmp_path, a_rows, b_rows):
@@ -49,13 +50,15 @@ def test_identical_rows_pass(replay, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "field, value", [("rc", 3), ("stdout_sha", "dddd"), ("polylines_sha", "eeee"), ("report_sha", "eeee")]
+    "field, value",
+    [("rc", 3), ("stdout_sha", "dddd"), ("polylines_sha", "eeee"), ("verdict_sha", "eeee"), ("report_sha", "eeee")],
 )
 def test_a_changed_field_fails_and_names_the_job(replay, tmp_path, capsys, field, value):
     changed = [BASE[0], dict(BASE[1], **{field: value}), BASE[2]]
     assert compare(replay, tmp_path, BASE, changed) == 1
     out = capsys.readouterr().out
     assert "nodal/2:" in out and "ovals/1:" not in out
+    assert f"{field} " in out and out.count(" -> ") == 2  # the field, and the total time
     assert "1 of 3 job(s) differ" in out
 
 
@@ -86,3 +89,49 @@ def test_paper_suite_row_hashes_stdout_and_report(replay, tmp_path, capsys):
     assert got["stdout_sha"] == hashlib.sha256(stdout.encode("utf-8")).hexdigest()[:16]
     assert got["report_sha"] == hashlib.sha256(report).hexdigest()[:16]
     assert b'"failed": 0' in report and got["report_sha"] in printed
+
+
+CERTIFICATE = {
+    "oval_id": 0,
+    "period": 1.8137993642342178,
+    "period_precision": 1.1e-07,
+    "divergence_integral": 0.9720147202236127,
+    "divergence_integral_precision": 1.1e-07,
+    "stability": "Unstable",
+    "hyperbolic": True,
+    "quadrature_rel_err": 1.1e-07,
+    "v_residual": 2.2e-16,
+}
+PAYLOAD = {
+    "cofactor": "2*x",
+    "oval_count": 1,
+    "certificates": [CERTIFICATE],
+    "location": [{"oval_id": 0, "residual": 2.2e-16, "residual_precision": 1e-08, "pass": True}],
+}
+
+
+def test_verdict_sha_ignores_only_float_digits(replay):
+    sha = replay.verdict_sha(json.dumps(PAYLOAD))
+    moved = dict(CERTIFICATE, period=1.8137993642342176, divergence_integral=0.9720147202236131)
+    moved.update(period_precision=1.3e-07, divergence_integral_precision=1.3e-07, quadrature_rel_err=1.3e-07, v_residual=0.0)
+    location = [dict(PAYLOAD["location"][0], residual=4.4e-16)]
+    assert replay.verdict_sha(json.dumps(dict(PAYLOAD, certificates=[moved], location=location), indent=2)) == sha
+    for changed in (
+        dict(PAYLOAD, certificates=[dict(CERTIFICATE, stability="Stable")]),
+        dict(PAYLOAD, certificates=[dict(CERTIFICATE, hyperbolic=False)]),
+        dict(PAYLOAD, location=[dict(PAYLOAD["location"][0], **{"pass": False})]),
+        dict(PAYLOAD, oval_count=2),
+    ):
+        assert replay.verdict_sha(json.dumps(changed)) != sha
+    assert replay.verdict_sha("") == "-"
+
+
+def test_run_row_hashes_the_certify_verdict(replay, tmp_path, capsys):
+    doc = tmp_path / "eee.fol"
+    doc.write_text("[field eee]\np = x^2 + y^2 - 1 - (x - 2)*2*y\nq = x^2 + y^2 - 1 + (x - 2)*2*x\n\n[curve g]\nf = x^2 + y^2 - 1\n")
+    argv = ["certify", str(doc), "--field", "eee", "--curve", "g", "--res", "64", "--spacing", "2e-3", "--json"]
+    got = replay.run_row(cli, "certify/eee", argv)
+    capsys.readouterr()
+    assert cli.run(argv) == 0
+    assert got["verdict_sha"] == replay.verdict_sha(capsys.readouterr().out) != "-"
+    assert replay.run_row(cli, "ovals/eee", ["ovals", str(doc), "--curve", "g", "--res", "64"])["verdict_sha"] == "-"

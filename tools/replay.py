@@ -10,12 +10,16 @@ imported from DIR (default: this checkout's src/), and prints one row per
 job: id, exit code, a sha256 prefix of stdout, for an `ovals` job a sha256
 prefix of the polylines it writes with `--emit-polylines` into the work
 directory ("-" when it writes none), so a moved vertex shows even when the
-counts do not change, and wall seconds.  A last row, `paper-suite`, runs
-`paper-suite --report` and hashes its stdout and the JSON report it writes.
-`--out` also writes the rows as JSON.  The second form lists every job whose
-exit code, stdout, polylines or report differ between two such files and
-exits 1 if there is one, so a change that must keep output byte-identical can
-be checked by replaying the parent's tree and the change's tree.
+counts do not change, for a `certify` job a sha256 prefix of its JSON payload
+without the float fields in FLOAT_KEYS ("-" for other jobs), so a change that
+moves only the digits of D, T and the residuals keeps it, and wall seconds.
+A last row, `paper-suite`, runs `paper-suite --report` and hashes its stdout
+and the JSON report it writes.  `--out` also writes the rows as JSON.  The
+second form lists every job whose exit code, stdout, polylines, certify
+verdict or report differ between two such files, naming the fields that
+differ, and exits 1 if there is one, so a change that must keep output
+byte-identical can be checked by replaying the parent's tree and the
+change's tree.
 
 Only the standard library is used here; perfbench/ is read, never written.
 """
@@ -35,7 +39,14 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
-FIELDS = ("rc", "stdout_sha", "polylines_sha", "report_sha")  # what --compare compares
+FIELDS = ("rc", "stdout_sha", "polylines_sha", "verdict_sha", "report_sha")  # what --compare compares
+# certify payload fields that carry float digits; the verdict is everything else
+FLOAT_KEYS = frozenset(
+    {
+        "divergence_integral", "divergence_integral_precision", "period", "period_precision",
+        "quadrature_rel_err", "v_residual", "residual",
+    }
+)
 
 
 def load_jobs(workload: str) -> list:
@@ -64,6 +75,24 @@ def _file_sha(path: Path | None) -> str:
     return _sha(path.read_bytes()) if path is not None and path.exists() else "-"
 
 
+def _without_floats(value):
+    if isinstance(value, dict):
+        return {k: _without_floats(v) for k, v in value.items() if k not in FLOAT_KEYS}
+    if isinstance(value, list):
+        return [_without_floats(v) for v in value]
+    return value
+
+
+def verdict_sha(stdout: str) -> str:
+    """Hash of a certify JSON payload without its float fields ("-" if the
+    output is not JSON)."""
+    try:
+        payload = json.loads(stdout)
+    except ValueError:
+        return "-"
+    return _sha(json.dumps(_without_floats(payload), sort_keys=True).encode("utf-8"))
+
+
 def run_row(cli, job_id: str, argv: list[str], polylines: Path | None = None, report: Path | None = None) -> dict:
     """Run one command in this process; hash its stdout and the files it wrote
     ("-" for a file it was not asked for or did not write)."""
@@ -80,12 +109,13 @@ def run_row(cli, job_id: str, argv: list[str], polylines: Path | None = None, re
         "rc": rc,
         "stdout_sha": _sha(out.getvalue().encode("utf-8")),
         "polylines_sha": _file_sha(polylines),
+        "verdict_sha": verdict_sha(out.getvalue()) if argv[0] == "certify" else "-",
         "report_sha": _file_sha(report),
         "seconds": round(seconds, 4),
     }
     print(
         f"{row['id']:<28} {str(row['rc']):>4} {row['stdout_sha']} {row['polylines_sha']:<16} "
-        f"{row['report_sha']:<16} {row['seconds']:9.3f}",
+        f"{row['verdict_sha']:<16} {row['report_sha']:<16} {row['seconds']:9.3f}",
         flush=True,
     )
     return row
@@ -125,8 +155,8 @@ def compare(a_path: Path, b_path: Path) -> int:
         ra, rb = a.get(job_id), b.get(job_id)
         if ra is None or rb is None:
             print(f"{job_id}: only in {a_path if rb is None else b_path}")
-        elif [ra.get(k) for k in FIELDS] != [rb.get(k) for k in FIELDS]:
-            print(f"{job_id}: " + ", ".join(f"{k} {ra.get(k)} -> {rb.get(k)}" for k in FIELDS))
+        elif moved := [k for k in FIELDS if ra.get(k) != rb.get(k)]:
+            print(f"{job_id}: " + ", ".join(f"{k} {ra.get(k)} -> {rb.get(k)}" for k in moved))
         else:
             continue
         differ += 1
