@@ -20,7 +20,6 @@ from .fields import (
     chart_var,
     deprojectivize,
     invariance_check,
-    projectivize,
 )
 from .gaussian import GaussianRational, ZERO, gr
 from .polyring import MultiPoly, dehomogenize, exact_divide, homogenize, is_squarefree
@@ -265,7 +264,7 @@ def euler_identity_check(
         field = deprojectivize(form)
     else:
         field = source
-        form = projectivize(field)
+        form = field.one_form
     if invariance_check(field, f) is None:
         raise PreconditionError("curve is not invariant under the field")
     n = int(f.degree)

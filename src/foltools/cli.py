@@ -32,7 +32,7 @@ from .construct import (
     logarithmic_form,
     thm2b_configuration,
 )
-from .cycles import certify_cycle, location_check
+from .cycles import certify_cycle, location_rows
 from .errors import (
     FolError,
     ParseError,
@@ -200,7 +200,7 @@ def cmd_singularities(args) -> int:
     doc = _load_document(args.document)
     field = _get_field(doc, args.field)
     aff = affine_singularities(field)
-    inf = infinite_singularities(projectivize(field))
+    inf = infinite_singularities(field.one_form)
     payload = {
         "affine": [str(p) for p in aff.points],
         "affine_residual": aff.residual,
@@ -227,7 +227,7 @@ def cmd_classify(args) -> int:
     doc = _load_document(args.document)
     field = _get_field(doc, args.field)
     aff = affine_singularities(field)
-    inf = infinite_singularities(projectivize(field))
+    inf = infinite_singularities(field.one_form)
     records = [classify_dicritical(field, p) for p in aff.points + inf.points]
     payload = {
         "records": [r.to_dict() for r in records],
@@ -266,7 +266,7 @@ def cmd_multiplicity(args) -> int:
         points = [_parse_point(args.point)]
     else:
         aff = affine_singularities(field)
-        inf = infinite_singularities(projectivize(field))
+        inf = infinite_singularities(field.one_form)
         undecided = aff.undecided + inf.undecided
         F = homogenize(curve, int(curve.degree))
         points = [
@@ -512,12 +512,10 @@ def cmd_certify(args) -> int:
     ovals = count_ovals(curve, box, args.res)
     selected = ovals.ovals if args.all_ovals else ovals.ovals[:1]
     results = []
-    traced = []
     lines = [f"cofactor = {print_poly(cert.cofactor)}", f"ovals found: {ovals.count}"]
     inconclusive = False
     for idx, ov in enumerate(selected):
         pts = trace_oval(curve, ov.vertices[0], spacing=args.spacing)
-        traced.append(pts)
         c = certify_cycle(field, pts, idx, f=curve, v_poly=curve)
         results.append(c.to_dict())
         lines.append(
@@ -526,7 +524,9 @@ def cmd_certify(args) -> int:
         )
         if not c.hyperbolic:
             inconclusive = True
-    loc = location_check(field, curve, traced, mode="invariant-curve") if traced else []
+    # location_check(mode="invariant-curve") rows: the invariance was checked
+    # above and certify_cycle(v_poly=curve) computed each oval's residual
+    loc = location_rows([r["v_residual"] for r in results])
     payload = {
         "cofactor": cert.cofactor,
         "oval_count": ovals.count,

@@ -161,18 +161,15 @@ def location_check(
             raise PreconditionError("V is not an invariant curve of the field")
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    rows = []
-    for idx, oval in enumerate(ovals):
-        residual = _scaled_residual(V, oval)
-        rows.append(
-            {
-                "oval_id": idx,
-                "residual": residual,
-                "residual_precision": tolerance,
-                "pass": residual < tolerance,
-            }
-        )
-    return rows
+    return location_rows([_scaled_residual(V, oval) for oval in ovals], tolerance)
+
+
+def location_rows(residuals: list[float], tolerance: float = 1e-8) -> list[dict]:
+    """`location_check`'s per-oval rows from residuals already computed."""
+    return [
+        {"oval_id": idx, "residual": residual, "residual_precision": tolerance, "pass": residual < tolerance}
+        for idx, residual in enumerate(residuals)
+    ]
 
 
 def integrate_orbit(

@@ -19,6 +19,7 @@ recovers (p + x*r, q + y*r) exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import DegenerateInput, PreconditionError
 from .gaussian import GaussianRational
@@ -86,6 +87,11 @@ class AffineVectorField:
 
     def is_real(self) -> bool:
         return all(part.has_real_coefficients() for part in (self.p, self.q, self.r))
+
+    @cached_property
+    def one_form(self) -> "ProjectiveOneForm":
+        """`projectivize(self)`, computed once per field."""
+        return projectivize(self)
 
 
 @dataclass(frozen=True)

@@ -362,6 +362,8 @@ def _content(f: MultiPoly, var: int) -> MultiPoly:
     cont = MultiPoly.zero(f.arity)
     for p in _coeffs_in(f, var).values():
         cont = poly_gcd(cont, p)
+        if cont.is_constant():
+            break  # the monic constant 1, which divides every coefficient left
     return cont
 
 
@@ -545,8 +547,9 @@ def poly_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
         thin, thick = (a, b) if a.degree_in(var) == 0 else (b, a)
         return _monic(poly_gcd(thin, _content(thick, var)))
     ca, cb = _content(a, var), _content(b, var)
-    pa = exact_divide(a, ca)
-    pb = exact_divide(b, cb)
+    # a constant content is 1, since poly_gcd is monic
+    pa = a if ca.is_constant() else exact_divide(a, ca)
+    pb = b if cb.is_constant() else exact_divide(b, cb)
     assert pa is not None and pb is not None
     cg = poly_gcd(ca, cb)
     if _coprimality_fast_path(pa, pb, var):

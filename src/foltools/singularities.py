@@ -21,7 +21,6 @@ from .fields import (
     AffineVectorField,
     ProjectiveOneForm,
     chart_var,
-    projectivize,
 )
 from .gaussian import GaussianRational, ONE, ZERO, gr
 from .polyring import MultiPoly, _specialize_keeping, dehomogenize, exact_divide, homogenize, is_squarefree, poly_gcd, resultant
@@ -291,7 +290,7 @@ def _chart_field(field: AffineVectorField, chart: str) -> tuple[MultiPoly, Multi
         a, b = field.component_x, field.component_y
         g = poly_gcd(a, b)
         return (a, b) if g.is_constant() else (exact_divide(a, g), exact_divide(b, g))
-    return projectivize(field).chart_components(chart)
+    return field.one_form.chart_components(chart)
 
 
 def classify_dicritical(field: AffineVectorField, point: ProjectivePoint) -> SingularityRecord:

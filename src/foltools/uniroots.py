@@ -1,4 +1,4 @@
-"""Exact univariate machinery: roots in Q(i), Sturm counts, Gaussian integers.
+"""Exact univariate machinery: roots in Q(i), gcds, Sturm counts, Gaussian integers.
 
 Root extraction is complete for linear factors (rational-root search over
 Z[i] divisors) and for quadratic remainders (exact square roots in Q(i)).
@@ -7,14 +7,16 @@ the residual count.
 
 Rational-root candidates p/q are tested on Gaussian integers: with the
 coefficients c_k scaled into Z[i], p/q is a root exactly when
-sum c_k p^k q^(n-k) = 0.  Coprimality (and so squarefreeness) is first
-tested modulo one prime P = 1 (mod 4), mapping i to a square root of -1
-mod P; coprime images prove coprimality over Q(i), and anything else falls
-back to the exact Euclidean gcd.
+sum c_k p^k q^(n-k) = 0.  Gcds over Q(i), and with them squarefree parts
+and coprimality, are modular: images modulo primes P = 1 (mod 4), with i
+mapped to a square root of -1 mod P, are combined and rebuilt, and the
+result is returned only once exact division has verified it.  Sturm chains
+are built and evaluated in integers.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
@@ -31,9 +33,10 @@ _CANDIDATE_CAP = 200_000
 
 # -- coefficient lists over a field --------------------------------------------
 #
-# These helpers take lists of any exact field elements: GaussianRational for
-# roots in Q(i), Fraction for Sturm counts.  They use only +, -, *, 1 / x and
-# truth values, so one Euclid serves both fields.
+# These helpers take lists of exact field elements, GaussianRational for roots
+# in Q(i), and use only +, -, *, 1 / x and truth values; utrim and uderiv
+# also serve the integer Sturm chains.  Gcds are modular (`ugcd`): division
+# here only verifies them and divides out known factors.
 
 
 def utrim(c: list) -> list:
@@ -86,12 +89,86 @@ def udivmod(a: list, b: list) -> tuple[list, list]:
     return utrim(q), utrim(a)
 
 
-def ugcd(a: list, b: list) -> list:
-    """Monic gcd (empty when both are zero)."""
+def ugcd(a: Coeffs, b: Coeffs) -> Coeffs:
+    """Monic gcd over Q(i) (empty when both are zero), from images modulo primes.
+
+    Brown's modular gcd with the answer recovered by rational reconstruction
+    and verified by trial division.  a and b are scaled into Z[i][x] and
+    mapped to F_p[x] for primes p = 1 (mod 4) under both embeddings i -> iota
+    and i -> -iota, iota^2 = -1 (mod p).  A prime where either leading
+    coefficient vanishes is skipped; at any other, the gcd G over Q(i) maps
+    to a divisor of each image gcd (see `coprime_mod_p`), so an image of
+    degree 0 proves a and b coprime, and images of one degree d >= deg G
+    give G's real and imaginary parts u, v mod p as (g+ + g-)/2 and
+    (g+ - g-)/(2 iota) whenever d = deg G.  Only the images of least degree
+    are kept.  Their CRT combination is rebuilt coefficientwise into a monic
+    candidate H of degree d, returned only if it divides a and b exactly:
+    then H divides G and deg H >= deg G, so H = G.  Otherwise more primes are
+    taken; a prime of degree deg G makes both u and v unique once the
+    modulus is large enough, so the loop ends.
+    """
     a, b = utrim(list(a)), utrim(list(b))
-    while b:
-        a, b = b, udivmod(a, b)[1]
-    return umonic(a) if a else a
+    if not a or not b:
+        c = a or b
+        return umonic(c) if c else c
+    if len(a) == 1 or len(b) == 1:
+        return [ONE]
+    ia, ib = _to_gauss_integers(a), _to_gauss_integers(b)
+    size, modulus, residues = min(len(a), len(b)) + 1, 1, []  # size: one more than any image's
+    for p, iota in _gcd_primes():
+        images = []
+        for root in (iota, p - iota):
+            fa, fb = _image_mod_p(ia, p, root), _image_mod_p(ib, p, root)
+            if not fa[-1] or not fb[-1]:
+                break
+            g = _fp_gcd(fa, fb, p)
+            if len(g) == 1:
+                return [ONE]
+            images.append(g)
+        if len(images) < 2 or len(images[0]) != len(images[1]) or len(images[0]) > size:
+            continue
+        plus, minus = images
+        half = (p + 1) // 2
+        half_iota = half * pow(iota, -1, p) % p
+        parts = [(s + t) * half % p for s, t in zip(plus, minus)] + [
+            (s - t) * half_iota % p for s, t in zip(plus, minus)
+        ]
+        if len(plus) < size:
+            size, modulus, residues = len(plus), 1, [0] * len(parts)
+        # CRT: x = r (mod modulus) and x = s (mod p)
+        lift = pow(modulus, -1, p)
+        residues = [r + modulus * ((s - r) * lift % p) for r, s in zip(residues, parts)]
+        modulus *= p
+        candidate = _reconstruct(residues, modulus, size - 1)
+        if candidate is not None and not udivmod(a, candidate)[1] and not udivmod(b, candidate)[1]:
+            return candidate
+    raise AssertionError("unreachable: the prime supply is infinite")
+
+
+def _reconstruct(residues: list[int], modulus: int, deg: int) -> Coeffs | None:
+    """The monic degree-deg polynomial with real and imaginary parts rebuilt
+    from residues (re_0..re_deg, im_0..im_deg) mod modulus, or None when some
+    part has no reconstruction."""
+    n = deg + 1
+    out = []
+    for k in range(deg):
+        re, im = _rational_reconstruction(residues[k], modulus), _rational_reconstruction(residues[n + k], modulus)
+        if re is None or im is None:
+            return None
+        out.append(GaussianRational(re, im))
+    return out + [ONE]
+
+
+def _rational_reconstruction(r: int, m: int) -> Fraction | None:
+    """The n/d = r (mod m) with |n|, d <= sqrt(m/2) and gcd(n, d) = 1, or None (Wang)."""
+    bound = math.isqrt(m // 2)
+    r0, r1, s0, s1 = m, r % m, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
+    if abs(s1) > bound or math.gcd(r1, s1) != 1:
+        return None
+    return Fraction(r1, s1)
 
 
 def usquarefree(c: Coeffs) -> Coeffs:
@@ -99,20 +176,15 @@ def usquarefree(c: Coeffs) -> Coeffs:
     d = uderiv(c)
     if not d:
         return umonic(list(c)) if c else []
-    if coprime_mod_p(c, d):
-        return umonic(list(c))
     g = ugcd(c, d)
     if udeg(g) == 0:
         return umonic(list(c))
-    q, r = udivmod(c, g)
-    assert not r
-    return umonic(q)
+    return umonic(udivmod(c, g)[0])
 
 
 def ucoprime(a: Coeffs, b: Coeffs) -> bool:
-    """Whether gcd(a, b) is a nonzero constant; always the same answer as len(ugcd(a, b)) == 1."""
-    a, b = utrim(list(a)), utrim(list(b))
-    return coprime_mod_p(a, b) or len(ugcd(a, b)) == 1
+    """Whether gcd(a, b) is a nonzero constant."""
+    return len(ugcd(a, b)) == 1
 
 
 def deflate(c: Coeffs, root: GaussianRational) -> Coeffs:
@@ -120,62 +192,6 @@ def deflate(c: Coeffs, root: GaussianRational) -> Coeffs:
     q, r = udivmod(c, [-root, ONE])
     assert not r, "deflation by a non-root"
     return q
-
-
-# -- coprimality certificate modulo one prime ----------------------------------
-
-_P = 998244353  # prime, 1 (mod 4); 3 generates its multiplicative group
-_I_MOD_P = pow(3, (_P - 1) // 4, _P)  # a square root of -1: the image of i
-
-
-def _image_mod_p(c: Coeffs) -> list[int] | None:
-    """c in F_P[x] under i -> _I_MOD_P, or None when a denominator is divisible by P."""
-    out = []
-    for a in c:
-        re, im = a.re, a.im
-        den = re.denominator * im.denominator
-        if den % _P == 0:
-            return None
-        v = re.numerator * im.denominator + _I_MOD_P * im.numerator * re.denominator
-        out.append(v * pow(den, -1, _P) % _P)
-    return out
-
-
-def _fp_gcd_degree(a: list[int], b: list[int]) -> int:
-    """Degree of gcd(a, b) in F_P[x]; both nonzero with nonzero leading coefficients."""
-    while b:
-        a = list(a)
-        inv = pow(b[-1], -1, _P)
-        nb = len(b)
-        while len(a) >= nb:
-            f = a[-1] * inv % _P
-            if f:
-                k = len(a) - nb
-                for j in range(nb - 1):
-                    a[k + j] = (a[k + j] - f * b[j]) % _P
-            a.pop()
-        while a and not a[-1]:
-            a.pop()
-        a, b = b, a
-    return len(a) - 1
-
-
-def coprime_mod_p(a: Coeffs, b: Coeffs) -> bool:
-    """True proves gcd(a, b) = 1 over Q(i); False proves nothing.
-
-    The images exist only when every denominator is prime to P, so a and b
-    scale into Z[i][x] by integers that are units mod P.  A common factor g
-    of positive degree can be taken primitive in Z[i][x], and by Gauss's
-    lemma it divides both scaled polynomials there, so lc(g) divides both
-    leading coefficients.  When neither of those vanishes mod P, g keeps its
-    degree in F_P[x] and divides both images, which are then not coprime.
-    """
-    if len(a) < 2 or len(b) < 2:
-        return False
-    ia, ib = _image_mod_p(a), _image_mod_p(b)
-    if ia is None or ib is None or not ia[-1] or not ib[-1]:
-        return False
-    return _fp_gcd_degree(ia, ib) == 0
 
 
 # -- Gaussian integer arithmetic ----------------------------------------------
@@ -277,11 +293,7 @@ def factor_int(n: int) -> dict[int, int]:
 
 def _gaussian_prime_above(p: int) -> GInt:
     """A Gaussian prime dividing the split rational prime p (p % 4 == 1)."""
-    a = 2
-    while pow(a, (p - 1) // 2, p) != p - 1:
-        a += 1
-    x = pow(a, (p - 1) // 4, p)
-    return gi_gcd((p, 0), (x, 1))
+    return gi_gcd((p, 0), (_sqrt_minus_one(p), 1))
 
 
 def gi_factor(u: GInt) -> list[tuple[GInt, int]]:
@@ -335,6 +347,82 @@ def gi_divisors(u: GInt) -> list[GInt]:
     return _divisors_of(factors)
 
 
+# -- images modulo primes p = 1 (mod 4) ----------------------------------------
+
+
+def _sqrt_minus_one(p: int) -> int:
+    """A square root of -1 modulo a prime p = 1 (mod 4): a^((p-1)/4) for the least non-residue a."""
+    a = 2
+    while pow(a, (p - 1) // 2, p) != p - 1:
+        a += 1
+    return pow(a, (p - 1) // 4, p)
+
+
+def _split_primes(above: int) -> Iterator[tuple[int, int]]:
+    """(p, iota) for every prime p = 1 (mod 4) above `above`, ascending, with iota^2 = -1 (mod p).
+
+    The Miller-Rabin test on the first twelve primes is deterministic far
+    beyond any prime this yields.
+    """
+    n = above + 4 - (above - 1) % 4
+    while True:
+        if _is_probable_prime(n):
+            yield n, _sqrt_minus_one(n)
+        n += 4
+
+
+def _gcd_primes() -> Iterator[tuple[int, int]]:
+    """The primes `ugcd` takes, in order: the table, then every larger split prime."""
+    yield from _GCD_PRIMES
+    yield from _split_primes(_GCD_PRIMES[-1][0])
+
+
+def _image_mod_p(c: list[GInt], p: int, iota: int) -> list[int]:
+    """A Z[i] polynomial in F_p[x] under i -> iota."""
+    return [(re + iota * im) % p for re, im in c]
+
+
+def _fp_gcd(a: list[int], b: list[int], p: int) -> list[int]:
+    """Monic gcd(a, b) in F_p[x]; b nonzero with a nonzero leading coefficient."""
+    while b:
+        inv = pow(b[-1], -1, p)
+        b = [x * inv % p for x in b]
+        nb = len(b) - 1
+        a = list(a)
+        for k in range(len(a) - 1 - nb, -1, -1):
+            f = a[k + nb] % p
+            if f:
+                for j in range(nb):
+                    a[k + j] -= f * b[j]
+        a, b = b, utrim([x % p for x in a[:nb]])
+    return a
+
+
+_P = 998244353  # prime, 1 (mod 4); 3 generates its multiplicative group
+_I_MOD_P = _sqrt_minus_one(_P)  # a square root of -1: the image of i
+_GCD_PRIMES = tuple(itertools.islice(_split_primes(2**62), 4))  # the first few, found once
+
+
+def coprime_mod_p(a: Coeffs, b: Coeffs) -> bool:
+    """True proves gcd(a, b) = 1 over Q(i); False proves nothing.
+
+    a and b are scaled into Z[i][x] and mapped to F_P[x] under i -> _I_MOD_P.
+    A common factor g of positive degree can be taken primitive in Z[i][x],
+    and by Gauss's lemma it divides both scaled polynomials there, so lc(g)
+    divides both leading coefficients.  When neither of those vanishes mod
+    P, g keeps its degree in F_P[x] and divides both images, which are then
+    not coprime.  The same holds for any prime p = 1 (mod 4) and either
+    square root of -1 mod p.
+    """
+    if len(a) < 2 or len(b) < 2:
+        return False
+    ia = _image_mod_p(_to_gauss_integers(a), _P, _I_MOD_P)
+    ib = _image_mod_p(_to_gauss_integers(b), _P, _I_MOD_P)
+    if not ia[-1] or not ib[-1]:
+        return False
+    return len(_fp_gcd(ia, ib, _P)) == 1
+
+
 # -- roots in Q(i) -------------------------------------------------------------
 
 
@@ -356,15 +444,15 @@ class RootReport:
 
 
 def _to_gauss_integers(c: Coeffs) -> list[GInt]:
-    den = 1
-    for a in c:
-        den = den * a.re.denominator // math.gcd(den, a.re.denominator)
-        den = den * a.im.denominator // math.gcd(den, a.im.denominator)
-    ints = [(int(a.re * den), int(a.im * den)) for a in c]
+    """c times the lcm of its denominators, divided by its Z[i] content."""
+    den = math.lcm(*(q.denominator for a in c for q in (a.re, a.im)))
+    ints = [(a.re.numerator * (den // a.re.denominator), a.im.numerator * (den // a.im.denominator)) for a in c]
     g: GInt = (0, 0)
     for u in ints:
         if u != (0, 0):
             g = gi_gcd(g, u)
+            if gi_norm(g) == 1:
+                break  # a unit content stays one
     if gi_norm(g) > 1:
         ints = [gi_divmod(u, g)[0] for u in ints]
     return ints
@@ -457,19 +545,57 @@ def qi_roots(c: Coeffs) -> RootReport:
     return report
 
 
-# -- Sturm sequences over the real rationals -----------------------------------
+# -- Sturm sequences over the real rationals, in integers -------------------------
 
 RCoeffs = list[Fraction]
 
 
-def sturm_chain(c: RCoeffs) -> list[RCoeffs]:
-    """c, c' and the negated remainders (deg c >= 1); the last element is gcd(c, c') up to a constant."""
-    chain = [c, uderiv(c)]
+def _primitive(c: list[int]) -> list[int]:
+    """c divided by its positive content."""
+    g = math.gcd(*c)
+    return [x // g for x in c]
+
+
+def _prem(a: list[int], b: list[int]) -> list[int]:
+    """The pseudo-remainder lc(b)^(deg a - deg b + 1) * a mod b in Z[x]; deg a >= deg b."""
+    r, lb, nb = list(a), b[-1], len(b) - 1
+    for k in range(len(a) - 1 - nb, -1, -1):
+        f = r.pop()
+        r = [x * lb for x in r]
+        for j in range(nb):
+            r[k + j] -= f * b[j]
+    return utrim(r)
+
+
+def _exact_quotient(a: list[int], g: list[int]) -> list[int]:
+    """a / g in Z[x] for a primitive g that divides a (integral by Gauss's lemma)."""
+    r, lg, ng = list(a), g[-1], len(g) - 1
+    q = [0] * (len(a) - ng)
+    for k in range(len(q) - 1, -1, -1):
+        q[k] = f = r[k + ng] // lg
+        for j in range(ng):
+            r[k + j] -= f * g[j]
+    return q
+
+
+def _int_sturm_chain(c: list[int]) -> list[list[int]]:
+    """Primitive Sturm chain of c in Z[x] (deg c >= 1).
+
+    Each element is a positive multiple of the classical chain's c, c', and
+    negated remainders -rem(p_(k-1), p_k): prem(a, b) = lc(b)^(delta+1) rem(a, b)
+    with delta = deg a - deg b, so -prem carries the sign of -rem unless
+    lc(b)^(delta+1) < 0, and every other scaling is by a positive content.
+    The last element is gcd(c, c') up to a positive constant.
+    """
+    chain = [_primitive(c), _primitive(uderiv(c))]
     while len(chain[-1]) > 1:
-        r = udivmod(chain[-2], chain[-1])[1]
+        a, b = chain[-2], chain[-1]
+        r = _prem(a, b)
         if not r:
             break
-        chain.append([-x for x in r])
+        # lc(b)^(delta+1) < 0 exactly when lc(b) < 0 and delta is even
+        flip = b[-1] < 0 and (len(a) - len(b)) % 2 == 0
+        chain.append(_primitive(r if flip else [-x for x in r]))
     return chain
 
 
@@ -481,27 +607,24 @@ def _sign_variations(vals: list[int]) -> int:
 def sturm_counter(c: RCoeffs) -> Callable[[Fraction | None, Fraction | None], int]:
     """count(lo, hi): the number of distinct real roots of c in (lo, hi]; None means +-infinity.
 
-    The Sturm chain is built once and scaled to integer coefficients, and
-    the sign variations at each finite point are memoized, so counting on
-    many intervals of one polynomial evaluates the chain once per distinct
+    c (integers or Fractions) is scaled by the positive lcm of its
+    denominators and its Sturm chain built once in integers, and the sign
+    variations at each finite point are memoized, so counting on many
+    intervals of one polynomial evaluates the chain once per distinct
     endpoint, in integer arithmetic.
     """
-    c = utrim([Fraction(v) for v in c])
+    c = utrim(list(c))
     if len(c) <= 1:
         return lambda lo=None, hi=None: 0
-    chain = sturm_chain(c)
+    lcm = math.lcm(*(q.denominator for q in c))
+    chain = _int_sturm_chain([q.numerator * (lcm // q.denominator) for q in c])
     g = chain[-1]
     if len(g) > 1:
-        # c has multiple roots and g = gcd(c, c') up to a constant: the chain
-        # divided by g is a Sturm chain of c / g, which has each root of c once
-        chain = [udivmod(p, g)[0] for p in chain]
+        # c has multiple roots and g = gcd(c, c') up to a positive constant:
+        # the chain divided by g is a Sturm chain of c / g, which has each root of c once
+        chain = [_exact_quotient(p, g) for p in chain]
     at_plus_inf = _sign_variations([1 if p[-1] > 0 else -1 for p in chain])
     at_minus_inf = _sign_variations([(1 if p[-1] > 0 else -1) * (-1) ** (len(p) - 1) for p in chain])
-    # each element times the (positive) lcm of its denominators: same signs
-    int_chain = []
-    for p in chain:
-        lcm = math.lcm(*(q.denominator for q in p))
-        int_chain.append([q.numerator * (lcm // q.denominator) for q in p])
     memo: dict[Fraction, int] = {}
 
     def variations(x: Fraction) -> int:
@@ -509,7 +632,7 @@ def sturm_counter(c: RCoeffs) -> Callable[[Fraction | None, Fraction | None], in
         if v is None:
             n, d = x.numerator, x.denominator
             vals = []
-            for p in int_chain:
+            for p in chain:
                 # d^deg(p) p(n/d) = sum p_k n^k d^(deg(p)-k), of the sign of p(x) as d > 0
                 acc, d_pow = p[-1], 1
                 for k in range(len(p) - 2, -1, -1):

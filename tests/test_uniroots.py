@@ -1,17 +1,26 @@
+import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import foltools
+from foltools import uniroots
 from foltools.errors import RootSearchOverflow
-from foltools.gaussian import GaussianRational, gr
+from foltools.gaussian import GaussianRational, ONE, gr
 from foltools.uniroots import (
     UNITS,
+    _GCD_PRIMES,
     _P,
     _I_MOD_P,
     _as_gaussian_rational,
     _candidate_pairs,
     _gi_vanishes,
+    _int_sturm_chain,
     _to_gauss_integers,
     coprime_mod_p,
     count_real_roots,
@@ -30,6 +39,7 @@ from foltools.uniroots import (
     ugcd,
     umonic,
     usquarefree,
+    utrim,
 )
 
 
@@ -295,3 +305,184 @@ def test_sturm_count_matches_known_roots():
                 assert shared(lo, hi) == expected, (c, lo, hi)
                 multiple_root_endpoints += any(r in (lo, hi) and m > 1 for r, m in zip(roots, mults))
     assert multiple_root_endpoints > 100
+
+
+# -- the modular gcd against the Euclid loop -------------------------------------------
+
+
+def _euclid_gcd(a, b):
+    """Monic gcd by the field Euclid loop that the modular gcd replaced: the oracle."""
+    a, b = utrim(list(a)), utrim(list(b))
+    while b:
+        a, b = b, udivmod(a, b)[1]
+    return umonic(a) if a else a
+
+
+def _times(a, b):
+    out = [gr(0)] * (len(a) + len(b) - 1)
+    for i, u in enumerate(a):
+        for j, v in enumerate(b):
+            out[i + j] = out[i + j] + u * v
+    return out
+
+
+def _gcd_pairs(seed):
+    """Seeded Q(i) pairs with a planted common factor of degree 0-5, some with repeated roots."""
+    rnd = random.Random(seed)
+    for _ in range(60):
+        common = [_random_gaussian(rnd, span=5, den=4) for _ in range(rnd.randint(0, 5))]
+        if common and rnd.random() < 0.3:
+            common.append(common[0])  # a repeated root of the common factor
+        lead = _random_gaussian(rnd, span=5, den=4) or gr(1)
+        g = _poly_from_roots(common, lead)
+        a = _times(g, [_random_gaussian(rnd, span=7, den=5) for _ in range(rnd.randint(1, 5))] + [gr(1)])
+        b = _times(g, [_random_gaussian(rnd, span=7, den=5) for _ in range(rnd.randint(1, 5))] + [gr(0, 2)])
+        yield a, b
+
+
+def test_ugcd_matches_euclid_on_planted_factors():
+    nontrivial = 0
+    for a, b in _gcd_pairs(5):
+        g = ugcd(a, b)
+        assert g == _euclid_gcd(a, b)
+        assert g == ugcd(b, a)
+        nontrivial += len(g) > 1
+        c = _times(a, a)  # every root repeated
+        assert usquarefree(c) == usquarefree(a) == umonic(udivmod(a, _euclid_gcd(a, uderiv(a)))[0])
+    assert nontrivial >= 40
+
+
+def test_ugcd_zero_and_constant_inputs():
+    x2 = [gr(1), gr(0), gr("2/3")]
+    assert ugcd([], []) == [] and ugcd([gr(0)], []) == []
+    assert ugcd([], x2) == ugcd(x2, [gr(0)]) == umonic(x2)
+    assert ugcd([gr(0, 5)], x2) == ugcd(x2, [gr(-3)]) == [ONE]
+    assert ugcd([gr(7)], []) == [ONE]
+    assert ugcd(x2, x2) == umonic(x2)
+
+
+def _spy_primes(monkeypatch):
+    """Record the primes at which ugcd takes an image gcd."""
+    seen = []
+    real = uniroots._fp_gcd
+
+    def spy(a, b, p):
+        seen.append(p)
+        return real(a, b, p)
+
+    monkeypatch.setattr(uniroots, "_fp_gcd", spy)
+    return seen
+
+
+def test_ugcd_skips_primes_where_a_leading_coefficient_vanishes(monkeypatch):
+    (p1, iota1), (p2, _) = _GCD_PRIMES[:2]
+    g = _poly_from_roots([gr("1/2", 3), gr(-2)])
+    for lead, images_at_p1, unseen in (
+        (gr(p1 * p2), 0, {p1, p2}),  # vanishes mod p1 and mod p2 under both embeddings
+        (gr(iota1, -1), 0, {p1}),  # iota1 - i vanishes under i -> iota1, the first embedding
+        (gr(iota1, 1), 1, set()),  # iota1 + i vanishes under i -> -iota1 only
+    ):
+        a = _times(g, [gr(3), gr(1), lead])
+        b = _times(g, [gr(0, 1), gr(1)])
+        seen = _spy_primes(monkeypatch)
+        assert ugcd(a, b) == _euclid_gcd(a, b) == g
+        assert seen.count(p1) == images_at_p1
+        assert not unseen & set(seen)
+
+
+def test_ugcd_with_large_coefficients_takes_several_primes(monkeypatch):
+    rnd = random.Random(3)
+    for _ in range(6):
+        big = [gr(Fraction(rnd.randint(-(10**40), 10**40), rnd.randint(1, 10**40)), rnd.randint(-(10**40), 10**40)) for _ in range(3)]
+        g = _poly_from_roots(big[:2], big[2])
+        a = _times(g, [gr(rnd.randint(1, 9)), gr(0), gr(1)])
+        b = _times(g, [gr(0, rnd.randint(1, 9)), gr(1)])
+        seen = _spy_primes(monkeypatch)
+        assert ugcd(a, b) == _euclid_gcd(a, b) == umonic(g)
+        assert len(set(seen)) >= 4
+
+
+def _small_primes_first():
+    return itertools.chain([(5, 2), (13, 8)], uniroots._split_primes(2**62))
+
+
+def test_ugcd_returns_no_candidate_that_fails_the_division_check(monkeypatch):
+    # gcd x + 4: mod 5 it reads x - 1, which reconstructs to x - 1 and does not divide a
+    a = _times([gr(4), gr(1)], [gr(2), gr(1)])
+    b = _times([gr(4), gr(1)], [gr(3), gr(1)])
+    tried = []
+    real = uniroots.udivmod
+
+    def spy(u, v):
+        tried.append(list(v))
+        return real(u, v)
+
+    monkeypatch.setattr(uniroots, "_gcd_primes", _small_primes_first)
+    monkeypatch.setattr(uniroots, "udivmod", spy)
+    assert ugcd(a, b) == [gr(4), gr(1)] == _euclid_gcd(a, b)
+    assert tried[0] == [gr(-1), gr(1)]  # the first candidate, rejected
+    assert [gr(4), gr(1)] in tried
+
+
+def test_ugcd_is_unchanged_under_python_O():
+    # the division check is an `if`, which -O keeps; an `assert` would vanish and
+    # let the first pair's rejected candidate x - 1 through
+    x_plus_4 = [gr(4), gr(1)]
+    pairs = [(_times(x_plus_4, [gr(2), gr(1)]), _times(x_plus_4, [gr(3), gr(1)]))]
+    pairs += itertools.islice(_gcd_pairs(8), 12)
+    script = (
+        "import itertools, sys\n"
+        "from foltools import uniroots\n"
+        "from foltools.gaussian import gr\n"
+        "print(sys.flags.optimize)\n"
+        "pairs = " + repr([[[(str(c.re), str(c.im)) for c in p] for p in pair] for pair in pairs]) + "\n"
+        "uniroots._gcd_primes = lambda: itertools.chain([(5, 2), (13, 8)], uniroots._split_primes(2**62))\n"
+        "for a, b in pairs:\n"
+        "    print([(str(c.re), str(c.im)) for c in uniroots.ugcd([gr(*c) for c in a], [gr(*c) for c in b])])\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(foltools.__file__).resolve().parent.parent))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    expected = [str([(str(c.re), str(c.im)) for c in _euclid_gcd(a, b)]) for a, b in pairs]
+    assert proc.stdout.splitlines() == ["1"] + expected
+
+
+# -- integer Sturm chains against the Fraction chain ---------------------------------
+
+
+def _fraction_sturm_chain(c):
+    """c, c' and the negated remainders over Q: the classical chain the integer one replaced."""
+    chain = [c, uderiv(c)]
+    while len(chain[-1]) > 1:
+        r = udivmod(chain[-2], chain[-1])[1]
+        if not r:
+            break
+        chain.append([-x for x in r])
+    return chain
+
+
+def _sign(v):
+    return (v > 0) - (v < 0)
+
+
+def test_integer_sturm_chain_signs_match_the_fraction_chain():
+    rnd = random.Random(23)
+    flips = {0: 0, 1: 0}  # steps with lc(b) < 0, by the parity of delta
+    points = [Fraction(n, d) for n in range(-9, 10) for d in (1, 2, 7)]
+    for _ in range(300):
+        deg = rnd.randint(1, 8)
+        c = [rnd.choice([0, 0, rnd.randint(-6, 6)]) for _ in range(deg)] + [rnd.choice([-3, -2, -1, 1, 2])]
+        if rnd.random() < 0.3:  # a repeated factor
+            c = utrim([sum(c[i] * c[k - i] for i in range(len(c)) if 0 <= k - i < len(c)) for k in range(2 * len(c) - 1)])
+        ref = _fraction_sturm_chain([Fraction(v) for v in c])
+        chain = _int_sturm_chain(c)
+        assert [len(p) for p in chain] == [len(p) for p in ref]
+        for p in chain:
+            assert all(isinstance(v, int) for v in p)
+        for a, b in zip(ref, ref[1:]):
+            if b[-1] < 0 and len(b) > 1:
+                flips[(len(a) - len(b)) % 2] += 1
+        for p, q in zip(chain, ref):
+            assert _sign(p[-1]) == _sign(q[-1])
+            assert all(_sign(ueval(p, t)) == _sign(ueval(q, t)) for t in points)
+    assert flips[0] >= 20 and flips[1] >= 20
