@@ -46,6 +46,7 @@ from .cycles import (
 )
 from .errors import (
     ArityMismatch,
+    ConfigError,
     DegenerateInput,
     FolError,
     NonIsolatedSingularities,

@@ -11,7 +11,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field as dfield
 
-from .errors import PreconditionError, UncertifiedResult, UnsupportedBranch
+from .errors import ConfigError, PreconditionError, UncertifiedResult, UnsupportedBranch
 from .fields import (
     CHART_X,
     CHART_Z,
@@ -43,7 +43,10 @@ MAX_DOUBLINGS = 3
 def default_truncation(m: int, curve_degree: int) -> int:
     env = os.environ.get(TRUNCATION_ENV)
     if env:
-        return max(2, int(env))
+        try:
+            return max(2, int(env))
+        except ValueError:
+            raise ConfigError(f"{TRUNCATION_ENV} must be an integer, got {env!r}") from None
     return max(8, 2 * (m + 2) * curve_degree)
 
 

@@ -34,6 +34,7 @@ from .construct import (
 )
 from .cycles import certify_cycle, location_rows
 from .errors import (
+    ConfigError,
     FolError,
     ParseError,
     UncertifiedResult,
@@ -475,6 +476,7 @@ def _checked(convert, ok, message: str):
 
 
 _resolution = _checked(int, lambda res: res >= 2, "resolution must be at least 2")
+_truncation = _checked(int, lambda n: n >= 2, "truncation must be at least 2")
 _spacing = _checked(float, lambda h: math.isfinite(h) and h > 0, "spacing must be a positive finite number")
 
 
@@ -771,7 +773,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("multiplicity", help="branch multiplicities at singular points")
     add_common(p, field=True, curve=True)
     p.add_argument("--point", help="affine x,y or projective X:Y:Z")
-    p.add_argument("--truncation", type=int, default=None)
+    p.add_argument("--truncation", type=_truncation, default=None)
     p.set_defaults(handler=cmd_multiplicity)
 
     p = sub.add_parser("euler-check", help="chi = sum(mu) - n(m-1) identity")
@@ -862,7 +864,7 @@ def run(argv: list[str]) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.handler(args)
-    except ParseError as exc:
+    except (ParseError, ConfigError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (UnsupportedBranch, UncertifiedResult) as exc:

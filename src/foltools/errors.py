@@ -20,6 +20,10 @@ class ParseError(FolError):
         self.column = column
 
 
+class ConfigError(FolError):
+    """An environment variable holds a value the toolkit cannot use."""
+
+
 class PreconditionError(FolError):
     """An operation was called outside its stated domain."""
 

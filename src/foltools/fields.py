@@ -75,15 +75,22 @@ class AffineVectorField:
                 )
         return AffineVectorField(p, q, r, m)
 
-    @property
+    @cached_property
     def component_x(self) -> MultiPoly:
         """dx/dt = p + x*r."""
         return self.p + MultiPoly.variable(2, 0) * self.r
 
-    @property
+    @cached_property
     def component_y(self) -> MultiPoly:
         """dy/dt = q + y*r."""
         return self.q + MultiPoly.variable(2, 1) * self.r
+
+    @cached_property
+    def reduced_components(self) -> tuple[MultiPoly, MultiPoly]:
+        """The components over their gcd, once per field: isolated zeros in the Z chart."""
+        a, b = self.component_x, self.component_y
+        g = poly_gcd(a, b)
+        return (a, b) if g.is_constant() else (exact_divide(a, g), exact_divide(b, g))
 
     def is_real(self) -> bool:
         return all(part.has_real_coefficients() for part in (self.p, self.q, self.r))

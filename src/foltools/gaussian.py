@@ -2,14 +2,19 @@
 
 This is the coefficient field for the whole toolkit.  Fraction keeps every
 component normalized (lowest terms, positive denominator), so equality is
-plain structural equality and hashing is safe.
+plain structural equality and hashing is safe.  Polynomials and series store
+Gaussian-integer numerators over one denominator, as FLINT's `fmpq_poly`
+does; `lift` and `canonical` are the only code that builds that form.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+
+GInt = tuple[int, int]  # a + b*i, a Gaussian integer
 
 
 def _as_fraction(x) -> Fraction:
@@ -179,3 +184,21 @@ I = GaussianRational(Fraction(0), Fraction(1))
 def gr(re, im=0) -> GaussianRational:
     """Shorthand constructor accepting ints, Fractions and 'p/q' strings."""
     return GaussianRational(_as_fraction(re), _as_fraction(im))
+
+
+def lift(values) -> tuple[int, list[GInt]]:
+    """(den, [(re, im), ...]), values[k] = (re + im*i) / den with den > 0 least."""
+    parts = [(v.re, v.im) if isinstance(v, GaussianRational) else (v, 0) for v in values]
+    den = math.lcm(*(q.denominator for pair in parts for q in pair))
+    return den, [(re.numerator * (den // re.denominator), im.numerator * (den // im.denominator)) for re, im in parts]
+
+
+def canonical(den: int, nums):
+    """nums / den (den > 0) with both divided by gcd(den, every part), the unique form."""
+    g = 1 if den == 1 else math.gcd(den, *itertools.chain.from_iterable(nums))
+    return (den, nums) if g == 1 else (den // g, [(re // g, im // g) for re, im in nums])
+
+
+def from_gint(u: GInt, den: int = 1) -> GaussianRational:
+    """The Gaussian rational u / den."""
+    return GaussianRational(Fraction(u[0], den), Fraction(u[1], den))

@@ -1,9 +1,10 @@
 """Exact sparse multivariate polynomials over the Gaussian rationals.
 
-A polynomial is a map from exponent tuples to nonzero GaussianRational
-coefficients.  Arity is 2 (affine variables x, y) or 3 (homogeneous
-coordinates X, Y, Z).  Zero coefficients are never stored, so two
-polynomials are equal exactly when their term maps are equal.
+A polynomial is num / den: `num` maps exponent tuples to nonzero Gaussian
+integers (re, im) over one positive integer `den`, kept canonical, so two
+polynomials are equal exactly when arity, den and num are, and arithmetic
+runs in integers; `terms` is a cached read-only GaussianRational view.
+Arity is 2 (affine variables x, y) or 3 (homogeneous coordinates X, Y, Z).
 
 The canonical term order everywhere (printing, leading terms, gcd pivots)
 is graded lexicographic: higher total degree first, then lexicographically
@@ -13,13 +14,15 @@ larger exponent tuple first.
 from __future__ import annotations
 
 import itertools
-import math
 from fractions import Fraction
+from math import gcd
+from operator import add, sub
+from types import MappingProxyType
 from typing import Iterable
 
 from .errors import ArityMismatch
-from .gaussian import GaussianRational, ONE, ZERO, gr
-from .uniroots import GInt, coprime_mod_p, gi_divmod, gi_mul, ugcd, utrim
+from .gaussian import GInt, GaussianRational, ZERO, canonical, from_gint, gr, lift
+from .uniroots import coprime_mod_p, gi_divmod, gi_mul, ugcd, utrim
 
 Exponent = tuple[int, ...]
 
@@ -34,26 +37,51 @@ def _grlex_key(exp: Exponent):
     return (sum(exp), exp)
 
 
+def _accumulate(out: dict, exp: Exponent, re: int, im: int) -> None:
+    """out[exp] += re + im*i, keeping no zero entry."""
+    old = out.get(exp)
+    if old is not None:
+        re, im = re + old[0], im + old[1]
+    if re or im:
+        out[exp] = (re, im)
+    elif old is not None:
+        del out[exp]
+
+
 class MultiPoly:
     """Immutable exact polynomial in 2 or 3 variables."""
 
-    __slots__ = ("arity", "terms", "_degree")
+    __slots__ = ("arity", "den", "num", "_degree", "_terms")
 
     def __init__(self, arity: int, terms: dict[Exponent, GaussianRational] | None = None):
+        items = list(terms.items()) if terms else []
+        for exp, _ in items:
+            if len(exp) != arity:
+                raise ValueError(f"exponent {exp} does not match arity {arity}")
+            if any(e < 0 for e in exp):
+                raise ValueError(f"negative exponent in {exp}")
+        den, nums = lift(c for _, c in items)
+        self._init(arity, den, {tuple(exp): u for (exp, _), u in zip(items, nums) if u != (0, 0)})
+
+    def _init(self, arity: int, den: int, num: dict[Exponent, GInt]) -> None:
         if arity not in (2, 3):
             raise ValueError("arity must be 2 or 3")
-        clean: dict[Exponent, GaussianRational] = {}
-        if terms:
-            for exp, coeff in terms.items():
-                if len(exp) != arity:
-                    raise ValueError(f"exponent {exp} does not match arity {arity}")
-                if any(e < 0 for e in exp):
-                    raise ValueError(f"negative exponent in {exp}")
-                if not coeff.is_zero():
-                    clean[tuple(exp)] = coeff
-        object.__setattr__(self, "arity", arity)
-        object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "_degree", max((sum(e) for e in clean), default=MINUS_INFINITY))
+        d, parts = canonical(den, num.values())
+        if d != den:
+            den, num = d, dict(zip(num, parts))
+        setattr_ = object.__setattr__
+        setattr_(self, "arity", arity)
+        setattr_(self, "den", den)
+        setattr_(self, "num", num)
+        setattr_(self, "_degree", None)
+        setattr_(self, "_terms", None)
+
+    @classmethod
+    def _of(cls, arity: int, den: int, num: dict[Exponent, GInt]) -> "MultiPoly":
+        """num / den, made canonical; num is a fresh map with no zero entry."""
+        p = object.__new__(cls)
+        p._init(arity, den, num)
+        return p
 
     def __setattr__(self, *_):
         raise AttributeError("MultiPoly is immutable")
@@ -66,16 +94,14 @@ class MultiPoly:
 
     @staticmethod
     def constant(arity: int, value) -> "MultiPoly":
-        c = GaussianRational.coerce(value) if not isinstance(value, GaussianRational) else value
-        return MultiPoly(arity, {(0,) * arity: c})
+        den, (u,) = lift((value,))
+        return MultiPoly._of(arity, den, {(0,) * arity: u} if u != (0, 0) else {})
 
     @staticmethod
     def variable(arity: int, index: int) -> "MultiPoly":
         if not 0 <= index < arity:
             raise ValueError(f"variable index {index} out of range for arity {arity}")
-        exp = [0] * arity
-        exp[index] = 1
-        return MultiPoly(arity, {tuple(exp): ONE})
+        return MultiPoly._of(arity, 1, {tuple(int(v == index) for v in range(arity)): (1, 0)})
 
     @staticmethod
     def monomial(arity: int, exp: Exponent, coeff) -> "MultiPoly":
@@ -84,45 +110,46 @@ class MultiPoly:
 
     # -- basic queries --------------------------------------------------
 
+    @property
+    def terms(self) -> MappingProxyType:
+        """Read-only view: exponent -> nonzero GaussianRational coefficient."""
+        if self._terms is None:
+            object.__setattr__(self, "_terms", MappingProxyType({e: from_gint(u, self.den) for e, u in self.num.items()}))
+        return self._terms
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.num
 
     @property
     def degree(self):
         """Total degree; MINUS_INFINITY for the zero polynomial."""
+        if self._degree is None:
+            object.__setattr__(self, "_degree", max((sum(e) for e in self.num), default=MINUS_INFINITY))
         return self._degree
 
     def degree_in(self, var: int) -> int:
         """Degree in one variable; -1 for the zero polynomial."""
-        return max((e[var] for e in self.terms), default=-1)
+        return max((e[var] for e in self.num), default=-1)
 
     def is_constant(self) -> bool:
-        return self._degree == MINUS_INFINITY or self._degree == 0
+        return self.degree == MINUS_INFINITY or self.degree == 0
 
     def constant_value(self) -> GaussianRational:
-        return self.terms.get((0,) * self.arity, ZERO)
+        return self.coefficient((0,) * self.arity)
 
     def coefficient(self, exp: Exponent) -> GaussianRational:
-        return self.terms.get(tuple(exp), ZERO)
+        u = self.num.get(tuple(exp))
+        return ZERO if u is None else from_gint(u, self.den)
 
     def is_homogeneous(self) -> bool:
-        if not self.terms:
-            return True
-        degs = {sum(e) for e in self.terms}
-        return len(degs) == 1
+        return len({sum(e) for e in self.num}) <= 1
 
     def sorted_terms(self) -> list[tuple[Exponent, GaussianRational]]:
         """Terms in descending graded-lex order (the canonical order)."""
         return sorted(self.terms.items(), key=lambda t: _grlex_key(t[0]), reverse=True)
 
-    def leading_term(self) -> tuple[Exponent, GaussianRational]:
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
-        exp = max(self.terms, key=_grlex_key)
-        return exp, self.terms[exp]
-
     def has_real_coefficients(self) -> bool:
-        return all(c.is_real() for c in self.terms.values())
+        return not any(im for _, im in self.num.values())
 
     # -- arithmetic ------------------------------------------------------
 
@@ -130,46 +157,46 @@ class MultiPoly:
         if self.arity != other.arity:
             raise ArityMismatch(f"arity {self.arity} vs {other.arity}")
 
-    def __add__(self, other: "MultiPoly") -> "MultiPoly":
+    def _plus(self, other: "MultiPoly", sign: int) -> "MultiPoly":
+        """self + sign * other over the least common denominator."""
         self._check_arity(other)
-        out = dict(self.terms)
-        for exp, c in other.terms.items():
-            s = out.get(exp, ZERO) + c
-            if s.is_zero():
-                out.pop(exp, None)
-            else:
-                out[exp] = s
-        return MultiPoly(self.arity, out)
+        g = gcd(self.den, other.den)
+        s, t = other.den // g, self.den // g * sign
+        out = {e: (re * s, im * s) for e, (re, im) in self.num.items()}
+        for e, (re, im) in other.num.items():
+            _accumulate(out, e, re * t, im * t)
+        return MultiPoly._of(self.arity, self.den * s, out)
+
+    def __add__(self, other: "MultiPoly") -> "MultiPoly":
+        return self._plus(other, 1)
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly(self.arity, {e: -c for e, c in self.terms.items()})
+        return self._times((-1, 0), self.den)
 
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __mul__(self, other) -> "MultiPoly":
-        if isinstance(other, (int, Fraction, GaussianRational)):
+        if not isinstance(other, MultiPoly):
             return self.scale(other)
         self._check_arity(other)
-        out: dict[Exponent, GaussianRational] = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                exp = tuple(i + j for i, j in zip(ea, eb))
-                s = out.get(exp, ZERO) + ca * cb
-                if s.is_zero():
-                    out.pop(exp, None)
-                else:
-                    out[exp] = s
-        return MultiPoly(self.arity, out)
+        out: dict[Exponent, GInt] = {}
+        for (ea, (ar, ai)), (eb, (br, bi)) in itertools.product(self.num.items(), other.num.items()):
+            _accumulate(out, tuple(map(add, ea, eb)), ar * br - ai * bi, ar * bi + ai * br)
+        return MultiPoly._of(self.arity, self.den * other.den, out)
 
     def __rmul__(self, other) -> "MultiPoly":
         return self.scale(other)
 
+    def _times(self, u: GInt, den: int) -> "MultiPoly":
+        """The polynomial with numerators num * u over den; u is nonzero."""
+        ur, ui = u
+        return MultiPoly._of(self.arity, den, {e: (re * ur - im * ui, re * ui + im * ur) for e, (re, im) in self.num.items()})
+
     def scale(self, c) -> "MultiPoly":
         c = c if isinstance(c, GaussianRational) else GaussianRational.coerce(c)
-        if c.is_zero():
-            return MultiPoly.zero(self.arity)
-        return MultiPoly(self.arity, {e: k * c for e, k in self.terms.items()})
+        den, (u,) = lift((c,))
+        return self._times(u, self.den * den) if c else MultiPoly.zero(self.arity)
 
     def __pow__(self, n: int) -> "MultiPoly":
         if n < 0:
@@ -184,13 +211,13 @@ class MultiPoly:
         return result
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, MultiPoly) and self.arity == other.arity and self.terms == other.terms
+        return isinstance(other, MultiPoly) and (self.arity, self.den, self.num) == (other.arity, other.den, other.num)
 
     def __hash__(self):
-        return hash((self.arity, frozenset(self.terms.items())))
+        return hash((self.arity, self.den, frozenset(self.num.items())))
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.num)
 
     def __repr__(self) -> str:
         from .textio import print_poly  # local import to avoid a cycle
@@ -203,29 +230,20 @@ class MultiPoly:
         """Formal partial derivative with respect to variable `var`."""
         if not 0 <= var < self.arity:
             raise ValueError(f"variable index {var} out of range for arity {self.arity}")
-        out: dict[Exponent, GaussianRational] = {}
-        for exp, c in self.terms.items():
+        out: dict[Exponent, GInt] = {}
+        for exp, (re, im) in self.num.items():
             e = exp[var]
-            if e == 0:
-                continue
-            new = list(exp)
-            new[var] = e - 1
-            out[tuple(new)] = c * e
-        return MultiPoly(self.arity, out)
+            if e:
+                out[exp[:var] + (e - 1,) + exp[var + 1 :]] = (re * e, im * e)
+        return MultiPoly._of(self.arity, self.den, out)
 
     def evaluate(self, point: Iterable) -> GaussianRational:
         """Exact evaluation at a point of GaussianRational coordinates."""
-        vals = [v if isinstance(v, GaussianRational) else GaussianRational.coerce(v) for v in point]
-        if len(vals) != self.arity:
+        d, ws = lift(point)
+        if len(ws) != self.arity:
             raise ValueError("point arity mismatch")
-        total = ZERO
-        for exp, c in self.terms.items():
-            term = c
-            for v, e in zip(vals, exp):
-                if e:
-                    term = term * v**e
-            total = total + term
-        return total
+        den, (value,) = _specialize(self, -1, ws, d)
+        return from_gint(value, den)
 
     def substitute(self, values: dict[int, "MultiPoly"]) -> "MultiPoly":
         """Substitute polynomials (same arity as the replacements) for variables.
@@ -242,15 +260,15 @@ class MultiPoly:
             if var not in values:
                 raise ValueError(f"missing substitution for variable {var}")
             powers[var] = [MultiPoly.constant(target_arity, 1)]
-        for exp, c in self.terms.items():
-            term = MultiPoly.constant(target_arity, c)
+        for exp, u in self.num.items():
+            term = powers[0][0]
             for var, e in enumerate(exp):
                 plist = powers[var]
                 while len(plist) <= e:
                     plist.append(plist[-1] * values[var])
                 if e:
                     term = term * plist[e]
-            result = result + term
+            result = result + term._times(u, term.den * self.den)
         return result
 
     def shift(self, point: Iterable) -> "MultiPoly":
@@ -262,10 +280,26 @@ class MultiPoly:
         return self.substitute(subs)
 
     def homogeneous_part(self, d: int) -> "MultiPoly":
-        return MultiPoly(self.arity, {e: c for e, c in self.terms.items() if sum(e) == d})
+        return MultiPoly._of(self.arity, self.den, {e: u for e, u in self.num.items() if sum(e) == d})
 
 
 # -- module-level operations ---------------------------------------------------
+
+
+def _specialize(p: MultiPoly, var: int, ws: list[GInt], d: int) -> tuple[int, list[GInt]]:
+    """p with each variable v but `var` set to ws[v] / d: (den, numerators of
+    the coefficients in `var`, low to high); var = -1 sets every variable."""
+    pows = [list(itertools.accumulate([w] * p.degree_in(v), gi_mul, initial=(1, 0))) for v, w in enumerate(ws)]
+    top = max((sum(e) - (e[var] if var >= 0 else 0) for e in p.num), default=0)
+    out = [(0, 0)] * (p.degree_in(var) + 1 if var >= 0 else 1)
+    for exp, u in p.num.items():
+        k = exp[var] if var >= 0 else 0
+        for v, e in enumerate(exp):
+            if e and v != var:
+                u = gi_mul(u, pows[v][e])
+        s = d ** (top - sum(exp) + k)
+        out[k] = (out[k][0] + u[0] * s, out[k][1] + u[1] * s)
+    return p.den * d**top, out
 
 
 def homogenize(f: MultiPoly, n: int) -> MultiPoly:
@@ -276,10 +310,7 @@ def homogenize(f: MultiPoly, n: int) -> MultiPoly:
         return MultiPoly.zero(3)
     if n < f.degree:
         raise ValueError(f"target degree {n} below deg f = {f.degree}")
-    out = {}
-    for (a, b), c in f.terms.items():
-        out[(a, b, n - a - b)] = c
-    return MultiPoly(3, out)
+    return MultiPoly._of(3, f.den, {(a, b, n - a - b): u for (a, b), u in f.num.items()})
 
 
 def dehomogenize(F: MultiPoly, var: int = 2) -> MultiPoly:
@@ -288,43 +319,34 @@ def dehomogenize(F: MultiPoly, var: int = 2) -> MultiPoly:
         raise ArityMismatch("dehomogenize expects a projective (arity-3) polynomial")
     if var not in (0, 1, 2):
         raise ValueError(f"no coordinate {var!r} in a projective polynomial")
-    out: dict[Exponent, GaussianRational] = {}
-    for exp, coeff in F.terms.items():
-        key = exp[:var] + exp[var + 1 :]
-        s = out.get(key, ZERO) + coeff
-        if s.is_zero():
-            out.pop(key, None)
-        else:
-            out[key] = s
-    return MultiPoly(2, out)
+    out: dict[Exponent, GInt] = {}
+    for exp, (re, im) in F.num.items():
+        _accumulate(out, exp[:var] + exp[var + 1 :], re, im)
+    return MultiPoly._of(2, F.den, out)
 
 
 def exact_divide(a: MultiPoly, b: MultiPoly) -> MultiPoly | None:
     """Return q with a = q*b exactly, or None when b does not divide a.
 
-    Leading-term division in graded-lex order; the quotient is verified by
-    re-multiplication before being returned.
+    Leading-term division in graded-lex order; with lb = g * l0 b's leading
+    numerator, 1 / lb = conj(l0) / (g |l0|^2), so every step is in integers.
     """
     if b.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
-    if a.is_zero():
-        return MultiPoly.zero(a.arity)
     a._check_arity(b)
-    lb_exp, lb_coeff = b.leading_term()
-    quotient: dict[Exponent, GaussianRational] = {}
-    rem = a
-    while not rem.is_zero():
-        lr_exp, lr_coeff = rem.leading_term()
-        qe = tuple(i - j for i, j in zip(lr_exp, lb_exp))
-        if any(e < 0 for e in qe):
+    lb_exp = max(b.num, key=_grlex_key)
+    br, bi = b.num[lb_exp]
+    g = gcd(br, bi)
+    w, n = (br // g * b.den, -bi // g * b.den), (br * br + bi * bi) // g
+    quotient, rem = MultiPoly.zero(a.arity), a
+    while rem:
+        lr_exp = max(rem.num, key=_grlex_key)
+        qe = tuple(map(sub, lr_exp, lb_exp))
+        if min(qe) < 0:
             return None
-        qc = lr_coeff / lb_coeff
-        quotient[qe] = quotient.get(qe, ZERO) + qc
-        rem = rem - MultiPoly.monomial(a.arity, qe, qc) * b
-    q = MultiPoly(a.arity, quotient)
-    if q * b != a:  # defensive: should be unreachable
-        return None
-    return q
+        term = MultiPoly._of(a.arity, rem.den * n, {qe: gi_mul(rem.num[lr_exp], w)})
+        quotient, rem = quotient + term, rem - term * b
+    return quotient
 
 
 def leading_form(f: MultiPoly) -> MultiPoly:
@@ -338,24 +360,20 @@ def leading_form(f: MultiPoly) -> MultiPoly:
 
 
 def _monic(f: MultiPoly) -> MultiPoly:
+    """f / lc(f): with lc's numerator L over g = gcd(re, im), f / lc = num * conj(L)/g over |L|^2/g."""
     if f.is_zero():
         return f
-    _, lc = f.leading_term()
-    return f.scale(lc.inverse())
+    re, im = f.num[max(f.num, key=_grlex_key)]
+    g = gcd(re, im)
+    return f._times((re // g, -im // g), (re * re + im * im) // g)
 
 
 def _coeffs_in(f: MultiPoly, var: int) -> dict[int, MultiPoly]:
     """View f as univariate in `var` with MultiPoly coefficients (same arity)."""
-    out: dict[int, MultiPoly] = {}
-    for exp, c in f.terms.items():
-        e = exp[var]
-        rest = list(exp)
-        rest[var] = 0
-        key = tuple(rest)
-        coeff = out.get(e)
-        block = MultiPoly(f.arity, {key: c})
-        out[e] = block if coeff is None else coeff + block
-    return {e: p for e, p in out.items() if not p.is_zero()}
+    blocks: dict[int, dict[Exponent, GInt]] = {}
+    for exp, u in f.num.items():
+        blocks.setdefault(exp[var], {})[exp[:var] + (0,) + exp[var + 1 :]] = u
+    return {e: MultiPoly._of(f.arity, f.den, block) for e, block in blocks.items()}
 
 
 def _content(f: MultiPoly, var: int) -> MultiPoly:
@@ -379,18 +397,14 @@ def _primitive_part(f: MultiPoly, var: int) -> MultiPoly:
 def _pseudo_rem(a: MultiPoly, b: MultiPoly, var: int) -> MultiPoly:
     """Pseudo-remainder of a by b in `var`: lc(b)^(da-db+1) * a mod b."""
     db = b.degree_in(var)
-    bc = _coeffs_in(b, var)
-    lb = bc[db]
-    unit = [0] * a.arity
-    unit[var] = 1
-    v = MultiPoly(a.arity, {tuple(unit): ONE})
+    lb = _coeffs_in(b, var)[db]
+    v = MultiPoly.variable(a.arity, var)
     r = a
     da = a.degree_in(var)
     steps = 0
     while not r.is_zero() and r.degree_in(var) >= db:
         dr = r.degree_in(var)
-        lr = _coeffs_in(r, var)[dr]
-        r = r * lb - b * lr * v ** (dr - db)
+        r = r * lb - b * (_coeffs_in(r, var)[dr] * v ** (dr - db))
         steps += 1
     # match the classical normalization lc(b)^(da-db+1) * a mod b exactly
     missing = (da - db + 1) - steps
@@ -401,48 +415,9 @@ def _pseudo_rem(a: MultiPoly, b: MultiPoly, var: int) -> MultiPoly:
 
 def _specialize_keeping(p: MultiPoly, var: int, point: list[GaussianRational]) -> list[GaussianRational]:
     """Coefficients in `var`, low to high, after substituting constants for every other variable."""
-    out = [ZERO] * (p.degree_in(var) + 1)
-    for exp, c in p.terms.items():
-        val = c
-        for v in range(p.arity):
-            if v != var and exp[v]:
-                val = val * point[v] ** exp[v]
-        out[exp[var]] = out[exp[var]] + val
-    return utrim(out)
-
-
-def _from_univariate(c: list[GaussianRational], var: int, arity: int) -> MultiPoly:
-    """The polynomial in `var` alone with coefficients c, low to high."""
-    exp = [0] * arity
-    terms: dict[Exponent, GaussianRational] = {}
-    for k, coeff in enumerate(c):
-        exp[var] = k
-        terms[tuple(exp)] = coeff
-    return MultiPoly(arity, terms)
-
-
-def _gaussian_integer_coeffs(f: MultiPoly, var: int) -> tuple[int, dict[int, list[tuple[Exponent, GInt]]]]:
-    """f scaled into Z[i] and viewed as univariate in var.
-
-    Returns (s, view): s is the lcm of f's denominators, and view maps each
-    degree in var to the terms (exponent, Z[i] coefficient) of s*f of that degree.
-    """
-    s = math.lcm(*(q.denominator for c in f.terms.values() for q in (c.re, c.im)))
-    view: dict[int, list[tuple[Exponent, GInt]]] = {}
-    for exp, c in f.terms.items():
-        coeff = (c.re.numerator * (s // c.re.denominator), c.im.numerator * (s // c.im.denominator))
-        view.setdefault(exp[var], []).append((exp, coeff))
-    return s, view
-
-
-def _gi_value(terms: list[tuple[Exponent, GInt]], point: list[int]) -> GInt:
-    """The sum of the Z[i] terms at an integer point."""
-    re = im = 0
-    for exp, (cr, ci) in terms:
-        m = math.prod(t**k for t, k in zip(point, exp))
-        re += cr * m
-        im += ci * m
-    return re, im
+    d, ws = lift(point)
+    den, nums = _specialize(p, var, ws, d)
+    return utrim([from_gint(u, den) for u in nums])
 
 
 def _coprimality_fast_path(pa: MultiPoly, pb: MultiPoly, var: int) -> bool:
@@ -454,17 +429,13 @@ def _coprimality_fast_path(pa: MultiPoly, pb: MultiPoly, var: int) -> bool:
     means a trivial gcd.  False means "unknown".
     """
     others = [v for v in range(pa.arity) if v != var]
-    views = [_gaussian_integer_coeffs(p, var)[1] for p in (pa, pb)]
     for trial in range(8):
-        point = [1] * pa.arity  # var's own exponent then contributes a factor 1
+        point = [(0, 0)] * pa.arity
         for idx, v in enumerate(others):
-            point[v] = trial + idx + (1 if trial else 0)
-        # nonzero integer multiples of the specialisations: the same gcd
-        sa, sb = (
-            [GaussianRational(*_gi_value(view.get(e, []), point)) for e in range(max(view) + 1)]
-            for view in views
-        )
-        if not sa[-1].is_zero() and not sb[-1].is_zero() and coprime_mod_p(sa, sb):
+            point[v] = (trial + idx + (1 if trial else 0), 0)
+        # numerators of the specialisations, nonzero integer multiples of them: the same gcd
+        sa, sb = ([from_gint(u) for u in _specialize(p, var, point, 1)[1]] for p in (pa, pb))
+        if sa[-1] and sb[-1] and coprime_mod_p(sa, sb):
             return True
     return False
 
@@ -508,17 +479,15 @@ def _homogeneous_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     Stripping the Z-power and dehomogenizing is factor-bijective for
     Z-coprime homogeneous polynomials, so the bivariate gcd lifts back.
     """
-    ka = min(e[2] for e in a.terms)
-    kb = min(e[2] for e in b.terms)
-    za = {(x, y, z - ka): c for (x, y, z), c in a.terms.items()}
-    zb = {(x, y, z - kb): c for (x, y, z), c in b.terms.items()}
-    a2 = dehomogenize(MultiPoly(3, za))
-    b2 = dehomogenize(MultiPoly(3, zb))
+    ka = min(e[2] for e in a.num)
+    kb = min(e[2] for e in b.num)
+    a2 = dehomogenize(MultiPoly._of(3, a.den, {(x, y, z - ka): u for (x, y, z), u in a.num.items()}))
+    b2 = dehomogenize(MultiPoly._of(3, b.den, {(x, y, z - kb): u for (x, y, z), u in b.num.items()}))
     g2 = poly_gcd(a2, b2)
-    lifted = homogenize(g2, int(g2.degree)) if not g2.is_constant() else MultiPoly.constant(3, ONE)
+    lifted = homogenize(g2, int(g2.degree)) if not g2.is_constant() else MultiPoly.constant(3, 1)
     k = min(ka, kb)
     if k:
-        lifted = lifted * MultiPoly.monomial(3, (0, 0, k), ONE)
+        lifted = lifted * MultiPoly.monomial(3, (0, 0, k), 1)
     return _monic(lifted)
 
 
@@ -540,8 +509,8 @@ def poly_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
         return MultiPoly.constant(a.arity, 1)
     if all(max(a.degree_in(v), b.degree_in(v)) == 0 for v in range(a.arity) if v != var):
         # no other variable occurs, so there is nothing to substitute
-        g = ugcd(_specialize_keeping(a, var, []), _specialize_keeping(b, var, []))
-        return _from_univariate(g, var, a.arity)
+        g = ugcd(_specialize_keeping(a, var, [ZERO] * a.arity), _specialize_keeping(b, var, [ZERO] * a.arity))
+        return MultiPoly(a.arity, {tuple(k if v == var else 0 for v in range(a.arity)): c for k, c in enumerate(g)})
     if a.degree_in(var) == 0 or b.degree_in(var) == 0:
         # one input lives entirely in the other variables
         thin, thick = (a, b) if a.degree_in(var) == 0 else (b, a)
@@ -639,10 +608,10 @@ def _interpolate_grid(values: dict[tuple[int, ...], int], sizes: list[int]) -> d
 def resultant(a: MultiPoly, b: MultiPoly, var: int) -> MultiPoly:
     """Resultant of a and b with respect to `var`; a polynomial in the others.
 
-    Collins' evaluation method without primes: with a and b scaled into
-    Z[i] by sa and sb, the Sylvester determinant is taken by integer Bareiss
-    at every point of a grid of integers in the other variables, one point
-    more per variable than a bound on the resultant's degree in it, and
+    Collins' evaluation method without primes: the Sylvester determinant of
+    the numerators sa*a and sb*b (sa, sb the denominators) is taken by integer
+    Bareiss at every point of a grid of integers in the other variables, one
+    point more per variable than a bound on the resultant's degree in it, and
     interpolated exactly.  Evaluation commutes with the determinant, so a
     leading coefficient that vanishes at a grid point does no harm.  The
     result is Res(sa*a, sb*b) / (sa^deg_var(b) * sb^deg_var(a)).
@@ -659,8 +628,6 @@ def resultant(a: MultiPoly, b: MultiPoly, var: int) -> MultiPoly:
         return a**db
     if db == 0:
         return b**da
-    sa, va = _gaussian_integer_coeffs(a, var)
-    sb, vb = _gaussian_integer_coeffs(b, var)
     others = [v for v in range(a.arity) if v != var]
     # A Sylvester entry a_e has total degree at most deg(a) - e, which bounds
     # the resultant's total degree by db*deg(a) + da*deg(b) - da*db.
@@ -669,28 +636,28 @@ def resultant(a: MultiPoly, b: MultiPoly, var: int) -> MultiPoly:
     n = da + db
     dets: dict[tuple[int, ...], GInt] = {}
     for point in itertools.product(*(range(size) for size in sizes)):
-        full = [1] * a.arity  # var's own exponent then contributes a factor 1
+        full = [(0, 0)] * a.arity
         for v, t in zip(others, point):
-            full[v] = t
+            full[v] = (t, 0)
         rows = []
-        for view, width, count in ((va, da, db), (vb, db, da)):
-            entries = {e: _gi_value(terms, full) for e, terms in view.items()}
+        for p, width, count in ((a, da, db), (b, db, da)):
+            entries = _specialize(p, var, full, 1)[1]
             for i in range(count):
                 row = [(0, 0)] * n
-                for e, c in entries.items():
+                for e, c in enumerate(entries):
                     row[i + width - e] = c
                 rows.append(row)
         dets[point] = _gi_det(rows)
     re = _interpolate_grid({p: d[0] for p, d in dets.items()}, sizes)
     im = _interpolate_grid({p: d[1] for p, d in dets.items()}, sizes)
-    scale = sa**db * sb**da
-    terms: dict[Exponent, GaussianRational] = {}
+    num: dict[Exponent, GInt] = {}
     for point, r in re.items():
         exp = [0] * a.arity
         for v, k in zip(others, point):
             exp[v] = k
-        terms[tuple(exp)] = GaussianRational(Fraction(r, scale), Fraction(im[point], scale))
-    return MultiPoly(a.arity, terms)
+        if r or im[point]:
+            num[tuple(exp)] = (r, im[point])
+    return MultiPoly._of(a.arity, a.den**db * b.den**da, num)
 
 
 # -- small construction helpers ----------------------------------------------

@@ -103,7 +103,7 @@ class _IntPoly:
 
     Lattice x_i = (ax + i*sx)/dx, y_j = (ay + j*sy)/dy.  The stored value at
     a node is f * lcm * dx^degx * dy^degy, an integer whose sign equals
-    sign(f).
+    sign(f); lcm is f's denominator and the terms are its numerators.
     """
 
     def __init__(self, f: MultiPoly):
@@ -111,14 +111,10 @@ class _IntPoly:
             raise PreconditionError("expected an affine curve")
         if not f.has_real_coefficients():
             raise PreconditionError("real coefficients required")
-        self.degx = max((e[0] for e in f.terms), default=0)
-        self.degy = max((e[1] for e in f.terms), default=0)
-        lcm = 1
-        for c in f.terms.values():
-            d = c.re.denominator
-            lcm = lcm * d // math.gcd(lcm, d)
-        self.terms = [(a, b, int(c.re * lcm)) for (a, b), c in f.terms.items()]
-        self.lcm = lcm
+        self.degx = max(f.degree_in(0), 0)
+        self.degy = max(f.degree_in(1), 0)
+        self.terms = [(a, b, c) for (a, b), (c, _) in f.num.items()]
+        self.lcm = f.den
 
     def transposed(self) -> "_IntPoly":
         """The same scaled polynomial with x and y exchanged, so its rows are
@@ -687,51 +683,41 @@ def _horner_with_gradient(f: MultiPoly) -> tuple[Callable, Callable, Callable]:
     return _horner(f), _horner(f.partial(0)), _horner(f.partial(1))
 
 
-_NEWTON_TOL = 1e-13  # newton_project's defaults, which _project_all always uses
+_NEWTON_TOL = 1e-13
 _NEWTON_ITER = 60
 
 
 def newton_project(f: MultiPoly, pt, tol: float = _NEWTON_TOL, max_iter: int = _NEWTON_ITER):
     """Project a point onto f = 0 along the gradient; None when it fails."""
-    ev, gx, gy = _horner_with_gradient(f)
-    x, y = float(pt[0]), float(pt[1])
-    for _ in range(max_iter):
-        v = ev(x, y)
-        dx, dy = gx(x, y), gy(x, y)
-        g2 = dx * dx + dy * dy
-        if g2 < 1e-24:
-            return None
-        if abs(v) <= tol * max(1.0, math.sqrt(g2)):
-            return (x, y)
-        x -= v * dx / g2
-        y -= v * dy / g2
-    return None
+    out, ok = _project_all(_horner_with_gradient(f), np.array([pt], dtype=np.float64), tol, max_iter)
+    return (float(out[0, 0]), float(out[0, 1])) if ok[0] else None
 
 
-def _project_all(evaluators, seeds: np.ndarray) -> np.ndarray:
-    """`newton_project` with its default tolerance and cap on every row of an
-    (n, 2) array at once, with its per-point rules and arithmetic; a point
-    whose projection fails keeps its seed."""
+def _project_all(evaluators, seeds: np.ndarray, tol: float = _NEWTON_TOL, max_iter: int = _NEWTON_ITER):
+    """`newton_project` on every row of an (n, 2) array at once, with the bits
+    of a scalar float loop (IEEE float64 throughout): (points, converged);
+    a row that fails (squared gradient below 1e-24) keeps its seed."""
     ev, gx, gy = evaluators
-    out = seeds.copy()
+    out, ok = seeds.copy(), np.zeros(len(seeds), dtype=bool)
     live = np.arange(len(seeds))  # rows still iterating
     x, y = seeds[:, 0], seeds[:, 1]
     with np.errstate(all="ignore"):  # NaN and inf follow the scalar rules, silently
-        for _ in range(_NEWTON_ITER):
+        for _ in range(max_iter):
             if not live.size:
                 break
             v = ev(x, y)
             dx, dy = gx(x, y), gy(x, y)
             g2 = dx * dx + dy * dy
             going = ~(g2 < 1e-24)
-            done = going & (np.abs(v) <= _NEWTON_TOL * np.fmax(1.0, np.sqrt(g2)))
+            done = going & (np.abs(v) <= tol * np.fmax(1.0, np.sqrt(g2)))
             out[live[done], 0] = x[done]
             out[live[done], 1] = y[done]
+            ok[live[done]] = True
             keep = going & ~done
             live, v, dx, dy, g2 = live[keep], v[keep], dx[keep], dy[keep], g2[keep]
             x = x[keep] - v * dx / g2
             y = y[keep] - v * dy / g2
-    return out
+    return out, ok
 
 
 def trace_oval(
@@ -746,11 +732,11 @@ def trace_oval(
     Every vertex satisfies |f| < tol * |grad f|; the polyline closes exactly
     (last vertex = first).  Raises on singular approach or failure to close.
     """
-    ev, gx, gy = _horner_with_gradient(f)
-    start = newton_project(f, seed, tol)
-    if start is None:
+    ev, gx, gy = evaluators = _horner_with_gradient(f)
+    out, ok = _project_all(evaluators, np.array([seed], dtype=np.float64), tol)
+    if not ok[0]:
         raise PreconditionError("seed failed to project onto the curve")
-    x, y = start
+    x, y = start = float(out[0, 0]), float(out[0, 1])
     pts = [(x, y)]
     h = spacing
     for step in range(max_steps):
@@ -794,5 +780,5 @@ def refine_polyline(f: MultiPoly, pts) -> np.ndarray:
     pts = np.asarray(pts, dtype=np.float64)
     out = np.empty((2 * len(pts) - 1, 2))
     out[0::2] = pts
-    out[1::2] = _project_all(_horner_with_gradient(f), 0.5 * (pts[:-1] + pts[1:]))
+    out[1::2] = _project_all(_horner_with_gradient(f), 0.5 * (pts[:-1] + pts[1:]))[0]
     return out

@@ -284,13 +284,7 @@ def infinite_singularities(form: ProjectiveOneForm) -> Enumeration:
 
 
 def _chart_field(field: AffineVectorField, chart: str) -> tuple[MultiPoly, MultiPoly]:
-    if chart == CHART_Z:
-        # an affine field's components may share a factor (its one-form is
-        # then not reduced): divide it out to get isolated zeros
-        a, b = field.component_x, field.component_y
-        g = poly_gcd(a, b)
-        return (a, b) if g.is_constant() else (exact_divide(a, g), exact_divide(b, g))
-    return field.one_form.chart_components(chart)
+    return field.reduced_components if chart == CHART_Z else field.one_form.chart_components(chart)
 
 
 def classify_dicritical(field: AffineVectorField, point: ProjectivePoint) -> SingularityRecord:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import RootSearchOverflow
-from .gaussian import GaussianRational, ONE, ZERO, gr
+from .gaussian import GInt, GaussianRational, ONE, ZERO, from_gint, gr, lift
 
 Coeffs = list[GaussianRational]  # index = power, low to high
 
@@ -195,9 +195,6 @@ def deflate(c: Coeffs, root: GaussianRational) -> Coeffs:
 
 
 # -- Gaussian integer arithmetic ----------------------------------------------
-
-GInt = tuple[int, int]  # a + b*i
-
 
 def gi_mul(u: GInt, v: GInt) -> GInt:
     return (u[0] * v[0] - u[1] * v[1], u[0] * v[1] + u[1] * v[0])
@@ -445,8 +442,7 @@ class RootReport:
 
 def _to_gauss_integers(c: Coeffs) -> list[GInt]:
     """c times the lcm of its denominators, divided by its Z[i] content."""
-    den = math.lcm(*(q.denominator for a in c for q in (a.re, a.im)))
-    ints = [(a.re.numerator * (den // a.re.denominator), a.im.numerator * (den // a.im.denominator)) for a in c]
+    ints = lift(c)[1]
     g: GInt = (0, 0)
     for u in ints:
         if u != (0, 0):
@@ -496,9 +492,7 @@ def _gi_vanishes(ints: list[GInt], p: GInt, q: GInt) -> bool:
 
 def _as_gaussian_rational(p: GInt, q: GInt) -> GaussianRational:
     """p / q as p * conj(q) / |q|^2."""
-    qn = gi_norm(q)
-    num = gi_mul(p, (q[0], -q[1]))
-    return GaussianRational(Fraction(num[0], qn), Fraction(num[1], qn))
+    return from_gint(gi_mul(p, (q[0], -q[1])), gi_norm(q))
 
 
 def qi_roots(c: Coeffs) -> RootReport:
@@ -616,8 +610,7 @@ def sturm_counter(c: RCoeffs) -> Callable[[Fraction | None, Fraction | None], in
     c = utrim(list(c))
     if len(c) <= 1:
         return lambda lo=None, hi=None: 0
-    lcm = math.lcm(*(q.denominator for q in c))
-    chain = _int_sturm_chain([q.numerator * (lcm // q.denominator) for q in c])
+    chain = _int_sturm_chain([re for re, _ in lift(c)[1]])
     g = chain[-1]
     if len(g) > 1:
         # c has multiple roots and g = gcd(c, c') up to a positive constant:

@@ -1,5 +1,11 @@
+import itertools
+import math
+import random
+from fractions import Fraction
+
 import pytest
 
+from conftest import random_poly
 from foltools.branches import (
     branch_multiplicity,
     corollary2_check,
@@ -11,9 +17,9 @@ from foltools.branches import (
 from foltools.construct import gallery
 from foltools.errors import PreconditionError, UncertifiedResult, UnsupportedBranch
 from foltools.fields import AffineVectorField
-from foltools.gaussian import gr
+from foltools.gaussian import ZERO, gr
 from foltools.polyring import affine_vars, const2
-from foltools.series import compose_poly
+from foltools.series import PowerSeries, compose_poly
 from foltools.singularities import ProjectivePoint, is_nodal
 from foltools.textio import parse_poly
 
@@ -212,3 +218,91 @@ def test_truncation_env_override(monkeypatch):
     assert default_truncation(4, 3) == 17
     monkeypatch.delenv("FOLTOOLS_TRUNCATION")
     assert default_truncation(4, 3) == 2 * 6 * 3
+
+
+# -- the integer series store against GaussianRational arithmetic on `coeffs` --
+
+
+def _ref_mul(a, b):
+    n = min(len(a), len(b))
+    return [sum((a[i] * b[k - i] for i in range(k + 1)), ZERO) for k in range(n)]
+
+
+def _ref_divide(a, b):
+    v = next((k for k, c in enumerate(b) if c), None)
+    if v is None or any(a[:v]):
+        return None
+    a, b = a[v:], b[v:]
+    out = []
+    for k in range(min(len(a), len(b))):
+        out.append((a[k] - sum((out[j] * b[k - j] for j in range(k)), ZERO)) / b[0])
+    return out or None
+
+
+def _assert_canonical_series(s):
+    assert s.den > 0
+    assert math.gcd(s.den, *itertools.chain.from_iterable(s.num)) == 1
+    assert s.coeffs == tuple(gr(Fraction(re, s.den), Fraction(im, s.den)) for re, im in s.num)
+
+
+def _mixed(rng):
+    def part():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 6)) if rng.random() < 0.8 else Fraction(0)
+
+    return gr(part(), part() if rng.random() < 0.5 else 0)
+
+
+def _series(rng, order=0):
+    n = rng.randint(order, 7)
+    return PowerSeries.from_list([ZERO] * order + [_mixed(rng) for _ in range(n + 1 - order)], n)
+
+
+def test_integer_series_store_matches_gaussian_rational_arithmetic():
+    rng = random.Random(5150)
+    for _ in range(150):
+        a, b = _series(rng), _series(rng, rng.randint(0, 2))
+        ca, cb = list(a.coeffs), list(b.coeffs)
+        n = min(len(ca), len(cb))
+        c = _mixed(rng) or gr(3, -1)
+        results = {
+            "add": (a + b, [u + v for u, v in zip(ca, cb)]),
+            "sub": (a - b, [u - v for u, v in zip(ca, cb)]),
+            "neg": (-a, [-u for u in ca]),
+            "mul": (a * b, _ref_mul(ca, cb)),
+            "scale": (a.scale(c), [u * c for u in ca]),
+            "truncate": (a.truncate(2), ca[:3]),
+            "shift_constant": (a.shift_constant(c), [ca[0] + c] + ca[1:]),
+            "derivative": (a.derivative(), [u * k for k, u in enumerate(ca) if k] or [ZERO]),
+            "divide": (a.divide(b), _ref_divide(ca, cb)),
+            "divide_shifted": ((a * b).divide(b), _ref_divide(_ref_mul(ca, cb), cb)),
+        }
+        for name, (got, want) in results.items():
+            if want is None:
+                assert got is None, name
+                continue
+            _assert_canonical_series(got)
+            assert list(got.coeffs) == want, name
+            assert got.truncation == len(want) - 1, name
+        assert (a + b).truncation == n - 1
+        assert a.derivative().truncation == max(a.truncation - 1, 0)
+        v = b.order()
+        if v is not None and v <= a.truncation and not any(ca[:v]):
+            assert a.divide(b).truncation == min(a.truncation, b.truncation) - v
+        f = random_poly(rng, max_degree=3, max_terms=5, complex_prob=0.5)
+        phi1, phi2 = _series(rng), _series(rng)
+        m = min(phi1.truncation, phi2.truncation)
+        want = [ZERO] * (m + 1)
+        for (i, j), coeff in f.terms.items():
+            term = [coeff] + [ZERO] * m
+            for _ in range(i):
+                term = _ref_mul(term, list(phi1.coeffs))
+            for _ in range(j):
+                term = _ref_mul(term, list(phi2.coeffs))
+            want = [u + w for u, w in zip(want, term)]
+        composed = compose_poly(f, phi1, phi2)
+        _assert_canonical_series(composed)
+        assert list(composed.coeffs) == want
+        # one value, two routes: equal and with one hash
+        same = a.scale(c).scale(c.inverse())
+        assert same == a and hash(same) == hash(a)
+        assert PowerSeries(tuple(ca)) == a

@@ -299,6 +299,22 @@ def test_resolution_below_two_is_a_usage_error(eee_doc, res, capsys):
     assert "resolution must be at least 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n", ["0", "1", "-3"])
+def test_truncation_below_two_is_a_usage_error(eee_doc, n, capsys):
+    argv = ["multiplicity", eee_doc, "--field", "eee", "--curve", "circle", "--point", "1,0", f"--truncation={n}"]
+    assert run(argv) == 2
+    assert "truncation must be at least 2" in capsys.readouterr().err
+    assert run(argv[:-1] + ["--truncation=2"]) == 0
+
+
+def test_non_integer_truncation_variable_is_a_usage_error(eee_doc, monkeypatch, capsys):
+    monkeypatch.setenv("FOLTOOLS_TRUNCATION", "abc")
+    assert run(["multiplicity", eee_doc, "--field", "eee", "--curve", "circle", "--point", "1,0"]) == 2
+    assert "FOLTOOLS_TRUNCATION must be an integer" in capsys.readouterr().err
+    assert run(["euler-check", eee_doc, "--field", "eee", "--curve", "circle", "--chi", "0"]) == 2
+    assert "FOLTOOLS_TRUNCATION must be an integer" in capsys.readouterr().err
+
+
 EEE_ARGS = ["construct", "eee", "--g", "x^2 + y^2 - 1", "--h", "x - 2"]
 POINT_ARGS = ["multiplicity", "EX1", "--field", "example1", "--curve", "line"]
 CERTIFY_ARGS = ["certify", "EEE", "--field", "eee", "--curve", "circle", "--res", "8"]

@@ -1,18 +1,23 @@
+import itertools
+import math
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
 from conftest import random_poly
 from foltools import polyring
 from foltools.errors import ArityMismatch
-from foltools.gaussian import gr
+from foltools.gaussian import ZERO, GaussianRational, gr
 from foltools.polyring import (
     MINUS_INFINITY,
     MultiPoly,
     _coeffs_in,
     _coprimality_fast_path,
     _primitive_part,
+    _pseudo_rem,
+    _specialize_keeping,
     _subresultant_gcd,
     affine_vars,
     const2,
@@ -26,6 +31,7 @@ from foltools.polyring import (
     resultant,
 )
 from foltools.textio import parse_poly, print_poly
+from foltools.uniroots import utrim
 
 x, y = affine_vars()
 X, Y, Z = projective_vars()
@@ -318,3 +324,120 @@ def test_print_canonical():
     circle = x**2 + y**2 - const2(1)
     assert print_poly(circle) == "x^2 + y^2 - 1"
     assert print_poly(MultiPoly.zero(2)) == "0"
+
+
+# -- the integer store against GaussianRational arithmetic on the `terms` views --
+
+
+def _ref_sum(*maps):
+    out = {}
+    for m in maps:
+        for e, c in m.items():
+            out[e] = out.get(e, ZERO) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def _ref_mul(a, b):
+    out = {}
+    for (ea, ca), (eb, cb) in itertools.product(a.items(), b.items()):
+        e = tuple(i + j for i, j in zip(ea, eb))
+        out[e] = out.get(e, ZERO) + ca * cb
+    return {e: c for e, c in out.items() if c}
+
+
+def _ref_eval(terms, point):
+    total = ZERO
+    for exp, c in terms.items():
+        for v, e in zip(point, exp):
+            c = c * v**e
+        total = total + c
+    return total
+
+
+def _assert_canonical(p):
+    assert p.den > 0
+    assert math.gcd(p.den, *itertools.chain.from_iterable(p.num.values())) == 1
+    assert (0, 0) not in p.num.values()
+    assert dict(p.terms) == {e: GaussianRational(Fraction(re, p.den), Fraction(im, p.den)) for e, (re, im) in p.num.items()}
+
+
+def _mixed_poly(rng, arity=2, max_degree=3):
+    """Random coefficients with denominators up to 4 and imaginary parts half the time."""
+    return random_poly(rng, arity, max_degree=max_degree, max_terms=5, complex_prob=0.5)
+
+
+def _mixed_coeff(rng):
+    c = gr(Fraction(rng.randint(-9, 9), rng.randint(1, 6)), Fraction(rng.randint(-9, 9), rng.randint(1, 6)))
+    return c if c else gr(1)
+
+
+def test_integer_store_matches_gaussian_rational_arithmetic():
+    rng = random.Random(7321)
+    for _ in range(120):
+        arity = rng.choice((2, 3))
+        a, b = _mixed_poly(rng, arity), _mixed_poly(rng, arity)
+        ta, tb = dict(a.terms), dict(b.terms)
+        c = _mixed_coeff(rng)
+        neg = {e: -v for e, v in tb.items()}
+        results = {
+            "add": (a + b, _ref_sum(ta, tb)),
+            "sub": (a - b, _ref_sum(ta, neg)),
+            "neg": (-b, neg),
+            "mul": (a * b, _ref_mul(ta, tb)),
+            "scale": (a.scale(c), {e: v * c for e, v in ta.items()}),
+            "pow": (a**3, _ref_mul(_ref_mul(ta, ta), ta)),
+            "homogeneous_part": (a.homogeneous_part(2), {e: v for e, v in ta.items() if sum(e) == 2}),
+        }
+        for var in range(arity):
+            results[f"partial{var}"] = (a.partial(var), {e[:var] + (e[var] - 1,) + e[var + 1 :]: v * e[var] for e, v in ta.items() if e[var]})
+            results[f"coeffs_in{var}"] = (
+                {k: dict(p.terms) for k, p in _coeffs_in(a, var).items()},
+                {k: {e[:var] + (0,) + e[var + 1 :]: v for e, v in ta.items() if e[var] == k} for k in {e[var] for e in ta}},
+            )
+        if arity == 2:
+            n = int(max(a.degree, 0)) + rng.randint(0, 2)
+            results["homogenize"] = (homogenize(a, n), {(i, j, n - i - j): v for (i, j), v in ta.items()})
+        else:
+            var = rng.randint(0, 2)
+            results["dehomogenize"] = (dehomogenize(a, var), _ref_sum(*({e[:var] + e[var + 1 :]: v} for e, v in ta.items())))
+        for name, (got, want) in results.items():
+            if isinstance(got, MultiPoly):
+                _assert_canonical(got)
+                got = dict(got.terms)
+            assert got == want, name
+        point = [_mixed_coeff(rng) for _ in range(arity)]
+        assert a.evaluate(point) == _ref_eval(ta, point)
+        for var in range(arity):
+            want = [ZERO] * (a.degree_in(var) + 1)
+            for e, v in ta.items():
+                want[e[var]] += _ref_eval({e[:var] + (0,) + e[var + 1 :]: v}, point)
+            assert _specialize_keeping(a, var, point) == utrim(want)
+        assert a.shift(point).evaluate(point) == _ref_eval(ta, [2 * v for v in point])
+        subs = {v: _mixed_poly(rng, 2, 2) for v in range(arity)}
+        substituted = a.substitute(subs)
+        _assert_canonical(substituted)
+        at = [_mixed_coeff(rng), _mixed_coeff(rng)]
+        assert substituted.evaluate(at) == _ref_eval(ta, [s.evaluate(at) for s in subs.values()])
+
+
+def test_integer_store_division_and_remainders():
+    rng = random.Random(9043)
+    for _ in range(80):
+        a = _mixed_poly(rng)
+        b = _mixed_poly(rng) or const2(gr(2, 1))
+        product = a * b
+        q = exact_divide(product, b)
+        _assert_canonical(q)
+        assert q == a and hash(q) == hash(a)  # equal values built by different routes
+        assert dict((q * b).terms) == _ref_mul(dict(q.terms), dict(b.terms))
+        if not b.is_constant():
+            assert exact_divide(product + const2(_mixed_coeff(rng)), b) is None
+        if a.degree_in(1) >= b.degree_in(1) >= 1:
+            r = _pseudo_rem(a, b, 1)
+            _assert_canonical(r)
+            assert r.degree_in(1) < b.degree_in(1)
+            lead = _coeffs_in(b, 1)[b.degree_in(1)]
+            assert exact_divide(a * lead ** (a.degree_in(1) - b.degree_in(1) + 1) - r, b) is not None
+        c = _mixed_coeff(rng)
+        assert a.scale(c).scale(c.inverse()) == a
+        assert hash((a + b) - b) == hash(a)

@@ -221,6 +221,40 @@ def test_horner_preconditions():
     assert _horner(MultiPoly.zero(2))(-1.5, 2.0) == 0.0
 
 
+def _scalar_newton(f, pt, tol=1e-13, max_iter=60):
+    """Newton projection by a scalar loop over Python floats: the reference
+    for the batched projection behind `newton_project`."""
+    ev, gx, gy = _horner(f), _horner(f.partial(0)), _horner(f.partial(1))
+    px, py = float(pt[0]), float(pt[1])
+    for _ in range(max_iter):
+        v = ev(px, py)
+        dx, dy = gx(px, py), gy(px, py)
+        g2 = dx * dx + dy * dy
+        if g2 < 1e-24:
+            return None
+        if abs(v) <= tol * max(1.0, math.sqrt(g2)):
+            return (px, py)
+        px -= v * dx / g2
+        py -= v * dy / g2
+    return None
+
+
+def test_newton_project_matches_the_scalar_loop():
+    rng = random.Random(5)
+    seeds = [(1e-13, 0.0), (0.0, 0.0), (2.0**55, 0.0), (2.0**56, 0.0), (1e9, 1e9), (float("nan"), 0.0), (1e200, 1e200)]
+    seeds += [(rng.uniform(-4, 4), rng.uniform(-4, 4)) for _ in range(30)]
+    small = circle.scale(gr(Fraction(1, 1000)))
+    product = (x**2 + const2(2) * y**2 - const2(1)) * (x**2 + y**2 - const2(9))
+    for f in (small, product):
+        for tol, max_iter in ((1e-13, 60), (1e-12, 59), (1e-13, 61)):
+            for seed in seeds:
+                got, want = newton_project(f, seed, tol, max_iter), _scalar_newton(f, seed, tol, max_iter)
+                assert (got is None) == (want is None), seed
+                if got is not None:
+                    assert all(type(c) is float for c in got)
+                    assert np.array_equal(np.array(got).view(np.int64), np.array(want).view(np.int64)), seed
+
+
 def test_refine_polyline_matches_scalar_newton():
     # the batched projection keeps newton_project's per-point rules, so every
     # midpoint gets the same bits as a scalar projection, or stays as it is

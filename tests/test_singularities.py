@@ -226,3 +226,23 @@ def test_affine_field_with_a_common_factor_is_reduced_in_its_chart():
     assert (record.verdict, record.verdict_reason) == (Verdict.DICRITICAL, "star-node")
     (branch,) = local_branches(y, ProjectivePoint.affine(0, 0), 6)
     assert branch_multiplicity(field, branch) == (0, True)
+
+
+def test_chart_field_gcd_runs_once_per_field(monkeypatch):
+    from foltools import fields
+
+    calls = []
+    gcd = fields.poly_gcd
+
+    def spy(a, b):
+        calls.append((a, b))
+        return gcd(a, b)
+
+    monkeypatch.setattr(fields, "poly_gcd", spy)
+    # x*(x^2 - 1), x*y share the factor x: the Z-chart field is (x^2 - 1, y)
+    field = AffineVectorField.make(x * (x**2 - const2(1)), x * y)
+    for px in (1, -1, 1):
+        assert classify_dicritical(field, ProjectivePoint.affine(px, 0)).chart == "z"
+    components = (field.component_x, field.component_y)
+    assert sum(pair == components for pair in calls) == 1
+    assert field.component_x is components[0] and field.component_y is components[1]
