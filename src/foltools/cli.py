@@ -9,6 +9,7 @@ Machine-readable JSON accompanies human output on 0 and 1 (--json / --report).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -856,10 +857,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing reads it and never changes it."""
+    return build_parser()
+
+
 def run(argv: list[str]) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:

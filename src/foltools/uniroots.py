@@ -7,11 +7,16 @@ the residual count.
 
 Rational-root candidates p/q are tested on Gaussian integers: with the
 coefficients c_k scaled into Z[i], p/q is a root exactly when
-sum c_k p^k q^(n-k) = 0.  Gcds over Q(i), and with them squarefree parts
-and coprimality, are modular: images modulo primes P = 1 (mod 4), with i
-mapped to a square root of -1 mod P, are combined and rebuilt, and the
-result is returned only once exact division has verified it.  Sturm chains
-are built and evaluated in integers.
+sum c_k p^k q^(n-k) = 0.  That sum is first taken modulo the prime _P with
+i mapped to a square root of -1, over blocks of the whole candidate grid
+in int64 numpy arithmetic; a nonzero image proves p/q is not a root, and
+only the survivors get the exact test, in the order of the full
+enumeration.  Gcds over Q(i), and
+with them squarefree parts and coprimality, are modular: images modulo
+primes P = 1 (mod 4), with i mapped to a square root of -1 mod P, are
+combined and rebuilt, and the result is returned only once exact division
+in Z[i][x] has verified it.  Sturm chains are built and evaluated in
+integers.
 """
 
 from __future__ import annotations
@@ -22,6 +27,8 @@ from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import RootSearchOverflow
 from .gaussian import GInt, GaussianRational, ONE, ZERO, from_gint, gr, lift
 
@@ -29,6 +36,7 @@ Coeffs = list[GaussianRational]  # index = power, low to high
 
 _FACTOR_DIGIT_CAP = 10**40  # norms beyond this abort rather than risk unsound output
 _CANDIDATE_CAP = 200_000
+_GRID_BLOCK = 2**15  # candidates per block of the mod-_P filter
 
 
 # -- coefficient lists over a field --------------------------------------------
@@ -93,19 +101,22 @@ def ugcd(a: Coeffs, b: Coeffs) -> Coeffs:
     """Monic gcd over Q(i) (empty when both are zero), from images modulo primes.
 
     Brown's modular gcd with the answer recovered by rational reconstruction
-    and verified by trial division.  a and b are scaled into Z[i][x] and
-    mapped to F_p[x] for primes p = 1 (mod 4) under both embeddings i -> iota
-    and i -> -iota, iota^2 = -1 (mod p).  A prime where either leading
-    coefficient vanishes is skipped; at any other, the gcd G over Q(i) maps
-    to a divisor of each image gcd (see `coprime_mod_p`), so an image of
-    degree 0 proves a and b coprime, and images of one degree d >= deg G
-    give G's real and imaginary parts u, v mod p as (g+ + g-)/2 and
-    (g+ - g-)/(2 iota) whenever d = deg G.  Only the images of least degree
-    are kept.  Their CRT combination is rebuilt coefficientwise into a monic
-    candidate H of degree d, returned only if it divides a and b exactly:
-    then H divides G and deg H >= deg G, so H = G.  Otherwise more primes are
-    taken; a prime of degree deg G makes both u and v unique once the
-    modulus is large enough, so the loop ends.
+    and verified by exact division in Z[i][x].  a and b are scaled into
+    Z[i][x] and mapped to F_p[x] for primes p = 1 (mod 4) under both
+    embeddings i -> iota and i -> -iota, iota^2 = -1 (mod p).  A prime where
+    either leading coefficient vanishes is skipped; at any other, the gcd G
+    over Q(i) maps to a divisor of each image gcd (see `coprime_mod_p`), so
+    an image of degree 0 proves a and b coprime, and images of one degree
+    d >= deg G give G's real and imaginary parts u, v mod p as (g+ + g-)/2
+    and (g+ - g-)/(2 iota) whenever d = deg G.  Only the images of least
+    degree are kept.  Their CRT combination is rebuilt coefficientwise into
+    a monic candidate H of degree d, returned only if it divides a and b
+    exactly: then H divides G and deg H >= deg G, so H = G.  By Gauss's
+    lemma, H divides a over Q(i) exactly when H scaled primitive into
+    Z[i][x] divides a scaled primitive there, so the check is `_gi_divides`
+    in integers.  Otherwise more primes are taken; a prime of degree deg G
+    makes both u and v unique once the modulus is large enough, so the loop
+    ends.
     """
     a, b = utrim(list(a)), utrim(list(b))
     if not a or not b:
@@ -140,9 +151,30 @@ def ugcd(a: Coeffs, b: Coeffs) -> Coeffs:
         residues = [r + modulus * ((s - r) * lift % p) for r, s in zip(residues, parts)]
         modulus *= p
         candidate = _reconstruct(residues, modulus, size - 1)
-        if candidate is not None and not udivmod(a, candidate)[1] and not udivmod(b, candidate)[1]:
-            return candidate
+        if candidate is not None:
+            h = _to_gauss_integers(candidate)
+            if _gi_divides(h, ia) and _gi_divides(h, ib):
+                return candidate
     raise AssertionError("unreachable: the prime supply is infinite")
+
+
+def _gi_divides(h: list[GInt], a: list[GInt]) -> bool:
+    """Whether h divides a in Z[i][x]: long division with every quotient
+    coefficient in Z[i] and no remainder (h has a nonzero leading coefficient)."""
+    r, (lr, li), nh = list(a), h[-1], len(h) - 1
+    norm = lr * lr + li * li
+    for k in range(len(a) - 1 - nh, -1, -1):
+        tr, ti = r[k + nh]
+        # the quotient coefficient (tr + ti i) / (lr + li i) = (tr + ti i)(lr - li i) / norm
+        xr, xi = tr * lr + ti * li, ti * lr - tr * li
+        if xr % norm or xi % norm:
+            return False
+        fr, fi = xr // norm, xi // norm
+        if fr or fi:
+            for j in range(nh):
+                (ur, ui), (vr, vi) = r[k + j], h[j]
+                r[k + j] = (ur - fr * vr + fi * vi, ui - fr * vi - fi * vr)
+    return not any(ur or ui for ur, ui in r[:nh])
 
 
 def _reconstruct(residues: list[int], modulus: int, deg: int) -> Coeffs | None:
@@ -465,8 +497,13 @@ def _quadratic_roots(c: Coeffs) -> list[GaussianRational] | None:
     return [(-a1 + s) * inv, (-a1 - s) * inv]
 
 
-def _candidate_pairs(ints: list[GInt]) -> Iterator[tuple[GInt, GInt]] | None:
-    """Every rational-root candidate p/q as a Gaussian-integer pair (p, q), or None when the search would explode."""
+def _candidate_divisors(ints: list[GInt]) -> tuple[list[GInt], list[GInt]] | None:
+    """The divisors (d0, dn) of the constant and leading coefficients, up to
+    units, or None when the search would explode.
+
+    The rational-root candidates are p = d u, q = e for d in d0, e in dn and
+    u in UNITS, enumerated with d outermost and u innermost.
+    """
     try:
         f0, fn = gi_factor(ints[0]), gi_factor(ints[-1])
     except RootSearchOverflow:
@@ -474,8 +511,39 @@ def _candidate_pairs(ints: list[GInt]) -> Iterator[tuple[GInt, GInt]] | None:
     # counted before any divisor is built, so an oversized search costs only the factorizations
     if _divisor_count(f0) * _divisor_count(fn) * 4 > _CANDIDATE_CAP:
         return None
-    d0, dn = _divisors_of(f0), _divisors_of(fn)
-    return ((gi_mul(p, u), q) for p in d0 for q in dn for u in UNITS)
+    return _divisors_of(f0), _divisors_of(fn)
+
+
+def _surviving_candidates(ints: list[GInt], d0: list[GInt], dn: list[GInt]) -> Iterator[tuple[GInt, GInt]]:
+    """The candidates (p, q) of `_candidate_divisors` whose sum ints[k] p^k q^(n-k)
+    vanishes modulo _P under i -> _I_MOD_P, in enumeration order.
+
+    Reduction mod _P is a ring map from Z[i], so every root survives.  The
+    images of d, u and e are broadcast over a (len(d0), len(dn), 4) grid,
+    taken in blocks of rows of about _GRID_BLOCK entries so the search stops
+    at the block that holds the first root and memory stays small, and the
+    homogeneous Horner sum is taken there in int64, in place: with every
+    operand below _P < 2^31, each step's a x + c y^(n-k) stays below 2^62.
+    """
+    units = np.array(_image_mod_p(UNITS, _P, _I_MOD_P), dtype=np.int64)
+    x = np.array(_image_mod_p(d0, _P, _I_MOD_P), dtype=np.int64)[:, None, None] * units % _P
+    y = np.array(_image_mod_p(dn, _P, _I_MOD_P), dtype=np.int64)[None, :, None]
+    coeffs = _image_mod_p(ints, _P, _I_MOD_P)
+    terms = []  # (c_k, y^(n-k)) from k = n-1 down to 0
+    y_pow = y
+    for c in reversed(coeffs[:-1]):
+        terms.append((c, y_pow))
+        y_pow = y_pow * y % _P
+    rows = max(1, _GRID_BLOCK // (len(dn) * len(UNITS)))
+    for first in range(0, len(d0), rows):
+        xs = x[first : first + rows]
+        acc = np.full((len(xs), len(dn), len(UNITS)), coeffs[-1], dtype=np.int64)
+        for c, y_pow in terms:
+            acc *= xs
+            acc += c * y_pow
+            acc %= _P
+        for i, j, k in zip(*np.nonzero(acc == 0)):
+            yield gi_mul(d0[first + i], UNITS[k]), dn[j]
 
 
 def _gi_vanishes(ints: list[GInt], p: GInt, q: GInt) -> bool:
@@ -524,11 +592,12 @@ def qi_roots(c: Coeffs) -> RootReport:
             report.roots.extend(roots)
             return report
         ints = _to_gauss_integers(c)
-        candidates = _candidate_pairs(ints)
-        if candidates is None:
+        divisors = _candidate_divisors(ints)
+        if divisors is None:
             report.uncertain_degree += udeg(c)
             report.uncertain.append(c)
             return report
+        candidates = _surviving_candidates(ints, *divisors)
         found = next((_as_gaussian_rational(p, q) for p, q in candidates if _gi_vanishes(ints, p, q)), None)
         if found is None:
             report.residual_degree += udeg(c)

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import foltools
+from foltools import cli
 from foltools.cli import EXIT_BROKEN_PIPE, run
 
 EEE_DOC = """
@@ -414,3 +415,22 @@ def test_closed_stdout_exits_quietly():
         os.close(write_end)
     assert proc.returncode == EXIT_BROKEN_PIPE
     assert b"Traceback" not in proc.stderr and b"BrokenPipeError" not in proc.stderr
+
+
+def test_parser_is_built_once_and_a_usage_error_leaves_it_intact(eee_doc, monkeypatch, capsys):
+    builds = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or real())
+    cli._parser.cache_clear()
+    valid = ["ovals", eee_doc, "--curve", "circle", "--res", "8"]
+    try:
+        assert run(["ovals", eee_doc, "--curve", "circle", "--box=-2:2:-2:2", "--res=1"]) == 2
+        capsys.readouterr()
+        assert run(valid) == 0
+        out = capsys.readouterr().out
+    finally:
+        cli._parser.cache_clear()
+    assert builds == [1]
+    env = dict(os.environ, PYTHONPATH=str(Path(foltools.__file__).resolve().parent.parent))
+    fresh = subprocess.run([sys.executable, "-m", "foltools.cli", *valid], capture_output=True, text=True, env=env, timeout=120)
+    assert (fresh.returncode, fresh.stdout) == (0, out)

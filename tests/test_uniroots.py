@@ -11,15 +11,17 @@ import pytest
 import foltools
 from foltools import uniroots
 from foltools.errors import RootSearchOverflow
-from foltools.gaussian import GaussianRational, ONE, gr
+from foltools.gaussian import GaussianRational, ONE, from_gint, gr
 from foltools.uniroots import (
     UNITS,
     _GCD_PRIMES,
     _P,
     _I_MOD_P,
     _as_gaussian_rational,
-    _candidate_pairs,
+    _candidate_divisors,
+    _gi_divides,
     _gi_vanishes,
+    _surviving_candidates,
     _int_sturm_chain,
     _to_gauss_integers,
     coprime_mod_p,
@@ -168,6 +170,12 @@ def _random_gaussian(rnd, span=4, den=3):
     return GaussianRational(re, im)
 
 
+def _all_candidates(ints):
+    """Every rational-root candidate (p, q), unfiltered, in the order qi_roots tries them."""
+    d0, dn = _candidate_divisors(ints)
+    return [(gi_mul(p, u), q) for p in d0 for q in dn for u in UNITS]
+
+
 def test_integer_candidate_test_matches_horner_reference():
     rnd = random.Random(7)
     checked = 0
@@ -185,11 +193,8 @@ def test_integer_candidate_test_matches_horner_reference():
         if len(c) < 4:
             continue
         ints = _to_gauss_integers(c)
-        pairs = _candidate_pairs(ints)
-        assert pairs is not None
-        for n, (p, q) in enumerate(pairs):
-            if n == 400:
-                break
+        assert _candidate_divisors(ints) is not None
+        for p, q in _all_candidates(ints)[:400]:
             assert _gi_vanishes(ints, p, q) == ueval(c, _as_gaussian_rational(p, q)).is_zero()
         # degree >= 3 with x^2 - 2 the only non-Q(i) factor: some nonzero root exists
         assert qi_roots(c).roots[0] == _reference_first_root(c)
@@ -205,6 +210,61 @@ def test_integer_candidate_test_on_known_roots():
     assert not _gi_vanishes(ints, (-1, 0), (2, 0))
     # x^3 + x has the Gaussian root i = (1+i)/(1-i)
     assert _gi_vanishes([(0, 0), (1, 0), (0, 0), (1, 0)], (1, 1), (1, -1))
+
+
+# -- the candidate filter modulo _P against the exhaustive scan -----------------------
+
+
+def _image_of_sum(ints, p, q):
+    """sum ints[k] p^k q^(n-k) in Python integers, then mapped to F_P under i -> _I_MOD_P."""
+    n, total = len(ints) - 1, (0, 0)
+    for k, c in enumerate(ints):
+        term = c
+        for factor in [p] * k + [q] * (n - k):
+            term = gi_mul(term, factor)
+        total = (total[0] + term[0], total[1] + term[1])
+    return (total[0] + _I_MOD_P * total[1]) % _P
+
+
+@pytest.mark.parametrize("root_num, root_den", [((1, 0), (_I_MOD_P, -1)), ((_I_MOD_P, -1), (1, 0))])
+def test_root_whose_numerator_or_denominator_vanishes_mod_p_is_found(root_num, root_den):
+    # iota - i maps to 0 mod P, so the filter sees the root's image as 0/0 or 0: it must survive
+    root = _as_gaussian_rational(root_num, root_den)
+    assert 0 in uniroots._image_mod_p([root_num, root_den], _P, _I_MOD_P)
+    c = _poly_from_roots([root], gr(1))
+    c = _times(c, [gr(-2), gr(0), gr(1)])  # times x^2 - 2, which has no Q(i) root
+    rep = qi_roots(c)
+    assert rep.roots == [root]
+    assert rep.residual_degree == 2
+
+
+def _filter_cases():
+    """Seeded Z[i] polynomials of degree 3-6: planted roots, pure noise, and coefficients past int64."""
+    rnd = random.Random(23)
+    for n in range(90):
+        roots = [_random_gaussian(rnd, span=6, den=6) or gr(1) for _ in range(n % 3)]
+        c = _poly_from_roots(roots, _random_gaussian(rnd, span=9, den=1) or gr(2))
+        rest = [gr(rnd.randint(-30, 30), rnd.randint(-30, 30) if n % 2 else 0) for _ in range(rnd.randint(1, 4))]
+        c = _times(c, rest + [gr(1 + (n % 4))])
+        if n % 5 == 0:  # times x^2 + (3^45 + 2^70 i) x + 1
+            c = _times(c, [gr(1), gr(3**45, 2**70), gr(1)])
+        c = utrim(c)
+        if len(c) >= 4 and not c[0].is_zero():
+            yield _to_gauss_integers(c)
+
+
+@pytest.mark.parametrize("block", [uniroots._GRID_BLOCK, 64, 1])  # small blocks split the grid across rows
+def test_filtered_search_matches_exhaustive_scan(block, monkeypatch):
+    monkeypatch.setattr(uniroots, "_GRID_BLOCK", block)
+    found = 0
+    for ints in _filter_cases():
+        every = _all_candidates(ints)
+        survivors = list(_surviving_candidates(ints, *_candidate_divisors(ints)))
+        assert survivors == [(p, q) for p, q in every if _image_of_sum(ints, p, q) == 0]
+        first = next(((p, q) for p, q in every if _gi_vanishes(ints, p, q)), None)
+        assert next(((p, q) for p, q in survivors if _gi_vanishes(ints, p, q)), None) == first
+        found += first is not None
+    assert found >= 20
 
 
 # -- coprimality certificate modulo a prime ----------------------------------------
@@ -411,17 +471,58 @@ def test_ugcd_returns_no_candidate_that_fails_the_division_check(monkeypatch):
     a = _times([gr(4), gr(1)], [gr(2), gr(1)])
     b = _times([gr(4), gr(1)], [gr(3), gr(1)])
     tried = []
-    real = uniroots.udivmod
+    real = uniroots._gi_divides
 
-    def spy(u, v):
-        tried.append(list(v))
-        return real(u, v)
+    def spy(h, u):
+        tried.append(list(h))
+        return real(h, u)
 
     monkeypatch.setattr(uniroots, "_gcd_primes", _small_primes_first)
-    monkeypatch.setattr(uniroots, "udivmod", spy)
+    monkeypatch.setattr(uniroots, "_gi_divides", spy)
     assert ugcd(a, b) == [gr(4), gr(1)] == _euclid_gcd(a, b)
-    assert tried[0] == [gr(-1), gr(1)]  # the first candidate, rejected
-    assert [gr(4), gr(1)] in tried
+    assert tried[0] == [(-1, 0), (1, 0)]  # the first candidate, rejected
+    assert [(4, 0), (1, 0)] in tried
+
+
+def _gi_times(a, b):
+    out = [(0, 0)] * (len(a) + len(b) - 1)
+    for i, u in enumerate(a):
+        for j, v in enumerate(b):
+            w = gi_mul(u, v)
+            out[i + j] = (out[i + j][0] + w[0], out[i + j][1] + w[1])
+    return out
+
+
+def test_gi_divides_exact_multiples_and_non_integral_quotients():
+    h = [(1, -1), (0, 3), (2, 1)]  # (2 + i) x^2 + 3i x + (1 - i): a leading coefficient that is not a unit
+    q = [(0, 1), (-2, 0), (1, 3)]
+    assert _gi_divides(h, _gi_times(h, q))
+    assert _gi_divides(h, h) and _gi_divides([(5, 0)], [(10, -15), (0, 5)])
+    off = _gi_times(h, q)
+    off[0] = (off[0][0], off[0][1] + 1)
+    assert not _gi_divides(h, off)  # a nonzero remainder
+    # over Q(i) 2x divides x and 2x + 2 divides x + 1, but the quotient 1/2 is not in Z[i]
+    assert not _gi_divides([(0, 0), (2, 0)], [(0, 0), (1, 0)])
+    assert not _gi_divides([(2, 0), (2, 0)], [(1, 0), (1, 0)])
+    assert not _gi_divides([(1, 0), (2, 0)], [(0, 0), (1, 0)])  # x = (2x + 1)/2 - 1/2
+    # 2x^2 + 2x + 1 = (2x + 1)(x + 1/2) + 1/2: the second quotient coefficient is not in Z[i]
+    assert not _gi_divides([(1, 0), (2, 0)], [(1, 0), (2, 0), (2, 0)])
+    assert not _gi_divides([(1, 0), (1, 1)], [(1, 0), (0, 0), (1, 0)])  # 1/(1 + i) is not in Z[i]
+    assert not _gi_divides(h, [(1, 0), (1, 0)])  # a lower degree
+
+
+def test_gi_divides_agrees_with_division_over_q_i():
+    rnd = random.Random(17)
+    divisible = 0
+    for _ in range(150):
+        lead = _random_gaussian(rnd) or gr(3)
+        h = _to_gauss_integers([_random_gaussian(rnd, span=6, den=4) for _ in range(rnd.randint(1, 3))] + [lead])
+        other = [_random_gaussian(rnd, span=6, den=4) or gr(1) for _ in range(rnd.randint(1, 3))]
+        a = _times([from_gint(u) for u in h], other) if rnd.random() < 0.5 else other + [gr(1)]
+        expected = not udivmod(a, [from_gint(u) for u in h])[1]
+        assert _gi_divides(h, _to_gauss_integers(a)) == expected
+        divisible += expected
+    assert divisible >= 40
 
 
 def test_ugcd_is_unchanged_under_python_O():
