@@ -22,7 +22,7 @@ from typing import Iterable
 
 from .errors import ArityMismatch
 from .gaussian import GInt, GaussianRational, ZERO, canonical, from_gint, gr, lift
-from .uniroots import coprime_mod_p, gi_divmod, gi_mul, ugcd, utrim
+from .uniroots import coprime_mod_p, gi_mul, ugcd, utrim
 
 Exponent = tuple[int, ...]
 
@@ -543,9 +543,13 @@ def is_squarefree(f: MultiPoly) -> bool:
 
 
 def _gi_det(m: list[list[GInt]]) -> GInt:
-    """Determinant of a square Z[i] matrix by fraction-free Bareiss elimination (m is consumed)."""
+    """Determinant of a square Z[i] matrix by fraction-free Bareiss elimination (m is consumed).
+
+    Each Bareiss quotient is exact, so it is taken as u * conj(prev) divided
+    by the norm of the previous pivot, both computed once per pivot.
+    """
     n = len(m)
-    sign, prev = 1, (1, 0)
+    sign, cr, ci, norm = 1, 1, 0, 1  # conj(prev) = cr + ci*i, norm = |prev|^2
     for k in range(n - 1):
         if m[k][k] == (0, 0):
             pivot = next((r for r in range(k + 1, n) if m[r][k] != (0, 0)), None)
@@ -553,14 +557,19 @@ def _gi_det(m: list[list[GInt]]) -> GInt:
                 return (0, 0)
             m[k], m[pivot] = m[pivot], m[k]
             sign = -sign
-        rk, pk = m[k], m[k][k]
+        rk, (pr, pi) = m[k], m[k][k]
         for i in range(k + 1, n):
-            ri, mik = m[i], m[i][k]
+            ri, (mr, mi) = m[i], m[i][k]
             for j in range(k + 1, n):
-                a, b = gi_mul(ri[j], pk), gi_mul(mik, rk[j])
-                ri[j], rem = gi_divmod((a[0] - b[0], a[1] - b[1]), prev)
-                assert rem == (0, 0), "Bareiss divisibility must hold"
-        prev = pk
+                (ar, ai), (br, bi) = ri[j], rk[j]
+                ur = ar * pr - ai * pi - (mr * br - mi * bi)
+                ui = ar * pi + ai * pr - (mr * bi + mi * br)
+                qr, rem_re = divmod(ur * cr - ui * ci, norm)
+                qi, rem_im = divmod(ur * ci + ui * cr, norm)
+                if rem_re or rem_im:
+                    raise ArithmeticError("Bareiss divisibility must hold")
+                ri[j] = (qr, qi)
+        cr, ci, norm = pr, -pi, pr * pr + pi * pi
     det = m[n - 1][n - 1]
     return det if sign > 0 else (-det[0], -det[1])
 
@@ -575,7 +584,8 @@ def _interpolate(values: list[int]) -> list[int]:
     for k in range(1, len(values) + 1):
         newton.append(diff[0])
         steps = [divmod(b - a, k) for a, b in zip(diff, diff[1:])]
-        assert not any(r for _, r in steps), "Newton differences must divide exactly"
+        if any(r for _, r in steps):
+            raise ArithmeticError("Newton differences must divide exactly")
         diff = [q for q, _ in steps]
     coeffs: list[int] = []
     for k in range(len(newton) - 1, -1, -1):  # coeffs * (t - k) + newton[k]

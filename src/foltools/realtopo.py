@@ -1,11 +1,13 @@
 """Real ovals of plane curves: certified counting and numeric tracing.
 
 Topology comes from exact signs: grid nodes are rational, and every sign
-is proven.  The scaled integer values are computed in int64 when a proven
-bound says they cannot overflow; otherwise a float64 Horner decides each
-sign whose value clears a rigorous rounding-error bound, and every other
-node is evaluated in exact integers (a filtered predicate in the sense of
-Shewchuk, 1997).  Floating point only places vertices inside cells.
+is proven.  A lattice's scaled integer values are the product of its
+row-coefficient matrix with the power table x_i^a: one int64 matrix
+product when a proven bound says it cannot overflow; otherwise one float64
+einsum decides each sign whose value clears a rigorous rounding-error
+bound, and every other node is evaluated in exact integers (a filtered
+predicate in the sense of Shewchuk, 1997).  Floating point only places
+vertices inside cells.
 Ambiguous cells are resolved by subdivision, never by a midpoint
 heuristic: a cell's sub-lattice is again an integer lattice, evaluated the
 same way as the coarse grid; when depth runs out the affected ovals are
@@ -150,6 +152,13 @@ def _gamma(k: int) -> float:
     return k * u / (1 - k * u)
 
 
+def _true_nodes(mask: np.ndarray) -> list[tuple[int, int]]:
+    """(j, i) of every True entry of a 2-D mask, row by row, as np.nonzero
+    gives them, from the much cheaper flat index search."""
+    cols = mask.shape[1]
+    return [divmod(k, cols) for k in np.flatnonzero(mask).tolist()]
+
+
 def _crossing_nodes(signs: np.ndarray) -> np.ndarray:
     """Mask of the nodes with a 4-neighbour of the other sign."""
     h = signs[:, :-1] * signs[:, 1:] < 0
@@ -165,13 +174,18 @@ def _crossing_nodes(signs: np.ndarray) -> np.ndarray:
 def _filtered_signs(rows: list[list[int]], nx: list[int]) -> np.ndarray:
     """Exact signs of the row polynomials rows[j] at the abscissae nx[i].
 
-    A float64 Horner value p^ with the running bound M^ = Horner(|fl(w)|, |x|)
-    satisfies |p^ - p| <= gamma_{2d+1} M <= 2 gamma_{2d+2} M^ (Higham,
-    Accuracy and Stability of Numerical Algorithms, 5.1; the extra rounding
-    is that of the coefficients), so its sign is taken when |p^| exceeds that
-    bound and both are finite.  Every other node, every row whose
-    coefficients overflow a float, and the whole grid when an abscissa is not
-    exact in float64 are evaluated by the exact integer Horner.
+    With the power table powers[a] = powers[a-1] * x (a = 0..d) the float64
+    value is p^ = sum_a fl(w_a) * powers[a], one einsum over the grid, and
+    M^ = sum_a |fl(w_a)| * |powers[a]| likewise.  Term a carries at most
+    1 (coefficient) + (a - 1) (power) + 1 (product) roundings and the sum
+    adds d more in any order, so |p^ - p| <= gamma_{2d+1} M (Higham,
+    Accuracy and Stability of Numerical Algorithms, 3.1).  M^ is the same sum
+    over nonnegative terms, so M^ >= (1 - gamma_{2d+1}) M and the error is at
+    most 2 gamma_{2d+2} M^.  All values are integers, so nothing underflows.
+    A node's sign is taken when |p^| exceeds that bound and both are finite.
+    Every other node, every row whose coefficients overflow a float, and the
+    whole grid when an abscissa is not exact in float64 are evaluated by the
+    exact integer Horner.
     """
     degx = len(rows[0]) - 1
     signs = np.zeros((len(rows), len(nx)), dtype=np.int8)
@@ -184,16 +198,20 @@ def _filtered_signs(rows: list[list[int]], nx: list[int]) -> np.ndarray:
                 coeffs[j] = [float(c) for c in w]
             except OverflowError:
                 coeffs[j] = np.inf  # M^ is infinite: the whole row goes to the exact Horner
-        p = np.zeros(signs.shape)
-        m = np.zeros(signs.shape)
+        powers = np.ones((degx + 1, len(nx)))
         with np.errstate(over="ignore", invalid="ignore"):
-            for a in range(degx, -1, -1):
-                p = p * xs + coeffs[:, a : a + 1]
-                m = m * np.abs(xs) + np.abs(coeffs[:, a : a + 1])
-            decided = np.isfinite(p) & np.isfinite(m) & (np.abs(p) > 2 * _gamma(2 * degx + 2) * m)
-        signs[decided] = np.sign(p[decided])
+            for a in range(1, degx + 1):
+                np.multiply(powers[a - 1], xs, out=powers[a])
+            # einsum runs numpy's own loops (optimize=False), never a threaded BLAS
+            p = np.einsum("ja,ai->ji", coeffs, powers)
+            m = np.einsum("ja,ai->ji", np.abs(coeffs), np.abs(powers))
+            # in place: a fresh full-grid float array costs more than the arithmetic
+            m *= 2 * _gamma(2 * degx + 2)
+            signs = (p > 0).view(np.int8) - (p < 0).view(np.int8)  # undecided nodes are redone below
+            decided = np.isfinite(p)
+            decided &= np.abs(p, out=p) > m  # false where M^ is NaN or infinite
         exact = ~decided
-    for j, i in zip(*(k.tolist() for k in np.nonzero(exact))):
+    for j, i in _true_nodes(exact):
         v = ueval(rows[j], nx[i])
         signs[j, i] = 0 if v == 0 else (1 if v > 0 else -1)
     return signs
@@ -221,7 +239,7 @@ def _sign_grid(ip: _IntPoly, ax: int, sx: int, dx: int, ay: int, sy: int, dy: in
     Both arrays are indexed [j][i].  When a proven bound says int64 cannot
     overflow, the scaled integer values are computed in int64 and every node
     gets a float value.  Otherwise the signs come from a filtered float
-    Horner with an exact integer fallback (`_filtered_signs`), and float
+    product with an exact integer fallback (`_filtered_signs`), and float
     values are computed only at nodes with a 4-neighbour of the other sign,
     the only ones the mesher reads; each is the exact integer value divided
     by lcm * dx^degx * dy^degy, correctly rounded.  Every other value is NaN.
@@ -229,7 +247,7 @@ def _sign_grid(ip: _IntPoly, ax: int, sx: int, dx: int, ay: int, sy: int, dy: in
     dx_pows = [dx**k for k in range(ip.degx + 1)]
     dy_pows = [dy**k for k in range(ip.degy + 1)]
     nx_max = max(abs(ax), abs(ax + n * sx))
-    # conservative magnitude bound for the row Horner
+    # bound >= (degx + 1) * max_a |w_a| * max(|nx|, 1)^degx over every row w
     coef_bound = sum(abs(c) for _, _, c in ip.terms)
     ny_max = max(abs(ay), abs(ay + n * sy))
     bound = coef_bound * max(ny_max, 1) ** ip.degy * max(dy, 1) ** ip.degy
@@ -237,22 +255,22 @@ def _sign_grid(ip: _IntPoly, ax: int, sx: int, dx: int, ay: int, sy: int, dy: in
     bound *= max(nx_max, 1) ** ip.degx * (ip.degx + 1)
     rows = [ip.row_coefficients(ay + j * sy, dy_pows, dx_pows) for j in range(n + 1)]
     if bound < _INT64_SAFE:
+        # Exact in int64: |w_a| * |nx|^a <= bound / (degx + 1) for every
+        # term, so each power nx^a, each product and each partial sum of the
+        # matrix product stays within bound < 2^62.
         nx = ax + sx * np.arange(n + 1, dtype=np.int64)
-        signs = np.zeros((n + 1, n + 1), dtype=np.int8)
-        float_vals = np.zeros((n + 1, n + 1), dtype=np.float64)
-        scale = float(ip.lcm) * float(dx) ** ip.degx * float(dy) ** ip.degy
-        for j, w in enumerate(rows):
-            acc = np.full(n + 1, w[ip.degx], dtype=np.int64)
-            for a in range(ip.degx - 1, -1, -1):
-                acc = acc * nx + w[a]
-            signs[j] = np.sign(acc)
-            float_vals[j] = acc.astype(np.float64) / scale
-        return signs, float_vals
+        powers = np.ones((ip.degx + 1, n + 1), dtype=np.int64)
+        for a in range(1, ip.degx + 1):
+            powers[a] = powers[a - 1] * nx
+        acc = np.array(rows, dtype=np.int64) @ powers
+        float_vals = acc.astype(np.float64)
+        float_vals /= float(ip.lcm) * float(dx) ** ip.degx * float(dy) ** ip.degy
+        return (acc > 0).view(np.int8) - (acc < 0).view(np.int8), float_vals
     nx = [ax + sx * i for i in range(n + 1)]
     signs = _filtered_signs(rows, nx)
     denom = ip.lcm * dx_pows[-1] * dy_pows[-1]
     float_vals = np.full((n + 1, n + 1), np.nan)
-    for j, i in zip(*(k.tolist() for k in np.nonzero(_crossing_nodes(signs)))):
+    for j, i in _true_nodes(_crossing_nodes(signs)):
         try:
             float_vals[j, i] = ueval(rows[j], nx[i]) / denom
         except OverflowError:
@@ -469,8 +487,7 @@ class _Mesher:
         crossing on an edge.  On the coarse grid each segment is tagged with its
         cell and ambiguous cells are subdivided; a subgrid has no ambiguous cell
         and tags its segments with the parent `cell`."""
-        js, iis = np.nonzero((cases != 0) & (cases != 15))
-        for j, i in zip(js.tolist(), iis.tolist()):
+        for j, i in _true_nodes((cases != 0) & (cases != 15)):
             pattern = int(cases[j, i])
             if pattern in _AMBIGUOUS:
                 self._subdivide_cell(i, j)

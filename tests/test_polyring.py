@@ -1,12 +1,17 @@
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from conftest import random_poly
+import foltools
 from foltools import polyring
 from foltools.errors import ArityMismatch
 from foltools.gaussian import ZERO, GaussianRational, gr
@@ -15,6 +20,8 @@ from foltools.polyring import (
     MultiPoly,
     _coeffs_in,
     _coprimality_fast_path,
+    _gi_det,
+    _interpolate,
     _primitive_part,
     _pseudo_rem,
     _specialize_keeping,
@@ -240,6 +247,93 @@ def test_resultant_matches_sylvester_bareiss(arity, var):
             continue
         assert resultant(a, b, var) == _sylvester_bareiss(a, b, var)
         checked += 1
+
+
+def _fraction_det(m):
+    """Reference determinant: Gaussian elimination over Q(i) on (Fraction, Fraction) pairs."""
+    m = [[(Fraction(re), Fraction(im)) for re, im in row] for row in m]
+    n, det = len(m), (Fraction(1), Fraction(0))
+    for k in range(n):
+        pivot = next((r for r in range(k, n) if m[r][k] != (0, 0)), None)
+        if pivot is None:
+            return (0, 0)
+        if pivot != k:
+            m[k], m[pivot] = m[pivot], m[k]
+            det = (-det[0], -det[1])
+        (pr, pi), norm = m[k][k], m[k][k][0] ** 2 + m[k][k][1] ** 2
+        det = (det[0] * pr - det[1] * pi, det[0] * pi + det[1] * pr)
+        for i in range(k + 1, n):
+            fr, fi = m[i][k]
+            fr, fi = (fr * pr + fi * pi) / norm, (fi * pr - fr * pi) / norm  # m[i][k] / m[k][k]
+            for j in range(k, n):
+                ar, ai = m[k][j]
+                m[i][j] = (m[i][j][0] - (fr * ar - fi * ai), m[i][j][1] - (fr * ai + fi * ar))
+    assert det[0].denominator == det[1].denominator == 1
+    return (int(det[0]), int(det[1]))
+
+
+def _needs_row_swap(m):
+    """Bareiss swaps rows exactly when a leading principal minor of order < n vanishes."""
+    return any(_fraction_det([row[:k] for row in m[:k]]) == (0, 0) for k in range(1, len(m)))
+
+
+def test_gi_det_matches_fraction_elimination():
+    rnd = random.Random(20261018)
+    swapped = singular = 0
+    for trial in range(300):
+        n = 1 + trial % 7
+        zero_prob = (0.0, 0.3, 0.6)[trial % 3]
+        m = [[(0, 0) if rnd.random() < zero_prob else (rnd.randint(-40, 40), rnd.randint(-40, 40)) for _ in range(n)] for _ in range(n)]
+        if trial % 5 == 0 and n > 2:  # row 1 starts as (2 + i) * row 0: a zero leading 2x2 minor
+            m[1] = [(2 * re - im, re + 2 * im) for re, im in m[0][:2]] + m[1][2:]
+        expected = _fraction_det(m)
+        swapped += _needs_row_swap(m)
+        singular += expected == (0, 0)
+        assert _gi_det([row[:] for row in m]) == expected, m
+    assert swapped > 30 and singular > 5
+
+
+def test_gi_det_pivoting_cases():
+    # a zero (1,1) entry, a zero leading 2x2 minor, a zero column, and an
+    # anti-diagonal, where every pivot is swapped in
+    cases = [
+        [[(0, 0), (1, 2)], [(3, -1), (5, 0)]],
+        [[(1, 1), (2, 0), (0, 3)], [(2, 2), (4, 0), (1, 0)], [(0, 1), (7, -2), (1, 1)]],
+        [[(1, 0), (0, 0), (2, 0)], [(3, 1), (0, 0), (4, 0)], [(5, 0), (0, 0), (6, 1)]],
+        [[(0, 0), (0, 0), (0, 0), (1, 0)], [(0, 0), (0, 0), (0, 2), (0, 0)], [(0, 0), (3, 0), (0, 0), (0, 0)], [(1, 1), (0, 0), (0, 0), (0, 0)]],
+    ]
+    for m in cases:
+        assert _needs_row_swap(m)
+        assert _gi_det([row[:] for row in m]) == _fraction_det(m)
+    # (1 4)(2 3) is even: det = 1 * 2i * 3 * (1 + i) = -6 + 6i
+    assert _gi_det([row[:] for row in cases[3]]) == (-6, 6)
+    assert _gi_det([row[:] for row in cases[2]]) == (0, 0)
+
+
+def test_exact_division_checks_survive_python_O():
+    # the Bareiss and Newton-difference checks are `if`s, which -O keeps; a
+    # matrix entry outside Z[i] or values of no integer polynomial must raise
+    script = (
+        "import sys\n"
+        "from fractions import Fraction\n"
+        "from foltools.polyring import _gi_det, _interpolate\n"
+        "print(sys.flags.optimize)\n"
+        "print(_gi_det([[(0, 0), (1, 2)], [(3, -1), (5, 0)]]), _interpolate([1, 3, 7]))\n"
+        "for call in (lambda: _gi_det([[(1, 0), (0, 0)], [(0, 0), (Fraction(1, 2), 0)]]), lambda: _interpolate([0, 0, 1])):\n"
+        "    try:\n"
+        "        print(call())\n"
+        "    except ArithmeticError as exc:\n"
+        "        print(exc)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(foltools.__file__).resolve().parent.parent))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "1",
+        "(-5, -5) [1, 1, 1]",  # -(1 + 2i)(3 - i)
+        "Bareiss divisibility must hold",
+        "Newton differences must divide exactly",
+    ]
 
 
 def test_resultant_gaussian_denominators_and_vanishing_leading_coefficients():

@@ -309,7 +309,20 @@ def _check_grid(f, ax, sx, dx, ay, sy, dy, n) -> dict:
                 nbrs = [(j, i - 1), (j, i + 1), (j - 1, i), (j + 1, i)]
                 crossing = any(0 <= b <= n and 0 <= a <= n and exact[j][i] * exact[b][a] < 0 for b, a in nbrs)
                 assert np.isnan(vals[j, i]) != crossing, (j, i)
-    return {"bigint": bigint, "zeros": int((signs == 0).sum()), "overflowing_rows": overflowing_rows}
+    return {
+        "bigint": bigint,
+        "zeros": int((signs == 0).sum()),
+        "overflowing_rows": overflowing_rows,
+        "max_abs": max(abs(v) for row in exact for v in row),
+    }
+
+
+def _int64_bound(f, ax, sx, dx, ay, sy, dy, n) -> int:
+    """The magnitude bound that `_sign_grid` compares with 2^62, restated."""
+    ip = _IntPoly(f)
+    nx_max, ny_max = max(abs(ax), abs(ax + n * sx)), max(abs(ay), abs(ay + n * sy))
+    bound = sum(abs(c) for _, _, c in ip.terms) * max(ny_max, 1) ** ip.degy * max(dy, 1) ** ip.degy
+    return bound * max(dx, 1) ** ip.degx * max(nx_max, 1) ** ip.degx * (ip.degx + 1)
 
 
 def test_sign_grid_bigint_matches_exact_horner():
@@ -322,6 +335,35 @@ def test_sign_grid_bigint_matches_exact_horner():
     ovals = count_ovals(scaled, Box.square(2), 32)
     assert any("shifted" in w for w in ovals.warnings)
     assert ovals.count == 1 and ovals.certified_count == 1
+
+
+@pytest.mark.parametrize(
+    "g, lattice, value_bits",
+    [
+        # degx = 0 on an integer lattice: the top row's values equal the bound
+        (y**3, (1, 1, 1, 1, 1, 1, 24), 62),
+        # x = (1 + 2i)/2 and y = (1 + 2j)/2: t^3 - 7t + 5 in t = xy changes sign twice
+        (x**3 * y**3 - const2(7) * x * y + const2(5), (1, 2, 2, 1, 2, 2, 24), 51),
+        (x**4 - y**2 * x + y, (-49, 2, 2, -25, 1, 1, 50), 45),
+    ],
+    ids=["y^3", "(xy)^3", "x^4"],
+)
+def test_sign_grid_at_the_int64_bound(g, lattice, value_bits):
+    # the largest multiple of g whose bound is under 2^62 still takes the int64
+    # product (no NaN values); the next one takes the filtered float branch
+    k = (realtopo._INT64_SAFE - 1) // _int64_bound(g, *lattice)
+    near = g.scale(gr(k))
+    assert 2**61 < _int64_bound(near, *lattice) < 2**62 <= _int64_bound(g.scale(gr(k + 1)), *lattice)
+    facts = _check_grid(near, *lattice)
+    assert not facts["bigint"] and facts["max_abs"].bit_length() == value_bits
+    assert _check_grid(g.scale(gr(k + 1)), *lattice)["bigint"]
+
+
+@pytest.mark.parametrize("f", [y**2 - const2(2), x**3 - const2(2) * x, const2(3)], ids=["degx0", "degy0", "constant"])
+def test_sign_grid_with_a_degree_zero_variable_on_both_branches(f):
+    lattice = _box_lattice(Box.square(2), 8, 1)
+    assert not _check_grid(f, *lattice)["bigint"]
+    assert _check_grid(f.scale(gr(10**20)), *lattice)["bigint"]
 
 
 def test_sign_grid_overflowing_rows_use_exact_fallback():

@@ -135,3 +135,19 @@ def test_run_row_hashes_the_certify_verdict(replay, tmp_path, capsys):
     assert cli.run(argv) == 0
     assert got["verdict_sha"] == replay.verdict_sha(capsys.readouterr().out) != "-"
     assert replay.run_row(cli, "ovals/eee", ["ovals", str(doc), "--curve", "g", "--res", "64"])["verdict_sha"] == "-"
+
+
+def test_work_directory_is_created_when_missing(replay, tmp_path, monkeypatch):
+    # --work names a directory that may not exist yet; the replay's
+    # temporary directory is made inside it, and the rows are still written
+    seen = []
+
+    def fake_replay(workload, src, work):
+        seen.append((workload, work.parent))
+        return [row("ovals/1")]
+
+    monkeypatch.setattr(replay, "replay", fake_replay)
+    work, out = tmp_path / "not" / "there", tmp_path / "rows.json"
+    assert replay.main(["--workload", "geometry", "--work", str(work), "--out", str(out)]) == 0
+    assert seen == [("geometry", work)] and work.is_dir()
+    assert json.loads(out.read_text(encoding="utf-8"))[0]["id"] == "ovals/1"

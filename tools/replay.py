@@ -171,13 +171,15 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", choices=("algebra", "geometry"))
     parser.add_argument("--src", type=Path, default=ROOT / "src", help="source tree holding foltools/")
     parser.add_argument("--out", type=Path, help="write the rows as JSON here")
-    parser.add_argument("--work", type=Path, help="where to make the temporary directory for the generated documents")
+    parser.add_argument("--work", type=Path, help="where to make the temporary directory for the generated documents (created if missing)")
     parser.add_argument("--compare", nargs=2, type=Path, metavar=("A.json", "B.json"))
     args = parser.parse_args(argv)
     if args.compare:
         return compare(*args.compare)
     if not args.workload:
         parser.error("--workload or --compare is required")
+    if args.work:
+        args.work.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory(dir=args.work) as tmp:
         rows = replay(args.workload, args.src, Path(tmp))
     if args.out:
