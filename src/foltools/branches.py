@@ -147,7 +147,8 @@ def _node_branch(
     subs = {0: uu, 1: scaled} if by_u else {0: scaled, 1: uu}
     composed = local.substitute(subs)
     reduced = exact_divide(composed, uu * uu)
-    assert reduced is not None, "order-2 point must factor t^2 out"
+    if reduced is None:
+        raise ArithmeticError("order-2 point must factor t^2 out")
     z = _solve_series(reduced, False, truncation, solve_var=1)
     t = PowerSeries.identity(truncation)
     co = (t.scale(slope) + t * z).truncate(truncation)

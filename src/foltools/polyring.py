@@ -390,7 +390,8 @@ def _primitive_part(f: MultiPoly, var: int) -> MultiPoly:
         return f
     cont = _content(f, var)
     q = exact_divide(f, cont)
-    assert q is not None
+    if q is None:
+        raise ArithmeticError("the content must divide exactly")
     return q
 
 
@@ -462,15 +463,16 @@ def _subresultant_gcd(pa: MultiPoly, pb: MultiPoly, var: int) -> MultiPoly:
             return _primitive_part(B, var)
         denom = g * h**delta
         quotient = exact_divide(R, denom)
-        assert quotient is not None, "subresultant divisibility must hold"
+        if quotient is None:
+            raise ArithmeticError("subresultant divisibility must hold")
         A, B = B, quotient
         g = _coeffs_in(A, var)[A.degree_in(var)]
         if delta == 1:
             h = g
         elif delta > 1:
-            hq = exact_divide(g**delta, h ** (delta - 1))
-            assert hq is not None
-            h = hq
+            h = exact_divide(g**delta, h ** (delta - 1))
+            if h is None:
+                raise ArithmeticError("subresultant divisibility must hold")
 
 
 def _homogeneous_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
@@ -519,7 +521,8 @@ def poly_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     # a constant content is 1, since poly_gcd is monic
     pa = a if ca.is_constant() else exact_divide(a, ca)
     pb = b if cb.is_constant() else exact_divide(b, cb)
-    assert pa is not None and pb is not None
+    if pa is None or pb is None:
+        raise ArithmeticError("the contents must divide exactly")
     cg = poly_gcd(ca, cb)
     if _coprimality_fast_path(pa, pb, var):
         return _monic(cg)

@@ -18,7 +18,6 @@ rows that give the signs.
 
 from __future__ import annotations
 
-import copy
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field as dfield
@@ -97,44 +96,31 @@ class OvalSet:
         }
 
 
-# -- integer-scaled polynomial data --------------------------------------------------
+# -- integer lattice rows --------------------------------------------------------------
 
 
-class _IntPoly:
-    """f scaled to integer coefficients; exact evaluation on lattice points.
+def _line_rows(f: MultiPoly, axis: int, lines: list[int], d_line: int, d_edge: int) -> list[list[int]]:
+    """f on lattice lines as integer polynomials in the edge coordinate.
 
-    Lattice x_i = (ax + i*sx)/dx, y_j = (ay + j*sy)/dy.  The stored value at
-    a node is f * lcm * dx^degx * dy^degy, an integer whose sign equals
-    sign(f); lcm is f's denominator and the terms are its numerators.
+    `axis` is the variable the lines run along: 0 for the horizontal lines
+    y = t/d_line, 1 for the vertical lines x = t/d_line, one row per t in
+    `lines`.  Entry a of a row is the coefficient of n^a, where n = d_edge
+    times the axis variable; the row is f * den * d_edge^deg_edge *
+    d_line^deg_line on the line, a positive integer multiple of f.
     """
-
-    def __init__(self, f: MultiPoly):
-        if f.arity != 2:
-            raise PreconditionError("expected an affine curve")
-        if not f.has_real_coefficients():
-            raise PreconditionError("real coefficients required")
-        self.degx = max(f.degree_in(0), 0)
-        self.degy = max(f.degree_in(1), 0)
-        self.terms = [(a, b, c) for (a, b), (c, _) in f.num.items()]
-        self.lcm = f.den
-
-    def transposed(self) -> "_IntPoly":
-        """The same scaled polynomial with x and y exchanged, so its rows are
-        the columns x = x_i of this one."""
-        t = copy.copy(self)
-        t.degx, t.degy = self.degy, self.degx
-        t.terms = [(b, a, c) for a, b, c in self.terms]
-        return t
-
-    def row_coefficients(self, ny: int, dy_pows: list[int], dx_pows: list[int]) -> list[int]:
-        """Integer Horner coefficients in the x-lattice index for one row."""
-        ny_pows = [1] * (self.degy + 1)
-        for k in range(1, self.degy + 1):
-            ny_pows[k] = ny_pows[k - 1] * ny
-        u = [0] * (self.degx + 1)
-        for a, b, c in self.terms:
-            u[a] += c * ny_pows[b] * dy_pows[self.degy - b]
-        return [u[a] * dx_pows[self.degx - a] for a in range(self.degx + 1)]
+    deg_edge, deg_line = max(f.degree_in(axis), 0), max(f.degree_in(1 - axis), 0)
+    edge_pows = [d_edge**k for k in range(deg_edge, -1, -1)]  # edge_pows[a] = d_edge^(deg_edge - a)
+    line_pows = [d_line**k for k in range(deg_line, -1, -1)]
+    columns = [[0] * (deg_line + 1) for _ in range(deg_edge + 1)]
+    for e, (c, _) in f.num.items():
+        columns[e[axis]][e[1 - axis]] = c * edge_pows[e[axis]] * line_pows[e[1 - axis]]
+    values = []
+    for col in columns:  # one Horner sum in the line coordinate per coefficient column
+        v = [0] * len(lines)
+        for c in reversed(utrim(col)):
+            v = [p * t + c for p, t in zip(v, lines)]
+        values.append(v)
+    return [list(row) for row in zip(*values)]
 
 
 def _lattice(lo: Fraction, hi: Fraction, n: int) -> tuple[int, int, int]:
@@ -233,8 +219,9 @@ def _box_lattice(box: Box, resolution: int, shift: int) -> tuple[int, int, int, 
     )
 
 
-def _sign_grid(ip: _IntPoly, ax: int, sx: int, dx: int, ay: int, sy: int, dy: int, n: int):
-    """Exact signs of f at the (n+1)^2 lattice nodes, and float values of f.
+def _sign_grid(f: MultiPoly, ax: int, sx: int, dx: int, ay: int, sy: int, dy: int, n: int):
+    """Exact signs of f at the (n+1)^2 lattice nodes, float values of f, and
+    the lattice rows (`_line_rows` of the horizontal lines) they come from.
 
     Both arrays are indexed [j][i].  When a proven bound says int64 cannot
     overflow, the scaled integer values are computed in int64 and every node
@@ -242,40 +229,39 @@ def _sign_grid(ip: _IntPoly, ax: int, sx: int, dx: int, ay: int, sy: int, dy: in
     product with an exact integer fallback (`_filtered_signs`), and float
     values are computed only at nodes with a 4-neighbour of the other sign,
     the only ones the mesher reads; each is the exact integer value divided
-    by lcm * dx^degx * dy^degy, correctly rounded.  Every other value is NaN.
+    by den * dx^degx * dy^degy, correctly rounded.  Every other value is NaN.
     """
-    dx_pows = [dx**k for k in range(ip.degx + 1)]
-    dy_pows = [dy**k for k in range(ip.degy + 1)]
-    nx_max = max(abs(ax), abs(ax + n * sx))
+    degx, degy = max(f.degree_in(0), 0), max(f.degree_in(1), 0)
     # bound >= (degx + 1) * max_a |w_a| * max(|nx|, 1)^degx over every row w
-    coef_bound = sum(abs(c) for _, _, c in ip.terms)
-    ny_max = max(abs(ay), abs(ay + n * sy))
-    bound = coef_bound * max(ny_max, 1) ** ip.degy * max(dy, 1) ** ip.degy
-    bound *= max(dx, 1) ** ip.degx
-    bound *= max(nx_max, 1) ** ip.degx * (ip.degx + 1)
-    rows = [ip.row_coefficients(ay + j * sy, dy_pows, dx_pows) for j in range(n + 1)]
+    nx_max, ny_max = max(abs(ax), abs(ax + n * sx), 1), max(abs(ay), abs(ay + n * sy), 1)
+    bound = sum(abs(c) for c, _ in f.num.values()) * (ny_max * dy) ** degy * (nx_max * dx) ** degx * (degx + 1)
+    rows = _line_rows(f, 0, [ay + j * sy for j in range(n + 1)], dy, dx)
     if bound < _INT64_SAFE:
         # Exact in int64: |w_a| * |nx|^a <= bound / (degx + 1) for every
         # term, so each power nx^a, each product and each partial sum of the
         # matrix product stays within bound < 2^62.
         nx = ax + sx * np.arange(n + 1, dtype=np.int64)
-        powers = np.ones((ip.degx + 1, n + 1), dtype=np.int64)
-        for a in range(1, ip.degx + 1):
+        powers = np.ones((degx + 1, n + 1), dtype=np.int64)
+        for a in range(1, degx + 1):
             powers[a] = powers[a - 1] * nx
         acc = np.array(rows, dtype=np.int64) @ powers
         float_vals = acc.astype(np.float64)
-        float_vals /= float(ip.lcm) * float(dx) ** ip.degx * float(dy) ** ip.degy
-        return (acc > 0).view(np.int8) - (acc < 0).view(np.int8), float_vals
+        try:
+            den = float(f.den)
+        except OverflowError:
+            raise UncertifiedResult(f"the denominator of f is {_BEYOND_FLOAT}") from None
+        float_vals /= den * float(dx) ** degx * float(dy) ** degy
+        return (acc > 0).view(np.int8) - (acc < 0).view(np.int8), float_vals, rows
     nx = [ax + sx * i for i in range(n + 1)]
     signs = _filtered_signs(rows, nx)
-    denom = ip.lcm * dx_pows[-1] * dy_pows[-1]
+    denom = f.den * dx**degx * dy**degy
     float_vals = np.full((n + 1, n + 1), np.nan)
     for j, i in _true_nodes(_crossing_nodes(signs)):
         try:
             float_vals[j, i] = ueval(rows[j], nx[i]) / denom
         except OverflowError:
             raise UncertifiedResult(f"a value of f at a lattice node is {_BEYOND_FLOAT}") from None
-    return signs, float_vals
+    return signs, float_vals, rows
 
 
 # -- exact rational interval arithmetic ----------------------------------------------
@@ -311,30 +297,25 @@ class _LatticeLines:
 
     f restricted to an edge depends only on the edge's line, so each line
     gets one Sturm chain, and its sign variations are memoized per node.  A
-    horizontal line is a row of `_IntPoly`, a vertical one a row of its
-    transpose: a positive multiple of f on the line as a polynomial in the
-    integer lattice coordinate (nx = dx*x or ny = dy*y), so edges are counted
-    between integer endpoints.  Endpoints are lattice nodes with nonzero
-    exact sign, so a zero count on the half-open interval certifies the
-    whole closed edge.
+    line's chain is built from its `_line_rows` row: a positive multiple of f
+    on the line as a polynomial in the integer lattice coordinate (nx = dx*x
+    or ny = dy*y), so edges are counted between integer endpoints.  The
+    horizontal rows are the ones `_sign_grid` built; a vertical row is built
+    when its line is first asked for.  Endpoints are lattice nodes with
+    nonzero exact sign, so a zero count on the half-open interval certifies
+    the whole closed edge.
     """
 
-    def __init__(self, ip: _IntPoly, lattice: tuple):
-        ax, sx, dx, ay, sy, dy, _ = lattice
-        dx_pows = [dx**k for k in range(ip.degx + 1)]
-        dy_pows = [dy**k for k in range(ip.degy + 1)]
-        # kind: (rows, the lines' offset and step, the edges' offset and step, row powers)
-        self._axes = {
-            "h": (ip, ay, sy, ax, sx, dy_pows, dx_pows),
-            "v": (ip.transposed(), ax, sx, ay, sy, dx_pows, dy_pows),
-        }
+    def __init__(self, f: MultiPoly, lattice: tuple, rows: list[list[int]]):
+        self.f, self.lattice, self.rows = f, lattice, rows
         self._counters: dict[tuple[str, int], Callable | None] = {}
 
     def edge_is_zero_free(self, kind: str, i: int, j: int) -> bool:
-        rows, a_line, s_line, a_edge, s_edge, line_pows, edge_pows = self._axes[kind]
-        line, k = (j, i) if kind == "h" else (i, j)
+        ax, sx, dx, ay, sy, dy, _ = self.lattice
+        line, k, a_edge, s_edge = (j, i, ax, sx) if kind == "h" else (i, j, ay, sy)
         if (kind, line) not in self._counters:
-            coeffs = utrim(rows.row_coefficients(a_line + line * s_line, line_pows, edge_pows))
+            row = self.rows[line] if kind == "h" else _line_rows(self.f, 1, [ax + line * sx], dx, dy)[0]
+            coeffs = utrim(list(row))
             # None: f vanishes identically on the line
             self._counters[kind, line] = sturm_counter(coeffs) if coeffs else None
         count = self._counters[kind, line]
@@ -453,11 +434,11 @@ class _Mesher:
     The lattice is (ax, sx, dx, ay, sy, dy, n) as from `_box_lattice`; the
     m x m sub-lattice of cell (i, j) is again an integer lattice, so
     subdivision takes its signs from `_sign_grid` and its values from the
-    same integer Horner.
+    rows that built them.
     """
 
-    def __init__(self, ip: _IntPoly, lattice: tuple, grids):
-        self.ip = ip
+    def __init__(self, f: MultiPoly, lattice: tuple, grids):
+        self.f = f
         self.lattice = lattice
         self.signs, self.fvals = grids
         ax, sx, dx, ay, sy, dy, n = lattice
@@ -503,12 +484,12 @@ class _Mesher:
         for depth in range(1, MAX_SUBDIVISION_DEPTH + 1):
             m = 1 << depth
             sub = (m * (ax + i * sx), sx, m * dx, m * (ay + j * sy), sy, m * dy, m)
-            signs, _ = _sign_grid(self.ip, *sub)
+            signs, _, rows = _sign_grid(self.f, *sub)
             if (signs == 0).any():
                 continue  # a finer lattice node hit the curve; deepen
             cases = _cases(signs)
             if not np.isin(cases, _AMBIGUOUS).any():
-                self._emit_subgrid(i, j, sub, signs, cases)
+                self._emit_subgrid(i, j, sub, signs, rows, cases)
                 return
         self.uncertified_cells.add((i, j))
         self.warnings.append(
@@ -520,13 +501,8 @@ class _Mesher:
         for a, b in (("B", "L"), ("T", "R")):
             self.segments.append((self._edge_vertex(*edges[a]), self._edge_vertex(*edges[b]), (i, j)))
 
-    def _emit_subgrid(self, i: int, j: int, sub: tuple, signs: np.ndarray, cases: np.ndarray):
+    def _emit_subgrid(self, i: int, j: int, sub: tuple, signs: np.ndarray, rows: list, cases: np.ndarray):
         ax, sx, dx, ay, sy, dy, m = sub
-        dx_pows = [dx**k for k in range(self.ip.degx + 1)]
-        dy_pows = [dy**k for k in range(self.ip.degy + 1)]
-
-        def value(a: int, b: int) -> int:
-            return ueval(self.ip.row_coefficients(ay + b * sy, dy_pows, dx_pows), ax + a * sx)
 
         def sub_vertex(kind: str, a: int, b: int) -> tuple:
             key = ("s", i, j, kind, a, b)
@@ -534,7 +510,8 @@ class _Mesher:
                 a2, b2 = (a + 1, b) if kind == "h" else (a, b + 1)
                 step = sx / dx if kind == "h" else sy / dy
                 x, y = (ax + a * sx) / dx, (ay + b * sy) / dy
-                self.vertex_pos[key] = _edge_point(kind, x, y, step, value(a, b), value(a2, b2))
+                va, vb = ueval(rows[b], ax + a * sx), ueval(rows[b2], ax + a2 * sx)
+                self.vertex_pos[key] = _edge_point(kind, x, y, step, va, vb)
             return key
 
         # a side crossed once maps to its parent edge's vertex; a side crossed
@@ -618,14 +595,17 @@ def count_ovals(
     """Count closed real components by adaptive marching squares on exact signs."""
     if resolution < 2:
         raise PreconditionError("resolution must be at least 2")
-    ip = _IntPoly(f)
+    if f.arity != 2:
+        raise PreconditionError("expected an affine curve")
+    if not f.has_real_coefficients():
+        raise PreconditionError("real coefficients required")
     if box is None:
         box = default_box(f)
     warnings: list[str] = []
     shift_num = 0
     while True:
         lattice = _box_lattice(box, resolution, shift_num)
-        signs, fvals = _sign_grid(ip, *lattice)
+        signs, fvals, rows = _sign_grid(f, *lattice)
         if not (signs == 0).any():
             break
         shift_num += 1
@@ -634,7 +614,7 @@ def count_ovals(
     if shift_num:
         warnings.append(f"lattice shifted {shift_num} time(s) to avoid exact zeros at nodes")
 
-    mesher = _Mesher(ip, lattice, (signs, fvals))
+    mesher = _Mesher(f, lattice, (signs, fvals))
     mesher.run()
     loops, open_chains = mesher.assemble()
     warnings.extend(mesher.warnings)
@@ -642,7 +622,7 @@ def count_ovals(
         warnings.append(f"{open_chains} open chain(s) reached the search boundary")
 
     result = OvalSet(box=box, resolution=resolution, warnings=warnings, open_chains=open_chains)
-    lines = _LatticeLines(ip, lattice)
+    lines = _LatticeLines(f, lattice, rows)
     for chain, cells in loops:
         verts = [mesher.vertex_pos[k] for k in chain]
         ok = not any(c in mesher.uncertified_cells for c in cells) and _certify_loop(mesher, cells, lines)

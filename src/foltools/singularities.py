@@ -382,7 +382,8 @@ def curve_singularities(f: MultiPoly) -> tuple[list[CurveSingularity], Enumerati
         else:
             absorb(pair_common_zeros(g, f), on_curve=True)
             qx, qy = exact_divide(fx, g), exact_divide(fy, g)
-            assert qx is not None and qy is not None
+            if qx is None or qy is None:
+                raise ArithmeticError("the gradient gcd must divide both components")
             if not poly_gcd(qx, qy).is_constant():
                 raise NonIsolatedSingularities("gradient components stay coupled")
             absorb(pair_common_zeros(qx, qy), on_curve=False)

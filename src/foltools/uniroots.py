@@ -222,7 +222,8 @@ def ucoprime(a: Coeffs, b: Coeffs) -> bool:
 def deflate(c: Coeffs, root: GaussianRational) -> Coeffs:
     """Divide by (x - root); the root must be exact."""
     q, r = udivmod(c, [-root, ONE])
-    assert not r, "deflation by a non-root"
+    if r:
+        raise ArithmeticError("deflation by a non-root")
     return q
 
 
@@ -348,7 +349,8 @@ def gi_factor(u: GInt) -> list[tuple[GInt, int]]:
                 u, k = q, k + 1
             if k:
                 out.append((pi, k))
-    assert gi_norm(u) == 1, "unit should remain after removing all primes"
+    if gi_norm(u) != 1:
+        raise ArithmeticError("unit should remain after removing all primes")
     return out
 
 

@@ -198,6 +198,26 @@ def test_values_beyond_float_range_exit_3(tmp_path, capsys):
         assert "float range" in capsys.readouterr().err
 
 
+def test_denominator_beyond_float_range_exits_3(tmp_path, capsys):
+    # f = (x^2 + y^2 - 1)/10^400 has numerators 1, 1 and -1, so its sign
+    # grid takes the int64 branch, whose float values divide by 10^400
+    doc = tmp_path / "tiny.fol"
+    ovals = ["ovals", str(doc), "--curve", "c", "--res", "16"]
+    for e in (400, 300):
+        c = "1/1" + "0" * e
+        doc.write_text(EEE_DOC.split("[curve")[0] + f"[curve c]\nf = {c}*x^2 + {c}*y^2 - {c}\n")
+        for argv in (ovals + ["--box=-2:2:-2:2"], ovals):
+            if e == 400:
+                assert run(argv) == 3
+                assert "float range" in capsys.readouterr().err
+            else:
+                assert run(argv) == 0
+                assert "ovals: 1 (certified: 1)" in capsys.readouterr().out
+        if e == 400:
+            assert run(["certify", str(doc), "--field", "eee", "--curve", "c"]) == 3
+            assert "float range" in capsys.readouterr().err
+
+
 def test_ovals_cli(eee_doc, tmp_path, capsys):
     lines_file = tmp_path / "polylines.txt"
     assert (

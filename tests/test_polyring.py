@@ -311,15 +311,22 @@ def test_gi_det_pivoting_cases():
 
 
 def test_exact_division_checks_survive_python_O():
-    # the Bareiss and Newton-difference checks are `if`s, which -O keeps; a
-    # matrix entry outside Z[i] or values of no integer polynomial must raise
+    # the Bareiss, Newton-difference and deflation checks are `if`s, which -O
+    # keeps; a matrix entry outside Z[i], values of no integer polynomial and
+    # a deflation by a non-root must raise
     script = (
         "import sys\n"
         "from fractions import Fraction\n"
+        "from foltools.gaussian import ONE, gr\n"
         "from foltools.polyring import _gi_det, _interpolate\n"
+        "from foltools.uniroots import deflate\n"
         "print(sys.flags.optimize)\n"
         "print(_gi_det([[(0, 0), (1, 2)], [(3, -1), (5, 0)]]), _interpolate([1, 3, 7]))\n"
-        "for call in (lambda: _gi_det([[(1, 0), (0, 0)], [(0, 0), (Fraction(1, 2), 0)]]), lambda: _interpolate([0, 0, 1])):\n"
+        "for call in (\n"
+        "    lambda: _gi_det([[(1, 0), (0, 0)], [(0, 0), (Fraction(1, 2), 0)]]),\n"
+        "    lambda: _interpolate([0, 0, 1]),\n"
+        "    lambda: deflate([gr(-1), ONE], gr(2)),\n"
+        "):\n"
         "    try:\n"
         "        print(call())\n"
         "    except ArithmeticError as exc:\n"
@@ -333,6 +340,7 @@ def test_exact_division_checks_survive_python_O():
         "(-5, -5) [1, 1, 1]",  # -(1 + 2i)(3 - i)
         "Bareiss divisibility must hold",
         "Newton differences must divide exactly",
+        "deflation by a non-root",
     ]
 
 

@@ -16,7 +16,6 @@ from foltools.realtopo import (
     _filtered_signs,
     _gamma,
     _horner,
-    _IntPoly,
     _LatticeLines,
     _box_lattice,
     _sign_grid,
@@ -121,6 +120,55 @@ def test_bigint_fallback_matches_numpy_path():
     scaled = circle.scale(gr(10**15))
     ovals = count_ovals(scaled, Box.square(2), 32)
     assert ovals.count == 1 and ovals.certified_count == 1
+
+
+def test_count_ovals_rejects_non_real_and_non_affine_curves():
+    with pytest.raises(PreconditionError, match="real coefficients required"):
+        count_ovals(x**2 + y**2 - const2(GaussianRational(1, 1)), Box.square(2), 8)
+    with pytest.raises(PreconditionError, match="expected an affine curve"):
+        count_ovals(MultiPoly.variable(3, 0) ** 2 - MultiPoly.constant(3, 1), Box.square(2), 8)
+
+
+def test_denominator_beyond_float_range_is_uncertified():
+    # numerators 1, 1 and -1 keep every grid on the int64 branch, whose float
+    # values divide by the denominator
+    with pytest.raises(UncertifiedResult, match="float range"):
+        count_ovals(circle.scale(gr(Fraction(1, 10**400))), Box.square(2), 16)
+    ovals = count_ovals(circle.scale(gr(Fraction(1, 10**300))), Box.square(2), 16)
+    assert ovals.count == 1 and ovals.certified_count == 1
+
+
+@pytest.mark.parametrize(
+    "curve, box, res",
+    [
+        ("(x^2+y^2)^2 - 4*x*y - 1/100", Box.square(2), 5),  # subdivided cells, one certified oval
+        ("((x-3/8)^2 + (y+5/16)^2 - 7/64)*((x+1/16)^2 + 2*(y+3/16)^2 - 7/64) + 1/5000", Box.square(1), 4),
+    ],
+)
+def test_each_lattice_row_is_built_once(monkeypatch, curve, box, res):
+    # `_sign_grid` builds the horizontal rows of its lattice in one call; the
+    # sub-vertex values read those rows and the edge proofs reuse the top
+    # lattice's, so the only other calls build single vertical lines
+    calls, grids = [], []
+    line_rows, sign_grid = realtopo._line_rows, realtopo._sign_grid
+
+    def recording_rows(f, axis, lines, d_line, d_edge):
+        calls.append((axis, tuple(lines), d_line, d_edge))
+        return line_rows(f, axis, lines, d_line, d_edge)
+
+    def recording_grid(f, *lattice):
+        grids.append(lattice)
+        return sign_grid(f, *lattice)
+
+    monkeypatch.setattr(realtopo, "_line_rows", recording_rows)
+    monkeypatch.setattr(realtopo, "_sign_grid", recording_grid)
+    ovals = count_ovals(parse_poly(curve, 2), box, res)
+    horizontal = [c for c in calls if c[0] == 0]
+    vertical = [c for c in calls if c[0] == 1]
+    assert len(grids) > 1 and len(horizontal) == len(grids)
+    assert all(len(lines) == n + 1 for (_, lines, _, _), (*_, n) in zip(horizontal, grids))
+    assert all(len(c[1]) == 1 for c in vertical) and len(set(vertical)) == len(vertical)
+    assert bool(vertical) == (ovals.certified_count > 0)
 
 
 def test_trace_circle_accuracy():
@@ -282,20 +330,35 @@ def test_refine_polyline_matches_scalar_newton():
 # -- the sign grid against exact integer Horner ---------------------------------------
 
 
+def _degrees(f) -> tuple[int, int]:
+    return max(f.degree_in(0), 0), max(f.degree_in(1), 0)
+
+
+def _scaled_value(f, nx, dx, ny, dy) -> int:
+    """Oracle: den * dx^degx * dy^degy * f(nx/dx, ny/dy), term by term from
+    the numerators f.num."""
+    degx, degy = _degrees(f)
+    return sum(c * nx**a * dx ** (degx - a) * ny**b * dy ** (degy - b) for (a, b), (c, _) in f.num.items())
+
+
+def _scaled_row(f, ny, dx, dy) -> list[int]:
+    """Oracle: the coefficients of den * dx^degx * dy^degy * f on y = ny/dy
+    as a polynomial in nx = dx*x, term by term from f.num."""
+    degx, degy = _degrees(f)
+    w = [0] * (degx + 1)
+    for (a, b), (c, _) in f.num.items():
+        w[a] += c * dx ** (degx - a) * ny**b * dy ** (degy - b)
+    return w
+
+
 def _check_grid(f, ax, sx, dx, ay, sy, dy, n) -> dict:
     """Compare _sign_grid with an exact node-by-node evaluation; return path facts."""
-    ip = _IntPoly(f)
-    signs, vals = _sign_grid(ip, ax, sx, dx, ay, sy, dy, n)
-    denom = ip.lcm * dx**ip.degx * dy**ip.degy
-    dx_pows = [dx**k for k in range(ip.degx + 1)]
-    dy_pows = [dy**k for k in range(ip.degy + 1)]
-    exact = [[0] * (n + 1) for _ in range(n + 1)]
-    overflowing_rows = 0
-    for j in range(n + 1):
-        w = ip.row_coefficients(ay + j * sy, dy_pows, dx_pows)
-        overflowing_rows += any(abs(c) > 2**1023 for c in w)
-        for i in range(n + 1):
-            exact[j][i] = sum(c * (ax + i * sx) ** a for a, c in enumerate(w))
+    signs, vals, rows = _sign_grid(f, ax, sx, dx, ay, sy, dy, n)
+    degx, degy = _degrees(f)
+    denom = f.den * dx**degx * dy**degy
+    exact = [[_scaled_value(f, ax + i * sx, dx, ay + j * sy, dy) for i in range(n + 1)] for j in range(n + 1)]
+    assert rows == [_scaled_row(f, ay + j * sy, dx, dy) for j in range(n + 1)]
+    overflowing_rows = sum(any(abs(c) > 2**1023 for c in w) for w in rows)
     for j in range(n + 1):
         for i in range(n + 1):
             v = exact[j][i]
@@ -319,10 +382,10 @@ def _check_grid(f, ax, sx, dx, ay, sy, dy, n) -> dict:
 
 def _int64_bound(f, ax, sx, dx, ay, sy, dy, n) -> int:
     """The magnitude bound that `_sign_grid` compares with 2^62, restated."""
-    ip = _IntPoly(f)
+    degx, degy = _degrees(f)
     nx_max, ny_max = max(abs(ax), abs(ax + n * sx)), max(abs(ay), abs(ay + n * sy))
-    bound = sum(abs(c) for _, _, c in ip.terms) * max(ny_max, 1) ** ip.degy * max(dy, 1) ** ip.degy
-    return bound * max(dx, 1) ** ip.degx * max(nx_max, 1) ** ip.degx * (ip.degx + 1)
+    bound = sum(abs(c) for c, _ in f.num.values()) * max(ny_max, 1) ** degy * max(dy, 1) ** degy
+    return bound * max(dx, 1) ** degx * max(nx_max, 1) ** degx * (degx + 1)
 
 
 def test_sign_grid_bigint_matches_exact_horner():
@@ -381,10 +444,9 @@ def test_float_filter_sends_cancelling_nodes_to_exact_horner():
     for K in (10**17, 10**18 + 1, 3**40, 7**25):
         for s in (1, -1, 2, -3):
             f = const2(K) * (const2(3) * x - const2(1)) * (x + const2(5)) * (x - const2(2)) + const2(s)
-            ip = _IntPoly(f)
-            row = ip.row_coefficients(0, [1], [3**k for k in range(ip.degx + 1)])
+            row = _scaled_row(f, 0, 3, 1)
             nx = list(range(-20, 21))
-            exact = [sum(c * v**a for a, c in enumerate(row)) for v in nx]
+            exact = [_scaled_value(f, v, 3, 0, 1) for v in nx]
             naive = np.zeros(len(nx))
             for c in reversed(row):
                 naive = naive * np.array(nx, dtype=float) + float(c)
@@ -534,6 +596,11 @@ def test_top_form_restrictions_match_dict_loops():
     assert compact >= 12
 
 
+def _lattice_lines(f, lattice) -> _LatticeLines:
+    """The edge prover of a lattice, given the rows its sign grid built."""
+    return _LatticeLines(f, lattice, _sign_grid(f, *lattice)[2])
+
+
 def test_lattice_lines_match_fraction_restrictions():
     # on shifted lattices around seeded curves of degree 2 to 6 every edge
     # answer of the integer rows equals the Fraction-node Sturm count
@@ -542,7 +609,7 @@ def test_lattice_lines_match_fraction_restrictions():
         f = _seeded_curve(rng, degree)
         for box, res, shift in ((Box.square(2), 9, 1), (Box(Fraction(-3, 2), Fraction(5, 3), Fraction(-1), Fraction(2)), 7, 3)):
             lattice = _box_lattice(box, res, shift)
-            lines = _LatticeLines(_IntPoly(f), lattice)
+            lines = _lattice_lines(f, lattice)
             expected = _oracle_edge_answers(f, lattice)
             assert {key: lines.edge_is_zero_free(*key) for key in expected} == expected, (degree, box)
             assert 0 < sum(expected.values()) < len(expected)
@@ -554,7 +621,7 @@ def test_lattice_lines_match_per_edge_sturm_counts():
     lattice = (-14, 1, 7, -14, 1, 6, 28)  # x_i = i/7 - 2, y_j = j/6 - 7/3
     nodes_x = [Fraction(k, 7) - 2 for k in range(29)]
     nodes_y = [Fraction(k, 6) - Fraction(7, 3) for k in range(29)]
-    lines = _LatticeLines(_IntPoly(f), lattice)
+    lines = _lattice_lines(f, lattice)
     zero_free = 0
     for kind in ("h", "v"):
         for i in range(28):
@@ -568,7 +635,7 @@ def test_lattice_lines_match_per_edge_sturm_counts():
                 zero_free += expected
     assert 0 < zero_free < 2 * 28 * 28
     # y = 0 is the lattice line j = 14, where y * f vanishes identically
-    assert not _LatticeLines(_IntPoly(y * f), lattice).edge_is_zero_free("h", 3, 14)
+    assert not _lattice_lines(y * f, lattice).edge_is_zero_free("h", 3, 14)
 
 
 def test_subdivision_lattices_refine_their_cell(monkeypatch):
@@ -578,9 +645,9 @@ def test_subdivision_lattices_refine_their_cell(monkeypatch):
     lattices = []
     plain = realtopo._sign_grid
 
-    def recording(ip, *lattice):
+    def recording(g, *lattice):
         lattices.append(lattice)
-        return plain(ip, *lattice)
+        return plain(g, *lattice)
 
     monkeypatch.setattr(realtopo, "_sign_grid", recording)
     ovals = count_ovals(f, Box(Fraction(-3, 2), Fraction(3, 2), Fraction(-2), Fraction(2)), 5)
@@ -593,7 +660,7 @@ def test_subdivision_lattices_refine_their_cell(monkeypatch):
         assert (Fraction(sax, sdx), Fraction(sax + m * ssx, sdx)) == (x1, x2)
         assert (Fraction(say, sdy), Fraction(say + m * ssy, sdy)) == (y1, y2)
         if m <= 8:
-            signs, _ = plain(_IntPoly(f), sax, ssx, sdx, say, ssy, sdy, m)
+            signs, _, _ = plain(f, sax, ssx, sdx, say, ssy, sdy, m)
             for b in range(m + 1):
                 for a in range(m + 1):
                     v = f.evaluate((x1 + (x2 - x1) * a / m, y1 + (y2 - y1) * b / m)).re
