@@ -421,24 +421,32 @@ def _specialize_keeping(p: MultiPoly, var: int, point: list[GaussianRational]) -
     return utrim([from_gint(u, den) for u in nums])
 
 
-def _coprimality_fast_path(pa: MultiPoly, pb: MultiPoly, var: int) -> bool:
-    """Sound certificate that two var-primitive polynomials are coprime in var.
+def _coprime_images(a: MultiPoly, b: MultiPoly, variables: Iterable[int]) -> bool:
+    """True proves deg_v gcd(a, b) = 0 for every v in `variables`; False proves nothing.
 
-    Specialize the other variables at each of 8 points where both leading
-    coefficients survive and ask the certificate modulo P there; a coprime
-    image at any of them forces deg_var(gcd) = 0, which for primitive inputs
-    means a trivial gcd.  False means "unknown".
+    A variable v in which a or b has degree 0 needs no proof.  For each other
+    v, the remaining variables are set to each of 8 integer points in turn,
+    and the numerators' images in F_P[v] are compared (`coprime_mod_p`).
+    Proof: take G = gcd(a, b) primitive in Z[i][vars]; by Gauss's lemma it
+    divides both numerators there, so lc_v(G) divides lc_v(a) and lc_v(b).
+    At a point where the image of lc_v(a) is nonzero mod P, so is that of
+    lc_v(G): the image of G keeps its degree in v and divides both images,
+    so a coprime image there forces deg_v G = 0.  With every variable
+    given, True means gcd(a, b) = 1.
     """
-    others = [v for v in range(pa.arity) if v != var]
-    for trial in range(8):
-        point = [(0, 0)] * pa.arity
-        for idx, v in enumerate(others):
-            point[v] = (trial + idx + (1 if trial else 0), 0)
-        # numerators of the specialisations, nonzero integer multiples of them: the same gcd
-        sa, sb = ([from_gint(u) for u in _specialize(p, var, point, 1)[1]] for p in (pa, pb))
-        if sa[-1] and sb[-1] and coprime_mod_p(sa, sb):
-            return True
-    return False
+    for var in variables:
+        if a.degree_in(var) < 1 or b.degree_in(var) < 1:
+            continue
+        others = [v for v in range(a.arity) if v != var]
+        for trial in range(8):
+            point = [(0, 0)] * a.arity
+            for idx, v in enumerate(others):
+                point[v] = (trial + idx + (1 if trial else 0), 0)
+            if coprime_mod_p(_specialize(a, var, point, 1)[1], _specialize(b, var, point, 1)[1]):
+                break
+        else:
+            return False
+    return True
 
 
 def _subresultant_gcd(pa: MultiPoly, pb: MultiPoly, var: int) -> MultiPoly:
@@ -475,22 +483,21 @@ def _subresultant_gcd(pa: MultiPoly, pb: MultiPoly, var: int) -> MultiPoly:
                 raise ArithmeticError("subresultant divisibility must hold")
 
 
-def _homogeneous_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
-    """Gcd of homogeneous trivariate polynomials via the Z = 1 slice.
+def _homogeneous_gcd(a: MultiPoly, b: MultiPoly, var: int) -> MultiPoly:
+    """Gcd of homogeneous polynomials through the slice var = 1, var the last variable that occurs.
 
-    Stripping the Z-power and dehomogenizing is factor-bijective for
-    Z-coprime homogeneous polynomials, so the bivariate gcd lifts back.
+    With the least power of var stripped, setting var = 1 is factor-bijective
+    for homogeneous polynomials that var does not divide, and it leaves a
+    polynomial in fewer variables, so the gcd of the slices lifts back by
+    re-homogenizing with var, times var^min(ka, kb).
     """
-    ka = min(e[2] for e in a.num)
-    kb = min(e[2] for e in b.num)
-    a2 = dehomogenize(MultiPoly._of(3, a.den, {(x, y, z - ka): u for (x, y, z), u in a.num.items()}))
-    b2 = dehomogenize(MultiPoly._of(3, b.den, {(x, y, z - kb): u for (x, y, z), u in b.num.items()}))
-    g2 = poly_gcd(a2, b2)
-    lifted = homogenize(g2, int(g2.degree)) if not g2.is_constant() else MultiPoly.constant(3, 1)
-    k = min(ka, kb)
-    if k:
-        lifted = lifted * MultiPoly.monomial(3, (0, 0, k), 1)
-    return _monic(lifted)
+    ka, kb = (min(e[var] for e in p.num) for p in (a, b))
+    # distinct terms of a homogeneous polynomial differ off var, so nothing collides
+    a1 = MultiPoly._of(a.arity, a.den, {e[:var] + (0,) + e[var + 1 :]: u for e, u in a.num.items()})
+    b1 = MultiPoly._of(b.arity, b.den, {e[:var] + (0,) + e[var + 1 :]: u for e, u in b.num.items()})
+    g1 = poly_gcd(a1, b1)
+    top = int(g1.degree) + min(ka, kb)
+    return _monic(MultiPoly._of(g1.arity, g1.den, {e[:var] + (top - sum(e),) + e[var + 1 :]: u for e, u in g1.num.items()}))
 
 
 def poly_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
@@ -500,19 +507,18 @@ def poly_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     if b.is_zero():
         return _monic(a)
     a._check_arity(b)
-    if a.arity == 3 and a.is_homogeneous() and b.is_homogeneous():
-        return _homogeneous_gcd(a, b)
-    var = -1
-    for v in range(a.arity - 1, -1, -1):
-        if a.degree_in(v) > 0 or b.degree_in(v) > 0:
-            var = v
-            break
-    if var < 0:
+    occurring = [v for v in range(a.arity) if a.degree_in(v) > 0 or b.degree_in(v) > 0]
+    if not occurring:
         return MultiPoly.constant(a.arity, 1)
-    if all(max(a.degree_in(v), b.degree_in(v)) == 0 for v in range(a.arity) if v != var):
+    var = occurring[-1]
+    if len(occurring) == 1:
         # no other variable occurs, so there is nothing to substitute
         g = ugcd(_specialize_keeping(a, var, [ZERO] * a.arity), _specialize_keeping(b, var, [ZERO] * a.arity))
         return MultiPoly(a.arity, {tuple(k if v == var else 0 for v in range(a.arity)): c for k, c in enumerate(g)})
+    if a.is_homogeneous() and b.is_homogeneous():
+        return _homogeneous_gcd(a, b, var)
+    if _coprime_images(a, b, occurring):
+        return MultiPoly.constant(a.arity, 1)
     if a.degree_in(var) == 0 or b.degree_in(var) == 0:
         # one input lives entirely in the other variables
         thin, thick = (a, b) if a.degree_in(var) == 0 else (b, a)
@@ -524,7 +530,7 @@ def poly_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     if pa is None or pb is None:
         raise ArithmeticError("the contents must divide exactly")
     cg = poly_gcd(ca, cb)
-    if _coprimality_fast_path(pa, pb, var):
+    if _coprime_images(pa, pb, [var]):
         return _monic(cg)
     return _monic(cg * _subresultant_gcd(pa, pb, var))
 

@@ -43,8 +43,8 @@ _GRID_BLOCK = 2**15  # candidates per block of the mod-_P filter
 #
 # These helpers take lists of exact field elements, GaussianRational for roots
 # in Q(i), and use only +, -, *, 1 / x and truth values; utrim and uderiv
-# also serve the integer Sturm chains.  Gcds are modular (`ugcd`): division
-# here only verifies them and divides out known factors.
+# also serve the integer Sturm chains.  Gcds are modular (`ugcd`), checked by
+# division in Z[i] (`_gi_quotient`); `udivmod` here only deflates known roots.
 
 
 def utrim(c: list) -> list:
@@ -113,7 +113,7 @@ def ugcd(a: Coeffs, b: Coeffs) -> Coeffs:
     a monic candidate H of degree d, returned only if it divides a and b
     exactly: then H divides G and deg H >= deg G, so H = G.  By Gauss's
     lemma, H divides a over Q(i) exactly when H scaled primitive into
-    Z[i][x] divides a scaled primitive there, so the check is `_gi_divides`
+    Z[i][x] divides a scaled primitive there, so the check is `_gi_quotient`
     in integers.  Otherwise more primes are taken; a prime of degree deg G
     makes both u and v unique once the modulus is large enough, so the loop
     ends.
@@ -153,28 +153,31 @@ def ugcd(a: Coeffs, b: Coeffs) -> Coeffs:
         candidate = _reconstruct(residues, modulus, size - 1)
         if candidate is not None:
             h = _to_gauss_integers(candidate)
-            if _gi_divides(h, ia) and _gi_divides(h, ib):
+            if _gi_quotient(h, ia) is not None and _gi_quotient(h, ib) is not None:
                 return candidate
     raise AssertionError("unreachable: the prime supply is infinite")
 
 
-def _gi_divides(h: list[GInt], a: list[GInt]) -> bool:
-    """Whether h divides a in Z[i][x]: long division with every quotient
-    coefficient in Z[i] and no remainder (h has a nonzero leading coefficient)."""
+def _gi_quotient(h: list[GInt], a: list[GInt]) -> list[GInt] | None:
+    """a / h in Z[i][x] by long division, or None when h does not divide a
+    there: some quotient coefficient is not in Z[i], or a remainder is left
+    (h has a nonzero leading coefficient)."""
     r, (lr, li), nh = list(a), h[-1], len(h) - 1
     norm = lr * lr + li * li
+    q = [(0, 0)] * (len(a) - nh)
     for k in range(len(a) - 1 - nh, -1, -1):
         tr, ti = r[k + nh]
         # the quotient coefficient (tr + ti i) / (lr + li i) = (tr + ti i)(lr - li i) / norm
         xr, xi = tr * lr + ti * li, ti * lr - tr * li
         if xr % norm or xi % norm:
-            return False
+            return None
         fr, fi = xr // norm, xi // norm
+        q[k] = (fr, fi)
         if fr or fi:
             for j in range(nh):
                 (ur, ui), (vr, vi) = r[k + j], h[j]
                 r[k + j] = (ur - fr * vr + fi * vi, ui - fr * vi - fi * vr)
-    return not any(ur or ui for ur, ui in r[:nh])
+    return None if any(ur or ui for ur, ui in r[:nh]) else q
 
 
 def _reconstruct(residues: list[int], modulus: int, deg: int) -> Coeffs | None:
@@ -211,7 +214,11 @@ def usquarefree(c: Coeffs) -> Coeffs:
     g = ugcd(c, d)
     if udeg(g) == 0:
         return umonic(list(c))
-    return umonic(udivmod(c, g)[0])
+    # both scaled primitive into Z[i][x], so the quotient is there too (Gauss's lemma)
+    q = _gi_quotient(_to_gauss_integers(g), _to_gauss_integers(c))
+    if q is None:
+        raise ArithmeticError("the gcd must divide exactly")
+    return umonic([from_gint(u) for u in q])
 
 
 def ucoprime(a: Coeffs, b: Coeffs) -> bool:
@@ -434,21 +441,21 @@ _I_MOD_P = _sqrt_minus_one(_P)  # a square root of -1: the image of i
 _GCD_PRIMES = tuple(itertools.islice(_split_primes(2**62), 4))  # the first few, found once
 
 
-def coprime_mod_p(a: Coeffs, b: Coeffs) -> bool:
+def coprime_mod_p(a: list[GInt], b: list[GInt]) -> bool:
     """True proves gcd(a, b) = 1 over Q(i); False proves nothing.
 
-    a and b are scaled into Z[i][x] and mapped to F_P[x] under i -> _I_MOD_P.
-    A common factor g of positive degree can be taken primitive in Z[i][x],
-    and by Gauss's lemma it divides both scaled polynomials there, so lc(g)
-    divides both leading coefficients.  When neither of those vanishes mod
-    P, g keeps its degree in F_P[x] and divides both images, which are then
-    not coprime.  The same holds for any prime p = 1 (mod 4) and either
-    square root of -1 mod p.
+    a and b are Z[i] coefficients, low to high, such as the numerators of
+    two Q(i) polynomials, mapped to F_P[x] under i -> _I_MOD_P.  A common
+    factor g of positive degree can be taken primitive in Z[i][x], and by
+    Gauss's lemma it divides a and b there, so lc(g) divides both leading
+    coefficients.  When neither of those vanishes mod P, g keeps its degree
+    in F_P[x] and divides both images, which are then not coprime; only the
+    leading coefficients' images matter, and a and b need not be primitive.
+    The same holds for any prime p = 1 (mod 4) and either root of -1 mod p.
     """
     if len(a) < 2 or len(b) < 2:
         return False
-    ia = _image_mod_p(_to_gauss_integers(a), _P, _I_MOD_P)
-    ib = _image_mod_p(_to_gauss_integers(b), _P, _I_MOD_P)
+    ia, ib = _image_mod_p(a, _P, _I_MOD_P), _image_mod_p(b, _P, _I_MOD_P)
     if not ia[-1] or not ib[-1]:
         return False
     return len(_fp_gcd(ia, ib, _P)) == 1

@@ -19,7 +19,7 @@ from foltools.polyring import (
     MINUS_INFINITY,
     MultiPoly,
     _coeffs_in,
-    _coprimality_fast_path,
+    _coprime_images,
     _gi_det,
     _interpolate,
     _primitive_part,
@@ -168,7 +168,7 @@ def test_specialisation_certificate_implies_trivial_gcd(rng):
         if a.degree_in(1) < 1 or b.degree_in(1) < 1:
             continue
         pa, pb = _primitive_part(a, 1), _primitive_part(b, 1)
-        if _coprimality_fast_path(pa, pb, 1):
+        if _coprime_images(pa, pb, [1]):
             coprime += 1
             assert _subresultant_gcd(pa, pb, 1).is_constant()
         else:
@@ -182,6 +182,85 @@ def test_gcd_homogeneous_fast_path():
     g = poly_gcd(F, G)
     assert exact_divide(g, poly_gcd(g, X + Y)) is not None
     assert g.degree == 1
+
+
+def _product(arity, factors) -> MultiPoly:
+    out = MultiPoly.constant(arity, 1)
+    for f in factors:
+        out = out * f
+    return out
+
+
+# monic linear forms (graded-lex leading coefficient 1): products of them are monic
+_BINARY_2 = [x, y, x + y.scale(gr(2)), x - y.scale(gr(0, 1)), x + y.scale(gr("1/2")), x + y.scale(gr(1, 1))]
+_BINARY_3 = [X, Y, X + Y.scale(gr(2)), X - Y.scale(gr(0, 1)), X + Y.scale(gr("1/2")), X + Y.scale(gr(1, 1))]
+_TERNARY = [X, Y, Z, X + Z, Y - Z.scale(gr(2)), X + Y + Z.scale(gr(0, 1)), X - Y.scale(gr("1/2")) + Z, Y + Z.scale(gr(3))]
+
+
+@pytest.mark.parametrize(
+    "pool, binary", [(_BINARY_2, True), (_BINARY_3, True), (_TERNARY, False)], ids=["binary-xy", "binary-XY-no-Z", "ternary"]
+)
+def test_homogeneous_gcd_is_the_planted_product_of_linear_forms(pool, binary, monkeypatch):
+    if binary:
+        # a binary form needs no content: each slice removes a variable, down to `ugcd`
+        def no_content(*args):
+            raise AssertionError("_content called on binary forms")
+
+        monkeypatch.setattr(polyring, "_content", no_content)
+    rnd = random.Random(29)
+    weights = [3 if len(f.num) == 1 else 1 for f in pool]  # the variables alone: X^k, Y^k and Z^k factors
+    for _ in range(30):
+        ra = Counter(rnd.choices(range(len(pool)), weights, k=rnd.randint(1, 6)))
+        rb = Counter(rnd.choices(range(len(pool)), weights, k=rnd.randint(1, 6)))
+        n = pool[0].arity
+        a = _product(n, (pool[i] for i in ra.elements())).scale(gr(rnd.randint(1, 4), rnd.randint(-2, 2)))
+        b = _product(n, (pool[i] for i in rb.elements())).scale(gr(rnd.randint(-4, -1), rnd.randint(-2, 2)))
+        expected = _product(n, (pool[i] for i in (ra & rb).elements()))
+        assert poly_gcd(a, b) == expected == poly_gcd(b, a)
+
+
+def test_homogeneous_gcd_strips_powers_of_the_sliced_variable():
+    assert poly_gcd(x**3 * y * (x + y), x * y**4 * (x - y)) == x * y
+    assert poly_gcd(y**2, y**5 * (x + y)) == y**2
+    assert poly_gcd(X * Z**3 * (Y + Z), Z**2 * (Y + Z) * (X - Y)) == Z**2 * (Y + Z)
+    assert poly_gcd(Z**2, X**2 + Y**2) == MultiPoly.constant(3, 1)
+
+
+def test_coprime_images_miss_a_common_factor_of_the_contents():
+    a, b = x * (y + const2(1)), x * (y - const2(1))
+    assert not _coprime_images(a, b, (0, 1))
+    assert poly_gcd(a, b) == x
+
+
+def test_coprime_images_never_certify_a_planted_factor(rng):
+    planted = 0
+    for k in range(90):
+        c = random_poly(rng, max_degree=2, nonzero=True)
+        if k % 3:  # a factor in one variable only
+            c = c.substitute({0: x, 1: const2(rng.randint(-2, 2))} if k % 3 == 1 else {0: const2(rng.randint(-2, 2)), 1: y})
+        if c.is_constant():
+            continue
+        a = random_poly(rng, max_degree=2, nonzero=True) * c
+        b = random_poly(rng, max_degree=2, nonzero=True) * c
+        assert not _coprime_images(a, b, (0, 1))
+        for v in (0, 1):
+            if c.degree_in(v) > 0:
+                assert not _coprime_images(a, b, [v])
+        planted += 1
+    assert planted > 40
+
+
+def test_coprime_pairs_with_nonconstant_contents_never_take_a_content(monkeypatch):
+    a = (x + const2(1)) * (y + x)
+    b = (x + const2(2)) * (y - x)
+    assert not polyring._content(a, 1).is_constant() and not polyring._content(b, 1).is_constant()
+
+    def no_content(*args):
+        raise AssertionError("_content called on a certified coprime pair")
+
+    monkeypatch.setattr(polyring, "_content", no_content)
+    assert _coprime_images(a, b, (0, 1))
+    assert poly_gcd(a, b) == const2(1)
 
 
 def test_euler_identity_homogeneous(rng):
@@ -311,21 +390,25 @@ def test_gi_det_pivoting_cases():
 
 
 def test_exact_division_checks_survive_python_O():
-    # the Bareiss, Newton-difference and deflation checks are `if`s, which -O
-    # keeps; a matrix entry outside Z[i], values of no integer polynomial and
-    # a deflation by a non-root must raise
+    # the Bareiss, Newton-difference, deflation and squarefree-quotient checks
+    # are `if`s, which -O keeps; a matrix entry outside Z[i], values of no
+    # integer polynomial, a deflation by a non-root and a gcd that does not
+    # divide must raise
     script = (
         "import sys\n"
         "from fractions import Fraction\n"
         "from foltools.gaussian import ONE, gr\n"
         "from foltools.polyring import _gi_det, _interpolate\n"
+        "from foltools import uniroots\n"
         "from foltools.uniroots import deflate\n"
         "print(sys.flags.optimize)\n"
+        "uniroots.ugcd = lambda a, b: [gr(2), ONE]  # x + 2 does not divide x^2 - 1\n"
         "print(_gi_det([[(0, 0), (1, 2)], [(3, -1), (5, 0)]]), _interpolate([1, 3, 7]))\n"
         "for call in (\n"
         "    lambda: _gi_det([[(1, 0), (0, 0)], [(0, 0), (Fraction(1, 2), 0)]]),\n"
         "    lambda: _interpolate([0, 0, 1]),\n"
         "    lambda: deflate([gr(-1), ONE], gr(2)),\n"
+        "    lambda: uniroots.usquarefree([gr(-1), gr(0), ONE]),\n"
         "):\n"
         "    try:\n"
         "        print(call())\n"
@@ -341,6 +424,7 @@ def test_exact_division_checks_survive_python_O():
         "Bareiss divisibility must hold",
         "Newton differences must divide exactly",
         "deflation by a non-root",
+        "the gcd must divide exactly",
     ]
 
 
@@ -384,7 +468,7 @@ def test_fast_path_certifies_pairs_that_share_a_root_at_x_zero(monkeypatch):
     # at x = 0, A = y and B = y + y^2 share the root 0; at x = 1 they are coprime
     A = y + x
     B = y - x.scale(gr(2)) + y**2
-    assert _coprimality_fast_path(A, B, 1)
+    assert _coprime_images(A, B, [1])
     calls = []
     subresultant = polyring._subresultant_gcd
 
@@ -400,7 +484,7 @@ def test_fast_path_certifies_pairs_that_share_a_root_at_x_zero(monkeypatch):
 def test_fast_path_never_certifies_a_common_factor(rng):
     # x*y + 1 specialises to the constant 1 at x = 0, where the leading coefficients vanish
     c = x * y + const2(1)
-    assert not _coprimality_fast_path(c * (y - const2(1)), c * (y + const2(1)), 1)
+    assert not _coprime_images(c * (y - const2(1)), c * (y + const2(1)), [1])
     planted = 0
     for _ in range(60):
         c = random_poly(rng, max_degree=2, nonzero=True)
@@ -409,7 +493,7 @@ def test_fast_path_never_certifies_a_common_factor(rng):
         a = random_poly(rng, max_degree=2, nonzero=True) * c
         b = random_poly(rng, max_degree=2, nonzero=True) * c
         pa, pb = _primitive_part(a, 1), _primitive_part(b, 1)
-        assert not _coprimality_fast_path(pa, pb, 1)
+        assert not _coprime_images(pa, pb, [1])
         planted += 1
     assert planted > 20
 

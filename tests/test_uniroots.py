@@ -11,7 +11,7 @@ import pytest
 import foltools
 from foltools import uniroots
 from foltools.errors import RootSearchOverflow
-from foltools.gaussian import GaussianRational, ONE, from_gint, gr
+from foltools.gaussian import GaussianRational, ONE, from_gint, gr, lift
 from foltools.uniroots import (
     UNITS,
     _GCD_PRIMES,
@@ -19,7 +19,7 @@ from foltools.uniroots import (
     _I_MOD_P,
     _as_gaussian_rational,
     _candidate_divisors,
-    _gi_divides,
+    _gi_quotient,
     _gi_vanishes,
     _surviving_candidates,
     _int_sturm_chain,
@@ -270,34 +270,39 @@ def test_filtered_search_matches_exhaustive_scan(block, monkeypatch):
 # -- coprimality certificate modulo a prime ----------------------------------------
 
 
+def _ints(c):
+    """The Z[i] numerators of c over their common denominator."""
+    return lift(c)[1]
+
+
 def test_image_of_i_is_a_square_root_of_minus_one():
     assert _P % 4 == 1 and _I_MOD_P * _I_MOD_P % _P == _P - 1
 
 
 def test_squarefree_input_is_certified():
     c = _poly_from_roots([gr(1), gr(2), gr(0, -1)])
-    assert coprime_mod_p(c, uderiv(c))
+    assert coprime_mod_p(_ints(c), _ints(uderiv(c)))
     assert usquarefree(c) == umonic(c)
     assert ucoprime(c, uderiv(c))
 
 
 def test_repeated_root_falls_back_to_exact_gcd():
     c = _poly_from_roots([gr(1), gr(1), gr(0, -1)])  # (x - 1)^2 (x + i)
-    assert not coprime_mod_p(c, uderiv(c))
+    assert not coprime_mod_p(_ints(c), _ints(uderiv(c)))
     assert not ucoprime(c, uderiv(c))
     assert usquarefree(c) == _poly_from_roots([gr(1), gr(0, -1)])
 
 
 def test_leading_coefficient_divisible_by_the_prime_falls_back():
     c = [gr(1), gr(0), gr(_P)]  # P x^2 + 1 is squarefree but vanishes to degree 0 mod P
-    assert not coprime_mod_p(c, uderiv(c))
+    assert not coprime_mod_p(_ints(c), _ints(uderiv(c)))
     assert ucoprime(c, uderiv(c))
     assert usquarefree(c) == umonic(c)
 
 
 def test_polynomials_equal_mod_p_are_still_coprime():
     x, x_minus_p = [gr(0), gr(1)], [gr(-_P), gr(1)]
-    assert not coprime_mod_p(x, x_minus_p)
+    assert not coprime_mod_p(_ints(x), _ints(x_minus_p))
     assert ucoprime(x, x_minus_p)
 
 
@@ -307,7 +312,7 @@ def test_zero_and_constant_inputs_take_the_exact_path():
     assert not ucoprime([], x)  # gcd(0, x) = x
     assert not ucoprime([], [])
     assert ucoprime([], [gr(5)])
-    assert not coprime_mod_p([gr(3)], x) and not coprime_mod_p([], x)
+    assert not coprime_mod_p([(3, 0)], _ints(x)) and not coprime_mod_p([], _ints(x))
 
 
 def test_ucoprime_agrees_with_exact_gcd():
@@ -471,14 +476,14 @@ def test_ugcd_returns_no_candidate_that_fails_the_division_check(monkeypatch):
     a = _times([gr(4), gr(1)], [gr(2), gr(1)])
     b = _times([gr(4), gr(1)], [gr(3), gr(1)])
     tried = []
-    real = uniroots._gi_divides
+    real = uniroots._gi_quotient
 
     def spy(h, u):
         tried.append(list(h))
         return real(h, u)
 
     monkeypatch.setattr(uniroots, "_gcd_primes", _small_primes_first)
-    monkeypatch.setattr(uniroots, "_gi_divides", spy)
+    monkeypatch.setattr(uniroots, "_gi_quotient", spy)
     assert ugcd(a, b) == [gr(4), gr(1)] == _euclid_gcd(a, b)
     assert tried[0] == [(-1, 0), (1, 0)]  # the first candidate, rejected
     assert [(4, 0), (1, 0)] in tried
@@ -496,19 +501,19 @@ def _gi_times(a, b):
 def test_gi_divides_exact_multiples_and_non_integral_quotients():
     h = [(1, -1), (0, 3), (2, 1)]  # (2 + i) x^2 + 3i x + (1 - i): a leading coefficient that is not a unit
     q = [(0, 1), (-2, 0), (1, 3)]
-    assert _gi_divides(h, _gi_times(h, q))
-    assert _gi_divides(h, h) and _gi_divides([(5, 0)], [(10, -15), (0, 5)])
+    assert _gi_quotient(h, _gi_times(h, q)) == q
+    assert _gi_quotient(h, h) == [(1, 0)] and _gi_quotient([(5, 0)], [(10, -15), (0, 5)]) == [(2, -3), (0, 1)]
     off = _gi_times(h, q)
     off[0] = (off[0][0], off[0][1] + 1)
-    assert not _gi_divides(h, off)  # a nonzero remainder
+    assert _gi_quotient(h, off) is None  # a nonzero remainder
     # over Q(i) 2x divides x and 2x + 2 divides x + 1, but the quotient 1/2 is not in Z[i]
-    assert not _gi_divides([(0, 0), (2, 0)], [(0, 0), (1, 0)])
-    assert not _gi_divides([(2, 0), (2, 0)], [(1, 0), (1, 0)])
-    assert not _gi_divides([(1, 0), (2, 0)], [(0, 0), (1, 0)])  # x = (2x + 1)/2 - 1/2
+    assert _gi_quotient([(0, 0), (2, 0)], [(0, 0), (1, 0)]) is None
+    assert _gi_quotient([(2, 0), (2, 0)], [(1, 0), (1, 0)]) is None
+    assert _gi_quotient([(1, 0), (2, 0)], [(0, 0), (1, 0)]) is None  # x = (2x + 1)/2 - 1/2
     # 2x^2 + 2x + 1 = (2x + 1)(x + 1/2) + 1/2: the second quotient coefficient is not in Z[i]
-    assert not _gi_divides([(1, 0), (2, 0)], [(1, 0), (2, 0), (2, 0)])
-    assert not _gi_divides([(1, 0), (1, 1)], [(1, 0), (0, 0), (1, 0)])  # 1/(1 + i) is not in Z[i]
-    assert not _gi_divides(h, [(1, 0), (1, 0)])  # a lower degree
+    assert _gi_quotient([(1, 0), (2, 0)], [(1, 0), (2, 0), (2, 0)]) is None
+    assert _gi_quotient([(1, 0), (1, 1)], [(1, 0), (0, 0), (1, 0)]) is None  # 1/(1 + i) is not in Z[i]
+    assert _gi_quotient(h, [(1, 0), (1, 0)]) is None  # a lower degree
 
 
 def test_gi_divides_agrees_with_division_over_q_i():
@@ -519,9 +524,15 @@ def test_gi_divides_agrees_with_division_over_q_i():
         h = _to_gauss_integers([_random_gaussian(rnd, span=6, den=4) for _ in range(rnd.randint(1, 3))] + [lead])
         other = [_random_gaussian(rnd, span=6, den=4) or gr(1) for _ in range(rnd.randint(1, 3))]
         a = _times([from_gint(u) for u in h], other) if rnd.random() < 0.5 else other + [gr(1)]
-        expected = not udivmod(a, [from_gint(u) for u in h])[1]
-        assert _gi_divides(h, _to_gauss_integers(a)) == expected
-        divisible += expected
+        quotient, rem = udivmod(a, [from_gint(u) for u in h])
+        ia = _to_gauss_integers(a)
+        got = _gi_quotient(h, ia)
+        assert (got is not None) == (not rem)
+        if got is not None:
+            # the Z[i] quotient of the scaled a is the Q(i) quotient times a's scale
+            scale = from_gint(ia[-1]) / a[-1]
+            assert [from_gint(u) for u in got] == [c * scale for c in quotient]
+        divisible += not rem
     assert divisible >= 40
 
 
