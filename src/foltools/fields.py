@@ -277,8 +277,3 @@ def deprojectivize(form: ProjectiveOneForm) -> AffineVectorField:
     if not a_top.is_zero() and not b_top.is_zero() and exact_divide(b_top, y) != r:
         raise DegenerateInput("inconsistent radial components")
     return AffineVectorField.make(a - x * r, b - y * r, r)
-
-
-def affine_one_form(field: AffineVectorField) -> tuple[MultiPoly, MultiPoly]:
-    """The fixed sign convention (q + y r) dx - (p + x r) dy as a pair."""
-    return field.component_y, -field.component_x

@@ -414,11 +414,12 @@ def _pseudo_rem(a: MultiPoly, b: MultiPoly, var: int) -> MultiPoly:
     return r
 
 
-def _specialize_keeping(p: MultiPoly, var: int, point: list[GaussianRational]) -> list[GaussianRational]:
-    """Coefficients in `var`, low to high, after substituting constants for every other variable."""
+def _specialize_keeping(p: MultiPoly, var: int, point: list[GaussianRational]) -> list[GInt]:
+    """The trimmed Z[i] numerators of the coefficients in `var`, low to high,
+    after substituting constants for every other variable: the polynomial up
+    to a positive scalar, the form `uniroots` takes."""
     d, ws = lift(point)
-    den, nums = _specialize(p, var, ws, d)
-    return utrim([from_gint(u, den) for u in nums])
+    return utrim(_specialize(p, var, ws, d)[1])
 
 
 def _coprime_images(a: MultiPoly, b: MultiPoly, variables: Iterable[int]) -> bool:
@@ -514,7 +515,8 @@ def poly_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     if len(occurring) == 1:
         # no other variable occurs, so there is nothing to substitute
         g = ugcd(_specialize_keeping(a, var, [ZERO] * a.arity), _specialize_keeping(b, var, [ZERO] * a.arity))
-        return MultiPoly(a.arity, {tuple(k if v == var else 0 for v in range(a.arity)): c for k, c in enumerate(g)})
+        num = {tuple(k if v == var else 0 for v in range(a.arity)): u for k, u in enumerate(g) if u != (0, 0)}
+        return _monic(MultiPoly._of(a.arity, 1, num))
     if a.is_homogeneous() and b.is_homogeneous():
         return _homogeneous_gcd(a, b, var)
     if _coprime_images(a, b, occurring):

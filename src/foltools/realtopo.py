@@ -26,8 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DegenerateInput, PreconditionError, UncertifiedResult
-from .gaussian import ONE
-from .polyring import MultiPoly, _specialize_keeping, leading_form
+from .polyring import MultiPoly, _specialize, leading_form
 from .uniroots import count_real_roots, sturm_counter, ueval, utrim
 
 MAX_SUBDIVISION_DEPTH = 6
@@ -329,7 +328,8 @@ class _LatticeLines:
 def _top_form_on(L: MultiPoly, var: int) -> list[Fraction]:
     """Trimmed real coefficients of the top form L on the directions with the
     other coordinate 1: L(1, t) for var 1, L(t, 1) for var 0."""
-    return [c.re for c in _specialize_keeping(L, var, [ONE, ONE])]
+    den, nums = _specialize(L, var, [(1, 0), (1, 0)], 1)
+    return utrim([Fraction(re, den) for re, _ in nums])
 
 
 def compactness_check(f: MultiPoly) -> bool:

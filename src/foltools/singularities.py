@@ -125,7 +125,7 @@ class Enumeration:
 
 
 def _univar(p: MultiPoly, var: int) -> Coeffs:
-    """Coefficient list of a polynomial that depends on one variable only."""
+    """Z[i] numerator list of a polynomial that depends on one variable only."""
     other = [v for v in range(p.arity) if v != var]
     if any(p.degree_in(v) > 0 for v in other):
         raise ValueError("polynomial is not univariate in the requested variable")

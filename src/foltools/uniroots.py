@@ -1,22 +1,22 @@
 """Exact univariate machinery: roots in Q(i), gcds, Sturm counts, Gaussian integers.
 
-Root extraction is complete for linear factors (rational-root search over
-Z[i] divisors) and for quadratic remainders (exact square roots in Q(i)).
-Whatever is left provably has no roots in Q(i); its degree is reported as
-the residual count.
+A polynomial over Q(i) is a list of Z[i] numerators, low to high, that
+stands for the polynomial up to a nonzero scalar: its roots, gcds and
+coprimality do not depend on that scalar.  Root extraction is complete for
+linear factors (rational-root search over Z[i] divisors) and for quadratic
+remainders (exact square roots in Q(i)).  Whatever is left provably has no
+roots in Q(i); its degree is reported as the residual count.
 
-Rational-root candidates p/q are tested on Gaussian integers: with the
-coefficients c_k scaled into Z[i], p/q is a root exactly when
-sum c_k p^k q^(n-k) = 0.  That sum is first taken modulo the prime _P with
-i mapped to a square root of -1, over blocks of the whole candidate grid
-in int64 numpy arithmetic; a nonzero image proves p/q is not a root, and
-only the survivors get the exact test, in the order of the full
-enumeration.  Gcds over Q(i), and
-with them squarefree parts and coprimality, are modular: images modulo
-primes P = 1 (mod 4), with i mapped to a square root of -1 mod P, are
-combined and rebuilt, and the result is returned only once exact division
-in Z[i][x] has verified it.  Sturm chains are built and evaluated in
-integers.
+Rational-root candidates p/q are tested on the primitive numerators c_k:
+p/q is a root exactly when sum c_k p^k q^(n-k) = 0.  That sum is first
+taken modulo the prime _P with i mapped to a square root of -1, over blocks
+of the whole candidate grid in int64 numpy arithmetic; a nonzero image
+proves p/q is not a root, and only the survivors get the exact test, in
+the order of the full enumeration.  Gcds over Q(i), and with them
+squarefree parts and coprimality, are modular: images modulo primes
+P = 1 (mod 4), with i mapped to a square root of -1 mod P, are combined and
+rebuilt, and the result is returned only once exact division in Z[i][x]
+has verified it.  Sturm chains are built and evaluated in integers.
 """
 
 from __future__ import annotations
@@ -30,25 +30,25 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import RootSearchOverflow
-from .gaussian import GInt, GaussianRational, ONE, ZERO, from_gint, gr, lift
+from .gaussian import GInt, GaussianRational, ZERO, from_gint, gr, lift
 
-Coeffs = list[GaussianRational]  # index = power, low to high
+Coeffs = list[GInt]  # Z[i] numerators, low to high, of a polynomial up to a nonzero scalar
 
 _FACTOR_DIGIT_CAP = 10**40  # norms beyond this abort rather than risk unsound output
 _CANDIDATE_CAP = 200_000
 _GRID_BLOCK = 2**15  # candidates per block of the mod-_P filter
 
 
-# -- coefficient lists over a field --------------------------------------------
+# -- coefficient lists -----------------------------------------------------------
 #
-# These helpers take lists of exact field elements, GaussianRational for roots
-# in Q(i), and use only +, -, *, 1 / x and truth values; utrim and uderiv
-# also serve the integer Sturm chains.  Gcds are modular (`ugcd`), checked by
-# division in Z[i] (`_gi_quotient`); `udivmod` here only deflates known roots.
+# utrim, udeg, ueval and uderiv take lists of numbers (ints, Fractions) as the
+# Sturm chains and the lattice rows use them; utrim also trims Z[i] lists.
+# Gcds are modular (`ugcd`) and checked, like every other division of Z[i]
+# lists, by long division in Z[i] (`_gi_quotient`).
 
 
 def utrim(c: list) -> list:
-    while c and not c[-1]:
+    while c and (c[-1] == (0, 0) or not c[-1]):  # a Z[i] zero is the truthy (0, 0)
         c.pop()
     return c
 
@@ -70,71 +70,42 @@ def uderiv(c: list) -> list:
     return utrim([c[k] * k for k in range(1, len(c))])
 
 
-def uscale(c: list, s) -> list:
-    return [a * s for a in c]
-
-
-def umonic(c: list) -> list:
-    return uscale(c, 1 / c[-1])
-
-
-def udivmod(a: list, b: list) -> tuple[list, list]:
-    b = utrim(list(b))
-    if not b:
-        raise ZeroDivisionError("univariate division by zero")
-    a = utrim(list(a))
-    inv = 1 / b[-1]
-    nb = len(b) - 1
-    q = [inv * 0] * max(0, len(a) - nb)
-    while len(a) > nb:
-        lead = a.pop()
-        if lead:
-            k = len(a) - nb
-            f = lead * inv
-            q[k] = f
-            for i in range(nb):
-                a[k + i] = a[k + i] - f * b[i]
-    return utrim(q), utrim(a)
-
-
 def ugcd(a: Coeffs, b: Coeffs) -> Coeffs:
-    """Monic gcd over Q(i) (empty when both are zero), from images modulo primes.
+    """The gcd over Q(i), primitive in Z[i][x] (empty when both are zero), from images modulo primes.
 
     Brown's modular gcd with the answer recovered by rational reconstruction
-    and verified by exact division in Z[i][x].  a and b are scaled into
-    Z[i][x] and mapped to F_p[x] for primes p = 1 (mod 4) under both
-    embeddings i -> iota and i -> -iota, iota^2 = -1 (mod p).  A prime where
-    either leading coefficient vanishes is skipped; at any other, the gcd G
-    over Q(i) maps to a divisor of each image gcd (see `coprime_mod_p`), so
-    an image of degree 0 proves a and b coprime, and images of one degree
-    d >= deg G give G's real and imaginary parts u, v mod p as (g+ + g-)/2
-    and (g+ - g-)/(2 iota) whenever d = deg G.  Only the images of least
-    degree are kept.  Their CRT combination is rebuilt coefficientwise into
-    a monic candidate H of degree d, returned only if it divides a and b
-    exactly: then H divides G and deg H >= deg G, so H = G.  By Gauss's
-    lemma, H divides a over Q(i) exactly when H scaled primitive into
-    Z[i][x] divides a scaled primitive there, so the check is `_gi_quotient`
-    in integers.  Otherwise more primes are taken; a prime of degree deg G
-    makes both u and v unique once the modulus is large enough, so the loop
-    ends.
+    and verified by exact division in Z[i][x].  a and b are mapped to F_p[x]
+    for primes p = 1 (mod 4) under both embeddings i -> iota and
+    i -> -iota, iota^2 = -1 (mod p).  A prime where either leading
+    coefficient vanishes is skipped; at any other, the gcd G over Q(i) maps
+    to a divisor of each image gcd (see `coprime_mod_p`), so an image of
+    degree 0 proves a and b coprime, and images of one degree d >= deg G
+    give the real and imaginary parts u, v mod p of G made monic as
+    (g+ + g-)/2 and (g+ - g-)/(2 iota) whenever d = deg G.  Only the images
+    of least degree are kept.  Their CRT combination is rebuilt
+    coefficientwise into a candidate H of degree d, scaled primitive into
+    Z[i][x], and returned only if it divides a and b exactly: then H divides
+    G and deg H >= deg G, so H = G up to a unit.  By Gauss's lemma a
+    primitive H divides a over Q(i) exactly when it divides the Z[i] list a
+    in Z[i][x], so the check is `_gi_quotient` in integers.  Otherwise more
+    primes are taken; a prime of degree deg G makes both u and v unique once
+    the modulus is large enough, so the loop ends.
     """
     a, b = utrim(list(a)), utrim(list(b))
     if not a or not b:
-        c = a or b
-        return umonic(c) if c else c
+        return _gi_primitive(a or b)
     if len(a) == 1 or len(b) == 1:
-        return [ONE]
-    ia, ib = _to_gauss_integers(a), _to_gauss_integers(b)
+        return [(1, 0)]
     size, modulus, residues = min(len(a), len(b)) + 1, 1, []  # size: one more than any image's
     for p, iota in _gcd_primes():
         images = []
         for root in (iota, p - iota):
-            fa, fb = _image_mod_p(ia, p, root), _image_mod_p(ib, p, root)
+            fa, fb = _image_mod_p(a, p, root), _image_mod_p(b, p, root)
             if not fa[-1] or not fb[-1]:
                 break
             g = _fp_gcd(fa, fb, p)
             if len(g) == 1:
-                return [ONE]
+                return [(1, 0)]
             images.append(g)
         if len(images) < 2 or len(images[0]) != len(images[1]) or len(images[0]) > size:
             continue
@@ -150,11 +121,9 @@ def ugcd(a: Coeffs, b: Coeffs) -> Coeffs:
         lift = pow(modulus, -1, p)
         residues = [r + modulus * ((s - r) * lift % p) for r, s in zip(residues, parts)]
         modulus *= p
-        candidate = _reconstruct(residues, modulus, size - 1)
-        if candidate is not None:
-            h = _to_gauss_integers(candidate)
-            if _gi_quotient(h, ia) is not None and _gi_quotient(h, ib) is not None:
-                return candidate
+        h = _reconstruct(residues, modulus, size - 1)
+        if h is not None and _gi_quotient(h, a) is not None and _gi_quotient(h, b) is not None:
+            return h
     raise AssertionError("unreachable: the prime supply is infinite")
 
 
@@ -180,18 +149,31 @@ def _gi_quotient(h: list[GInt], a: list[GInt]) -> list[GInt] | None:
     return None if any(ur or ui for ur, ui in r[:nh]) else q
 
 
+def _gi_primitive(c: list[GInt]) -> list[GInt]:
+    """c divided by a Gaussian gcd of its coefficients (c itself when that is a unit)."""
+    g: GInt = (0, 0)
+    for u in c:
+        if u != (0, 0):
+            g = gi_gcd(g, u)
+            if gi_norm(g) == 1:
+                return c
+    return [gi_divmod(u, g)[0] for u in c]
+
+
 def _reconstruct(residues: list[int], modulus: int, deg: int) -> Coeffs | None:
     """The monic degree-deg polynomial with real and imaginary parts rebuilt
-    from residues (re_0..re_deg, im_0..im_deg) mod modulus, or None when some
-    part has no reconstruction."""
+    from residues (re_0..re_deg, im_0..im_deg) mod modulus, scaled primitive
+    into Z[i][x], or None when some part has no reconstruction."""
     n = deg + 1
-    out = []
-    for k in range(deg):
-        re, im = _rational_reconstruction(residues[k], modulus), _rational_reconstruction(residues[n + k], modulus)
-        if re is None or im is None:
+    parts = []
+    for r in residues[:deg] + residues[n : n + deg]:
+        f = _rational_reconstruction(r, modulus)
+        if f is None:
             return None
-        out.append(GaussianRational(re, im))
-    return out + [ONE]
+        parts.append(f)
+    den = math.lcm(*(f.denominator for f in parts))
+    ints = [f.numerator * (den // f.denominator) for f in parts]
+    return _gi_primitive(list(zip(ints[:deg], ints[deg:])) + [(den, 0)])
 
 
 def _rational_reconstruction(r: int, m: int) -> Fraction | None:
@@ -207,31 +189,24 @@ def _rational_reconstruction(r: int, m: int) -> Fraction | None:
 
 
 def usquarefree(c: Coeffs) -> Coeffs:
-    """Squarefree part (product of distinct roots), monic."""
-    d = uderiv(c)
+    """Squarefree part (product of distinct roots), primitive in Z[i][x]."""
+    c = _gi_primitive(utrim(list(c)))
+    d = utrim([(k * re, k * im) for k, (re, im) in enumerate(c)][1:])
     if not d:
-        return umonic(list(c)) if c else []
+        return c
     g = ugcd(c, d)
     if udeg(g) == 0:
-        return umonic(list(c))
-    # both scaled primitive into Z[i][x], so the quotient is there too (Gauss's lemma)
-    q = _gi_quotient(_to_gauss_integers(g), _to_gauss_integers(c))
+        return c
+    # g is primitive, so by Gauss's lemma the quotient lies in Z[i][x], primitive as c is
+    q = _gi_quotient(g, c)
     if q is None:
         raise ArithmeticError("the gcd must divide exactly")
-    return umonic([from_gint(u) for u in q])
+    return q
 
 
 def ucoprime(a: Coeffs, b: Coeffs) -> bool:
     """Whether gcd(a, b) is a nonzero constant."""
     return len(ugcd(a, b)) == 1
-
-
-def deflate(c: Coeffs, root: GaussianRational) -> Coeffs:
-    """Divide by (x - root); the root must be exact."""
-    q, r = udivmod(c, [-root, ONE])
-    if r:
-        raise ArithmeticError("deflation by a non-root")
-    return q
 
 
 # -- Gaussian integer arithmetic ----------------------------------------------
@@ -377,14 +352,6 @@ def _divisors_of(factors: list[tuple[GInt, int]]) -> list[GInt]:
     return divs
 
 
-def gi_divisors(u: GInt) -> list[GInt]:
-    """All divisors of u up to units (one representative per associate class)."""
-    factors = gi_factor(u)
-    if _divisor_count(factors) > _CANDIDATE_CAP:
-        raise RootSearchOverflow("divisor enumeration too large")
-    return _divisors_of(factors)
-
-
 # -- images modulo primes p = 1 (mod 4) ----------------------------------------
 
 
@@ -481,29 +448,19 @@ class RootReport:
     uncertain: list[Coeffs] = field(default_factory=list)
 
 
-def _to_gauss_integers(c: Coeffs) -> list[GInt]:
-    """c times the lcm of its denominators, divided by its Z[i] content."""
-    ints = lift(c)[1]
-    g: GInt = (0, 0)
-    for u in ints:
-        if u != (0, 0):
-            g = gi_gcd(g, u)
-            if gi_norm(g) == 1:
-                break  # a unit content stays one
-    if gi_norm(g) > 1:
-        ints = [gi_divmod(u, g)[0] for u in ints]
-    return ints
-
-
 def _quadratic_roots(c: Coeffs) -> list[GaussianRational] | None:
-    """Both roots of a quadratic if they lie in Q(i); None otherwise."""
-    a2, a1, a0 = c[2], c[1], c[0]
-    disc = a1 * a1 - gr(4) * a2 * a0
-    s = disc.sqrt()
+    """Both roots of a quadratic if they lie in Q(i); None otherwise.
+
+    They are taken from the monic form x^2 + b x + e as (-b +- s)/2, with s
+    the square root `GaussianRational.sqrt` picks, so their order does not
+    depend on the scalar c carries.
+    """
+    lead = from_gint(c[2])
+    b, e = from_gint(c[1]) / lead, from_gint(c[0]) / lead
+    s = (b * b - gr(4) * e).sqrt()
     if s is None:
         return None
-    inv = (gr(2) * a2).inverse()
-    return [(-a1 + s) * inv, (-a1 - s) * inv]
+    return [(-b + s) / gr(2), (-b - s) / gr(2)]
 
 
 def _candidate_divisors(ints: list[GInt]) -> tuple[list[GInt], list[GInt]] | None:
@@ -575,8 +532,10 @@ def _as_gaussian_rational(p: GInt, q: GInt) -> GaussianRational:
 def qi_roots(c: Coeffs) -> RootReport:
     """All roots of a univariate polynomial that lie in Q(i), plus residual.
 
-    Multiplicities are dropped (the squarefree part is used).  The residual
-    factor is guaranteed to have no Q(i) roots at all.
+    Multiplicities are dropped (the squarefree part is used, primitive in
+    Z[i][x]).  Each root p/q found is divided out exactly in Z[i][x] by the
+    primitive part of q x - p, which keeps the rest primitive (Gauss's
+    lemma).  The residual factor is guaranteed to have no Q(i) roots at all.
     """
     report = RootReport()
     c = utrim(list(c))
@@ -585,12 +544,13 @@ def qi_roots(c: Coeffs) -> RootReport:
     if udeg(c) == 0:
         return report
     c = usquarefree(c)
-    if c[0].is_zero():
+    if c[0] == (0, 0):
         report.roots.append(ZERO)
-        c = utrim(c[1:])
+        c = c[1:]
     while udeg(c) >= 1:
         if udeg(c) == 1:
-            report.roots.append(-c[0] / c[1])
+            (pr, pi), q = c
+            report.roots.append(_as_gaussian_rational((-pr, -pi), q))  # -c0 / c1
             return report
         if udeg(c) == 2:
             roots = _quadratic_roots(c)
@@ -600,20 +560,22 @@ def qi_roots(c: Coeffs) -> RootReport:
                 return report
             report.roots.extend(roots)
             return report
-        ints = _to_gauss_integers(c)
-        divisors = _candidate_divisors(ints)
+        divisors = _candidate_divisors(c)
         if divisors is None:
             report.uncertain_degree += udeg(c)
             report.uncertain.append(c)
             return report
-        candidates = _surviving_candidates(ints, *divisors)
-        found = next((_as_gaussian_rational(p, q) for p, q in candidates if _gi_vanishes(ints, p, q)), None)
+        candidates = _surviving_candidates(c, *divisors)
+        found = next(((p, q) for p, q in candidates if _gi_vanishes(c, p, q)), None)
         if found is None:
             report.residual_degree += udeg(c)
             report.unresolved.append(c)
             return report
-        report.roots.append(found)
-        c = deflate(c, found)
+        p, q = found
+        report.roots.append(_as_gaussian_rational(p, q))
+        c = _gi_quotient(_gi_primitive([(-p[0], -p[1]), q]), c)
+        if c is None:
+            raise ArithmeticError("deflation by a non-root")
     return report
 
 

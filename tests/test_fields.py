@@ -5,7 +5,6 @@ from foltools.errors import DegenerateInput, PreconditionError
 from foltools.fields import (
     AffineVectorField,
     ProjectiveOneForm,
-    affine_one_form,
     chart_var,
     darboux_check,
     deprojectivize,
@@ -96,7 +95,7 @@ def test_projectivize_roundtrip_and_one_form(rng):
         back = deprojectivize(form)
         assert back.p == fld.p and back.q == fld.q and back.r == fld.r
         # Z = 1 restriction of the form is the affine one-form (q+yr, -(p+xr))
-        a, b = affine_one_form(fld)
+        a, b = fld.component_y, -fld.component_x
         subs = {0: x, 1: y, 2: const2(1)}
         assert form.P.substitute(subs) == a
         assert form.Q.substitute(subs) == b

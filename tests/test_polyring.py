@@ -14,7 +14,7 @@ from conftest import random_poly
 import foltools
 from foltools import polyring
 from foltools.errors import ArityMismatch
-from foltools.gaussian import ZERO, GaussianRational, gr
+from foltools.gaussian import ZERO, GaussianRational, from_gint, gr
 from foltools.polyring import (
     MINUS_INFINITY,
     MultiPoly,
@@ -397,18 +397,22 @@ def test_exact_division_checks_survive_python_O():
     script = (
         "import sys\n"
         "from fractions import Fraction\n"
-        "from foltools.gaussian import ONE, gr\n"
         "from foltools.polyring import _gi_det, _interpolate\n"
         "from foltools import uniroots\n"
-        "from foltools.uniroots import deflate\n"
         "print(sys.flags.optimize)\n"
-        "uniroots.ugcd = lambda a, b: [gr(2), ONE]  # x + 2 does not divide x^2 - 1\n"
         "print(_gi_det([[(0, 0), (1, 2)], [(3, -1), (5, 0)]]), _interpolate([1, 3, 7]))\n"
+        "def deflate_by_a_non_root():\n"
+        "    uniroots._surviving_candidates = lambda ints, d0, dn: iter([((1, 0), (1, 0))])  # offer 1\n"
+        "    uniroots._gi_vanishes = lambda ints, p, q: True  # and take it as a root of x^3 + 2\n"
+        "    return uniroots.qi_roots([(2, 0), (0, 0), (0, 0), (1, 0)])\n"
+        "def squarefree_by_a_non_divisor():\n"
+        "    uniroots.ugcd = lambda a, b: [(2, 0), (1, 0)]  # x + 2 does not divide x^2 - 1\n"
+        "    return uniroots.usquarefree([(-1, 0), (0, 0), (1, 0)])\n"
         "for call in (\n"
         "    lambda: _gi_det([[(1, 0), (0, 0)], [(0, 0), (Fraction(1, 2), 0)]]),\n"
         "    lambda: _interpolate([0, 0, 1]),\n"
-        "    lambda: deflate([gr(-1), ONE], gr(2)),\n"
-        "    lambda: uniroots.usquarefree([gr(-1), gr(0), ONE]),\n"
+        "    deflate_by_a_non_root,\n"
+        "    squarefree_by_a_non_divisor,\n"
         "):\n"
         "    try:\n"
         "        print(call())\n"
@@ -597,7 +601,13 @@ def test_integer_store_matches_gaussian_rational_arithmetic():
             want = [ZERO] * (a.degree_in(var) + 1)
             for e, v in ta.items():
                 want[e[var]] += _ref_eval({e[:var] + (0,) + e[var + 1 :]: v}, point)
-            assert _specialize_keeping(a, var, point) == utrim(want)
+            # the numerators stand for the coefficients up to a positive scalar
+            got, want = _specialize_keeping(a, var, point), utrim(want)
+            assert len(got) == len(want)
+            if want:
+                scale = want[-1] / from_gint(got[-1])
+                assert scale.is_real() and scale.re > 0
+                assert [from_gint(u) * scale for u in got] == want
         assert a.shift(point).evaluate(point) == _ref_eval(ta, [2 * v for v in point])
         subs = {v: _mixed_poly(rng, 2, 2) for v in range(arity)}
         substituted = a.substitute(subs)

@@ -575,7 +575,7 @@ def _seeded_curve(rng, degree):
 
 def test_top_form_restrictions_match_dict_loops():
     # compactness_check and default_box read L(1, t) and L(t, 1) through
-    # _specialize_keeping and a univariate interval bound; the dict loops and
+    # _specialize and a univariate interval bound; the dict loops and
     # the bivariate bound with y in [0, 0] give the same verdicts and boxes
     rng = random.Random(2024)
     compact = 0

@@ -209,7 +209,7 @@ def tangent_at_infinity_quartic(N: int) -> MultiPoly:
 
 def test_uncertain_point_at_infinity_leaves_nodality_undecided():
     big = tangent_at_infinity_quartic(10**21 + 7)
-    top = _specialize_keeping(homogenize(big, 4), 1, [ONE, ZERO, ZERO])  # f_4(1, t)
+    top = _specialize_keeping(homogenize(big, 4), 1, [ONE, ZERO, ZERO])  # the Z[i] numerators of f_4(1, t)
     assert qi_roots(top).uncertain_degree > 0  # the root -1/N is not found
     assert is_nodal(big) is None
     assert is_nodal(big, include_infinity=False) is True

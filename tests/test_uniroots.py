@@ -10,8 +10,7 @@ import pytest
 
 import foltools
 from foltools import uniroots
-from foltools.errors import RootSearchOverflow
-from foltools.gaussian import GaussianRational, ONE, from_gint, gr, lift
+from foltools.gaussian import GaussianRational, from_gint, gr, lift
 from foltools.uniroots import (
     UNITS,
     _GCD_PRIMES,
@@ -19,16 +18,16 @@ from foltools.uniroots import (
     _I_MOD_P,
     _as_gaussian_rational,
     _candidate_divisors,
+    _divisors_of,
+    _gi_primitive,
     _gi_quotient,
     _gi_vanishes,
     _surviving_candidates,
     _int_sturm_chain,
-    _to_gauss_integers,
     coprime_mod_p,
     count_real_roots,
     sturm_counter,
     factor_int,
-    gi_divisors,
     gi_factor,
     gi_gcd,
     gi_mul,
@@ -36,13 +35,49 @@ from foltools.uniroots import (
     qi_roots,
     ucoprime,
     uderiv,
-    udivmod,
     ueval,
     ugcd,
-    umonic,
     usquarefree,
     utrim,
 )
+
+
+# -- Q(i) coefficient lists: the oracles and the conversions ---------------------------
+
+
+def _ints(c):
+    """The Z[i] numerators of c over their common denominator."""
+    return lift(c)[1]
+
+
+def udivmod(a, b):
+    """Quotient and remainder of Q(i) coefficient lists by the field long division."""
+    b = utrim(list(b))
+    if not b:
+        raise ZeroDivisionError("univariate division by zero")
+    a = utrim(list(a))
+    inv = 1 / b[-1]
+    nb = len(b) - 1
+    q = [inv * 0] * max(0, len(a) - nb)
+    while len(a) > nb:
+        lead = a.pop()
+        if lead:
+            k = len(a) - nb
+            f = lead * inv
+            q[k] = f
+            for i in range(nb):
+                a[k + i] = a[k + i] - f * b[i]
+    return utrim(q), utrim(a)
+
+
+def umonic(c):
+    return [a / c[-1] for a in c]
+
+
+def _monic(c):
+    """c made monic over Q(i); Z[i] pairs, as `ugcd` and `usquarefree` return, are read as Gaussian integers."""
+    c = [from_gint(u) if isinstance(u, tuple) else u for u in c]
+    return umonic(c) if c else c
 
 
 def test_factor_int():
@@ -58,24 +93,24 @@ def test_gaussian_integer_basics():
     assert gi_norm(g) == 5  # 2+i divides 5
     fac = gi_factor((5, 0))
     assert sorted(gi_norm(p) for p, _ in fac) == [5, 5]
-    divs = gi_divisors((4, 0))
+    divs = _divisors_of(gi_factor((4, 0)))
     assert len(divs) == 5  # 1, 1+i, 2, 2+2i, 4 up to units
 
 
 def test_roots_rational_and_gaussian():
     # (x - 1)(x - 2)(x - 3)
-    rep = qi_roots([gr(-6), gr(11), gr(-6), gr(1)])
+    rep = qi_roots(_ints([gr(-6), gr(11), gr(-6), gr(1)]))
     assert sorted(str(r) for r in rep.roots) == ["1", "2", "3"]
     assert rep.residual_degree == 0
     # x^2 + 1
-    rep = qi_roots([gr(1), gr(0), gr(1)])
+    rep = qi_roots(_ints([gr(1), gr(0), gr(1)]))
     assert set(rep.roots) == {gr(0, 1), gr(0, -1)}
     # x^3 + 2 has no roots in Q(i)
-    rep = qi_roots([gr(2), gr(0), gr(0), gr(1)])
+    rep = qi_roots(_ints([gr(2), gr(0), gr(0), gr(1)]))
     assert rep.roots == [] and rep.residual_degree == 3
     # mixed: (x - i)(x^2 - 2) -> one Gaussian root, quadratic residual
     p = [gr(0, 2), gr(-2), gr(0, -1), gr(1)]
-    rep = qi_roots(p)
+    rep = qi_roots(_ints(p))
     assert rep.roots == [gr(0, 1)]
     assert rep.residual_degree == 2
 
@@ -83,7 +118,7 @@ def test_roots_rational_and_gaussian():
 def test_roots_with_multiplicity_and_zero():
     # x^2 (x - 1/2)^2 -> roots {0, 1/2} once each (squarefree reduction)
     c = [gr(0), gr(0), gr("1/4"), gr(-1), gr(1)]
-    rep = qi_roots(c)
+    rep = qi_roots(_ints(c))
     assert set(rep.roots) == {gr(0), gr("1/2")}
 
 
@@ -106,7 +141,7 @@ def test_roots_random_products(rng=None):
                 new[i + 1] = new[i + 1] + c
                 new[i] = new[i] - c * r
             coeffs = new
-        rep = qi_roots(coeffs)
+        rep = qi_roots(_ints(coeffs))
         assert set(rep.roots) == set(roots)
         assert rep.residual_degree == 0
 
@@ -128,8 +163,8 @@ def test_udivmod_and_gcd():
     # (x^2 - 1) = (x + 1)(x - 1)
     q, r = udivmod([gr(-1), gr(0), gr(1)], [gr(1), gr(1)])
     assert q == [gr(-1), gr(1)] and r == []
-    g = ugcd([gr(-1), gr(0), gr(1)], [gr(1), gr(1)])
-    assert g == [gr(1), gr(1)]
+    g = ugcd(_ints([gr(-1), gr(0), gr(1)]), _ints([gr(1), gr(1)]))
+    assert _monic(g) == [gr(1), gr(1)]
 
 
 # -- integer candidate test against the Q(i) Horner reference --------------------
@@ -148,10 +183,10 @@ def _poly_from_roots(roots, lead=gr(1)):
 
 def _reference_first_root(c):
     """The first root of the divisor search as a GaussianRational Horner loop."""
-    ints = _to_gauss_integers(c)
+    ints = _gi_primitive(_ints(c))
     seen = set()
-    for p in gi_divisors(ints[0]):
-        for q in gi_divisors(ints[-1]):
+    for p in _divisors_of(gi_factor(ints[0])):
+        for q in _divisors_of(gi_factor(ints[-1])):
             qn = gi_norm(q)
             for u in UNITS:
                 num = gi_mul(gi_mul(p, u), (q[0], -q[1]))
@@ -187,17 +222,17 @@ def test_integer_candidate_test_matches_horner_reference():
         coeffs = _poly_from_roots(roots, lead)
         if rnd.random() < 0.3:  # times x^2 - 2, which has no Q(i) root
             coeffs = [a - 2 * b for a, b in zip([gr(0), gr(0)] + coeffs, coeffs + [gr(0), gr(0)])]
-        c = usquarefree(coeffs)
-        if c[0].is_zero():
-            c = c[1:]
-        if len(c) < 4:
+        ints = usquarefree(_ints(coeffs))
+        if ints[0] == (0, 0):
+            ints = ints[1:]
+        if len(ints) < 4:
             continue
-        ints = _to_gauss_integers(c)
+        c = [from_gint(u) for u in ints]
         assert _candidate_divisors(ints) is not None
         for p, q in _all_candidates(ints)[:400]:
             assert _gi_vanishes(ints, p, q) == ueval(c, _as_gaussian_rational(p, q)).is_zero()
         # degree >= 3 with x^2 - 2 the only non-Q(i) factor: some nonzero root exists
-        assert qi_roots(c).roots[0] == _reference_first_root(c)
+        assert qi_roots(ints).roots[0] == _reference_first_root(c)
         checked += 1
     assert checked >= 20
 
@@ -233,7 +268,7 @@ def test_root_whose_numerator_or_denominator_vanishes_mod_p_is_found(root_num, r
     assert 0 in uniroots._image_mod_p([root_num, root_den], _P, _I_MOD_P)
     c = _poly_from_roots([root], gr(1))
     c = _times(c, [gr(-2), gr(0), gr(1)])  # times x^2 - 2, which has no Q(i) root
-    rep = qi_roots(c)
+    rep = qi_roots(_ints(c))
     assert rep.roots == [root]
     assert rep.residual_degree == 2
 
@@ -250,7 +285,7 @@ def _filter_cases():
             c = _times(c, [gr(1), gr(3**45, 2**70), gr(1)])
         c = utrim(c)
         if len(c) >= 4 and not c[0].is_zero():
-            yield _to_gauss_integers(c)
+            yield _gi_primitive(_ints(c))
 
 
 @pytest.mark.parametrize("block", [uniroots._GRID_BLOCK, 64, 1])  # small blocks split the grid across rows
@@ -270,11 +305,6 @@ def test_filtered_search_matches_exhaustive_scan(block, monkeypatch):
 # -- coprimality certificate modulo a prime ----------------------------------------
 
 
-def _ints(c):
-    """The Z[i] numerators of c over their common denominator."""
-    return lift(c)[1]
-
-
 def test_image_of_i_is_a_square_root_of_minus_one():
     assert _P % 4 == 1 and _I_MOD_P * _I_MOD_P % _P == _P - 1
 
@@ -282,37 +312,37 @@ def test_image_of_i_is_a_square_root_of_minus_one():
 def test_squarefree_input_is_certified():
     c = _poly_from_roots([gr(1), gr(2), gr(0, -1)])
     assert coprime_mod_p(_ints(c), _ints(uderiv(c)))
-    assert usquarefree(c) == umonic(c)
-    assert ucoprime(c, uderiv(c))
+    assert _monic(usquarefree(_ints(c))) == umonic(c)
+    assert ucoprime(_ints(c), _ints(uderiv(c)))
 
 
 def test_repeated_root_falls_back_to_exact_gcd():
     c = _poly_from_roots([gr(1), gr(1), gr(0, -1)])  # (x - 1)^2 (x + i)
     assert not coprime_mod_p(_ints(c), _ints(uderiv(c)))
-    assert not ucoprime(c, uderiv(c))
-    assert usquarefree(c) == _poly_from_roots([gr(1), gr(0, -1)])
+    assert not ucoprime(_ints(c), _ints(uderiv(c)))
+    assert _monic(usquarefree(_ints(c))) == _poly_from_roots([gr(1), gr(0, -1)])
 
 
 def test_leading_coefficient_divisible_by_the_prime_falls_back():
     c = [gr(1), gr(0), gr(_P)]  # P x^2 + 1 is squarefree but vanishes to degree 0 mod P
     assert not coprime_mod_p(_ints(c), _ints(uderiv(c)))
-    assert ucoprime(c, uderiv(c))
-    assert usquarefree(c) == umonic(c)
+    assert ucoprime(_ints(c), _ints(uderiv(c)))
+    assert _monic(usquarefree(_ints(c))) == umonic(c)
 
 
 def test_polynomials_equal_mod_p_are_still_coprime():
     x, x_minus_p = [gr(0), gr(1)], [gr(-_P), gr(1)]
     assert not coprime_mod_p(_ints(x), _ints(x_minus_p))
-    assert ucoprime(x, x_minus_p)
+    assert ucoprime(_ints(x), _ints(x_minus_p))
 
 
 def test_zero_and_constant_inputs_take_the_exact_path():
-    x = [gr(0), gr(1)]
-    assert ucoprime([gr(3)], x) and ucoprime(x, [gr(0, 2)])
+    x = [(0, 0), (1, 0)]
+    assert ucoprime([(3, 0)], x) and ucoprime(x, [(0, 2)])
     assert not ucoprime([], x)  # gcd(0, x) = x
     assert not ucoprime([], [])
-    assert ucoprime([], [gr(5)])
-    assert not coprime_mod_p([(3, 0)], _ints(x)) and not coprime_mod_p([], _ints(x))
+    assert ucoprime([], [(5, 0)])
+    assert not coprime_mod_p([(3, 0)], x) and not coprime_mod_p([], x)
 
 
 def test_ucoprime_agrees_with_exact_gcd():
@@ -321,7 +351,7 @@ def test_ucoprime_agrees_with_exact_gcd():
     for _ in range(80):
         a = _poly_from_roots(rnd.sample(pool, rnd.randint(0, 3)), _random_gaussian(rnd) or gr(1))
         b = _poly_from_roots(rnd.sample(pool, rnd.randint(0, 3)), _random_gaussian(rnd) or gr(1))
-        assert ucoprime(a, b) == (len(ugcd(a, b)) == 1)
+        assert ucoprime(_ints(a), _ints(b)) == (len(_euclid_gcd(a, b)) == 1)
 
 
 # -- searches too large to run ------------------------------------------------------
@@ -329,7 +359,7 @@ def test_ucoprime_agrees_with_exact_gcd():
 
 def test_constant_term_beyond_factoring_cap_is_uncertain():
     n = 10**21 + 7  # norm 10^42 + ... exceeds the factoring cap
-    rep = qi_roots([gr(n), gr(1), gr(0), gr(1)])
+    rep = qi_roots([(n, 0), (1, 0), (0, 0), (1, 0)])
     assert rep.uncertain_degree == 3
     assert rep.roots == [] and rep.residual_degree == 0
     assert len(rep.uncertain) == 1
@@ -337,9 +367,8 @@ def test_constant_term_beyond_factoring_cap_is_uncertain():
 
 def test_too_many_divisors_is_uncertain():
     n = 5 * 13 * 17 * 29 * 37 * 41 * 53 * 61 * 73  # 4^9 Gaussian divisors
-    with pytest.raises(RootSearchOverflow):
-        gi_divisors((n, 0))
-    rep = qi_roots([gr(n), gr(1), gr(0), gr(1)])
+    assert _candidate_divisors([(n, 0), (1, 0), (0, 0), (1, 0)]) is None
+    rep = qi_roots([(n, 0), (1, 0), (0, 0), (1, 0)])
     assert rep.uncertain_degree == 3 and rep.roots == []
 
 
@@ -408,22 +437,66 @@ def _gcd_pairs(seed):
 def test_ugcd_matches_euclid_on_planted_factors():
     nontrivial = 0
     for a, b in _gcd_pairs(5):
-        g = ugcd(a, b)
+        g = _monic(ugcd(_ints(a), _ints(b)))
         assert g == _euclid_gcd(a, b)
-        assert g == ugcd(b, a)
+        assert g == _monic(ugcd(_ints(b), _ints(a)))
         nontrivial += len(g) > 1
         c = _times(a, a)  # every root repeated
-        assert usquarefree(c) == usquarefree(a) == umonic(udivmod(a, _euclid_gcd(a, uderiv(a)))[0])
+        assert _monic(usquarefree(_ints(c))) == _monic(usquarefree(_ints(a))) == umonic(udivmod(a, _euclid_gcd(a, uderiv(a)))[0])
     assert nontrivial >= 40
 
 
 def test_ugcd_zero_and_constant_inputs():
     x2 = [gr(1), gr(0), gr("2/3")]
-    assert ugcd([], []) == [] and ugcd([gr(0)], []) == []
-    assert ugcd([], x2) == ugcd(x2, [gr(0)]) == umonic(x2)
-    assert ugcd([gr(0, 5)], x2) == ugcd(x2, [gr(-3)]) == [ONE]
-    assert ugcd([gr(7)], []) == [ONE]
-    assert ugcd(x2, x2) == umonic(x2)
+    n2 = _ints(x2)  # 2x^2 + 3, primitive
+    assert ugcd([], []) == [] and ugcd([(0, 0)], []) == []
+    assert ugcd([], n2) == ugcd(n2, [(0, 0)]) == n2 and _monic(n2) == umonic(x2)
+    assert _associates(ugcd([], [(0, 0), (2, 2), (0, 6)]), [(0, 0), (1, 1), (0, 3)])  # the primitive part
+    assert ugcd([(0, 5)], n2) == ugcd(n2, [(-3, 0)]) == [(1, 0)]
+    assert ugcd([(7, 0)], []) == [(1, 0)]
+    assert _monic(ugcd(n2, n2)) == umonic(x2)
+
+
+
+def _scaled(c, s):
+    return [gi_mul(s, u) for u in c]
+
+
+def _associates(u, v):
+    """Whether the Z[i] lists u and v differ by a unit factor."""
+    return any(_scaled(v, e) == u for e in UNITS)
+
+
+# the four units, 2, 1 + i, and a product of nine split primes with 4^9 Gaussian divisors
+_SCALARS = [*UNITS, (2, 0), (1, 1), (5 * 13 * 17 * 29 * 37 * 41 * 53 * 61 * 73, 0)]
+
+
+def _scalar_cases():
+    """Seeded Z[i] polynomials with Q(i) roots, some repeated, times a factor without any; and one beyond the search cap."""
+    rnd = random.Random(29)
+    for n in range(24):
+        roots = [_random_gaussian(rnd, span=5, den=3) for _ in range(1 + n % 4)]
+        c = _poly_from_roots(roots + roots[: n % 2], _random_gaussian(rnd, span=5, den=2) or gr(3))
+        c = _times(c, [[gr(1)], [gr(-2), gr(0), gr(1)], [gr(2), gr(1), gr(0), gr(1)]][n % 3])  # 1, x^2 - 2, x^3 + x + 2
+        yield _gi_primitive(_ints(c))  # so a unit scalar reaches qi_roots unchanged
+    yield [(10**21 + 7, 0), (1, 0), (0, 0), (1, 0)]
+
+
+def test_univariate_routines_do_not_depend_on_a_scalar():
+    cases = list(_scalar_cases())
+    searched = 0
+    for c, other in zip(cases, cases[1:] + cases[:1]):
+        rep = qi_roots(c)
+        searched += len(usquarefree(c)) >= 4  # reaches the divisor search
+        for lam, mu in zip(_SCALARS, reversed(_SCALARS)):
+            got = qi_roots(_scaled(c, lam))
+            assert got.roots == rep.roots  # the same roots in the same order
+            assert (got.residual_degree, got.uncertain_degree) == (rep.residual_degree, rep.uncertain_degree)
+            assert _associates(usquarefree(_scaled(c, lam)), usquarefree(c))
+            assert _associates(ugcd(_scaled(c, lam), _scaled(other, mu)), ugcd(c, other))
+            assert ucoprime(_scaled(c, lam), _scaled(other, mu)) == ucoprime(c, other)
+    assert searched >= 15
+    assert qi_roots(cases[-1]).uncertain_degree == 3
 
 
 def _spy_primes(monkeypatch):
@@ -450,7 +523,7 @@ def test_ugcd_skips_primes_where_a_leading_coefficient_vanishes(monkeypatch):
         a = _times(g, [gr(3), gr(1), lead])
         b = _times(g, [gr(0, 1), gr(1)])
         seen = _spy_primes(monkeypatch)
-        assert ugcd(a, b) == _euclid_gcd(a, b) == g
+        assert _monic(ugcd(_ints(a), _ints(b))) == _euclid_gcd(a, b) == g
         assert seen.count(p1) == images_at_p1
         assert not unseen & set(seen)
 
@@ -463,7 +536,7 @@ def test_ugcd_with_large_coefficients_takes_several_primes(monkeypatch):
         a = _times(g, [gr(rnd.randint(1, 9)), gr(0), gr(1)])
         b = _times(g, [gr(0, rnd.randint(1, 9)), gr(1)])
         seen = _spy_primes(monkeypatch)
-        assert ugcd(a, b) == _euclid_gcd(a, b) == umonic(g)
+        assert _monic(ugcd(_ints(a), _ints(b))) == _euclid_gcd(a, b) == umonic(g)
         assert len(set(seen)) >= 4
 
 
@@ -484,7 +557,7 @@ def test_ugcd_returns_no_candidate_that_fails_the_division_check(monkeypatch):
 
     monkeypatch.setattr(uniroots, "_gcd_primes", _small_primes_first)
     monkeypatch.setattr(uniroots, "_gi_quotient", spy)
-    assert ugcd(a, b) == [gr(4), gr(1)] == _euclid_gcd(a, b)
+    assert _monic(ugcd(_ints(a), _ints(b))) == [gr(4), gr(1)] == _euclid_gcd(a, b)
     assert tried[0] == [(-1, 0), (1, 0)]  # the first candidate, rejected
     assert [(4, 0), (1, 0)] in tried
 
@@ -521,11 +594,11 @@ def test_gi_divides_agrees_with_division_over_q_i():
     divisible = 0
     for _ in range(150):
         lead = _random_gaussian(rnd) or gr(3)
-        h = _to_gauss_integers([_random_gaussian(rnd, span=6, den=4) for _ in range(rnd.randint(1, 3))] + [lead])
+        h = _gi_primitive(_ints([_random_gaussian(rnd, span=6, den=4) for _ in range(rnd.randint(1, 3))] + [lead]))
         other = [_random_gaussian(rnd, span=6, den=4) or gr(1) for _ in range(rnd.randint(1, 3))]
         a = _times([from_gint(u) for u in h], other) if rnd.random() < 0.5 else other + [gr(1)]
         quotient, rem = udivmod(a, [from_gint(u) for u in h])
-        ia = _to_gauss_integers(a)
+        ia = _gi_primitive(_ints(a))
         got = _gi_quotient(h, ia)
         assert (got is not None) == (not rem)
         if got is not None:
@@ -545,12 +618,13 @@ def test_ugcd_is_unchanged_under_python_O():
     script = (
         "import itertools, sys\n"
         "from foltools import uniroots\n"
-        "from foltools.gaussian import gr\n"
+        "from foltools.gaussian import from_gint\n"
         "print(sys.flags.optimize)\n"
-        "pairs = " + repr([[[(str(c.re), str(c.im)) for c in p] for p in pair] for pair in pairs]) + "\n"
+        "pairs = " + repr([[_ints(p) for p in pair] for pair in pairs]) + "\n"
         "uniroots._gcd_primes = lambda: itertools.chain([(5, 2), (13, 8)], uniroots._split_primes(2**62))\n"
         "for a, b in pairs:\n"
-        "    print([(str(c.re), str(c.im)) for c in uniroots.ugcd([gr(*c) for c in a], [gr(*c) for c in b])])\n"
+        "    g = [from_gint(u) for u in uniroots.ugcd(a, b)]\n"
+        "    print([(str(c.re), str(c.im)) for c in (c / g[-1] for c in g)])  # made monic\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(foltools.__file__).resolve().parent.parent))
     proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=120)
