@@ -12,8 +12,9 @@ Ambiguous cells are resolved by subdivision, never by a midpoint
 heuristic: a cell's sub-lattice is again an integer lattice, evaluated the
 same way as the coarse grid; when depth runs out the affected ovals are
 reported uncertified with a warning.  Uncrossed cell edges of each loop are proven
-zero-free by Sturm counts, one chain per lattice line, on the same integer
-rows that give the signs.
+zero-free a whole lattice line at a time: the line's sign changes account
+for all its roots, by degree or by one Sturm count on the same integer rows
+that give the signs; other lines fall back to a Sturm count per edge.
 """
 
 from __future__ import annotations
@@ -292,34 +293,78 @@ def _interval_eval(coeffs: list[Fraction], lo: Fraction, hi: Fraction) -> tuple[
 
 
 class _LatticeLines:
-    """Exact proofs (Sturm counts) that f has no zero on a lattice edge.
+    """Exact proofs that f has no zero on a lattice edge, one line at a time.
 
-    f restricted to an edge depends only on the edge's line, so each line
-    gets one Sturm chain, and its sign variations are memoized per node.  A
-    line's chain is built from its `_line_rows` row: a positive multiple of f
-    on the line as a polynomial in the integer lattice coordinate (nx = dx*x
-    or ny = dy*y), so edges are counted between integer endpoints.  The
-    horizontal rows are the ones `_sign_grid` built; a vertical row is built
-    when its line is first asked for.  Endpoints are lattice nodes with
-    nonzero exact sign, so a zero count on the half-open interval certifies
-    the whole closed edge.
+    The line proof: take a lattice line none of whose nodes is a zero of f,
+    and let S be the number of sign changes between its consecutive nodes
+    (read off the sign grid).  Each crossed edge holds a root in its
+    interior, so f has at least S distinct roots on the line between its
+    first and last node.  If it has exactly S there, each crossed edge holds
+    exactly one root and every other edge of the line is zero-free.  That
+    equality holds when S equals the degree of f in the line's variable
+    (deg_x f for a horizontal line, deg_y f for a vertical one), which bounds
+    the roots with multiplicity, so no chain is needed; otherwise it is
+    checked by one Sturm count from the first node to the last.  A proven
+    line answers each of its edges from the signs of the edge's ends.
+
+    Edges of the other lines (the count exceeds S, or a node is a zero of f)
+    get a Sturm count of their own on the half-open interval (lo, hi].  A
+    line's chain is built once, from its `_line_rows` row: a positive
+    multiple of f on the line as a polynomial in the integer lattice
+    coordinate (nx = dx*x or ny = dy*y), so counts run between integer
+    endpoints.  The horizontal rows are the ones `_sign_grid` built; a
+    vertical row is built when its line first needs a chain.
     """
 
-    def __init__(self, f: MultiPoly, lattice: tuple, rows: list[list[int]]):
-        self.f, self.lattice, self.rows = f, lattice, rows
+    def __init__(self, f: MultiPoly, lattice: tuple, signs: np.ndarray, rows: list[list[int]]):
+        self.f, self.lattice, self.signs, self.rows = f, lattice, signs, rows
+        ax, sx, _, ay, sy, _, _ = lattice
+        self.along = {"h": (ax, sx), "v": (ay, sy)}  # (first node, step) in each line's edge coordinate
+        self.degree = {"h": max(f.degree_in(0), 0), "v": max(f.degree_in(1), 0)}
+        # S of every line; -1 marks a line with a zero node, which has no line proof
+        h_changes = np.count_nonzero(signs[:, :-1] != signs[:, 1:], axis=1)
+        v_changes = np.count_nonzero(signs[:-1, :] != signs[1:, :], axis=0)
+        zeros = signs == 0
+        h_changes[zeros.any(axis=1)] = -1
+        v_changes[zeros.any(axis=0)] = -1
+        self.changes = {"h": h_changes.tolist(), "v": v_changes.tolist()}
+        self._proven: dict[tuple[str, int], bool] = {}
         self._counters: dict[tuple[str, int], Callable | None] = {}
 
-    def edge_is_zero_free(self, kind: str, i: int, j: int) -> bool:
-        ax, sx, dx, ay, sy, dy, _ = self.lattice
-        line, k, a_edge, s_edge = (j, i, ax, sx) if kind == "h" else (i, j, ay, sy)
+    def _counter(self, kind: str, line: int) -> Callable | None:
+        """The line's Sturm count in its integer edge coordinate; None when f
+        vanishes identically on the line."""
         if (kind, line) not in self._counters:
+            ax, sx, dx, _, _, dy, _ = self.lattice
             row = self.rows[line] if kind == "h" else _line_rows(self.f, 1, [ax + line * sx], dx, dy)[0]
             coeffs = utrim(list(row))
-            # None: f vanishes identically on the line
             self._counters[kind, line] = sturm_counter(coeffs) if coeffs else None
-        count = self._counters[kind, line]
-        lo = a_edge + k * s_edge
-        return count is not None and count(lo, lo + s_edge) == 0
+        return self._counters[kind, line]
+
+    def _line_is_proven(self, kind: str, line: int) -> bool:
+        proven = self._proven.get((kind, line))
+        if proven is None:
+            s = self.changes[kind][line]
+            if s < 0:
+                proven = False
+            elif s == self.degree[kind]:
+                proven = True
+            else:
+                first, step = self.along[kind]
+                proven = self._counter(kind, line)(first, first + self.lattice[-1] * step) == s
+            self._proven[kind, line] = proven
+        return proven
+
+    def edge_is_zero_free(self, kind: str, i: int, j: int) -> bool:
+        line, k = (j, i) if kind == "h" else (i, j)
+        lo_sign = self.signs.item(j, i)
+        hi_sign = self.signs.item(j, i + 1) if kind == "h" else self.signs.item(j + 1, i)
+        if lo_sign and hi_sign and (lo_sign != hi_sign or self._line_is_proven(kind, line)):
+            return lo_sign == hi_sign
+        first, step = self.along[kind]
+        count = self._counter(kind, line)
+        lo = first + k * step
+        return count is not None and count(lo, lo + step) == 0
 
 
 # -- compactness and the default box --------------------------------------------------
@@ -622,7 +667,7 @@ def count_ovals(
         warnings.append(f"{open_chains} open chain(s) reached the search boundary")
 
     result = OvalSet(box=box, resolution=resolution, warnings=warnings, open_chains=open_chains)
-    lines = _LatticeLines(f, lattice, rows)
+    lines = _LatticeLines(f, lattice, signs, rows)
     for chain, cells in loops:
         verts = [mesher.vertex_pos[k] for k in chain]
         ok = not any(c in mesher.uncertified_cells for c in cells) and _certify_loop(mesher, cells, lines)
@@ -736,8 +781,8 @@ def trace_oval(
     x, y = start = float(out[0, 0]), float(out[0, 1])
     pts = [(x, y)]
     h = spacing
+    dx, dy = gx(x, y), gy(x, y)  # the gradient at (x, y); later the corrector's at its accepted point
     for step in range(max_steps):
-        dx, dy = gx(x, y), gy(x, y)
         norm = math.hypot(dx, dy)
         if norm < 1e-9:
             raise DegenerateInput("trace approached a singular point of the curve")
@@ -760,7 +805,7 @@ def trace_oval(
             if h < spacing * 1e-6:
                 raise DegenerateInput("corrector failed; step size underflow")
             continue
-        x, y = cx, cy
+        x, y, dx, dy = cx, cy, ddx, ddy
         pts.append((x, y))
         if step > 4 and math.hypot(x - start[0], y - start[1]) < 0.9 * h:
             pts[-1] = start

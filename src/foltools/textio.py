@@ -38,20 +38,19 @@ class _Token:
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
     pos = 0
-    line, col_base = 1, 0
+    line, col_base = 1, 0  # the line at pos and the offset where it starts; no token spans a newline
     while pos < len(text):
-        nl = text.rfind("\n", 0, pos)
         m = _TOKEN_RE.match(text, pos)
         if not m or m.end() == pos:
             rest = text[pos:].lstrip()
             if not rest:
                 break
-            line = text.count("\n", 0, pos) + 1
-            col_base = text.rfind("\n", 0, pos) + 1
             raise ParseError(f"unexpected character {rest[0]!r}", line, pos - col_base + 1)
         start = m.start(m.lastindex)
-        line = text.count("\n", 0, start) + 1
-        col_base = text.rfind("\n", 0, start) + 1
+        newlines = text.count("\n", pos, start)
+        if newlines:
+            line += newlines
+            col_base = text.rfind("\n", pos, start) + 1
         column = start - col_base + 1
         if m.group(1):
             tokens.append(_Token("int", m.group(1), line, column))

@@ -597,8 +597,9 @@ def test_top_form_restrictions_match_dict_loops():
 
 
 def _lattice_lines(f, lattice) -> _LatticeLines:
-    """The edge prover of a lattice, given the rows its sign grid built."""
-    return _LatticeLines(f, lattice, _sign_grid(f, *lattice)[2])
+    """The edge prover of a lattice, given the signs and rows of its sign grid."""
+    signs, _, rows = _sign_grid(f, *lattice)
+    return _LatticeLines(f, lattice, signs, rows)
 
 
 def test_lattice_lines_match_fraction_restrictions():
@@ -636,6 +637,110 @@ def test_lattice_lines_match_per_edge_sturm_counts():
     assert 0 < zero_free < 2 * 28 * 28
     # y = 0 is the lattice line j = 14, where y * f vanishes identically
     assert not _lattice_lines(y * f, lattice).edge_is_zero_free("h", 3, 14)
+
+
+def _ends_agree_on_a_zero_free_line(lines, kind, i, j):
+    """Whether a line proof that trusts its sign changes alone would call the
+    edge zero-free: no node of the line is a zero and the edge's ends agree."""
+    line = j if kind == "h" else i
+    hi = lines.signs[j, i + 1] if kind == "h" else lines.signs[j + 1, i]
+    return lines.changes[kind][line] >= 0 and lines.signs[j, i] == hi
+
+
+def test_two_roots_on_one_same_sign_edge_are_refused():
+    # a circle of radius 1/20 centred on the lattice line y = 1/2, between the
+    # nodes x = 1 and x = 3/2, inside a cell of the big circle's loop: the
+    # line changes sign only where the big circle crosses it (S = 2 < deg_x f
+    # = 4), and the edge between those nodes has one sign at both ends and
+    # two roots
+    big = x**2 + y**2 - const2("6/5")
+    f = big * ((x - const2("5/4")) ** 2 + (y - const2("1/2")) ** 2 - const2("1/400"))
+    box, res = Box.square(2), 8
+    lattice = _box_lattice(box, res, 0)
+    ax, sx, dx, ay, sy, dy, _ = lattice
+    assert (Fraction(ax + 7 * sx, dx), Fraction(ay + 6 * sy, dy)) == (1, Fraction(1, 2))
+    lines = _lattice_lines(f, lattice)
+    assert lines.changes["h"][6] == 2 and lines.degree["h"] == 4
+    assert _ends_agree_on_a_zero_free_line(lines, "h", 7, 6)
+    assert not lines.edge_is_zero_free("h", 7, 6)
+    assert _oracle_edge_answers(f, lattice)["h", 7, 6] is False
+    # the loop of the big circle is found but not proven; alone it is proven
+    ovals = count_ovals(f, box, res)
+    assert (ovals.count, ovals.certified_count, ovals.open_chains) == (1, 0, 0)
+    assert count_ovals(big, box, res).certified_count == 1
+
+
+def test_proven_lines_match_the_fraction_oracle():
+    # on coarse shifted lattices around seeded curves of degree 2 to 6, lines
+    # are proven by degree and by one count, some same-sign edges hold roots,
+    # and every edge answer equals the Fraction Sturm oracle
+    rng = random.Random(7)
+    lattices = (
+        (Box.square(2), 6, 2),
+        (Box.square(1), 5, 5),
+        (Box(Fraction(-1), Fraction(3, 2), Fraction(-5, 4), Fraction(1)), 11, 7),
+    )
+    by_degree = by_count = roots_on_same_sign_edges = 0
+    for degree in (2, 3, 4, 5, 6):
+        f = _seeded_curve(rng, degree)
+        for box, res, shift in lattices:
+            lattice = _box_lattice(box, res, shift)
+            lines = _lattice_lines(f, lattice)
+            for key, expected in _oracle_edge_answers(f, lattice).items():
+                assert lines.edge_is_zero_free(*key) == expected, (degree, box, key)
+                roots_on_same_sign_edges += not expected and _ends_agree_on_a_zero_free_line(lines, *key)
+            for kind in ("h", "v"):
+                for line in range(lattice[-1] + 1):
+                    if lines._line_is_proven(kind, line):
+                        by_degree += lines.changes[kind][line] == lines.degree[kind]
+                        by_count += lines.changes[kind][line] < lines.degree[kind]
+    assert by_degree > 0 and by_count > 0 and roots_on_same_sign_edges > 0
+
+
+def test_a_line_whose_sign_changes_reach_the_degree_builds_no_chain(monkeypatch):
+    built = []
+
+    def spy(c):
+        built.append(list(c))
+        return sturm_counter(c)
+
+    monkeypatch.setattr(realtopo, "sturm_counter", spy)
+    lattice = _box_lattice(Box.square(2), 8, 0)  # nodes at k/2 - 5/2 on both axes
+    lines = _lattice_lines(x**2 + y**2 - const2("6/5"), lattice)
+    # y = 1/2 (j = 6) and x = -1/2 (i = 4) each cross the circle twice: S = 2 = degree
+    assert lines.changes["h"][6] == lines.changes["v"][4] == 2
+    assert lines.edge_is_zero_free("h", 0, 6) and lines.edge_is_zero_free("v", 4, 9)
+    assert not lines.edge_is_zero_free("h", 3, 6)  # crossed
+    assert built == []
+    # y = 2 (j = 9) misses the circle: S = 0 < 2, and one chain proves the line
+    assert lines.edge_is_zero_free("h", 3, 9) and lines.edge_is_zero_free("h", 4, 9)
+    assert len(built) == 1
+
+
+def test_a_box_that_cuts_an_oval_keeps_the_oracle_answers():
+    # the lattice of this box cuts the quartic's right oval (x from 0.69 to
+    # 0.99), so lines hold roots outside the lattice range as well as inside
+    box = Box(Fraction(17, 20), Fraction(6, 5), Fraction(-1, 2), Fraction(1, 2))
+    lattice = _box_lattice(box, 5, 0)
+    ax, sx, dx, ay, sy, dy, n = lattice
+    lines = _lattice_lines(quartic, lattice)
+    roots_on_same_sign_edges = 0
+    for key, expected in _oracle_edge_answers(quartic, lattice).items():
+        assert lines.edge_is_zero_free(*key) == expected, key
+        roots_on_same_sign_edges += not expected and _ends_agree_on_a_zero_free_line(lines, *key)
+    assert roots_on_same_sign_edges > 0
+    cut = 0
+    for kind, across, lo, hi in (
+        ("h", [Fraction(ay + j * sy, dy) for j in range(n + 1)], Fraction(ax, dx), Fraction(ax + n * sx, dx)),
+        ("v", [Fraction(ax + i * sx, dx) for i in range(n + 1)], Fraction(ay, dy), Fraction(ay + n * sy, dy)),
+    ):
+        for line, at in enumerate(across):
+            coeffs = _line_restriction(quartic, kind, at)
+            inside = count_real_roots(coeffs, lo, hi)
+            cut += lines._line_is_proven(kind, line) and 0 < inside < count_real_roots(coeffs)
+    assert cut > 0
+    ovals = count_ovals(quartic, box, 5)
+    assert ovals.count == 0 and ovals.open_chains == 1
 
 
 def test_subdivision_lattices_refine_their_cell(monkeypatch):
