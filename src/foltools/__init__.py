@@ -46,7 +46,6 @@ from .cycles import (
 )
 from .errors import (
     ArityMismatch,
-    ConfigError,
     DegenerateInput,
     FolError,
     NonIsolatedSingularities,

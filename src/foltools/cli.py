@@ -35,7 +35,6 @@ from .construct import (
 )
 from .cycles import certify_cycle, location_rows
 from .errors import (
-    ConfigError,
     FolError,
     ParseError,
     UncertifiedResult,
@@ -167,9 +166,10 @@ def cmd_cofactor(args) -> int:
     curve = _get_curve(doc, args.curve)
     cert = invariance_check(field, curve)
     if cert is None:
-        print("NotInvariant")
+        _emit(args, {"invariant": False}, ["NotInvariant"])
         return EXIT_FAILED
-    print(print_poly(cert.cofactor))
+    K = print_poly(cert.cofactor)
+    _emit(args, {"invariant": True, "cofactor": K}, [K])
     return EXIT_OK
 
 
@@ -335,49 +335,45 @@ def cmd_bounds(args) -> int:
     if t == "t1":
         value = bounds_mod.thm1_bound(args.m)
         payload = {"theorem": "t1", "m": args.m, "bound": value}
-        print(value)
+        lines = [str(value)]
     elif t == "t2":
         value = bounds_mod.thm2_bound(args.m, not args.r_nonzero)
         payload = {"theorem": "t2", "m": args.m, "r_zero": not args.r_nonzero, "bound": value}
-        print(value)
+        lines = [str(value)]
     elif t == "t4":
         value = bounds_mod.thm4_bound(args.m)
         payload = {"theorem": "t4", "m": args.m, "bound": value}
-        print(value)
+        lines = [str(value)]
     elif t == "harnack":
         orders = _parse_ints(args.orders) if args.orders else []
         rep = bounds_mod.harnack_bound(args.m, orders)
         payload = rep.to_dict()
-        print(rep.bound)
+        lines = [str(rep.bound)]
     elif t == "degree-nodal":
         rep = bounds_mod.nodal_degree_bound(args.m)
         payload = rep.to_dict()
-        print(rep.bound)
-        print("note:", rep.notes[0])
+        lines = [str(rep.bound), f"note: {rep.notes[0]}"]
     elif t == "degree-nondicritical":
         rep = bounds_mod.nondicritical_degree_bound(args.m)
         payload = rep.to_dict()
-        print(rep.bound)
+        lines = [str(rep.bound)]
     elif t == "mk":
         if args.partition:
             partition = _parse_ints(args.partition)
             value, envelope = bounds_mod.mk_value(args.m, len(partition), partition)
             payload = {"m": args.m, "partition": partition, "value": value, "envelope": envelope}
-            print(value)
+            lines = [str(value)]
         else:
             result = bounds_mod.mk_argmax(args.m)
             payload = result.to_dict()
-            print(f"k = {result.k}, partition = {list(result.partition)}, value = {result.value}")
+            lines = [f"k = {result.k}, partition = {list(result.partition)}, value = {result.value}"]
     else:
         raise ParseError(f"unknown theorem {t!r}")
     if args.table:
         rows = bounds_mod.bound_table(list(range(args.table_from, args.table_to + 1)))
         payload = {"table": rows, "single": payload}
-        for row in rows:
-            print(row)
-    report_path = getattr(args, "report", None)
-    if report_path:
-        Path(report_path).write_text(report_json(payload) + "\n", encoding="utf-8")
+        lines += [str(row) for row in rows]
+    _emit(args, payload, lines)
     return EXIT_OK
 
 
@@ -577,8 +573,8 @@ def cmd_darboux_check(args) -> int:
 # -- the built-in fixture suite ----------------------------------------------------
 
 
-def run_paper_suite(report_path: str | None = None) -> int:
-    """Every reference fixture end-to-end; deterministic output."""
+def run_paper_suite() -> list[tuple[str, bool, str]]:
+    """Every reference fixture end-to-end: deterministic (name, passed, detail) rows."""
     checks: list[tuple[str, bool, str]] = []
 
     def check(name: str, ok: bool, detail: str = ""):
@@ -691,26 +687,25 @@ def run_paper_suite(report_path: str | None = None) -> int:
     )
     ovals = count_ovals(g, Box.square(2), 64)
     check("eee circle oval count", ovals.count == 1 and ovals.certified_count == 1, "1 certified oval")
-
-    failures = [c for c in checks if not c[1]]
-    width = max(len(c[0]) for c in checks)
-    for name, ok, detail in checks:
-        status = "PASS" if ok else "FAIL"
-        suffix = f"  ({detail})" if detail else ""
-        print(f"{status}  {name.ljust(width)}{suffix}")
-    print(f"{len(checks) - len(failures)}/{len(checks)} fixture checks passed")
-    if report_path:
-        payload = {
-            "checks": [{"name": n, "pass": ok, "detail": d} for n, ok, d in checks],
-            "total": len(checks),
-            "failed": len(failures),
-        }
-        Path(report_path).write_text(report_json(payload) + "\n", encoding="utf-8")
-    return EXIT_OK if not failures else EXIT_FAILED
+    return checks
 
 
 def cmd_paper_suite(args) -> int:
-    return run_paper_suite(getattr(args, "report", None))
+    checks = run_paper_suite()
+    failures = [c for c in checks if not c[1]]
+    width = max(len(c[0]) for c in checks)
+    lines = []
+    for name, ok, detail in checks:
+        suffix = f"  ({detail})" if detail else ""
+        lines.append(f"{'PASS' if ok else 'FAIL'}  {name.ljust(width)}{suffix}")
+    lines.append(f"{len(checks) - len(failures)}/{len(checks)} fixture checks passed")
+    payload = {
+        "checks": [{"name": n, "pass": ok, "detail": d} for n, ok, d in checks],
+        "total": len(checks),
+        "failed": len(failures),
+    }
+    _emit(args, payload, lines)
+    return EXIT_OK if not failures else EXIT_FAILED
 
 
 # -- parser ------------------------------------------------------------------------
@@ -870,7 +865,7 @@ def run(argv: list[str]) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.handler(args)
-    except (ParseError, ConfigError) as exc:
+    except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (UnsupportedBranch, UncertifiedResult) as exc:

@@ -116,6 +116,7 @@ def certify_cycle(
     v_poly: MultiPoly | None = None,
 ) -> CycleCertificate:
     """Hyperbolicity certificate for one closed orbit polyline."""
+    oval = np.asarray(oval, dtype=np.float64)  # once, for both readers below
     D, T, rel = divergence_integral(field, oval, f=f)
     err_estimate = max(rel * abs(D), 1e-14)
     hyperbolic = abs(D) > THRESHOLD_FACTOR * err_estimate

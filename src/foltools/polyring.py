@@ -521,10 +521,6 @@ def poly_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
         return _homogeneous_gcd(a, b, var)
     if _coprime_images(a, b, occurring):
         return MultiPoly.constant(a.arity, 1)
-    if a.degree_in(var) == 0 or b.degree_in(var) == 0:
-        # one input lives entirely in the other variables
-        thin, thick = (a, b) if a.degree_in(var) == 0 else (b, a)
-        return _monic(poly_gcd(thin, _content(thick, var)))
     ca, cb = _content(a, var), _content(b, var)
     # a constant content is 1, since poly_gcd is monic
     pa = a if ca.is_constant() else exact_divide(a, ca)

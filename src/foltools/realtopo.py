@@ -277,7 +277,7 @@ def _interval_pow(lo: Fraction, hi: Fraction, e: int) -> tuple[Fraction, Fractio
     return Fraction(0), max(lo**e, hi**e)
 
 
-def _interval_eval(coeffs: list[Fraction], lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
+def _interval_eval(coeffs: list[int], lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
     """Bounds of the polynomial with coefficients `coeffs` (low to high) on
     [lo, hi], term by term."""
     lo_total, hi_total = Fraction(0), Fraction(0)
@@ -295,86 +295,80 @@ def _interval_eval(coeffs: list[Fraction], lo: Fraction, hi: Fraction) -> tuple[
 class _LatticeLines:
     """Exact proofs that f has no zero on a lattice edge, one line at a time.
 
-    The line proof: take a lattice line none of whose nodes is a zero of f,
-    and let S be the number of sign changes between its consecutive nodes
-    (read off the sign grid).  Each crossed edge holds a root in its
-    interior, so f has at least S distinct roots on the line between its
-    first and last node.  If it has exactly S there, each crossed edge holds
-    exactly one root and every other edge of the line is zero-free.  That
-    equality holds when S equals the degree of f in the line's variable
-    (deg_x f for a horizontal line, deg_y f for a vertical one), which bounds
-    the roots with multiplicity, so no chain is needed; otherwise it is
-    checked by one Sturm count from the first node to the last.  A proven
-    line answers each of its edges from the signs of the edge's ends.
+    No node of the lattice may be a zero of f (`count_ovals` shifts the
+    lattice until none is).  The line proof: on a lattice line, let S be
+    the number of sign changes between its consecutive nodes (read off the
+    sign grid).  Each crossed edge holds a root in its interior, so f has
+    at least S distinct roots on the line between its first and last node.
+    If it has exactly S there, each crossed edge holds exactly one root and
+    every other edge of the line is zero-free.  That equality holds when S
+    equals the degree of f in the line's variable (deg_x f for a horizontal
+    line, deg_y f for a vertical one), which bounds the roots with
+    multiplicity, so no chain is needed; otherwise it is checked by one
+    Sturm count from the first node to the last.  A proven line answers
+    each of its edges from the signs of the edge's ends.
 
-    Edges of the other lines (the count exceeds S, or a node is a zero of f)
-    get a Sturm count of their own on the half-open interval (lo, hi].  A
-    line's chain is built once, from its `_line_rows` row: a positive
-    multiple of f on the line as a polynomial in the integer lattice
-    coordinate (nx = dx*x or ny = dy*y), so counts run between integer
-    endpoints.  The horizontal rows are the ones `_sign_grid` built; a
-    vertical row is built when its line first needs a chain.
+    Edges of the other lines (the count exceeds S) get a Sturm count of
+    their own on the half-open interval (lo, hi].  A line's chain is built
+    once, from its `_line_rows` row: a positive multiple of f on the line
+    as a polynomial in the integer lattice coordinate (nx = dx*x or
+    ny = dy*y), so counts run between integer endpoints.  The horizontal
+    rows are the ones `_sign_grid` built; a vertical row is built when its
+    line first needs a chain.
     """
 
     def __init__(self, f: MultiPoly, lattice: tuple, signs: np.ndarray, rows: list[list[int]]):
+        if (signs == 0).any():
+            raise ValueError("a lattice node is a zero of f; shift the lattice off the curve")
         self.f, self.lattice, self.signs, self.rows = f, lattice, signs, rows
         ax, sx, _, ay, sy, _, _ = lattice
         self.along = {"h": (ax, sx), "v": (ay, sy)}  # (first node, step) in each line's edge coordinate
         self.degree = {"h": max(f.degree_in(0), 0), "v": max(f.degree_in(1), 0)}
-        # S of every line; -1 marks a line with a zero node, which has no line proof
         h_changes = np.count_nonzero(signs[:, :-1] != signs[:, 1:], axis=1)
         v_changes = np.count_nonzero(signs[:-1, :] != signs[1:, :], axis=0)
-        zeros = signs == 0
-        h_changes[zeros.any(axis=1)] = -1
-        v_changes[zeros.any(axis=0)] = -1
-        self.changes = {"h": h_changes.tolist(), "v": v_changes.tolist()}
+        self.changes = {"h": h_changes.tolist(), "v": v_changes.tolist()}  # S of every line
         self._proven: dict[tuple[str, int], bool] = {}
-        self._counters: dict[tuple[str, int], Callable | None] = {}
+        self._counters: dict[tuple[str, int], Callable] = {}
 
-    def _counter(self, kind: str, line: int) -> Callable | None:
-        """The line's Sturm count in its integer edge coordinate; None when f
-        vanishes identically on the line."""
+    def _counter(self, kind: str, line: int) -> Callable:
+        """The line's Sturm count in its integer edge coordinate."""
         if (kind, line) not in self._counters:
             ax, sx, dx, _, _, dy, _ = self.lattice
             row = self.rows[line] if kind == "h" else _line_rows(self.f, 1, [ax + line * sx], dx, dy)[0]
-            coeffs = utrim(list(row))
-            self._counters[kind, line] = sturm_counter(coeffs) if coeffs else None
+            self._counters[kind, line] = sturm_counter(row)
         return self._counters[kind, line]
 
     def _line_is_proven(self, kind: str, line: int) -> bool:
         proven = self._proven.get((kind, line))
         if proven is None:
             s = self.changes[kind][line]
-            if s < 0:
-                proven = False
-            elif s == self.degree[kind]:
-                proven = True
-            else:
-                first, step = self.along[kind]
-                proven = self._counter(kind, line)(first, first + self.lattice[-1] * step) == s
+            first, step = self.along[kind]
+            proven = s == self.degree[kind] or self._counter(kind, line)(first, first + self.lattice[-1] * step) == s
             self._proven[kind, line] = proven
         return proven
 
+    def crossed(self, kind: str, i: int, j: int) -> bool:
+        """Whether the edge's end signs differ, so that it holds a root."""
+        return self.signs.item(j, i) != (self.signs.item(j, i + 1) if kind == "h" else self.signs.item(j + 1, i))
+
     def edge_is_zero_free(self, kind: str, i: int, j: int) -> bool:
+        if self.crossed(kind, i, j):
+            return False
         line, k = (j, i) if kind == "h" else (i, j)
-        lo_sign = self.signs.item(j, i)
-        hi_sign = self.signs.item(j, i + 1) if kind == "h" else self.signs.item(j + 1, i)
-        if lo_sign and hi_sign and (lo_sign != hi_sign or self._line_is_proven(kind, line)):
-            return lo_sign == hi_sign
+        if self._line_is_proven(kind, line):
+            return True
         first, step = self.along[kind]
-        count = self._counter(kind, line)
         lo = first + k * step
-        return count is not None and count(lo, lo + step) == 0
+        return self._counter(kind, line)(lo, lo + step) == 0
 
 
 # -- compactness and the default box --------------------------------------------------
 
 
-def _top_form_on(L: MultiPoly, var: int) -> list[Fraction]:
-    """Trimmed real coefficients of the top form L on the directions with the
-    other coordinate 1: L(1, t) for var 1, L(t, 1) for var 0."""
-    den, nums = _specialize(L, var, [(1, 0), (1, 0)], 1)
-    return utrim([Fraction(re, den) for re, _ in nums])
+def _top_form_on(L: MultiPoly, var: int) -> list[int]:
+    """Trimmed integer coefficients of L.den times the real top form L on the
+    directions with the other coordinate 1: L(1, t) for var 1, L(t, 1) for var 0."""
+    return utrim([re for re, _ in _specialize(L, var, [(1, 0), (1, 0)], 1)[1]])
 
 
 def compactness_check(f: MultiPoly) -> bool:
@@ -391,7 +385,7 @@ def compactness_check(f: MultiPoly) -> bool:
     return count_real_roots(restriction) == 0
 
 
-def _min_abs_on_interval(coeffs: list[Fraction], lo: Fraction, hi: Fraction, depth: int = 14) -> Fraction:
+def _min_abs_on_interval(coeffs: list[int], lo: Fraction, hi: Fraction, depth: int = 14) -> Fraction:
     """Positive lower bound for |poly| on [lo, hi]; poly must be zero-free there."""
 
     def rec(a: Fraction, b: Fraction, d: int) -> Fraction:
@@ -414,7 +408,7 @@ def default_box(f: MultiPoly) -> Box:
         raise PreconditionError("real locus is unbounded; supply a box explicitly")
     L = leading_form(f)
     n = int(f.degree)
-    lam = min(_min_abs_on_interval(_top_form_on(L, var), Fraction(-1), Fraction(1)) for var in (1, 0))
+    lam = min(_min_abs_on_interval(_top_form_on(L, var), Fraction(-1), Fraction(1)) for var in (1, 0)) / L.den
     lower_mass: dict[int, Fraction] = {}
     for (a, b), c in f.terms.items():
         d = a + b
@@ -493,7 +487,6 @@ class _Mesher:
         self.vertex_pos: dict[tuple, tuple[float, float]] = {}
         self.uncertified_cells: set[tuple[int, int]] = set()
         self.warnings: list[str] = []
-        self.crossed_edges: set[tuple] = set()
 
     def _edge_vertex(self, kind: str, i: int, j: int) -> tuple:
         key = (kind, i, j)
@@ -502,7 +495,6 @@ class _Mesher:
             step = self.xs[i2] - self.xs[i] if kind == "h" else self.ys[j2] - self.ys[j]
             va, vb = self.fvals[j][i], self.fvals[j2][i2]
             self.vertex_pos[key] = _edge_point(kind, self.xs[i], self.ys[j], step, va, vb)
-        self.crossed_edges.add(key)
         return key
 
     def run(self):
@@ -670,16 +662,18 @@ def count_ovals(
     lines = _LatticeLines(f, lattice, signs, rows)
     for chain, cells in loops:
         verts = [mesher.vertex_pos[k] for k in chain]
-        ok = not any(c in mesher.uncertified_cells for c in cells) and _certify_loop(mesher, cells, lines)
+        ok = not any(c in mesher.uncertified_cells for c in cells) and _certify_loop(cells, lines)
         result.ovals.append(Oval(verts, ok))
     result.ovals.sort(key=lambda o: (min(v[0] for v in o.vertices), min(v[1] for v in o.vertices)))
     return result
 
 
-def _certify_loop(mesher: _Mesher, cells, lines: _LatticeLines) -> bool:
+def _certify_loop(cells, lines: _LatticeLines) -> bool:
+    """Whether each edge of the loop's cells is crossed (its end signs differ:
+    in a certified cell, exactly the edges the loop passes through) or zero-free."""
     for i, j in cells:
         for key in _cell_edges(i, j).values():
-            if key not in mesher.crossed_edges and not lines.edge_is_zero_free(*key):
+            if not (lines.crossed(*key) or lines.edge_is_zero_free(*key)):
                 return False
     return True
 

@@ -30,7 +30,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import RootSearchOverflow
-from .gaussian import GInt, GaussianRational, ZERO, from_gint, gr, lift
+from .gaussian import GInt, GaussianRational, ZERO, from_gint, gr
 
 Coeffs = list[GInt]  # Z[i] numerators, low to high, of a polynomial up to a nonzero scalar
 
@@ -41,8 +41,8 @@ _GRID_BLOCK = 2**15  # candidates per block of the mod-_P filter
 
 # -- coefficient lists -----------------------------------------------------------
 #
-# utrim, udeg, ueval and uderiv take lists of numbers (ints, Fractions) as the
-# Sturm chains and the lattice rows use them; utrim also trims Z[i] lists.
+# utrim, udeg, ueval and uderiv take the integer lists of the Sturm chains and
+# the lattice rows; utrim and udeg also take Z[i] lists.
 # Gcds are modular (`ugcd`) and checked, like every other division of Z[i]
 # lists, by long division in Z[i] (`_gi_quotient`).
 
@@ -579,9 +579,7 @@ def qi_roots(c: Coeffs) -> RootReport:
     return report
 
 
-# -- Sturm sequences over the real rationals, in integers -------------------------
-
-RCoeffs = list[Fraction]
+# -- Sturm sequences over the integers ---------------------------------------------
 
 
 def _primitive(c: list[int]) -> list[int]:
@@ -638,19 +636,20 @@ def _sign_variations(vals: list[int]) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a * b < 0)
 
 
-def sturm_counter(c: RCoeffs) -> Callable[[Fraction | None, Fraction | None], int]:
+def sturm_counter(c: list[int]) -> Callable[[Fraction | None, Fraction | None], int]:
     """count(lo, hi): the number of distinct real roots of c in (lo, hi]; None means +-infinity.
 
-    c (integers or Fractions) is scaled by the positive lcm of its
-    denominators and its Sturm chain built once in integers, and the sign
-    variations at each finite point are memoized, so counting on many
-    intervals of one polynomial evaluates the chain once per distinct
-    endpoint, in integer arithmetic.
+    c is a list of integer coefficients, low to high (a rational polynomial
+    is passed as its numerators over a common denominator, which has the
+    same roots).  Its Sturm chain is built once in integers, and the sign
+    variations at each finite point (an integer or a Fraction) are
+    memoized, so counting on many intervals of one polynomial evaluates the
+    chain once per distinct endpoint, in integer arithmetic.
     """
     c = utrim(list(c))
     if len(c) <= 1:
         return lambda lo=None, hi=None: 0
-    chain = _int_sturm_chain([re for re, _ in lift(c)[1]])
+    chain = _int_sturm_chain(c)
     g = chain[-1]
     if len(g) > 1:
         # c has multiple roots and g = gcd(c, c') up to a positive constant:
@@ -683,6 +682,6 @@ def sturm_counter(c: RCoeffs) -> Callable[[Fraction | None, Fraction | None], in
     return count
 
 
-def count_real_roots(c: RCoeffs, lo: Fraction | None = None, hi: Fraction | None = None) -> int:
-    """Number of distinct real roots in (lo, hi]; None means +-infinity."""
+def count_real_roots(c: list[int], lo: Fraction | None = None, hi: Fraction | None = None) -> int:
+    """Number of distinct real roots of the integer list c in (lo, hi]; None means +-infinity."""
     return sturm_counter(c)(lo, hi)

@@ -211,15 +211,6 @@ def test_corollary2_rejects_bad_curves():
         corollary2_check(4, f)
 
 
-def test_truncation_env_override(monkeypatch):
-    from foltools.branches import default_truncation
-
-    monkeypatch.setenv("FOLTOOLS_TRUNCATION", "17")
-    assert default_truncation(4, 3) == 17
-    monkeypatch.delenv("FOLTOOLS_TRUNCATION")
-    assert default_truncation(4, 3) == 2 * 6 * 3
-
-
 # -- the integer series store against GaussianRational arithmetic on `coeffs` --
 
 

@@ -88,6 +88,23 @@ def test_cofactor_output(eee_doc, capsys):
     assert capsys.readouterr().out.strip() == "2*x + 2*y"
 
 
+def test_cofactor_json_and_report(eee_doc, tmp_path, capsys):
+    report = tmp_path / "r.json"
+    argv = ["cofactor", eee_doc, "--field", "eee", "--curve", "circle", "--json", "--report", str(report)]
+    assert run(argv) == 0
+    out = capsys.readouterr().out
+    assert json.loads(out) == {"invariant": True, "cofactor": "2*x + 2*y"}
+    assert report.read_text(encoding="utf-8") == out
+    assert run(["cofactor", eee_doc, "--field", "rotation", "--curve", "line", "--json", "--report", str(report)]) == 1
+    out = capsys.readouterr().out
+    assert json.loads(out) == {"invariant": False}
+    assert report.read_text(encoding="utf-8") == out
+    # without --json the text lines stay, and the report is still written
+    assert run(["cofactor", eee_doc, "--field", "rotation", "--curve", "line", "--report", str(report)]) == 1
+    assert capsys.readouterr().out == "NotInvariant\n"
+    assert json.loads(report.read_text(encoding="utf-8")) == {"invariant": False}
+
+
 def test_projectivize_output(eee_doc, capsys):
     assert run(["projectivize", eee_doc, "--field", "rotation", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -326,14 +343,6 @@ def test_truncation_below_two_is_a_usage_error(eee_doc, n, capsys):
     assert run(argv) == 2
     assert "truncation must be at least 2" in capsys.readouterr().err
     assert run(argv[:-1] + ["--truncation=2"]) == 0
-
-
-def test_non_integer_truncation_variable_is_a_usage_error(eee_doc, monkeypatch, capsys):
-    monkeypatch.setenv("FOLTOOLS_TRUNCATION", "abc")
-    assert run(["multiplicity", eee_doc, "--field", "eee", "--curve", "circle", "--point", "1,0"]) == 2
-    assert "FOLTOOLS_TRUNCATION must be an integer" in capsys.readouterr().err
-    assert run(["euler-check", eee_doc, "--field", "eee", "--curve", "circle", "--chi", "0"]) == 2
-    assert "FOLTOOLS_TRUNCATION must be an integer" in capsys.readouterr().err
 
 
 EEE_ARGS = ["construct", "eee", "--g", "x^2 + y^2 - 1", "--h", "x - 2"]

@@ -131,6 +131,9 @@ def test_gcd_basics(rng):
     g = poly_gcd((x - y) * (x + y) ** 2, (x + y) * (x**2 + y**2))
     assert g == x + y
     assert poly_gcd(MultiPoly.zero(2), x + y) == x + y
+    # a common factor free of y, with one input free of y
+    thin, thick = (x**2 + const2(1)) * (x - const2(2)), (x**2 + const2(1)) * (x * y + const2(3))
+    assert poly_gcd(thin, thick) == poly_gcd(thick, thin) == x**2 + const2(1)
     for _ in range(60):
         a = random_poly(rng, max_degree=2, nonzero=True)
         b = random_poly(rng, max_degree=2, nonzero=True)

@@ -9,7 +9,7 @@ import pytest
 from foltools import realtopo
 from foltools.construct import gallery
 from foltools.errors import DegenerateInput, PreconditionError, UncertifiedResult
-from foltools.gaussian import GaussianRational, gr
+from foltools.gaussian import GaussianRational, gr, lift
 from foltools.polyring import MultiPoly, affine_vars, const2, leading_form
 from foltools.realtopo import (
     Box,
@@ -460,7 +460,8 @@ def test_float_filter_sends_cancelling_nodes_to_exact_horner():
 
 def _line_restriction(f, kind, at):
     """Oracle: trimmed Fraction coefficients of f on the horizontal line
-    y = at ("h", in x) or the vertical line x = at ("v", in y)."""
+    y = at ("h", in x) or the vertical line x = at ("v", in y), scaled to
+    integers by the lcm of their denominators for the Sturm counts."""
     coeffs = {}
     for (a, b), c in f.terms.items():
         if kind == "h":
@@ -468,7 +469,7 @@ def _line_restriction(f, kind, at):
         else:
             coeffs[b] = coeffs.get(b, Fraction(0)) + c.re * at**a
     top = max(coeffs, default=0)
-    return utrim([coeffs.get(k, Fraction(0)) for k in range(top + 1)])
+    return utrim([re for re, _ in lift([coeffs.get(k, Fraction(0)) for k in range(top + 1)])[1]])
 
 
 def _oracle_edge_answers(f, lattice):
@@ -503,7 +504,7 @@ def _oracle_compactness_check(f):
     restriction, _ = _oracle_top_rows(f)
     if not restriction[-1]:
         return False
-    return count_real_roots(restriction) == 0
+    return count_real_roots([re for re, _ in lift(restriction)[1]]) == 0
 
 
 def _oracle_interval_eval(f, xlo, xhi, ylo, yhi):
@@ -635,16 +636,17 @@ def test_lattice_lines_match_per_edge_sturm_counts():
                 assert lines.edge_is_zero_free(kind, i, j) == expected, (kind, i, j)
                 zero_free += expected
     assert 0 < zero_free < 2 * 28 * 28
-    # y = 0 is the lattice line j = 14, where y * f vanishes identically
-    assert not _lattice_lines(y * f, lattice).edge_is_zero_free("h", 3, 14)
+    # y = 0 is the lattice line j = 14, where y * f vanishes identically: its
+    # nodes are zeros of f, which the line proofs refuse
+    with pytest.raises(ValueError):
+        _lattice_lines(y * f, lattice)
 
 
-def _ends_agree_on_a_zero_free_line(lines, kind, i, j):
+def _ends_agree(lines, kind, i, j):
     """Whether a line proof that trusts its sign changes alone would call the
-    edge zero-free: no node of the line is a zero and the edge's ends agree."""
-    line = j if kind == "h" else i
+    edge zero-free: the edge's ends agree."""
     hi = lines.signs[j, i + 1] if kind == "h" else lines.signs[j + 1, i]
-    return lines.changes[kind][line] >= 0 and lines.signs[j, i] == hi
+    return lines.signs[j, i] == hi
 
 
 def test_two_roots_on_one_same_sign_edge_are_refused():
@@ -661,7 +663,7 @@ def test_two_roots_on_one_same_sign_edge_are_refused():
     assert (Fraction(ax + 7 * sx, dx), Fraction(ay + 6 * sy, dy)) == (1, Fraction(1, 2))
     lines = _lattice_lines(f, lattice)
     assert lines.changes["h"][6] == 2 and lines.degree["h"] == 4
-    assert _ends_agree_on_a_zero_free_line(lines, "h", 7, 6)
+    assert _ends_agree(lines, "h", 7, 6)
     assert not lines.edge_is_zero_free("h", 7, 6)
     assert _oracle_edge_answers(f, lattice)["h", 7, 6] is False
     # the loop of the big circle is found but not proven; alone it is proven
@@ -688,7 +690,7 @@ def test_proven_lines_match_the_fraction_oracle():
             lines = _lattice_lines(f, lattice)
             for key, expected in _oracle_edge_answers(f, lattice).items():
                 assert lines.edge_is_zero_free(*key) == expected, (degree, box, key)
-                roots_on_same_sign_edges += not expected and _ends_agree_on_a_zero_free_line(lines, *key)
+                roots_on_same_sign_edges += not expected and _ends_agree(lines, *key)
             for kind in ("h", "v"):
                 for line in range(lattice[-1] + 1):
                     if lines._line_is_proven(kind, line):
@@ -727,7 +729,7 @@ def test_a_box_that_cuts_an_oval_keeps_the_oracle_answers():
     roots_on_same_sign_edges = 0
     for key, expected in _oracle_edge_answers(quartic, lattice).items():
         assert lines.edge_is_zero_free(*key) == expected, key
-        roots_on_same_sign_edges += not expected and _ends_agree_on_a_zero_free_line(lines, *key)
+        roots_on_same_sign_edges += not expected and _ends_agree(lines, *key)
     assert roots_on_same_sign_edges > 0
     cut = 0
     for kind, across, lo, hi in (

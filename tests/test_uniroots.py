@@ -148,15 +148,15 @@ def test_roots_random_products(rng=None):
 
 def test_sturm_counts():
     # x^2 - 2: two real roots
-    assert count_real_roots([Fraction(-2), Fraction(0), Fraction(1)]) == 2
+    assert count_real_roots([-2, 0, 1]) == 2
     # x^2 + 1: none
-    assert count_real_roots([Fraction(1), Fraction(0), Fraction(1)]) == 0
+    assert count_real_roots([1, 0, 1]) == 0
     # (x-1)(x-2)(x-3) on (0, 5/2]
-    c = [Fraction(-6), Fraction(11), Fraction(-6), Fraction(1)]
+    c = [-6, 11, -6, 1]
     assert count_real_roots(c, Fraction(0), Fraction(5, 2)) == 2
     assert count_real_roots(c, Fraction(3), None) == 0
     # repeated roots counted once
-    assert count_real_roots([Fraction(1), Fraction(-2), Fraction(1)]) == 1
+    assert count_real_roots([1, -2, 1]) == 1
 
 
 def test_udivmod_and_gcd():
@@ -387,6 +387,7 @@ def test_sturm_count_matches_known_roots():
         if rnd.random() < 0.5:  # times x^2 + b x + a with b^2 < 4a: no real root
             a, b = rnd.randint(2, 5), rnd.randint(-2, 2)
             c = [a * u + b * v + w for u, v, w in zip(c + [0, 0], [0] + c + [0], [0, 0] + c)]
+        c = [re for re, _ in lift(c)[1]]  # scaled to integers by the lcm of the denominators
         gaps = [(r + s) / 2 for r, s in zip(roots, roots[1:])]
         ends = [None, roots[0] - 1, roots[-1] + 1] + roots + gaps
         shared = sturm_counter(c)  # one chain and its memoized variations for every interval
