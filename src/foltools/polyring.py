@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 from operator import add, sub
 from types import MappingProxyType
 from typing import Iterable
@@ -272,12 +272,37 @@ class MultiPoly:
         return result
 
     def shift(self, point: Iterable) -> "MultiPoly":
-        """Translate so the given point moves to the origin: f(v + point)."""
-        vals = list(point)
-        subs = {}
-        for var in range(self.arity):
-            subs[var] = MultiPoly.variable(self.arity, var) + MultiPoly.constant(self.arity, vals[var])
-        return self.substitute(subs)
+        """Translate so the given point moves to the origin: f(v + point).
+
+        With point = w / d and deg the total degree, each term's product of
+        d^e_v (v + w_v/d)^e_v is expanded by the binomial theorem in Z[i],
+        and the sum is taken over d^deg, so every coefficient is a Z[i]
+        numerator and no MultiPoly is built until the result.
+        """
+        d, ws = lift(point)
+        if len(ws) != self.arity:
+            raise ValueError("point arity mismatch")
+        if not self.num:
+            return self
+        deg = int(self.degree)
+        # expansions[v][e]: the nonzero (j, C(e, j) w_v^(e-j) d^j) of d^e (v + w_v/d)^e
+        expansions = []
+        for v, w in enumerate(ws):
+            top = self.degree_in(v)
+            wp = list(itertools.accumulate([w] * top, gi_mul, initial=(1, 0)))
+            expansions.append([
+                [(j, (comb(e, j) * d**j * wp[e - j][0], comb(e, j) * d**j * wp[e - j][1])) for j in range(e + 1) if wp[e - j] != (0, 0)]
+                for e in range(top + 1)
+            ])
+        out: dict[Exponent, GInt] = {}
+        for exp, u in self.num.items():
+            parts: dict[Exponent, GInt] = {(): u}
+            for v, e in enumerate(exp):
+                parts = {js + (j,): gi_mul(val, c) for js, val in parts.items() for j, c in expansions[v][e]}
+            s = d ** (deg - sum(exp))
+            for js, (re, im) in parts.items():
+                _accumulate(out, js, re * s, im * s)
+        return MultiPoly._of(self.arity, self.den * d**deg, out)
 
     def homogeneous_part(self, d: int) -> "MultiPoly":
         return MultiPoly._of(self.arity, self.den, {e: u for e, u in self.num.items() if sum(e) == d})
@@ -549,6 +574,33 @@ def is_squarefree(f: MultiPoly) -> bool:
 # -- resultants by evaluation and interpolation over Z[i] -----------------------
 
 
+def _int_det(m: list[list[int]]) -> int:
+    """Determinant of a square integer matrix by fraction-free Bareiss elimination (m is consumed).
+
+    Every Bareiss quotient is exact; each is taken by divmod, and a nonzero
+    remainder raises.
+    """
+    n = len(m)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if not m[k][k]:
+            pivot = next((r for r in range(k + 1, n) if m[r][k]), None)
+            if pivot is None:
+                return 0
+            m[k], m[pivot] = m[pivot], m[k]
+            sign = -sign
+        rk, p = m[k], m[k][k]
+        for i in range(k + 1, n):
+            ri, c = m[i], m[i][k]
+            for j in range(k + 1, n):
+                q, rem = divmod(ri[j] * p - c * rk[j], prev)
+                if rem:
+                    raise ArithmeticError("Bareiss divisibility must hold")
+                ri[j] = q
+        prev = p
+    return m[n - 1][n - 1] * sign
+
+
 def _gi_det(m: list[list[GInt]]) -> GInt:
     """Determinant of a square Z[i] matrix by fraction-free Bareiss elimination (m is consumed).
 
@@ -622,16 +674,51 @@ def _interpolate_grid(values: dict[tuple[int, ...], int], sizes: list[int]) -> d
     return values
 
 
+def _sylvester_entries(p: MultiPoly, var: int, others: list[int], points: list[tuple[int, ...]], real: bool) -> list[list]:
+    """At each grid point, p's coefficients in `var` from the highest power down:
+    the integer values of the numerators when `real`, else their Z[i] values.
+
+    Each coefficient is a polynomial in the other variables; its terms are
+    grouped once, and at each point every monomial is a product of entries
+    of one table of integer powers.
+    """
+    width = p.degree_in(var)
+    groups: list[list[tuple[tuple[int, ...], int, int]]] = [[] for _ in range(width + 1)]
+    for exp, (re, im) in p.num.items():
+        groups[width - exp[var]].append((tuple(exp[v] for v in others), re, im))
+    top = max(exp[v] for exp in p.num for v in others)
+    pw = [[t**k for k in range(top + 1)] for t in range(max(map(max, points)) + 1)]
+    out = []
+    for point in points:
+        pows = [pw[t] for t in point]
+        row = []
+        for group in groups:
+            vr = vi = 0
+            for ks, re, im in group:
+                m = 1
+                for pv, k in zip(pows, ks):
+                    m *= pv[k]
+                vr += re * m
+                if not real:
+                    vi += im * m
+            row.append(vr if real else (vr, vi))
+        out.append(row)
+    return out
+
+
 def resultant(a: MultiPoly, b: MultiPoly, var: int) -> MultiPoly:
     """Resultant of a and b with respect to `var`; a polynomial in the others.
 
     Collins' evaluation method without primes: the Sylvester determinant of
-    the numerators sa*a and sb*b (sa, sb the denominators) is taken by integer
-    Bareiss at every point of a grid of integers in the other variables, one
-    point more per variable than a bound on the resultant's degree in it, and
-    interpolated exactly.  Evaluation commutes with the determinant, so a
-    leading coefficient that vanishes at a grid point does no harm.  The
-    result is Res(sa*a, sb*b) / (sa^deg_var(b) * sb^deg_var(a)).
+    the numerators sa*a and sb*b (sa, sb the denominators) is taken by
+    Bareiss elimination at every point of a grid of integers in the other
+    variables, one point more per variable than a bound on the resultant's
+    degree in it, and interpolated exactly.  Each Sylvester entry is
+    evaluated once per point; with real inputs the rows are integers and
+    the determinant is `_int_det`, otherwise `_gi_det` over Z[i].
+    Evaluation commutes with the determinant, so a leading coefficient that
+    vanishes at a grid point does no harm.  The result is
+    Res(sa*a, sb*b) / (sa^deg_var(b) * sb^deg_var(a)).
     """
     a._check_arity(b)
     if not 0 <= var < a.arity:
@@ -650,30 +737,29 @@ def resultant(a: MultiPoly, b: MultiPoly, var: int) -> MultiPoly:
     # the resultant's total degree by db*deg(a) + da*deg(b) - da*db.
     total = db * int(a.degree) + da * int(b.degree) - da * db
     sizes = [min(da * b.degree_in(v) + db * a.degree_in(v), total) + 1 for v in others]
-    n = da + db
-    dets: dict[tuple[int, ...], GInt] = {}
-    for point in itertools.product(*(range(size) for size in sizes)):
-        full = [(0, 0)] * a.arity
-        for v, t in zip(others, point):
-            full[v] = (t, 0)
-        rows = []
-        for p, width, count in ((a, da, db), (b, db, da)):
-            entries = _specialize(p, var, full, 1)[1]
-            for i in range(count):
-                row = [(0, 0)] * n
-                for e, c in enumerate(entries):
-                    row[i + width - e] = c
-                rows.append(row)
-        dets[point] = _gi_det(rows)
-    re = _interpolate_grid({p: d[0] for p, d in dets.items()}, sizes)
-    im = _interpolate_grid({p: d[1] for p, d in dets.items()}, sizes)
+    points = list(itertools.product(*(range(size) for size in sizes)))
+    real = a.has_real_coefficients() and b.has_real_coefficients()
+    zero = 0 if real else (0, 0)
+    det = _int_det if real else _gi_det
+    dets = {}
+    for point, ea, eb in zip(points, _sylvester_entries(a, var, others, points, real), _sylvester_entries(b, var, others, points, real)):
+        # row i of a's block holds a's coefficients, highest first, from column i
+        rows = [[zero] * i + ea + [zero] * (db - 1 - i) for i in range(db)]
+        rows += [[zero] * i + eb + [zero] * (da - 1 - i) for i in range(da)]
+        dets[point] = det(rows)
+    if real:
+        re, im = _interpolate_grid(dets, sizes), {}
+    else:
+        re = _interpolate_grid({p: d[0] for p, d in dets.items()}, sizes)
+        im = _interpolate_grid({p: d[1] for p, d in dets.items()}, sizes)
     num: dict[Exponent, GInt] = {}
     for point, r in re.items():
         exp = [0] * a.arity
         for v, k in zip(others, point):
             exp[v] = k
-        if r or im[point]:
-            num[tuple(exp)] = (r, im[point])
+        i = im.get(point, 0)
+        if r or i:
+            num[tuple(exp)] = (r, i)
     return MultiPoly._of(a.arity, a.den**db * b.den**da, num)
 
 

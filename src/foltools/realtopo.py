@@ -19,6 +19,7 @@ that give the signs; other lines fall back to a Sturm count per edge.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field as dfield
@@ -690,9 +691,11 @@ def _horner_expr(coeffs: dict[int, str], var: str) -> str:
     return expr
 
 
+@functools.lru_cache(maxsize=32)
 def _horner(f: MultiPoly) -> Callable:
     """Float evaluator of f: one straight-line Horner expression in x over
-    Horner rows in y, compiled once.
+    Horner rows in y, compiled once per polynomial (memoised: MultiPoly is
+    immutable and hashable, and the code depends only on its terms).
 
     Each coefficient is the correctly rounded float of f's, written by
     float.__repr__, which reads back to the same float.  The expression uses

@@ -19,15 +19,17 @@ import json
 import re
 from dataclasses import dataclass, field as dfield
 from fractions import Fraction
+from math import gcd
 
 from .errors import ParseError
-from .gaussian import GaussianRational, gr
-from .polyring import MultiPoly
+from .gaussian import GaussianRational
+from .polyring import MultiPoly, _accumulate
 
-_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|(\*\*|[()+\-*/^]))")
+# one match per token, with the whitespace before it; the last group takes any other character
+_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|(\*\*|[()+\-*/^])|(\S))")
 
 
-@dataclass
+@dataclass(slots=True)
 class _Token:
     kind: str  # 'int' | 'name' | 'op' | 'end'
     text: str
@@ -37,29 +39,21 @@ class _Token:
 
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    pos = 0
-    line, col_base = 1, 0  # the line at pos and the offset where it starts; no token spans a newline
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m or m.end() == pos:
-            rest = text[pos:].lstrip()
-            if not rest:
-                break
-            raise ParseError(f"unexpected character {rest[0]!r}", line, pos - col_base + 1)
-        start = m.start(m.lastindex)
+    line, col_base = 1, 0  # the line of the last token and the offset where it starts; no token spans a newline
+    for m in _TOKEN_RE.finditer(text):
+        pos, kind = m.start(), m.lastindex
+        if kind == 4:
+            raise ParseError(f"unexpected character {m.group(4)!r}", line, pos - col_base + 1)
+        start = m.start(kind)
         newlines = text.count("\n", pos, start)
         if newlines:
             line += newlines
             col_base = text.rfind("\n", pos, start) + 1
-        column = start - col_base + 1
-        if m.group(1):
-            tokens.append(_Token("int", m.group(1), line, column))
-        elif m.group(2):
-            tokens.append(_Token("name", m.group(2), line, column))
-        else:
+        if kind == 3:
             op = m.group(3)
-            tokens.append(_Token("op", "^" if op == "**" else op, line, column))
-        pos = m.end()
+            tokens.append(_Token("op", "^" if op == "**" else op, line, start - col_base + 1))
+        else:
+            tokens.append(_Token("int" if kind == 1 else "name", m.group(kind), line, start - col_base + 1))
     tokens.append(_Token("end", "", line, len(text) - col_base + 1))
     return tokens
 
@@ -69,6 +63,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.pos = 0
         self.arity = arity
+        self.origin = (0,) * arity
         self.params = params or {}
         self.vars = {"x": 0, "y": 1} if arity == 2 else {"X": 0, "Y": 1, "Z": 2}
         self.wrong_vars = {"X", "Y", "Z"} if arity == 2 else {"x", "y", "z"}
@@ -95,12 +90,20 @@ class _Parser:
         return poly
 
     def expr(self) -> MultiPoly:
-        acc = self.term()
+        # the sum's numerators over a running common denominator, updated in place
+        first = self.term()
+        den, num = first.den, dict(first.num)
         while self.peek().kind == "op" and self.peek().text in "+-":
-            op = self.take().text
+            sign = 1 if self.take().text == "+" else -1
             rhs = self.term()
-            acc = acc + rhs if op == "+" else acc - rhs
-        return acc
+            s = rhs.den // gcd(den, rhs.den)
+            if s != 1:
+                num = {e: (re * s, im * s) for e, (re, im) in num.items()}
+                den *= s
+            t = den // rhs.den * sign
+            for e, (re, im) in rhs.num.items():
+                _accumulate(num, e, re * t, im * t)
+        return MultiPoly._of(self.arity, den, num)
 
     def term(self) -> MultiPoly:
         acc = self.factor()
@@ -128,7 +131,7 @@ class _Parser:
     def atom(self) -> MultiPoly:
         tok = self.take()
         if tok.kind == "int":
-            num = int(tok.text)
+            num, den = int(tok.text), 1
             if self.peek().kind == "op" and self.peek().text == "/":
                 self.take()
                 den_tok = self.take()
@@ -137,12 +140,11 @@ class _Parser:
                 den = int(den_tok.text)
                 if den == 0:
                     raise ParseError("zero denominator", den_tok.line, den_tok.column)
-                return MultiPoly.constant(self.arity, GaussianRational(Fraction(num, den), Fraction(0)))
-            return MultiPoly.constant(self.arity, gr(num))
+            return MultiPoly._of(self.arity, den, {self.origin: (num, 0)} if num else {})
         if tok.kind == "name":
             name = tok.text
             if name == "i":
-                return MultiPoly.constant(self.arity, gr(0, 1))
+                return MultiPoly._of(self.arity, 1, {self.origin: (0, 1)})
             if name in self.vars:
                 return MultiPoly.variable(self.arity, self.vars[name])
             if name in self.wrong_vars:

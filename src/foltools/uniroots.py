@@ -536,6 +536,14 @@ def qi_roots(c: Coeffs) -> RootReport:
     Z[i][x]).  Each root p/q found is divided out exactly in Z[i][x] by the
     primitive part of q x - p, which keeps the rest primitive (Gauss's
     lemma).  The residual factor is guaranteed to have no Q(i) roots at all.
+
+    The divisor search is factored and screened once, on the first
+    polynomial of degree above 2, and its survivors are consumed across the
+    deflations: a root of a deflated factor is a root of that polynomial,
+    so it is a survivor, and the first candidate of any root in the
+    enumeration is its lowest-terms p/q, which is a candidate of every
+    factor that has the root, in the same relative order.  A survivor that
+    was not a root when tested is a root of no later factor.
     """
     report = RootReport()
     c = utrim(list(c))
@@ -547,6 +555,7 @@ def qi_roots(c: Coeffs) -> RootReport:
     if c[0] == (0, 0):
         report.roots.append(ZERO)
         c = c[1:]
+    candidates = None
     while udeg(c) >= 1:
         if udeg(c) == 1:
             (pr, pi), q = c
@@ -560,12 +569,13 @@ def qi_roots(c: Coeffs) -> RootReport:
                 return report
             report.roots.extend(roots)
             return report
-        divisors = _candidate_divisors(c)
-        if divisors is None:
-            report.uncertain_degree += udeg(c)
-            report.uncertain.append(c)
-            return report
-        candidates = _surviving_candidates(c, *divisors)
+        if candidates is None:
+            divisors = _candidate_divisors(c)
+            if divisors is None:
+                report.uncertain_degree += udeg(c)
+                report.uncertain.append(c)
+                return report
+            candidates = _surviving_candidates(c, *divisors)
         found = next(((p, q) for p, q in candidates if _gi_vanishes(c, p, q)), None)
         if found is None:
             report.residual_degree += udeg(c)

@@ -21,6 +21,7 @@ from foltools.polyring import (
     _coeffs_in,
     _coprime_images,
     _gi_det,
+    _int_det,
     _interpolate,
     _primitive_part,
     _pseudo_rem,
@@ -392,6 +393,44 @@ def test_gi_det_pivoting_cases():
     assert _gi_det([row[:] for row in cases[2]]) == (0, 0)
 
 
+def test_int_det_matches_fraction_elimination():
+    rnd = random.Random(20261019)
+    swapped = singular = 0
+    for trial in range(320):
+        n = 1 + trial % 8
+        zero_prob = (0.0, 0.3, 0.6)[trial % 3]
+        m = [[0 if rnd.random() < zero_prob else rnd.randint(-60, 60) for _ in range(n)] for _ in range(n)]
+        if trial % 5 == 0 and n > 2:  # row 1 starts as -3 * row 0: a zero leading 2x2 minor
+            m[1] = [-3 * v for v in m[0][:2]] + m[1][2:]
+        if trial % 7 == 0 and n > 1:  # a repeated row: singular
+            m[n - 1] = list(m[0])
+        pairs = [[(v, 0) for v in row] for row in m]
+        expected = _fraction_det(pairs)
+        swapped += _needs_row_swap(pairs)
+        singular += expected == (0, 0)
+        assert (_int_det([row[:] for row in m]), 0) == expected, m
+    assert swapped > 30 and singular > 30
+
+
+def test_int_det_check_survives_python_O():
+    # the integer Bareiss quotient is checked by an `if`, which -O keeps
+    script = (
+        "import sys\n"
+        "from fractions import Fraction\n"
+        "from foltools.polyring import _int_det\n"
+        "print(sys.flags.optimize)\n"
+        "print(_int_det([[0, 2], [3, 5]]))\n"
+        "try:\n"
+        "    print(_int_det([[1, 0], [0, Fraction(1, 2)]]))\n"
+        "except ArithmeticError as exc:\n"
+        "    print(exc)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(foltools.__file__).resolve().parent.parent))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["1", "-6", "Bareiss divisibility must hold"]
+
+
 def test_exact_division_checks_survive_python_O():
     # the Bareiss, Newton-difference, deflation and squarefree-quotient checks
     # are `if`s, which -O keeps; a matrix entry outside Z[i], values of no
@@ -447,6 +486,34 @@ def test_resultant_gaussian_denominators_and_vanishing_leading_coefficients():
     Q = Y**2 - (X * Z).scale(gr(0, "5/7"))
     for var in range(3):
         assert resultant(P, Q, var) == _sylvester_bareiss(P, Q, var)
+
+
+@pytest.mark.parametrize("arity", [2, 3])
+def test_resultant_takes_the_integer_determinant_exactly_for_real_inputs(arity, monkeypatch):
+    used = Counter()
+    for name in ("_int_det", "_gi_det"):
+        monkeypatch.setattr(polyring, name, lambda m, det=getattr(polyring, name), name=name: used.update([name]) or det(m))
+    rnd = random.Random(4100 + arity)
+    lc = x * (x - const2(2)) if arity == 2 else X * (X - Z.scale(gr(2)))  # zero at grid points 0 and 2
+    branches = Counter()
+    for complex_prob in (0.0, 0.5):
+        checked = 0
+        while checked < (16 if arity == 2 else 6):
+            a = random_poly(rnd, arity=arity, max_degree=3, complex_prob=complex_prob, nonzero=True)
+            b = random_poly(rnd, arity=arity, max_degree=3 if arity == 2 else 2, complex_prob=complex_prob, nonzero=True)
+            var = rnd.randrange(arity)
+            v = MultiPoly.variable(arity, var)
+            if checked % 2:  # a leading coefficient that vanishes at grid points
+                a = lc * v ** (a.degree_in(var) + 1) + a
+            if a.degree_in(var) < 1 or b.degree_in(var) < 1 or lc.degree_in(var):
+                continue
+            real = a.has_real_coefficients() and b.has_real_coefficients()
+            used.clear()
+            assert resultant(a, b, var) == _sylvester_bareiss(a, b, var)
+            assert set(used) == {"_int_det" if real else "_gi_det"}
+            branches[real] += 1
+            checked += 1
+    assert branches[True] >= 6 and branches[False] >= 3
 
 
 def test_resultant_shortcuts_for_degree_zero():
@@ -511,6 +578,29 @@ def test_evaluate_and_shift():
     shifted = f.shift((gr(1), gr(0)))
     assert shifted.evaluate((gr(0), gr(0))).is_zero()
     assert shifted == parse_poly("x^2 + 2*x + y^2", 2)
+
+
+@pytest.mark.parametrize("arity", [2, 3])
+def test_shift_matches_substitution(arity):
+    rnd = random.Random(515 + arity)
+    for _ in range(150):
+        f = random_poly(rnd, arity=arity, max_degree=5, max_terms=7, complex_prob=0.4)
+        point = [_mixed_coeff(rnd) if rnd.random() < 0.8 else ZERO for _ in range(arity)]
+        subs = {v: MultiPoly.variable(arity, v) + MultiPoly.constant(arity, point[v]) for v in range(arity)}
+        shifted = f.shift(point)
+        _assert_canonical(shifted)
+        assert shifted == f.substitute(subs)
+
+
+def test_parsed_text_rebuilds_the_polynomial():
+    # long sums over several denominators exercise the parser's running denominator
+    rnd = random.Random(616)
+    for _ in range(300):
+        arity = rnd.choice((2, 3))
+        p = MultiPoly.zero(arity)
+        for _k in range(rnd.randint(1, 4)):
+            p = p + random_poly(rnd, arity=arity, max_degree=6, max_terms=8, complex_prob=0.3).scale(gr(rnd.randint(1, 10**12), rnd.randint(0, 3)))
+        assert parse_poly(print_poly(p), arity) == p
 
 
 def test_print_canonical():

@@ -12,6 +12,7 @@ import foltools
 from foltools import uniroots
 from foltools.gaussian import GaussianRational, from_gint, gr, lift
 from foltools.uniroots import (
+    RootReport,
     UNITS,
     _GCD_PRIMES,
     _P,
@@ -22,6 +23,7 @@ from foltools.uniroots import (
     _gi_primitive,
     _gi_quotient,
     _gi_vanishes,
+    _quadratic_roots,
     _surviving_candidates,
     _int_sturm_chain,
     coprime_mod_p,
@@ -245,6 +247,114 @@ def test_integer_candidate_test_on_known_roots():
     assert not _gi_vanishes(ints, (-1, 0), (2, 0))
     # x^3 + x has the Gaussian root i = (1+i)/(1-i)
     assert _gi_vanishes([(0, 0), (1, 0), (0, 0), (1, 0)], (1, 1), (1, -1))
+
+
+# -- one screen per root search against the per-step loop ---------------------------------
+
+
+def _stepwise_qi_roots(c):
+    """Reference root search: after every root it factors the deflated
+    polynomial's end coefficients again and screens a fresh divisor grid."""
+    report = RootReport()
+    c = utrim(list(c))
+    if len(c) == 1:
+        return report
+    c = usquarefree(c)
+    if c[0] == (0, 0):
+        report.roots.append(gr(0))
+        c = c[1:]
+    while len(c) >= 2:
+        if len(c) == 2:
+            (pr, pi), q = c
+            report.roots.append(_as_gaussian_rational((-pr, -pi), q))
+            return report
+        if len(c) == 3:
+            roots = _quadratic_roots(c)
+            if roots is None:
+                report.residual_degree += 2
+                report.unresolved.append(c)
+                return report
+            report.roots.extend(roots)
+            return report
+        divisors = _candidate_divisors(c)
+        if divisors is None:
+            report.uncertain_degree += len(c) - 1
+            report.uncertain.append(c)
+            return report
+        found = next(((p, q) for p, q in _surviving_candidates(c, *divisors) if _gi_vanishes(c, p, q)), None)
+        if found is None:
+            report.residual_degree += len(c) - 1
+            report.unresolved.append(c)
+            return report
+        p, q = found
+        report.roots.append(_as_gaussian_rational(p, q))
+        c = _gi_quotient(_gi_primitive([(-p[0], -p[1]), q]), c)
+    return report
+
+
+def _gi_product(factors):
+    """The Z[i] list of a product of Z[i] lists, low to high."""
+    out = [(1, 0)]
+    for f in factors:
+        new = [(0, 0)] * (len(out) + len(f) - 1)
+        for i, u in enumerate(out):
+            for j, v in enumerate(f):
+                w = gi_mul(u, v)
+                new[i + j] = (new[i + j][0] + w[0], new[i + j][1] + w[1])
+        out = new
+    return out
+
+
+# q x - p for roots p / q that share divisors (1+i, 2, 3, 5 = (2+i)(2-i)) and include associates
+_LINEAR_POOL = [(p, q) for p in ((1, 0), (1, 1), (2, 0), (0, 3), (2, 1), (2, -1), (3, 3), (-4, 2), (5, 0)) for q in ((1, 0), (2, 0), (1, 1), (3, 0), (1, -1))]
+# no root in Q(i): x^2 - 2, x^2 + x + 1, x^2 - 3, x^3 - 2 and x^3 - x - 1
+_IRREDUCIBLE_POOL = [[(-2, 0), (0, 0), (1, 0)], [(1, 0), (1, 0), (1, 0)], [(-3, 0), (0, 0), (1, 0)], [(-2, 0), (0, 0), (0, 0), (1, 0)], [(-1, 0), (-1, 0), (0, 0), (1, 0)]]
+
+
+def _planted_search_cases(seed, count):
+    rnd = random.Random(seed)
+    for _ in range(count):
+        linears, roots, want = [], set(), rnd.randint(3, 6)
+        while len(linears) < want:
+            p, q = rnd.choice(_LINEAR_POOL)
+            if linears and rnd.random() < 0.3:  # an associate of a root already taken: times i, -1 or -i
+                p, q = rnd.choice(linears)
+                p = gi_mul(p, rnd.choice(UNITS[1:]))
+            root = _as_gaussian_rational(p, q)
+            if root not in roots:
+                roots.add(root)
+                linears.append((p, q))
+        factors = [[(-p[0], -p[1]), q] for p, q in linears] + [rnd.choice(_IRREDUCIBLE_POOL)]
+        if rnd.random() < 0.3:
+            factors.append([(rnd.randint(-3, 3), rnd.randint(-3, 3)), (1, 0)])  # maybe a repeated root
+        yield _gi_product(factors + [[(rnd.randint(1, 4), rnd.randint(-2, 2))]])
+
+
+def test_root_search_matches_the_stepwise_loop():
+    searched = 0
+    for c in _planted_search_cases(20261018, 150):
+        want = _stepwise_qi_roots(c)
+        got = qi_roots(c)
+        assert got == want, c
+        assert len(got.roots) >= 3 and got.residual_degree >= 2
+        searched += len(c) > 6
+    assert searched > 50
+
+
+def test_root_search_factors_and_screens_once(monkeypatch):
+    calls = []
+
+    def spy(ints):
+        calls.append(list(ints))
+        return _candidate_divisors(ints)
+
+    monkeypatch.setattr(uniroots, "_candidate_divisors", spy)
+    for c in itertools.islice(_planted_search_cases(7, 40), 40):
+        calls.clear()
+        report = qi_roots(c)
+        # three or more roots came from the search of a polynomial of degree above 4
+        assert len(report.roots) >= 3
+        assert len(calls) == 1, calls
 
 
 # -- the candidate filter modulo _P against the exhaustive scan -----------------------
