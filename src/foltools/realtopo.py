@@ -759,27 +759,39 @@ def _project_all(evaluators, seeds: np.ndarray, tol: float = _NEWTON_TOL, max_it
     return out, ok
 
 
-def trace_oval(
-    f: MultiPoly,
-    seed: tuple[float, float],
-    spacing: float = 1.5e-3,
-    tol: float = 1e-12,
-    max_steps: int = 2_000_000,
-) -> list[tuple[float, float]]:
-    """Predictor-corrector trace of the closed component through `seed`.
+_FILL_ROUNDS = 2  # each fill round halves the chords, so the sequential pass steps at 2**_FILL_ROUNDS * spacing
+_MIN_COARSE = 64  # fewer coarse vertices than this: the coarse step is too long for the oval
+_COARSE_MIN_COS = math.cos(math.radians(45))  # a coarse step may turn the gradient by at most 45 degrees
+_CORRECTOR_ITER = 12
+_SINGULAR_G2 = 1e-18
 
-    Every vertex satisfies |f| < tol * |grad f|; the polyline closes exactly
-    (last vertex = first).  Raises on singular approach or failure to close.
+
+def _trace(
+    evaluators,
+    start: tuple[float, float],
+    step: float,
+    tol: float,
+    max_steps: int,
+    min_cos: float | None = None,
+) -> np.ndarray | None:
+    """Sequential predictor-corrector from `start`, a point on the curve, at
+    step length `step`: an Euler step along the tangent, then Newton along
+    the gradient until |f| <= tol * |grad f| (at most _CORRECTOR_ITER
+    steps; a failed corrector halves the step, which then grows back).
+
+    The loop closes when, after at least five accepted vertices, it is back
+    within 0.9 * step of `start` travelling the same way (its gradient has a
+    positive dot product with the start's), so it does not close across a
+    neck narrower than its step.  Returns an (n, 2) array whose last row is
+    `start`; with `min_cos`, None as soon as one step turns the gradient by
+    an angle whose cosine is below it (the step is too long for the curve).
     """
-    ev, gx, gy = evaluators = _horner_with_gradient(f)
-    out, ok = _project_all(evaluators, np.array([seed], dtype=np.float64), tol)
-    if not ok[0]:
-        raise PreconditionError("seed failed to project onto the curve")
-    x, y = start = float(out[0, 0]), float(out[0, 1])
-    pts = [(x, y)]
-    h = spacing
-    dx, dy = gx(x, y), gy(x, y)  # the gradient at (x, y); later the corrector's at its accepted point
-    for step in range(max_steps):
+    ev, gx, gy = evaluators
+    x, y = start
+    pts = [start]
+    h = step
+    sdx, sdy = dx, dy = gx(x, y), gy(x, y)  # the start's gradient; (dx, dy) later the corrector's at its accepted point
+    for _ in range(max_steps):
         norm = math.hypot(dx, dy)
         if norm < 1e-9:
             raise DegenerateInput("trace approached a singular point of the curve")
@@ -787,11 +799,11 @@ def trace_oval(
         px, py = x + h * tx, y + h * ty
         # corrector: Newton along the gradient
         cx, cy = px, py
-        for _ in range(12):
+        for _ in range(_CORRECTOR_ITER):
             v = ev(cx, cy)
             ddx, ddy = gx(cx, cy), gy(cx, cy)
             g2 = ddx * ddx + ddy * ddy
-            if g2 < 1e-18:
+            if g2 < _SINGULAR_G2:
                 raise DegenerateInput("trace approached a singular point of the curve")
             if abs(v) <= tol * math.sqrt(g2):
                 break
@@ -799,17 +811,90 @@ def trace_oval(
             cy -= v * ddy / g2
         else:
             h *= 0.5
-            if h < spacing * 1e-6:
+            if h < step * 1e-6:
                 raise DegenerateInput("corrector failed; step size underflow")
             continue
+        if min_cos is not None and ddx * dx + ddy * dy < min_cos * norm * math.sqrt(g2):
+            return None
         x, y, dx, dy = cx, cy, ddx, ddy
         pts.append((x, y))
-        if step > 4 and math.hypot(x - start[0], y - start[1]) < 0.9 * h:
+        if len(pts) > 6 and math.hypot(x - start[0], y - start[1]) < 0.9 * h and dx * sdx + dy * sdy > 0:
             pts[-1] = start
-            return pts
-        if h < spacing:
-            h = min(spacing, h * 1.5)
+            return np.array(pts)
+        if h < step:
+            h = min(step, h * 1.5)
     raise DegenerateInput("trace did not close within the step budget")
+
+
+def _fill(evaluators, pts: np.ndarray, tol: float) -> np.ndarray | None:
+    """Insert the projection of every chord midpoint of a closed (n, 2)
+    polyline, all at once, by `_trace`'s corrector and with the bits of its
+    scalar loop: (2n - 1, 2) rows, or None when a midpoint does not converge
+    within _CORRECTOR_ITER steps."""
+    ev, gx, gy = evaluators
+    mids = 0.5 * (pts[:-1] + pts[1:])
+    live = np.arange(len(mids))  # midpoints still iterating
+    x, y = mids[:, 0], mids[:, 1]
+    with np.errstate(all="ignore"):  # NaN and inf follow the scalar rules, silently
+        for _ in range(_CORRECTOR_ITER):
+            if not live.size:
+                break
+            v = ev(x, y)
+            dx, dy = gx(x, y), gy(x, y)
+            g2 = dx * dx + dy * dy
+            if (g2 < _SINGULAR_G2).any():
+                raise DegenerateInput("trace approached a singular point of the curve")
+            done = np.abs(v) <= tol * np.sqrt(g2)
+            mids[live[done], 0] = x[done]
+            mids[live[done], 1] = y[done]
+            keep = ~done
+            live, v, dx, dy, g2 = live[keep], v[keep], dx[keep], dy[keep], g2[keep]
+            x = x[keep] - v * dx / g2
+            y = y[keep] - v * dy / g2
+    if live.size:
+        return None
+    out = np.empty((2 * len(pts) - 1, 2))
+    out[0::2] = pts
+    out[1::2] = mids
+    return out
+
+
+def trace_oval(
+    f: MultiPoly,
+    seed: tuple[float, float],
+    spacing: float = 1.5e-3,
+    tol: float = 1e-12,
+    max_steps: int = 2_000_000,
+) -> np.ndarray:
+    """Predictor-corrector trace of the closed component through `seed`, as
+    an (n, 2) float array whose last row equals its first.
+
+    The sequential loop (`_trace`) follows the curve at 4 * spacing; two
+    rounds of `_fill` then place the other vertices by projecting every
+    chord midpoint at once, so consecutive vertices end up about `spacing`
+    apart.  When the coarse step is too long for the curve (one step turns
+    the gradient by more than 45 degrees, or the loop has fewer than 64
+    vertices) or a midpoint does not converge, the result is instead the
+    sequential loop at `spacing` itself.  Either way every vertex after the
+    first satisfies |f| <= tol * |grad f| (the first is the seed projected
+    by `newton_project`'s rule, |f| <= tol * max(1, |grad f|)), and the loop
+    closes only when it is back near the seed travelling the same way.
+    Raises on singular approach or failure to close.
+    """
+    evaluators = _horner_with_gradient(f)
+    out, ok = _project_all(evaluators, np.array([seed], dtype=np.float64), tol)
+    if not ok[0]:
+        raise PreconditionError("seed failed to project onto the curve")
+    start = float(out[0, 0]), float(out[0, 1])
+    pts = _trace(evaluators, start, 2**_FILL_ROUNDS * spacing, tol, max_steps, _COARSE_MIN_COS)
+    if pts is not None and len(pts) >= _MIN_COARSE:
+        for _ in range(_FILL_ROUNDS):
+            pts = _fill(evaluators, pts, tol)
+            if pts is None:
+                break
+        else:
+            return pts
+    return _trace(evaluators, start, spacing, tol, max_steps)
 
 
 def refine_polyline(f: MultiPoly, pts) -> np.ndarray:

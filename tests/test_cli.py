@@ -316,6 +316,24 @@ def test_paper_suite_deterministic_report(tmp_path):
     assert r1.read_bytes() == r2.read_bytes()
 
 
+def test_certify_does_not_depend_on_the_scale_of_the_curve(tmp_path, capsys):
+    # c*f has the zero set of f: the trace, the refinement and the residual
+    # run on the curve scaled to a largest coefficient of magnitude 1
+    doc = tmp_path / "scaled.fol"
+    argv = ["certify", str(doc), "--field", "eee", "--curve", "c", "--res", "64", "--json"]
+    answers = []
+    for c in ("1", "1/10^11", "1/10^13", "1/10^300", "10^11"):
+        doc.write_text(EEE_DOC.split("[curve")[0] + f"[curve c]\nf = {c}*x^2 + {c}*y^2 - {c}\n")
+        assert run(argv) == 0, (c, capsys.readouterr().err)
+        cert = json.loads(capsys.readouterr().out)["certificates"][0]
+        answers.append((cert["stability"], cert["hyperbolic"], cert["divergence_integral"]))
+    (stability, hyperbolic, D), *scaled = answers
+    assert (stability, hyperbolic) == ("Unstable", True)
+    for got in scaled:
+        assert got[:2] == (stability, hyperbolic)
+        assert abs(got[2] - D) <= 1e-6 * abs(D)
+
+
 @pytest.mark.parametrize("box", ["a:1:-1:1", "1/0:1:-1:1", "1:-1:-1:1", "-1:1:1:1", "1:2:3"])
 def test_malformed_box_is_a_usage_error(eee_doc, box, capsys):
     assert run(["ovals", eee_doc, "--curve", "circle", f"--box={box}", "--res", "8"]) == 2

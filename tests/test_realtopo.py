@@ -173,7 +173,7 @@ def test_each_lattice_row_is_built_once(monkeypatch, curve, box, res):
 
 def test_trace_circle_accuracy():
     pts = trace_oval(circle, (1.01, 0.0), spacing=2e-3)
-    assert pts[0] == pts[-1]
+    assert tuple(pts[0]) == tuple(pts[-1])
     dev = max(abs(math.hypot(px, py) - 1.0) for px, py in pts)
     assert dev < 1e-9
     spacings = [
@@ -195,6 +195,144 @@ def test_trace_hits_node():
         trace_oval(nodal, (-0.9, yv), spacing=2e-3)  # loop runs into the node
     with pytest.raises(DegenerateInput):
         trace_oval(nodal, (-0.05, 0.05), spacing=2e-3)  # seeded near the node
+
+
+# -- the coarse trace, its batched fill and the fallback ---------------------------------
+
+SPACING = 2e-3
+TOL = 1e-12
+
+
+def _length(pts: np.ndarray) -> float:
+    return float(np.sum(np.hypot(*np.diff(pts, axis=0).T)))
+
+
+def _fine_trace(f, pts: np.ndarray) -> np.ndarray:
+    """The sequential trace at SPACING itself, from the trace's first vertex."""
+    return realtopo._trace(realtopo._horner_with_gradient(f), tuple(map(float, pts[0])), SPACING, TOL, 2_000_000)
+
+
+def _coarse_trace(f, pts: np.ndarray):
+    return realtopo._trace(
+        realtopo._horner_with_gradient(f), tuple(map(float, pts[0])), 4 * SPACING, TOL, 2_000_000, realtopo._COARSE_MIN_COS
+    )
+
+
+def _scalar_corrector(f, x: float, y: float):
+    """The trace's corrector for one point, as a scalar loop: the projected
+    point, or None when 12 Newton steps do not reach |f| <= tol * |grad f|."""
+    ev, gx, gy = realtopo._horner_with_gradient(f)
+    for _ in range(12):
+        v = ev(x, y)
+        dx, dy = gx(x, y), gy(x, y)
+        g2 = dx * dx + dy * dy
+        if g2 < 1e-18:
+            raise DegenerateInput("singular")
+        if abs(v) <= TOL * math.sqrt(g2):
+            return x, y
+        x -= v * dx / g2
+        y -= v * dy / g2
+    return None
+
+
+ellipse = x**2 + const2(gr(Fraction(16, 9))) * y**2 - const2(1)
+
+
+def _thin_ellipse(b: Fraction) -> MultiPoly:
+    return x**2 + const2(gr(1 / (b * b))) * y**2 - const2(1)
+
+
+def _cassini(w: Fraction) -> MultiPoly:
+    """(x^2 + y^2)^2 - 2(x^2 - y^2) = w^4 + 2w^2: one oval around both lobes
+    of the lemniscate, whose waist at x = 0 has half-width w."""
+    return (x**2 + y**2) ** 2 - const2(2) * (x**2 - y**2) - const2(gr(w**4 + 2 * w**2))
+
+
+def test_trace_vertices_satisfy_the_contract():
+    seeds = [(circle, (1.01, 0.0)), (ellipse, (0.0, 0.8))]
+    seeds += [(quartic, ov.vertices[0]) for ov in count_ovals(quartic, None, 64).ovals]
+    assert len(seeds) == 6
+    for f, seed in seeds:
+        pts = trace_oval(f, seed, spacing=SPACING)
+        assert pts.dtype == np.float64 and pts.ndim == 2 and pts.shape[1] == 2
+        assert np.array_equal(pts[0], pts[-1])
+        ev, gx, gy = realtopo._horner_with_gradient(f)
+        dx, dy = gx(*pts.T), gy(*pts.T)
+        assert np.all(np.abs(ev(*pts.T)) <= TOL * np.sqrt(dx * dx + dy * dy))
+        # the coarse path: every fourth vertex is the sequential loop at 4 * spacing
+        assert np.array_equal(pts[::4], _coarse_trace(f, pts))
+        assert np.max(np.hypot(*np.diff(pts, axis=0).T)) < 2 * SPACING  # the closing chord is the longest
+
+
+def test_fill_matches_the_scalar_corrector():
+    evaluators = realtopo._horner_with_gradient
+    product = (x**2 + const2(2) * y**2 - const2(1)) * (x**2 + y**2 - const2(9))
+    for f, seed in ((circle, (1.01, 0.0)), (product, (1.01, 0.0)), (quartic, count_ovals(quartic, None, 64).ovals[0].vertices[0])):
+        coarse = _coarse_trace(f, trace_oval(f, seed, spacing=SPACING))
+        for pts in (coarse, realtopo._fill(evaluators(f), coarse, TOL)):
+            filled = realtopo._fill(evaluators(f), pts, TOL)
+            expected = [tuple(pts[0])]
+            for a, b in zip(pts, pts[1:]):
+                expected += [_scalar_corrector(f, 0.5 * (a[0] + b[0]), 0.5 * (a[1] + b[1])), tuple(b)]
+            assert filled.shape == (2 * len(pts) - 1, 2)
+            assert np.array_equal(filled.view(np.int64), np.array(expected).view(np.int64))
+    # a midpoint 5e5 away needs 19 halving steps: the fill fails, as the scalar loop does
+    far = np.array([(1.0, 0.0), (1e6, 0.0), (1.0, 0.0)])
+    assert _scalar_corrector(circle, 500000.5, 0.0) is None
+    assert realtopo._fill(evaluators(circle), far, TOL) is None
+    # a midpoint at the centre has no gradient
+    with pytest.raises(DegenerateInput):
+        _scalar_corrector(circle, 0.0, 0.0)
+    with pytest.raises(DegenerateInput):
+        realtopo._fill(evaluators(circle), np.array([(1.0, 0.0), (-1.0, 0.0), (1.0, 0.0)]), TOL)
+
+
+@pytest.mark.parametrize("r", [Fraction(1, 1000), Fraction(1, 500), Fraction(1, 250), Fraction(1, 40)])
+def test_small_circles_take_the_sequential_trace(r):
+    f = x**2 + y**2 - const2(gr(r * r))
+    pts = trace_oval(f, (1.01 * float(r), 0.0), spacing=SPACING)
+    assert np.array_equal(pts, _fine_trace(f, pts))
+    assert abs(_length(pts) / (2 * math.pi * float(r)) - 1) < 0.05
+    if r == Fraction(1, 40):  # no step turns by 45 degrees: the vertex count alone refuses
+        coarse = _coarse_trace(f, pts)
+        assert coarse is not None and len(coarse) < 64
+
+
+def test_a_failed_midpoint_falls_back_to_the_sequential_trace(monkeypatch):
+    monkeypatch.setattr(realtopo, "_fill", lambda evaluators, pts, tol: None)
+    pts = trace_oval(circle, (1.01, 0.0), spacing=SPACING)
+    assert np.array_equal(pts, _fine_trace(circle, pts)) and len(pts) > 3000
+
+
+@pytest.mark.parametrize("w", [Fraction(1, 1000), Fraction(1, 1414)])
+def test_cassini_oval_is_traced_whole(w):
+    # w = 1/1414 is eps = w^4 + 2w^2 ~ 1e-6; the coarse step turns back at
+    # the waist, so the trace is the sequential one at the spacing
+    f = _cassini(w)
+    pts = trace_oval(f, (1.42, 0.0), spacing=SPACING)
+    assert _coarse_trace(f, pts) is None
+    assert np.array_equal(pts, _fine_trace(f, pts))
+    assert pts[:, 0].min() < -1.41 and pts[:, 0].max() > 1.41  # both lobes
+    assert 7.40 < _length(pts) < 7.43  # once around: one lobe is 3.71
+
+
+@pytest.mark.parametrize("b", [Fraction(1, 3000), Fraction(1, 30000)])
+@pytest.mark.parametrize("seed", ["top", "tip"])
+def test_thin_ellipse_is_traced_whole(b, seed):
+    # from the top, the trace passes its start again on the bottom side,
+    # within one step but travelling the other way; from the tip the first
+    # steps fail before one is accepted, and the loop must not close there
+    f = _thin_ellipse(b)
+    pts = trace_oval(f, (0.0, 1.01 * float(b)) if seed == "top" else (1.0, 0.0), spacing=SPACING)
+    assert abs(_length(pts) - 4.0) < 4e-3  # the perimeter is 4 + O(b^2 log b)
+    assert pts[:, 0].min() < -0.999 and pts[:, 0].max() > 0.999
+
+
+def test_trace_keeps_to_one_of_two_close_circles():
+    f = (x**2 + y**2 - const2(1)) * (x**2 + y**2 - const2(gr(Fraction(10041, 10000))))  # radii 1 and 1.00205
+    pts = trace_oval(f, (1.0, 0.0), spacing=SPACING)
+    assert np.max(np.abs(np.hypot(*pts.T) - 1.0)) < 1e-9
+    assert abs(_length(pts) / (2 * math.pi) - 1) < 1e-6
 
 
 def test_refine_polyline_stays_on_curve():
@@ -317,7 +455,7 @@ def test_refine_polyline_matches_scalar_newton():
     seeds = [(1e-13, 0.0), (0.0, 0.0), (2.0**55, 0.0), (2.0**56, 0.0), (1e9, 1e9)]
     product = (x**2 + const2(2) * y**2 - const2(1)) * (x**2 + y**2 - const2(9))
     for f in (small, product):
-        pts = trace_oval(f, (1.01, 0.0), spacing=4e-3) + [s for seed in seeds for s in (seed, seed)]
+        pts = [tuple(p) for p in trace_oval(f, (1.01, 0.0), spacing=4e-3)] + [s for seed in seeds for s in (seed, seed)]
         expected = [pts[0]]
         for a, b in zip(pts, pts[1:]):
             mid = (0.5 * (a[0] + b[0]), 0.5 * (a[1] + b[1]))

@@ -49,6 +49,26 @@ def test_identical_rows_pass(replay, tmp_path, capsys):
     assert "0 of 3 job(s) differ" in capsys.readouterr().out
 
 
+def test_compare_prints_seconds_per_job_kind(replay, tmp_path, capsys):
+    # the kind is the id before "/": pool kinds, named jobs and paper-suite;
+    # a kind in one file only reads 0 in the other
+    a_rows = BASE + [row("ovals/2", seconds=0.25), row("certify/7", seconds=1.0)]
+    b_rows = [dict(r, seconds=r["seconds"] * 2) for r in BASE]
+    b_rows += [row("ovals/2", seconds=0.125), row("quartic-4-ovals/res64", seconds=0.75)]
+    compare(replay, tmp_path, a_rows, b_rows)
+    out = capsys.readouterr().out
+    kinds = {line.split()[0]: line.split()[1:] for line in out.splitlines() if line.startswith("  ")}
+    assert kinds == {
+        "certify": ["1.000", "|", "0.000"],
+        "nodal": ["0.500", "|", "1.000"],
+        "ovals": ["0.750", "|", "1.125"],
+        "paper-suite": ["0.500", "|", "1.000"],
+        "quartic-4-ovals": ["0.000", "|", "0.750"],
+    }
+    assert "seconds per job kind, a.json | b.json:" in out
+    assert replay.kind_seconds(a_rows) == {"ovals": 0.75, "nodal": 0.5, "paper-suite": 0.5, "certify": 1.0}
+
+
 @pytest.mark.parametrize(
     "field, value",
     [("rc", 3), ("stdout_sha", "dddd"), ("polylines_sha", "eeee"), ("verdict_sha", "eeee"), ("report_sha", "eeee")],

@@ -17,9 +17,10 @@ A last row, `paper-suite`, runs `paper-suite --report` and hashes its stdout
 and the JSON report it writes.  `--out` also writes the rows as JSON.  The
 second form lists every job whose exit code, stdout, polylines, certify
 verdict or report differ between two such files, naming the fields that
-differ, and exits 1 if there is one, so a change that must keep output
-byte-identical can be checked by replaying the parent's tree and the
-change's tree.
+differ, prints the summed wall seconds of each job kind (the id before its
+"/") in both files, and exits 1 if a job differs, so a change that must keep
+output byte-identical can be checked by replaying the parent's tree and the
+change's tree, and its time moves show per kind.
 
 Only the standard library is used here; perfbench/ is read, never written.
 """
@@ -160,10 +161,23 @@ def compare(a_path: Path, b_path: Path) -> int:
         else:
             continue
         differ += 1
-    time_a = sum(r["seconds"] for r in a.values())
-    time_b = sum(r["seconds"] for r in b.values())
+    kinds_a, kinds_b = kind_seconds(a.values()), kind_seconds(b.values())
+    print(f"seconds per job kind, {a_path.name} | {b_path.name}:")
+    for kind in sorted(kinds_a.keys() | kinds_b.keys()):
+        print(f"  {kind:<26} {kinds_a.get(kind, 0.0):8.3f} | {kinds_b.get(kind, 0.0):8.3f}")
+    time_a, time_b = sum(kinds_a.values()), sum(kinds_b.values())
     print(f"{differ} of {len(a.keys() | b.keys())} job(s) differ; {time_a:.1f} s -> {time_b:.1f} s")
     return 1 if differ else 0
+
+
+def kind_seconds(rows) -> dict[str, float]:
+    """Summed wall seconds per job kind, the id up to its first "/"
+    (`ovals`, `certify`, a named job's name, `paper-suite`)."""
+    out: dict[str, float] = {}
+    for r in rows:
+        kind = r["id"].split("/", 1)[0]
+        out[kind] = out.get(kind, 0.0) + r["seconds"]
+    return out
 
 
 def main(argv=None) -> int:
