@@ -29,12 +29,6 @@ class BoundReport:
         }
 
 
-def _oval_cap(n: int) -> int:
-    """Maximal oval count of a smooth real curve of degree n."""
-    base = (n - 1) * (n - 2) // 2
-    return base + (1 if n % 2 == 0 else 0)
-
-
 def harnack_bound(n: int, orders: list[int] | None = None) -> BoundReport:
     """Oval bound for a degree-n real curve with singular points of the
     given orders; negative raw values are clamped to 0 (and flagged)."""
@@ -43,7 +37,7 @@ def harnack_bound(n: int, orders: list[int] | None = None) -> BoundReport:
     orders = orders or []
     if any(v < 2 for v in orders):
         raise PreconditionError("singular orders must be >= 2")
-    raw = _oval_cap(n) - sum(v * (v - 1) for v in orders)
+    raw = thm1_bound(n) - sum(v * (v - 1) for v in orders)  # Harnack's cap for a smooth curve
     clamped = raw < 0
     return BoundReport(
         "harnack",

@@ -74,6 +74,9 @@ def divergence_integral(
     Two vertex densities (the polyline and its half-density decimation) are
     compared and Richardson-combined; when the invariant curve f is supplied
     the polyline is midpoint-refined until the densities agree to target_rel.
+    A refined polyline keeps the old vertices at its even indices, so its
+    decimation is the previous polyline and is not summed again; the last
+    round refines nothing.
     """
     _require_real(field)
     pts = np.asarray(oval, dtype=np.float64)
@@ -93,19 +96,19 @@ def divergence_integral(
         raise DegenerateInput("vector field vanishes along the oval; not a periodic orbit")
     if speeds.min() < 1e-9 * speeds.max():
         raise DegenerateInput("vector field has a singularity on the oval")
-    for _ in range(max_refinements + 1):
-        coarse = pts[::2]
-        if (coarse[-1] != pts[-1]).any():
-            coarse = np.vstack([coarse, pts[-1:]])
+    coarse = pts[::2]
+    if (coarse[-1] != pts[-1]).any():
+        coarse = np.vstack([coarse, pts[-1:]])
+    D1, T1 = _midpoint_sums(div_ev, fx_ev, fy_ev, coarse)
+    for refinements in range(max_refinements + 1):
         D2, T2 = _midpoint_sums(div_ev, fx_ev, fy_ev, pts)
-        D1, T1 = _midpoint_sums(div_ev, fx_ev, fy_ev, coarse)
         D = (4.0 * D2 - D1) / 3.0
         T = (4.0 * T2 - T1) / 3.0
         rel = abs(D2 - D1) / max(abs(D), 1e-300)
-        if rel <= target_rel or f is None:
+        if rel <= target_rel or f is None or refinements == max_refinements:
             return D, T, rel
         pts = refine_polyline(f, pts)
-    return D, T, rel
+        D1, T1 = D2, T2  # the refined polyline's decimation is the one just summed
 
 
 def certify_cycle(

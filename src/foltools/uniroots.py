@@ -2,21 +2,20 @@
 
 A polynomial over Q(i) is a list of Z[i] numerators, low to high, that
 stands for the polynomial up to a nonzero scalar: its roots, gcds and
-coprimality do not depend on that scalar.  Root extraction is complete for
-linear factors (rational-root search over Z[i] divisors) and for quadratic
-remainders (exact square roots in Q(i)).  Whatever is left provably has no
-roots in Q(i); its degree is reported as the residual count.
+coprimality do not depend on that scalar.
 
-Rational-root candidates p/q are tested on the primitive numerators c_k:
-p/q is a root exactly when sum c_k p^k q^(n-k) = 0.  That sum is first
-taken modulo the prime _P with i mapped to a square root of -1, over blocks
-of the whole candidate grid in int64 numpy arithmetic; a nonzero image
-proves p/q is not a root, and only the survivors get the exact test, in
-the order of the full enumeration.  Gcds over Q(i), and with them
-squarefree parts and coprimality, are modular: images modulo primes
-P = 1 (mod 4), with i mapped to a square root of -1 mod P, are combined and
-rebuilt, and the result is returned only once exact division in Z[i][x]
-has verified it.  Sturm chains are built and evaluated in integers.
+The roots in Q(i) come from one search by p-adic lifting (Loos 1983): for
+the primitive squarefree list c with leading coefficient a, a x is a
+Gaussian integer of bounded size for every root x, and it is read off from
+a root of c modulo a split prime P, Hensel-lifted until a x is the only
+Gaussian integer that small in its residue class.  Each candidate is
+accepted only by an exact test in Z[i] and then divided out.  Whatever is
+left provably has no roots in Q(i); its degree is reported as the residual
+count.  Gcds over Q(i), and with them squarefree parts and coprimality,
+are modular: images modulo primes P = 1 (mod 4), with i mapped to a square
+root of -1 mod P, are combined and rebuilt, and the result is returned only
+once exact division in Z[i][x] has verified it.  Sturm chains are built
+and evaluated in integers.
 """
 
 from __future__ import annotations
@@ -30,13 +29,13 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import RootSearchOverflow
-from .gaussian import GInt, GaussianRational, ZERO, from_gint, gr
+from .gaussian import GInt, GaussianRational, ZERO, from_gint
 
 Coeffs = list[GInt]  # Z[i] numerators, low to high, of a polynomial up to a nonzero scalar
 
 _FACTOR_DIGIT_CAP = 10**40  # norms beyond this abort rather than risk unsound output
 _CANDIDATE_CAP = 200_000
-_GRID_BLOCK = 2**15  # candidates per block of the mod-_P filter
+_LIFT_ABOVE = 10**4  # the root search lifts from the first usable split prime above this
 
 
 # -- coefficient lists -----------------------------------------------------------
@@ -237,9 +236,6 @@ def gi_gcd(u: GInt, v: GInt) -> GInt:
     return u
 
 
-UNITS: tuple[GInt, ...] = ((1, 0), (-1, 0), (0, 1), (0, -1))
-
-
 def _is_probable_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -336,22 +332,6 @@ def gi_factor(u: GInt) -> list[tuple[GInt, int]]:
     return out
 
 
-def _divisor_count(factors: list[tuple[GInt, int]]) -> int:
-    return math.prod(mult + 1 for _, mult in factors)
-
-
-def _divisors_of(factors: list[tuple[GInt, int]]) -> list[GInt]:
-    divs: list[GInt] = [(1, 0)]
-    for prime, mult in factors:
-        more: list[GInt] = []
-        pk: GInt = (1, 0)
-        for _ in range(mult):
-            pk = gi_mul(pk, prime)
-            more.extend(gi_mul(d, pk) for d in divs)
-        divs.extend(more)
-    return divs
-
-
 # -- images modulo primes p = 1 (mod 4) ----------------------------------------
 
 
@@ -436,9 +416,9 @@ class RootReport:
     """Exact roots plus a provable account of what was not resolved.
 
     `unresolved` factors provably have no Q(i) roots (residual_degree sums
-    their degrees).  `uncertain` factors exhausted the divisor-search budget:
-    they may still have rational roots, so callers must treat them as
-    entirely undecided.
+    their degrees).  `uncertain` factors had their search refused
+    (`_search_refused`): they may still have Q(i) roots, so callers must
+    treat them as entirely undecided.
     """
 
     roots: list[GaussianRational] = field(default_factory=list)
@@ -448,68 +428,68 @@ class RootReport:
     uncertain: list[Coeffs] = field(default_factory=list)
 
 
-def _quadratic_roots(c: Coeffs) -> list[GaussianRational] | None:
-    """Both roots of a quadratic if they lie in Q(i); None otherwise.
+def _search_refused(c: Coeffs) -> bool:
+    """Whether the root search of c is refused as too large: a norm of an
+    end coefficient is past _FACTOR_DIGIT_CAP, or their Gaussian divisors,
+    times the four units, give more than _CANDIDATE_CAP candidates p/q.
 
-    They are taken from the monic form x^2 + b x + e as (-b +- s)/2, with s
-    the square root `GaussianRational.sqrt` picks, so their order does not
-    depend on the scalar c carries.
-    """
-    lead = from_gint(c[2])
-    b, e = from_gint(c[1]) / lead, from_gint(c[0]) / lead
-    s = (b * b - gr(4) * e).sqrt()
-    if s is None:
-        return None
-    return [(-b + s) / gr(2), (-b - s) / gr(2)]
-
-
-def _candidate_divisors(ints: list[GInt]) -> tuple[list[GInt], list[GInt]] | None:
-    """The divisors (d0, dn) of the constant and leading coefficients, up to
-    units, or None when the search would explode.
-
-    The rational-root candidates are p = d u, q = e for d in d0, e in dn and
-    u in UNITS, enumerated with d outermost and u innermost.
+    The lifting needs no such limit.  The refusal keeps the searches that
+    are decided, and with them every payload, those of the divisor search
+    the lifting replaced, until the benchmark's recorded answers take the
+    points the refused searches would add.
     """
     try:
-        f0, fn = gi_factor(ints[0]), gi_factor(ints[-1])
+        f0, fn = gi_factor(c[0]), gi_factor(c[-1])
     except RootSearchOverflow:
-        return None
-    # counted before any divisor is built, so an oversized search costs only the factorizations
-    if _divisor_count(f0) * _divisor_count(fn) * 4 > _CANDIDATE_CAP:
-        return None
-    return _divisors_of(f0), _divisors_of(fn)
+        return True
+    return 4 * math.prod(mult + 1 for _, mult in f0 + fn) > _CANDIDATE_CAP
 
 
-def _surviving_candidates(ints: list[GInt], d0: list[GInt], dn: list[GInt]) -> Iterator[tuple[GInt, GInt]]:
-    """The candidates (p, q) of `_candidate_divisors` whose sum ints[k] p^k q^(n-k)
-    vanishes modulo _P under i -> _I_MOD_P, in enumeration order.
+def _lifted_roots(c: Coeffs) -> list[GInt]:
+    """Gaussian integers w such that every root of c in Q(i) is some w / a, a = c[-1].
 
-    Reduction mod _P is a ring map from Z[i], so every root survives.  The
-    images of d, u and e are broadcast over a (len(d0), len(dn), 4) grid,
-    taken in blocks of rows of about _GRID_BLOCK entries so the search stops
-    at the block that holds the first root and memory stays small, and the
-    homogeneous Horner sum is taken there in int64, in place: with every
-    operand below _P < 2^31, each step's a x + c y^(n-k) stays below 2^62.
+    c is primitive and squarefree in Z[i][x], of degree n.  A root x
+    makes w = a x a root of the monic a^(n-1) c(y / a), so w is a Gaussian
+    integer, and by Cauchy's bound |w| <= B = |a| + max |c_k|.  P is the
+    first prime = 1 (mod 4) above _LIFT_ABOVE with P not dividing N(a) and a
+    squarefree image of c under i -> iota; every root of that image is
+    found by one vectorised Horner pass over F_P.  The map Z[i] -> Z/M,
+    i -> iota, sends x to a root of the image of c mod M = P^k, and that
+    root reduces to a simple root mod P, so it is the Hensel lift of one of
+    them; Newton steps lift iota and the roots to M > 8 B^2.  The kernel of
+    the map is the ideal of G = gcd(M, iota - i), of norm M, so w is the
+    Gaussian integer congruent to a r mod G, and since |w| < |G| / 2 it is
+    the remainder of a r under `gi_divmod` by G.
     """
-    units = np.array(_image_mod_p(UNITS, _P, _I_MOD_P), dtype=np.int64)
-    x = np.array(_image_mod_p(d0, _P, _I_MOD_P), dtype=np.int64)[:, None, None] * units % _P
-    y = np.array(_image_mod_p(dn, _P, _I_MOD_P), dtype=np.int64)[None, :, None]
-    coeffs = _image_mod_p(ints, _P, _I_MOD_P)
-    terms = []  # (c_k, y^(n-k)) from k = n-1 down to 0
-    y_pow = y
-    for c in reversed(coeffs[:-1]):
-        terms.append((c, y_pow))
-        y_pow = y_pow * y % _P
-    rows = max(1, _GRID_BLOCK // (len(dn) * len(UNITS)))
-    for first in range(0, len(d0), rows):
-        xs = x[first : first + rows]
-        acc = np.full((len(xs), len(dn), len(UNITS)), coeffs[-1], dtype=np.int64)
-        for c, y_pow in terms:
-            acc *= xs
-            acc += c * y_pow
-            acc %= _P
-        for i, j, k in zip(*np.nonzero(acc == 0)):
-            yield gi_mul(d0[first + i], UNITS[k]), dn[j]
+    a = c[-1]
+    for p, iota in _split_primes(_LIFT_ABOVE):
+        if gi_norm(a) % p:
+            image = _image_mod_p(c, p, iota)
+            if len(_fp_gcd(image, utrim([k * u % p for k, u in enumerate(image)][1:]), p)) == 1:
+                break
+    xs = np.arange(p, dtype=np.int64)
+    acc = np.full(p, image[-1], dtype=np.int64)
+    for coeff in reversed(image[:-1]):  # every operand below p < 2^31
+        acc *= xs
+        acc += coeff
+        acc %= p
+    roots = np.flatnonzero(acc == 0).tolist()
+    if not roots:
+        return []
+    size = math.isqrt(gi_norm(a)) + math.isqrt(max(map(gi_norm, c))) + 2  # >= B
+    target = p
+    while target <= 8 * size * size:
+        target *= p
+    m = p
+    while m < target:
+        m = min(m * m, target)
+        iota = (iota - (iota * iota + 1) * pow(2 * iota, -1, m)) % m
+        image = _image_mod_p(c, m, iota)
+        deriv = [k * u for k, u in enumerate(image)][1:]
+        roots = [(r - ueval(image, r) * pow(ueval(deriv, r), -1, m)) % m for r in roots]
+    g = gi_gcd((m, 0), (iota, -1))
+    lead = (a[0] + iota * a[1]) % m
+    return [gi_divmod((lead * r % m, 0), g)[1] for r in roots]
 
 
 def _gi_vanishes(ints: list[GInt], p: GInt, q: GInt) -> bool:
@@ -533,17 +513,11 @@ def qi_roots(c: Coeffs) -> RootReport:
     """All roots of a univariate polynomial that lie in Q(i), plus residual.
 
     Multiplicities are dropped (the squarefree part is used, primitive in
-    Z[i][x]).  Each root p/q found is divided out exactly in Z[i][x] by the
-    primitive part of q x - p, which keeps the rest primitive (Gauss's
-    lemma).  The residual factor is guaranteed to have no Q(i) roots at all.
-
-    The divisor search is factored and screened once, on the first
-    polynomial of degree above 2, and its survivors are consumed across the
-    deflations: a root of a deflated factor is a root of that polynomial,
-    so it is a survivor, and the first candidate of any root in the
-    enumeration is its lowest-terms p/q, which is a candidate of every
-    factor that has the root, in the same relative order.  A survivor that
-    was not a root when tested is a root of no later factor.
+    Z[i][x]).  The candidates w / a of `_lifted_roots` include every root;
+    each one that the exact test in Z[i] accepts is divided out exactly in
+    Z[i][x] by the primitive part of a x - w, which keeps the rest
+    primitive (Gauss's lemma).  The residual factor is guaranteed to have
+    no Q(i) roots at all.  The roots come in no particular order.
     """
     report = RootReport()
     c = utrim(list(c))
@@ -555,37 +529,24 @@ def qi_roots(c: Coeffs) -> RootReport:
     if c[0] == (0, 0):
         report.roots.append(ZERO)
         c = c[1:]
-    candidates = None
-    while udeg(c) >= 1:
-        if udeg(c) == 1:
-            (pr, pi), q = c
-            report.roots.append(_as_gaussian_rational((-pr, -pi), q))  # -c0 / c1
-            return report
-        if udeg(c) == 2:
-            roots = _quadratic_roots(c)
-            if roots is None:
-                report.residual_degree += 2
-                report.unresolved.append(c)
-                return report
-            report.roots.extend(roots)
-            return report
-        if candidates is None:
-            divisors = _candidate_divisors(c)
-            if divisors is None:
-                report.uncertain_degree += udeg(c)
-                report.uncertain.append(c)
-                return report
-            candidates = _surviving_candidates(c, *divisors)
-        found = next(((p, q) for p, q in candidates if _gi_vanishes(c, p, q)), None)
-        if found is None:
-            report.residual_degree += udeg(c)
-            report.unresolved.append(c)
-            return report
-        p, q = found
-        report.roots.append(_as_gaussian_rational(p, q))
-        c = _gi_quotient(_gi_primitive([(-p[0], -p[1]), q]), c)
-        if c is None:
-            raise ArithmeticError("deflation by a non-root")
+    if udeg(c) > 2 and _search_refused(c):
+        report.uncertain_degree += udeg(c)
+        report.uncertain.append(c)
+        return report
+    if udeg(c) == 1:
+        (pr, pi), q = c
+        report.roots.append(_as_gaussian_rational((-pr, -pi), q))  # -c0 / c1
+        return report
+    a = c[-1]
+    for w in _lifted_roots(c):
+        if _gi_vanishes(c, w, a):
+            report.roots.append(_as_gaussian_rational(w, a))
+            c = _gi_quotient(_gi_primitive([(-w[0], -w[1]), a]), c)
+            if c is None:
+                raise ArithmeticError("deflation by a non-root")
+    if udeg(c) >= 1:
+        report.residual_degree += udeg(c)
+        report.unresolved.append(c)
     return report
 
 

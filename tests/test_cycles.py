@@ -1,9 +1,12 @@
 import math
 
+import numpy as np
 import pytest
 
+from foltools import cycles
 from foltools.construct import eee_system
 from foltools.cycles import (
+    _midpoint_sums,
     certify_cycle,
     divergence_integral,
     integrate_orbit,
@@ -11,10 +14,10 @@ from foltools.cycles import (
     stability_against_orbit,
 )
 from foltools.errors import DegenerateInput, PreconditionError
-from foltools.fields import AffineVectorField
+from foltools.fields import AffineVectorField, divergence
 from foltools.gaussian import GaussianRational, gr
 from foltools.polyring import affine_vars, const2
-from foltools.realtopo import trace_oval
+from foltools.realtopo import _horner, refine_polyline, trace_oval
 
 x, y = affine_vars()
 circle = x**2 + y**2 - const2(1)
@@ -67,6 +70,46 @@ def test_reparameterization_stability(circle_polyline, eee_circle):
     D1, _, _ = divergence_integral(eee_circle, circle_polyline, f=circle)
     D2, _, _ = divergence_integral(eee_circle, refine_polyline(circle, circle_polyline), f=circle)
     assert abs(D1 - D2) / abs(D1) < 1e-6
+
+
+def _old_divergence_loop(field, pts, f, target_rel=1e-6, max_refinements=8):
+    """The loop that summed both densities every round: the reference."""
+    div_ev, fx_ev, fy_ev = (_horner(p) for p in (divergence(field), field.component_x, field.component_y))
+    pts = np.asarray(pts, dtype=np.float64)
+    for _ in range(max_refinements + 1):
+        coarse = pts[::2]
+        if (coarse[-1] != pts[-1]).any():
+            coarse = np.vstack([coarse, pts[-1:]])
+        D2, T2 = _midpoint_sums(div_ev, fx_ev, fy_ev, pts)
+        D1, T1 = _midpoint_sums(div_ev, fx_ev, fy_ev, coarse)
+        D = (4.0 * D2 - D1) / 3.0
+        T = (4.0 * T2 - T1) / 3.0
+        rel = abs(D2 - D1) / max(abs(D), 1e-300)
+        if rel <= target_rel:
+            return D, T, rel
+        pts = refine_polyline(f, pts)
+    return D, T, rel
+
+
+@pytest.mark.parametrize("spacing, target_rel", [(0.05, 1e-6), (0.05, 1e-12), (1e-2, 1e-9)])
+def test_divergence_integral_sums_each_polyline_once(eee_circle, monkeypatch, spacing, target_rel):
+    coarse = trace_oval(circle, (1.01, 0.0), spacing=spacing)
+    want = _old_divergence_loop(eee_circle, coarse, circle, target_rel)
+    calls = {"sums": 0, "refinements": 0}
+
+    def counted(name, real):
+        def spy(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return spy
+
+    monkeypatch.setattr(cycles, "_midpoint_sums", counted("sums", _midpoint_sums))
+    monkeypatch.setattr(cycles, "refine_polyline", counted("refinements", refine_polyline))
+    got = divergence_integral(eee_circle, coarse, f=circle, target_rel=target_rel)
+    assert got == want  # D, T and rel to the last bit
+    # one sum for the first decimation, one per polyline; the last polyline is not refined
+    assert calls["refinements"] >= 2 and calls["sums"] == calls["refinements"] + 2
 
 
 def test_location_check_modes(circle_polyline, eee_circle):

@@ -444,8 +444,7 @@ def test_exact_division_checks_survive_python_O():
         "print(sys.flags.optimize)\n"
         "print(_gi_det([[(0, 0), (1, 2)], [(3, -1), (5, 0)]]), _interpolate([1, 3, 7]))\n"
         "def deflate_by_a_non_root():\n"
-        "    uniroots._surviving_candidates = lambda ints, d0, dn: iter([((1, 0), (1, 0))])  # offer 1\n"
-        "    uniroots._gi_vanishes = lambda ints, p, q: True  # and take it as a root of x^3 + 2\n"
+        "    uniroots._gi_vanishes = lambda ints, p, q: True  # take a lifted candidate as a root of x^3 + 2\n"
         "    return uniroots.qi_roots([(2, 0), (0, 0), (0, 0), (1, 0)])\n"
         "def squarefree_by_a_non_divisor():\n"
         "    uniroots.ugcd = lambda a, b: [(2, 0), (1, 0)]  # x + 2 does not divide x^2 - 1\n"

@@ -35,6 +35,18 @@ def row(job_id, rc=0, stdout_sha="aaaa", polylines_sha="-", verdict_sha="-", rep
 BASE = [row("ovals/1", polylines_sha="cccc"), row("nodal/2", rc=1, stdout_sha="bbbb", verdict_sha="9999"), row("paper-suite", report_sha="ffff")]
 
 
+def table(out, title):
+    """The rows of the --compare table under the header that starts with title: name -> columns."""
+    lines = out.splitlines()
+    start = next(k for k, line in enumerate(lines) if line.startswith(title)) + 1
+    rows = {}
+    for line in lines[start:]:
+        if not line.startswith("  "):
+            break
+        rows[line.split()[0]] = line.split()[1:]
+    return rows
+
+
 def compare(replay, tmp_path, a_rows, b_rows):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     a.write_text(json.dumps(a_rows), encoding="utf-8")
@@ -57,7 +69,7 @@ def test_compare_prints_seconds_per_job_kind(replay, tmp_path, capsys):
     b_rows += [row("ovals/2", seconds=0.125), row("quartic-4-ovals/res64", seconds=0.75)]
     compare(replay, tmp_path, a_rows, b_rows)
     out = capsys.readouterr().out
-    kinds = {line.split()[0]: line.split()[1:] for line in out.splitlines() if line.startswith("  ")}
+    kinds = table(out, "seconds per job kind")
     assert kinds == {
         "certify": ["1.000", "|", "0.000"],
         "nodal": ["0.500", "|", "1.000"],
@@ -67,6 +79,29 @@ def test_compare_prints_seconds_per_job_kind(replay, tmp_path, capsys):
     }
     assert "seconds per job kind, a.json | b.json:" in out
     assert replay.kind_seconds(a_rows) == {"ovals": 0.75, "nodal": 0.5, "paper-suite": 0.5, "certify": 1.0}
+
+
+def test_compare_prints_seconds_per_command(replay, tmp_path, capsys):
+    # pool jobs of one kind run different commands; rows without a command
+    # (files written before it was recorded) group under "-"
+    a_rows = [row("algebra/1", seconds=0.25), row("algebra/2", seconds=0.5), row("paper-suite", seconds=1.0)]
+    b_rows = [
+        dict(row("algebra/1", seconds=0.125), command="classify"),
+        dict(row("algebra/2", seconds=0.75), command="euler-check"),
+        dict(row("algebra/3", seconds=0.5), command="classify"),
+        dict(row("paper-suite", seconds=2.0), command="paper-suite"),
+    ]
+    compare(replay, tmp_path, a_rows, b_rows)
+    out = capsys.readouterr().out
+    assert out.index("seconds per job kind") < out.index("seconds per command, a.json | b.json:")
+    assert table(out, "seconds per job kind") == {"algebra": ["0.750", "|", "1.375"], "paper-suite": ["1.000", "|", "2.000"]}
+    assert table(out, "seconds per command") == {
+        "-": ["1.750", "|", "0.000"],
+        "classify": ["0.000", "|", "0.625"],
+        "euler-check": ["0.000", "|", "0.750"],
+        "paper-suite": ["0.000", "|", "2.000"],
+    }
+    assert replay.command_seconds(b_rows) == {"classify": 0.625, "euler-check": 0.75, "paper-suite": 2.0}
 
 
 @pytest.mark.parametrize(
@@ -152,6 +187,7 @@ def test_run_row_hashes_the_certify_verdict(replay, tmp_path, capsys):
     argv = ["certify", str(doc), "--field", "eee", "--curve", "g", "--res", "64", "--spacing", "2e-3", "--json"]
     got = replay.run_row(cli, "certify/eee", argv)
     capsys.readouterr()
+    assert got["command"] == "certify"
     assert cli.run(argv) == 0
     assert got["verdict_sha"] == replay.verdict_sha(capsys.readouterr().out) != "-"
     assert replay.run_row(cli, "ovals/eee", ["ovals", str(doc), "--curve", "g", "--res", "64"])["verdict_sha"] == "-"

@@ -13,19 +13,17 @@ from foltools import uniroots
 from foltools.gaussian import GaussianRational, from_gint, gr, lift
 from foltools.uniroots import (
     RootReport,
-    UNITS,
     _GCD_PRIMES,
+    _LIFT_ABOVE,
     _P,
     _I_MOD_P,
     _as_gaussian_rational,
-    _candidate_divisors,
-    _divisors_of,
     _gi_primitive,
     _gi_quotient,
     _gi_vanishes,
-    _quadratic_roots,
-    _surviving_candidates,
     _int_sturm_chain,
+    _is_probable_prime,
+    _lifted_roots,
     coprime_mod_p,
     count_real_roots,
     sturm_counter,
@@ -43,6 +41,7 @@ from foltools.uniroots import (
     utrim,
 )
 
+_UNITS = ((1, 0), (-1, 0), (0, 1), (0, -1))
 
 # -- Q(i) coefficient lists: the oracles and the conversions ---------------------------
 
@@ -95,8 +94,7 @@ def test_gaussian_integer_basics():
     assert gi_norm(g) == 5  # 2+i divides 5
     fac = gi_factor((5, 0))
     assert sorted(gi_norm(p) for p, _ in fac) == [5, 5]
-    divs = _divisors_of(gi_factor((4, 0)))
-    assert len(divs) == 5  # 1, 1+i, 2, 2+2i, 4 up to units
+    assert len(_gaussian_divisors(gi_factor((4, 0)))) == 5  # 1, 1+i, 2, 2+2i, 4 up to units
 
 
 def test_roots_rational_and_gaussian():
@@ -183,34 +181,38 @@ def _poly_from_roots(roots, lead=gr(1)):
     return coeffs
 
 
-def _reference_first_root(c):
-    """The first root of the divisor search as a GaussianRational Horner loop."""
-    ints = _gi_primitive(_ints(c))
-    seen = set()
-    for p in _divisors_of(gi_factor(ints[0])):
-        for q in _divisors_of(gi_factor(ints[-1])):
-            qn = gi_norm(q)
-            for u in UNITS:
-                num = gi_mul(gi_mul(p, u), (q[0], -q[1]))
-                cand = GaussianRational(Fraction(num[0], qn), Fraction(num[1], qn))
-                if cand in seen:
-                    continue
-                seen.add(cand)
-                if ueval(c, cand).is_zero():
-                    return cand
-    return None
+def _gaussian_divisors(factors):
+    """Every divisor, up to units, of a Gaussian integer given as (prime, multiplicity) pairs."""
+    divs = [(1, 0)]
+    for prime, mult in factors:
+        more, pk = [], (1, 0)
+        for _ in range(mult):
+            pk = gi_mul(pk, prime)
+            more.extend(gi_mul(d, pk) for d in divs)
+        divs.extend(more)
+    return divs
+
+
+def _all_candidates(ints, f0=None, fn=None):
+    """Every rational-root candidate (p u, q): p and q run over the divisors of
+    the constant and leading coefficients, given by their Gaussian prime
+    factorizations (found by `gi_factor` when not given), and u over the units."""
+    d0 = _gaussian_divisors(gi_factor(ints[0]) if f0 is None else f0)
+    dn = _gaussian_divisors(gi_factor(ints[-1]) if fn is None else fn)
+    return [(gi_mul(p, u), q) for p in d0 for q in dn for u in _UNITS]
+
+
+def _scanned_roots(ints, f0=None, fn=None):
+    """The nonzero Q(i) roots of a Z[i] list with a nonzero constant term, by
+    the exhaustive divisor scan: by the rational-root theorem in the UFD Z[i]
+    every root is p/q for p | c_0 and q | c_n."""
+    return {_as_gaussian_rational(p, q) for p, q in _all_candidates(ints, f0, fn) if _gi_vanishes(ints, p, q)}
 
 
 def _random_gaussian(rnd, span=4, den=3):
     re = Fraction(rnd.randint(-span, span), rnd.randint(1, den))
     im = Fraction(rnd.randint(-span, span), rnd.randint(1, den)) if rnd.random() < 0.5 else Fraction(0)
     return GaussianRational(re, im)
-
-
-def _all_candidates(ints):
-    """Every rational-root candidate (p, q), unfiltered, in the order qi_roots tries them."""
-    d0, dn = _candidate_divisors(ints)
-    return [(gi_mul(p, u), q) for p in d0 for q in dn for u in UNITS]
 
 
 def test_integer_candidate_test_matches_horner_reference():
@@ -230,11 +232,14 @@ def test_integer_candidate_test_matches_horner_reference():
         if len(ints) < 4:
             continue
         c = [from_gint(u) for u in ints]
-        assert _candidate_divisors(ints) is not None
-        for p, q in _all_candidates(ints)[:400]:
+        candidates = _all_candidates(ints)
+        for p, q in candidates[:400]:
             assert _gi_vanishes(ints, p, q) == ueval(c, _as_gaussian_rational(p, q)).is_zero()
-        # degree >= 3 with x^2 - 2 the only non-Q(i) factor: some nonzero root exists
-        assert qi_roots(ints).roots[0] == _reference_first_root(c)
+        # the exhaustive scan with the GaussianRational Horner loop as the test
+        want = {r for r in {_as_gaussian_rational(p, q) for p, q in candidates} if ueval(c, r).is_zero()}
+        got = qi_roots(ints)
+        assert want and set(got.roots) == want and len(got.roots) == len(want)
+        assert got.residual_degree == len(ints) - 1 - len(want) and got.uncertain_degree == 0
         checked += 1
     assert checked >= 20
 
@@ -254,7 +259,7 @@ def test_integer_candidate_test_on_known_roots():
 
 def _stepwise_qi_roots(c):
     """Reference root search: after every root it factors the deflated
-    polynomial's end coefficients again and screens a fresh divisor grid."""
+    polynomial's end coefficients again and scans a fresh divisor grid."""
     report = RootReport()
     c = utrim(list(c))
     if len(c) == 1:
@@ -264,24 +269,7 @@ def _stepwise_qi_roots(c):
         report.roots.append(gr(0))
         c = c[1:]
     while len(c) >= 2:
-        if len(c) == 2:
-            (pr, pi), q = c
-            report.roots.append(_as_gaussian_rational((-pr, -pi), q))
-            return report
-        if len(c) == 3:
-            roots = _quadratic_roots(c)
-            if roots is None:
-                report.residual_degree += 2
-                report.unresolved.append(c)
-                return report
-            report.roots.extend(roots)
-            return report
-        divisors = _candidate_divisors(c)
-        if divisors is None:
-            report.uncertain_degree += len(c) - 1
-            report.uncertain.append(c)
-            return report
-        found = next(((p, q) for p, q in _surviving_candidates(c, *divisors) if _gi_vanishes(c, p, q)), None)
+        found = next(((p, q) for p, q in _all_candidates(c) if _gi_vanishes(c, p, q)), None)
         if found is None:
             report.residual_degree += len(c) - 1
             report.unresolved.append(c)
@@ -319,7 +307,7 @@ def _planted_search_cases(seed, count):
             p, q = rnd.choice(_LINEAR_POOL)
             if linears and rnd.random() < 0.3:  # an associate of a root already taken: times i, -1 or -i
                 p, q = rnd.choice(linears)
-                p = gi_mul(p, rnd.choice(UNITS[1:]))
+                p = gi_mul(p, rnd.choice(_UNITS[1:]))
             root = _as_gaussian_rational(p, q)
             if root not in roots:
                 roots.add(root)
@@ -335,45 +323,20 @@ def test_root_search_matches_the_stepwise_loop():
     for c in _planted_search_cases(20261018, 150):
         want = _stepwise_qi_roots(c)
         got = qi_roots(c)
-        assert got == want, c
+        assert set(got.roots) == set(want.roots) and len(got.roots) == len(want.roots), c
+        assert (got.residual_degree, got.uncertain_degree) == (want.residual_degree, 0)
+        assert len(got.unresolved) == len(want.unresolved) == 1 and _associates(got.unresolved[0], want.unresolved[0])
         assert len(got.roots) >= 3 and got.residual_degree >= 2
         searched += len(c) > 6
     assert searched > 50
 
 
-def test_root_search_factors_and_screens_once(monkeypatch):
-    calls = []
-
-    def spy(ints):
-        calls.append(list(ints))
-        return _candidate_divisors(ints)
-
-    monkeypatch.setattr(uniroots, "_candidate_divisors", spy)
-    for c in itertools.islice(_planted_search_cases(7, 40), 40):
-        calls.clear()
-        report = qi_roots(c)
-        # three or more roots came from the search of a polynomial of degree above 4
-        assert len(report.roots) >= 3
-        assert len(calls) == 1, calls
-
-
-# -- the candidate filter modulo _P against the exhaustive scan -----------------------
-
-
-def _image_of_sum(ints, p, q):
-    """sum ints[k] p^k q^(n-k) in Python integers, then mapped to F_P under i -> _I_MOD_P."""
-    n, total = len(ints) - 1, (0, 0)
-    for k, c in enumerate(ints):
-        term = c
-        for factor in [p] * k + [q] * (n - k):
-            term = gi_mul(term, factor)
-        total = (total[0] + term[0], total[1] + term[1])
-    return (total[0] + _I_MOD_P * total[1]) % _P
+# -- roots whose images vanish modulo _P ------------------------------------------
 
 
 @pytest.mark.parametrize("root_num, root_den", [((1, 0), (_I_MOD_P, -1)), ((_I_MOD_P, -1), (1, 0))])
 def test_root_whose_numerator_or_denominator_vanishes_mod_p_is_found(root_num, root_den):
-    # iota - i maps to 0 mod P, so the filter sees the root's image as 0/0 or 0: it must survive
+    # iota - i maps to 0 mod _P, so the root's image there is 0/0 or 0; the search does not read it
     root = _as_gaussian_rational(root_num, root_den)
     assert 0 in uniroots._image_mod_p([root_num, root_den], _P, _I_MOD_P)
     c = _poly_from_roots([root], gr(1))
@@ -383,7 +346,10 @@ def test_root_whose_numerator_or_denominator_vanishes_mod_p_is_found(root_num, r
     assert rep.residual_degree == 2
 
 
-def _filter_cases():
+# -- the lifting against the exhaustive divisor scan ------------------------------------
+
+
+def _scan_cases():
     """Seeded Z[i] polynomials of degree 3-6: planted roots, pure noise, and coefficients past int64."""
     rnd = random.Random(23)
     for n in range(90):
@@ -398,18 +364,149 @@ def _filter_cases():
             yield _gi_primitive(_ints(c))
 
 
-@pytest.mark.parametrize("block", [uniroots._GRID_BLOCK, 64, 1])  # small blocks split the grid across rows
-def test_filtered_search_matches_exhaustive_scan(block, monkeypatch):
-    monkeypatch.setattr(uniroots, "_GRID_BLOCK", block)
+def test_root_search_matches_the_exhaustive_scan():
     found = 0
-    for ints in _filter_cases():
-        every = _all_candidates(ints)
-        survivors = list(_surviving_candidates(ints, *_candidate_divisors(ints)))
-        assert survivors == [(p, q) for p, q in every if _image_of_sum(ints, p, q) == 0]
-        first = next(((p, q) for p, q in every if _gi_vanishes(ints, p, q)), None)
-        assert next(((p, q) for p, q in survivors if _gi_vanishes(ints, p, q)), None) == first
-        found += first is not None
+    for ints in _scan_cases():
+        got, want = qi_roots(ints), _scanned_roots(ints)
+        assert set(got.roots) == want and len(got.roots) == len(want)
+        assert (got.residual_degree, got.uncertain_degree) == (len(usquarefree(ints)) - 1 - len(want), 0)
+        found += bool(want)
     assert found >= 20
+
+
+def _gaussian_prime(rnd, bits):
+    """A Gaussian prime with components of about `bits` bits: a + bi of prime
+    norm, or a real prime = 3 (mod 4)."""
+    while True:
+        a, b = rnd.getrandbits(bits) | 1 << (bits - 1), rnd.getrandbits(bits) | 1 << (bits - 1)
+        if rnd.random() < 0.3:
+            a |= 3
+            if _is_probable_prime(a):
+                return (a, 0)
+        elif _is_probable_prime(a * a + b * b):
+            return (a, b)
+
+
+def _unit_multiple(u, v):
+    return any(gi_mul(v, e) == u for e in _UNITS)
+
+
+def _prime_power_product(factors):
+    out = (1, 0)
+    for prime, mult in factors:
+        for _ in range(mult):
+            out = gi_mul(out, prime)
+    return out
+
+
+def _large_root_cases(seed, count):
+    """Products of 2-4 linear factors q x - p, p and q Gaussian primes with
+    60-bit components (an associate of a factor already taken, or a repeated
+    factor, now and then), times x^2 - 2, x^2 + x + 1 or x^3 - x - 1; with the
+    prime factorizations of the end coefficients and the planted roots."""
+    rnd = random.Random(seed)
+    for _ in range(count):
+        linears = []
+        while len(linears) < rnd.randint(2, 4):
+            if linears and rnd.random() < 0.2:
+                p, q = rnd.choice(linears)
+                p = gi_mul(p, rnd.choice(_UNITS[1:]))
+            else:
+                p, q = gi_mul(_gaussian_prime(rnd, 60), rnd.choice(_UNITS)), _gaussian_prime(rnd, 60)
+            linears.append((p, q))
+        if rnd.random() < 0.3:
+            linears.append(linears[0])
+        rest = rnd.choice(_IRREDUCIBLE_POOL[1:])
+        c = _gi_product([[(-p[0], -p[1]), q] for p, q in linears] + [rest])
+        f0 = [(p, 1) for p, _ in linears] + gi_factor(rest[0])
+        fn = [(q, 1) for _, q in linears]
+        yield c, f0, fn, {_as_gaussian_rational(p, q) for p, q in linears}, len(rest) - 1
+
+
+def test_lifting_matches_the_divisor_scan_on_60_bit_roots():
+    for c, f0, fn, planted, rest in _large_root_cases(20261019, 30):
+        # the factorizations are those of the end coefficients, so the scan is exhaustive
+        assert _unit_multiple(c[0], _prime_power_product(f0)) and _unit_multiple(c[-1], _prime_power_product(fn))
+        sq = usquarefree(c)
+        a = sq[-1]
+        lifted = [_as_gaussian_rational(w, a) for w in _lifted_roots(sq) if _gi_vanishes(sq, w, a)]
+        assert set(lifted) == _scanned_roots(c, f0, fn) == planted and len(lifted) == len(planted)
+        # norms past the factoring cap: qi_roots still refuses the search
+        assert qi_roots(c).uncertain_degree == len(planted) + rest
+
+
+@pytest.mark.parametrize(
+    "c, roots",
+    [
+        (_poly_from_roots([gr("1/2"), gr(0, "-1/3")], gr(6)), {gr("1/2"), gr(0, "-1/3")}),  # two Q(i) roots
+        ([gr(5), gr(-2), gr(1)], {gr(1, 2), gr(1, -2)}),  # a Gaussian pair: x^2 - 2x + 5
+        (_poly_from_roots([gr("7/5", "-2/3")] * 2, gr(0, 3)), {gr("7/5", "-2/3")}),  # a double root
+        ([gr(-2), gr(0), gr(1)], set()),  # irreducible: x^2 - 2
+        ([gr(0, -1), gr(0), gr(1)], set()),  # irreducible over Q(i): x^2 - i
+        ([gr(1), gr(1), gr(1)], set()),  # irreducible: x^2 + x + 1
+    ],
+)
+def test_quadratics_are_decided_by_the_lifting(c, roots):
+    rep = qi_roots(_ints(c))
+    assert set(rep.roots) == roots and len(rep.roots) == len(roots)
+    assert rep.residual_degree == (2 if not roots else 0) and rep.uncertain_degree == 0
+    assert rep.unresolved == ([usquarefree(_ints(c))] if not roots else [])
+
+
+def _spy_lifting_primes(monkeypatch):
+    """The primes whose images `_lifted_roots` tests for squarefreeness."""
+    seen = []
+    real = uniroots._fp_gcd
+
+    def spy(a, b, p):
+        seen.append(p)
+        return real(a, b, p)
+
+    monkeypatch.setattr(uniroots, "_fp_gcd", spy)
+    return seen
+
+
+def test_lifting_skips_primes_that_divide_the_leading_norm_or_repeat_a_root(monkeypatch):
+    first, second = (p for p, _ in itertools.islice(uniroots._split_primes(_LIFT_ABOVE), 2))
+    assert (first, second) == (10009, 10037)
+    # (100 + 3i) x - 1: the leading norm is 10009, so 10009 is never tried
+    lead = (100, 3)
+    c = _gi_product([[(-1, 0), lead], [(-2, 0), (1, 0)], [(1, 0), (0, 0), (1, 0)]])
+    seen = _spy_lifting_primes(monkeypatch)
+    candidates = _lifted_roots(c)
+    assert seen == [second]
+    a = c[-1]
+    assert {_as_gaussian_rational(w, a) for w in candidates} == {_as_gaussian_rational((1, 0), lead), gr(2), gr(0, 1), gr(0, -1)}
+    # (x - 1)(x - 10010) is squarefree over Q(i), but both roots are 1 mod 10009
+    c = _gi_product([[(-1, 0), (1, 0)], [(-10010, 0), (1, 0)]])
+    seen.clear()
+    assert sorted(_lifted_roots(c)) == [(1, 0), (10010, 0)]
+    assert seen == [first, second]
+    monkeypatch.undo()
+    assert set(qi_roots(c).roots) == {gr(1), gr(10010)}
+
+
+def _gi_power(u, k):
+    return _prime_power_product([(u, k)])
+
+
+# prime to 1 + i and 3 - 2i: 61-bit components, then norms that factor at once (3^80, 5^50, 13^35)
+_NEAR_BOUND = [(2**61 + 2, -(2**60) - 3), (-(10**18) - 7, 10**18 + 10), (0, -(3**40)), _gi_power((2, 1), 50), _gi_power((3, 2), 35)]
+
+
+@pytest.mark.parametrize("a", [(1, 0), (0, 1), (1, 1), (3, -2)])
+@pytest.mark.parametrize("w", _NEAR_BOUND)
+def test_roots_of_size_close_to_the_bound_are_found(a, w):
+    # (a x - w)(x^2 + 1) = a x^3 - w x^2 + a x - w: B = |a| + |w|, and |a x| = |w| is within |a| of it
+    c = _gi_product([[(-w[0], -w[1]), a], [(1, 0), (0, 0), (1, 0)]])
+    assert usquarefree(c) == c and w in _lifted_roots(c)
+    assert {_as_gaussian_rational(u, a) for u in _lifted_roots(c) if _gi_vanishes(c, u, a)} == {_as_gaussian_rational(w, a), gr(0, 1), gr(0, -1)}
+    if w in _NEAR_BOUND[2:]:  # qi_roots factors the end coefficients first
+        rep = qi_roots(c)
+        assert set(rep.roots) == {_as_gaussian_rational(w, a), gr(0, 1), gr(0, -1)} and rep.residual_degree == 0
+        # with x^2 - 2 instead, the root w / a is the only one
+        rep = qi_roots(_gi_product([[(-w[0], -w[1]), a], [(-2, 0), (0, 0), (1, 0)]]))
+        assert rep.roots == [_as_gaussian_rational(w, a)] and rep.residual_degree == 2
 
 
 # -- coprimality certificate modulo a prime ----------------------------------------
@@ -477,9 +574,13 @@ def test_constant_term_beyond_factoring_cap_is_uncertain():
 
 def test_too_many_divisors_is_uncertain():
     n = 5 * 13 * 17 * 29 * 37 * 41 * 53 * 61 * 73  # 4^9 Gaussian divisors
-    assert _candidate_divisors([(n, 0), (1, 0), (0, 0), (1, 0)]) is None
-    rep = qi_roots([(n, 0), (1, 0), (0, 0), (1, 0)])
-    assert rep.uncertain_degree == 3 and rep.roots == []
+    c = [(n, 0), (1, 0), (0, 0), (1, 0)]
+    rep = qi_roots(c)
+    assert rep.uncertain_degree == 3 and rep.uncertain == [c]
+    assert rep.roots == [] and rep.residual_degree == 0 and rep.unresolved == []
+    # two split primes fewer, 4^7 * 4 candidates are under the cap: the search is decided
+    rep = qi_roots([(n // (61 * 73), 0), (1, 0), (0, 0), (1, 0)])
+    assert rep.uncertain_degree == 0 and len(rep.roots) + rep.residual_degree == 3
 
 
 # -- Sturm counts against known roots -------------------------------------------------
@@ -575,11 +676,11 @@ def _scaled(c, s):
 
 def _associates(u, v):
     """Whether the Z[i] lists u and v differ by a unit factor."""
-    return any(_scaled(v, e) == u for e in UNITS)
+    return any(_scaled(v, e) == u for e in _UNITS)
 
 
 # the four units, 2, 1 + i, and a product of nine split primes with 4^9 Gaussian divisors
-_SCALARS = [*UNITS, (2, 0), (1, 1), (5 * 13 * 17 * 29 * 37 * 41 * 53 * 61 * 73, 0)]
+_SCALARS = [*_UNITS, (2, 0), (1, 1), (5 * 13 * 17 * 29 * 37 * 41 * 53 * 61 * 73, 0)]
 
 
 def _scalar_cases():

@@ -12,15 +12,18 @@ prefix of the polylines it writes with `--emit-polylines` into the work
 directory ("-" when it writes none), so a moved vertex shows even when the
 counts do not change, for a `certify` job a sha256 prefix of its JSON payload
 without the float fields in FLOAT_KEYS ("-" for other jobs), so a change that
-moves only the digits of D, T and the residuals keeps it, and wall seconds.
-A last row, `paper-suite`, runs `paper-suite --report` and hashes its stdout
-and the JSON report it writes.  `--out` also writes the rows as JSON.  The
+moves only the digits of D, T and the residuals keeps it, and wall seconds;
+each row also records its command (the CLI subcommand, argv[0]).  A last
+row, `paper-suite`, runs `paper-suite --report` and hashes its stdout and
+the JSON report it writes.  `--out` also writes the rows as JSON.  The
 second form lists every job whose exit code, stdout, polylines, certify
 verdict or report differ between two such files, naming the fields that
 differ, prints the summed wall seconds of each job kind (the id before its
-"/") in both files, and exits 1 if a job differs, so a change that must keep
-output byte-identical can be checked by replaying the parent's tree and the
-change's tree, and its time moves show per kind.
+"/") and of each command in both files, and exits 1 if a job differs, so a
+change that must keep output byte-identical can be checked by replaying the
+parent's tree and the change's tree, and its time moves show per kind and
+per command (every `algebra` pool job has the kind `algebra`, whichever
+command it runs).
 
 Only the standard library is used here; perfbench/ is read, never written.
 """
@@ -107,6 +110,7 @@ def run_row(cli, job_id: str, argv: list[str], polylines: Path | None = None, re
     seconds = time.perf_counter() - start
     row = {
         "id": job_id,
+        "command": argv[0],
         "rc": rc,
         "stdout_sha": _sha(out.getvalue().encode("utf-8")),
         "polylines_sha": _file_sha(polylines),
@@ -161,23 +165,34 @@ def compare(a_path: Path, b_path: Path) -> int:
         else:
             continue
         differ += 1
-    kinds_a, kinds_b = kind_seconds(a.values()), kind_seconds(b.values())
-    print(f"seconds per job kind, {a_path.name} | {b_path.name}:")
-    for kind in sorted(kinds_a.keys() | kinds_b.keys()):
-        print(f"  {kind:<26} {kinds_a.get(kind, 0.0):8.3f} | {kinds_b.get(kind, 0.0):8.3f}")
-    time_a, time_b = sum(kinds_a.values()), sum(kinds_b.values())
+    for title, seconds in (("job kind", kind_seconds), ("command", command_seconds)):
+        sums_a, sums_b = seconds(a.values()), seconds(b.values())
+        print(f"seconds per {title}, {a_path.name} | {b_path.name}:")
+        for name in sorted(sums_a.keys() | sums_b.keys()):
+            print(f"  {name:<26} {sums_a.get(name, 0.0):8.3f} | {sums_b.get(name, 0.0):8.3f}")
+    time_a, time_b = (sum(r["seconds"] for r in rows.values()) for rows in (a, b))
     print(f"{differ} of {len(a.keys() | b.keys())} job(s) differ; {time_a:.1f} s -> {time_b:.1f} s")
     return 1 if differ else 0
+
+
+def _seconds_by(rows, key) -> dict[str, float]:
+    out: dict[str, float] = {}
+    for r in rows:
+        name = key(r)
+        out[name] = out.get(name, 0.0) + r["seconds"]
+    return out
 
 
 def kind_seconds(rows) -> dict[str, float]:
     """Summed wall seconds per job kind, the id up to its first "/"
     (`ovals`, `certify`, a named job's name, `paper-suite`)."""
-    out: dict[str, float] = {}
-    for r in rows:
-        kind = r["id"].split("/", 1)[0]
-        out[kind] = out.get(kind, 0.0) + r["seconds"]
-    return out
+    return _seconds_by(rows, lambda r: r["id"].split("/", 1)[0])
+
+
+def command_seconds(rows) -> dict[str, float]:
+    """Summed wall seconds per CLI command; rows written before commands
+    were recorded group under "-"."""
+    return _seconds_by(rows, lambda r: r.get("command", "-"))
 
 
 def main(argv=None) -> int:
