@@ -510,15 +510,12 @@ def cmd_certify(args) -> int:
     box = _parse_box(args.box) if args.box else None
     ovals = count_ovals(curve, box, args.res)
     selected = ovals.ovals if args.all_ovals else ovals.ovals[:1]
-    # the same zero set with its largest coefficient of magnitude 1, so the
-    # trace's and the residual's absolute thresholds do not see the scale of f
-    unit = curve.scale(Fraction(curve.den, max(max(abs(re), abs(im)) for re, im in curve.num.values())))
     results = []
     lines = [f"cofactor = {print_poly(cert.cofactor)}", f"ovals found: {ovals.count}"]
     inconclusive = False
     for idx, ov in enumerate(selected):
-        pts = trace_oval(unit, ov.vertices[0], spacing=args.spacing)
-        c = certify_cycle(field, pts, idx, f=unit, v_poly=unit)
+        pts = trace_oval(curve, ov.vertices[0], spacing=args.spacing)
+        c = certify_cycle(field, pts, idx, f=curve, v_poly=curve)
         results.append(c.to_dict())
         lines.append(
             f"oval {idx}: D = {c.divergence_integral:+.9e} T = {c.period:.9e} "

@@ -134,7 +134,8 @@ def certify_cycle(
 
 
 def _scaled_residual(V: MultiPoly, pts) -> float:
-    """Largest |V| / max(1, |grad V|) over the points."""
+    """Largest |V| / max(1, |grad V|) over the points, V at unit scale
+    (`_horner_with_gradient`), so the scale of V does not matter."""
     ev, gx, gy = _horner_with_gradient(V)
     x, y = np.asarray(pts, dtype=np.float64).reshape(-1, 2).T
     scale = np.fmax(1.0, np.hypot(gx(x, y), gy(x, y)))

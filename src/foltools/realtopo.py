@@ -15,6 +15,8 @@ reported uncertified with a warning.  Uncrossed cell edges of each loop are prov
 zero-free a whole lattice line at a time: the line's sign changes account
 for all its roots, by degree or by one Sturm count on the same integer rows
 that give the signs; other lines fall back to a Sturm count per edge.
+Numeric tracing sees f only at unit scale and puts every float point on
+the curve with one Newton corrector (see the numeric tracing section).
 """
 
 from __future__ import annotations
@@ -680,6 +682,11 @@ def _certify_loop(cells, lines: _LatticeLines) -> bool:
 
 
 # -- numeric tracing -------------------------------------------------------------------
+# f is evaluated at unit scale (`_horner_with_gradient`), so no threshold below
+# sees the scale of f.  One rule puts a float point on the curve: Newton along
+# the gradient reaches |f| <= _CORRECTOR_TOL * |grad f| within _CORRECTOR_ITER
+# steps, and a squared gradient below _SINGULAR_G2 is a singular point; `_trace`'s
+# scalar corrector and the batched `_project_all` apply it with the same bits.
 
 
 def _horner_expr(coeffs: dict[int, str], var: str) -> str:
@@ -718,37 +725,47 @@ def _horner(f: MultiPoly) -> Callable:
     return eval(f"lambda x, y: {expr}")
 
 
+@functools.lru_cache(maxsize=32)
 def _horner_with_gradient(f: MultiPoly) -> tuple[Callable, Callable, Callable]:
+    """Float evaluators of f, df/dx and df/dy at unit scale: f times the positive
+    rational that makes its largest coefficient magnitude 1 (memoised)."""
+    if f.num:
+        f = f.scale(Fraction(f.den, max(max(abs(re), abs(im)) for re, im in f.num.values())))
     return _horner(f), _horner(f.partial(0)), _horner(f.partial(1))
 
 
-_NEWTON_TOL = 1e-13
-_NEWTON_ITER = 60
+_CORRECTOR_TOL = 1e-12
+_CORRECTOR_ITER = 12
+_SINGULAR_G2 = 1e-18
+_MAX_STEPS = 2_000_000
+_FILL_ROUNDS = 2  # each fill round halves the chords, so the sequential pass steps at 2**_FILL_ROUNDS * spacing
+_MIN_COARSE = 64  # fewer coarse vertices than this: the coarse step is too long for the oval
+_COARSE_MIN_COS = math.cos(math.radians(45))  # a coarse step may turn the gradient by at most 45 degrees
 
 
-def newton_project(f: MultiPoly, pt, tol: float = _NEWTON_TOL, max_iter: int = _NEWTON_ITER):
+def newton_project(f: MultiPoly, pt):
     """Project a point onto f = 0 along the gradient; None when it fails."""
-    out, ok = _project_all(_horner_with_gradient(f), np.array([pt], dtype=np.float64), tol, max_iter)
+    out, ok = _project_all(_horner_with_gradient(f), np.array([pt], dtype=np.float64))
     return (float(out[0, 0]), float(out[0, 1])) if ok[0] else None
 
 
-def _project_all(evaluators, seeds: np.ndarray, tol: float = _NEWTON_TOL, max_iter: int = _NEWTON_ITER):
-    """`newton_project` on every row of an (n, 2) array at once, with the bits
-    of a scalar float loop (IEEE float64 throughout): (points, converged);
-    a row that fails (squared gradient below 1e-24) keeps its seed."""
+def _project_all(evaluators, seeds: np.ndarray):
+    """The corrector on every row of an (n, 2) array at once, with the bits of
+    `_trace`'s scalar loop: (points, converged); a row that does not converge,
+    or meets a singular point, keeps its seed."""
     ev, gx, gy = evaluators
     out, ok = seeds.copy(), np.zeros(len(seeds), dtype=bool)
     live = np.arange(len(seeds))  # rows still iterating
     x, y = seeds[:, 0], seeds[:, 1]
     with np.errstate(all="ignore"):  # NaN and inf follow the scalar rules, silently
-        for _ in range(max_iter):
+        for _ in range(_CORRECTOR_ITER):
             if not live.size:
                 break
             v = ev(x, y)
             dx, dy = gx(x, y), gy(x, y)
             g2 = dx * dx + dy * dy
-            going = ~(g2 < 1e-24)
-            done = going & (np.abs(v) <= tol * np.fmax(1.0, np.sqrt(g2)))
+            going = ~(g2 < _SINGULAR_G2)
+            done = going & (np.abs(v) <= _CORRECTOR_TOL * np.sqrt(g2))
             out[live[done], 0] = x[done]
             out[live[done], 1] = y[done]
             ok[live[done]] = True
@@ -759,25 +776,21 @@ def _project_all(evaluators, seeds: np.ndarray, tol: float = _NEWTON_TOL, max_it
     return out, ok
 
 
-_FILL_ROUNDS = 2  # each fill round halves the chords, so the sequential pass steps at 2**_FILL_ROUNDS * spacing
-_MIN_COARSE = 64  # fewer coarse vertices than this: the coarse step is too long for the oval
-_COARSE_MIN_COS = math.cos(math.radians(45))  # a coarse step may turn the gradient by at most 45 degrees
-_CORRECTOR_ITER = 12
-_SINGULAR_G2 = 1e-18
+def _midpoints(evaluators, pts: np.ndarray) -> tuple[np.ndarray, bool]:
+    """A closed (n, 2) polyline with the projection of every chord midpoint
+    inserted, as (2n - 1, 2) rows, and whether every midpoint converged (one
+    that did not stays at the chord's midpoint)."""
+    mids, ok = _project_all(evaluators, 0.5 * (pts[:-1] + pts[1:]))
+    out = np.empty((2 * len(pts) - 1, 2))
+    out[0::2] = pts
+    out[1::2] = mids
+    return out, bool(ok.all())
 
 
-def _trace(
-    evaluators,
-    start: tuple[float, float],
-    step: float,
-    tol: float,
-    max_steps: int,
-    min_cos: float | None = None,
-) -> np.ndarray | None:
+def _trace(evaluators, start: tuple[float, float], step: float, min_cos: float | None = None) -> np.ndarray | None:
     """Sequential predictor-corrector from `start`, a point on the curve, at
-    step length `step`: an Euler step along the tangent, then Newton along
-    the gradient until |f| <= tol * |grad f| (at most _CORRECTOR_ITER
-    steps; a failed corrector halves the step, which then grows back).
+    step length `step`: an Euler step along the tangent, then the corrector
+    (a failed corrector halves the step, which then grows back).
 
     The loop closes when, after at least five accepted vertices, it is back
     within 0.9 * step of `start` travelling the same way (its gradient has a
@@ -791,7 +804,7 @@ def _trace(
     pts = [start]
     h = step
     sdx, sdy = dx, dy = gx(x, y), gy(x, y)  # the start's gradient; (dx, dy) later the corrector's at its accepted point
-    for _ in range(max_steps):
+    for _ in range(_MAX_STEPS):
         norm = math.hypot(dx, dy)
         if norm < 1e-9:
             raise DegenerateInput("trace approached a singular point of the curve")
@@ -805,7 +818,7 @@ def _trace(
             g2 = ddx * ddx + ddy * ddy
             if g2 < _SINGULAR_G2:
                 raise DegenerateInput("trace approached a singular point of the curve")
-            if abs(v) <= tol * math.sqrt(g2):
+            if abs(v) <= _CORRECTOR_TOL * math.sqrt(g2):
                 break
             cx -= v * ddx / g2
             cy -= v * ddy / g2
@@ -826,83 +839,42 @@ def _trace(
     raise DegenerateInput("trace did not close within the step budget")
 
 
-def _fill(evaluators, pts: np.ndarray, tol: float) -> np.ndarray | None:
-    """Insert the projection of every chord midpoint of a closed (n, 2)
-    polyline, all at once, by `_trace`'s corrector and with the bits of its
-    scalar loop: (2n - 1, 2) rows, or None when a midpoint does not converge
-    within _CORRECTOR_ITER steps."""
-    ev, gx, gy = evaluators
-    mids = 0.5 * (pts[:-1] + pts[1:])
-    live = np.arange(len(mids))  # midpoints still iterating
-    x, y = mids[:, 0], mids[:, 1]
-    with np.errstate(all="ignore"):  # NaN and inf follow the scalar rules, silently
-        for _ in range(_CORRECTOR_ITER):
-            if not live.size:
-                break
-            v = ev(x, y)
-            dx, dy = gx(x, y), gy(x, y)
-            g2 = dx * dx + dy * dy
-            if (g2 < _SINGULAR_G2).any():
-                raise DegenerateInput("trace approached a singular point of the curve")
-            done = np.abs(v) <= tol * np.sqrt(g2)
-            mids[live[done], 0] = x[done]
-            mids[live[done], 1] = y[done]
-            keep = ~done
-            live, v, dx, dy, g2 = live[keep], v[keep], dx[keep], dy[keep], g2[keep]
-            x = x[keep] - v * dx / g2
-            y = y[keep] - v * dy / g2
-    if live.size:
-        return None
-    out = np.empty((2 * len(pts) - 1, 2))
-    out[0::2] = pts
-    out[1::2] = mids
-    return out
-
-
-def trace_oval(
-    f: MultiPoly,
-    seed: tuple[float, float],
-    spacing: float = 1.5e-3,
-    tol: float = 1e-12,
-    max_steps: int = 2_000_000,
-) -> np.ndarray:
+def trace_oval(f: MultiPoly, seed: tuple[float, float], spacing: float = 1.5e-3) -> np.ndarray:
     """Predictor-corrector trace of the closed component through `seed`, as
     an (n, 2) float array whose last row equals its first.
 
-    The sequential loop (`_trace`) follows the curve at 4 * spacing; two
-    rounds of `_fill` then place the other vertices by projecting every
-    chord midpoint at once, so consecutive vertices end up about `spacing`
-    apart.  When the coarse step is too long for the curve (one step turns
-    the gradient by more than 45 degrees, or the loop has fewer than 64
-    vertices) or a midpoint does not converge, the result is instead the
-    sequential loop at `spacing` itself.  Either way every vertex after the
-    first satisfies |f| <= tol * |grad f| (the first is the seed projected
-    by `newton_project`'s rule, |f| <= tol * max(1, |grad f|)), and the loop
-    closes only when it is back near the seed travelling the same way.
-    Raises on singular approach or failure to close.
+    The seed is projected by `_project_all`.  The sequential loop (`_trace`)
+    then follows the curve at 4 * spacing; two rounds of `_midpoints` place
+    the other vertices by projecting every chord midpoint at once, so
+    consecutive vertices end up about `spacing` apart.  When the coarse step
+    is too long for the curve (one step turns the gradient by more than 45
+    degrees, or the loop has fewer than 64 vertices) or a midpoint does not
+    converge, the result is instead the sequential loop at `spacing` itself.
+    Either way every vertex, the first too, passes the corrector's rule, and
+    the loop closes only when it is back near the seed travelling the same
+    way.  Raises on a spacing that is not a positive finite number, on
+    singular approach or on failure to close.
     """
+    if not 0 < spacing < math.inf:
+        raise PreconditionError(f"spacing must be a positive finite number, not {spacing!r}")
     evaluators = _horner_with_gradient(f)
-    out, ok = _project_all(evaluators, np.array([seed], dtype=np.float64), tol)
+    out, ok = _project_all(evaluators, np.array([seed], dtype=np.float64))
     if not ok[0]:
         raise PreconditionError("seed failed to project onto the curve")
     start = float(out[0, 0]), float(out[0, 1])
-    pts = _trace(evaluators, start, 2**_FILL_ROUNDS * spacing, tol, max_steps, _COARSE_MIN_COS)
+    pts = _trace(evaluators, start, 2**_FILL_ROUNDS * spacing, _COARSE_MIN_COS)
     if pts is not None and len(pts) >= _MIN_COARSE:
         for _ in range(_FILL_ROUNDS):
-            pts = _fill(evaluators, pts, tol)
-            if pts is None:
+            pts, ok = _midpoints(evaluators, pts)
+            if not ok:
                 break
         else:
             return pts
-    return _trace(evaluators, start, spacing, tol, max_steps)
+    return _trace(evaluators, start, spacing)
 
 
 def refine_polyline(f: MultiPoly, pts) -> np.ndarray:
     """Insert curve-projected midpoints between consecutive vertices of a
     closed polyline, given and returned as an (n, 2) float array; a midpoint
     whose projection fails is kept as it is."""
-    pts = np.asarray(pts, dtype=np.float64)
-    out = np.empty((2 * len(pts) - 1, 2))
-    out[0::2] = pts
-    out[1::2] = _project_all(_horner_with_gradient(f), 0.5 * (pts[:-1] + pts[1:]))[0]
-    return out
+    return _midpoints(_horner_with_gradient(f), np.asarray(pts, dtype=np.float64))[0]

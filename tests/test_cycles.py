@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -123,6 +124,16 @@ def test_location_check_modes(circle_polyline, eee_circle):
     assert not rows[0]["pass"]
     with pytest.raises(PreconditionError):
         location_check(eee_circle, x - const2(99), [circle_polyline], mode="invariant-curve")
+
+
+@pytest.mark.parametrize("c", [Fraction(1, 10**11), Fraction(1, 10**300), Fraction(10**11), Fraction(3, 7)])
+def test_location_check_does_not_depend_on_the_scale_of_v(circle_polyline, eee_circle, c):
+    off = [(1.5 * px, 1.5 * py) for px, py in circle_polyline]
+    V = circle.scale(gr(c))
+    for field, mode in ((eee_circle, "invariant-curve"), (rotation, "iif")):
+        assert location_check(field, V, [circle_polyline, off], mode=mode) == location_check(
+            field, circle, [circle_polyline, off], mode=mode
+        )
 
 
 def test_location_check_rejects_non_real_v():

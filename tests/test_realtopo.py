@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -209,13 +210,11 @@ def _length(pts: np.ndarray) -> float:
 
 def _fine_trace(f, pts: np.ndarray) -> np.ndarray:
     """The sequential trace at SPACING itself, from the trace's first vertex."""
-    return realtopo._trace(realtopo._horner_with_gradient(f), tuple(map(float, pts[0])), SPACING, TOL, 2_000_000)
+    return realtopo._trace(realtopo._horner_with_gradient(f), tuple(map(float, pts[0])), SPACING)
 
 
 def _coarse_trace(f, pts: np.ndarray):
-    return realtopo._trace(
-        realtopo._horner_with_gradient(f), tuple(map(float, pts[0])), 4 * SPACING, TOL, 2_000_000, realtopo._COARSE_MIN_COS
-    )
+    return realtopo._trace(realtopo._horner_with_gradient(f), tuple(map(float, pts[0])), 4 * SPACING, realtopo._COARSE_MIN_COS)
 
 
 def _scalar_corrector(f, x: float, y: float):
@@ -269,22 +268,24 @@ def test_fill_matches_the_scalar_corrector():
     product = (x**2 + const2(2) * y**2 - const2(1)) * (x**2 + y**2 - const2(9))
     for f, seed in ((circle, (1.01, 0.0)), (product, (1.01, 0.0)), (quartic, count_ovals(quartic, None, 64).ovals[0].vertices[0])):
         coarse = _coarse_trace(f, trace_oval(f, seed, spacing=SPACING))
-        for pts in (coarse, realtopo._fill(evaluators(f), coarse, TOL)):
-            filled = realtopo._fill(evaluators(f), pts, TOL)
+        for pts in (coarse, realtopo._midpoints(evaluators(f), coarse)[0]):
+            filled, converged = realtopo._midpoints(evaluators(f), pts)
             expected = [tuple(pts[0])]
             for a, b in zip(pts, pts[1:]):
                 expected += [_scalar_corrector(f, 0.5 * (a[0] + b[0]), 0.5 * (a[1] + b[1])), tuple(b)]
-            assert filled.shape == (2 * len(pts) - 1, 2)
+            assert converged and filled.shape == (2 * len(pts) - 1, 2)
             assert np.array_equal(filled.view(np.int64), np.array(expected).view(np.int64))
-    # a midpoint 5e5 away needs 19 halving steps: the fill fails, as the scalar loop does
+    # a midpoint 5e5 away needs 19 halving steps: the round fails, as the
+    # scalar loop does, and the midpoint stays where it is
     far = np.array([(1.0, 0.0), (1e6, 0.0), (1.0, 0.0)])
     assert _scalar_corrector(circle, 500000.5, 0.0) is None
-    assert realtopo._fill(evaluators(circle), far, TOL) is None
-    # a midpoint at the centre has no gradient
+    filled, converged = realtopo._midpoints(evaluators(circle), far)
+    assert not converged and tuple(filled[1]) == (500000.5, 0.0)
+    # a midpoint at the centre has no gradient: the round fails instead of raising
     with pytest.raises(DegenerateInput):
         _scalar_corrector(circle, 0.0, 0.0)
-    with pytest.raises(DegenerateInput):
-        realtopo._fill(evaluators(circle), np.array([(1.0, 0.0), (-1.0, 0.0), (1.0, 0.0)]), TOL)
+    filled, converged = realtopo._midpoints(evaluators(circle), np.array([(1.0, 0.0), (-1.0, 0.0), (1.0, 0.0)]))
+    assert not converged and tuple(filled[1]) == (0.0, 0.0)
 
 
 @pytest.mark.parametrize("r", [Fraction(1, 1000), Fraction(1, 500), Fraction(1, 250), Fraction(1, 40)])
@@ -299,7 +300,8 @@ def test_small_circles_take_the_sequential_trace(r):
 
 
 def test_a_failed_midpoint_falls_back_to_the_sequential_trace(monkeypatch):
-    monkeypatch.setattr(realtopo, "_fill", lambda evaluators, pts, tol: None)
+    midpoints = realtopo._midpoints
+    monkeypatch.setattr(realtopo, "_midpoints", lambda evaluators, pts: (midpoints(evaluators, pts)[0], False))
     pts = trace_oval(circle, (1.01, 0.0), spacing=SPACING)
     assert np.array_equal(pts, _fine_trace(circle, pts)) and len(pts) > 3000
 
@@ -407,62 +409,86 @@ def test_horner_preconditions():
     assert _horner(MultiPoly.zero(2))(-1.5, 2.0) == 0.0
 
 
-def _scalar_newton(f, pt, tol=1e-13, max_iter=60):
-    """Newton projection by a scalar loop over Python floats: the reference
-    for the batched projection behind `newton_project`."""
-    ev, gx, gy = _horner(f), _horner(f.partial(0)), _horner(f.partial(1))
-    px, py = float(pt[0]), float(pt[1])
-    for _ in range(max_iter):
-        v = ev(px, py)
-        dx, dy = gx(px, py), gy(px, py)
-        g2 = dx * dx + dy * dy
-        if g2 < 1e-24:
-            return None
-        if abs(v) <= tol * max(1.0, math.sqrt(g2)):
-            return (px, py)
-        px -= v * dx / g2
-        py -= v * dy / g2
-    return None
+def _scalar_projection(f, pt):
+    """`_scalar_corrector` from a seed of any float type, None at a singular point."""
+    try:
+        return _scalar_corrector(f, float(pt[0]), float(pt[1]))
+    except DegenerateInput:
+        return None
+
+
+# on the unit circle, (2**7, 0) reaches the stop at the 12th step and
+# (2**8, 0) would at the 13th; (4e-10, 0) has a squared gradient of 6.4e-19
+NEWTON_SEEDS = [(4e-10, 0.0), (0.0, 0.0), (2.0**7, 0.0), (2.0**8, 0.0), (1e9, 1e9), (float("nan"), 0.0), (1e200, 1e200)]
 
 
 def test_newton_project_matches_the_scalar_loop():
+    assert _scalar_projection(circle, (2.0**7, 0.0)) is not None
+    assert _scalar_projection(circle, (2.0**8, 0.0)) is None
     rng = random.Random(5)
-    seeds = [(1e-13, 0.0), (0.0, 0.0), (2.0**55, 0.0), (2.0**56, 0.0), (1e9, 1e9), (float("nan"), 0.0), (1e200, 1e200)]
-    seeds += [(rng.uniform(-4, 4), rng.uniform(-4, 4)) for _ in range(30)]
-    small = circle.scale(gr(Fraction(1, 1000)))
+    seeds = NEWTON_SEEDS + [(rng.uniform(-4, 4), rng.uniform(-4, 4)) for _ in range(30)]
     product = (x**2 + const2(2) * y**2 - const2(1)) * (x**2 + y**2 - const2(9))
-    for f in (small, product):
-        for tol, max_iter in ((1e-13, 60), (1e-12, 59), (1e-13, 61)):
-            for seed in seeds:
-                got, want = newton_project(f, seed, tol, max_iter), _scalar_newton(f, seed, tol, max_iter)
-                assert (got is None) == (want is None), seed
-                if got is not None:
-                    assert all(type(c) is float for c in got)
-                    assert np.array_equal(np.array(got).view(np.int64), np.array(want).view(np.int64)), seed
+    for f in (circle, product):
+        for seed in seeds:
+            got, want = newton_project(f, seed), _scalar_projection(f, seed)
+            assert (got is None) == (want is None), seed
+            if got is not None:
+                assert all(type(c) is float for c in got)
+                assert np.array_equal(np.array(got).view(np.int64), np.array(want).view(np.int64)), seed
 
 
 def test_refine_polyline_matches_scalar_newton():
-    # the batched projection keeps newton_project's per-point rules, so every
-    # midpoint gets the same bits as a scalar projection, or stays as it is
-    # when that fails.  On this circle |grad f| < 1, so the stop is tol
-    # itself, not tol * |grad f|; a repeated vertex puts its own value at the
+    # the batched projection keeps the trace corrector's per-point rules, so
+    # every midpoint gets the same bits as a scalar projection, or stays as
+    # it is when that fails; a repeated vertex puts its own value at the
     # midpoint, to reach the other rules
-    small = circle.scale(gr(Fraction(1, 1000)))
-    assert newton_project(small, (1e-13, 0.0)) is None  # g2 < 1e-24
-    assert newton_project(small, (2.0**55, 0.0), max_iter=59) is None  # converges at the 60th step
-    assert newton_project(small, (2.0**56, 0.0)) is None  # needs 61 steps
-    assert newton_project(small, (2.0**56, 0.0), max_iter=61) is not None
-    seeds = [(1e-13, 0.0), (0.0, 0.0), (2.0**55, 0.0), (2.0**56, 0.0), (1e9, 1e9)]
     product = (x**2 + const2(2) * y**2 - const2(1)) * (x**2 + y**2 - const2(9))
-    for f in (small, product):
-        pts = [tuple(p) for p in trace_oval(f, (1.01, 0.0), spacing=4e-3)] + [s for seed in seeds for s in (seed, seed)]
+    for f in (circle, product):
+        pts = [tuple(p) for p in trace_oval(f, (1.01, 0.0), spacing=4e-3)] + [s for seed in NEWTON_SEEDS for s in (seed, seed)]
         expected = [pts[0]]
         for a, b in zip(pts, pts[1:]):
             mid = (0.5 * (a[0] + b[0]), 0.5 * (a[1] + b[1]))
-            expected += [newton_project(f, mid) or mid, b]
+            expected += [_scalar_projection(f, mid) or mid, b]
         refined = refine_polyline(f, pts)
         assert refined.shape == (2 * len(pts) - 1, 2)
         assert np.array_equal(refined.view(np.int64), np.array(expected).view(np.int64))
+
+
+@pytest.mark.parametrize("c", [Fraction(1, 10**11), Fraction(1, 10**300), Fraction(10**11), Fraction(3, 7)])
+@pytest.mark.parametrize("name", ["ellipse", "quartic"])
+def test_numeric_tracing_does_not_depend_on_the_scale_of_f(name, c):
+    # c*f is the curve of f, evaluated at the same unit scale
+    f = ellipse if name == "ellipse" else quartic
+    seeds = [(0.0, 0.8)] if name == "ellipse" else [ov.vertices[0] for ov in count_ovals(quartic, None, 64).ovals]
+    scaled = f.scale(gr(c))
+    for seed in seeds:
+        pts = trace_oval(f, seed, spacing=SPACING)
+        assert np.array_equal(pts.view(np.int64), trace_oval(scaled, seed, spacing=SPACING).view(np.int64))
+        fine = refine_polyline(f, pts[::8])
+        assert np.array_equal(fine.view(np.int64), refine_polyline(scaled, pts[::8]).view(np.int64))
+        for pt in [seed, (1.3, -0.2), *NEWTON_SEEDS]:
+            assert newton_project(f, pt) == newton_project(scaled, pt), pt
+
+
+@pytest.mark.parametrize("f, seed", [
+    (x**2 + y**2 - const2(gr(Fraction(1, 10**6))), (1.01e-3, 0.0)),
+    (x**2 + y**2 - const2(gr(Fraction(1, 1600))), (0.0, 0.0252)),
+    (_thin_ellipse(Fraction(1, 3000)), (0.0, 1.01 / 3000)),
+    (ellipse, (0.0, 0.8)),
+])
+def test_the_seed_vertex_satisfies_the_contract(f, seed):
+    pts = trace_oval(f, seed, spacing=SPACING)
+    ev, gx, gy = realtopo._horner_with_gradient(f)
+    dx, dy = gx(*pts[0]), gy(*pts[0])
+    assert abs(ev(*pts[0])) <= TOL * math.sqrt(dx * dx + dy * dy)
+
+
+@pytest.mark.parametrize("spacing", [0.0, -1e-3, float("nan"), float("inf")])
+def test_a_spacing_that_is_not_positive_and_finite_is_refused_at_once(spacing):
+    start = time.perf_counter()
+    with pytest.raises(PreconditionError, match="spacing"):
+        trace_oval(circle, (1.01, 0.0), spacing=spacing)
+    assert time.perf_counter() - start < 0.1
 
 
 # -- the sign grid against exact integer Horner ---------------------------------------

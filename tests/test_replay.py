@@ -207,3 +207,31 @@ def test_work_directory_is_created_when_missing(replay, tmp_path, monkeypatch):
     assert replay.main(["--workload", "geometry", "--work", str(work), "--out", str(out)]) == 0
     assert seen == [("geometry", work)] and work.is_dir()
     assert json.loads(out.read_text(encoding="utf-8"))[0]["id"] == "ovals/1"
+
+
+def test_repeat_records_median_seconds_and_fails_on_unstable_hashes(replay, tmp_path, monkeypatch, capsys):
+    # --repeat N replays the job list N times; each row keeps its median
+    # seconds, and a job whose hashes move between passes exits 1
+    passes = [
+        [row("ovals/1", seconds=0.3), row("paper-suite", seconds=2.0)],
+        [row("ovals/1", seconds=0.1), row("paper-suite", seconds=1.0)],
+        [row("ovals/1", seconds=0.2), row("paper-suite", seconds=3.0)],
+    ]
+    calls = []
+
+    def fake_replay(workload, src, work):
+        calls.append(workload)
+        return passes[len(calls) - 1]
+
+    monkeypatch.setattr(replay, "replay", fake_replay)
+    out = tmp_path / "rows.json"
+    assert replay.main(["--workload", "geometry", "--repeat", "3", "--out", str(out)]) == 0
+    assert calls == ["geometry"] * 3
+    rows = json.loads(out.read_text(encoding="utf-8"))
+    assert [(r["id"], r["seconds"]) for r in rows] == [("ovals/1", 0.2), ("paper-suite", 2.0)]
+    passes[2][0] = row("ovals/1", polylines_sha="dddd")
+    calls.clear()
+    assert replay.main(["--workload", "geometry", "--repeat", "3"]) == 1
+    assert "ovals/1: polylines_sha differ between passes" in capsys.readouterr().out
+    with pytest.raises(SystemExit):
+        replay.main(["--workload", "geometry", "--repeat", "0"])

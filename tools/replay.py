@@ -1,6 +1,6 @@
 """Replay every job of a benchmark workload against one source tree.
 
-    python3 tools/replay.py --workload geometry [--src DIR] [--out FILE.json] [--work DIR]
+    python3 tools/replay.py --workload geometry [--src DIR] [--out FILE.json] [--work DIR] [--repeat N]
     python3 tools/replay.py --compare A.json B.json
 
 The first form regenerates the workload's pool entries (the (kind, index)
@@ -15,7 +15,10 @@ without the float fields in FLOAT_KEYS ("-" for other jobs), so a change that
 moves only the digits of D, T and the residuals keeps it, and wall seconds;
 each row also records its command (the CLI subcommand, argv[0]).  A last
 row, `paper-suite`, runs `paper-suite --report` and hashes its stdout and
-the JSON report it writes.  `--out` also writes the rows as JSON.  The
+the JSON report it writes.  `--repeat N` runs the whole job list N times
+and records each job's median seconds; it exits 1, naming the jobs, if a
+job's exit code or hashes differ between passes.  `--out` also writes the
+rows as JSON.  The
 second form lists every job whose exit code, stdout, polylines, certify
 verdict or report differ between two such files, naming the fields that
 differ, prints the summed wall seconds of each job kind (the id before its
@@ -36,6 +39,7 @@ import hashlib
 import importlib
 import io
 import json
+import statistics
 import sys
 import tempfile
 import time
@@ -152,6 +156,19 @@ def replay(workload: str, src: Path, work: Path) -> list[dict]:
     return rows
 
 
+def median_rows(passes: list[list[dict]]) -> tuple[list[dict], int]:
+    """One row per job from several passes over the same jobs: the first
+    pass's row with the median seconds of all of them, and the number of
+    jobs whose FIELDS differ between passes (each named on stdout)."""
+    rows, unstable = [], 0
+    for same in zip(*passes, strict=True):
+        if moved := [k for k in FIELDS if len({r.get(k) for r in same}) > 1]:
+            print(f"{same[0]['id']}: {', '.join(moved)} differ between passes")
+            unstable += 1
+        rows.append(dict(same[0], seconds=round(statistics.median(r["seconds"] for r in same), 4)))
+    return rows, unstable
+
+
 def compare(a_path: Path, b_path: Path) -> int:
     a = {r["id"]: r for r in json.loads(a_path.read_text(encoding="utf-8"))}
     b = {r["id"]: r for r in json.loads(b_path.read_text(encoding="utf-8"))}
@@ -201,19 +218,24 @@ def main(argv=None) -> int:
     parser.add_argument("--src", type=Path, default=ROOT / "src", help="source tree holding foltools/")
     parser.add_argument("--out", type=Path, help="write the rows as JSON here")
     parser.add_argument("--work", type=Path, help="where to make the temporary directory for the generated documents (created if missing)")
+    parser.add_argument("--repeat", type=int, default=1, metavar="N", help="run the job list N times; record each job's median seconds")
     parser.add_argument("--compare", nargs=2, type=Path, metavar=("A.json", "B.json"))
     args = parser.parse_args(argv)
     if args.compare:
         return compare(*args.compare)
     if not args.workload:
         parser.error("--workload or --compare is required")
+    if args.repeat < 1:
+        parser.error("--repeat must be at least 1")
     if args.work:
         args.work.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory(dir=args.work) as tmp:
-        rows = replay(args.workload, args.src, Path(tmp))
+        rows, unstable = median_rows([replay(args.workload, args.src, Path(tmp)) for _ in range(args.repeat)])
+    if unstable:
+        print(f"{unstable} job(s) differ between passes")
     if args.out:
         args.out.write_text(json.dumps(rows, indent=1) + "\n", encoding="utf-8")
-    return 0
+    return 1 if unstable else 0
 
 
 if __name__ == "__main__":
