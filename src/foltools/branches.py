@@ -57,13 +57,9 @@ class Branch:
         return self.phi1.coefficient(0), self.phi2.coefficient(0)
 
 
-def _solve_series(
-    g: MultiPoly, origin_check: bool, truncation: int, solve_var: int
-) -> PowerSeries:
+def _solve_series(g: MultiPoly, truncation: int, solve_var: int) -> PowerSeries:
     """Series s(t), s(0)=0, with g(t, s(t)) = 0 mod t^(N+1) (solve_var = 1)
     or g(s(t), t) = 0 (solve_var = 0).  Needs d(g)/d(solve_var) != 0 at 0."""
-    if origin_check and not g.evaluate((ZERO, ZERO)).is_zero():
-        raise PreconditionError("series solve requires g(0,0) = 0")
     gs0 = g.partial(solve_var).evaluate((ZERO, ZERO))
     if gs0.is_zero():
         raise PreconditionError("series solve requires a transversal derivative")
@@ -96,10 +92,10 @@ def _branches_at_chart_point(
     t = PowerSeries.identity(truncation)
     if order == 1:
         if not local.coefficient((0, 1)).is_zero():
-            s = _solve_series(local, False, truncation, solve_var=1)
+            s = _solve_series(local, truncation, solve_var=1)
             phi1, phi2 = t.shift_constant(u0), s.shift_constant(v0)
         else:
-            s = _solve_series(local, False, truncation, solve_var=0)
+            s = _solve_series(local, truncation, solve_var=0)
             phi1, phi2 = s.shift_constant(u0), t.shift_constant(v0)
         return [Branch(base, chart, phi1, phi2, truncation, True)]
     if order != 2:
@@ -141,7 +137,7 @@ def _node_branch(
     reduced = exact_divide(composed, uu * uu)
     if reduced is None:
         raise ArithmeticError("order-2 point must factor t^2 out")
-    z = _solve_series(reduced, False, truncation, solve_var=1)
+    z = _solve_series(reduced, truncation, solve_var=1)
     t = PowerSeries.identity(truncation)
     co = (t.scale(slope) + t * z).truncate(truncation)
     if by_u:

@@ -6,8 +6,9 @@ row-coefficient matrix with the power table x_i^a: one int64 matrix
 product when a proven bound says it cannot overflow; otherwise one float64
 einsum decides each sign whose value clears a rigorous rounding-error
 bound, and every other node is evaluated in exact integers (a filtered
-predicate in the sense of Shewchuk, 1997).  Floating point only places
-vertices inside cells.
+predicate in the sense of Shewchuk, 1997).  Each vertex is the zero of
+the linear interpolant on its edge, placed from the exact values of the
+same integer rows (`_edge_point`), so no count or vertex sees the scale of f.
 Ambiguous cells are resolved by subdivision, never by a midpoint
 heuristic: a cell's sub-lattice is again an integer lattice, evaluated the
 same way as the coarse grid; when depth runs out the affected ovals are
@@ -148,18 +149,6 @@ def _true_nodes(mask: np.ndarray) -> list[tuple[int, int]]:
     return [divmod(k, cols) for k in np.flatnonzero(mask).tolist()]
 
 
-def _crossing_nodes(signs: np.ndarray) -> np.ndarray:
-    """Mask of the nodes with a 4-neighbour of the other sign."""
-    h = signs[:, :-1] * signs[:, 1:] < 0
-    v = signs[:-1, :] * signs[1:, :] < 0
-    mask = np.zeros(signs.shape, dtype=bool)
-    mask[:, :-1] |= h
-    mask[:, 1:] |= h
-    mask[:-1, :] |= v
-    mask[1:, :] |= v
-    return mask
-
-
 def _filtered_signs(rows: list[list[int]], nx: list[int]) -> np.ndarray:
     """Exact signs of the row polynomials rows[j] at the abscissae nx[i].
 
@@ -223,16 +212,14 @@ def _box_lattice(box: Box, resolution: int, shift: int) -> tuple[int, int, int, 
 
 
 def _sign_grid(f: MultiPoly, ax: int, sx: int, dx: int, ay: int, sy: int, dy: int, n: int):
-    """Exact signs of f at the (n+1)^2 lattice nodes, float values of f, and
-    the lattice rows (`_line_rows` of the horizontal lines) they come from.
+    """(signs, rows): the exact signs of f at the (n+1)^2 lattice nodes,
+    indexed [j][i], and the lattice rows (`_line_rows` of the horizontal
+    lines) they come from.
 
-    Both arrays are indexed [j][i].  When a proven bound says int64 cannot
-    overflow, the scaled integer values are computed in int64 and every node
-    gets a float value.  Otherwise the signs come from a filtered float
-    product with an exact integer fallback (`_filtered_signs`), and float
-    values are computed only at nodes with a 4-neighbour of the other sign,
-    the only ones the mesher reads; each is the exact integer value divided
-    by den * dx^degx * dy^degy, correctly rounded.  Every other value is NaN.
+    When a proven bound says int64 cannot overflow, the scaled integer values
+    are one int64 matrix product of the rows with the power table; otherwise
+    the signs come from a filtered float product with an exact integer
+    fallback (`_filtered_signs`).
     """
     degx, degy = max(f.degree_in(0), 0), max(f.degree_in(1), 0)
     # bound >= (degx + 1) * max_a |w_a| * max(|nx|, 1)^degx over every row w
@@ -248,23 +235,8 @@ def _sign_grid(f: MultiPoly, ax: int, sx: int, dx: int, ay: int, sy: int, dy: in
         for a in range(1, degx + 1):
             powers[a] = powers[a - 1] * nx
         acc = np.array(rows, dtype=np.int64) @ powers
-        float_vals = acc.astype(np.float64)
-        try:
-            den = float(f.den)
-        except OverflowError:
-            raise UncertifiedResult(f"the denominator of f is {_BEYOND_FLOAT}") from None
-        float_vals /= den * float(dx) ** degx * float(dy) ** degy
-        return (acc > 0).view(np.int8) - (acc < 0).view(np.int8), float_vals, rows
-    nx = [ax + sx * i for i in range(n + 1)]
-    signs = _filtered_signs(rows, nx)
-    denom = f.den * dx**degx * dy**degy
-    float_vals = np.full((n + 1, n + 1), np.nan)
-    for j, i in _true_nodes(_crossing_nodes(signs)):
-        try:
-            float_vals[j, i] = ueval(rows[j], nx[i]) / denom
-        except OverflowError:
-            raise UncertifiedResult(f"a value of f at a lattice node is {_BEYOND_FLOAT}") from None
-    return signs, float_vals, rows
+        return (acc > 0).view(np.int8) - (acc < 0).view(np.int8), rows
+    return _filtered_signs(rows, [ax + sx * i for i in range(n + 1)]), rows
 
 
 # -- exact rational interval arithmetic ----------------------------------------------
@@ -462,30 +434,33 @@ def _cases(signs: np.ndarray) -> np.ndarray:
     return neg[:-1, :-1] + 2 * neg[:-1, 1:] + 4 * neg[1:, 1:] + 8 * neg[1:, :-1]
 
 
-def _edge_point(kind: str, x: float, y: float, step: float, va, vb) -> tuple[float, float]:
-    """Zero of the linear interpolant on the edge of length `step` from (x, y)
-    along x ("h") or y ("v"), where f takes the values va and vb at its ends.
-    Integer values give t = va/(va - vb) correctly rounded."""
-    t = va / (va - vb) if va != vb else 0.5
-    return (x + t * step, y) if kind == "h" else (x, y + t * step)
+def _edge_point(rows: list[list[int]], lattice: tuple, kind: str, i: int, j: int) -> tuple[float, float]:
+    """Zero of the linear interpolant of f on the lattice edge from node (i, j)
+    along x ("h") or y ("v"), from the exact values va and vb of the lattice
+    rows at its ends (their signs differ): x + t * (sx/dx) or y + t * (sy/dy)
+    with t = va/(va - vb), each quotient of integers correctly rounded, so any
+    positive multiple of f gives the same bits."""
+    ax, sx, dx, ay, sy, dy, _ = lattice
+    nx = ax + i * sx
+    va = ueval(rows[j], nx)
+    x, y = nx / dx, (ay + j * sy) / dy
+    if kind == "h":
+        return x + va / (va - ueval(rows[j], nx + sx)) * (sx / dx), y
+    return x, y + va / (va - ueval(rows[j + 1], nx)) * (sy / dy)
 
 
 class _Mesher:
     """Extracts closed contours from exact signs on an integer lattice.
 
-    The lattice is (ax, sx, dx, ay, sy, dy, n) as from `_box_lattice`; the
-    m x m sub-lattice of cell (i, j) is again an integer lattice, so
-    subdivision takes its signs from `_sign_grid` and its values from the
-    rows that built them.
+    The lattice is (ax, sx, dx, ay, sy, dy, n) as from `_box_lattice`, with
+    the signs and rows `_sign_grid` gives for it.  The m x m sub-lattice of
+    cell (i, j) is again an integer lattice, so subdivision takes its signs
+    and rows from `_sign_grid` too, and `_edge_point` places the vertices of
+    both from their rows.
     """
 
-    def __init__(self, f: MultiPoly, lattice: tuple, grids):
-        self.f = f
-        self.lattice = lattice
-        self.signs, self.fvals = grids
-        ax, sx, dx, ay, sy, dy, n = lattice
-        self.xs = [(ax + i * sx) / dx for i in range(n + 1)]  # nodes, correctly rounded
-        self.ys = [(ay + j * sy) / dy for j in range(n + 1)]
+    def __init__(self, f: MultiPoly, lattice: tuple, signs: np.ndarray, rows: list[list[int]]):
+        self.f, self.lattice, self.signs, self.rows = f, lattice, signs, rows
         self.segments: list[tuple] = []
         self.vertex_pos: dict[tuple, tuple[float, float]] = {}
         self.uncertified_cells: set[tuple[int, int]] = set()
@@ -494,10 +469,7 @@ class _Mesher:
     def _edge_vertex(self, kind: str, i: int, j: int) -> tuple:
         key = (kind, i, j)
         if key not in self.vertex_pos:
-            i2, j2 = (i + 1, j) if kind == "h" else (i, j + 1)
-            step = self.xs[i2] - self.xs[i] if kind == "h" else self.ys[j2] - self.ys[j]
-            va, vb = self.fvals[j][i], self.fvals[j2][i2]
-            self.vertex_pos[key] = _edge_point(kind, self.xs[i], self.ys[j], step, va, vb)
+            self.vertex_pos[key] = _edge_point(self.rows, self.lattice, kind, i, j)
         return key
 
     def run(self):
@@ -524,7 +496,7 @@ class _Mesher:
         for depth in range(1, MAX_SUBDIVISION_DEPTH + 1):
             m = 1 << depth
             sub = (m * (ax + i * sx), sx, m * dx, m * (ay + j * sy), sy, m * dy, m)
-            signs, _, rows = _sign_grid(self.f, *sub)
+            signs, rows = _sign_grid(self.f, *sub)
             if (signs == 0).any():
                 continue  # a finer lattice node hit the curve; deepen
             cases = _cases(signs)
@@ -542,16 +514,12 @@ class _Mesher:
             self.segments.append((self._edge_vertex(*edges[a]), self._edge_vertex(*edges[b]), (i, j)))
 
     def _emit_subgrid(self, i: int, j: int, sub: tuple, signs: np.ndarray, rows: list, cases: np.ndarray):
-        ax, sx, dx, ay, sy, dy, m = sub
+        m = sub[-1]
 
         def sub_vertex(kind: str, a: int, b: int) -> tuple:
             key = ("s", i, j, kind, a, b)
             if key not in self.vertex_pos:
-                a2, b2 = (a + 1, b) if kind == "h" else (a, b + 1)
-                step = sx / dx if kind == "h" else sy / dy
-                x, y = (ax + a * sx) / dx, (ay + b * sy) / dy
-                va, vb = ueval(rows[b], ax + a * sx), ueval(rows[b2], ax + a2 * sx)
-                self.vertex_pos[key] = _edge_point(kind, x, y, step, va, vb)
+                self.vertex_pos[key] = _edge_point(rows, sub, kind, a, b)
             return key
 
         # a side crossed once maps to its parent edge's vertex; a side crossed
@@ -645,7 +613,7 @@ def count_ovals(
     shift_num = 0
     while True:
         lattice = _box_lattice(box, resolution, shift_num)
-        signs, fvals, rows = _sign_grid(f, *lattice)
+        signs, rows = _sign_grid(f, *lattice)
         if not (signs == 0).any():
             break
         shift_num += 1
@@ -654,7 +622,7 @@ def count_ovals(
     if shift_num:
         warnings.append(f"lattice shifted {shift_num} time(s) to avoid exact zeros at nodes")
 
-    mesher = _Mesher(f, lattice, (signs, fvals))
+    mesher = _Mesher(f, lattice, signs, rows)
     mesher.run()
     loops, open_chains = mesher.assemble()
     warnings.extend(mesher.warnings)

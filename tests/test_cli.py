@@ -202,6 +202,8 @@ def test_construct_eee_and_certify(tmp_path, capsys):
 
 
 def test_values_beyond_float_range_exit_3(tmp_path, capsys):
+    # the ovals come from the exact lattice rows and tracing sees f at unit
+    # scale, so only the field's float coefficients are beyond range
     doc = tmp_path / "huge.fol"
     doc.write_text(
         "[field eee]\n"
@@ -210,29 +212,27 @@ def test_values_beyond_float_range_exit_3(tmp_path, capsys):
         "[curve g]\n"
         "f = 10^400*(x^2 + y^2 - 1)\n"
     )
-    for argv in (["certify", str(doc), "--field", "eee"], ["ovals", str(doc)]):
-        assert run(argv + ["--curve", "g"]) == 3
-        assert "float range" in capsys.readouterr().err
+    assert run(["ovals", str(doc), "--curve", "g"]) == 0
+    assert "ovals: 1 (certified: 1)" in capsys.readouterr().out
+    assert run(["certify", str(doc), "--field", "eee", "--curve", "g"]) == 3
+    assert "float range" in capsys.readouterr().err
 
 
-def test_denominator_beyond_float_range_exits_3(tmp_path, capsys):
-    # f = (x^2 + y^2 - 1)/10^400 has numerators 1, 1 and -1, so its sign
-    # grid takes the int64 branch, whose float values divide by 10^400
+def test_denominator_beyond_float_range_gives_the_answers_within_it(tmp_path, capsys):
+    # f = (x^2 + y^2 - 1)/10^e: no vertex and no traced point sees the
+    # denominator, so e = 400 gives the answers of e = 300 byte for byte
     doc = tmp_path / "tiny.fol"
     ovals = ["ovals", str(doc), "--curve", "c", "--res", "16"]
+    outputs = []
     for e in (400, 300):
         c = "1/1" + "0" * e
         doc.write_text(EEE_DOC.split("[curve")[0] + f"[curve c]\nf = {c}*x^2 + {c}*y^2 - {c}\n")
-        for argv in (ovals + ["--box=-2:2:-2:2"], ovals):
-            if e == 400:
-                assert run(argv) == 3
-                assert "float range" in capsys.readouterr().err
-            else:
-                assert run(argv) == 0
-                assert "ovals: 1 (certified: 1)" in capsys.readouterr().out
-        if e == 400:
-            assert run(["certify", str(doc), "--field", "eee", "--curve", "c"]) == 3
-            assert "float range" in capsys.readouterr().err
+        outputs.append([])
+        for argv in (ovals + ["--box=-2:2:-2:2"], ovals, ["certify", str(doc), "--field", "eee", "--curve", "c"]):
+            assert run(argv) == 0
+            outputs[-1].append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert "ovals: 1 (certified: 1)" in outputs[0][0] and "hyperbolic = True" in outputs[0][2]
 
 
 def test_ovals_cli(eee_doc, tmp_path, capsys):

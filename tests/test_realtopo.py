@@ -3,6 +3,7 @@ import math
 import random
 import time
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -130,13 +131,12 @@ def test_count_ovals_rejects_non_real_and_non_affine_curves():
         count_ovals(MultiPoly.variable(3, 0) ** 2 - MultiPoly.constant(3, 1), Box.square(2), 8)
 
 
-def test_denominator_beyond_float_range_is_uncertified():
-    # numerators 1, 1 and -1 keep every grid on the int64 branch, whose float
-    # values divide by the denominator
-    with pytest.raises(UncertifiedResult, match="float range"):
-        count_ovals(circle.scale(gr(Fraction(1, 10**400))), Box.square(2), 16)
-    ovals = count_ovals(circle.scale(gr(Fraction(1, 10**300))), Box.square(2), 16)
-    assert ovals.count == 1 and ovals.certified_count == 1
+def test_denominator_beyond_float_range_is_counted():
+    # numerators 1, 1 and -1 keep every grid on the int64 branch; vertices
+    # come from the integer rows, so the denominator is never a float
+    tiny, small = (count_ovals(circle.scale(gr(Fraction(1, 10**e))), Box.square(2), 16) for e in (400, 300))
+    assert _fingerprint(tiny) == _fingerprint(small)
+    assert tiny.count == 1 and tiny.certified_count == 1
 
 
 @pytest.mark.parametrize(
@@ -516,10 +516,13 @@ def _scaled_row(f, ny, dx, dy) -> list[int]:
 
 
 def _check_grid(f, ax, sx, dx, ay, sy, dy, n) -> dict:
-    """Compare _sign_grid with an exact node-by-node evaluation; return path facts."""
-    signs, vals, rows = _sign_grid(f, ax, sx, dx, ay, sy, dy, n)
-    degx, degy = _degrees(f)
-    denom = f.den * dx**degx * dy**degy
+    """Compare _sign_grid with an exact node-by-node evaluation; return path facts.
+    The branch ("bigint") is read from the bound, and the grid must have taken
+    it: the filtered float product runs exactly when the bound reaches 2^62."""
+    bigint = _int64_bound(f, ax, sx, dx, ay, sy, dy, n) >= 2**62
+    with mock.patch.object(realtopo, "_filtered_signs", wraps=realtopo._filtered_signs) as filtered:
+        signs, rows = _sign_grid(f, ax, sx, dx, ay, sy, dy, n)
+    assert filtered.called == bigint
     exact = [[_scaled_value(f, ax + i * sx, dx, ay + j * sy, dy) for i in range(n + 1)] for j in range(n + 1)]
     assert rows == [_scaled_row(f, ay + j * sy, dx, dy) for j in range(n + 1)]
     overflowing_rows = sum(any(abs(c) > 2**1023 for c in w) for w in rows)
@@ -527,15 +530,6 @@ def _check_grid(f, ax, sx, dx, ay, sy, dy, n) -> dict:
         for i in range(n + 1):
             v = exact[j][i]
             assert signs[j, i] == (v > 0) - (v < 0), (j, i)
-            if not np.isnan(vals[j, i]):
-                assert vals[j, i] == float(Fraction(v, denom)), (j, i)
-    bigint = bool(np.isnan(vals).any())
-    if bigint:  # every node the mesher reads has a value, and only those
-        for j in range(n + 1):
-            for i in range(n + 1):
-                nbrs = [(j, i - 1), (j, i + 1), (j - 1, i), (j + 1, i)]
-                crossing = any(0 <= b <= n and 0 <= a <= n and exact[j][i] * exact[b][a] < 0 for b, a in nbrs)
-                assert np.isnan(vals[j, i]) != crossing, (j, i)
     return {
         "bigint": bigint,
         "zeros": int((signs == 0).sum()),
@@ -577,7 +571,7 @@ def test_sign_grid_bigint_matches_exact_horner():
 )
 def test_sign_grid_at_the_int64_bound(g, lattice, value_bits):
     # the largest multiple of g whose bound is under 2^62 still takes the int64
-    # product (no NaN values); the next one takes the filtered float branch
+    # product; the next one takes the filtered float branch
     k = (realtopo._INT64_SAFE - 1) // _int64_bound(g, *lattice)
     near = g.scale(gr(k))
     assert 2**61 < _int64_bound(near, *lattice) < 2**62 <= _int64_bound(g.scale(gr(k + 1)), *lattice)
@@ -763,7 +757,7 @@ def test_top_form_restrictions_match_dict_loops():
 
 def _lattice_lines(f, lattice) -> _LatticeLines:
     """The edge prover of a lattice, given the signs and rows of its sign grid."""
-    signs, _, rows = _sign_grid(f, *lattice)
+    signs, rows = _sign_grid(f, *lattice)
     return _LatticeLines(f, lattice, signs, rows)
 
 
@@ -931,7 +925,7 @@ def test_subdivision_lattices_refine_their_cell(monkeypatch):
         assert (Fraction(sax, sdx), Fraction(sax + m * ssx, sdx)) == (x1, x2)
         assert (Fraction(say, sdy), Fraction(say + m * ssy, sdy)) == (y1, y2)
         if m <= 8:
-            signs, _, _ = plain(f, sax, ssx, sdx, say, ssy, sdy, m)
+            signs, _ = plain(f, sax, ssx, sdx, say, ssy, sdy, m)
             for b in range(m + 1):
                 for a in range(m + 1):
                     v = f.evaluate((x1 + (x2 - x1) * a / m, y1 + (y2 - y1) * b / m)).re
@@ -988,22 +982,22 @@ OPEN_2 = "2 open chain(s) reached the search boundary"
             "(x^2+y^2)^2 - 4*x*y + 1/100",
             Box.square(2),
             5,
-            ([(5, True, "dee5641f46c74696"), (5, True, "3568544610d9f663")], [], 0),
+            ([(5, True, "050cc56d320ca094"), (5, True, "93997d27a304ee42")], [], 0),
         ),
-        ("(x^2+y^2)^2 - 4*x*y - 1/100", Box.square(2), 5, ([(17, True, "4f3f59b305d65bf9")], [], 0)),
+        ("(x^2+y^2)^2 - 4*x*y - 1/100", Box.square(2), 5, ([(17, True, "0b33d9a86e906df1")], [], 0)),
         # a box taller than wide: vertices on vertical sub-edges
         (
             "(x^2+y^2)^2 - 4*x*y - 1/100",
             Box(Fraction(-3, 2), Fraction(3, 2), Fraction(-2), Fraction(2)),
             5,
-            ([(15, True, "840e6d7f38a659df")], [], 0),
+            ([(15, True, "48cefab7a94f1742")], [], 0),
         ),
         (
             "(x^2+y^2)^2 - 4*x*y",
             Box.square(2),
             5,
             (
-                [(5, False, "a973aa9d54e06117"), (5, False, "1f7bf9941f07985b")],
+                [(5, False, "431c88b0c3d0330c"), (5, False, "d68d5b47d96c60b5")],
                 ["cell (3,3) still ambiguous at depth 6; count may be unreliable there"],
                 0,
             ),
@@ -1012,9 +1006,69 @@ OPEN_2 = "2 open chain(s) reached the search boundary"
             "((x-3/8)^2 + (y+5/16)^2 - 7/64)*((x+1/16)^2 + 2*(y+3/16)^2 - 7/64) + 1/5000",
             Box.square(1),
             4,
-            ([(15, False, "f86e1ff22047aac7"), (19, False, "dfca444433aa1061")], [f"cell (3,2): {SHARED_EDGE}"], 0),
+            ([(15, False, "fb3f642b18902c76"), (19, False, "dfca444433aa1061")], [f"cell (3,2): {SHARED_EDGE}"], 0),
         ),
     ],
 )
 def test_mesher_output_is_pinned(curve, box, res, expected):
     assert _fingerprint(count_ovals(parse_poly(curve, 2), box, res)) == expected
+
+
+# -- vertices from the exact lattice rows -----------------------------------------------
+
+TWO_ELLIPSES = "((x-3/8)^2 + (y+5/16)^2 - 7/64)*((x+1/16)^2 + 2*(y+3/16)^2 - 7/64) + 1/5000"
+VERTEX_CASES = [
+    ("x^2 + 16/9*y^2 - 1", Box.square(2), 64),
+    ("x^2 + 16/9*y^2 - 1", None, 64),  # the default box
+    ("(x^2+y^2)^2 - 4*x*y - 1/100", Box.square(2), 5),  # subdivided cells
+    (TWO_ELLIPSES, Box.square(1), 4),  # subdivided, three crossings on a shared edge
+]
+
+
+def _mesh(ovals) -> tuple:
+    """Every vertex and certified flag of every oval, the warnings and the open chains."""
+    return [(o.vertices, o.certified) for o in ovals.ovals], ovals.warnings, ovals.open_chains
+
+
+@pytest.mark.parametrize("curve, box, res", VERTEX_CASES)
+def test_ovals_do_not_depend_on_the_scale_of_f(curve, box, res):
+    # one positive multiple of f gives every lattice row, so the vertices of
+    # c*f are those of f to the bit, whatever c, even beyond float range
+    f = parse_poly(curve, 2)
+    expected = _mesh(count_ovals(f, box, res))
+    assert expected[0]
+    for c in (Fraction(1, 10**400), Fraction(1, 10**11), Fraction(3, 7), Fraction(10**11), Fraction(10**400)):
+        assert _mesh(count_ovals(f.scale(gr(c)), box, res)) == expected, c
+
+
+def test_vertices_are_the_zeros_of_the_linear_interpolant(monkeypatch):
+    # oracle: the zero of the linear interpolant of each edge, in Fractions
+    # from f at the edge's rational end nodes; each vertex lies within 2 ulps
+    # of max(|coordinate|, step) of it, on the coarse lattice and on the
+    # sub-lattices of subdivided cells alike
+    placed = []
+    edge_point = realtopo._edge_point
+
+    def recording(rows, lattice, kind, i, j):
+        point = edge_point(rows, lattice, kind, i, j)
+        placed.append((lattice, kind, i, j, point))
+        return point
+
+    monkeypatch.setattr(realtopo, "_edge_point", recording)
+    coarse = sub = 0
+    for curve, box, res in VERTEX_CASES:
+        f = parse_poly(curve, 2)
+        placed.clear()
+        count_ovals(f, box, res)
+        for (ax, sx, dx, ay, sy, dy, n), kind, i, j, point in placed:
+            ends = [(Fraction(ax + i * sx, dx), Fraction(ay + j * sy, dy))]
+            ends.append((ends[0][0] + Fraction(sx, dx), ends[0][1]) if kind == "h" else (ends[0][0], ends[0][1] + Fraction(sy, dy)))
+            va, vb = (f.evaluate(end).re for end in ends)
+            t = va / (va - vb)
+            exact = [a + t * (b - a) for a, b in zip(*ends)]
+            step = float(Fraction(sx, dx) if kind == "h" else Fraction(sy, dy))
+            for got, want in zip(point, exact):
+                assert abs(Fraction(got) - want) <= 2 * Fraction(math.ulp(max(abs(float(want)), step))), (curve, kind, i, j)
+            # the sub-lattices have 2 to 64 steps, never res + 2
+            coarse, sub = (coarse + 1, sub) if n == res + 2 else (coarse, sub + 1)
+    assert coarse > 200 and sub > 20

@@ -235,3 +235,37 @@ def test_repeat_records_median_seconds_and_fails_on_unstable_hashes(replay, tmp_
     assert "ovals/1: polylines_sha differ between passes" in capsys.readouterr().out
     with pytest.raises(SystemExit):
         replay.main(["--workload", "geometry", "--repeat", "0"])
+
+
+def test_against_alternates_the_two_trees_and_compares_their_medians(replay, tmp_path, monkeypatch, capsys):
+    # --against DIR runs the passes of DIR and --src in turn, each through
+    # child_pass; each tree keeps its median rows, --src's go to --out and
+    # DIR's beside them, and the --compare report of the two follows
+    base_dir, src_dir = tmp_path / "parent", tmp_path / "change"
+    seconds = {base_dir: iter([0.4, 0.2, 0.3]), src_dir: iter([0.1, 0.5, 0.3])}
+    calls = []
+
+    def fake_child_pass(workload, src, work):
+        calls.append((workload, src))
+        polylines = "eeee" if src == src_dir else "cccc"
+        return [row("ovals/1", polylines_sha=polylines, seconds=next(seconds[src])), row("paper-suite", seconds=1.0)]
+
+    monkeypatch.setattr(replay, "child_pass", fake_child_pass)
+    out = tmp_path / "rows.json"
+    argv = ["--workload", "geometry", "--src", str(src_dir), "--against", str(base_dir), "--repeat", "3", "--out", str(out)]
+    assert replay.main(argv) == 1  # the polylines differ between the trees
+    assert calls == [("geometry", base_dir), ("geometry", src_dir)] * 3
+    rows = json.loads(out.read_text(encoding="utf-8"))
+    base = json.loads((tmp_path / "rows.against.json").read_text(encoding="utf-8"))
+    assert [(r["id"], r["polylines_sha"], r["seconds"]) for r in rows] == [("ovals/1", "eeee", 0.3), ("paper-suite", "-", 1.0)]
+    assert [(r["id"], r["polylines_sha"], r["seconds"]) for r in base] == [("ovals/1", "cccc", 0.3), ("paper-suite", "-", 1.0)]
+    out_text = capsys.readouterr().out
+    assert "ovals/1: polylines_sha cccc -> eeee" in out_text
+    assert table(out_text, "seconds per job kind, rows.against.json | rows.json") == {
+        "ovals": ["0.300", "|", "0.300"],
+        "paper-suite": ["1.000", "|", "1.000"],
+    }
+    monkeypatch.setattr(replay, "child_pass", lambda workload, src, work: [row("ovals/1")])
+    assert replay.main(argv[:-4] + ["--out", str(out)]) == 0  # one pass each, identical rows
+    with pytest.raises(SystemExit):
+        replay.main(argv[:-2])  # --against needs --out

@@ -1,6 +1,7 @@
 """Replay every job of a benchmark workload against one source tree.
 
     python3 tools/replay.py --workload geometry [--src DIR] [--out FILE.json] [--work DIR] [--repeat N]
+    python3 tools/replay.py --workload geometry --against DIR --out FILE.json [--src DIR] [--repeat N]
     python3 tools/replay.py --compare A.json B.json
 
 The first form regenerates the workload's pool entries (the (kind, index)
@@ -18,8 +19,17 @@ row, `paper-suite`, runs `paper-suite --report` and hashes its stdout and
 the JSON report it writes.  `--repeat N` runs the whole job list N times
 and records each job's median seconds; it exits 1, naming the jobs, if a
 job's exit code or hashes differ between passes.  `--out` also writes the
-rows as JSON.  The
-second form lists every job whose exit code, stdout, polylines, certify
+rows as JSON.
+
+The second form replays two trees: it runs the passes of the `--against`
+tree and of `--src` alternately, each pass in a child process of its own
+(both trees hold a package named `foltools`), so drift of the machine
+during the replay falls on both trees alike.  It keeps each tree's median
+rows, writes those of `--src` to `--out` and those of the `--against` tree
+beside them as `<stem>.against.json`, and prints the `--compare` report of
+the two files.
+
+The third form lists every job whose exit code, stdout, polylines, certify
 verdict or report differ between two such files, naming the fields that
 differ, prints the summed wall seconds of each job kind (the id before its
 "/") and of each command in both files, and exits 1 if a job differs, so a
@@ -40,6 +50,7 @@ import importlib
 import io
 import json
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -156,6 +167,14 @@ def replay(workload: str, src: Path, work: Path) -> list[dict]:
     return rows
 
 
+def child_pass(workload: str, src: Path, work: Path) -> list[dict]:
+    """One `replay` pass over the tree `src`, run in a child process."""
+    out = work / "pass.json"
+    argv = ["--workload", workload, "--src", str(src), "--work", str(work), "--out", str(out)]
+    subprocess.run([sys.executable, str(Path(__file__).resolve()), *argv], check=True)
+    return json.loads(out.read_text(encoding="utf-8"))
+
+
 def median_rows(passes: list[list[dict]]) -> tuple[list[dict], int]:
     """One row per job from several passes over the same jobs: the first
     pass's row with the median seconds of all of them, and the number of
@@ -219,6 +238,7 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path, help="write the rows as JSON here")
     parser.add_argument("--work", type=Path, help="where to make the temporary directory for the generated documents (created if missing)")
     parser.add_argument("--repeat", type=int, default=1, metavar="N", help="run the job list N times; record each job's median seconds")
+    parser.add_argument("--against", type=Path, metavar="DIR", help="also replay this source tree, alternating passes in child processes")
     parser.add_argument("--compare", nargs=2, type=Path, metavar=("A.json", "B.json"))
     args = parser.parse_args(argv)
     if args.compare:
@@ -227,14 +247,27 @@ def main(argv=None) -> int:
         parser.error("--workload or --compare is required")
     if args.repeat < 1:
         parser.error("--repeat must be at least 1")
+    if args.against and not args.out:
+        parser.error("--against needs --out")
     if args.work:
         args.work.mkdir(parents=True, exist_ok=True)
+    trees = [args.src] if args.against is None else [args.against, args.src]
+    run_pass = replay if args.against is None else child_pass
+    passes: list[list[list[dict]]] = [[] for _ in trees]
     with tempfile.TemporaryDirectory(dir=args.work) as tmp:
-        rows, unstable = median_rows([replay(args.workload, args.src, Path(tmp)) for _ in range(args.repeat)])
+        for _ in range(args.repeat):
+            for tree, done in zip(trees, passes):
+                done.append(run_pass(args.workload, tree, Path(tmp)))
+    results = [median_rows(p) for p in passes]  # the --src tree's last
+    unstable = sum(u for _, u in results)
     if unstable:
         print(f"{unstable} job(s) differ between passes")
     if args.out:
-        args.out.write_text(json.dumps(rows, indent=1) + "\n", encoding="utf-8")
+        args.out.write_text(json.dumps(results[-1][0], indent=1) + "\n", encoding="utf-8")
+    if args.against:
+        base = args.out.with_name(args.out.stem + ".against.json")
+        base.write_text(json.dumps(results[0][0], indent=1) + "\n", encoding="utf-8")
+        return max(compare(base, args.out), 1 if unstable else 0)
     return 1 if unstable else 0
 
 
