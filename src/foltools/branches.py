@@ -13,7 +13,6 @@ from dataclasses import dataclass, field as dfield
 from .errors import PreconditionError, UncertifiedResult, UnsupportedBranch
 from .fields import (
     CHART_X,
-    CHART_Z,
     AffineVectorField,
     ProjectiveOneForm,
     chart_var,
@@ -24,6 +23,7 @@ from .gaussian import GaussianRational, ZERO, gr
 from .polyring import MultiPoly, dehomogenize, exact_divide, homogenize, is_squarefree
 from .series import PowerSeries, compose_poly
 from .singularities import (
+    Enumeration,
     ProjectivePoint,
     _chart_field,
     _infinity_points_of_curve,
@@ -244,6 +244,17 @@ class EulerReport:
         }
 
 
+def singular_points_on_curve(
+    field: AffineVectorField, f: MultiPoly
+) -> tuple[list[ProjectivePoint], tuple[Enumeration, Enumeration]]:
+    """The field's singular points on the projective closure of f, and the
+    affine and infinite enumerations they were taken from."""
+    aff = affine_singularities(field)
+    inf = infinite_singularities(field.one_form)
+    F = homogenize(f, int(f.degree))
+    return [p for p in aff.points + inf.points if F.evaluate(p.coords).is_zero()], (aff, inf)
+
+
 def euler_identity_check(
     source: AffineVectorField | ProjectiveOneForm,
     f: MultiPoly,
@@ -251,12 +262,7 @@ def euler_identity_check(
     truncation: int | None = None,
 ) -> EulerReport:
     """Check chi = sum of branch multiplicities - n(m-1) for an invariant curve."""
-    if isinstance(source, ProjectiveOneForm):
-        form = source
-        field = deprojectivize(form)
-    else:
-        field = source
-        form = field.one_form
+    field = deprojectivize(source) if isinstance(source, ProjectiveOneForm) else source
     if invariance_check(field, f) is None:
         raise PreconditionError("curve is not invariant under the field")
     n = int(f.degree)
@@ -264,9 +270,8 @@ def euler_identity_check(
     report = EulerReport(curve_degree=n, foliation_degree=m, chi_claimed=chi)
     N = truncation if truncation is not None else default_truncation(m, n)
 
-    aff = affine_singularities(field)
-    inf = infinite_singularities(form)
-    for enum, kind in ((aff, "affine"), (inf, "infinite")):
+    on_curve, enumerations = singular_points_on_curve(field, f)
+    for enum, kind in zip(enumerations, ("affine", "infinite")):
         if (enum.residual or enum.uncertain) and not residual_avoids_curve(enum, f):
             report.checkable = False
             report.notes.append(
@@ -275,15 +280,6 @@ def euler_identity_check(
             )
     if not report.checkable:
         return report
-
-    F = homogenize(f, n)
-    on_curve = []
-    for pt in aff.points:
-        if f.evaluate(pt.chart_coords(CHART_Z)).is_zero():
-            on_curve.append(pt)
-    for pt in inf.points:
-        if F.evaluate(pt.coords).is_zero():
-            on_curve.append(pt)
 
     total = 0
     for pt in on_curve:

@@ -1,9 +1,15 @@
 """Command-line interface: certificates in, certificates out.
 
-Exit codes: 0 every check passed, 1 a verification failed, 2 usage or parse
-error, 3 an Unknown/Unsupported/uncertified outcome was encountered, 141
+Each subcommand handler returns (payload, text lines, verdict), the verdict
+True (proven), False (refuted) or None (undecided); `run` alone emits the
+output and turns the verdict into the exit code.
+
+Exit codes: 0 the answer is proven, 1 a verification failed, 2 usage or
+parse error or a failed precondition (a curve that is not invariant, a
+non-compact curve with no --box), 3 an undecided outcome (Unknown,
+Unsupported, uncertified, an oval count with an uncertified oval), 141
 (128 + SIGPIPE) stdout was closed before the output was written.
-Machine-readable JSON accompanies human output on 0 and 1 (--json / --report).
+Machine-readable JSON (--json / --report) accompanies every verdict.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ from .branches import (
     corollary2_check,
     euler_identity_check,
     local_branches,
+    singular_points_on_curve,
 )
 from .construct import (
     GALLERY_NAMES,
@@ -37,6 +44,7 @@ from .cycles import certify_cycle, location_rows
 from .errors import (
     FolError,
     ParseError,
+    PreconditionError,
     UncertifiedResult,
     UnsupportedBranch,
 )
@@ -50,7 +58,7 @@ from .fields import (
     projectivize,
 )
 from .gaussian import GaussianRational, gr
-from .polyring import MultiPoly, dehomogenize, homogenize
+from .polyring import MultiPoly, dehomogenize
 from .realtopo import Box, compactness_check, count_ovals, trace_oval
 from .singularities import (
     ProjectivePoint,
@@ -125,7 +133,7 @@ def _parse_weights(text: str) -> list[GaussianRational]:
     return [_parse_constant(chunk) for chunk in text.split(",") if chunk.strip()]
 
 
-def _emit(args, payload: dict, text_lines: list[str]) -> None:
+def _emit(args, payload, text_lines: list[str]) -> None:
     if getattr(args, "json", False):
         print(report_json(payload))
     else:
@@ -139,41 +147,34 @@ def _emit(args, payload: dict, text_lines: list[str]) -> None:
 # -- subcommand handlers -----------------------------------------------------------
 
 
-def cmd_check_invariant(args) -> int:
+def cmd_check_invariant(args):
     doc = _load_document(args.document)
     field = _get_field(doc, args.field)
     curve = _get_curve(doc, args.curve)
     cert = invariance_check(field, curve)
     if cert is None:
-        _emit(args, {"invariant": False}, [f"curve {args.curve!r} is NOT invariant"])
-        return EXIT_FAILED
+        return {"invariant": False}, [f"curve {args.curve!r} is NOT invariant"], False
     payload = {"invariant": True, "certificate": cert.to_dict()}
-    _emit(
-        args,
-        payload,
-        [
-            f"curve {args.curve!r} is invariant",
-            f"cofactor = {print_poly(cert.cofactor)}",
-            f"degree bound ok: {cert.degree_bound_ok}",
-        ],
-    )
-    return EXIT_OK
+    lines = [
+        f"curve {args.curve!r} is invariant",
+        f"cofactor = {print_poly(cert.cofactor)}",
+        f"degree bound ok: {cert.degree_bound_ok}",
+    ]
+    return payload, lines, True
 
 
-def cmd_cofactor(args) -> int:
+def cmd_cofactor(args):
     doc = _load_document(args.document)
     field = _get_field(doc, args.field)
     curve = _get_curve(doc, args.curve)
     cert = invariance_check(field, curve)
     if cert is None:
-        _emit(args, {"invariant": False}, ["NotInvariant"])
-        return EXIT_FAILED
+        return {"invariant": False}, ["NotInvariant"], False
     K = print_poly(cert.cofactor)
-    _emit(args, {"invariant": True, "cofactor": K}, [K])
-    return EXIT_OK
+    return {"invariant": True, "cofactor": K}, [K], True
 
 
-def cmd_projectivize(args) -> int:
+def cmd_projectivize(args):
     doc = _load_document(args.document)
     field = _get_field(doc, args.field)
     form = projectivize(field)
@@ -184,21 +185,17 @@ def cmd_projectivize(args) -> int:
         "degree": form.m,
         "infinity_invariant": infinity_invariant(field),
     }
-    _emit(
-        args,
-        payload,
-        [
-            f"P = {print_poly(form.P)}",
-            f"Q = {print_poly(form.Q)}",
-            f"R = {print_poly(form.R)}",
-            f"foliation degree m = {form.m}",
-            f"line at infinity invariant: {infinity_invariant(field)}",
-        ],
-    )
-    return EXIT_OK
+    lines = [
+        f"P = {print_poly(form.P)}",
+        f"Q = {print_poly(form.Q)}",
+        f"R = {print_poly(form.R)}",
+        f"foliation degree m = {form.m}",
+        f"line at infinity invariant: {infinity_invariant(field)}",
+    ]
+    return payload, lines, True
 
 
-def cmd_singularities(args) -> int:
+def cmd_singularities(args):
     doc = _load_document(args.document)
     field = _get_field(doc, args.field)
     aff = affine_singularities(field)
@@ -221,11 +218,10 @@ def cmd_singularities(args) -> int:
         f" uncertain {inf.uncertain}):"
     ]
     lines += [f"  {p}" for p in inf.points]
-    _emit(args, payload, lines)
-    return EXIT_UNKNOWN if aff.undecided or inf.undecided else EXIT_OK
+    return payload, lines, not (aff.undecided or inf.undecided) or None
 
 
-def cmd_classify(args) -> int:
+def cmd_classify(args):
     doc = _load_document(args.document)
     field = _get_field(doc, args.field)
     aff = affine_singularities(field)
@@ -239,43 +235,38 @@ def cmd_classify(args) -> int:
     lines = []
     for r in records:
         lines.append(f"{r.point}  [{r.chart}-chart]  {r.verdict.value}  ({r.verdict_reason})")
-    _emit(args, payload, lines)
-    if any(r.verdict is Verdict.UNKNOWN for r in records) or aff.undecided or inf.undecided:
-        return EXIT_UNKNOWN
-    return EXIT_OK
+    unknown = any(r.verdict is Verdict.UNKNOWN for r in records)
+    return payload, lines, not (unknown or aff.undecided or inf.undecided) or None
 
 
-def cmd_nodal(args) -> int:
+def cmd_nodal(args):
     doc = _load_document(args.document)
     curve = _get_curve(doc, args.curve)
     verdict = is_nodal(curve, include_infinity=args.with_infinity)
     payload = {"nodal": verdict, "with_infinity": args.with_infinity}
-    _emit(args, payload, [f"nodal: {verdict}"])
-    if verdict is None:
-        return EXIT_UNKNOWN
-    return EXIT_OK if verdict else EXIT_FAILED
+    return payload, [f"nodal: {verdict}"], verdict
 
 
-def cmd_multiplicity(args) -> int:
+def _invariance(field: AffineVectorField, curve: MultiPoly, message: str):
+    """The invariance certificate of curve; a curve that is not invariant
+    fails the command's precondition with `message`."""
+    cert = invariance_check(field, curve)
+    if cert is None:
+        raise PreconditionError(message)
+    return cert
+
+
+def cmd_multiplicity(args):
     doc = _load_document(args.document)
     field = _get_field(doc, args.field)
     curve = _get_curve(doc, args.curve)
-    if invariance_check(field, curve) is None:
-        print("curve is not invariant; multiplicities are undefined", file=sys.stderr)
-        return EXIT_FAILED
+    _invariance(field, curve, "curve is not invariant; multiplicities are undefined")
     undecided = 0
     if args.point:
         points = [_parse_point(args.point)]
     else:
-        aff = affine_singularities(field)
-        inf = infinite_singularities(field.one_form)
-        undecided = aff.undecided + inf.undecided
-        F = homogenize(curve, int(curve.degree))
-        points = [
-            p
-            for p in aff.points + inf.points
-            if F.evaluate(p.coords).is_zero()
-        ]
+        points, enumerations = singular_points_on_curve(field, curve)
+        undecided = sum(e.undecided for e in enumerations)
     rows = []
     for pt in points:
         branches = local_branches(curve, pt, args.truncation)
@@ -286,13 +277,10 @@ def cmd_multiplicity(args) -> int:
     lines = [f"{r['point']} branch {r['branch']}: mu = {r['mu']} (certified: {r['certified']})" for r in rows]
     if undecided:
         lines.append(f"warning: {undecided} singular coordinate(s) could not be resolved")
-    _emit(args, payload, lines)
-    if undecided or any(not r["certified"] for r in rows):
-        return EXIT_UNKNOWN
-    return EXIT_OK
+    return payload, lines, not (undecided or any(not r["certified"] for r in rows)) or None
 
 
-def cmd_euler_check(args) -> int:
+def cmd_euler_check(args):
     doc = _load_document(args.document)
     field = _get_field(doc, args.field)
     curve = _get_curve(doc, args.curve)
@@ -308,13 +296,10 @@ def cmd_euler_check(args) -> int:
     )
     if not report.checkable:
         lines.append("NOT CHECKABLE: " + "; ".join(report.notes))
-    _emit(args, report, lines)
-    if not report.checkable:
-        return EXIT_UNKNOWN
-    return EXIT_OK if report.identity_holds else EXIT_FAILED
+    return report, lines, report.identity_holds if report.checkable else None
 
 
-def cmd_corollary2(args) -> int:
+def cmd_corollary2(args):
     doc = _load_document(args.document)
     curve = _get_curve(doc, args.curve)
     n = int(curve.degree)
@@ -325,11 +310,10 @@ def cmd_corollary2(args) -> int:
         f"sum(mu) = {report.sum_mu} over {len(report.table)} infinity branches",
         f"verified: {ok}",
     ]
-    _emit(args, report, lines)
-    return EXIT_OK if ok else EXIT_FAILED
+    return report, lines, ok
 
 
-def cmd_bounds(args) -> int:
+def cmd_bounds(args):
     t = args.theorem
     payload: dict
     if t == "t1":
@@ -373,8 +357,7 @@ def cmd_bounds(args) -> int:
         rows = bounds_mod.bound_table(list(range(args.table_from, args.table_to + 1)))
         payload = {"table": rows, "single": payload}
         lines += [str(row) for row in rows]
-    _emit(args, payload, lines)
-    return EXIT_OK
+    return payload, lines, True
 
 
 def _document_from_parts(fields=None, curves=None, params=None) -> SystemDocument:
@@ -390,8 +373,9 @@ def _document_from_parts(fields=None, curves=None, params=None) -> SystemDocumen
     return doc
 
 
-def cmd_construct(args) -> int:
+def cmd_construct(args):
     kind = args.kind
+    lines = []
     if kind == "log":
         curves = [parse_poly(c, 3) for c in args.curves.split(";")]
         weights = _parse_weights(args.weights)
@@ -402,16 +386,18 @@ def cmd_construct(args) -> int:
             fields={"log": field},
             curves={f"component_{k}": dehomogenize(F) for k, F in enumerate(spec.curves) if not dehomogenize(F).is_constant()},
         )
-        print(f"# P = {print_poly(form.P)}")
-        print(f"# Q = {print_poly(form.Q)}")
-        print(f"# R = {print_poly(form.R)}")
-        print(f"# degree m = {form.m}, infinity invariant: {infinity_invariant(field)}")
+        lines += [
+            f"# P = {print_poly(form.P)}",
+            f"# Q = {print_poly(form.Q)}",
+            f"# R = {print_poly(form.R)}",
+            f"# degree m = {form.m}, infinity invariant: {infinity_invariant(field)}",
+        ]
     elif kind == "eee":
         g = parse_poly(args.g, 2)
         h = parse_poly(args.h, 2)
         field, cert = eee_system(g, h, _parse_constant(args.a), _parse_constant(args.b))
         doc = _document_from_parts(fields={"eee": field}, curves={"g": g})
-        print(f"# cofactor = {print_poly(cert.cofactor)}, degree m = {field.m}")
+        lines.append(f"# cofactor = {print_poly(cert.cofactor)}, degree m = {field.m}")
     elif kind == "thm2b":
         spec, report = thm2b_configuration(args.m)
         form = logarithmic_form(spec)
@@ -420,10 +406,10 @@ def cmd_construct(args) -> int:
             fields={"thm2b": field},
             curves={f"component_{k}": dehomogenize(F) for k, F in enumerate(spec.curves)},
         )
-        print(f"# degree m = {form.m}, total invariant degree = {spec.total_degree}")
+        lines.append(f"# degree m = {form.m}, total invariant degree = {spec.total_degree}")
         for row in report:
             if row["status"] == "Violated":
-                print(f"# ratio condition violated for pair ({row['i']},{row['j']}): {row['ratio']}")
+                lines.append(f"# ratio condition violated for pair ({row['i']},{row['j']}): {row['ratio']}")
     elif kind == "gallery":
         entry = gallery(args.name)
         fields = {}
@@ -438,10 +424,10 @@ def cmd_construct(args) -> int:
     text = format_system(doc)
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
-        print(f"# wrote {args.out}")
+        lines.append(f"# wrote {args.out}")
     else:
-        print(text)
-    return EXIT_OK
+        lines.append(text)
+    return None, lines, True
 
 
 def _parse_box(text: str) -> Box:
@@ -477,42 +463,36 @@ _truncation = _checked(int, lambda n: n >= 2, "truncation must be at least 2")
 _spacing = _checked(float, lambda h: math.isfinite(h) and h > 0, "spacing must be a positive finite number")
 
 
-def cmd_ovals(args) -> int:
+def cmd_ovals(args):
     doc = _load_document(args.document)
     curve = _get_curve(doc, args.curve)
     box = _parse_box(args.box) if args.box else None
     if box is None and not compactness_check(curve):
-        print("real locus is non-compact; supply --box explicitly", file=sys.stderr)
-        return EXIT_FAILED
+        raise PreconditionError("real locus is non-compact; supply --box explicitly")
     ovals = count_ovals(curve, box, args.res)
     payload = ovals.to_dict()
     lines = [
         f"ovals: {ovals.count} (certified: {ovals.certified_count})",
     ]
     lines += [f"warning: {w}" for w in ovals.warnings]
-    _emit(args, payload, lines)
     if args.emit_polylines:
         chunks = []
         for ov in ovals.ovals:
             chunks.append("\n".join(f"{x:.17g} {y:.17g}" for x, y in ov.vertices))
         Path(args.emit_polylines).write_text("\n\n".join(chunks) + "\n", encoding="utf-8")
-    return EXIT_OK
+    return payload, lines, ovals.certified_count == ovals.count or None
 
 
-def cmd_certify(args) -> int:
+def cmd_certify(args):
     doc = _load_document(args.document)
     field = _get_field(doc, args.field)
     curve = _get_curve(doc, args.curve)
-    cert = invariance_check(field, curve)
-    if cert is None:
-        print("curve is not invariant; nothing to certify", file=sys.stderr)
-        return EXIT_FAILED
+    cert = _invariance(field, curve, "curve is not invariant; nothing to certify")
     box = _parse_box(args.box) if args.box else None
     ovals = count_ovals(curve, box, args.res)
     selected = ovals.ovals if args.all_ovals else ovals.ovals[:1]
     results = []
     lines = [f"cofactor = {print_poly(cert.cofactor)}", f"ovals found: {ovals.count}"]
-    inconclusive = False
     for idx, ov in enumerate(selected):
         pts = trace_oval(curve, ov.vertices[0], spacing=args.spacing)
         c = certify_cycle(field, pts, idx, f=curve, v_poly=curve)
@@ -521,8 +501,6 @@ def cmd_certify(args) -> int:
             f"oval {idx}: D = {c.divergence_integral:+.9e} T = {c.period:.9e} "
             f"rel_err = {c.quadrature_rel_err:.2e} {c.stability} hyperbolic = {c.hyperbolic}"
         )
-        if not c.hyperbolic:
-            inconclusive = True
     # location_check(mode="invariant-curve") rows: the invariance was checked
     # above and certify_cycle(v_poly=curve) computed each oval's residual
     loc = location_rows([r["v_residual"] for r in results])
@@ -534,40 +512,28 @@ def cmd_certify(args) -> int:
     }
     for row in loc:
         lines.append(f"oval {row['oval_id']}: |V| residual = {row['residual']:.2e} pass = {row['pass']}")
-    _emit(args, payload, lines)
-    if any(not row["pass"] for row in loc):
-        return EXIT_FAILED
-    return EXIT_UNKNOWN if inconclusive else EXIT_OK
+    if not all(row["pass"] for row in loc):
+        return payload, lines, False
+    return payload, lines, all(r["hyperbolic"] for r in results) or None
 
 
-def cmd_iif_check(args) -> int:
+def cmd_iif_check(args):
     doc = _load_document(args.document)
     field = _get_field(doc, args.field)
     V = _get_curve(doc, args.curve)
     ok = iif_check(field, V)
-    _emit(args, {"iif": ok}, [f"inverse integrating factor: {ok}"])
-    return EXIT_OK if ok else EXIT_FAILED
+    return {"iif": ok}, [f"inverse integrating factor: {ok}"], ok
 
 
-def cmd_darboux_check(args) -> int:
+def cmd_darboux_check(args):
     doc = _load_document(args.document)
     field = _get_field(doc, args.field)
     names = [s.strip() for s in args.curves.split(",")]
     weights = _parse_weights(args.weights)
-    certs = []
-    for name in names:
-        cert = invariance_check(field, _get_curve(doc, name))
-        if cert is None:
-            print(f"curve {name!r} is not invariant", file=sys.stderr)
-            return EXIT_FAILED
-        certs.append(cert)
+    certs = [_invariance(field, _get_curve(doc, name), f"curve {name!r} is not invariant") for name in names]
     ok = darboux_check(certs, weights)
-    _emit(
-        args,
-        {"darboux": ok, "cofactors": [c.cofactor for c in certs]},
-        [f"sum(lambda_i * K_i) = 0: {ok}"],
-    )
-    return EXIT_OK if ok else EXIT_FAILED
+    payload = {"darboux": ok, "cofactors": [c.cofactor for c in certs]}
+    return payload, [f"sum(lambda_i * K_i) = 0: {ok}"], ok
 
 
 # -- the built-in fixture suite ----------------------------------------------------
@@ -690,7 +656,7 @@ def run_paper_suite() -> list[tuple[str, bool, str]]:
     return checks
 
 
-def cmd_paper_suite(args) -> int:
+def cmd_paper_suite(args):
     checks = run_paper_suite()
     failures = [c for c in checks if not c[1]]
     width = max(len(c[0]) for c in checks)
@@ -704,8 +670,7 @@ def cmd_paper_suite(args) -> int:
         "total": len(checks),
         "failed": len(failures),
     }
-    _emit(args, payload, lines)
-    return EXIT_OK if not failures else EXIT_FAILED
+    return payload, lines, not failures
 
 
 # -- parser ------------------------------------------------------------------------
@@ -864,19 +829,21 @@ def run(argv: list[str]) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.handler(args)
+        payload, lines, verdict = args.handler(args)
+        _emit(args, payload, lines)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (UnsupportedBranch, UncertifiedResult) as exc:
         print(f"unsupported/uncertified: {exc}", file=sys.stderr)
         return EXIT_UNKNOWN
+    except (PreconditionError, FileNotFoundError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except FolError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILED
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    return {True: EXIT_OK, False: EXIT_FAILED, None: EXIT_UNKNOWN}[verdict]
 
 
 def main() -> None:

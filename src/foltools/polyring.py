@@ -14,14 +14,13 @@ larger exponent tuple first.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from math import comb, gcd
 from operator import add, sub
 from types import MappingProxyType
 from typing import Iterable
 
 from .errors import ArityMismatch
-from .gaussian import GInt, GaussianRational, ZERO, canonical, from_gint, gr, lift
+from .gaussian import GInt, GaussianRational, ZERO, canonical, from_gint, lift
 from .uniroots import coprime_mod_p, gi_mul, ugcd, utrim
 
 Exponent = tuple[int, ...]
@@ -761,18 +760,3 @@ def resultant(a: MultiPoly, b: MultiPoly, var: int) -> MultiPoly:
         if r or i:
             num[tuple(exp)] = (r, i)
     return MultiPoly._of(a.arity, a.den**db * b.den**da, num)
-
-
-# -- small construction helpers ----------------------------------------------
-
-
-def affine_vars() -> tuple[MultiPoly, MultiPoly]:
-    return MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
-
-
-def projective_vars() -> tuple[MultiPoly, MultiPoly, MultiPoly]:
-    return MultiPoly.variable(3, 0), MultiPoly.variable(3, 1), MultiPoly.variable(3, 2)
-
-
-def const2(value) -> MultiPoly:
-    return MultiPoly.constant(2, gr(value) if isinstance(value, (int, str, Fraction)) else value)

@@ -11,6 +11,18 @@ from foltools.gaussian import GaussianRational, gr
 from foltools.polyring import MultiPoly
 
 
+def affine_vars() -> tuple[MultiPoly, MultiPoly]:
+    return MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
+
+
+def projective_vars() -> tuple[MultiPoly, MultiPoly, MultiPoly]:
+    return MultiPoly.variable(3, 0), MultiPoly.variable(3, 1), MultiPoly.variable(3, 2)
+
+
+def const2(value) -> MultiPoly:
+    return MultiPoly.constant(2, gr(value) if isinstance(value, (int, str, Fraction)) else value)
+
+
 def random_coeff(rng: random.Random, complex_prob: float = 0.3) -> GaussianRational:
     num = rng.randint(-9, 9)
     den = rng.randint(1, 4)

@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from conftest import random_poly, random_real_poly
+from conftest import affine_vars, const2, projective_vars, random_poly, random_real_poly
 from foltools.bounds import (
     harnack_bound,
     mk_argmax,
@@ -44,12 +44,9 @@ from foltools.fields import (
 from foltools.gaussian import gr
 from foltools.polyring import (
     MultiPoly,
-    affine_vars,
-    const2,
     dehomogenize,
     exact_divide,
     homogenize,
-    projective_vars,
 )
 from foltools.realtopo import Box, count_ovals, trace_oval
 from foltools.singularities import ProjectivePoint

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_poly
+from conftest import affine_vars, const2, random_poly
 from foltools.branches import (
     branch_multiplicity,
     corollary2_check,
@@ -18,7 +18,6 @@ from foltools.construct import gallery
 from foltools.errors import PreconditionError, UncertifiedResult, UnsupportedBranch
 from foltools.fields import AffineVectorField
 from foltools.gaussian import ZERO, gr
-from foltools.polyring import affine_vars, const2
 from foltools.series import PowerSeries, compose_poly
 from foltools.singularities import ProjectivePoint, is_nodal
 from foltools.textio import parse_poly

@@ -481,3 +481,74 @@ def test_parser_is_built_once_and_a_usage_error_leaves_it_intact(eee_doc, monkey
     env = dict(os.environ, PYTHONPATH=str(Path(foltools.__file__).resolve().parent.parent))
     fresh = subprocess.run([sys.executable, "-m", "foltools.cli", *valid], capture_output=True, text=True, env=env, timeout=120)
     assert (fresh.returncode, fresh.stdout) == (0, out)
+
+
+EXIT_RULES_DOC = """
+[field saddle]
+p = x
+q = -y
+
+[field rotation]
+p = -y
+q = x
+
+[curve sextic]
+f = (x^2 + 2*y^2 - 1)*(2*x^2 + y^2 - 1)*(x^2 + y^2 - 4/5) + 1/10000
+
+[curve circles]
+f = (x^2 + y^2 - 1)*((x - 1)^2 + y^2 - 1)
+
+[curve hyperbola]
+f = x*y - 1
+
+[curve line]
+f = x - 1
+"""
+
+
+@pytest.fixture
+def rules_doc(tmp_path):
+    p = tmp_path / "rules.fol"
+    p.write_text(EXIT_RULES_DOC)
+    return str(p)
+
+
+@pytest.mark.parametrize(
+    "curve, res, shown",
+    [("sextic", "64", "ovals: 9 (certified: 0)"), ("circles", "256", "ovals: 2 (certified: 0)")],
+)
+def test_an_uncertified_oval_count_is_undecided(rules_doc, curve, res, shown, capsys):
+    assert run(["ovals", rules_doc, "--curve", curve, "--res", res]) == 3
+    assert capsys.readouterr().out.splitlines()[0] == shown
+    assert run(["ovals", rules_doc, "--curve", curve, "--res", res, "--json"]) == 3
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["certified_count"] < payload["count"]
+
+
+def test_a_non_compact_curve_with_no_box_is_a_usage_error(rules_doc, capsys):
+    assert run(["ovals", rules_doc, "--curve", "hyperbola"]) == 2
+    assert "real locus is non-compact; supply --box explicitly" in capsys.readouterr().err
+    assert run(["certify", rules_doc, "--field", "saddle", "--curve", "hyperbola"]) == 2
+    assert "real locus is unbounded; supply a box explicitly" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["certify", "--curve", "line"], "curve is not invariant; nothing to certify"),
+        (["multiplicity", "--curve", "line"], "curve is not invariant; multiplicities are undefined"),
+        (["euler-check", "--curve", "line", "--chi", "2"], "curve is not invariant under the field"),
+        (["darboux-check", "--curves", "line", "--weights", "1"], "curve 'line' is not invariant"),
+    ],
+)
+def test_a_curve_that_is_not_invariant_fails_a_precondition(rules_doc, argv, message, capsys):
+    assert run([argv[0], rules_doc, "--field", "rotation", *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("command, shown", [("check-invariant", "curve 'line' is NOT invariant"), ("cofactor", "NotInvariant")])
+def test_invariance_checks_still_refute_a_curve_that_is_not_invariant(rules_doc, command, shown, capsys):
+    # here "not invariant" is the answer, not a precondition
+    assert run([command, rules_doc, "--field", "rotation", "--curve", "line"]) == 1
+    assert capsys.readouterr().out == shown + "\n"

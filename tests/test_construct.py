@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import random_real_poly
+from conftest import affine_vars, const2, projective_vars, random_real_poly
 from foltools.construct import (
     GALLERY_NAMES,
     LogarithmicSpec,
@@ -21,7 +21,7 @@ from foltools.fields import (
     invariance_check,
 )
 from foltools.gaussian import gr
-from foltools.polyring import MultiPoly, affine_vars, const2, dehomogenize, projective_vars
+from foltools.polyring import MultiPoly, dehomogenize
 from foltools.textio import parse_poly
 
 x, y = affine_vars()

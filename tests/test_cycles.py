@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import affine_vars, const2
 from foltools import cycles
 from foltools.construct import eee_system
 from foltools.cycles import (
@@ -17,7 +18,6 @@ from foltools.cycles import (
 from foltools.errors import DegenerateInput, PreconditionError
 from foltools.fields import AffineVectorField, divergence
 from foltools.gaussian import GaussianRational, gr
-from foltools.polyring import affine_vars, const2
 from foltools.realtopo import _horner, refine_polyline, trace_oval
 
 x, y = affine_vars()

@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import random_coeff, random_poly
+from conftest import affine_vars, const2, projective_vars, random_coeff, random_poly
 from foltools.errors import DegenerateInput, PreconditionError
 from foltools.fields import (
     AffineVectorField,
@@ -18,12 +18,9 @@ from foltools.fields import (
 from foltools.gaussian import gr
 from foltools.polyring import (
     MultiPoly,
-    affine_vars,
-    const2,
     dehomogenize,
     exact_divide,
     poly_gcd,
-    projective_vars,
 )
 from foltools.singularities import ProjectivePoint
 from foltools.textio import parse_poly

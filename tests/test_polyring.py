@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import random_poly
+from conftest import affine_vars, const2, projective_vars, random_poly
 import foltools
 from foltools import polyring
 from foltools.errors import ArityMismatch
@@ -27,15 +27,12 @@ from foltools.polyring import (
     _pseudo_rem,
     _specialize_keeping,
     _subresultant_gcd,
-    affine_vars,
-    const2,
     dehomogenize,
     exact_divide,
     homogenize,
     is_squarefree,
     leading_form,
     poly_gcd,
-    projective_vars,
     resultant,
 )
 from foltools.textio import parse_poly, print_poly

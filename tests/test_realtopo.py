@@ -8,11 +8,12 @@ from unittest import mock
 import numpy as np
 import pytest
 
+from conftest import affine_vars, const2
 from foltools import realtopo
 from foltools.construct import gallery
 from foltools.errors import DegenerateInput, PreconditionError, UncertifiedResult
 from foltools.gaussian import GaussianRational, gr, lift
-from foltools.polyring import MultiPoly, affine_vars, const2, leading_form
+from foltools.polyring import MultiPoly, leading_form
 from foltools.realtopo import (
     Box,
     _filtered_signs,

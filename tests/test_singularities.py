@@ -1,10 +1,11 @@
 import pytest
 
+from conftest import affine_vars, const2
 from foltools.branches import branch_multiplicity, local_branches
 from foltools.errors import NonIsolatedSingularities, PreconditionError
 from foltools.fields import AffineVectorField, projectivize
 from foltools.gaussian import ONE, ZERO, gr
-from foltools.polyring import MultiPoly, _specialize_keeping, affine_vars, const2, homogenize
+from foltools.polyring import MultiPoly, _specialize_keeping, homogenize
 from foltools.singularities import (
     ProjectivePoint,
     Verdict,

@@ -1,9 +1,9 @@
 import pytest
 
-from conftest import random_poly
+from conftest import affine_vars, const2, random_poly
 from foltools.errors import ParseError
 from foltools.gaussian import gr
-from foltools.polyring import MultiPoly, affine_vars, const2
+from foltools.polyring import MultiPoly
 from foltools.textio import (
     format_system,
     parse_poly,
