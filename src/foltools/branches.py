@@ -197,6 +197,16 @@ def branch_multiplicity(
     return mu, True
 
 
+def invariant_branch_multiplicity(field: AffineVectorField, branch: Branch) -> tuple[int | None, bool]:
+    """branch_multiplicity for a branch of a curve already proven invariant
+    under the field.  Its pullback checks cannot then fail on the input, so a
+    failure shows a fault of the truncated series and raises UncertifiedResult."""
+    try:
+        return branch_multiplicity(field, branch)
+    except PreconditionError as exc:
+        raise UncertifiedResult(f"branch at {branch.base}: {exc}") from exc
+
+
 def _resolved_multiplicity(
     field: AffineVectorField, f: MultiPoly, point: ProjectivePoint, truncation: int
 ) -> list[tuple[int, Branch]]:
@@ -207,7 +217,7 @@ def _resolved_multiplicity(
         result = []
         ok = True
         for br in branches:
-            mu, certified = branch_multiplicity(field, br)
+            mu, certified = invariant_branch_multiplicity(field, br)
             if not certified:
                 ok = False
                 break
@@ -311,12 +321,14 @@ def infinity_branch_data(
 
     l is the t-order along the branch of the chart transform of the driving
     component; mu = l + 1 is cross-checked against branch_multiplicity.
-    Requires the line at infinity invariant (r = 0).
+    Requires the line at infinity (r = 0) and the curve invariant.
     """
     if not field.r.is_zero():
         raise PreconditionError("infinity branch data requires r = 0")
     if not point.is_infinite:
         raise PreconditionError("point must lie on the line at infinity")
+    if invariance_check(field, f) is None:
+        raise PreconditionError("curve is not invariant under the field")
     n = int(f.degree)
     N = truncation if truncation is not None else default_truncation(field.m, n)
     F = homogenize(f, n)
@@ -338,7 +350,7 @@ def infinity_branch_data(
     l = series.order()
     if l is None:
         raise UncertifiedResult("driving component vanished to the whole truncation")
-    mu, certified = branch_multiplicity(field, branch)
+    mu, certified = invariant_branch_multiplicity(field, branch)
     if not certified:
         raise UncertifiedResult("branch multiplicity uncertified at this truncation")
     if mu != l + 1:

@@ -4,11 +4,13 @@ Each subcommand handler returns (payload, text lines, verdict), the verdict
 True (proven), False (refuted) or None (undecided); `run` alone emits the
 output and turns the verdict into the exit code.
 
-Exit codes: 0 the answer is proven, 1 a verification failed, 2 usage or
-parse error or a failed precondition (a curve that is not invariant, a
+Exit codes: 0 the answer is proven, 1 a verification failed (and, for
+now, DegenerateInput, NonIsolatedSingularities and ArityMismatch), 2 usage
+or parse error or a failed precondition (a curve that is not invariant, a
 non-compact curve with no --box), 3 an undecided outcome (Unknown,
-Unsupported, uncertified, an oval count with an uncertified oval), 141
-(128 + SIGPIPE) stdout was closed before the output was written.
+Unsupported, uncertified, an oval count with an uncertified oval, a
+numerical step that failed inside the program), 141 (128 + SIGPIPE)
+stdout was closed before the output was written.
 Machine-readable JSON (--json / --report) accompanies every verdict.
 """
 
@@ -26,9 +28,9 @@ from pathlib import Path
 
 from . import bounds as bounds_mod
 from .branches import (
-    branch_multiplicity,
     corollary2_check,
     euler_identity_check,
+    invariant_branch_multiplicity,
     local_branches,
     singular_points_on_curve,
 )
@@ -271,7 +273,7 @@ def cmd_multiplicity(args):
     for pt in points:
         branches = local_branches(curve, pt, args.truncation)
         for idx, br in enumerate(branches):
-            mu, certified = branch_multiplicity(field, br)
+            mu, certified = invariant_branch_multiplicity(field, br)
             rows.append({"point": str(pt), "branch": idx, "mu": mu, "certified": certified})
     payload = {"multiplicities": rows, "undecided_coordinates": undecided}
     lines = [f"{r['point']} branch {r['branch']}: mu = {r['mu']} (certified: {r['certified']})" for r in rows]

@@ -820,15 +820,16 @@ def trace_oval(f: MultiPoly, seed: tuple[float, float], spacing: float = 1.5e-3)
     converge, the result is instead the sequential loop at `spacing` itself.
     Either way every vertex, the first too, passes the corrector's rule, and
     the loop closes only when it is back near the seed travelling the same
-    way.  Raises on a spacing that is not a positive finite number, on
-    singular approach or on failure to close.
+    way.  Raises PreconditionError on a spacing that is not a positive finite
+    number, UncertifiedResult when the corrector does not bring the seed onto
+    the curve, and DegenerateInput on singular approach or on failure to close.
     """
     if not 0 < spacing < math.inf:
         raise PreconditionError(f"spacing must be a positive finite number, not {spacing!r}")
     evaluators = _horner_with_gradient(f)
     out, ok = _project_all(evaluators, np.array([seed], dtype=np.float64))
     if not ok[0]:
-        raise PreconditionError("seed failed to project onto the curve")
+        raise UncertifiedResult("seed failed to project onto the curve")
     start = float(out[0, 0]), float(out[0, 1])
     pts = _trace(evaluators, start, 2**_FILL_ROUNDS * spacing, _COARSE_MIN_COS)
     if pts is not None and len(pts) >= _MIN_COARSE:

@@ -4,11 +4,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import foltools
 from foltools import cli
 from foltools.cli import EXIT_BROKEN_PIPE, run
+from foltools.errors import PreconditionError
 
 EEE_DOC = """
 [field eee]
@@ -552,3 +554,28 @@ def test_invariance_checks_still_refute_a_curve_that_is_not_invariant(rules_doc,
     # here "not invariant" is the answer, not a precondition
     assert run([command, rules_doc, "--field", "rotation", "--curve", "line"]) == 1
     assert capsys.readouterr().out == shown + "\n"
+
+
+def test_a_seed_the_corrector_cannot_place_is_undecided(eee_doc, monkeypatch, capsys):
+    # the oval's seed comes from the lattice, so a corrector that does not
+    # converge on it is the program's failure, not bad input
+    from foltools import realtopo
+
+    monkeypatch.setattr(realtopo, "_project_all", lambda _ev, seeds: (seeds.copy(), np.zeros(len(seeds), dtype=bool)))
+    assert run(["certify", eee_doc, "--field", "eee", "--curve", "circle", "--res", "64"]) == 3
+    assert "seed failed to project onto the curve" in capsys.readouterr().err
+
+
+def test_a_failed_pullback_check_on_an_invariant_curve_is_undecided(ex1_doc, monkeypatch, capsys):
+    # invariance is proven before any branch is expanded, so a pullback check
+    # that still fails shows a fault of the truncated series
+    from foltools import branches
+
+    def inconsistent(_field, _branch):
+        raise PreconditionError("pullback inconsistency: branch is not invariant under the field")
+
+    monkeypatch.setattr(branches, "branch_multiplicity", inconsistent)
+    assert run(["multiplicity", ex1_doc, "--field", "example1", "--curve", "line"]) == 3
+    assert "pullback inconsistency" in capsys.readouterr().err
+    assert run(["euler-check", ex1_doc, "--field", "example1", "--curve", "line", "--chi", "2"]) == 3
+    assert "NOT CHECKABLE" in capsys.readouterr().out

@@ -185,8 +185,9 @@ def test_trace_circle_accuracy():
 
 
 def test_trace_rejects_bad_seed():
-    # the gradient vanishes at the origin, so the correction cannot start
-    with pytest.raises(PreconditionError):
+    # the gradient vanishes at the origin, so the correction cannot start:
+    # the trace is undecided, not refused as input
+    with pytest.raises(UncertifiedResult, match="seed failed to project"):
         trace_oval(circle, (0.0, 0.0))
 
 

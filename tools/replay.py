@@ -68,14 +68,39 @@ FLOAT_KEYS = frozenset(
 )
 
 
+def recorded_pool(workload: str) -> list[tuple[str, int]]:
+    """The workload's pool entries recorded in perfbench/answers.json, as (kind, index) pairs."""
+    answers = json.loads((PERFBENCH / "answers.json").read_text(encoding="utf-8"))
+    return [(entry["kind"], entry["i"]) for entry in answers["workloads"][workload]["pool"]]
+
+
 def load_jobs(workload: str) -> list:
     sys.path.insert(0, str(PERFBENCH))
     import gen
 
-    answers = json.loads((PERFBENCH / "answers.json").read_text(encoding="utf-8"))
-    recorded = answers["workloads"][workload]
-    jobs = [gen.POOL_JOB[entry["kind"]](entry["i"]) for entry in recorded["pool"]]
+    jobs = [gen.POOL_JOB[kind](i) for kind, i in recorded_pool(workload)]
     return jobs + gen.NAMED_JOBS[workload]()
+
+
+def job_argv(job, work: Path) -> list[str]:
+    """The job's argv, its document (if it has one) written into `work`."""
+    path = None
+    if job.doc is not None:
+        path = work / (job.id.replace("/", "_") + ".fol")
+        path.write_text(job.doc, encoding="utf-8")
+    return job.args(None if path is None else str(path))
+
+
+def run_cli(cli, argv: list[str]) -> tuple[int | str, str]:
+    """(exit code, or "crash: ..." when it raised; stdout) of one command run
+    in this process, its stderr discarded."""
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            rc = cli.run(argv)
+    except Exception as exc:  # a crash is a result, not the end of the run
+        rc = f"crash: {type(exc).__name__}: {exc}"
+    return rc, out.getvalue()
 
 
 def import_cli(src: Path):
@@ -115,21 +140,16 @@ def verdict_sha(stdout: str) -> str:
 def run_row(cli, job_id: str, argv: list[str], polylines: Path | None = None, report: Path | None = None) -> dict:
     """Run one command in this process; hash its stdout and the files it wrote
     ("-" for a file it was not asked for or did not write)."""
-    out, err = io.StringIO(), io.StringIO()
     start = time.perf_counter()
-    try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            rc = cli.run(argv)
-    except Exception as exc:  # a crash is a row, not the end of the replay
-        rc = f"crash: {type(exc).__name__}: {exc}"
+    rc, stdout = run_cli(cli, argv)
     seconds = time.perf_counter() - start
     row = {
         "id": job_id,
         "command": argv[0],
         "rc": rc,
-        "stdout_sha": _sha(out.getvalue().encode("utf-8")),
+        "stdout_sha": _sha(stdout.encode("utf-8")),
         "polylines_sha": _file_sha(polylines),
-        "verdict_sha": verdict_sha(out.getvalue()) if argv[0] == "certify" else "-",
+        "verdict_sha": verdict_sha(stdout) if argv[0] == "certify" else "-",
         "report_sha": _file_sha(report),
         "seconds": round(seconds, 4),
     }
@@ -151,15 +171,10 @@ def replay(workload: str, src: Path, work: Path) -> list[dict]:
     cli = import_cli(src)
     rows = []
     for job in jobs:
-        path = None
-        stem = job.id.replace("/", "_")
-        if job.doc is not None:
-            path = work / (stem + ".fol")
-            path.write_text(job.doc, encoding="utf-8")
-        argv = job.args(None if path is None else str(path))
+        argv = job_argv(job, work)
         polylines = None
         if job.command == "ovals":
-            polylines = work / (stem + ".polylines")
+            polylines = work / (job.id.replace("/", "_") + ".polylines")
             argv += ["--emit-polylines", str(polylines)]
         rows.append(run_row(cli, job.id, argv, polylines))
     rows.append(paper_suite_row(cli, work))

@@ -1,7 +1,7 @@
 """Run benchmark pool jobs that the recorded pool does not hold, and judge
 them against construction alone.
 
-    python3 tools/sweep.py --workload geometry --from 5000 --to 5199 [--src DIR] [--work DIR]
+    python3 tools/sweep.py --workload geometry --from 5000 --to 5199 [--src DIR]
 
 For every index from A to B (both included) and every job kind of the
 workload (`algebra`; `ovals` and `certify`), it generates the pool job at
@@ -22,9 +22,6 @@ written.
 from __future__ import annotations
 
 import argparse
-import contextlib
-import io
-import json
 import sys
 import tempfile
 from pathlib import Path
@@ -41,8 +38,7 @@ DECIDED = (0, 1)  # exit codes of a proven or refuted answer
 
 def held_out(workload: str, lo: int, hi: int) -> list:
     """The workload's pool jobs at indices lo..hi that answers.json does not record."""
-    answers = json.loads((replay.PERFBENCH / "answers.json").read_text(encoding="utf-8"))
-    recorded = {(e["kind"], e["i"]) for e in answers["workloads"][workload]["pool"]}
+    recorded = set(replay.recorded_pool(workload))
     return [
         gen.POOL_JOB[kind](i)
         for kind in gen.WORKLOAD_KINDS[workload]
@@ -51,28 +47,14 @@ def held_out(workload: str, lo: int, hi: int) -> list:
     ]
 
 
-def run_job(cli, job, work: Path):
-    """(exit code, or None after a crash; stdout) of one job run in this process."""
-    path = None
-    if job.doc is not None:
-        path = work / (job.id.replace("/", "_") + ".fol")
-        path.write_text(job.doc, encoding="utf-8")
-    out = io.StringIO()
-    try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-            rc = cli.run(job.args(None if path is None else str(path)))
-    except Exception:  # a crash is a miss, not the end of the sweep
-        rc = None
-    return rc, out.getvalue()
-
-
 def sweep(workload: str, lo: int, hi: int, src: Path, work: Path) -> dict[str, list[int]]:
     """Per job kind: [jobs, correct, decided]; each miss is printed as it happens."""
     cli = replay.import_cli(src)
     tally: dict[str, list[int]] = {}
     for job in held_out(workload, lo, hi):
-        rc, stdout = run_job(cli, job, work)
-        ok, _summary, reason = checks.judge(job.command, rc, stdout, job.expect, seed=None)
+        rc, stdout = replay.run_cli(cli, replay.job_argv(job, work))
+        crashed = isinstance(rc, str)  # judge takes None for a crash
+        ok, _summary, reason = checks.judge(job.command, None if crashed else rc, stdout, job.expect, seed=None)
         if not ok:
             print(f"miss {job.id:<16} exit {rc}: {reason}", flush=True)
         row = tally.setdefault(job.id.split("/", 1)[0], [0, 0, 0])
@@ -88,13 +70,10 @@ def main(argv=None) -> int:
     parser.add_argument("--from", dest="lo", type=int, required=True, metavar="A", help="first index")
     parser.add_argument("--to", dest="hi", type=int, required=True, metavar="B", help="last index (included)")
     parser.add_argument("--src", type=Path, default=replay.ROOT / "src", help="source tree holding foltools/")
-    parser.add_argument("--work", type=Path, help="where to make the temporary directory for the generated documents")
     args = parser.parse_args(argv)
     if args.lo < 0 or args.hi < args.lo:
         parser.error("need 0 <= A <= B")
-    if args.work:
-        args.work.mkdir(parents=True, exist_ok=True)
-    with tempfile.TemporaryDirectory(dir=args.work) as tmp:
+    with tempfile.TemporaryDirectory() as tmp:
         tally = sweep(args.workload, args.lo, args.hi, args.src, Path(tmp))
     print(f"{'kind':<10} {'jobs':>5} {'correct':>8} {'ratio':>6} {'decided':>8} {'ratio':>6}")
     for kind, (jobs, correct, decided) in tally.items():
