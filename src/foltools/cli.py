@@ -5,12 +5,14 @@ True (proven), False (refuted) or None (undecided); `run` alone emits the
 output and turns the verdict into the exit code.
 
 Exit codes: 0 the answer is proven, 1 a verification failed (and, for
-now, DegenerateInput, NonIsolatedSingularities and ArityMismatch), 2 usage
-or parse error or a failed precondition (a curve that is not invariant, a
-non-compact curve with no --box), 3 an undecided outcome (Unknown,
+now, DegenerateInput), 2 usage or parse error or a failed precondition (a
+curve that is not invariant, a non-compact curve with no --box, a field
+whose components share a factor: NonIsolatedSingularities, polynomials over
+different variable sets: ArityMismatch), 3 an undecided outcome (Unknown,
 Unsupported, uncertified, an oval count with an uncertified oval, a
-numerical step that failed inside the program), 141 (128 + SIGPIPE)
-stdout was closed before the output was written.
+`certify` that finds no oval, a numerical step that failed inside the
+program), 141 (128 + SIGPIPE) stdout was closed before the output was
+written.
 Machine-readable JSON (--json / --report) accompanies every verdict.
 """
 
@@ -44,7 +46,9 @@ from .construct import (
 )
 from .cycles import certify_cycle, location_rows
 from .errors import (
+    ArityMismatch,
     FolError,
+    NonIsolatedSingularities,
     ParseError,
     PreconditionError,
     UncertifiedResult,
@@ -516,6 +520,9 @@ def cmd_certify(args):
         lines.append(f"oval {row['oval_id']}: |V| residual = {row['residual']:.2e} pass = {row['pass']}")
     if not all(row["pass"] for row in loc):
         return payload, lines, False
+    if not results:
+        lines.append("no oval found; nothing certified")
+        return payload, lines, None
     return payload, lines, all(r["hyperbolic"] for r in results) or None
 
 
@@ -839,7 +846,7 @@ def run(argv: list[str]) -> int:
     except (UnsupportedBranch, UncertifiedResult) as exc:
         print(f"unsupported/uncertified: {exc}", file=sys.stderr)
         return EXIT_UNKNOWN
-    except (PreconditionError, FileNotFoundError) as exc:
+    except (PreconditionError, NonIsolatedSingularities, ArityMismatch, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except FolError as exc:

@@ -1,28 +1,33 @@
 """Real ovals of plane curves: certified counting and numeric tracing.
 
 Topology comes from exact signs: grid nodes are rational, and every sign
-is proven.  A lattice's scaled integer values are the product of its
-row-coefficient matrix with the power table x_i^a: one int64 matrix
-product when a proven bound says it cannot overflow; otherwise one float64
-einsum decides each sign whose value clears a rigorous rounding-error
-bound, and every other node is evaluated in exact integers (a filtered
-predicate in the sense of Shewchuk, 1997).  Each vertex is the zero of
-the linear interpolant on its edge, placed from the exact values of the
-same integer rows (`_edge_point`), so no count or vertex sees the scale of f.
-Ambiguous cells are resolved by subdivision, never by a midpoint
-heuristic: a cell's sub-lattice is again an integer lattice, evaluated the
-same way as the coarse grid; when depth runs out the affected ovals are
-reported uncertified with a warning.  Uncrossed cell edges of each loop are proven
-zero-free a whole lattice line at a time: the line's sign changes account
-for all its roots, by degree or by one Sturm count on the same integer rows
-that give the signs; other lines fall back to a Sturm count per edge.
-Numeric tracing sees f only at unit scale and puts every float point on
-the curve with one Newton corrector (see the numeric tracing section).
+is proven.  A lattice's scaled integer values are P = Y W X, f's integer
+weight matrix W between the power tables of the integer line coordinates:
+two int64 matrix products when a proven bound says they cannot overflow;
+otherwise two float64 products decide each sign whose value clears a
+rigorous rounding-error bound, and every other node is evaluated in exact
+integers (a filtered predicate in the sense of Shewchuk, 1997).  The exact
+values come from the lattice rows (`_LineRows`: f on one lattice line as an
+integer polynomial in the edge coordinate), each row built the first time
+it is read.  Each vertex is the zero of the linear interpolant on its edge,
+placed from the exact values of the same rows (`_edge_point`), so no count
+or vertex sees the scale of f.  Ambiguous cells are resolved by
+subdivision, never by a midpoint heuristic: a cell's sub-lattice is again
+an integer lattice, evaluated the same way as the coarse grid; when depth
+runs out the affected ovals are reported uncertified with a warning.
+Uncrossed cell edges of each loop are proven zero-free from the sign grid
+and the rows (`_LatticeLines`): a line whose sign changes reach its degree
+needs nothing more; on any other line one Descartes count over the loop's
+stretch of the line, then one Sturm count over the whole line, and last a
+Sturm count per edge.  Numeric tracing sees f only at unit scale and puts
+every float point on the curve with one Newton corrector (see the numeric
+tracing section).
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field as dfield
@@ -32,10 +37,11 @@ import numpy as np
 
 from .errors import DegenerateInput, PreconditionError, UncertifiedResult
 from .polyring import MultiPoly, _specialize, leading_form
-from .uniroots import count_real_roots, sturm_counter, ueval, utrim
+from .uniroots import _descartes, count_real_roots, sturm_counter, ueval, utrim
 
 MAX_SUBDIVISION_DEPTH = 6
 _INT64_SAFE = 1 << 62
+_BLOCK = 64  # rows per pass of the filtered float product
 _BEYOND_FLOAT = "beyond float range (magnitude above 1.8e308)"
 
 
@@ -103,28 +109,37 @@ class OvalSet:
 # -- integer lattice rows --------------------------------------------------------------
 
 
-def _line_rows(f: MultiPoly, axis: int, lines: list[int], d_line: int, d_edge: int) -> list[list[int]]:
-    """f on lattice lines as integer polynomials in the edge coordinate.
+class _LineRows:
+    """f on lattice lines as integer polynomials in the edge coordinate, each
+    row built the first time it is read.
 
     `axis` is the variable the lines run along: 0 for the horizontal lines
-    y = t/d_line, 1 for the vertical lines x = t/d_line, one row per t in
-    `lines`.  Entry a of a row is the coefficient of n^a, where n = d_edge
-    times the axis variable; the row is f * den * d_edge^deg_edge *
-    d_line^deg_line on the line, a positive integer multiple of f.
+    y = t/d_line, 1 for the vertical lines x = t/d_line, one per t in the
+    range `lines`; `rows[l]` is the row of the line t = lines[l].  Entry a
+    of a row is the coefficient of n^a, where n = d_edge times the axis
+    variable; the row is f * den * d_edge^deg_edge * d_line^deg_line on the
+    line, a positive integer multiple of f.  `weights[b][a]` is the
+    coefficient of t^b n^a in that multiple: the lattice's integer weight
+    matrix, whose product with the power tables of t and n is the multiple's
+    value at every node (`_sign_grid`).
     """
-    deg_edge, deg_line = max(f.degree_in(axis), 0), max(f.degree_in(1 - axis), 0)
-    edge_pows = [d_edge**k for k in range(deg_edge, -1, -1)]  # edge_pows[a] = d_edge^(deg_edge - a)
-    line_pows = [d_line**k for k in range(deg_line, -1, -1)]
-    columns = [[0] * (deg_line + 1) for _ in range(deg_edge + 1)]
-    for e, (c, _) in f.num.items():
-        columns[e[axis]][e[1 - axis]] = c * edge_pows[e[axis]] * line_pows[e[1 - axis]]
-    values = []
-    for col in columns:  # one Horner sum in the line coordinate per coefficient column
-        v = [0] * len(lines)
-        for c in reversed(utrim(col)):
-            v = [p * t + c for p, t in zip(v, lines)]
-        values.append(v)
-    return [list(row) for row in zip(*values)]
+
+    def __init__(self, f: MultiPoly, axis: int, lines: range, d_line: int, d_edge: int):
+        deg_edge, deg_line = max(f.degree_in(axis), 0), max(f.degree_in(1 - axis), 0)
+        self.weights = [[0] * (deg_edge + 1) for _ in range(deg_line + 1)]
+        for e, (c, _) in f.num.items():
+            a, b = e[axis], e[1 - axis]
+            self.weights[b][a] = c * d_edge ** (deg_edge - a) * d_line ** (deg_line - b)
+        self.lines = lines
+        self._columns = [utrim([w[a] for w in self.weights]) for a in range(deg_edge + 1)]
+        self._built: dict[int, list[int]] = {}
+
+    def __getitem__(self, l: int) -> list[int]:
+        row = self._built.get(l)
+        if row is None:  # one Horner sum in the line coordinate per coefficient column
+            t = self.lines[l]
+            row = self._built[l] = [ueval(col, t) if col else 0 for col in self._columns]
+        return row
 
 
 def _lattice(lo: Fraction, hi: Fraction, n: int) -> tuple[int, int, int]:
@@ -149,47 +164,86 @@ def _true_nodes(mask: np.ndarray) -> list[tuple[int, int]]:
     return [divmod(k, cols) for k in np.flatnonzero(mask).tolist()]
 
 
-def _filtered_signs(rows: list[list[int]], nx: list[int]) -> np.ndarray:
+def _coords(coords: range) -> np.ndarray:
+    """The integers of `coords` in int64; the caller bounds them."""
+    return coords.start + coords.step * np.arange(len(coords), dtype=np.int64)
+
+
+def _powers(t: np.ndarray, deg: int) -> np.ndarray:
+    """table[a, k] = t[k]^a by repeated products, in the dtype of t."""
+    table = np.ones((deg + 1, len(t)), dtype=t.dtype)
+    for a in range(1, deg + 1):
+        np.multiply(table[a - 1], t, out=table[a])
+    return table
+
+
+def _float_powers(coords: range, deg: int) -> tuple[np.ndarray, np.ndarray]:
+    """(table, ok): table[a, k] = fl(t_k^a) for the integers t_k in `coords`,
+    by repeated products from t_k, and ok[k] where the column is finite and
+    every t_k is exact in float64 (|t_k| < 2^53); columns not ok are zero."""
+    ok = np.full(len(coords), max(abs(coords[0]), abs(coords[-1])) < 1 << 53)
+    table = _powers(_coords(coords).astype(np.float64) if ok.all() else np.zeros(len(coords)), deg)
+    ok &= np.isfinite(table).all(axis=0)
+    table[:, ~ok] = 0.0
+    return table, ok
+
+
+def _filtered_signs(rows: _LineRows, nx: range) -> np.ndarray:
     """Exact signs of the row polynomials rows[j] at the abscissae nx[i].
 
-    With the power table powers[a] = powers[a-1] * x (a = 0..d) the float64
-    value is p^ = sum_a fl(w_a) * powers[a], one einsum over the grid, and
-    M^ = sum_a |fl(w_a)| * |powers[a]| likewise.  Term a carries at most
-    1 (coefficient) + (a - 1) (power) + 1 (product) roundings and the sum
-    adds d more in any order, so |p^ - p| <= gamma_{2d+1} M (Higham,
-    Accuracy and Stability of Numerical Algorithms, 3.1).  M^ is the same sum
-    over nonnegative terms, so M^ >= (1 - gamma_{2d+1}) M and the error is at
-    most 2 gamma_{2d+2} M^.  All values are integers, so nothing underflows.
-    A node's sign is taken when |p^| exceeds that bound and both are finite.
-    Every other node, every row whose coefficients overflow a float, and the
-    whole grid when an abscissa is not exact in float64 are evaluated by the
-    exact integer Horner.
+    The values are P = Y W X with Y[j, b] = ny_j^b (ny = rows.lines), W the
+    integer weight matrix rows.weights and X[a, i] = nx_i^a.  In float64,
+    Y^ and X^ come from repeated products of the exact ny_j and nx_i, W^ is
+    W correctly rounded, and P^ = (Y^ W^) X^ is two matrix products; M^ =
+    (|Y^| |W^|) |X^| likewise.  Term (a, b) of a node carries at most
+    max(b - 1, 0) (power) + 1 (weight) + 1 (product) + deg_y (sum) roundings
+    in Y^ W^ and max(a - 1, 0) + 1 + deg_x more in the second product (a
+    product with the exact power 1 rounds nothing), so at most
+    k = 2(deg_x + deg_y) + 1 in all, in whatever order either sum is taken
+    (Higham, Accuracy and Stability of Numerical Algorithms, 3.1): |P^ - P|
+    <= gamma_k M.  M^ is the same sums over nonnegative terms, so M^ >=
+    (1 - gamma_k) M and the error is at most 2 gamma_{k+1} M^.  All values
+    are integers, so nothing underflows, and a value that stays finite never
+    overflowed on its way; the factor 2 leaves room for the rounding of the
+    bound itself.  A node's sign is taken when its row and column
+    inputs are finite (and the abscissae exact), both of its products are
+    finite and |P^| exceeds that bound; rows or columns with other inputs
+    are zeroed before the products, so no sign rests on NaN or infinity.
+    Every other node, and the whole grid when a weight is beyond float
+    range, is evaluated by the exact integer Horner of its row.
     """
-    degx = len(rows[0]) - 1
-    signs = np.zeros((len(rows), len(nx)), dtype=np.int8)
-    exact = np.ones(signs.shape, dtype=bool)
-    if max(abs(nx[0]), abs(nx[-1])) < 1 << 53:
-        xs = np.array(nx, dtype=np.float64)
-        coeffs = np.zeros((len(rows), degx + 1))
-        for j, w in enumerate(rows):
-            try:
-                coeffs[j] = [float(c) for c in w]
-            except OverflowError:
-                coeffs[j] = np.inf  # M^ is infinite: the whole row goes to the exact Horner
-        powers = np.ones((degx + 1, len(nx)))
+    deg_y, deg_x = len(rows.weights) - 1, len(rows.weights[0]) - 1
+    signs = np.zeros((len(rows.lines), len(nx)), dtype=np.int8)
+    decided = np.zeros(signs.shape, dtype=bool)
+    try:
+        w = np.array([[float(c) for c in row] for row in rows.weights])
+    except OverflowError:
+        w = None  # a weight beyond float range: every node is evaluated exactly
+    if w is not None:
         with np.errstate(over="ignore", invalid="ignore"):
-            for a in range(1, degx + 1):
-                np.multiply(powers[a - 1], xs, out=powers[a])
-            # einsum runs numpy's own loops (optimize=False), never a threaded BLAS
-            p = np.einsum("ja,ai->ji", coeffs, powers)
-            m = np.einsum("ja,ai->ji", np.abs(coeffs), np.abs(powers))
-            # in place: a fresh full-grid float array costs more than the arithmetic
-            m *= 2 * _gamma(2 * degx + 2)
-            signs = (p > 0).view(np.int8) - (p < 0).view(np.int8)  # undecided nodes are redone below
-            decided = np.isfinite(p)
-            decided &= np.abs(p, out=p) > m  # false where M^ is NaN or infinite
-        exact = ~decided
-    for j, i in _true_nodes(exact):
+            ys, rows_ok = _float_powers(rows.lines, deg_y)
+            xs, cols_ok = _float_powers(nx, deg_x)
+            yw, m_rows = ys.T @ w, np.abs(ys.T) @ np.abs(w)
+            rows_ok &= np.isfinite(yw).all(axis=1) & np.isfinite(m_rows).all(axis=1)
+            yw[~rows_ok] = m_rows[~rows_ok] = 0.0
+            # a block of rows at a time into two reused buffers: fresh full-grid
+            # float arrays cost more than the arithmetic
+            ax_abs, scale = np.abs(xs), 2 * _gamma(2 * (deg_x + deg_y) + 2)
+            p_buf, m_buf = np.empty((2, min(_BLOCK, len(yw)), len(nx)))
+            for lo in range(0, len(yw), _BLOCK):
+                hi = min(lo + _BLOCK, len(yw))
+                p, m = p_buf[: hi - lo], m_buf[: hi - lo]
+                np.matmul(yw[lo:hi], xs, out=p)
+                np.matmul(m_rows[lo:hi], ax_abs, out=m)
+                signs[lo:hi] = (p > 0).view(np.int8) - (p < 0).view(np.int8)  # undecided nodes are redone below
+                m *= scale
+                d = decided[lo:hi]
+                np.greater(np.abs(p, out=p), m, out=d)
+                d &= np.isfinite(p)
+                d &= np.isfinite(m)
+            decided &= rows_ok[:, None]
+            decided &= cols_ok
+    for j, i in _true_nodes(~decided):
         v = ueval(rows[j], nx[i])
         signs[j, i] = 0 if v == 0 else (1 if v > 0 else -1)
     return signs
@@ -211,32 +265,35 @@ def _box_lattice(box: Box, resolution: int, shift: int) -> tuple[int, int, int, 
     )
 
 
+def _node_range(a: int, s: int, n: int) -> range:
+    """The integer lattice coordinates a + k*s, k = 0..n."""
+    return range(a, a + (n + 1) * s, s)
+
+
 def _sign_grid(f: MultiPoly, ax: int, sx: int, dx: int, ay: int, sy: int, dy: int, n: int):
     """(signs, rows): the exact signs of f at the (n+1)^2 lattice nodes,
-    indexed [j][i], and the lattice rows (`_line_rows` of the horizontal
-    lines) they come from.
+    indexed [j][i], and the `_LineRows` of the horizontal lattice lines
+    that give them.
 
-    When a proven bound says int64 cannot overflow, the scaled integer values
-    are one int64 matrix product of the rows with the power table; otherwise
-    the signs come from a filtered float product with an exact integer
-    fallback (`_filtered_signs`).
+    The scaled integer values are P = Y W X, the power tables of the line
+    coordinates around the weight matrix.  When a proven bound says int64
+    cannot overflow, that is two int64 matrix products; otherwise the signs
+    come from the filtered float product with an exact integer fallback
+    (`_filtered_signs`).
     """
     degx, degy = max(f.degree_in(0), 0), max(f.degree_in(1), 0)
-    # bound >= (degx + 1) * max_a |w_a| * max(|nx|, 1)^degx over every row w
+    # bound >= (degx + 1) * sum_ab |c_ab| * max(|nx| dx, 1)^degx * max(|ny| dy, 1)^degy
     nx_max, ny_max = max(abs(ax), abs(ax + n * sx), 1), max(abs(ay), abs(ay + n * sy), 1)
     bound = sum(abs(c) for c, _ in f.num.values()) * (ny_max * dy) ** degy * (nx_max * dx) ** degx * (degx + 1)
-    rows = _line_rows(f, 0, [ay + j * sy for j in range(n + 1)], dy, dx)
+    rows = _LineRows(f, 0, _node_range(ay, sy, n), dy, dx)
+    nx = _node_range(ax, sx, n)
     if bound < _INT64_SAFE:
-        # Exact in int64: |w_a| * |nx|^a <= bound / (degx + 1) for every
-        # term, so each power nx^a, each product and each partial sum of the
-        # matrix product stays within bound < 2^62.
-        nx = ax + sx * np.arange(n + 1, dtype=np.int64)
-        powers = np.ones((degx + 1, n + 1), dtype=np.int64)
-        for a in range(1, degx + 1):
-            powers[a] = powers[a - 1] * nx
-        acc = np.array(rows, dtype=np.int64) @ powers
+        # Exact in int64: each term |c_ab| nx^a dx^(degx-a) ny^b dy^(degy-b)
+        # is at most bound / (degx + 1), so every power, weight, product and
+        # partial sum of either matrix product stays within bound < 2^62.
+        acc = _powers(_coords(rows.lines), degy).T @ np.array(rows.weights, dtype=np.int64) @ _powers(_coords(nx), degx)
         return (acc > 0).view(np.int8) - (acc < 0).view(np.int8), rows
-    return _filtered_signs(rows, [ax + sx * i for i in range(n + 1)]), rows
+    return _filtered_signs(rows, nx), rows
 
 
 # -- exact rational interval arithmetic ----------------------------------------------
@@ -280,37 +337,37 @@ class _LatticeLines:
     equals the degree of f in the line's variable (deg_x f for a horizontal
     line, deg_y f for a vertical one), which bounds the roots with
     multiplicity, so no chain is needed; otherwise it is checked by one
-    Sturm count from the first node to the last.  A proven line answers
-    each of its edges from the signs of the edge's ends.
+    Sturm count from the first node to the last.  The same argument holds
+    on a stretch of a line (`edges_are_zero_free`), where a Descartes count
+    bounds the roots with multiplicity.
 
-    Edges of the other lines (the count exceeds S) get a Sturm count of
-    their own on the half-open interval (lo, hi].  A line's chain is built
-    once, from its `_line_rows` row: a positive multiple of f on the line
-    as a polynomial in the integer lattice coordinate (nx = dx*x or
-    ny = dy*y), so counts run between integer endpoints.  The horizontal
-    rows are the ones `_sign_grid` built; a vertical row is built when its
-    line first needs a chain.
+    Edges of lines whose count exceeds S get a Sturm count of their own on
+    the half-open interval (lo, hi].  Counts run on the line's row (a
+    positive multiple of f on the line as a polynomial in the integer
+    lattice coordinate nx = dx*x or ny = dy*y) between integer endpoints;
+    a line's chain is built once.  The horizontal rows are the `_LineRows`
+    of `_sign_grid`; the vertical ones are a second `_LineRows`, so each
+    row is built once, when a proof first reads it.
     """
 
-    def __init__(self, f: MultiPoly, lattice: tuple, signs: np.ndarray, rows: list[list[int]]):
+    def __init__(self, f: MultiPoly, lattice: tuple, signs: np.ndarray, rows: _LineRows):
         if (signs == 0).any():
             raise ValueError("a lattice node is a zero of f; shift the lattice off the curve")
-        self.f, self.lattice, self.signs, self.rows = f, lattice, signs, rows
-        ax, sx, _, ay, sy, _, _ = lattice
+        self.lattice, self.signs = lattice, signs
+        ax, sx, dx, ay, sy, dy, n = lattice
+        self.rows = {"h": rows, "v": _LineRows(f, 1, _node_range(ax, sx, n), dx, dy)}
         self.along = {"h": (ax, sx), "v": (ay, sy)}  # (first node, step) in each line's edge coordinate
         self.degree = {"h": max(f.degree_in(0), 0), "v": max(f.degree_in(1), 0)}
-        h_changes = np.count_nonzero(signs[:, :-1] != signs[:, 1:], axis=1)
-        v_changes = np.count_nonzero(signs[:-1, :] != signs[1:, :], axis=0)
-        self.changes = {"h": h_changes.tolist(), "v": v_changes.tolist()}  # S of every line
+        # crossed[kind][line, k]: the line's k-th edge joins nodes of opposite sign
+        self.crossed = {"h": signs[:, :-1] != signs[:, 1:], "v": (signs[:-1, :] != signs[1:, :]).T}
+        self.changes = {kind: np.count_nonzero(c, axis=1) for kind, c in self.crossed.items()}  # S of every line
         self._proven: dict[tuple[str, int], bool] = {}
         self._counters: dict[tuple[str, int], Callable] = {}
 
     def _counter(self, kind: str, line: int) -> Callable:
         """The line's Sturm count in its integer edge coordinate."""
         if (kind, line) not in self._counters:
-            ax, sx, dx, _, _, dy, _ = self.lattice
-            row = self.rows[line] if kind == "h" else _line_rows(self.f, 1, [ax + line * sx], dx, dy)[0]
-            self._counters[kind, line] = sturm_counter(row)
+            self._counters[kind, line] = sturm_counter(self.rows[kind][line])
         return self._counters[kind, line]
 
     def _line_is_proven(self, kind: str, line: int) -> bool:
@@ -322,19 +379,34 @@ class _LatticeLines:
             self._proven[kind, line] = proven
         return proven
 
-    def crossed(self, kind: str, i: int, j: int) -> bool:
-        """Whether the edge's end signs differ, so that it holds a root."""
-        return self.signs.item(j, i) != (self.signs.item(j, i + 1) if kind == "h" else self.signs.item(j + 1, i))
-
     def edge_is_zero_free(self, kind: str, i: int, j: int) -> bool:
-        if self.crossed(kind, i, j):
-            return False
         line, k = (j, i) if kind == "h" else (i, j)
+        return not self.crossed[kind][line, k] and self._uncrossed_edge_is_zero_free(kind, line, k)
+
+    def _uncrossed_edge_is_zero_free(self, kind: str, line: int, k: int) -> bool:
+        """The line proof, else a Sturm count on the edge."""
         if self._line_is_proven(kind, line):
             return True
         first, step = self.along[kind]
         lo = first + k * step
         return self._counter(kind, line)(lo, lo + step) == 0
+
+    def edges_are_zero_free(self, kind: str, line: int, ks: list[int]) -> bool:
+        """Whether the uncrossed edges ks (ascending) of the line are zero-free.
+
+        First one Descartes count over their span, from node ks[0] to node
+        ks[-1] + 1: it bounds the roots there, with multiplicity, from above
+        and with their parity, and each of the span's S crossed edges holds
+        at least one, so a count of S leaves none for the uncrossed edges.
+        Otherwise each edge is decided as `edge_is_zero_free` decides it.
+        """
+        if not self._proven.get((kind, line)):
+            first, step = self.along[kind]
+            lo, hi = ks[0], ks[-1] + 1
+            s = np.count_nonzero(self.crossed[kind][line, lo:hi])
+            if _descartes(self.rows[kind][line], first + lo * step, first + hi * step) == s:
+                return True
+        return all(self._uncrossed_edge_is_zero_free(kind, line, k) for k in ks)
 
 
 # -- compactness and the default box --------------------------------------------------
@@ -434,7 +506,7 @@ def _cases(signs: np.ndarray) -> np.ndarray:
     return neg[:-1, :-1] + 2 * neg[:-1, 1:] + 4 * neg[1:, 1:] + 8 * neg[1:, :-1]
 
 
-def _edge_point(rows: list[list[int]], lattice: tuple, kind: str, i: int, j: int) -> tuple[float, float]:
+def _edge_point(rows: _LineRows, lattice: tuple, kind: str, i: int, j: int) -> tuple[float, float]:
     """Zero of the linear interpolant of f on the lattice edge from node (i, j)
     along x ("h") or y ("v"), from the exact values va and vb of the lattice
     rows at its ends (their signs differ): x + t * (sx/dx) or y + t * (sy/dy)
@@ -459,7 +531,7 @@ class _Mesher:
     both from their rows.
     """
 
-    def __init__(self, f: MultiPoly, lattice: tuple, signs: np.ndarray, rows: list[list[int]]):
+    def __init__(self, f: MultiPoly, lattice: tuple, signs: np.ndarray, rows: _LineRows):
         self.f, self.lattice, self.signs, self.rows = f, lattice, signs, rows
         self.segments: list[tuple] = []
         self.vertex_pos: dict[tuple, tuple[float, float]] = {}
@@ -513,7 +585,7 @@ class _Mesher:
         for a, b in (("B", "L"), ("T", "R")):
             self.segments.append((self._edge_vertex(*edges[a]), self._edge_vertex(*edges[b]), (i, j)))
 
-    def _emit_subgrid(self, i: int, j: int, sub: tuple, signs: np.ndarray, rows: list, cases: np.ndarray):
+    def _emit_subgrid(self, i: int, j: int, sub: tuple, signs: np.ndarray, rows: _LineRows, cases: np.ndarray):
         m = sub[-1]
 
         def sub_vertex(kind: str, a: int, b: int) -> tuple:
@@ -641,10 +713,20 @@ def count_ovals(
 
 def _certify_loop(cells, lines: _LatticeLines) -> bool:
     """Whether each edge of the loop's cells is crossed (its end signs differ:
-    in a certified cell, exactly the edges the loop passes through) or zero-free."""
-    for i, j in cells:
-        for key in _cell_edges(i, j).values():
-            if not (lines.crossed(*key) or lines.edge_is_zero_free(*key)):
+    in a certified cell, exactly the edges the loop passes through) or
+    zero-free.  The crossings and the lines whose sign changes reach the
+    degree are read off the sign grid for all edges at once; the uncrossed
+    edges left on each other line go to `edges_are_zero_free` together."""
+    i, j = np.array(list(cells)).T
+    n = lines.lattice[-1]
+    # each cell's bottom and top edges lie on lines j, j + 1 ("h", edge i); its
+    # left and right edges on lines i, i + 1 ("v", edge j)
+    for kind, line, k in (("h", (j, j + 1), (i, i)), ("v", (i, i + 1), (j, j))):
+        line, k = np.concatenate(line), np.concatenate(k)
+        open_ = ~lines.crossed[kind][line, k] & (lines.changes[kind][line] != lines.degree[kind])
+        keys = np.unique(line[open_] * n + k[open_]).tolist()  # ascending by line, then by edge
+        for at, group in itertools.groupby(keys, lambda key: key // n):
+            if not lines.edges_are_zero_free(kind, at, [key % n for key in group]):
                 return False
     return True
 

@@ -10,7 +10,7 @@ import pytest
 import foltools
 from foltools import cli
 from foltools.cli import EXIT_BROKEN_PIPE, run
-from foltools.errors import PreconditionError
+from foltools.errors import ArityMismatch, PreconditionError
 
 EEE_DOC = """
 [field eee]
@@ -505,6 +505,10 @@ f = x*y - 1
 
 [curve line]
 f = x - 1
+
+[field shared]
+p = x*(x - 1)
+q = x*(y + 2)
 """
 
 
@@ -579,3 +583,36 @@ def test_a_failed_pullback_check_on_an_invariant_curve_is_undecided(ex1_doc, mon
     assert "pullback inconsistency" in capsys.readouterr().err
     assert run(["euler-check", ex1_doc, "--field", "example1", "--curve", "line", "--chi", "2"]) == 3
     assert "NOT CHECKABLE" in capsys.readouterr().out
+
+
+def test_certify_that_finds_no_oval_is_undecided(tmp_path, capsys):
+    # an ellipse with semi-axes 1/2 and 2 inside [-1, 0] x [-3.5, 0.5]: the
+    # default box is [-32, 32]^2, whose cells at res 64 are 1 wide, so the
+    # lattice steps over it and nothing is certified
+    doc = tmp_path / "eee.fol"
+    g = "4*x^2 + 1/4*y^2 + 4*x + 3/4*y + 9/16"
+    assert run(["construct", "eee", "--g", g, "--h", "x - 2", "--out", str(doc)]) == 0
+    capsys.readouterr()
+    assert run(["certify", str(doc), "--field", "eee", "--curve", "g", "--res", "64"]) == 3
+    assert capsys.readouterr().out.splitlines()[-2:] == ["ovals found: 0", "no oval found; nothing certified"]
+    assert run(["certify", str(doc), "--field", "eee", "--curve", "g", "--res", "64", "--json"]) == 3
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["oval_count"], payload["certificates"]) == (0, [])
+    # at res 256 the lattice finds the oval and certifies it
+    assert run(["certify", str(doc), "--field", "eee", "--curve", "g", "--res", "256"]) == 0
+
+
+def test_a_field_whose_components_share_a_factor_is_a_usage_error(rules_doc, capsys):
+    assert run(["singularities", rules_doc, "--field", "shared"]) == 2
+    captured = capsys.readouterr()
+    assert "components share a polynomial factor" in captured.err and captured.out == ""
+
+
+def test_polynomials_over_different_variable_sets_are_a_usage_error(rules_doc, monkeypatch, capsys):
+    def mismatch(_field):
+        raise ArityMismatch("homogenize expects an affine (arity-2) polynomial")
+
+    monkeypatch.setattr(cli, "projectivize", mismatch)
+    assert run(["projectivize", rules_doc, "--field", "saddle"]) == 2
+    captured = capsys.readouterr()
+    assert "homogenize expects an affine (arity-2) polynomial" in captured.err and captured.out == ""

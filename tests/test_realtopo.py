@@ -20,6 +20,7 @@ from foltools.realtopo import (
     _gamma,
     _horner,
     _LatticeLines,
+    _LineRows,
     _box_lattice,
     _sign_grid,
     compactness_check,
@@ -148,29 +149,40 @@ def test_denominator_beyond_float_range_is_counted():
     ],
 )
 def test_each_lattice_row_is_built_once(monkeypatch, curve, box, res):
-    # `_sign_grid` builds the horizontal rows of its lattice in one call; the
-    # sub-vertex values read those rows and the edge proofs reuse the top
-    # lattice's, so the only other calls build single vertical lines
-    calls, grids = [], []
-    line_rows, sign_grid = realtopo._line_rows, realtopo._sign_grid
+    # `_sign_grid` makes one `_LineRows` for the horizontal lines of each
+    # lattice, coarse or subdivision, and `_LatticeLines` one for the vertical
+    # lines of the coarse lattice; each builds a row at most once, and only
+    # when the row is read
+    axes, reads, builds, grids = {}, [], [], []
+    init, getitem, sign_grid = _LineRows.__init__, _LineRows.__getitem__, realtopo._sign_grid
 
-    def recording_rows(f, axis, lines, d_line, d_edge):
-        calls.append((axis, tuple(lines), d_line, d_edge))
-        return line_rows(f, axis, lines, d_line, d_edge)
+    def recording_init(self, f, axis, lines, d_line, d_edge):
+        axes[self] = (axis, lines)
+        init(self, f, axis, lines, d_line, d_edge)
+
+    def recording_getitem(self, l):
+        reads.append((self, l))
+        built = len(self._built)
+        row = getitem(self, l)
+        if len(self._built) > built:
+            builds.append((self, l))
+        return row
 
     def recording_grid(f, *lattice):
         grids.append(lattice)
         return sign_grid(f, *lattice)
 
-    monkeypatch.setattr(realtopo, "_line_rows", recording_rows)
+    monkeypatch.setattr(_LineRows, "__init__", recording_init)
+    monkeypatch.setattr(_LineRows, "__getitem__", recording_getitem)
     monkeypatch.setattr(realtopo, "_sign_grid", recording_grid)
     ovals = count_ovals(parse_poly(curve, 2), box, res)
-    horizontal = [c for c in calls if c[0] == 0]
-    vertical = [c for c in calls if c[0] == 1]
-    assert len(grids) > 1 and len(horizontal) == len(grids)
-    assert all(len(lines) == n + 1 for (_, lines, _, _), (*_, n) in zip(horizontal, grids))
-    assert all(len(c[1]) == 1 for c in vertical) and len(set(vertical)) == len(vertical)
-    assert bool(vertical) == (ovals.certified_count > 0)
+    horizontal = [lines for axis, lines in axes.values() if axis == 0]
+    vertical = [obj for obj, (axis, _) in axes.items() if axis == 1]
+    assert len(grids) > 1 and len(horizontal) == len(grids) and len(vertical) == 1
+    assert all(len(lines) == n + 1 for lines, (*_, n) in zip(horizontal, grids))
+    assert len(set(builds)) == len(builds) and set(builds) == {(obj, l) for obj in axes for l in obj._built}
+    assert 0 < len(builds) < sum(len(lines) for _, lines in axes.values())
+    assert any(obj in vertical for obj, _ in builds) == (ovals.certified_count > 0)
 
 
 def test_trace_circle_accuracy():
@@ -520,14 +532,25 @@ def _scaled_row(f, ny, dx, dy) -> list[int]:
 def _check_grid(f, ax, sx, dx, ay, sy, dy, n) -> dict:
     """Compare _sign_grid with an exact node-by-node evaluation; return path facts.
     The branch ("bigint") is read from the bound, and the grid must have taken
-    it: the filtered float product runs exactly when the bound reaches 2^62."""
+    it: the filtered float product runs exactly when the bound reaches 2^62.
+    "exact_nodes" are the (j, i) the filter left to the exact Horner."""
     bigint = _int64_bound(f, ax, sx, dx, ay, sy, dy, n) >= 2**62
+    exact_nodes = []
+    true_nodes = realtopo._true_nodes
+
+    def recording(mask):
+        nodes = true_nodes(mask)
+        exact_nodes.extend(nodes)
+        return nodes
+
     with mock.patch.object(realtopo, "_filtered_signs", wraps=realtopo._filtered_signs) as filtered:
-        signs, rows = _sign_grid(f, ax, sx, dx, ay, sy, dy, n)
+        with mock.patch.object(realtopo, "_true_nodes", recording):
+            signs, rows = _sign_grid(f, ax, sx, dx, ay, sy, dy, n)
     assert filtered.called == bigint
     exact = [[_scaled_value(f, ax + i * sx, dx, ay + j * sy, dy) for i in range(n + 1)] for j in range(n + 1)]
-    assert rows == [_scaled_row(f, ay + j * sy, dx, dy) for j in range(n + 1)]
-    overflowing_rows = sum(any(abs(c) > 2**1023 for c in w) for w in rows)
+    built = [rows[j] for j in range(n + 1)]
+    assert built == [_scaled_row(f, ay + j * sy, dx, dy) for j in range(n + 1)]
+    overflowing_rows = [j for j, w in enumerate(built) if any(abs(c) > 2**1023 for c in w)]
     for j in range(n + 1):
         for i in range(n + 1):
             v = exact[j][i]
@@ -536,6 +559,7 @@ def _check_grid(f, ax, sx, dx, ay, sy, dy, n) -> dict:
         "bigint": bigint,
         "zeros": int((signs == 0).sum()),
         "overflowing_rows": overflowing_rows,
+        "exact_nodes": set(exact_nodes),
         "max_abs": max(abs(v) for row in exact for v in row),
     }
 
@@ -590,11 +614,23 @@ def test_sign_grid_with_a_degree_zero_variable_on_both_branches(f):
 
 
 def test_sign_grid_overflowing_rows_use_exact_fallback():
-    # rows far from y = 0 have coefficients beyond float range and are
-    # evaluated exactly; the rows near it still go through the float filter
+    # rows far from y = 0 have coefficients beyond float range, so Y W
+    # overflows there and those rows are evaluated exactly; the rows near it
+    # still go through the float filter
     huge = (x**2 + y**2 - const2(1)).scale(gr(10**274)) + y**6 * const2(10**286)
     facts = _check_grid(huge, *_box_lattice(Box.square(2), 8, 1))
-    assert facts["bigint"] and 0 < facts["overflowing_rows"] < 11
+    assert facts["bigint"] and 0 < len(facts["overflowing_rows"]) < 11
+    assert {(j, i) for j in facts["overflowing_rows"] for i in range(11)} <= facts["exact_nodes"]
+    assert len(facts["exact_nodes"]) < 11 * 11
+
+
+def _naive_float_signs(f, ax, sx, dx, ay, sy, dy, n) -> np.ndarray:
+    """The signs of the unfiltered float product (Y W) X of the lattice."""
+    rows = _LineRows(f, 0, range(ay, ay + (n + 1) * sy, sy), dy, dx)
+    w = np.array([[float(c) for c in r] for r in rows.weights])
+    ys = np.array([[float(ay + j * sy) ** b for b in range(w.shape[0])] for j in range(n + 1)])
+    xs = np.array([[float(ax + i * sx) ** a for i in range(n + 1)] for a in range(w.shape[1])])
+    return np.sign(ys @ w @ xs)
 
 
 def test_float_filter_sends_cancelling_nodes_to_exact_horner():
@@ -604,15 +640,54 @@ def test_float_filter_sends_cancelling_nodes_to_exact_horner():
     for K in (10**17, 10**18 + 1, 3**40, 7**25):
         for s in (1, -1, 2, -3):
             f = const2(K) * (const2(3) * x - const2(1)) * (x + const2(5)) * (x - const2(2)) + const2(s)
+            rows = _LineRows(f, 0, range(0, 1), 1, 3)
             row = _scaled_row(f, 0, 3, 1)
-            nx = list(range(-20, 21))
+            assert rows[0] == row
+            nx = range(-20, 21)
             exact = [_scaled_value(f, v, 3, 0, 1) for v in nx]
             naive = np.zeros(len(nx))
             for c in reversed(row):
                 naive = naive * np.array(nx, dtype=float) + float(c)
             wrong_float_signs += sum(np.sign(p) != (e > 0) - (e < 0) for p, e in zip(naive, exact))
-            assert _filtered_signs([row], nx)[0].tolist() == [(e > 0) - (e < 0) for e in exact]
+            assert _filtered_signs(rows, nx)[0].tolist() == [(e > 0) - (e < 0) for e in exact]
     assert wrong_float_signs > 0
+
+
+def test_float_filter_sends_nodes_cancelling_in_x_and_y_to_exact_horner():
+    # K (3x - 1)(x + 5)(x - 2)(3y + 1)(y - 2) + s at x = k/3, y = l/3: on the
+    # lattice lines through the roots of either factor the terms of the two
+    # products cancel to noise, and the unfiltered float sign is often wrong
+    lattice = (-20, 1, 3, -20, 1, 3, 40)
+    wrong_float_signs = 0
+    for K, s in ((10**17, 1), (3**40, -2), (7**25, 3)):
+        g = (const2(3) * x - const2(1)) * (x + const2(5)) * (x - const2(2))
+        f = const2(K) * g * (const2(3) * y + const2(1)) * (y - const2(2)) + const2(s)
+        facts = _check_grid(f, *lattice)
+        assert facts["bigint"] and 0 < len(facts["exact_nodes"]) < 41 * 41
+        exact = np.array([[_scaled_value(f, i, 3, j, 3) for i in range(-20, 21)] for j in range(-20, 21)], dtype=object)
+        wrong_float_signs += int((_naive_float_signs(f, *lattice) != np.sign(exact).astype(float)).sum())
+    assert wrong_float_signs > 0
+
+
+@pytest.mark.parametrize("axis", [0, 1], ids=["nx", "ny"])
+def test_float_filter_with_coordinates_near_2_to_53(axis):
+    # along one axis the integer coordinates run up to 2^53 - 1, exact in
+    # float64, and the float filter decides most nodes; one more step, to
+    # 2^53, is not exact, and the whole lattice goes to the exact Horner
+    for last, filtered in (((1 << 53) - 1, True), (1 << 53, False)):
+        big, small = (last - 20, 1, 1 << 50), (-10, 1, 8)  # 8 + k/2^50 and k/8
+        if axis == 0:
+            f, lattice = (x - const2(8)) ** 2 + y**2 - const2(1), (*big, *small, 20)
+        else:
+            f, lattice = x**2 + (y - const2(8)) ** 2 - const2(1), (*small, *big, 20)
+        facts = _check_grid(f, *lattice)
+        assert facts["bigint"]
+        assert len(facts["exact_nodes"]) < 21 * 21 // 2 if filtered else len(facts["exact_nodes"]) == 21 * 21
+
+
+def test_a_weight_beyond_float_range_sends_the_whole_lattice_to_exact_horner():
+    facts = _check_grid(circle.scale(gr(10**400)), *_box_lattice(Box.square(2), 8, 1))
+    assert facts["bigint"] and len(facts["exact_nodes"]) == 11 * 11
 
 
 # -- line restrictions against the Fraction code they replaced -------------------------
@@ -832,6 +907,38 @@ def test_two_roots_on_one_same_sign_edge_are_refused():
     assert count_ovals(big, box, res).certified_count == 1
 
 
+def test_a_double_root_inside_an_uncrossed_edge_is_refused(monkeypatch):
+    # a circle of radius 1/20 tangent to the lattice line y = 1/2 from above
+    # at x = 5/4, inside a cell of the big circle's loop: on that line f has
+    # a double root inside the uncrossed edge from x = 1 to x = 3/2, so the
+    # loop's span there has more roots, counted with multiplicity, than sign
+    # changes; the Descartes count cannot prove it, nor can the line's Sturm
+    # count, and the edge's own Sturm count finds the root
+    big = x**2 + y**2 - const2("6/5")
+    f = big * ((x - const2("5/4")) ** 2 + (y - const2("11/20")) ** 2 - const2("1/400"))
+    lattice = _box_lattice(Box.square(2), 8, 0)
+    lines = _lattice_lines(f, lattice)
+    row = lines.rows["h"][6]  # y = 1/2, in nx = 2x
+    assert count_real_roots(row) == 3 and lines.changes["h"][6] == 2 and _ends_agree(lines, "h", 7, 6)
+    descartes, chains = [], []
+    plain_descartes = realtopo._descartes
+
+    def spy_descartes(c, lo, hi):
+        descartes.append((list(c), plain_descartes(c, lo, hi)))
+        return descartes[-1][1]
+
+    def spy_chain(c):
+        chains.append(list(c))
+        return sturm_counter(c)
+
+    monkeypatch.setattr(realtopo, "_descartes", spy_descartes)
+    monkeypatch.setattr(realtopo, "sturm_counter", spy_chain)
+    ovals = count_ovals(f, Box.square(2), 8)
+    assert (ovals.count, ovals.certified_count, ovals.open_chains, ovals.warnings) == (1, 0, 0, [])
+    assert [v for c, v in descartes if c == row] == [4] and row in chains
+    assert count_ovals(big, Box.square(2), 8).certified_count == 1
+
+
 def test_proven_lines_match_the_fraction_oracle():
     # on coarse shifted lattices around seeded curves of degree 2 to 6, lines
     # are proven by degree and by one count, some same-sign edges hold roots,
@@ -857,6 +964,30 @@ def test_proven_lines_match_the_fraction_oracle():
                         by_degree += lines.changes[kind][line] == lines.degree[kind]
                         by_count += lines.changes[kind][line] < lines.degree[kind]
     assert by_degree > 0 and by_count > 0 and roots_on_same_sign_edges > 0
+
+
+def test_certify_loop_matches_the_edge_oracle_on_any_cells():
+    # `_certify_loop` tells whether every edge of a set of cells is crossed or
+    # zero-free; on random blocks and scatters of cells of shifted lattices
+    # around seeded curves, it agrees with the Fraction Sturm oracle edge by
+    # edge, and gives both answers
+    rng = random.Random(31)
+    answers = []
+    for degree in (2, 3, 4, 5, 6):
+        f = _seeded_curve(rng, degree)
+        for box, res, shift in ((Box.square(2), 9, 1), (Box(Fraction(-1), Fraction(3, 2), Fraction(-5, 4), Fraction(1)), 11, 7)):
+            lattice = _box_lattice(box, res, shift)
+            n = lattice[-1]
+            lines, expected = _lattice_lines(f, lattice), _oracle_edge_answers(f, lattice)
+            for _ in range(30):
+                i, j, w, h = rng.randrange(n), rng.randrange(n), rng.randint(1, 6), rng.randint(1, 6)
+                cells = {(a, b) for a in range(i, min(i + w, n)) for b in range(j, min(j + h, n))}
+                cells |= {(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 3))}
+                keys = {key for c in cells for key in realtopo._cell_edges(*c).values()}
+                want = all(not _ends_agree(lines, *key) or expected[key] for key in keys)
+                assert realtopo._certify_loop(cells, lines) == want, (degree, box, sorted(cells))
+                answers.append(want)
+    assert 0 < sum(answers) < len(answers)
 
 
 def test_a_line_whose_sign_changes_reach_the_degree_builds_no_chain(monkeypatch):
