@@ -51,7 +51,6 @@ class Branch:
     phi1: PowerSeries
     phi2: PowerSeries
     truncation: int
-    smooth: bool = True
 
     def center(self) -> tuple[GaussianRational, GaussianRational]:
         return self.phi1.coefficient(0), self.phi2.coefficient(0)
@@ -97,7 +96,7 @@ def _branches_at_chart_point(
         else:
             s = _solve_series(local, truncation, solve_var=0)
             phi1, phi2 = s.shift_constant(u0), t.shift_constant(v0)
-        return [Branch(base, chart, phi1, phi2, truncation, True)]
+        return [Branch(base, chart, phi1, phi2, truncation)]
     if order != 2:
         raise UnsupportedBranch(f"point of order {order}; only smooth points and nodes supported")
     if not node:
@@ -144,7 +143,7 @@ def _node_branch(
         phi1, phi2 = t.shift_constant(u0), co.shift_constant(v0)
     else:
         phi1, phi2 = co.shift_constant(u0), t.shift_constant(v0)
-    return Branch(base, chart, phi1, phi2, truncation, True)
+    return Branch(base, chart, phi1, phi2, truncation)
 
 
 def local_branches(f: MultiPoly, point: ProjectivePoint, truncation: int | None = None) -> list[Branch]:
@@ -259,6 +258,8 @@ def singular_points_on_curve(
 ) -> tuple[list[ProjectivePoint], tuple[Enumeration, Enumeration]]:
     """The field's singular points on the projective closure of f, and the
     affine and infinite enumerations they were taken from."""
+    if f.is_constant():
+        raise PreconditionError("curve must be a nonconstant polynomial")
     aff = affine_singularities(field)
     inf = infinite_singularities(field.one_form)
     F = homogenize(f, int(f.degree))
@@ -392,9 +393,9 @@ def genus_and_chi(
 def corollary2_check(n: int, f: MultiPoly, truncation: int | None = None) -> tuple[bool, EulerReport]:
     """Euler characteristic -n(n-3) of a smooth degree-n curve via the
     Hamiltonian foliation of f; also checks every infinity multiplicity is 1."""
-    if int(f.degree) != n:
-        raise PreconditionError(f"curve degree {int(f.degree)} != n = {n}")
     records, decided = curve_singularities_decided(f)
+    if f.degree != n:
+        raise PreconditionError(f"curve degree {f.degree} != n = {n}")
     if records:
         raise PreconditionError("curve must be smooth")
     if not decided:

@@ -65,7 +65,7 @@ from .fields import (
 )
 from .gaussian import GaussianRational, gr
 from .polyring import MultiPoly, dehomogenize
-from .realtopo import Box, compactness_check, count_ovals, trace_oval
+from .realtopo import Box, count_ovals, trace_oval
 from .singularities import (
     ProjectivePoint,
     Verdict,
@@ -308,8 +308,8 @@ def cmd_euler_check(args):
 def cmd_corollary2(args):
     doc = _load_document(args.document)
     curve = _get_curve(doc, args.curve)
-    n = int(curve.degree)
-    ok, report = corollary2_check(n, curve)
+    ok, report = corollary2_check(curve.degree, curve)
+    n = report.curve_degree
     chi = -n * (n - 3)
     lines = [
         f"degree n = {n}, expected chi = {chi}",
@@ -473,8 +473,6 @@ def cmd_ovals(args):
     doc = _load_document(args.document)
     curve = _get_curve(doc, args.curve)
     box = _parse_box(args.box) if args.box else None
-    if box is None and not compactness_check(curve):
-        raise PreconditionError("real locus is non-compact; supply --box explicitly")
     ovals = count_ovals(curve, box, args.res)
     payload = ovals.to_dict()
     lines = [

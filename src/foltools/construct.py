@@ -213,7 +213,6 @@ class GalleryEntry:
     weights: tuple[GaussianRational, ...] = ()
     log_spec: LogarithmicSpec | None = None
     expected_mu: tuple[tuple[str, int], ...] = ()
-    expected_chi: int | None = None
     expected_ovals: int | None = None
     notes: tuple[str, ...] = ()
 
@@ -241,7 +240,6 @@ def _example1(alpha: GaussianRational, beta: GaussianRational) -> GalleryEntry:
         log_spec=spec,
         weights=(alpha, beta, -(alpha + beta)),
         expected_mu=(("(0 : 1 : 0)", 1), ("(0 : 0 : 1)", 1)),
-        expected_chi=2,
         notes=notes,
     )
 
@@ -293,7 +291,6 @@ def gallery(
             field=deprojectivize(form),
             curve=parse_poly("x", 2),
             expected_mu=mus,
-            expected_chi=2,
             notes=("degenerate points on the invariant line classify as unknown",),
         )
     if name == "three-lines":
@@ -322,7 +319,6 @@ def gallery(
             kind="curve",
             curve=parse_poly("y^2 - x^2*(x + 1)", 2),
             expected_ovals=0,
-            expected_chi=2,
             notes=("one node at the origin; the real loop passes through it",),
         )
     if name == "quartic-4-ovals":

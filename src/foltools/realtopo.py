@@ -2,12 +2,11 @@
 
 Topology comes from exact signs: grid nodes are rational, and every sign
 is proven.  A lattice's scaled integer values are P = Y W X, f's integer
-weight matrix W between the power tables of the integer line coordinates:
-two int64 matrix products when a proven bound says they cannot overflow;
-otherwise two float64 products decide each sign whose value clears a
-rigorous rounding-error bound, and every other node is evaluated in exact
-integers (a filtered predicate in the sense of Shewchuk, 1997).  The exact
-values come from the lattice rows (`_LineRows`: f on one lattice line as an
+weight matrix W between the power tables of the integer line coordinates.
+Two float64 products decide each sign whose value clears a rigorous
+rounding-error bound, and every other node is evaluated in exact integers
+(a filtered predicate in the sense of Shewchuk, 1997).  The exact values
+come from the lattice rows (`_LineRows`: f on one lattice line as an
 integer polynomial in the edge coordinate), each row built the first time
 it is read.  Each vertex is the zero of the linear interpolant on its edge,
 placed from the exact values of the same rows (`_edge_point`), so no count
@@ -17,11 +16,10 @@ an integer lattice, evaluated the same way as the coarse grid; when depth
 runs out the affected ovals are reported uncertified with a warning.
 Uncrossed cell edges of each loop are proven zero-free from the sign grid
 and the rows (`_LatticeLines`): a line whose sign changes reach its degree
-needs nothing more; on any other line one Descartes count over the loop's
-stretch of the line, then one Sturm count over the whole line, and last a
-Sturm count per edge.  Numeric tracing sees f only at unit scale and puts
-every float point on the curve with one Newton corrector (see the numeric
-tracing section).
+needs nothing more; on any other line, over the loop's stretch of it, one
+Descartes count, then one Sturm count, and last a Sturm count per edge.
+Numeric tracing sees f only at unit scale and puts every float point on
+the curve with one Newton corrector (see the numeric tracing section).
 """
 
 from __future__ import annotations
@@ -40,8 +38,7 @@ from .polyring import MultiPoly, _specialize, leading_form
 from .uniroots import _descartes, count_real_roots, sturm_counter, ueval, utrim
 
 MAX_SUBDIVISION_DEPTH = 6
-_INT64_SAFE = 1 << 62
-_BLOCK = 64  # rows per pass of the filtered float product
+_BLOCK = 1 << 15  # entries of each buffer of the filtered float product
 _BEYOND_FLOAT = "beyond float range (magnitude above 1.8e308)"
 
 
@@ -164,28 +161,19 @@ def _true_nodes(mask: np.ndarray) -> list[tuple[int, int]]:
     return [divmod(k, cols) for k in np.flatnonzero(mask).tolist()]
 
 
-def _coords(coords: range) -> np.ndarray:
-    """The integers of `coords` in int64; the caller bounds them."""
-    return coords.start + coords.step * np.arange(len(coords), dtype=np.int64)
-
-
-def _powers(t: np.ndarray, deg: int) -> np.ndarray:
-    """table[a, k] = t[k]^a by repeated products, in the dtype of t."""
-    table = np.ones((deg + 1, len(t)), dtype=t.dtype)
+def _float_powers(coords: range, deg: int) -> np.ndarray:
+    """table[a, k] = fl(t_k^a) for the integers t_k in `coords`, by repeated
+    products from t_k, each exact in float64 (|t_k| < 2^53); a column where
+    a power overflowed is zero, and so is the whole table when some t_k is
+    not exact."""
+    exact = max(abs(coords[0]), abs(coords[-1])) < 1 << 53
+    t = coords.start + coords.step * np.arange(len(coords), dtype=np.int64) if exact else np.zeros(len(coords))
+    table = np.ones((deg + 1, len(coords)))
     for a in range(1, deg + 1):
         np.multiply(table[a - 1], t, out=table[a])
+    # an overflowed power stays infinite in the top row
+    table[:, ~(np.isfinite(table[-1]) & exact)] = 0.0
     return table
-
-
-def _float_powers(coords: range, deg: int) -> tuple[np.ndarray, np.ndarray]:
-    """(table, ok): table[a, k] = fl(t_k^a) for the integers t_k in `coords`,
-    by repeated products from t_k, and ok[k] where the column is finite and
-    every t_k is exact in float64 (|t_k| < 2^53); columns not ok are zero."""
-    ok = np.full(len(coords), max(abs(coords[0]), abs(coords[-1])) < 1 << 53)
-    table = _powers(_coords(coords).astype(np.float64) if ok.all() else np.zeros(len(coords)), deg)
-    ok &= np.isfinite(table).all(axis=0)
-    table[:, ~ok] = 0.0
-    return table, ok
 
 
 def _filtered_signs(rows: _LineRows, nx: range) -> np.ndarray:
@@ -205,10 +193,11 @@ def _filtered_signs(rows: _LineRows, nx: range) -> np.ndarray:
     (1 - gamma_k) M and the error is at most 2 gamma_{k+1} M^.  All values
     are integers, so nothing underflows, and a value that stays finite never
     overflowed on its way; the factor 2 leaves room for the rounding of the
-    bound itself.  A node's sign is taken when its row and column
-    inputs are finite (and the abscissae exact), both of its products are
-    finite and |P^| exceeds that bound; rows or columns with other inputs
-    are zeroed before the products, so no sign rests on NaN or infinity.
+    bound itself.  A node's sign is taken when both of its products are
+    finite and |P^| exceeds that bound.  Rows and columns whose inputs are
+    not finite (or whose abscissae are not exact) are zeroed before the
+    products, so their nodes read P^ = M^ = 0 and no sign rests on NaN,
+    infinity or an inexact abscissa.
     Every other node, and the whole grid when a weight is beyond float
     range, is evaluated by the exact integer Horner of its row.
     """
@@ -221,28 +210,25 @@ def _filtered_signs(rows: _LineRows, nx: range) -> np.ndarray:
         w = None  # a weight beyond float range: every node is evaluated exactly
     if w is not None:
         with np.errstate(over="ignore", invalid="ignore"):
-            ys, rows_ok = _float_powers(rows.lines, deg_y)
-            xs, cols_ok = _float_powers(nx, deg_x)
+            ys, xs = _float_powers(rows.lines, deg_y), _float_powers(nx, deg_x)
             yw, m_rows = ys.T @ w, np.abs(ys.T) @ np.abs(w)
-            rows_ok &= np.isfinite(yw).all(axis=1) & np.isfinite(m_rows).all(axis=1)
+            rows_ok = np.isfinite(yw).all(axis=1) & np.isfinite(m_rows).all(axis=1)
             yw[~rows_ok] = m_rows[~rows_ok] = 0.0
             # a block of rows at a time into two reused buffers: fresh full-grid
             # float arrays cost more than the arithmetic
             ax_abs, scale = np.abs(xs), 2 * _gamma(2 * (deg_x + deg_y) + 2)
-            p_buf, m_buf = np.empty((2, min(_BLOCK, len(yw)), len(nx)))
-            for lo in range(0, len(yw), _BLOCK):
-                hi = min(lo + _BLOCK, len(yw))
+            block = min(max(_BLOCK // len(nx), 1), len(yw))
+            p_buf, m_buf = np.empty((2, block, len(nx)))
+            for lo in range(0, len(yw), block):
+                hi = min(lo + block, len(yw))
                 p, m = p_buf[: hi - lo], m_buf[: hi - lo]
                 np.matmul(yw[lo:hi], xs, out=p)
                 np.matmul(m_rows[lo:hi], ax_abs, out=m)
                 signs[lo:hi] = (p > 0).view(np.int8) - (p < 0).view(np.int8)  # undecided nodes are redone below
                 m *= scale
                 d = decided[lo:hi]
-                np.greater(np.abs(p, out=p), m, out=d)
+                np.greater(np.abs(p, out=p), m, out=d)  # False where m is infinite or NaN
                 d &= np.isfinite(p)
-                d &= np.isfinite(m)
-            decided &= rows_ok[:, None]
-            decided &= cols_ok
     for j, i in _true_nodes(~decided):
         v = ueval(rows[j], nx[i])
         signs[j, i] = 0 if v == 0 else (1 if v > 0 else -1)
@@ -272,28 +258,10 @@ def _node_range(a: int, s: int, n: int) -> range:
 
 def _sign_grid(f: MultiPoly, ax: int, sx: int, dx: int, ay: int, sy: int, dy: int, n: int):
     """(signs, rows): the exact signs of f at the (n+1)^2 lattice nodes,
-    indexed [j][i], and the `_LineRows` of the horizontal lattice lines
-    that give them.
-
-    The scaled integer values are P = Y W X, the power tables of the line
-    coordinates around the weight matrix.  When a proven bound says int64
-    cannot overflow, that is two int64 matrix products; otherwise the signs
-    come from the filtered float product with an exact integer fallback
-    (`_filtered_signs`).
-    """
-    degx, degy = max(f.degree_in(0), 0), max(f.degree_in(1), 0)
-    # bound >= (degx + 1) * sum_ab |c_ab| * max(|nx| dx, 1)^degx * max(|ny| dy, 1)^degy
-    nx_max, ny_max = max(abs(ax), abs(ax + n * sx), 1), max(abs(ay), abs(ay + n * sy), 1)
-    bound = sum(abs(c) for c, _ in f.num.values()) * (ny_max * dy) ** degy * (nx_max * dx) ** degx * (degx + 1)
+    indexed [j][i], from the filtered product of `_filtered_signs`, and the
+    `_LineRows` of the horizontal lattice lines that give them."""
     rows = _LineRows(f, 0, _node_range(ay, sy, n), dy, dx)
-    nx = _node_range(ax, sx, n)
-    if bound < _INT64_SAFE:
-        # Exact in int64: each term |c_ab| nx^a dx^(degx-a) ny^b dy^(degy-b)
-        # is at most bound / (degx + 1), so every power, weight, product and
-        # partial sum of either matrix product stays within bound < 2^62.
-        acc = _powers(_coords(rows.lines), degy).T @ np.array(rows.weights, dtype=np.int64) @ _powers(_coords(nx), degx)
-        return (acc > 0).view(np.int8) - (acc < 0).view(np.int8), rows
-    return _filtered_signs(rows, nx), rows
+    return _filtered_signs(rows, _node_range(ax, sx, n)), rows
 
 
 # -- exact rational interval arithmetic ----------------------------------------------
@@ -325,29 +293,27 @@ def _interval_eval(coeffs: list[int], lo: Fraction, hi: Fraction) -> tuple[Fract
 
 
 class _LatticeLines:
-    """Exact proofs that f has no zero on a lattice edge, one line at a time.
+    """Exact proofs that f has no zero on the uncrossed edges of a stretch of
+    a lattice line.
 
     No node of the lattice may be a zero of f (`count_ovals` shifts the
-    lattice until none is).  The line proof: on a lattice line, let S be
-    the number of sign changes between its consecutive nodes (read off the
-    sign grid).  Each crossed edge holds a root in its interior, so f has
-    at least S distinct roots on the line between its first and last node.
-    If it has exactly S there, each crossed edge holds exactly one root and
-    every other edge of the line is zero-free.  That equality holds when S
-    equals the degree of f in the line's variable (deg_x f for a horizontal
-    line, deg_y f for a vertical one), which bounds the roots with
-    multiplicity, so no chain is needed; otherwise it is checked by one
-    Sturm count from the first node to the last.  The same argument holds
-    on a stretch of a line (`edges_are_zero_free`), where a Descartes count
-    bounds the roots with multiplicity.
+    lattice until none is).  On a stretch of a line, let S be the number of
+    sign changes between its consecutive nodes (read off the sign grid).
+    Each crossed edge holds a root in its interior, so f has at least S
+    distinct roots on the stretch.  If it has exactly S there, each crossed
+    edge holds exactly one root and every other edge of the stretch is
+    zero-free.  That equality holds on a whole line whose S equals the
+    degree of f in the line's variable (deg_x f for a horizontal line, deg_y
+    f for a vertical one), which bounds the roots with multiplicity, so
+    `_certify_loop` skips such lines; on any other stretch
+    `edges_are_zero_free` checks it.
 
-    Edges of lines whose count exceeds S get a Sturm count of their own on
-    the half-open interval (lo, hi].  Counts run on the line's row (a
-    positive multiple of f on the line as a polynomial in the integer
-    lattice coordinate nx = dx*x or ny = dy*y) between integer endpoints;
-    a line's chain is built once.  The horizontal rows are the `_LineRows`
-    of `_sign_grid`; the vertical ones are a second `_LineRows`, so each
-    row is built once, when a proof first reads it.
+    Counts run on the line's row (a positive multiple of f on the line as a
+    polynomial in the integer lattice coordinate nx = dx*x or ny = dy*y)
+    between integer endpoints; a line's Sturm chain is built once.  The
+    horizontal rows are the `_LineRows` of `_sign_grid`; the vertical ones
+    are a second `_LineRows`, so each row is built once, when a proof first
+    reads it.
     """
 
     def __init__(self, f: MultiPoly, lattice: tuple, signs: np.ndarray, rows: _LineRows):
@@ -361,7 +327,6 @@ class _LatticeLines:
         # crossed[kind][line, k]: the line's k-th edge joins nodes of opposite sign
         self.crossed = {"h": signs[:, :-1] != signs[:, 1:], "v": (signs[:-1, :] != signs[1:, :]).T}
         self.changes = {kind: np.count_nonzero(c, axis=1) for kind, c in self.crossed.items()}  # S of every line
-        self._proven: dict[tuple[str, int], bool] = {}
         self._counters: dict[tuple[str, int], Callable] = {}
 
     def _counter(self, kind: str, line: int) -> Callable:
@@ -370,43 +335,23 @@ class _LatticeLines:
             self._counters[kind, line] = sturm_counter(self.rows[kind][line])
         return self._counters[kind, line]
 
-    def _line_is_proven(self, kind: str, line: int) -> bool:
-        proven = self._proven.get((kind, line))
-        if proven is None:
-            s = self.changes[kind][line]
-            first, step = self.along[kind]
-            proven = s == self.degree[kind] or self._counter(kind, line)(first, first + self.lattice[-1] * step) == s
-            self._proven[kind, line] = proven
-        return proven
-
-    def edge_is_zero_free(self, kind: str, i: int, j: int) -> bool:
-        line, k = (j, i) if kind == "h" else (i, j)
-        return not self.crossed[kind][line, k] and self._uncrossed_edge_is_zero_free(kind, line, k)
-
-    def _uncrossed_edge_is_zero_free(self, kind: str, line: int, k: int) -> bool:
-        """The line proof, else a Sturm count on the edge."""
-        if self._line_is_proven(kind, line):
-            return True
-        first, step = self.along[kind]
-        lo = first + k * step
-        return self._counter(kind, line)(lo, lo + step) == 0
-
     def edges_are_zero_free(self, kind: str, line: int, ks: list[int]) -> bool:
         """Whether the uncrossed edges ks (ascending) of the line are zero-free.
 
-        First one Descartes count over their span, from node ks[0] to node
-        ks[-1] + 1: it bounds the roots there, with multiplicity, from above
-        and with their parity, and each of the span's S crossed edges holds
-        at least one, so a count of S leaves none for the uncrossed edges.
-        Otherwise each edge is decided as `edge_is_zero_free` decides it.
+        Over the stretch from node ks[0] to node ks[-1] + 1, with S sign
+        changes: first one Descartes count, which bounds the roots there from
+        above, with multiplicity and with their parity; then one Sturm count
+        of the distinct roots on (first node, last node].  Either equal to S
+        leaves no root for the uncrossed edges.  Otherwise each edge gets a
+        Sturm count of its own on (lo, hi].
         """
-        if not self._proven.get((kind, line)):
-            first, step = self.along[kind]
-            lo, hi = ks[0], ks[-1] + 1
-            s = np.count_nonzero(self.crossed[kind][line, lo:hi])
-            if _descartes(self.rows[kind][line], first + lo * step, first + hi * step) == s:
-                return True
-        return all(self._uncrossed_edge_is_zero_free(kind, line, k) for k in ks)
+        first, step = self.along[kind]
+        lo, hi = first + ks[0] * step, first + (ks[-1] + 1) * step
+        s = np.count_nonzero(self.crossed[kind][line, ks[0] : ks[-1] + 1])
+        if _descartes(self.rows[kind][line], lo, hi) == s:
+            return True
+        count = self._counter(kind, line)
+        return count(lo, hi) == s or all(count(first + k * step, first + (k + 1) * step) == 0 for k in ks)
 
 
 # -- compactness and the default box --------------------------------------------------

@@ -533,9 +533,28 @@ def test_an_uncertified_oval_count_is_undecided(rules_doc, curve, res, shown, ca
 
 def test_a_non_compact_curve_with_no_box_is_a_usage_error(rules_doc, capsys):
     assert run(["ovals", rules_doc, "--curve", "hyperbola"]) == 2
-    assert "real locus is non-compact; supply --box explicitly" in capsys.readouterr().err
+    assert "real locus is unbounded; supply a box explicitly" in capsys.readouterr().err
     assert run(["certify", rules_doc, "--field", "saddle", "--curve", "hyperbola"]) == 2
     assert "real locus is unbounded; supply a box explicitly" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["corollary2", "--curve", "zero"],
+        ["euler-check", "--field", "rotation", "--curve", "const", "--chi", "2"],
+        ["multiplicity", "--field", "rotation", "--curve", "const"],
+    ],
+    ids=["corollary2", "euler-check", "multiplicity"],
+)
+def test_a_constant_curve_fails_the_precondition(tmp_path, argv, capsys):
+    # the rotation field leaves every curve invariant, the constant ones too;
+    # none of them is a curve, so there is no degree, no point and no verdict
+    doc = tmp_path / "constant.fol"
+    doc.write_text("[field rotation]\np = -y\nq = x\n\n[curve zero]\nf = 0\n\n[curve const]\nf = 3\n")
+    assert run([argv[0], str(doc), *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert "curve must be a nonconstant polynomial" in captured.err and captured.out == ""
 
 
 @pytest.mark.parametrize(

@@ -119,8 +119,8 @@ def test_subdivision_resolves_near_saddle(monkeypatch):
 
 
 def test_bigint_fallback_matches_numpy_path():
-    # huge coefficients overflow the int64 bound, forcing the exact big-int
-    # row evaluation; the count must not change
+    # huge coefficients give node values far past 2^63, which only the float
+    # filter and the exact big-int rows handle; the count must not change
     scaled = circle.scale(gr(10**15))
     ovals = count_ovals(scaled, Box.square(2), 32)
     assert ovals.count == 1 and ovals.certified_count == 1
@@ -134,8 +134,8 @@ def test_count_ovals_rejects_non_real_and_non_affine_curves():
 
 
 def test_denominator_beyond_float_range_is_counted():
-    # numerators 1, 1 and -1 keep every grid on the int64 branch; vertices
-    # come from the integer rows, so the denominator is never a float
+    # numerators 1, 1 and -1 keep every weight small; signs and vertices come
+    # from the integer rows and weights, so the denominator is never a float
     tiny, small = (count_ovals(circle.scale(gr(Fraction(1, 10**e))), Box.square(2), 16) for e in (400, 300))
     assert _fingerprint(tiny) == _fingerprint(small)
     assert tiny.count == 1 and tiny.certified_count == 1
@@ -530,11 +530,9 @@ def _scaled_row(f, ny, dx, dy) -> list[int]:
 
 
 def _check_grid(f, ax, sx, dx, ay, sy, dy, n) -> dict:
-    """Compare _sign_grid with an exact node-by-node evaluation; return path facts.
-    The branch ("bigint") is read from the bound, and the grid must have taken
-    it: the filtered float product runs exactly when the bound reaches 2^62.
+    """Compare _sign_grid with an exact node-by-node evaluation; return path
+    facts.  The grid must come from one filtered float product.
     "exact_nodes" are the (j, i) the filter left to the exact Horner."""
-    bigint = _int64_bound(f, ax, sx, dx, ay, sy, dy, n) >= 2**62
     exact_nodes = []
     true_nodes = realtopo._true_nodes
 
@@ -546,7 +544,7 @@ def _check_grid(f, ax, sx, dx, ay, sy, dy, n) -> dict:
     with mock.patch.object(realtopo, "_filtered_signs", wraps=realtopo._filtered_signs) as filtered:
         with mock.patch.object(realtopo, "_true_nodes", recording):
             signs, rows = _sign_grid(f, ax, sx, dx, ay, sy, dy, n)
-    assert filtered.called == bigint
+    assert filtered.call_count == 1
     exact = [[_scaled_value(f, ax + i * sx, dx, ay + j * sy, dy) for i in range(n + 1)] for j in range(n + 1)]
     built = [rows[j] for j in range(n + 1)]
     assert built == [_scaled_row(f, ay + j * sy, dx, dy) for j in range(n + 1)]
@@ -556,7 +554,6 @@ def _check_grid(f, ax, sx, dx, ay, sy, dy, n) -> dict:
             v = exact[j][i]
             assert signs[j, i] == (v > 0) - (v < 0), (j, i)
     return {
-        "bigint": bigint,
         "zeros": int((signs == 0).sum()),
         "overflowing_rows": overflowing_rows,
         "exact_nodes": set(exact_nodes),
@@ -564,20 +561,11 @@ def _check_grid(f, ax, sx, dx, ay, sy, dy, n) -> dict:
     }
 
 
-def _int64_bound(f, ax, sx, dx, ay, sy, dy, n) -> int:
-    """The magnitude bound that `_sign_grid` compares with 2^62, restated."""
-    degx, degy = _degrees(f)
-    nx_max, ny_max = max(abs(ax), abs(ax + n * sx)), max(abs(ay), abs(ay + n * sy))
-    bound = sum(abs(c) for c, _ in f.num.values()) * max(ny_max, 1) ** degy * max(dy, 1) ** degy
-    return bound * max(dx, 1) ** degx * max(nx_max, 1) ** degx * (degx + 1)
-
-
 def test_sign_grid_bigint_matches_exact_horner():
     scaled = circle.scale(gr(10**15))
     # unshifted, the circle passes through lattice nodes (1, 0) etc.; the
     # shifted lattices have denominators 257 and 251
     facts = [_check_grid(scaled, *_box_lattice(Box.square(2), 32, shift)) for shift in (0, 1, 2)]
-    assert all(fa["bigint"] for fa in facts)
     assert facts[0]["zeros"] > 0 and facts[1]["zeros"] == facts[2]["zeros"] == 0
     ovals = count_ovals(scaled, Box.square(2), 32)
     assert any("shifted" in w for w in ovals.warnings)
@@ -585,32 +573,56 @@ def test_sign_grid_bigint_matches_exact_horner():
 
 
 @pytest.mark.parametrize(
-    "g, lattice, value_bits",
+    "g, lattice, k, value_bits",
     [
-        # degx = 0 on an integer lattice: the top row's values equal the bound
-        (y**3, (1, 1, 1, 1, 1, 1, 24), 62),
+        # degx = 0 on an integer lattice: the top row's values are the largest
+        (y**3, (1, 1, 1, 1, 1, 1, 24), 295147905179352, 62),
         # x = (1 + 2i)/2 and y = (1 + 2j)/2: t^3 - 7t + 5 in t = xy changes sign twice
-        (x**3 * y**3 - const2(7) * x * y + const2(5), (1, 2, 2, 1, 2, 2, 24), 51),
-        (x**4 - y**2 * x + y, (-49, 2, 2, -25, 1, 1, 50), 45),
+        (x**3 * y**3 - const2(7) * x * y + const2(5), (1, 2, 2, 1, 2, 2, 24), 100115, 51),
+        (x**4 - y**2 * x + y, (-49, 2, 2, -25, 1, 1, 50), 4544517, 45),
     ],
     ids=["y^3", "(xy)^3", "x^4"],
 )
-def test_sign_grid_at_the_int64_bound(g, lattice, value_bits):
-    # the largest multiple of g whose bound is under 2^62 still takes the int64
-    # product; the next one takes the filtered float branch
-    k = (realtopo._INT64_SAFE - 1) // _int64_bound(g, *lattice)
-    near = g.scale(gr(k))
-    assert 2**61 < _int64_bound(near, *lattice) < 2**62 <= _int64_bound(g.scale(gr(k + 1)), *lattice)
-    facts = _check_grid(near, *lattice)
-    assert not facts["bigint"] and facts["max_abs"].bit_length() == value_bits
-    assert _check_grid(g.scale(gr(k + 1)), *lattice)["bigint"]
+def test_sign_grid_at_the_int64_bound(g, lattice, k, value_bits):
+    # k g is the largest multiple of g whose weights, powers and partial sums
+    # all stay under 2^62, the most an int64 product could hold; the filtered
+    # float product signs it and the next multiple node by node, exactly
+    facts = _check_grid(g.scale(gr(k)), *lattice)
+    assert facts["max_abs"].bit_length() == value_bits
+    _check_grid(g.scale(gr(k + 1)), *lattice)
 
 
 @pytest.mark.parametrize("f", [y**2 - const2(2), x**3 - const2(2) * x, const2(3)], ids=["degx0", "degy0", "constant"])
 def test_sign_grid_with_a_degree_zero_variable_on_both_branches(f):
+    # small weights and weights scaled by 10^20 are signed exactly alike
     lattice = _box_lattice(Box.square(2), 8, 1)
-    assert not _check_grid(f, *lattice)["bigint"]
-    assert _check_grid(f.scale(gr(10**20)), *lattice)["bigint"]
+    _check_grid(f, *lattice)
+    _check_grid(f.scale(gr(10**20)), *lattice)
+
+
+def test_every_lattice_takes_the_filtered_product(monkeypatch):
+    # coarse and subdivision lattices alike, small values as well as large
+    # ones: the res-64 lattice of the unit circle and the sub-lattices of a
+    # saddle's cell all come from one filtered product each
+    filtered, grids = [], []
+    plain_filtered, plain_grid = realtopo._filtered_signs, realtopo._sign_grid
+
+    def spy_filtered(rows, nx):
+        filtered.append((rows.lines, nx))
+        return plain_filtered(rows, nx)
+
+    def spy_grid(f, *lattice):
+        grids.append(lattice)
+        return plain_grid(f, *lattice)
+
+    monkeypatch.setattr(realtopo, "_filtered_signs", spy_filtered)
+    monkeypatch.setattr(realtopo, "_sign_grid", spy_grid)
+    assert count_ovals(circle, Box.square(2), 64).certified_count == 1
+    assert count_ovals(x * y - const2("1/100"), Box.square(1), 3).open_chains >= 2
+    # res 64 plus one step on every side, and a depth-1 sub-lattice
+    assert {66, 2} <= {lattice[-1] for lattice in grids}
+    node_range = realtopo._node_range
+    assert filtered == [(node_range(ay, sy, n), node_range(ax, sx, n)) for ax, sx, _, ay, sy, _, n in grids]
 
 
 def test_sign_grid_overflowing_rows_use_exact_fallback():
@@ -619,7 +631,7 @@ def test_sign_grid_overflowing_rows_use_exact_fallback():
     # still go through the float filter
     huge = (x**2 + y**2 - const2(1)).scale(gr(10**274)) + y**6 * const2(10**286)
     facts = _check_grid(huge, *_box_lattice(Box.square(2), 8, 1))
-    assert facts["bigint"] and 0 < len(facts["overflowing_rows"]) < 11
+    assert 0 < len(facts["overflowing_rows"]) < 11
     assert {(j, i) for j in facts["overflowing_rows"] for i in range(11)} <= facts["exact_nodes"]
     assert len(facts["exact_nodes"]) < 11 * 11
 
@@ -663,7 +675,7 @@ def test_float_filter_sends_nodes_cancelling_in_x_and_y_to_exact_horner():
         g = (const2(3) * x - const2(1)) * (x + const2(5)) * (x - const2(2))
         f = const2(K) * g * (const2(3) * y + const2(1)) * (y - const2(2)) + const2(s)
         facts = _check_grid(f, *lattice)
-        assert facts["bigint"] and 0 < len(facts["exact_nodes"]) < 41 * 41
+        assert 0 < len(facts["exact_nodes"]) < 41 * 41
         exact = np.array([[_scaled_value(f, i, 3, j, 3) for i in range(-20, 21)] for j in range(-20, 21)], dtype=object)
         wrong_float_signs += int((_naive_float_signs(f, *lattice) != np.sign(exact).astype(float)).sum())
     assert wrong_float_signs > 0
@@ -681,13 +693,12 @@ def test_float_filter_with_coordinates_near_2_to_53(axis):
         else:
             f, lattice = x**2 + (y - const2(8)) ** 2 - const2(1), (*small, *big, 20)
         facts = _check_grid(f, *lattice)
-        assert facts["bigint"]
         assert len(facts["exact_nodes"]) < 21 * 21 // 2 if filtered else len(facts["exact_nodes"]) == 21 * 21
 
 
 def test_a_weight_beyond_float_range_sends_the_whole_lattice_to_exact_horner():
     facts = _check_grid(circle.scale(gr(10**400)), *_box_lattice(Box.square(2), 8, 1))
-    assert facts["bigint"] and len(facts["exact_nodes"]) == 11 * 11
+    assert len(facts["exact_nodes"]) == 11 * 11
 
 
 # -- line restrictions against the Fraction code they replaced -------------------------
@@ -838,6 +849,40 @@ def _lattice_lines(f, lattice) -> _LatticeLines:
     return _LatticeLines(f, lattice, signs, rows)
 
 
+def _edge_is_zero_free(lines, kind, i, j) -> bool:
+    """One edge's answer: a crossed edge is not zero-free; any other is a stretch of its own."""
+    line, k = (j, i) if kind == "h" else (i, j)
+    return not lines.crossed[kind][line, k] and lines.edges_are_zero_free(kind, line, [k])
+
+
+def _uncrossed_edges(lines, kind, line) -> tuple[list[int], list[tuple]]:
+    """The line's uncrossed edges: their indices along it and their (kind, i, j) keys."""
+    ks = np.flatnonzero(~lines.crossed[kind][line]).tolist()
+    return ks, [(kind, k, line) if kind == "h" else (kind, line, k) for k in ks]
+
+
+def _tally_stretch_proofs(monkeypatch) -> dict:
+    """Spy on `edges_are_zero_free`: tally each call by the count that decided
+    it, from the Sturm counts it ran: none (the Descartes count), one (the
+    stretch's Sturm count) or more (a Sturm count per edge)."""
+    tally, counts = {"descartes": 0, "stretch": 0, "per edge": 0}, []
+    prover, chain = _LatticeLines.edges_are_zero_free, realtopo.sturm_counter
+
+    def recording_chain(c):
+        count = chain(c)
+        return lambda lo, hi: counts.append((lo, hi)) or count(lo, hi)
+
+    def recording_prover(self, kind, line, ks):
+        counts.clear()
+        answer = prover(self, kind, line, ks)
+        tally[("descartes", "stretch", "per edge")[min(len(counts), 2)]] += 1
+        return answer
+
+    monkeypatch.setattr(realtopo, "sturm_counter", recording_chain)
+    monkeypatch.setattr(_LatticeLines, "edges_are_zero_free", recording_prover)
+    return tally
+
+
 def test_lattice_lines_match_fraction_restrictions():
     # on shifted lattices around seeded curves of degree 2 to 6 every edge
     # answer of the integer rows equals the Fraction-node Sturm count
@@ -848,7 +893,7 @@ def test_lattice_lines_match_fraction_restrictions():
             lattice = _box_lattice(box, res, shift)
             lines = _lattice_lines(f, lattice)
             expected = _oracle_edge_answers(f, lattice)
-            assert {key: lines.edge_is_zero_free(*key) for key in expected} == expected, (degree, box)
+            assert {key: _edge_is_zero_free(lines, *key) for key in expected} == expected, (degree, box)
             assert 0 < sum(expected.values()) < len(expected)
 
 
@@ -868,18 +913,18 @@ def test_lattice_lines_match_per_edge_sturm_counts():
                 else:
                     coeffs, lo, hi = _line_restriction(f, "v", nodes_x[i]), nodes_y[j], nodes_y[j + 1]
                 expected = count_real_roots(coeffs, lo, hi) == 0
-                assert lines.edge_is_zero_free(kind, i, j) == expected, (kind, i, j)
+                assert _edge_is_zero_free(lines, kind, i, j) == expected, (kind, i, j)
                 zero_free += expected
     assert 0 < zero_free < 2 * 28 * 28
     # y = 0 is the lattice line j = 14, where y * f vanishes identically: its
-    # nodes are zeros of f, which the line proofs refuse
+    # nodes are zeros of f, which the edge prover refuses
     with pytest.raises(ValueError):
         _lattice_lines(y * f, lattice)
 
 
 def _ends_agree(lines, kind, i, j):
-    """Whether a line proof that trusts its sign changes alone would call the
-    edge zero-free: the edge's ends agree."""
+    """Whether a proof that trusts the sign changes alone would call the edge
+    zero-free: the edge's ends agree."""
     hi = lines.signs[j, i + 1] if kind == "h" else lines.signs[j + 1, i]
     return lines.signs[j, i] == hi
 
@@ -899,7 +944,7 @@ def test_two_roots_on_one_same_sign_edge_are_refused():
     lines = _lattice_lines(f, lattice)
     assert lines.changes["h"][6] == 2 and lines.degree["h"] == 4
     assert _ends_agree(lines, "h", 7, 6)
-    assert not lines.edge_is_zero_free("h", 7, 6)
+    assert not _edge_is_zero_free(lines, "h", 7, 6)
     assert _oracle_edge_answers(f, lattice)["h", 7, 6] is False
     # the loop of the big circle is found but not proven; alone it is proven
     ovals = count_ovals(f, box, res)
@@ -911,9 +956,9 @@ def test_a_double_root_inside_an_uncrossed_edge_is_refused(monkeypatch):
     # a circle of radius 1/20 tangent to the lattice line y = 1/2 from above
     # at x = 5/4, inside a cell of the big circle's loop: on that line f has
     # a double root inside the uncrossed edge from x = 1 to x = 3/2, so the
-    # loop's span there has more roots, counted with multiplicity, than sign
-    # changes; the Descartes count cannot prove it, nor can the line's Sturm
-    # count, and the edge's own Sturm count finds the root
+    # loop's stretch there has more roots, counted with multiplicity, than
+    # sign changes; the Descartes count cannot prove it, the stretch's Sturm
+    # count sees the extra root, and the edge's own Sturm count finds it
     big = x**2 + y**2 - const2("6/5")
     f = big * ((x - const2("5/4")) ** 2 + (y - const2("11/20")) ** 2 - const2("1/400"))
     lattice = _box_lattice(Box.square(2), 8, 0)
@@ -939,31 +984,35 @@ def test_a_double_root_inside_an_uncrossed_edge_is_refused(monkeypatch):
     assert count_ovals(big, Box.square(2), 8).certified_count == 1
 
 
-def test_proven_lines_match_the_fraction_oracle():
-    # on coarse shifted lattices around seeded curves of degree 2 to 6, lines
-    # are proven by degree and by one count, some same-sign edges hold roots,
-    # and every edge answer equals the Fraction Sturm oracle
+def test_proven_lines_match_the_fraction_oracle(monkeypatch):
+    # on coarse shifted lattices around seeded curves of degree 2 to 6, single
+    # edges and each line's whole stretch of uncrossed edges are decided by
+    # the Descartes count, by the stretch's Sturm count and per edge, some
+    # same-sign edges hold roots, and every answer equals the Fraction Sturm
+    # oracle
     rng = random.Random(7)
     lattices = (
         (Box.square(2), 6, 2),
         (Box.square(1), 5, 5),
         (Box(Fraction(-1), Fraction(3, 2), Fraction(-5, 4), Fraction(1)), 11, 7),
     )
-    by_degree = by_count = roots_on_same_sign_edges = 0
+    tally = _tally_stretch_proofs(monkeypatch)
+    roots_on_same_sign_edges = 0
     for degree in (2, 3, 4, 5, 6):
         f = _seeded_curve(rng, degree)
         for box, res, shift in lattices:
             lattice = _box_lattice(box, res, shift)
             lines = _lattice_lines(f, lattice)
-            for key, expected in _oracle_edge_answers(f, lattice).items():
-                assert lines.edge_is_zero_free(*key) == expected, (degree, box, key)
-                roots_on_same_sign_edges += not expected and _ends_agree(lines, *key)
+            expected = _oracle_edge_answers(f, lattice)
+            for key, want in expected.items():
+                assert _edge_is_zero_free(lines, *key) == want, (degree, box, key)
+                roots_on_same_sign_edges += not want and _ends_agree(lines, *key)
             for kind in ("h", "v"):
                 for line in range(lattice[-1] + 1):
-                    if lines._line_is_proven(kind, line):
-                        by_degree += lines.changes[kind][line] == lines.degree[kind]
-                        by_count += lines.changes[kind][line] < lines.degree[kind]
-    assert by_degree > 0 and by_count > 0 and roots_on_same_sign_edges > 0
+                    ks, keys = _uncrossed_edges(lines, kind, line)
+                    if ks and lines.changes[kind][line] < lines.degree[kind]:
+                        assert lines.edges_are_zero_free(kind, line, ks) == all(expected[key] for key in keys)
+    assert min(tally.values()) > 0 and roots_on_same_sign_edges > 0
 
 
 def test_certify_loop_matches_the_edge_oracle_on_any_cells():
@@ -991,23 +1040,30 @@ def test_certify_loop_matches_the_edge_oracle_on_any_cells():
 
 
 def test_a_line_whose_sign_changes_reach_the_degree_builds_no_chain(monkeypatch):
-    built = []
+    built, counted = [], []
+    descartes = realtopo._descartes
 
-    def spy(c):
+    def spy_chain(c):
         built.append(list(c))
         return sturm_counter(c)
 
-    monkeypatch.setattr(realtopo, "sturm_counter", spy)
+    def spy_descartes(c, lo, hi):
+        counted.append(list(c))
+        return descartes(c, lo, hi)
+
+    monkeypatch.setattr(realtopo, "sturm_counter", spy_chain)
+    monkeypatch.setattr(realtopo, "_descartes", spy_descartes)
     lattice = _box_lattice(Box.square(2), 8, 0)  # nodes at k/2 - 5/2 on both axes
     lines = _lattice_lines(x**2 + y**2 - const2("6/5"), lattice)
-    # y = 1/2 (j = 6) and x = -1/2 (i = 4) each cross the circle twice: S = 2 = degree
-    assert lines.changes["h"][6] == lines.changes["v"][4] == 2
-    assert lines.edge_is_zero_free("h", 0, 6) and lines.edge_is_zero_free("v", 4, 9)
-    assert not lines.edge_is_zero_free("h", 3, 6)  # crossed
-    assert built == []
-    # y = 2 (j = 9) misses the circle: S = 0 < 2, and one chain proves the line
-    assert lines.edge_is_zero_free("h", 3, 9) and lines.edge_is_zero_free("h", 4, 9)
-    assert len(built) == 1
+    # y = 1/2, 1 (j = 6, 7) and x = -1/2, 0 (i = 4, 5) each cross the circle
+    # twice: S = 2 = degree on all four sides of the cell (4, 6)
+    assert lines.changes["h"][6] == lines.changes["h"][7] == lines.changes["v"][4] == lines.changes["v"][5] == 2
+    assert realtopo._certify_loop({(4, 6)}, lines)
+    assert built == counted == []
+    # y = 3/2, 2 (j = 8, 9) miss the circle: S = 0 < 2, and their stretches
+    # go to the prover, while x = -1, -1/2 (i = 3, 4) still need nothing
+    assert realtopo._certify_loop({(3, 8)}, lines)
+    assert counted == [lines.rows["h"][8], lines.rows["h"][9]]
 
 
 def test_a_box_that_cuts_an_oval_keeps_the_oracle_answers():
@@ -1018,8 +1074,9 @@ def test_a_box_that_cuts_an_oval_keeps_the_oracle_answers():
     ax, sx, dx, ay, sy, dy, n = lattice
     lines = _lattice_lines(quartic, lattice)
     roots_on_same_sign_edges = 0
-    for key, expected in _oracle_edge_answers(quartic, lattice).items():
-        assert lines.edge_is_zero_free(*key) == expected, key
+    answers = _oracle_edge_answers(quartic, lattice)
+    for key, expected in answers.items():
+        assert _edge_is_zero_free(lines, *key) == expected, key
         roots_on_same_sign_edges += not expected and _ends_agree(lines, *key)
     assert roots_on_same_sign_edges > 0
     cut = 0
@@ -1030,7 +1087,11 @@ def test_a_box_that_cuts_an_oval_keeps_the_oracle_answers():
         for line, at in enumerate(across):
             coeffs = _line_restriction(quartic, kind, at)
             inside = count_real_roots(coeffs, lo, hi)
-            cut += lines._line_is_proven(kind, line) and 0 < inside < count_real_roots(coeffs)
+            ks, keys = _uncrossed_edges(lines, kind, line)
+            # the stretch of all the line's uncrossed edges counts only the roots inside it
+            proven = bool(ks) and lines.edges_are_zero_free(kind, line, ks)
+            assert proven == (bool(ks) and all(answers[key] for key in keys)), (kind, line)
+            cut += proven and 0 < inside < count_real_roots(coeffs)
     assert cut > 0
     ovals = count_ovals(quartic, box, 5)
     assert ovals.count == 0 and ovals.open_chains == 1
