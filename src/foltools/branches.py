@@ -270,7 +270,6 @@ def euler_identity_check(
     source: AffineVectorField | ProjectiveOneForm,
     f: MultiPoly,
     chi: int,
-    truncation: int | None = None,
 ) -> EulerReport:
     """Check chi = sum of branch multiplicities - n(m-1) for an invariant curve."""
     field = deprojectivize(source) if isinstance(source, ProjectiveOneForm) else source
@@ -279,7 +278,7 @@ def euler_identity_check(
     n = int(f.degree)
     m = field.m
     report = EulerReport(curve_degree=n, foliation_degree=m, chi_claimed=chi)
-    N = truncation if truncation is not None else default_truncation(m, n)
+    N = default_truncation(m, n)
 
     on_curve, enumerations = singular_points_on_curve(field, f)
     for enum, kind in zip(enumerations, ("affine", "infinite")):
@@ -315,9 +314,7 @@ def euler_identity_check(
 # -- behavior at transversal infinity points -----------------------------------
 
 
-def infinity_branch_data(
-    field: AffineVectorField, f: MultiPoly, point: ProjectivePoint, truncation: int | None = None
-) -> tuple[int, int]:
+def infinity_branch_data(field: AffineVectorField, f: MultiPoly, point: ProjectivePoint) -> tuple[int, int]:
     """(l, mu) at a transversal intersection of the curve with Z = 0.
 
     l is the t-order along the branch of the chart transform of the driving
@@ -331,7 +328,7 @@ def infinity_branch_data(
     if invariance_check(field, f) is None:
         raise PreconditionError("curve is not invariant under the field")
     n = int(f.degree)
-    N = truncation if truncation is not None else default_truncation(field.m, n)
+    N = default_truncation(field.m, n)
     F = homogenize(f, n)
     if not F.evaluate(point.coords).is_zero():
         raise PreconditionError(f"{point} is not on the projective closure of the curve")
@@ -390,7 +387,7 @@ def genus_and_chi(
     return genus, chi
 
 
-def corollary2_check(n: int, f: MultiPoly, truncation: int | None = None) -> tuple[bool, EulerReport]:
+def corollary2_check(n: int, f: MultiPoly) -> tuple[bool, EulerReport]:
     """Euler characteristic -n(n-3) of a smooth degree-n curve via the
     Hamiltonian foliation of f; also checks every infinity multiplicity is 1."""
     records, decided = curve_singularities_decided(f)
@@ -411,8 +408,8 @@ def corollary2_check(n: int, f: MultiPoly, truncation: int | None = None) -> tup
     field = AffineVectorField.make(-f.partial(1), f.partial(0))
     chi = -n * (n - 3)
     for pt in pts:
-        _l, mu = infinity_branch_data(field, f, pt, truncation)
+        _l, mu = infinity_branch_data(field, f, pt)
         if mu != 1:
-            return False, euler_identity_check(field, f, chi, truncation)
-    report = euler_identity_check(field, f, chi, truncation)
+            return False, euler_identity_check(field, f, chi)
+    report = euler_identity_check(field, f, chi)
     return report.checkable and report.identity_holds, report

@@ -21,7 +21,7 @@ from typing import Iterable
 
 from .errors import ArityMismatch
 from .gaussian import GInt, GaussianRational, ZERO, canonical, from_gint, lift
-from .uniroots import coprime_mod_p, gi_mul, ugcd, utrim
+from .uniroots import coprime_mod_p, gi_mul, ueval, ugcd, utrim
 
 Exponent = tuple[int, ...]
 
@@ -654,109 +654,61 @@ def _interpolate(values: list[int]) -> list[int]:
     return coeffs
 
 
-def _interpolate_grid(values: dict[tuple[int, ...], int], sizes: list[int]) -> dict[tuple[int, ...], int]:
-    """Coefficients of the integer polynomial whose values on the grid prod(range(size)) are given.
-
-    One axis at a time: fixing the later coordinates at integers leaves an
-    integer polynomial in the current one, and after interpolating it each
-    coefficient is again an integer polynomial in the coordinates not yet done.
-    """
-    for axis, size in enumerate(sizes):
-        out: dict[tuple[int, ...], int] = {}
-        for point in values:
-            if point[axis]:
-                continue
-            line = [values[point[:axis] + (t,) + point[axis + 1 :]] for t in range(size)]
-            for k, c in enumerate(_interpolate(line)):
-                out[point[:axis] + (k,) + point[axis + 1 :]] = c
-        values = out
-    return values
-
-
-def _sylvester_entries(p: MultiPoly, var: int, others: list[int], points: list[tuple[int, ...]], real: bool) -> list[list]:
-    """At each grid point, p's coefficients in `var` from the highest power down:
-    the integer values of the numerators when `real`, else their Z[i] values.
-
-    Each coefficient is a polynomial in the other variables; its terms are
-    grouped once, and at each point every monomial is a product of entries
-    of one table of integer powers.
-    """
-    width = p.degree_in(var)
-    groups: list[list[tuple[tuple[int, ...], int, int]]] = [[] for _ in range(width + 1)]
-    for exp, (re, im) in p.num.items():
-        groups[width - exp[var]].append((tuple(exp[v] for v in others), re, im))
-    top = max(exp[v] for exp in p.num for v in others)
-    pw = [[t**k for k in range(top + 1)] for t in range(max(map(max, points)) + 1)]
-    out = []
-    for point in points:
-        pows = [pw[t] for t in point]
-        row = []
-        for group in groups:
-            vr = vi = 0
-            for ks, re, im in group:
-                m = 1
-                for pv, k in zip(pows, ks):
-                    m *= pv[k]
-                vr += re * m
-                if not real:
-                    vi += im * m
-            row.append(vr if real else (vr, vi))
-        out.append(row)
-    return out
-
-
-def resultant(a: MultiPoly, b: MultiPoly, var: int) -> MultiPoly:
-    """Resultant of a and b with respect to `var`; a polynomial in the others.
+def resultant(a: MultiPoly, b: MultiPoly, var: int) -> list[GInt]:
+    """Res_var(a, b) of two affine polynomials as a polynomial in the other
+    variable: its trimmed Z[i] numerators, low to high, up to a positive
+    scalar, the form `uniroots` takes.
 
     Collins' evaluation method without primes: the Sylvester determinant of
     the numerators sa*a and sb*b (sa, sb the denominators) is taken by
-    Bareiss elimination at every point of a grid of integers in the other
-    variables, one point more per variable than a bound on the resultant's
-    degree in it, and interpolated exactly.  Each Sylvester entry is
-    evaluated once per point; with real inputs the rows are integers and
+    Bareiss elimination at t = 0, 1, ... in the other variable, one point
+    more than a bound on the resultant's degree, and interpolated exactly.
+    Each Sylvester entry is one column of numerators in the other variable,
+    evaluated by Horner's rule; with real inputs the rows are integers and
     the determinant is `_int_det`, otherwise `_gi_det` over Z[i].
     Evaluation commutes with the determinant, so a leading coefficient that
-    vanishes at a grid point does no harm.  The result is
-    Res(sa*a, sb*b) / (sa^deg_var(b) * sb^deg_var(a)).
+    vanishes at a point does no harm.
     """
-    a._check_arity(b)
-    if not 0 <= var < a.arity:
-        raise ValueError(f"variable index {var} out of range for arity {a.arity}")
+    if a.arity != 2 or b.arity != 2:
+        raise ValueError("resultant takes affine (arity-2) polynomials")
+    if var not in (0, 1):
+        raise ValueError(f"variable index {var} out of range for arity 2")
+    other = 1 - var
     da, db = a.degree_in(var), b.degree_in(var)
     if da < 0 or db < 0:
         raise ValueError("resultant of a zero polynomial")
     if da == 0 and db == 0:
-        return MultiPoly.constant(a.arity, 1)
-    if da == 0:
-        return a**db
-    if db == 0:
-        return b**da
-    others = [v for v in range(a.arity) if v != var]
+        return [(1, 0)]
+    if da == 0 or db == 0:
+        return _specialize_keeping(a**db if da == 0 else b**da, other, [ZERO, ZERO])
+
+    def columns(p: MultiPoly) -> list[tuple[list[int], list[int]]]:
+        """p's coefficients in `var`, highest first, as real and imaginary numerator lists in `other`."""
+        width = p.degree_in(var)
+        cols = [[(0, 0)] * (p.degree_in(other) + 1) for _ in range(width + 1)]
+        for exp, u in p.num.items():
+            cols[width - exp[var]][exp[other]] = u
+        return [([u[0] for u in col], [u[1] for u in col]) for col in cols]
+
+    def entries(cols: list[tuple[list[int], list[int]]], t: int) -> list:
+        """The columns' values at t: integers when `real`, else Z[i] pairs."""
+        return [ueval(re, t) if real else (ueval(re, t), ueval(im, t)) for re, im in cols]
+
     # A Sylvester entry a_e has total degree at most deg(a) - e, which bounds
     # the resultant's total degree by db*deg(a) + da*deg(b) - da*db.
     total = db * int(a.degree) + da * int(b.degree) - da * db
-    sizes = [min(da * b.degree_in(v) + db * a.degree_in(v), total) + 1 for v in others]
-    points = list(itertools.product(*(range(size) for size in sizes)))
+    size = min(da * b.degree_in(other) + db * a.degree_in(other), total) + 1
     real = a.has_real_coefficients() and b.has_real_coefficients()
     zero = 0 if real else (0, 0)
     det = _int_det if real else _gi_det
-    dets = {}
-    for point, ea, eb in zip(points, _sylvester_entries(a, var, others, points, real), _sylvester_entries(b, var, others, points, real)):
+    ca, cb = columns(a), columns(b)
+    dets = []
+    for t in range(size):
+        ea, eb = entries(ca, t), entries(cb, t)
         # row i of a's block holds a's coefficients, highest first, from column i
         rows = [[zero] * i + ea + [zero] * (db - 1 - i) for i in range(db)]
         rows += [[zero] * i + eb + [zero] * (da - 1 - i) for i in range(da)]
-        dets[point] = det(rows)
+        dets.append(det(rows))
     if real:
-        re, im = _interpolate_grid(dets, sizes), {}
-    else:
-        re = _interpolate_grid({p: d[0] for p, d in dets.items()}, sizes)
-        im = _interpolate_grid({p: d[1] for p, d in dets.items()}, sizes)
-    num: dict[Exponent, GInt] = {}
-    for point, r in re.items():
-        exp = [0] * a.arity
-        for v, k in zip(others, point):
-            exp[v] = k
-        i = im.get(point, 0)
-        if r or i:
-            num[tuple(exp)] = (r, i)
-    return MultiPoly._of(a.arity, a.den**db * b.den**da, num)
+        return utrim([(c, 0) for c in _interpolate(dets)])
+    return utrim(list(zip(_interpolate([d[0] for d in dets]), _interpolate([d[1] for d in dets]))))

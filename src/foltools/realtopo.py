@@ -624,6 +624,8 @@ def count_ovals(
         raise PreconditionError("expected an affine curve")
     if not f.has_real_coefficients():
         raise PreconditionError("real coefficients required")
+    if f.is_constant():
+        raise PreconditionError("curve must be nonconstant")
     if box is None:
         box = default_box(f)
     warnings: list[str] = []

@@ -141,15 +141,15 @@ def _elimination_in_x(A: MultiPoly, B: MultiPoly) -> Coeffs | None:
         return None
     dA, dB = A.degree_in(1), B.degree_in(1)
     if dA == 0 and dB == 0:
-        g = poly_gcd(A, B)
-        return None if not g.is_constant() else _univar(g, 0)  # constant: no common x
+        g = ugcd(_univar(A, 0), _univar(B, 0))
+        return None if len(g) > 1 else g  # constant: no common x
     if dA == 0:
         return _univar(A, 0)
     if dB == 0:
         return _univar(B, 0)
     if not poly_gcd(A, B).is_constant():
         return None
-    return _univar(resultant(A, B, 1), 0)
+    return resultant(A, B, 1)
 
 
 def pair_common_zeros(A: MultiPoly, B: MultiPoly) -> Enumeration:
@@ -163,12 +163,12 @@ def pair_common_zeros(A: MultiPoly, B: MultiPoly) -> Enumeration:
     if dA == 0 and dB == 0:
         return out  # coprime x-polynomials: no common zeros at all
     if dA == 0 or dB == 0:
-        eliminant = A if dA == 0 else B
-        if eliminant.is_constant():
+        eliminant = _univar(A if dA == 0 else B, 0)
+        if len(eliminant) == 1:
             return out
     else:
         eliminant = resultant(A, B, 1)
-    rep = qi_roots(_univar(eliminant, 0))
+    rep = qi_roots(eliminant)
     out.residual += rep.residual_degree
     out.uncertain += rep.uncertain_degree
     out.unresolved_x.extend(rep.unresolved + rep.uncertain)
@@ -220,12 +220,9 @@ def residual_avoids_curve(enum: Enumeration, f: MultiPoly) -> bool:
             return False  # curve contains the whole vertical line
         if not ucoprime(fac, fv):
             return False
-    for fac in enum.unresolved_inf:
-        F = homogenize(f, int(f.degree))
-        inf_restriction = _specialize_keeping(F, 1, [ONE, ZERO, ZERO])  # F(1, t, 0)
-        if not inf_restriction:
-            return False
-        if not ucoprime(fac, inf_restriction):
+    if enum.unresolved_inf:
+        at_infinity = _at_infinity(homogenize(f, int(f.degree)))
+        if not all(ucoprime(fac, at_infinity) for fac in enum.unresolved_inf):
             return False
     return True
 
@@ -246,33 +243,31 @@ def affine_singularities(field: AffineVectorField) -> Enumeration:
     return pair_common_zeros(u, w)
 
 
-def _restrict_infinity(F: MultiPoly) -> MultiPoly:
-    """Substitute Z = 0 (keeps arity 3; Z-degree becomes 0)."""
-    return MultiPoly(3, {e: c for e, c in F.terms.items() if e[2] == 0})
+def _at_infinity(G: MultiPoly) -> Coeffs:
+    """G(1, t, 0): G on Z = 0 in the chart X = 1.  A homogeneous G of degree d
+    vanishes at (0 : 1 : 0) exactly when this list has degree below d."""
+    return _specialize_keeping(G, 1, [ONE, ZERO, ZERO])
 
 
-def _zeros_at_infinity(G: MultiPoly) -> tuple[list[ProjectivePoint], RootReport]:
-    """Q(i) points of G = 0 on Z = 0, (1 : t : 0) then (0 : 1 : 0), and the
-    root report of G(1, t, 0), whose unresolved and uncertain degrees count
-    the points not listed.  G must not vanish on the whole line."""
-    coeffs = _specialize_keeping(G, 1, [ONE, ZERO, ZERO])  # G(1, t, 0)
-    rep = qi_roots(coeffs) if len(coeffs) > 1 else RootReport()
+def _zeros_at_infinity(g: Coeffs, at_0_1_0: bool) -> tuple[list[ProjectivePoint], RootReport]:
+    """Q(i) points on Z = 0, (1 : t : 0) for the roots t of g then (0 : 1 : 0)
+    when `at_0_1_0`, and the root report of g, whose unresolved and uncertain
+    degrees count the points not listed.  g must not be zero."""
+    rep = qi_roots(g) if len(g) > 1 else RootReport()
     pts = [ProjectivePoint.make(ONE, t, ZERO) for t in rep.roots]
-    if G.evaluate((ZERO, ONE, ZERO)).is_zero():
+    if at_0_1_0:
         pts.append(ProjectivePoint.make(ZERO, ONE, ZERO))
     return pts, rep
 
 
 def infinite_singularities(form: ProjectiveOneForm) -> Enumeration:
     """Singular points on Z = 0: common zeros of P, Q, R restricted there."""
-    P0, Q0, R0 = (_restrict_infinity(G) for G in (form.P, form.Q, form.R))
-    g = poly_gcd(poly_gcd(P0, Q0), R0)
-    if g.is_zero():
+    p, q, r = (_at_infinity(G) for G in (form.P, form.Q, form.R))
+    g = ugcd(ugcd(p, q), r)
+    if not g:
         raise DegenerateInput("the whole line at infinity is singular")
-    out = Enumeration(system=(P0, Q0, R0))
-    if g.is_constant():
-        return out
-    pts, rep = _zeros_at_infinity(g)
+    out = Enumeration()
+    pts, rep = _zeros_at_infinity(g, all(len(c) <= form.m + 1 for c in (p, q, r)))
     out.residual += rep.residual_degree
     out.uncertain += rep.uncertain_degree
     out.unresolved_inf.extend(rep.unresolved + rep.uncertain)
@@ -405,10 +400,12 @@ def curve_singularities(f: MultiPoly) -> tuple[list[CurveSingularity], Enumerati
 
 
 def _infinity_points_of_curve(F: MultiPoly) -> tuple[list[ProjectivePoint], int]:
-    """Q(i) points of the curve F = 0 on Z = 0, plus the degree left undecided."""
-    if _restrict_infinity(F).is_zero():
-        raise DegenerateInput("curve contains the line at infinity")
-    pts, rep = _zeros_at_infinity(F)
+    """Q(i) points of the curve F = 0 on Z = 0, plus the degree left undecided.
+
+    F is an affine curve homogenized at its own degree, so F(X, Y, 0) is the
+    curve's top form, which is not zero."""
+    at_infinity = _at_infinity(F)
+    pts, rep = _zeros_at_infinity(at_infinity, len(at_infinity) <= F.degree)
     return pts, rep.residual_degree + rep.uncertain_degree
 
 

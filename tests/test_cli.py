@@ -560,6 +560,25 @@ def test_a_constant_curve_fails_the_precondition(tmp_path, argv, capsys):
 @pytest.mark.parametrize(
     "argv, message",
     [
+        (["ovals", "--curve", "zero"], "curve must be nonconstant"),
+        (["ovals", "--curve", "const"], "curve must be nonconstant"),
+        (["certify", "--field", "rotation", "--curve", "zero"], "invariance check on the zero curve"),
+        (["certify", "--field", "rotation", "--curve", "const"], "curve must be nonconstant"),
+    ],
+    ids=["ovals-zero", "ovals-const", "certify-zero", "certify-const"],
+)
+def test_a_constant_curve_in_an_explicit_box_fails_the_precondition(tmp_path, argv, message, capsys):
+    # with a box given, no default box checks the curve first
+    doc = tmp_path / "constant.fol"
+    doc.write_text("[field rotation]\np = -y\nq = x\n\n[curve zero]\nf = 0\n\n[curve const]\nf = 3\n")
+    assert run([argv[0], str(doc), *argv[1:], "--box=-2:2:-2:2", "--res", "64"]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
         (["certify", "--curve", "line"], "curve is not invariant; nothing to certify"),
         (["multiplicity", "--curve", "line"], "curve is not invariant; multiplicities are undefined"),
         (["euler-check", "--curve", "line", "--chi", "2"], "curve is not invariant under the field"),

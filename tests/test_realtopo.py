@@ -699,6 +699,61 @@ def test_float_filter_with_coordinates_near_2_to_53(axis):
 def test_a_weight_beyond_float_range_sends_the_whole_lattice_to_exact_horner():
     facts = _check_grid(circle.scale(gr(10**400)), *_box_lattice(Box.square(2), 8, 1))
     assert len(facts["exact_nodes"]) == 11 * 11
+    # one weight, that of x^2, beyond float range, the others small
+    facts = _check_grid((x**2).scale(gr(10**310)) + y**2 - const2(1), *_box_lattice(Box.square(2), 8, 1))
+    assert len(facts["exact_nodes"]) == 11 * 11
+
+
+def _row_magnitudes(f, ay, sy, dx, dy, n) -> list[int]:
+    """Oracle: for each lattice row y = ny/dy, the largest entry of |Y| |W|,
+    sum_b |w_ab| |ny|^b over the power a of nx, term by term from f.num."""
+    degx, degy = _degrees(f)
+    out = []
+    for ny in range(ay, ay + (n + 1) * sy, sy):
+        sums = [0] * (degx + 1)
+        for (a, b), (c, _) in f.num.items():
+            sums[a] += abs(c) * dx ** (degx - a) * abs(ny) ** b * dy ** (degy - b)
+        out.append(max(sums))
+    return out
+
+
+def test_rows_whose_products_overflow_are_zeroed_and_evaluated_exactly():
+    # every weight of 10^300 x^2 y^2 + x - y - 1/3 fits in float64, but on the
+    # 6 rows farthest from y = 0 the product Y W overflows: those rows are
+    # zeroed before the second product, and each of their nodes takes the
+    # exact Horner
+    f = (x**2 * y**2).scale(gr(10**300)) + x - y - const2("1/3")
+    ax, sx, dx, ay, sy, dy, n = lattice = _box_lattice(Box.square(2), 64, 1)
+    facts = _check_grid(f, *lattice)
+    sums = _row_magnitudes(f, ay, sy, dx, dy, n)
+    assert all(abs(v - 2**1024) > 2**984 for v in sums)  # none within 2^-40 of the float limit
+    overflowing = [j for j, v in enumerate(sums) if v > 2**1024]
+    assert len(overflowing) == 6 and n + 1 == 67
+    assert {(j, i) for j in overflowing for i in range(n + 1)} <= facts["exact_nodes"]
+    # most other nodes overflow in the second product, x^2 times Y W; the
+    # rows nearest y = 0 stay in the filter
+    assert len(facts["exact_nodes"]) < (n + 1) ** 2
+
+
+def test_power_columns_that_overflow_are_zeroed_and_evaluated_exactly():
+    # x = k 2^40 for k = -16..16: x^24 = k^24 2^960 overflows float64 from
+    # |k| = 7 on, so those columns of the power table are zeroed and each of
+    # their nodes takes the exact Horner; the other 13 stay in the filter
+    f = x**24 - y**2 + const2(1)
+    facts = _check_grid(f, -16 << 40, 1 << 40, 1, -16, 1, 1, 32)
+    overflowing = [i for i in range(33) if abs(-16 + i) ** 24 << 960 > 2**1024]
+    assert len(overflowing) == 20
+    assert {(j, i) for j in range(33) for i in overflowing} <= facts["exact_nodes"]
+    assert len(facts["exact_nodes"]) < 33 * 33
+
+
+def test_a_box_near_10_to_100_sends_the_whole_lattice_to_exact_horner():
+    # the lattice coordinates of a quartic on [-10^100, 10^100]^2 are integers
+    # far beyond 2^53, not exact in float64, so both power tables are zeroed
+    f = x**4 - x * y**3 + y.scale(gr(10**200)) - const2(10**300)
+    facts = _check_grid(f, *_box_lattice(Box.square(10**100), 16, 1))
+    assert len(facts["exact_nodes"]) == 19 * 19
+    assert facts["max_abs"] > 2**1024
 
 
 # -- line restrictions against the Fraction code they replaced -------------------------

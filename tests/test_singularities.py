@@ -1,11 +1,14 @@
+import random
+from collections import Counter
+
 import pytest
 
-from conftest import affine_vars, const2
+from conftest import affine_vars, const2, projective_vars, random_coeff, random_poly
 from foltools.branches import branch_multiplicity, local_branches
-from foltools.errors import NonIsolatedSingularities, PreconditionError
-from foltools.fields import AffineVectorField, projectivize
+from foltools.errors import DegenerateInput, NonIsolatedSingularities, PreconditionError
+from foltools.fields import AffineVectorField, ProjectiveOneForm, projectivize
 from foltools.gaussian import ONE, ZERO, gr
-from foltools.polyring import MultiPoly, _specialize_keeping, homogenize
+from foltools.polyring import MultiPoly, _specialize_keeping, homogenize, poly_gcd
 from foltools.singularities import (
     ProjectivePoint,
     Verdict,
@@ -18,7 +21,7 @@ from foltools.singularities import (
     residual_avoids_curve,
 )
 from foltools.textio import parse_poly
-from foltools.uniroots import qi_roots
+from foltools.uniroots import RootReport, qi_roots
 from foltools.construct import gallery
 
 x, y = affine_vars()
@@ -66,6 +69,108 @@ def test_infinite_singularities_examples():
     e1 = gallery("example1")
     enum1 = infinite_singularities(e1.form)
     assert ProjectivePoint.make(gr(0), gr(1), gr(0)) in enum1.points
+
+
+def _restrict_infinity(F):
+    """Z = 0 as a binary form (arity 3, free of Z)."""
+    return MultiPoly(3, {e: c for e, c in F.terms.items() if e[2] == 0})
+
+
+def _binary_form_infinity(form):
+    """Reference enumeration on Z = 0: the gcd of P, Q, R restricted there as
+    binary forms, its Q(i) roots in the chart X = 1, then (0 : 1 : 0) when the
+    gcd vanishes there.  Returns (points, residual, uncertain, factor degrees)."""
+    P0, Q0, R0 = (_restrict_infinity(G) for G in (form.P, form.Q, form.R))
+    g = poly_gcd(poly_gcd(P0, Q0), R0)
+    if g.is_zero():
+        raise DegenerateInput("the whole line at infinity is singular")
+    if g.is_constant():
+        return [], 0, 0, []
+    coeffs = _specialize_keeping(g, 1, [ONE, ZERO, ZERO])  # g(1, t, 0)
+    rep = qi_roots(coeffs) if len(coeffs) > 1 else RootReport()
+    pts = [ProjectivePoint.make(ONE, t, ZERO) for t in rep.roots]
+    if g.evaluate((ZERO, ONE, ZERO)).is_zero():
+        pts.append(ProjectivePoint.make(ZERO, ONE, ZERO))
+    factors = sorted(len(c) - 1 for c in rep.unresolved + rep.uncertain)
+    return sorted(set(pts), key=str), rep.residual_degree, rep.uncertain_degree, factors
+
+
+def _binary(rnd, d, complex_prob):
+    """A random binary form of degree d in x, y (zero when d < 0)."""
+    terms = (x**i * y ** (d - i) * MultiPoly.constant(2, random_coeff(rnd, complex_prob)) for i in range(d + 1) if rnd.random() < 0.7)
+    return sum(terms, MultiPoly.zero(2))
+
+
+def _random_one_form(rnd):
+    """A projectivized random field of degree m.  When `shared` is set, the
+    top forms make Y*p_m - X*q_m (and r_m) divisible by it, so the gcd on
+    Z = 0 keeps an irreducible quadratic; `at_0_1_0` puts a factor x on
+    p_m and r_m, so that (0 : 1 : 0) is singular."""
+    m = rnd.randint(1, 4)
+    cp = rnd.choice([0.0, 0.4])
+    shared = rnd.choice([None, x**2 + y**2, x**2 - const2(2) * y**2]) if m >= 2 else None
+    lift = x if rnd.random() < 0.4 else const2(1)
+    k = 1 if lift != const2(1) else 0
+    if shared is None:
+        p_top, q_top = lift * _binary(rnd, m - k, cp), _binary(rnd, m, cp)
+    else:
+        c = _binary(rnd, m - 1 - k, cp) * lift
+        p_top = shared * _binary(rnd, m - 2 - k, cp) * lift + x * c
+        q_top = shared * _binary(rnd, m - 2, cp) + y * c
+    r = MultiPoly.zero(2)
+    if rnd.random() < 0.5:
+        r = (shared * _binary(rnd, m - 2 - k, cp) if shared is not None else _binary(rnd, m - k, cp)) * lift
+    p = p_top + random_poly(rnd, max_degree=m - 1, complex_prob=cp)
+    q = q_top + random_poly(rnd, max_degree=m - 1, complex_prob=cp)
+    return projectivize(AffineVectorField.make(p, q, r))
+
+
+def test_line_at_infinity_matches_the_binary_form_gcd():
+    rnd = random.Random(20261019)
+    tally = Counter()
+    while tally["forms"] < 500:
+        try:
+            form = _random_one_form(rnd)
+        except (DegenerateInput, PreconditionError):
+            continue  # not a reduced foliation of its degree
+        tally["forms"] += 1
+        try:
+            want = _binary_form_infinity(form)
+        except DegenerateInput:
+            with pytest.raises(DegenerateInput):
+                infinite_singularities(form)
+            tally["degenerate"] += 1
+            continue
+        enum = infinite_singularities(form)
+        got = (enum.points, enum.residual, enum.uncertain, sorted(len(c) - 1 for c in enum.unresolved_inf))
+        assert got == want
+        tally["residual"] += enum.residual > 0
+        tally["at_0_1_0"] += ProjectivePoint.make(ZERO, ONE, ZERO) in enum.points
+        tally["complex"] += not all(G.has_real_coefficients() for G in (form.P, form.Q, form.R))
+        tally["with_r"] += not _restrict_infinity(form.P).is_zero()  # P = ZQ + YR is Y*r_m on Z = 0
+    assert tally["residual"] >= 100 and 100 <= tally["at_0_1_0"] <= 400
+    assert 100 <= tally["complex"] <= 400 and 100 <= tally["with_r"] <= 400
+
+
+def test_a_form_singular_on_the_whole_line_at_infinity_is_degenerate():
+    X, Y, Z = projective_vars()
+    # the star field's form (ZY, -ZX, 0) has the common factor Z, which `make` refuses
+    form = ProjectiveOneForm(Z * Y, -(Z * X), MultiPoly.zero(3), 1)
+    with pytest.raises(DegenerateInput):
+        infinite_singularities(form)
+
+
+def test_residual_at_infinity_avoids_a_curve_whose_top_form_is_coprime():
+    # top forms x^2 - 2y^2 and 0: Y*p_2 - X*q_2 = Y(X^2 - 2Y^2) gives (1 : 0 : 0)
+    # and the two points (1 : +-1/sqrt(2) : 0), left to the unresolved factor 1 - 2t^2
+    fld = AffineVectorField.make(x**2 - const2(2) * y**2 + const2(1), x)
+    enum = infinite_singularities(fld.one_form)
+    assert enum.points == [ProjectivePoint.make(ONE, ZERO, ZERO)]
+    assert enum.residual == 2 and len(enum.unresolved_inf) == 1
+    assert residual_avoids_curve(enum, circle)
+    assert residual_avoids_curve(enum, x * y - const2(3))
+    assert not residual_avoids_curve(enum, x**2 - const2(2) * y**2 + const2(1))
+    assert not residual_avoids_curve(enum, (x**2 - const2(2) * y**2) * (x - y) + x)
 
 
 def test_classify_examples():
