@@ -20,7 +20,7 @@ from .fields import (
     invariance_check,
 )
 from .gaussian import GaussianRational, ZERO, gr
-from .polyring import MultiPoly, dehomogenize, exact_divide, homogenize, is_squarefree
+from .polyring import MultiPoly, dehomogenize, homogenize, is_squarefree
 from .series import PowerSeries, compose_poly
 from .singularities import (
     Enumeration,
@@ -32,7 +32,6 @@ from .singularities import (
     affine_singularities,
     curve_singularities_decided,
     infinite_singularities,
-    residual_avoids_curve,
 )
 
 MAX_DOUBLINGS = 3
@@ -56,25 +55,22 @@ class Branch:
         return self.phi1.coefficient(0), self.phi2.coefficient(0)
 
 
-def _solve_series(g: MultiPoly, truncation: int, solve_var: int) -> PowerSeries:
-    """Series s(t), s(0)=0, with g(t, s(t)) = 0 mod t^(N+1) (solve_var = 1)
-    or g(s(t), t) = 0 (solve_var = 0).  Needs d(g)/d(solve_var) != 0 at 0."""
-    gs0 = g.partial(solve_var).evaluate((ZERO, ZERO))
-    if gs0.is_zero():
+def _solve_series(h: MultiPoly, w0: GaussianRational, truncation: int) -> PowerSeries:
+    """Series w(t), w(0) = w0, with h(t, w(t)) = 0 mod t^(N+1), by Newton's
+    iteration w <- w - h(t, w) / h_w(t, w): a w right mod t^k is right mod
+    t^(2k), so each step composes at twice the last precision.  Needs
+    h_w(0, w0) != 0."""
+    hw = h.partial(1)
+    if hw.evaluate((ZERO, w0)).is_zero():
         raise PreconditionError("series solve requires a transversal derivative")
-    inv = gs0.inverse()
-    n = truncation
-    s = PowerSeries.constant(ZERO, n)
-    t = PowerSeries.identity(n)
-    for k in range(1, n + 1):
-        args = (t, s) if solve_var == 1 else (s, t)
-        residual = compose_poly(g, *args)
-        ek = residual.coefficient(k)
-        if ek.is_zero():
-            continue
-        bump = [ZERO] * (k) + [-ek * inv]
-        s = s + PowerSeries.from_list(bump, n)
-    return s
+    w = PowerSeries.constant(w0, 0)
+    k = 1  # coefficients of w known
+    while k <= truncation:
+        k = min(2 * k, truncation + 1)
+        t = PowerSeries.identity(k - 1)
+        w = PowerSeries(w.num + ((0, 0),) * (k - len(w.num)), w.den)
+        w = w - compose_poly(h, t, w).divide(compose_poly(hw, t, w))
+    return w
 
 
 def _branches_at_chart_point(
@@ -85,65 +81,40 @@ def _branches_at_chart_point(
     v0: GaussianRational,
     truncation: int,
 ) -> list[Branch]:
+    """One branch per tangent of a smooth point or a node: the series root
+    w(t) of the strict transform h(u, w) = local(u, u w) / u^order, lifted
+    from the tangent's slope, gives (t, t w(t)); a vertical tangent swaps
+    the two variables first and gives (t w(t), t)."""
     order, node, local = _order_and_node(g, u0, v0)
     if order == 0:
         raise PreconditionError(f"{base} is not on the curve")
-    t = PowerSeries.identity(truncation)
-    if order == 1:
-        if not local.coefficient((0, 1)).is_zero():
-            s = _solve_series(local, truncation, solve_var=1)
-            phi1, phi2 = t.shift_constant(u0), s.shift_constant(v0)
-        else:
-            s = _solve_series(local, truncation, solve_var=0)
-            phi1, phi2 = s.shift_constant(u0), t.shift_constant(v0)
-        return [Branch(base, chart, phi1, phi2, truncation)]
-    if order != 2:
+    if order > 2:
         raise UnsupportedBranch(f"point of order {order}; only smooth points and nodes supported")
-    if not node:
+    if order == 2 and not node:
         raise UnsupportedBranch("order-2 point with a repeated tangent (cusp-like)")
-    a = local.coefficient((2, 0))
-    b = local.coefficient((1, 1))
-    c = local.coefficient((0, 2))
-    sq = (b * b - gr(4) * a * c).sqrt()
-    if sq is None:
-        raise UnsupportedBranch("node tangent directions lie outside Q(i)")
-    branches = []
-    if not c.is_zero():
+    low = [local.coefficient((order - k, k)) for k in range(order + 1)]  # lowest form at (1, w)
+    while low[-1].is_zero():
+        low.pop()
+    slopes = []
+    if len(low) == 2:
+        slopes = [-low[0] / low[1]]
+    elif len(low) == 3:
+        a, b, c = low
+        sq = (b * b - gr(4) * a * c).sqrt()
+        if sq is None:
+            raise UnsupportedBranch("node tangent directions lie outside Q(i)")
         slopes = [(-b + sq) / (gr(2) * c), (-b - sq) / (gr(2) * c)]
-        for s0 in slopes:
-            branches.append(_node_branch(local, base, chart, u0, v0, s0, truncation, by_u=True))
-    else:
-        branches.append(_node_branch(local, base, chart, u0, v0, -a / b, truncation, by_u=True))
-        branches.append(_node_branch(local, base, chart, u0, v0, ZERO, truncation, by_u=False))
-    return branches
-
-
-def _node_branch(
-    local: MultiPoly,
-    base: ProjectivePoint,
-    chart: str,
-    u0: GaussianRational,
-    v0: GaussianRational,
-    slope: GaussianRational,
-    truncation: int,
-    by_u: bool,
-) -> Branch:
-    """Branch along one tangent of a node: the co-variable is slope*t + t*z(t)."""
-    uu, vv = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
-    scaled = uu * (MultiPoly.constant(2, slope) + vv)  # stands for t*(slope + z)
-    subs = {0: uu, 1: scaled} if by_u else {0: scaled, 1: uu}
-    composed = local.substitute(subs)
-    reduced = exact_divide(composed, uu * uu)
-    if reduced is None:
-        raise ArithmeticError("order-2 point must factor t^2 out")
-    z = _solve_series(reduced, truncation, solve_var=1)
+    tangents = [(w0, False) for w0 in slopes] + [(ZERO, True)] * (order + 1 - len(low))
     t = PowerSeries.identity(truncation)
-    co = (t.scale(slope) + t * z).truncate(truncation)
-    if by_u:
-        phi1, phi2 = t.shift_constant(u0), co.shift_constant(v0)
-    else:
-        phi1, phi2 = co.shift_constant(u0), t.shift_constant(v0)
-    return Branch(base, chart, phi1, phi2, truncation)
+    branches = []
+    for w0, vertical in tangents:
+        h = MultiPoly._of(
+            2, local.den, {(i + j - order, i if vertical else j): u for (i, j), u in local.num.items()}
+        )
+        co = t * _solve_series(h, w0, truncation)
+        phi1, phi2 = (co, t) if vertical else (t, co)
+        branches.append(Branch(base, chart, phi1.shift_constant(u0), phi2.shift_constant(v0), truncation))
+    return branches
 
 
 def local_branches(f: MultiPoly, point: ProjectivePoint, truncation: int | None = None) -> list[Branch]:
@@ -210,8 +181,8 @@ def _resolved_multiplicity(
     field: AffineVectorField, f: MultiPoly, point: ProjectivePoint, truncation: int
 ) -> list[tuple[int, Branch]]:
     """Multiplicities of all branches at a point, doubling truncation as needed."""
-    n = truncation
-    for _ in range(MAX_DOUBLINGS + 1):
+    for doublings in range(MAX_DOUBLINGS + 1):
+        n = truncation << doublings
         branches = local_branches(f, point, n)
         result = []
         ok = True
@@ -223,7 +194,6 @@ def _resolved_multiplicity(
             result.append((mu, br))
         if ok:
             return result
-        n *= 2
     raise UncertifiedResult(f"multiplicity at {point} uncertified up to truncation {n}")
 
 
@@ -282,11 +252,10 @@ def euler_identity_check(
 
     on_curve, enumerations = singular_points_on_curve(field, f)
     for enum, kind in zip(enumerations, ("affine", "infinite")):
-        if (enum.residual or enum.uncertain) and not residual_avoids_curve(enum, f):
+        if undecided := enum.undecided_on(f):
             report.checkable = False
             report.notes.append(
-                f"{kind} enumeration left degree {enum.residual + enum.uncertain} "
-                "unresolved and not provably off the curve"
+                f"{kind} enumeration left degree {undecided} unresolved and not provably off the curve"
             )
     if not report.checkable:
         return report

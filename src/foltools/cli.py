@@ -272,7 +272,7 @@ def cmd_multiplicity(args):
         points = [_parse_point(args.point)]
     else:
         points, enumerations = singular_points_on_curve(field, curve)
-        undecided = sum(e.undecided for e in enumerations)
+        undecided = sum(e.undecided_on(curve) for e in enumerations)
     rows = []
     for pt in points:
         branches = local_branches(curve, pt, args.truncation)

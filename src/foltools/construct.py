@@ -206,7 +206,6 @@ def thm2b_configuration(m: int) -> tuple[LogarithmicSpec, list[dict]]:
 @dataclass(frozen=True)
 class GalleryEntry:
     name: str
-    kind: str  # "form" | "curve" | "system"
     form: ProjectiveOneForm | None = None
     field: AffineVectorField | None = None
     curve: MultiPoly | None = None
@@ -233,7 +232,6 @@ def _example1(alpha: GaussianRational, beta: GaussianRational) -> GalleryEntry:
         notes = ("alpha/beta is real: the non-dicriticality guarantee does not apply",)
     return GalleryEntry(
         name="example1",
-        kind="form",
         form=form,
         field=deprojectivize(form),
         curve=parse_poly("x", 2),
@@ -276,7 +274,6 @@ def gallery(
     name: str,
     alpha: GaussianRational | None = None,
     beta: GaussianRational | None = None,
-    weights: tuple[GaussianRational, ...] | None = None,
 ) -> GalleryEntry:
     """Reference objects used across the verification suites."""
     if name == "example1":
@@ -286,7 +283,6 @@ def gallery(
         form = ProjectiveOneForm.make(parse_poly(Ps, 3), parse_poly(Qs, 3), parse_poly(Rs, 3))
         return GalleryEntry(
             name=name,
-            kind="form",
             form=form,
             field=deprojectivize(form),
             curve=parse_poly("x", 2),
@@ -294,29 +290,25 @@ def gallery(
             notes=("degenerate points on the invariant line classify as unknown",),
         )
     if name == "three-lines":
-        w = weights if weights is not None else (gr(1), gr(1), gr(-2))
-        if not (w[0] + w[1] + w[2]).is_zero():
-            raise PreconditionError("three-lines weights must sum to zero")
+        w = (gr(1), gr(1), gr(-2))
         X, Y, Z = (MultiPoly.variable(3, k) for k in range(3))
         spec = LogarithmicSpec.make([X, Y, Y - X - Z], list(w))
         form = logarithmic_form(spec)
         return GalleryEntry(
             name="three-lines",
-            kind="form",
             form=form,
             field=deprojectivize(form),
             curve=parse_poly("x*y*(y - x - 1)", 2),
-            weights=tuple(w),
+            weights=w,
             log_spec=spec,
         )
     if name == "circle":
         return GalleryEntry(
-            name="circle", kind="curve", curve=parse_poly("x^2 + y^2 - 1", 2), expected_ovals=1
+            name="circle", curve=parse_poly("x^2 + y^2 - 1", 2), expected_ovals=1
         )
     if name == "nodal-cubic":
         return GalleryEntry(
             name="nodal-cubic",
-            kind="curve",
             curve=parse_poly("y^2 - x^2*(x + 1)", 2),
             expected_ovals=0,
             notes=("one node at the origin; the real loop passes through it",),
@@ -325,7 +317,6 @@ def gallery(
         quartic = parse_poly("(x^2 + 2*y^2 - 1)*(2*x^2 + y^2 - 1) + 1/100", 2)
         return GalleryEntry(
             name="quartic-4-ovals",
-            kind="curve",
             curve=quartic,
             expected_ovals=4,
             notes=("level +1/100 of the two-ellipse product: four lens-shaped ovals",),

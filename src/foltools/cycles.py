@@ -10,14 +10,16 @@ never "not hyperbolic".
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
-from .errors import DegenerateInput, PreconditionError
+from .errors import DegenerateInput, PreconditionError, UncertifiedResult
 from .fields import AffineVectorField, divergence, iif_check, invariance_check
 from .polyring import MultiPoly
-from .realtopo import _horner, _horner_with_gradient, refine_polyline
+from .realtopo import _BEYOND_FLOAT, _horner, _horner_with_gradient, refine_polyline
 
 THRESHOLD_FACTOR = 1000.0  # |D| must exceed this multiple of the error estimate
 
@@ -51,6 +53,24 @@ def _require_real(field: AffineVectorField):
         raise PreconditionError("only real vector fields have a dynamical reading")
 
 
+def _unit_scale(field: AffineVectorField) -> int:
+    """e such that 2^-e times the field has its largest coefficient magnitude in [1, 2)."""
+    top = max(abs(c.re) for part in (field.component_x, field.component_y) for c in part.terms.values())
+    e = top.numerator.bit_length() - top.denominator.bit_length()
+    return e - (Fraction(2) ** e > top)
+
+
+def _unscaled_period(T: float, e: int) -> float:
+    """2^-e T, exact while it stays in the normal float range."""
+    try:
+        T = math.ldexp(T, -e)
+    except OverflowError:
+        raise UncertifiedResult(f"the period is {_BEYOND_FLOAT}") from None
+    if T < sys.float_info.min:
+        raise UncertifiedResult("the period is below float range (magnitude under 2.2e-308)")
+    return T
+
+
 def _midpoint_sums(div_ev, fx_ev, fy_ev, pts: np.ndarray) -> tuple[float, float]:
     """Midpoint-rule D = sum div * dt and T = sum dt along a closed polyline,
     an (n, 2) array."""
@@ -71,6 +91,11 @@ def divergence_integral(
 ) -> tuple[float, float, float]:
     """(D, T, rel_err): divergence integral and period along a closed polyline.
 
+    The field X is evaluated as 2^e U with U at unit scale (`_unit_scale`):
+    scaling by a power of two is exact in floats, so D of U is D of X and
+    T = 2^-e T_U (UncertifiedResult when that leaves float range), and no
+    threshold below depends on the scale of X.
+
     Two vertex densities (the polyline and its half-density decimation) are
     compared and Richardson-combined; when the invariant curve f is supplied
     the polyline is midpoint-refined until the densities agree to target_rel.
@@ -84,15 +109,16 @@ def divergence_integral(
         raise PreconditionError("polyline too coarse")
     if math.hypot(*(pts[0] - pts[-1])) > 1e-9:
         raise PreconditionError("polyline is not closed")
-    div_ev, fx_ev, fy_ev = (_horner(p) for p in (divergence(field), field.component_x, field.component_y))
+    e = _unit_scale(field)
+    unit = Fraction(2) ** -e
+    px, py = field.component_x.scale(unit), field.component_y.scale(unit)
+    div_ev, fx_ev, fy_ev = (_horner(p) for p in (divergence(field).scale(unit), px, py))
     speeds = np.hypot(fx_ev(*pts.T), fy_ev(*pts.T))
     radius = float(np.max(np.abs(pts)))
     coeff_scale = sum(
-        abs(float(c.re)) * max(radius, 1.0) ** sum(e)
-        for part in (field.component_x, field.component_y)
-        for e, c in part.terms.items()
+        abs(float(c.re)) * max(radius, 1.0) ** sum(exp) for part in (px, py) for exp, c in part.terms.items()
     )
-    if speeds.max() < 1e-9 * max(coeff_scale, 1e-12):
+    if speeds.max() < 1e-9 * coeff_scale:
         raise DegenerateInput("vector field vanishes along the oval; not a periodic orbit")
     if speeds.min() < 1e-9 * speeds.max():
         raise DegenerateInput("vector field has a singularity on the oval")
@@ -106,7 +132,7 @@ def divergence_integral(
         T = (4.0 * T2 - T1) / 3.0
         rel = abs(D2 - D1) / max(abs(D), 1e-300)
         if rel <= target_rel or f is None or refinements == max_refinements:
-            return D, T, rel
+            return D, _unscaled_period(T, e), rel
         pts = refine_polyline(f, pts)
         D1, T1 = D2, T2  # the refined polyline's decimation is the one just summed
 

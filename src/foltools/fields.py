@@ -243,8 +243,6 @@ def projectivize(field: AffineVectorField) -> ProjectiveOneForm:
     A = Z * Q + Y * R
     B = -(Z * P + X * R)
     C = Y * P - X * Q
-    if not (X * A + Y * B + Z * C).is_zero():  # construction guarantees this
-        raise AssertionError("projective condition violated: arithmetic bug")
     try:
         return ProjectiveOneForm.make(A, B, C)
     except DegenerateInput as exc:

@@ -120,6 +120,15 @@ class Enumeration:
         """Total degree of coordinates not pinned down (rootless or capped)."""
         return self.residual + self.hard_residual + self.uncertain
 
+    def undecided_on(self, f: MultiPoly) -> int:
+        """Degree of the coordinates not pinned down that may lie on the curve
+        f: the hard residual, plus the rest unless `residual_avoids_curve`
+        proves it off f."""
+        rest = self.residual + self.uncertain
+        if rest and residual_avoids_curve(self, f):
+            rest = 0
+        return self.hard_residual + rest
+
 
 # -- low-level helpers -----------------------------------------------------------
 
@@ -416,11 +425,7 @@ def curve_singularities_decided(f: MultiPoly) -> tuple[list[CurveSingularity], b
     proves they miss the curve.
     """
     records, enum = curve_singularities(f)
-    if enum.hard_residual:
-        return records, False
-    if (enum.residual or enum.uncertain) and not residual_avoids_curve(enum, f):
-        return records, False
-    return records, True
+    return records, enum.undecided_on(f) == 0
 
 
 def _nodal(f: MultiPoly, include_infinity: bool, transversal: bool) -> bool | None:

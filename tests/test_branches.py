@@ -5,8 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import affine_vars, const2, random_poly
+from conftest import affine_vars, const2, random_coeff, random_poly
 from foltools.branches import (
+    Branch,
+    _branches_at_chart_point,
+    _resolved_multiplicity,
     branch_multiplicity,
     corollary2_check,
     euler_identity_check,
@@ -18,8 +21,9 @@ from foltools.construct import gallery
 from foltools.errors import PreconditionError, UncertifiedResult, UnsupportedBranch
 from foltools.fields import AffineVectorField
 from foltools.gaussian import ZERO, gr
+from foltools.polyring import MultiPoly, exact_divide
 from foltools.series import PowerSeries, compose_poly
-from foltools.singularities import ProjectivePoint, is_nodal
+from foltools.singularities import ProjectivePoint, _order_and_node, is_nodal
 from foltools.textio import parse_poly
 
 x, y = affine_vars()
@@ -48,10 +52,6 @@ def test_node_branches():
 
 def test_branch_residual_always_vanishes(rng):
     # graph curves y = p(x) through translated points
-    from conftest import random_poly
-
-    from foltools.polyring import MultiPoly
-
     for _ in range(50):
         raw = random_poly(rng, max_degree=3, complex_prob=0.2)
         p = MultiPoly(2, {(a, 0): c for (a, b), c in raw.terms.items()})
@@ -87,6 +87,19 @@ def test_multiplicity_requires_invariance():
     (br,) = local_branches(f, ProjectivePoint.affine(0, 0), truncation=8)
     with pytest.raises(PreconditionError):
         branch_multiplicity(rotation, br)
+
+
+@pytest.mark.parametrize("k, n", [(3, 4), (5, 8)])
+def test_multiplicity_doubles_the_truncation_until_it_is_certified(k, n):
+    # the branch of y at the origin is (t, 0), where (x^k, y) pulls back to t^k
+    ((mu, br),) = _resolved_multiplicity(AffineVectorField.make(x**k, y), y, ProjectivePoint.affine(0, 0), 2)
+    assert (mu, br.truncation) == (k, n)
+
+
+def test_multiplicity_names_the_last_truncation_tried():
+    # truncations 2, 4, 8 and 16 all see t^20 as zero
+    with pytest.raises(UncertifiedResult, match=r"uncertified up to truncation 16$"):
+        _resolved_multiplicity(AffineVectorField.make(x**20, y), y, ProjectivePoint.affine(0, 0), 2)
 
 
 def test_euler_identity_reference_foliations():
@@ -208,6 +221,123 @@ def test_corollary2_rejects_bad_curves():
     f = parse_poly(f"(x + {10**21 + 7}*y)^2*(x + y)*(x + 2*y) + x^3 + 1", 2)
     with pytest.raises(UncertifiedResult):
         corollary2_check(4, f)
+
+
+# -- one strict transform per tangent against the per-order solve it replaced --
+
+
+def _oracle_solve_series(g, truncation, solve_var):
+    """s(t), s(0) = 0, with g(t, s) = 0 (solve_var 1) or g(s, t) = 0 (solve_var 0)
+    mod t^(N+1), one order at a time, recomposing g at every order."""
+    gs0 = g.partial(solve_var).evaluate((ZERO, ZERO))
+    if gs0.is_zero():
+        raise PreconditionError("series solve requires a transversal derivative")
+    inv = gs0.inverse()
+    s = PowerSeries.constant(ZERO, truncation)
+    t = PowerSeries.identity(truncation)
+    for k in range(1, truncation + 1):
+        residual = compose_poly(g, *((t, s) if solve_var == 1 else (s, t)))
+        ek = residual.coefficient(k)
+        if not ek.is_zero():
+            s = s + PowerSeries.from_list([ZERO] * k + [-ek * inv], truncation)
+    return s
+
+
+def _oracle_node_branch(local, base, chart, u0, v0, slope, truncation, by_u):
+    """The branch along one node tangent: substitute t*(slope + z), divide by t^2."""
+    uu, vv = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
+    scaled = uu * (MultiPoly.constant(2, slope) + vv)
+    reduced = exact_divide(local.substitute({0: uu, 1: scaled} if by_u else {0: scaled, 1: uu}), uu * uu)
+    z = _oracle_solve_series(reduced, truncation, solve_var=1)
+    t = PowerSeries.identity(truncation)
+    co = (t.scale(slope) + t * z).truncate(truncation)
+    phi1, phi2 = (t, co) if by_u else (co, t)
+    return Branch(base, chart, phi1.shift_constant(u0), phi2.shift_constant(v0), truncation)
+
+
+def _oracle_branches(g, base, chart, u0, v0, truncation):
+    """Branches at a chart point by the four routes of the earlier constructor."""
+    order, node, local = _order_and_node(g, u0, v0)
+    if order == 0:
+        raise PreconditionError(f"{base} is not on the curve")
+    t = PowerSeries.identity(truncation)
+    if order == 1:
+        if not local.coefficient((0, 1)).is_zero():
+            s = _oracle_solve_series(local, truncation, solve_var=1)
+            return [Branch(base, chart, t.shift_constant(u0), s.shift_constant(v0), truncation)]
+        s = _oracle_solve_series(local, truncation, solve_var=0)
+        return [Branch(base, chart, s.shift_constant(u0), t.shift_constant(v0), truncation)]
+    if order != 2:
+        raise UnsupportedBranch(f"point of order {order}; only smooth points and nodes supported")
+    if not node:
+        raise UnsupportedBranch("order-2 point with a repeated tangent (cusp-like)")
+    a, b, c = (local.coefficient(e) for e in ((2, 0), (1, 1), (0, 2)))
+    sq = (b * b - gr(4) * a * c).sqrt()
+    if sq is None:
+        raise UnsupportedBranch("node tangent directions lie outside Q(i)")
+    args = (local, base, chart, u0, v0)
+    if not c.is_zero():
+        return [_oracle_node_branch(*args, s0, truncation, True) for s0 in ((-b + sq) / (gr(2) * c), (-b - sq) / (gr(2) * c))]
+    return [_oracle_node_branch(*args, -a / b, truncation, True), _oracle_node_branch(*args, ZERO, truncation, False)]
+
+
+_GERM_KINDS = (
+    "smooth", "smooth-vertical", "node", "node-c0", "node-a0",
+    "order-3", "cusp", "irrational-tangents",
+)
+
+
+def _germ(rng, kind):
+    """A local equation at the origin of the given kind plus random terms of
+    degree lowest + 1 and lowest + 2."""
+    u, v = affine_vars()
+
+    def coeff(nonzero=True):
+        c = random_coeff(rng)
+        return gr(rng.choice((1, -2, 3))) if nonzero and c.is_zero() else c
+
+    def line(a, b):
+        return u.scale(a) + v.scale(b)
+
+    low = {
+        "smooth": lambda: line(coeff(False), coeff()),
+        "smooth-vertical": lambda: u.scale(coeff()),
+        "node": lambda: line(coeff(), coeff()) * line(coeff(), coeff()),
+        "node-c0": lambda: line(coeff(), coeff()) * u.scale(coeff()),
+        "node-a0": lambda: line(coeff(), coeff()) * v.scale(coeff()),
+        "order-3": lambda: line(coeff(), coeff()) ** 3 + u**2 * v,
+        "cusp": lambda: line(coeff(), coeff()) ** 2,
+        "irrational-tangents": lambda: v**2 - (u**2).scale(gr(rng.choice((2, 3, 5)))),
+    }[kind]()
+    order = int(low.degree)
+    high = MultiPoly.zero(2)
+    for _ in range(rng.randint(1, 3)):
+        d = rng.randint(order + 1, order + 2)
+        i = rng.randint(0, d)
+        high = high + MultiPoly.monomial(2, (i, d - i), coeff())
+    return low + high
+
+
+def test_one_strict_transform_per_tangent_matches_the_earlier_routes():
+    rng = random.Random(3030)
+    raised = dict.fromkeys(_GERM_KINDS, 0)
+    for n in range(660):  # 600 smooth points and nodes, then 60 germs that raise
+        kind = _GERM_KINDS[n % 5] if n < 600 else _GERM_KINDS[5 + n % 3]
+        local = _germ(rng, kind)
+        u0, v0 = (gr(rng.randint(-3, 3), rng.randint(-2, 2) if rng.random() < 0.3 else 0) for _ in range(2))
+        g = local.shift((-u0, -v0))
+        base = ProjectivePoint.affine(u0, v0)
+        truncation = rng.randint(1, 20 if n % 4 == 0 else 10)  # the reference composes N times at size N
+        try:
+            want = _oracle_branches(g, base, base.chart(), u0, v0, truncation)
+        except UnsupportedBranch as exc:
+            with pytest.raises(UnsupportedBranch) as got:
+                _branches_at_chart_point(g, base, base.chart(), u0, v0, truncation)
+            assert got.value.reason == exc.reason, (kind, n)
+            raised[kind] += 1
+            continue
+        assert _branches_at_chart_point(g, base, base.chart(), u0, v0, truncation) == want, (kind, n)
+    assert raised == dict.fromkeys(_GERM_KINDS[:5], 0) | dict.fromkeys(_GERM_KINDS[5:], 20)
 
 
 # -- the integer series store against GaussianRational arithmetic on `coeffs` --

@@ -205,7 +205,8 @@ def test_construct_eee_and_certify(tmp_path, capsys):
 
 def test_values_beyond_float_range_exit_3(tmp_path, capsys):
     # the ovals come from the exact lattice rows and tracing sees f at unit
-    # scale, so only the field's float coefficients are beyond range
+    # scale; the quadrature sees the field at unit scale too, so only its
+    # period, about 1.8e-400, is out of float range
     doc = tmp_path / "huge.fol"
     doc.write_text(
         "[field eee]\n"
@@ -654,3 +655,57 @@ def test_polynomials_over_different_variable_sets_are_a_usage_error(rules_doc, m
     assert run(["projectivize", rules_doc, "--field", "saddle"]) == 2
     captured = capsys.readouterr()
     assert "homogenize expects an affine (arity-2) polynomial" in captured.err and captured.out == ""
+
+
+# algebra pool entry 19 of the benchmark: a logarithmic foliation whose affine
+# enumeration leaves degree 3 unresolved, which the line y = 1 provably misses
+LOG_DOC = """
+[field log]
+p = -240*x^3 - 732*x^2*y - 564*x*y^2 - 24*x^2 - 84*x*y + 120*x
+q = -72*x^2*y - 160*x*y^2 - 80*y^3 + 144*x^2 + 380*x*y + 224*y^2 - 40*x - 16*y - 32
+r = -72*x^2*y - 180*x*y^2 - 96*y^3
+
+[curve line]
+f = 2*y - 2
+"""
+
+
+def test_multiplicity_discharges_a_residual_that_misses_the_curve(tmp_path, capsys):
+    doc = tmp_path / "log.fol"
+    doc.write_text(LOG_DOC, encoding="utf-8")
+    argv = ["multiplicity", str(doc), "--field", "log", "--curve", "line"]
+    assert run(argv + ["--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["undecided_coordinates"] == 0
+    assert [(r["point"], r["mu"]) for r in payload["multiplicities"]] == [
+        ("(-1 : 1 : 1)", 1), ("(-2 : 1 : 1)", 1), ("(0 : 1 : 1)", 1), ("(1 : 0 : 0)", 1)
+    ]
+    assert run(argv) == 0
+    assert "warning" not in capsys.readouterr().out
+    # euler-check takes the same residual off the curve by the same proof
+    assert run(["euler-check", str(doc), "--field", "log", "--curve", "line", "--chi", "2"]) == 0
+
+
+@pytest.mark.parametrize(
+    "c, rc, shown",
+    [
+        ("2^60", 0, "T = 1.573220169e-18"),
+        ("1/2^60", 0, "T = 2.091168292e+18"),
+        ("1/2^200", 0, "T = 2.914663203e+60"),
+        ("1/2^1060", 3, "the period is beyond float range"),  # T is about 1.8 * 2^1060
+        ("2^1060", 3, "the period is below float range"),
+    ],
+)
+def test_certify_does_not_see_the_scale_of_the_field(tmp_path, c, rc, shown, capsys):
+    doc = tmp_path / "scaled.fol"
+    doc.write_text(
+        f"[field eee]\np = ({c})*((x^2 + y^2 - 1) - (x - 2)*2*y)\nq = ({c})*((x^2 + y^2 - 1) + (x - 2)*2*x)\n"
+        "\n[curve circle]\nf = x^2 + y^2 - 1\n",
+        encoding="utf-8",
+    )
+    assert run(["certify", str(doc), "--field", "eee", "--curve", "circle", "--res", "64", "--spacing", "2e-3"]) == rc
+    out, err = capsys.readouterr()
+    if rc:
+        assert shown in err and out == ""
+    else:
+        assert f"D = +9.720121498e-01 {shown}" in out and "Unstable hyperbolic = True" in out

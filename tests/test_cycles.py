@@ -113,6 +113,16 @@ def test_divergence_integral_sums_each_polyline_once(eee_circle, monkeypatch, sp
     assert calls["refinements"] >= 2 and calls["sums"] == calls["refinements"] + 2
 
 
+@pytest.mark.parametrize("e", [60, -60, -200])
+def test_divergence_integral_does_not_depend_on_the_scale_of_the_field(circle_polyline, eee_circle, e):
+    # X and 2^e X are one foliation with one orbit: D is the same to the last
+    # bit and T is exactly 2^-e times as long
+    D, T, rel = divergence_integral(eee_circle, circle_polyline, f=circle)
+    c = gr(Fraction(2) ** e)
+    scaled = AffineVectorField.make(eee_circle.p.scale(c), eee_circle.q.scale(c))
+    assert divergence_integral(scaled, circle_polyline, f=circle) == (D, math.ldexp(T, -e), rel)
+
+
 def test_location_check_modes(circle_polyline, eee_circle):
     with pytest.raises(PreconditionError):
         location_check(eee_circle, circle, [circle_polyline], mode="iif")

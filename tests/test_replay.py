@@ -3,6 +3,9 @@
 import hashlib
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -269,3 +272,35 @@ def test_against_alternates_the_two_trees_and_compares_their_medians(replay, tmp
     assert replay.main(argv[:-4] + ["--out", str(out)]) == 0  # one pass each, identical rows
     with pytest.raises(SystemExit):
         replay.main(argv[:-2])  # --against needs --out
+
+
+def test_closed_stdout_exits_quietly(tmp_path):
+    # the reader is gone before the first write (as with `| head -1`): no
+    # traceback, and 141 as `foltools` exits, not 1 as for a differing job
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text(json.dumps(BASE), encoding="utf-8")
+    b.write_text(json.dumps([dict(BASE[0], rc=3)] + BASE[1:]), encoding="utf-8")
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, str(SCRIPT), "--compare", str(a), str(b)],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == cli.EXIT_BROKEN_PIPE
+    assert b"Traceback" not in proc.stderr and b"BrokenPipeError" not in proc.stderr
+
+
+def test_a_child_pass_that_lost_stdout_is_a_broken_pipe(replay, tmp_path, monkeypatch):
+    # --against replays each tree in a child that shares this stdout; a child
+    # that exits 141 ends the replay as a broken pipe, any other failure raises
+    codes = iter([cli.EXIT_BROKEN_PIPE, 1])
+    monkeypatch.setattr(replay.subprocess, "run", lambda argv: subprocess.CompletedProcess(argv, next(codes)))
+    with pytest.raises(BrokenPipeError):
+        replay.child_pass("geometry", tmp_path, tmp_path)
+    with pytest.raises(subprocess.CalledProcessError):
+        replay.child_pass("geometry", tmp_path, tmp_path)

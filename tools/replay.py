@@ -38,6 +38,9 @@ parent's tree and the change's tree, and its time moves show per kind and
 per command (every `algebra` pool job has the kind `algebra`, whichever
 command it runs).
 
+Every form exits 141 (128 + SIGPIPE) without a traceback when its stdout
+is closed early, as in `... --compare A.json B.json | head -1`.
+
 Only the standard library is used here; perfbench/ is read, never written.
 """
 
@@ -49,6 +52,7 @@ import hashlib
 import importlib
 import io
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -57,6 +61,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as `foltools.cli.main` exits when stdout is closed early
 PERFBENCH = ROOT / "perfbench"
 FIELDS = ("rc", "stdout_sha", "polylines_sha", "verdict_sha", "report_sha")  # what --compare compares
 # certify payload fields that carry float digits; the verdict is everything else
@@ -186,7 +191,10 @@ def child_pass(workload: str, src: Path, work: Path) -> list[dict]:
     """One `replay` pass over the tree `src`, run in a child process."""
     out = work / "pass.json"
     argv = ["--workload", workload, "--src", str(src), "--work", str(work), "--out", str(out)]
-    subprocess.run([sys.executable, str(Path(__file__).resolve()), *argv], check=True)
+    proc = subprocess.run([sys.executable, str(Path(__file__).resolve()), *argv])
+    if proc.returncode == EXIT_BROKEN_PIPE:  # the child writes to this process's stdout
+        raise BrokenPipeError("stdout was closed")
+    proc.check_returncode()
     return json.loads(out.read_text(encoding="utf-8"))
 
 
@@ -287,4 +295,13 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        code = main()
+        if sys.stdout is not None:  # None when the process started with no stdout at all
+            sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe (e.g. `| head -1`): point stdout at devnull
+        # so the flush at interpreter exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_BROKEN_PIPE
+    sys.exit(code)
