@@ -297,9 +297,8 @@ def cmd_euler_check(args):
     for row in report.table:
         lines.append(f"  {row['point']} branch {row['branch']}: mu = {row['mu']}")
     lines.append(f"sum(mu) = {report.sum_mu}, claimed chi = {report.chi_claimed}")
-    lines.append(
-        f"identity chi = sum(mu) - n(m-1): {'HOLDS' if report.identity_holds else 'FAILS'}"
-    )
+    status = "UNDECIDED" if not report.checkable else "HOLDS" if report.identity_holds else "FAILS"
+    lines.append(f"identity chi = sum(mu) - n(m-1): {status}")
     if not report.checkable:
         lines.append("NOT CHECKABLE: " + "; ".join(report.notes))
     return report, lines, report.identity_holds if report.checkable else None
@@ -856,7 +855,8 @@ def run(argv: list[str]) -> int:
 def main() -> None:
     try:
         code = run(sys.argv[1:])
-        sys.stdout.flush()
+        if sys.stdout is not None:  # None when the process started with no stdout at all
+            sys.stdout.flush()
     except BrokenPipeError:
         # the reader closed the pipe (e.g. `| head`): point stdout at devnull
         # so the flush at interpreter exit does not raise again

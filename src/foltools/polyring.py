@@ -14,6 +14,8 @@ larger exponent tuple first.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
+from functools import reduce
 from math import comb, gcd
 from operator import add, sub
 from types import MappingProxyType
@@ -21,7 +23,7 @@ from typing import Iterable
 
 from .errors import ArityMismatch
 from .gaussian import GInt, GaussianRational, ZERO, canonical, from_gint, lift
-from .uniroots import coprime_mod_p, gi_mul, ueval, ugcd, utrim
+from .uniroots import coprime_mod_p, gi_mul, udeg, ueval, ugcd, utrim
 
 Exponent = tuple[int, ...]
 
@@ -380,7 +382,7 @@ def leading_form(f: MultiPoly) -> MultiPoly:
     return f.homogeneous_part(int(f.degree))
 
 
-# -- gcd via primitive pseudo-remainder sequences -----------------------------
+# -- gcds: images in one variable, verified by exact division ------------------
 
 
 def _monic(f: MultiPoly) -> MultiPoly:
@@ -390,52 +392,6 @@ def _monic(f: MultiPoly) -> MultiPoly:
     re, im = f.num[max(f.num, key=_grlex_key)]
     g = gcd(re, im)
     return f._times((re // g, -im // g), (re * re + im * im) // g)
-
-
-def _coeffs_in(f: MultiPoly, var: int) -> dict[int, MultiPoly]:
-    """View f as univariate in `var` with MultiPoly coefficients (same arity)."""
-    blocks: dict[int, dict[Exponent, GInt]] = {}
-    for exp, u in f.num.items():
-        blocks.setdefault(exp[var], {})[exp[:var] + (0,) + exp[var + 1 :]] = u
-    return {e: MultiPoly._of(f.arity, f.den, block) for e, block in blocks.items()}
-
-
-def _content(f: MultiPoly, var: int) -> MultiPoly:
-    cont = MultiPoly.zero(f.arity)
-    for p in _coeffs_in(f, var).values():
-        cont = poly_gcd(cont, p)
-        if cont.is_constant():
-            break  # the monic constant 1, which divides every coefficient left
-    return cont
-
-
-def _primitive_part(f: MultiPoly, var: int) -> MultiPoly:
-    if f.is_zero():
-        return f
-    cont = _content(f, var)
-    q = exact_divide(f, cont)
-    if q is None:
-        raise ArithmeticError("the content must divide exactly")
-    return q
-
-
-def _pseudo_rem(a: MultiPoly, b: MultiPoly, var: int) -> MultiPoly:
-    """Pseudo-remainder of a by b in `var`: lc(b)^(da-db+1) * a mod b."""
-    db = b.degree_in(var)
-    lb = _coeffs_in(b, var)[db]
-    v = MultiPoly.variable(a.arity, var)
-    r = a
-    da = a.degree_in(var)
-    steps = 0
-    while not r.is_zero() and r.degree_in(var) >= db:
-        dr = r.degree_in(var)
-        r = r * lb - b * (_coeffs_in(r, var)[dr] * v ** (dr - db))
-        steps += 1
-    # match the classical normalization lc(b)^(da-db+1) * a mod b exactly
-    missing = (da - db + 1) - steps
-    if missing > 0 and not r.is_zero():
-        r = r * lb**missing
-    return r
 
 
 def _specialize_keeping(p: MultiPoly, var: int, point: list[GaussianRational]) -> list[GInt]:
@@ -474,63 +430,75 @@ def _coprime_images(a: MultiPoly, b: MultiPoly, variables: Iterable[int]) -> boo
     return True
 
 
-def _subresultant_gcd(pa: MultiPoly, pb: MultiPoly, var: int) -> MultiPoly:
-    """Gcd of var-primitive polynomials by the subresultant PRS.
+def _y_rows(p: MultiPoly) -> list[list[GInt]]:
+    """The coefficients of affine p in y, low to high, each as its Z[i] numerator list in x."""
+    rows = [[(0, 0)] * (p.degree_in(0) + 1) for _ in range(p.degree_in(1) + 1)]
+    for (i, j), u in p.num.items():
+        rows[j][i] = u
+    return rows
 
-    Divisions by g * h^delta are exact (Brown-Traub), so no per-step content
-    extraction is needed; one primitive-part at the end.
+
+def _univariate(c: list[GInt], arity: int, var: int) -> MultiPoly:
+    """The polynomial in the variable var alone with the Z[i] coefficients c, low to high."""
+    return MultiPoly._of(arity, 1, {tuple(k if v == var else 0 for v in range(arity)): u for k, u in enumerate(c) if u != (0, 0)})
+
+
+def _evaluation_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
+    """Gcd of two affine polynomials up to a constant, from images at x = t (Brown, JACM 18, 1971).
+
+    In Q(i)[x][y], gcd(a, b) = gcd(ca, cb) * G, ca and cb the contents.  Where
+    no leading coefficient in y vanishes, G(t, y) divides g_t = `ugcd`(a(t, y),
+    b(t, y)), and G scaled to leading coefficient gamma = `ugcd`(lc a, lc b),
+    of x-degree at most deg gamma + min deg_x, is g_t * gamma(t) / lc(g_t) if
+    deg g_t = deg_y G.  The interpolant's primitive part H in x is kept only
+    if it divides a and b: then H divides G (Gauss's lemma) and deg_y H >=
+    deg_y G, so H = G.  Otherwise each image kept had too high a degree,
+    which only finitely many t give.
     """
-    one = MultiPoly.constant(pa.arity, 1)
-    A, B = pa, pb
-    if A.degree_in(var) < B.degree_in(var):
-        A, B = B, A
-    g, h = one, one
-    while True:
-        if B.is_zero():
-            return _primitive_part(A, var)
-        if B.degree_in(var) == 0:
-            return one
-        delta = A.degree_in(var) - B.degree_in(var)
-        R = _pseudo_rem(A, B, var)
-        if R.is_zero():
-            return _primitive_part(B, var)
-        denom = g * h**delta
-        quotient = exact_divide(R, denom)
-        if quotient is None:
-            raise ArithmeticError("subresultant divisibility must hold")
-        A, B = B, quotient
-        g = _coeffs_in(A, var)[A.degree_in(var)]
-        if delta == 1:
-            h = g
-        elif delta > 1:
-            h = exact_divide(g**delta, h ** (delta - 1))
-            if h is None:
-                raise ArithmeticError("subresultant divisibility must hold")
+    rows_a, rows_b = _y_rows(a), _y_rows(b)
+    content = _univariate(reduce(ugcd, rows_a + rows_b, []), 2, 0)  # gcd(ca, cb)
+    gamma = ugcd(rows_a[-1], rows_b[-1])
+    need = udeg(gamma) + min(a.degree_in(0), b.degree_in(0)) + 1
+    size, ts, images = min(len(rows_a), len(rows_b)) + 1, [], []  # size: one more than any image's
+    for t in itertools.count():
+        at, bt = (_specialize(p, 1, [(t, 0), (0, 0)], 1)[1] for p in (a, b))
+        if at[-1] == (0, 0) or bt[-1] == (0, 0) or len(g := ugcd(at, bt)) > size:
+            continue
+        if len(g) == 1:
+            return content
+        if len(g) < size:
+            size, ts, images = len(g), [], []
+        # g * gamma(t) / lc(g) = g * gamma(t) * conj(lc(g)) / |lc(g)|^2
+        (lr, li), c = g[-1], (ueval([u[0] for u in gamma], t), ueval([u[1] for u in gamma], t))
+        ts.append(t)
+        images.append([from_gint(gi_mul(gi_mul(u, c), (lr, -li)), lr * lr + li * li) for u in g])
+        if len(ts) == need:
+            parts = [(_interpolate_at(ts, [v[k].re for v in images]), _interpolate_at(ts, [v[k].im for v in images])) for k in range(size)]
+            h = MultiPoly(2, {(i, k): GaussianRational(r, s) for k, (re, im) in enumerate(parts) for i, (r, s) in enumerate(zip(re, im))})
+            h = exact_divide(h, _univariate(reduce(ugcd, _y_rows(h), []), 2, 0))
+            if exact_divide(a, h) is not None and exact_divide(b, h) is not None:
+                return content * h
+            size, ts, images = size - 1, [], []
 
 
 def _homogeneous_gcd(a: MultiPoly, b: MultiPoly, var: int) -> MultiPoly:
-    """Gcd of homogeneous polynomials through the slice var = 1, var the last variable that occurs.
+    """Gcd of two forms through the affine slices `dehomogenize(F, var)`, var the last variable that occurs.
 
-    With the least power of var stripped, setting var = 1 is factor-bijective
-    for homogeneous polynomials that var does not divide, and it leaves a
-    polynomial in fewer variables, so the gcd of the slices lifts back by
-    re-homogenizing with var, times var^min(ka, kb).
+    Setting var = 1 is factor-bijective for forms that var does not divide, so the
+    gcd of the slices, re-homogenized with var, times the least power of var in a or b is the gcd.
     """
-    ka, kb = (min(e[var] for e in p.num) for p in (a, b))
-    # distinct terms of a homogeneous polynomial differ off var, so nothing collides
-    a1 = MultiPoly._of(a.arity, a.den, {e[:var] + (0,) + e[var + 1 :]: u for e, u in a.num.items()})
-    b1 = MultiPoly._of(b.arity, b.den, {e[:var] + (0,) + e[var + 1 :]: u for e, u in b.num.items()})
-    g1 = poly_gcd(a1, b1)
-    top = int(g1.degree) + min(ka, kb)
-    return _monic(MultiPoly._of(g1.arity, g1.den, {e[:var] + (top - sum(e),) + e[var + 1 :]: u for e, u in g1.num.items()}))
+    if a.arity == 2:  # binary forms: the same forms in X and Y
+        return dehomogenize(_homogeneous_gcd(homogenize(a, int(a.degree)), homogenize(b, int(b.degree)), var))
+    g1 = poly_gcd(dehomogenize(a, var), dehomogenize(b, var))
+    top = int(g1.degree) + min(e[var] for p in (a, b) for e in p.num)
+    return _monic(MultiPoly._of(3, g1.den, {e[:var] + (top - sum(e),) + e[var:]: u for e, u in g1.num.items()}))
 
 
 def poly_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
-    """Gcd over Q(i), normalized monic in graded-lex.  gcd(0, 0) = 0."""
-    if a.is_zero():
-        return _monic(b)
-    if b.is_zero():
-        return _monic(a)
+    """Gcd over Q(i), normalized monic in graded-lex, gcd(0, 0) = 0: `ugcd` in one variable,
+    `_homogeneous_gcd` for two forms, else (affine) `_coprime_images`, then `_evaluation_gcd`."""
+    if a.is_zero() or b.is_zero():
+        return _monic(a + b)
     a._check_arity(b)
     occurring = [v for v in range(a.arity) if a.degree_in(v) > 0 or b.degree_in(v) > 0]
     if not occurring:
@@ -539,35 +507,22 @@ def poly_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     if len(occurring) == 1:
         # no other variable occurs, so there is nothing to substitute
         g = ugcd(_specialize_keeping(a, var, [ZERO] * a.arity), _specialize_keeping(b, var, [ZERO] * a.arity))
-        num = {tuple(k if v == var else 0 for v in range(a.arity)): u for k, u in enumerate(g) if u != (0, 0)}
-        return _monic(MultiPoly._of(a.arity, 1, num))
+        return _monic(_univariate(g, a.arity, var))
     if a.is_homogeneous() and b.is_homogeneous():
         return _homogeneous_gcd(a, b, var)
+    if a.arity == 3:
+        raise ValueError("a gcd in homogeneous coordinates takes two forms")
     if _coprime_images(a, b, occurring):
-        return MultiPoly.constant(a.arity, 1)
-    ca, cb = _content(a, var), _content(b, var)
-    # a constant content is 1, since poly_gcd is monic
-    pa = a if ca.is_constant() else exact_divide(a, ca)
-    pb = b if cb.is_constant() else exact_divide(b, cb)
-    if pa is None or pb is None:
-        raise ArithmeticError("the contents must divide exactly")
-    cg = poly_gcd(ca, cb)
-    if _coprime_images(pa, pb, [var]):
-        return _monic(cg)
-    return _monic(cg * _subresultant_gcd(pa, pb, var))
+        return MultiPoly.constant(2, 1)
+    return _monic(_evaluation_gcd(a, b))
 
 
 def is_squarefree(f: MultiPoly) -> bool:
     """True when f has no repeated factor (characteristic 0: gcd with all partials)."""
     if f.is_zero():
         raise ValueError("squarefree test on the zero polynomial")
-    if f.is_constant():
-        return True
-    g = f
-    acc = MultiPoly.zero(f.arity)
-    for var in range(f.arity):
-        acc = poly_gcd(acc, g.partial(var))
-    return poly_gcd(f, acc).is_constant() if not acc.is_zero() else False
+    partials = reduce(poly_gcd, (f.partial(var) for var in range(f.arity)), MultiPoly.zero(f.arity))
+    return poly_gcd(f, partials).is_constant()
 
 
 # -- resultants by evaluation and interpolation over Z[i] -----------------------
@@ -632,6 +587,17 @@ def _gi_det(m: list[list[GInt]]) -> GInt:
     return det if sign > 0 else (-det[0], -det[1])
 
 
+def _from_newton(newton: list, points) -> list:
+    """Coefficients, low to high, of the sum over k of newton[k] * (t - points[0]) ... (t - points[k - 1])."""
+    coeffs: list = []
+    for k in range(len(newton) - 1, -1, -1):  # coeffs * (t - points[k]) + newton[k]
+        coeffs = [0] + coeffs
+        for j in range(len(coeffs) - 1):
+            coeffs[j] -= points[k] * coeffs[j + 1]
+        coeffs[0] += newton[k]
+    return coeffs
+
+
 def _interpolate(values: list[int]) -> list[int]:
     """Coefficients, low to high, of the integer polynomial f of degree < len(values) with f(t) = values[t].
 
@@ -645,13 +611,16 @@ def _interpolate(values: list[int]) -> list[int]:
         if any(r for _, r in steps):
             raise ArithmeticError("Newton differences must divide exactly")
         diff = [q for q, _ in steps]
-    coeffs: list[int] = []
-    for k in range(len(newton) - 1, -1, -1):  # coeffs * (t - k) + newton[k]
-        coeffs = [0] + coeffs
-        for j in range(len(coeffs) - 1):
-            coeffs[j] -= k * coeffs[j + 1]
-        coeffs[0] += newton[k]
-    return coeffs
+    return _from_newton(newton, range(len(values)))
+
+
+def _interpolate_at(ts: list[int], values: list[Fraction]) -> list[Fraction]:
+    """Coefficients, low to high, of the rational f of degree < len(ts) with f(ts[k]) = values[k] (divided differences)."""
+    diff, newton = list(values), []
+    for k in range(1, len(ts) + 1):
+        newton.append(diff[0])
+        diff = [(b - a) / (ts[j + k] - ts[j]) for j, (a, b) in enumerate(zip(diff, diff[1:]))]
+    return _from_newton(newton, ts)
 
 
 def resultant(a: MultiPoly, b: MultiPoly, var: int) -> list[GInt]:

@@ -467,6 +467,23 @@ def test_closed_stdout_exits_quietly():
     assert b"Traceback" not in proc.stderr and b"BrokenPipeError" not in proc.stderr
 
 
+def test_no_stdout_at_all_keeps_the_exit_code_and_the_files(tmp_path):
+    # started with fd 1 closed (`foltools ... >&-`), print writes nothing and
+    # sys.stdout is None: the run's own exit code stands and --out is written
+    env = dict(os.environ, PYTHONPATH=str(Path(foltools.__file__).resolve().parent.parent))
+    out = tmp_path / "circle.json"
+    for argv, code in ((["construct", "gallery", "circle", "--out", str(out)], 0), (["construct", "gallery", "no-such-entry"], 2)):
+        proc = subprocess.run(
+            ["sh", "-c", 'exec "$0" -m foltools.cli "$@" >&-', sys.executable, *argv],
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=60,
+        )
+        assert proc.returncode == code, proc.stderr
+        assert b"Traceback" not in proc.stderr
+    assert out.read_text(encoding="utf-8").strip()
+
+
 def test_parser_is_built_once_and_a_usage_error_leaves_it_intact(eee_doc, monkeypatch, capsys):
     builds = []
     real = cli.build_parser
@@ -621,7 +638,9 @@ def test_a_failed_pullback_check_on_an_invariant_curve_is_undecided(ex1_doc, mon
     assert run(["multiplicity", ex1_doc, "--field", "example1", "--curve", "line"]) == 3
     assert "pullback inconsistency" in capsys.readouterr().err
     assert run(["euler-check", ex1_doc, "--field", "example1", "--curve", "line", "--chi", "2"]) == 3
-    assert "NOT CHECKABLE" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "NOT CHECKABLE" in out
+    assert "identity chi = sum(mu) - n(m-1): UNDECIDED" in out and "FAILS" not in out
 
 
 def test_certify_that_finds_no_oval_is_undecided(tmp_path, capsys):

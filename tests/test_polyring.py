@@ -4,13 +4,14 @@ import os
 import random
 import subprocess
 import sys
+import time
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from conftest import affine_vars, const2, projective_vars, random_poly
+from conftest import affine_vars, const2, projective_vars, random_coeff, random_poly
 import foltools
 from foltools import polyring
 from foltools.errors import ArityMismatch
@@ -18,15 +19,12 @@ from foltools.gaussian import ZERO, GaussianRational, from_gint, gr
 from foltools.polyring import (
     MINUS_INFINITY,
     MultiPoly,
-    _coeffs_in,
     _coprime_images,
     _gi_det,
     _int_det,
     _interpolate,
-    _primitive_part,
-    _pseudo_rem,
+    _monic,
     _specialize_keeping,
-    _subresultant_gcd,
     dehomogenize,
     exact_divide,
     homogenize,
@@ -36,7 +34,8 @@ from foltools.polyring import (
     resultant,
 )
 from foltools.textio import parse_poly, print_poly
-from foltools.uniroots import gi_mul, utrim
+from foltools.uniroots import gi_mul, ugcd, utrim
+from subresultant import coeffs_in, content, prs_gcd, primitive_part, subresultant_gcd
 
 x, y = affine_vars()
 X, Y, Z = projective_vars()
@@ -168,10 +167,10 @@ def test_specialisation_certificate_implies_trivial_gcd(rng):
         b = random_poly(rng, max_degree=2, nonzero=True) * c
         if a.degree_in(1) < 1 or b.degree_in(1) < 1:
             continue
-        pa, pb = _primitive_part(a, 1), _primitive_part(b, 1)
+        pa, pb = primitive_part(a, 1), primitive_part(b, 1)
         if _coprime_images(pa, pb, [1]):
             coprime += 1
-            assert _subresultant_gcd(pa, pb, 1).is_constant()
+            assert subresultant_gcd(pa, pb, 1).is_constant()
         else:
             undecided += 1
     assert coprime > 10 and undecided > 10
@@ -203,11 +202,11 @@ _TERNARY = [X, Y, Z, X + Z, Y - Z.scale(gr(2)), X + Y + Z.scale(gr(0, 1)), X - Y
 )
 def test_homogeneous_gcd_is_the_planted_product_of_linear_forms(pool, binary, monkeypatch):
     if binary:
-        # a binary form needs no content: each slice removes a variable, down to `ugcd`
-        def no_content(*args):
-            raise AssertionError("_content called on binary forms")
+        # a binary form needs no bivariate gcd: each slice removes a variable, down to `ugcd`
+        def no_evaluation_gcd(*args):
+            raise AssertionError("_evaluation_gcd called on binary forms")
 
-        monkeypatch.setattr(polyring, "_content", no_content)
+        monkeypatch.setattr(polyring, "_evaluation_gcd", no_evaluation_gcd)
     rnd = random.Random(29)
     weights = [3 if len(f.num) == 1 else 1 for f in pool]  # the variables alone: X^k, Y^k and Z^k factors
     for _ in range(30):
@@ -254,14 +253,96 @@ def test_coprime_images_never_certify_a_planted_factor(rng):
 def test_coprime_pairs_with_nonconstant_contents_never_take_a_content(monkeypatch):
     a = (x + const2(1)) * (y + x)
     b = (x + const2(2)) * (y - x)
-    assert not polyring._content(a, 1).is_constant() and not polyring._content(b, 1).is_constant()
+    assert not content(a, 1).is_constant() and not content(b, 1).is_constant()
 
-    def no_content(*args):
-        raise AssertionError("_content called on a certified coprime pair")
+    def no_evaluation_gcd(*args):
+        raise AssertionError("_evaluation_gcd called on a certified coprime pair")
 
-    monkeypatch.setattr(polyring, "_content", no_content)
+    monkeypatch.setattr(polyring, "_evaluation_gcd", no_evaluation_gcd)
     assert _coprime_images(a, b, (0, 1))
     assert poly_gcd(a, b) == const2(1)
+
+
+def _in_one_variable(rng, v, degree):
+    """A polynomial in v alone of exactly the given degree, coefficients from `random_coeff`."""
+    out = MultiPoly.zero(v.arity)
+    for k in range(degree + 1):
+        c = random_coeff(rng, complex_prob=0.4)
+        out = out + (v**k).scale(c if c or k < degree else gr(1))
+    return out
+
+
+def _planted_pair(rng, kind):
+    """Affine a = ca * c * u, b = cb * c * v with a nonconstant common factor c of the given kind."""
+    u = random_poly(rng, max_degree=2, complex_prob=0.4, nonzero=True)
+    v = random_poly(rng, max_degree=2, complex_prob=0.4, nonzero=True)
+    c = random_poly(rng, max_degree=2, complex_prob=0.4, nonzero=True)
+    ca = cb = const2(1)
+    if kind == "free-of-y":
+        c = _in_one_variable(rng, x, rng.randint(1, 2))
+    elif kind == "free-of-x":
+        c = _in_one_variable(rng, y, rng.randint(1, 2))
+    elif kind == "contents":  # contents in x with a common part
+        common = _in_one_variable(rng, x, 1)
+        ca, cb = common * _in_one_variable(rng, x, rng.randint(0, 1)), common * _in_one_variable(rng, x, rng.randint(0, 1))
+    elif kind == "lc-zero-at-0":  # x divides the leading coefficient in y
+        c = x * y ** (c.degree_in(1) + 1) + c
+    elif kind == "spurious-at-0":  # at x = 0 the cofactors share the factor y, and their leading coefficients are 1
+        r = rng.randint(1, 3)
+        u = (y + x.scale(gr(r))) * (y**2 + random_poly(rng, max_degree=1))
+        v = (y - x.scale(gr(r, 1))) * (y**2 + random_poly(rng, max_degree=1))
+    return ca * c * u, cb * c * v, c
+
+
+@pytest.mark.parametrize("kind", ["generic", "free-of-y", "free-of-x", "contents", "lc-zero-at-0", "spurious-at-0"])
+def test_evaluation_gcd_matches_the_subresultant_prs(kind):
+    rnd = random.Random(f"planted-{kind}")
+    checked = bivariate = 0
+    for _ in range(55):
+        a, b, c = _planted_pair(rnd, kind)
+        if c.is_constant():
+            continue
+        checked += 1
+        g = poly_gcd(a, b)
+        assert g == prs_gcd(a, b) == poly_gcd(b, a)
+        assert exact_divide(g, _monic(c)) is not None
+        bivariate += g.degree_in(0) > 0 and g.degree_in(1) > 0
+    assert checked >= 50  # over 300 pairs across the six kinds
+    assert kind in ("free-of-y", "free-of-x") or bivariate > 10
+
+
+def test_evaluation_gcd_outlives_a_full_set_of_unlucky_images():
+    # the cofactors y^2 + x*y - 2x and y^2 + 3y - 4x share the root y = 0 at
+    # x = 0 and y = 1 at x = 1, and those are the two images the degree bound
+    # asks for: their interpolant (y + 5)(y - x) divides neither input, so
+    # only images of lower degree are taken from then on
+    c = y + const2(5)
+    a, b = c * (y**2 + x * y - x.scale(gr(2))), c * (y**2 + y.scale(gr(3)) - x.scale(gr(4)))
+    for t in (0, 1):
+        images = (_specialize_keeping(p, 1, [gr(t), ZERO]) for p in (a, b))
+        assert len(ugcd(*images)) == 3
+    assert poly_gcd(a, b) == c == prs_gcd(a, b)
+
+
+def test_evaluation_gcd_finds_the_circle_in_degree_14_products():
+    # dense integer cofactors of total degree 12 times the circle
+    rnd = random.Random(14)
+    circle = x**2 + y**2 - const2(1)
+    a, b = (
+        _product(2, [MultiPoly(2, {(i, j): gr(rnd.randint(-9, 9)) for i in range(13) for j in range(13 - i)}), circle])
+        for _ in range(2)
+    )
+    start = time.perf_counter()
+    assert poly_gcd(a, b) == circle
+    assert time.perf_counter() - start < 1.0
+
+
+def test_gcd_of_arity_3_polynomials_takes_forms_only():
+    with pytest.raises(ValueError):
+        poly_gcd(X * Y + Z, X - Y)
+    with pytest.raises(ValueError):
+        poly_gcd(X**2 + Y * Z, X - MultiPoly.constant(3, 1))
+    assert poly_gcd(Z + MultiPoly.constant(3, 1), Z**2 - MultiPoly.constant(3, 1)) == Z + MultiPoly.constant(3, 1)
 
 
 def test_euler_identity_homogeneous(rng):
@@ -314,7 +395,7 @@ def _sylvester_bareiss(a, b, var):
     for p, dp, count in ((a, da, db), (b, db, da)):
         for i in range(count):
             row = [zero] * n
-            for e, c in _coeffs_in(p, var).items():
+            for e, c in coeffs_in(p, var).items():
                 row[i + dp - e] = c
             m.append(row)
     sign, prev = 1, MultiPoly.constant(a.arity, 1)
@@ -562,13 +643,13 @@ def test_fast_path_certifies_pairs_that_share_a_root_at_x_zero(monkeypatch):
     B = y - x.scale(gr(2)) + y**2
     assert _coprime_images(A, B, [1])
     calls = []
-    subresultant = polyring._subresultant_gcd
+    evaluation_gcd = polyring._evaluation_gcd
 
     def counting(*args):
         calls.append(args)
-        return subresultant(*args)
+        return evaluation_gcd(*args)
 
-    monkeypatch.setattr(polyring, "_subresultant_gcd", counting)
+    monkeypatch.setattr(polyring, "_evaluation_gcd", counting)
     assert poly_gcd(A, B) == const2(1)
     assert not calls
 
@@ -584,7 +665,7 @@ def test_fast_path_never_certifies_a_common_factor(rng):
             continue
         a = random_poly(rng, max_degree=2, nonzero=True) * c
         b = random_poly(rng, max_degree=2, nonzero=True) * c
-        pa, pb = _primitive_part(a, 1), _primitive_part(b, 1)
+        pa, pb = primitive_part(a, 1), primitive_part(b, 1)
         assert not _coprime_images(pa, pb, [1])
         planted += 1
     assert planted > 20
@@ -691,10 +772,6 @@ def test_integer_store_matches_gaussian_rational_arithmetic():
         }
         for var in range(arity):
             results[f"partial{var}"] = (a.partial(var), {e[:var] + (e[var] - 1,) + e[var + 1 :]: v * e[var] for e, v in ta.items() if e[var]})
-            results[f"coeffs_in{var}"] = (
-                {k: dict(p.terms) for k, p in _coeffs_in(a, var).items()},
-                {k: {e[:var] + (0,) + e[var + 1 :]: v for e, v in ta.items() if e[var] == k} for k in {e[var] for e in ta}},
-            )
         if arity == 2:
             n = int(max(a.degree, 0)) + rng.randint(0, 2)
             results["homogenize"] = (homogenize(a, n), {(i, j, n - i - j): v for (i, j), v in ta.items()})
@@ -739,12 +816,6 @@ def test_integer_store_division_and_remainders():
         assert dict((q * b).terms) == _ref_mul(dict(q.terms), dict(b.terms))
         if not b.is_constant():
             assert exact_divide(product + const2(_mixed_coeff(rng)), b) is None
-        if a.degree_in(1) >= b.degree_in(1) >= 1:
-            r = _pseudo_rem(a, b, 1)
-            _assert_canonical(r)
-            assert r.degree_in(1) < b.degree_in(1)
-            lead = _coeffs_in(b, 1)[b.degree_in(1)]
-            assert exact_divide(a * lead ** (a.degree_in(1) - b.degree_in(1) + 1) - r, b) is not None
         c = _mixed_coeff(rng)
         assert a.scale(c).scale(c.inverse()) == a
         assert hash((a + b) - b) == hash(a)

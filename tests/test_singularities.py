@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -260,6 +261,43 @@ def test_classify_star_with_higher_terms_stays_unknown():
     rec = classify_dicritical(fld, ProjectivePoint.affine(0, 0))
     assert rec.verdict is Verdict.UNKNOWN
     assert rec.verdict_reason == "star-jacobian-with-higher-terms"
+
+
+def _above_linear(rng):
+    """A random polynomial with terms of total degree 2 and 3 only."""
+    h = random_poly(rng, max_degree=3, max_terms=5, complex_prob=0.4)
+    return h - h.homogeneous_part(0) - h.homogeneous_part(1)
+
+
+def test_classify_jacobian_matches_the_shifted_field():
+    # the Jacobian from partial derivatives at the point against the linear
+    # coefficients of the field shifted there, at complex points, with scalar
+    # Jacobians with and without higher terms
+    rnd = random.Random(2031)
+    reasons = Counter()
+    for k in range(120):
+        point = tuple(gr(Fraction(rnd.randint(-5, 5), rnd.randint(1, 3)), rnd.randint(-3, 3)) for _ in range(2))
+        if k % 3:
+            lin_a, lin_b = (x.scale(random_coeff(rnd)) + y.scale(random_coeff(rnd)) for _ in range(2))
+        else:
+            lam = random_coeff(rnd, complex_prob=0.5) or ONE
+            lin_a, lin_b = x.scale(lam), y.scale(lam)
+        extra = k % 6 != 0
+        a = (lin_a + (_above_linear(rnd) if extra else MultiPoly.zero(2))).shift(tuple(-c for c in point))
+        b = (lin_b + (_above_linear(rnd) if extra else MultiPoly.zero(2))).shift(tuple(-c for c in point))
+        if a.is_zero() or b.is_zero():
+            continue
+        rec = classify_dicritical(AffineVectorField.make(a, b), ProjectivePoint.make(point[0], point[1], ONE))
+        at, bt = a.shift(point), b.shift(point)
+        jac = tuple(tuple(p.coefficient(e) for e in ((1, 0), (0, 1))) for p in (at, bt))
+        assert rec.jacobian == jac
+        (j11, j12), (j21, j22) = jac
+        if j12.is_zero() and j21.is_zero() and j11 == j22 and not j11.is_zero():
+            star = at == MultiPoly(2, {(1, 0): j11}) and bt == MultiPoly(2, {(0, 1): j22})
+            assert rec.verdict_reason == ("star-node" if star else "star-jacobian-with-higher-terms")
+        reasons[rec.verdict_reason] += 1
+    assert reasons["star-node"] >= 10 and reasons["star-jacobian-with-higher-terms"] >= 10
+    assert sum(reasons.values()) - reasons["star-node"] - reasons["star-jacobian-with-higher-terms"] >= 60
 
 
 def test_curve_singularities_examples():
