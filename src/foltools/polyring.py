@@ -52,7 +52,7 @@ def _accumulate(out: dict, exp: Exponent, re: int, im: int) -> None:
 class MultiPoly:
     """Immutable exact polynomial in 2 or 3 variables."""
 
-    __slots__ = ("arity", "den", "num", "_degree", "_terms")
+    __slots__ = ("arity", "den", "num", "_degree", "_degrees", "_terms")
 
     def __init__(self, arity: int, terms: dict[Exponent, GaussianRational] | None = None):
         items = list(terms.items()) if terms else []
@@ -75,6 +75,7 @@ class MultiPoly:
         setattr_(self, "den", den)
         setattr_(self, "num", num)
         setattr_(self, "_degree", None)
+        setattr_(self, "_degrees", None)
         setattr_(self, "_terms", None)
 
     @classmethod
@@ -130,7 +131,10 @@ class MultiPoly:
 
     def degree_in(self, var: int) -> int:
         """Degree in one variable; -1 for the zero polynomial."""
-        return max((e[var] for e in self.num), default=-1)
+        if self._degrees is None:  # every variable's, from one pass over the exponents
+            degrees = tuple(map(max, zip(*self.num))) if self.num else (-1,) * self.arity
+            object.__setattr__(self, "_degrees", degrees)
+        return self._degrees[var]
 
     def is_constant(self) -> bool:
         return self.degree == MINUS_INFINITY or self.degree == 0

@@ -9,8 +9,11 @@ Polynomial grammar (LL(1), whitespace insensitive, explicit `*`):
     atom   := NAT ('/' NAT)? | 'i' | VAR | NAME | '(' expr ')'
 
 Variables are `x y` (arity 2) or `X Y Z` (arity 3); NAME resolves against a
-table of named Gaussian-rational parameters when one is supplied.  `^` binds
-tighter than unary minus and exponents are nonnegative integer literals.
+table of named Gaussian-rational parameters when one is supplied.  `**` is
+another spelling of `^`, which binds tighter than unary minus (`-2^2` is -4)
+and takes a nonnegative integer literal.  A fraction literal is one atom, so
+`2/3^2` is 4/9.  Error positions are those in the text given, which for
+`parse_system` is the whole document.
 """
 
 from __future__ import annotations
@@ -27,137 +30,139 @@ from .polyring import MultiPoly, _accumulate
 
 # one match per token, with the whitespace before it; the last group takes any other character
 _TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|(\*\*|[()+\-*/^])|(\S))")
+_KINDS = (None, "int", "name", "op")
+_I_POWERS = ((1, 0), (0, 1), (-1, 0), (0, -1))
 
 
-@dataclass(slots=True)
-class _Token:
-    kind: str  # 'int' | 'name' | 'op' | 'end'
-    text: str
-    line: int
-    column: int
+def _error(message: str, text: str, offset: int, line: int) -> ParseError:
+    """The error at `offset` of `text`, whose first line is line `line`."""
+    return ParseError(message, line + text.count("\n", 0, offset), offset - text.rfind("\n", 0, offset))
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    line, col_base = 1, 0  # the line of the last token and the offset where it starts; no token spans a newline
-    for m in _TOKEN_RE.finditer(text):
-        pos, kind = m.start(), m.lastindex
+def _tokenize(text: str, start: int, end: int, line: int) -> list[tuple[str, str, int]]:
+    """(kind, text, offset) of each token of text[start:end], kind 'int', 'name'
+    or 'op' (whose text names it), then ("end", "", end)."""
+    tokens = []
+    for m in _TOKEN_RE.finditer(text, start, end):
+        kind = m.lastindex
         if kind == 4:
-            raise ParseError(f"unexpected character {m.group(4)!r}", line, pos - col_base + 1)
-        start = m.start(kind)
-        newlines = text.count("\n", pos, start)
-        if newlines:
-            line += newlines
-            col_base = text.rfind("\n", pos, start) + 1
-        if kind == 3:
-            op = m.group(3)
-            tokens.append(_Token("op", "^" if op == "**" else op, line, start - col_base + 1))
-        else:
-            tokens.append(_Token("int" if kind == 1 else "name", m.group(kind), line, start - col_base + 1))
-    tokens.append(_Token("end", "", line, len(text) - col_base + 1))
+            raise _error(f"unexpected character {m.group(4)!r}", text, m.start(4), line)
+        tok = m.group(kind)
+        tokens.append((_KINDS[kind], "^" if tok == "**" else tok, m.start(kind)))
+    tokens.append(("end", "", end))
     return tokens
 
 
 class _Parser:
-    def __init__(self, text: str, arity: int, params: dict[str, GaussianRational] | None):
-        self.tokens = _tokenize(text)
+    """Reads `text[start:end]`: each term is one Z[i] coefficient over a
+    denominator times one monomial, times a `MultiPoly` only for its
+    parenthesised or named factors, and is added into the sum's numerators."""
+
+    def __init__(self, text: str, arity: int, params: dict[str, GaussianRational] | None, start=0, end=None, line=1):
+        self.text, self.line = text, line
+        self.tokens = _tokenize(text, start, len(text) if end is None else end, line)
         self.pos = 0
         self.arity = arity
-        self.origin = (0,) * arity
         self.params = params or {}
         self.vars = {"x": 0, "y": 1} if arity == 2 else {"X": 0, "Y": 1, "Z": 2}
         self.wrong_vars = {"X", "Y", "Z"} if arity == 2 else {"x", "y", "z"}
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
+    def error(self, message: str, tok: tuple[str, str, int]) -> ParseError:
+        return _error(message, self.text, tok[2], self.line)
 
-    def take(self) -> _Token:
+    def take(self) -> tuple[str, str, int]:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
-    def expect_op(self, op: str) -> _Token:
-        tok = self.take()
-        if tok.kind != "op" or tok.text != op:
-            raise ParseError(f"expected {op!r}, found {tok.text or 'end of input'!r}", tok.line, tok.column)
-        return tok
-
     def parse(self) -> MultiPoly:
         poly = self.expr()
-        tok = self.peek()
-        if tok.kind != "end":
-            raise ParseError(f"unexpected {tok.text!r}", tok.line, tok.column)
+        tok = self.tokens[self.pos]
+        if tok[0] != "end":
+            raise self.error(f"unexpected {tok[1]!r}", tok)
         return poly
 
     def expr(self) -> MultiPoly:
         # the sum's numerators over a running common denominator, updated in place
-        first = self.term()
-        den, num = first.den, dict(first.num)
-        while self.peek().kind == "op" and self.peek().text in "+-":
-            sign = 1 if self.take().text == "+" else -1
-            rhs = self.term()
-            s = rhs.den // gcd(den, rhs.den)
+        den, num, sign = 1, {}, 1
+        while True:
+            d, items = self.term()
+            s = d // gcd(den, d)
             if s != 1:
                 num = {e: (re * s, im * s) for e, (re, im) in num.items()}
                 den *= s
-            t = den // rhs.den * sign
-            for e, (re, im) in rhs.num.items():
+            t = den // d * sign
+            for e, (re, im) in items:
                 _accumulate(num, e, re * t, im * t)
-        return MultiPoly._of(self.arity, den, num)
+            op = self.tokens[self.pos][1]
+            if op != "+" and op != "-":
+                return MultiPoly._of(self.arity, den, num)
+            self.pos += 1
+            sign = 1 if op == "+" else -1
 
-    def term(self) -> MultiPoly:
-        acc = self.factor()
-        while self.peek().kind == "op" and self.peek().text == "*":
-            self.take()
-            acc = acc * self.factor()
-        return acc
-
-    def factor(self) -> MultiPoly:
-        if self.peek().kind == "op" and self.peek().text == "-":
-            self.take()
-            return -self.factor()
-        return self.power()
-
-    def power(self) -> MultiPoly:
-        base = self.atom()
-        if self.peek().kind == "op" and self.peek().text == "^":
-            self.take()
-            tok = self.take()
-            if tok.kind != "int":
-                raise ParseError("exponent must be a nonnegative integer literal", tok.line, tok.column)
-            return base ** int(tok.text)
-        return base
-
-    def atom(self) -> MultiPoly:
+    def power(self) -> int:
+        if self.tokens[self.pos][1] != "^":
+            return 1
+        self.pos += 1
         tok = self.take()
-        if tok.kind == "int":
-            num, den = int(tok.text), 1
-            if self.peek().kind == "op" and self.peek().text == "/":
-                self.take()
-                den_tok = self.take()
-                if den_tok.kind != "int":
-                    raise ParseError("denominator must be an integer literal", den_tok.line, den_tok.column)
-                den = int(den_tok.text)
-                if den == 0:
-                    raise ParseError("zero denominator", den_tok.line, den_tok.column)
-            return MultiPoly._of(self.arity, den, {self.origin: (num, 0)} if num else {})
-        if tok.kind == "name":
-            name = tok.text
-            if name == "i":
-                return MultiPoly._of(self.arity, 1, {self.origin: (0, 1)})
-            if name in self.vars:
-                return MultiPoly.variable(self.arity, self.vars[name])
-            if name in self.wrong_vars:
-                expected = " ".join(sorted(self.vars))
-                raise ParseError(f"variable {name!r} not in this variable set ({expected})", tok.line, tok.column)
-            if name in self.params:
-                return MultiPoly.constant(self.arity, self.params[name])
-            raise ParseError(f"unknown name {name!r}", tok.line, tok.column)
-        if tok.kind == "op" and tok.text == "(":
-            inner = self.expr()
-            self.expect_op(")")
-            return inner
-        raise ParseError(f"unexpected {tok.text or 'end of input'!r}", tok.line, tok.column)
+        if tok[0] != "int":
+            raise self.error("exponent must be a nonnegative integer literal", tok)
+        return int(tok[1])
+
+    def term(self) -> tuple[int, list]:
+        """(d, [(exponent, numerator), ...]): the term's value over d."""
+        re, im, den = 1, 0, 1
+        exp = [0] * self.arity
+        rest = None  # the product of the parenthesised and named factors
+        while True:
+            kind, text, _ = tok = self.take()
+            while text == "-":  # factor := '-' factor
+                re, im = -re, -im
+                kind, text, _ = tok = self.take()
+            if kind == "int":
+                a, b = int(text), 1
+                if self.tokens[self.pos][1] == "/":
+                    self.pos += 1
+                    tok = self.take()
+                    if tok[0] != "int":
+                        raise self.error("denominator must be an integer literal", tok)
+                    b = int(tok[1])
+                    if not b:
+                        raise self.error("zero denominator", tok)
+                n = self.power()
+                a, b = a**n, b**n
+                re, im, den = re * a, im * a, den * b
+            elif text == "i":
+                ir, ii = _I_POWERS[self.power() % 4]
+                re, im = re * ir - im * ii, re * ii + im * ir
+            elif text in self.vars:
+                exp[self.vars[text]] += self.power()
+            else:
+                if text == "(":
+                    factor = self.expr()
+                    tok = self.take()
+                    if tok[1] != ")":
+                        raise self.error(f"expected ')', found {tok[1] or 'end of input'!r}", tok)
+                elif kind != "name":
+                    raise self.error(f"unexpected {text or 'end of input'!r}", tok)
+                elif text in self.wrong_vars:
+                    expected = " ".join(sorted(self.vars))
+                    raise self.error(f"variable {text!r} not in this variable set ({expected})", tok)
+                elif text in self.params:
+                    factor = MultiPoly.constant(self.arity, self.params[text])
+                else:
+                    raise self.error(f"unknown name {text!r}", tok)
+                n = self.power()
+                factor = factor if n == 1 else factor**n
+                rest = factor if rest is None else rest * factor
+            if self.tokens[self.pos][1] != "*":
+                break
+            self.pos += 1
+        exp = tuple(exp)
+        if rest is None:
+            return den, [(exp, (re, im))]
+        items = [(tuple(a + b for a, b in zip(e, exp)), (fr * re - fi * im, fr * im + fi * re)) for e, (fr, fi) in rest.num.items()]
+        return den * rest.den, items
 
 
 def parse_poly(text: str, arity: int, params: dict[str, GaussianRational] | None = None) -> MultiPoly:
@@ -252,7 +257,11 @@ def parse_system(text: str) -> SystemDocument:
     """Parse a `.fol` document (line-oriented `key = value` under sections)."""
     doc = SystemDocument()
     section: tuple[str, str] | None = None
-    pending: dict[str, tuple[str, int]] = {}
+    pending: dict[str, tuple[str, int, int]] = {}  # key -> (its line, where its value starts, line number)
+
+    def poly(key: str) -> MultiPoly:
+        raw, start, line_no = pending[key]
+        return _Parser(raw, 2, doc.params, start, len(raw.rstrip()), line_no).parse()
 
     def flush(line_no: int):
         nonlocal pending, section
@@ -263,24 +272,22 @@ def parse_system(text: str) -> SystemDocument:
         if kind == "field":
             if "p" not in pending or "q" not in pending:
                 raise ParseError(f"section [field {name}] needs both p and q", line_no, 1)
-            p = parse_poly(pending["p"][0], 2, doc.params)
-            q = parse_poly(pending["q"][0], 2, doc.params)
-            r = parse_poly(pending["r"][0], 2, doc.params) if "r" in pending else MultiPoly.zero(2)
-            doc.fields[name] = FieldEntry(p, q, r)
+            doc.fields[name] = FieldEntry(poly("p"), poly("q"), poly("r") if "r" in pending else MultiPoly.zero(2))
         elif kind == "curve":
             if "f" not in pending:
                 raise ParseError(f"section [curve {name}] needs key f", line_no, 1)
             comps = []
             if "components" in pending:
-                comps = [s.strip() for s in pending["components"][0].split(",") if s.strip()]
-            doc.curves[name] = CurveEntry(parse_poly(pending["f"][0], 2, doc.params), comps)
+                raw, start, _ = pending["components"]
+                comps = [s.strip() for s in raw[start:].split(",") if s.strip()]
+            doc.curves[name] = CurveEntry(poly("f"), comps)
         elif kind == "param":
             if "value" not in pending:
                 raise ParseError(f"section [param {name}] needs key value", line_no, 1)
-            poly = parse_poly(pending["value"][0], 2, doc.params)
-            if not poly.is_constant():
-                raise ParseError(f"param {name} must be a constant", pending["value"][1], 1)
-            doc.params[name] = poly.constant_value()
+            c = poly("value")
+            if not c.is_constant():
+                raise ParseError(f"param {name} must be a constant", pending["value"][2], 1)
+            doc.params[name] = c.constant_value()
         pending = {}
 
     all_names: set[str] = set()
@@ -301,11 +308,10 @@ def parse_system(text: str) -> SystemDocument:
             raise ParseError("expected `key = value` or a [section] header", line_no, 1)
         if section is None:
             raise ParseError("key outside of any section", line_no, 1)
-        key, _, value = line.partition("=")
-        key = key.strip()
+        key = line.partition("=")[0].strip()
         if key in pending:
             raise ParseError(f"duplicate key {key!r} in section", line_no, 1)
-        pending[key] = (value.strip(), line_no)
+        pending[key] = (raw, raw.index("=") + 1, line_no)
     flush(len(text.splitlines()) + 1)
 
     for name, entry in doc.curves.items():

@@ -275,6 +275,30 @@ def _pollard_rho(n: int) -> int:
     raise RootSearchOverflow(f"failed to factor {n}")
 
 
+def _prime_factors(ns: list[int]) -> Iterator[tuple[int, int]]:
+    """(k, p) for each prime factor p of the positive integer ns[k], with
+    repetition: the primes below 17 of every ns[k] first, then the others
+    in the order Pollard's rho finds them."""
+    ns = list(ns)
+    for k, n in enumerate(ns):
+        for p in (2, 3, 5, 7, 11, 13):
+            while n % p == 0:
+                yield k, p
+                n //= p
+        ns[k] = n
+    for k, n in enumerate(ns):
+        stack = [n]
+        while stack:
+            m = stack.pop()
+            if m == 1:
+                continue
+            if _is_probable_prime(m):
+                yield k, m
+                continue
+            d = _pollard_rho(m)
+            stack.extend([d, m // d])
+
+
 def factor_int(n: int) -> dict[int, int]:
     """Prime factorization of a positive integer."""
     if n <= 0:
@@ -282,20 +306,8 @@ def factor_int(n: int) -> dict[int, int]:
     if n > _FACTOR_DIGIT_CAP:
         raise RootSearchOverflow("integer too large for exact factorization")
     out: dict[int, int] = {}
-    for p in (2, 3, 5, 7, 11, 13):
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-    stack = [n] if n > 1 else []
-    while stack:
-        m = stack.pop()
-        if m == 1:
-            continue
-        if _is_probable_prime(m):
-            out[m] = out.get(m, 0) + 1
-            continue
-        d = _pollard_rho(m)
-        stack.extend([d, m // d])
+    for _, p in _prime_factors([n]):
+        out[p] = out.get(p, 0) + 1
     return out
 
 
@@ -308,8 +320,13 @@ def gi_factor(u: GInt) -> list[tuple[GInt, int]]:
     """Gaussian prime factorization up to units."""
     if u == (0, 0):
         raise ValueError("cannot factor zero")
+    return _gi_split(u, factor_int(gi_norm(u)))
+
+
+def _gi_split(u: GInt, norm_factors: dict[int, int]) -> list[tuple[GInt, int]]:
+    """gi_factor(u) from the prime factorization of the norm of u."""
     out: list[tuple[GInt, int]] = []
-    for p, _e in sorted(factor_int(gi_norm(u)).items()):
+    for p in sorted(norm_factors):
         if p == 2:
             pi: GInt = (1, 1)
             cands = [pi]
@@ -432,17 +449,33 @@ def _search_refused(c: Coeffs) -> bool:
     """Whether the root search of c is refused as too large: a norm of an
     end coefficient is past _FACTOR_DIGIT_CAP, or their Gaussian divisors,
     times the four units, give more than _CANDIDATE_CAP candidates p/q.
+    The norms are factored prime by prime, and the search is refused as
+    soon as a lower bound on that count, from the primes found so far,
+    passes the cap; each prime's part of the bound only grows as its
+    exponent does, so it never exceeds the count, and the Gaussian primes
+    are split out only when the search goes ahead.
 
     The lifting needs no such limit.  The refusal keeps the searches that
     are decided, and with them every payload, those of the divisor search
     the lifting replaced, until the benchmark's recorded answers take the
     points the refused searches would add.
     """
+    ends = c[0], c[-1]
+    norms = [gi_norm(u) for u in ends]
+    if max(norms) > _FACTOR_DIGIT_CAP:
+        return True
+    found: list[dict[int, int]] = [{}, {}]  # each norm's primes so far
     try:
-        f0, fn = gi_factor(c[0]), gi_factor(c[-1])
+        for k, p in _prime_factors(norms):
+            found[k][p] = found[k].get(p, 0) + 1
+            # divisors over a prime of exponent e in the norm: e/2 + 1 if it is inert
+            # (3 mod 4), e + 1 over 2, at least (a + 1)(b + 1) >= e + 1 if it splits
+            least = math.prod(e // 2 + 1 if q % 4 == 3 else e + 1 for f in found for q, e in f.items())
+            if 4 * least > _CANDIDATE_CAP:
+                return True
     except RootSearchOverflow:
         return True
-    return 4 * math.prod(mult + 1 for _, mult in f0 + fn) > _CANDIDATE_CAP
+    return 4 * math.prod(mult + 1 for u, f in zip(ends, found) for _, mult in _gi_split(u, f)) > _CANDIDATE_CAP
 
 
 def _lifted_roots(c: Coeffs) -> list[GInt]:

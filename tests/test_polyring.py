@@ -63,6 +63,15 @@ def test_degree_sentinel():
     assert ((x - y) * (x + y) - x**2 + y**2).degree == MINUS_INFINITY
 
 
+def test_degree_in_every_variable(rng):
+    assert [MultiPoly.zero(a).degree_in(v) for a in (2, 3) for v in range(a)] == [-1] * 5
+    for _ in range(200):
+        p = random_poly(rng, arity=rng.choice((2, 3)), max_degree=5, max_terms=5)
+        for v in range(p.arity):
+            assert p.degree_in(v) == max((e[v] for e in p.num), default=-1)
+    assert (x**3 * y + y**2).degree_in(1) == 2
+
+
 def test_arity_mismatch():
     with pytest.raises(ArityMismatch):
         _ = x + X

@@ -23,11 +23,12 @@ def replay():
     return module
 
 
-def row(job_id, rc=0, stdout_sha="aaaa", polylines_sha="-", verdict_sha="-", report_sha="-", seconds=0.5):
+def row(job_id, rc=0, stdout_sha="aaaa", stderr_sha="0000", polylines_sha="-", verdict_sha="-", report_sha="-", seconds=0.5):
     return {
         "id": job_id,
         "rc": rc,
         "stdout_sha": stdout_sha,
+        "stderr_sha": stderr_sha,
         "polylines_sha": polylines_sha,
         "verdict_sha": verdict_sha,
         "report_sha": report_sha,
@@ -109,7 +110,7 @@ def test_compare_prints_seconds_per_command(replay, tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "field, value",
-    [("rc", 3), ("stdout_sha", "dddd"), ("polylines_sha", "eeee"), ("verdict_sha", "eeee"), ("report_sha", "eeee")],
+    [("rc", 3), ("stdout_sha", "dddd"), ("stderr_sha", "dddd"), ("polylines_sha", "eeee"), ("verdict_sha", "eeee"), ("report_sha", "eeee")],
 )
 def test_a_changed_field_fails_and_names_the_job(replay, tmp_path, capsys, field, value):
     changed = [BASE[0], dict(BASE[1], **{field: value}), BASE[2]]
@@ -127,6 +128,31 @@ def test_a_changed_paper_suite_row_fails(replay, tmp_path, capsys, field, value)
     out = capsys.readouterr().out
     assert "paper-suite:" in out and "nodal/2:" not in out
     assert "1 of 3 job(s) differ" in out
+
+
+def test_rows_written_before_stderr_was_hashed_compare_cleanly(replay, tmp_path, capsys):
+    # a file without stderr_sha compares every other field, either way round
+    old = [{k: v for k, v in r.items() if k != "stderr_sha"} for r in BASE]
+    assert compare(replay, tmp_path, old, BASE) == 0
+    assert compare(replay, tmp_path, BASE, old) == 0
+    assert "0 of 3 job(s) differ" in capsys.readouterr().out
+    assert compare(replay, tmp_path, old, [dict(BASE[0], rc=3)] + BASE[1:]) == 1
+    assert "ovals/1: rc 0 -> 3" in capsys.readouterr().out
+
+
+def test_run_row_hashes_stderr(replay, tmp_path, capsys):
+    # a job that fails with a message on stderr: the message is hashed, so a
+    # changed error position shows in --compare
+    doc = tmp_path / "bad.fol"
+    doc.write_text("[curve a]\nf = x + $\n")
+    argv = ["check-invariant", str(doc), "--field", "f", "--curve", "a"]
+    got = replay.run_row(cli, "bad", argv)
+    capsys.readouterr()
+    assert cli.run(argv) == got["rc"] == 2
+    err = capsys.readouterr().err
+    assert "(line 2, column 9)" in err
+    assert got["stderr_sha"] == hashlib.sha256(err.encode("utf-8")).hexdigest()[:16]
+    assert replay.run_row(cli, "eee", ["construct", "gallery", "circle"])["stderr_sha"] == hashlib.sha256(b"").hexdigest()[:16]
 
 
 def test_a_job_in_one_file_only_differs(replay, tmp_path, capsys):

@@ -1,5 +1,8 @@
+from fractions import Fraction
+
 import pytest
 
+import ll1_parser  # the parser before it read each term in one loop, kept as an oracle
 from conftest import affine_vars, const2, random_poly
 from foltools.errors import ParseError
 from foltools.gaussian import gr
@@ -23,18 +26,142 @@ def test_parse_basic():
     assert parse_poly("2**3", 2) == const2(8)
 
 
+def test_parse_grammar_corners():
+    assert parse_poly("-2^2", 2) == const2(-4)
+    assert parse_poly("2*-x", 2) == -(x.scale(2))
+    assert parse_poly("2/3^2", 2) == const2(Fraction(4, 9))  # a fraction literal is one atom
+    assert parse_poly("i^3", 2) == const2(gr(0, -1))
+    assert parse_poly("x**2 * y ** 3", 2) == x**2 * y**3
+    assert parse_poly("0^0 + 0*x + x^0", 2) == const2(2)
+    assert parse_poly("--x - -(-y)", 2) == x - y
+
+
 def test_parse_errors_carry_location():
-    with pytest.raises(ParseError):
-        parse_poly("x +", 2)
-    with pytest.raises(ParseError) as exc:
-        parse_poly("x + X", 2)
-    assert "variable" in str(exc.value)
-    with pytest.raises(ParseError):
-        parse_poly("x/2", 2)  # division only between integer literals
-    with pytest.raises(ParseError):
-        parse_poly("x^(2)", 2)  # exponents are integer literals
-    with pytest.raises(ParseError):
-        parse_poly("x y", 2)  # juxtaposition forbidden
+    def where(text, arity=2):
+        with pytest.raises(ParseError) as exc:
+            parse_poly(text, arity)
+        return str(exc.value).rpartition(" (")[0], exc.value.line, exc.value.column
+
+    assert where("x +") == ("unexpected 'end of input'", 1, 4)
+    assert where("x + X") == ("variable 'X' not in this variable set (x y)", 1, 5)
+    assert where("X + x", 3) == ("variable 'x' not in this variable set (X Y Z)", 1, 5)
+    assert where("x/2") == ("unexpected '/'", 1, 2)  # division only between integer literals
+    assert where("x^(2)") == ("exponent must be a nonnegative integer literal", 1, 3)
+    assert where("x y") == ("unexpected 'y'", 1, 3)  # juxtaposition forbidden
+    assert where("(x + 1") == ("expected ')', found 'end of input'", 1, 7)
+    assert where("2/x") == ("denominator must be an integer literal", 1, 3)
+    assert where("1 + 2/0") == ("zero denominator", 1, 7)
+    assert where("x + w") == ("unknown name 'w'", 1, 5)
+    assert where("x * )") == ("unexpected ')'", 1, 5)
+    # the offending character itself, not the whitespace before it
+    assert where("x + $") == ("unexpected character '$'", 1, 5)
+    # end of input on the line where the text ends
+    assert where("x +\n  ") == ("unexpected 'end of input'", 2, 3)
+    assert where("x +\n\n  y y") == ("unexpected 'y'", 3, 5)
+
+
+def test_document_errors_carry_document_positions():
+    def where(doc):
+        with pytest.raises(ParseError) as exc:
+            parse_system(doc)
+        return exc.value.line, exc.value.column
+
+    assert where("[curve a]\nf = x + $\n") == (2, 9)
+    assert where("[curve a]\n  f =  x +   \n") == (2, 11)  # just after the value
+    assert where("# c\n[param a]\nvalue = 1\n\n[field f]\np = a*x\nq = (y\n") == (7, 7)
+    assert where("[curve a]\r\nf = x\r\n\r\n[curve b]\r\nf = y^x\r\n") == (5, 7)
+    assert where("[param a]\nvalue = x\n") == (2, 1)  # not a constant: the line of the value
+
+
+PARAMS = {"a": gr(1, 2), "b": gr("-3/4"), "c0": gr(0)}
+
+
+def random_expr(rng, arity, depth=0):
+    names = ("x", "y") if arity == 2 else ("X", "Y", "Z")
+
+    def ws():
+        return rng.choice(("", "", " ", "  "))
+
+    def atom():
+        roll = rng.random()
+        if roll < 0.25:
+            return str(rng.randint(0, 12))
+        if roll < 0.4:
+            return f"{rng.randint(0, 9)}/{rng.randint(1, 9)}"
+        if roll < 0.5:
+            return "i"
+        if roll < 0.8:
+            return rng.choice(names)
+        if roll < 0.9 or depth >= 3:
+            return rng.choice(tuple(PARAMS))
+        return "(" + random_expr(rng, arity, depth + 1) + ")"
+
+    def factor():
+        text = "-" * rng.choice((0, 0, 0, 1, 2)) + ws() + atom()
+        if rng.random() < 0.3:
+            text += ws() + rng.choice(("^", "**")) + ws() + str(rng.randint(0, 3))
+        return text
+
+    def term():
+        return (ws() + "*" + ws()).join(factor() for _ in range(rng.randint(1, 3)))
+
+    text = term()
+    for _ in range(rng.randint(0, 3)):
+        text += ws() + rng.choice("+-") + ws() + term()
+    return text
+
+
+def outcome(parse, text, arity):
+    try:
+        return parse(text, arity, PARAMS)
+    except ParseError as exc:
+        return str(exc).rpartition(" (")[0], exc.line, exc.column
+
+
+def test_parser_matches_the_ll1_oracle(rng):
+    # every MultiPoly equal in arity, den and num, on seeded expressions
+    for _ in range(1500):
+        arity = rng.choice((2, 3))
+        text = random_expr(rng, arity)
+        got = parse_poly(text, arity, PARAMS)
+        assert got == ll1_parser.parse_poly(text, arity, PARAMS), text
+
+
+def test_parse_errors_match_the_ll1_oracle(rng):
+    # random edits of valid expressions: the same value or the same error; the
+    # oracle's position is taken where it is right (one line, no bad character)
+    for _ in range(3000):
+        arity = rng.choice((2, 3))
+        text = list(random_expr(rng, arity))
+        for _ in range(rng.randint(1, 3)):
+            k = rng.randrange(len(text) + 1)
+            edit = rng.choice(("()+-*/^ 0i" + "xyzXYZ" + "w$", ""))
+            text[k : k + rng.randint(0, 1)] = [rng.choice(edit)] if edit else []
+        text = "".join(text)
+        got, want = outcome(parse_poly, text, arity), outcome(ll1_parser.parse_poly, text, arity)
+        if isinstance(want, MultiPoly):
+            assert got == want, text
+            continue
+        assert got[0] == want[0], text
+        if want[0].startswith("unexpected character"):
+            bad = want[0][-2]
+            assert got[1:] == (1, text.index(bad) + 1), text
+        else:
+            assert got == want, text
+
+
+def test_parse_errors_in_documents_are_shifted_to_the_value(rng):
+    for _ in range(300):
+        text = random_expr(rng, 2)
+        k = rng.randrange(len(text) + 1)
+        text = text[:k] + rng.choice(")*/^w") + text[k:]
+        want = outcome(ll1_parser.parse_poly, text, 2)
+        if isinstance(want, MultiPoly):
+            continue
+        with pytest.raises(ParseError) as exc:
+            parse_system("[param a]\nvalue = 1 + 2*i\n[param b]\nvalue = -3/4\n[param c0]\nvalue = 0\n\n[curve k]\n   f =  " + text + "  \n")
+        assert str(exc.value).rpartition(" (")[0] == want[0]
+        assert (exc.value.line, exc.value.column) == (9, want[2] + 8), text
 
 
 def test_print_parse_roundtrip_random(rng):

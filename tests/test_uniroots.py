@@ -1,4 +1,5 @@
 import itertools
+import math
 import os
 import random
 import subprocess
@@ -87,6 +88,86 @@ def test_factor_int():
     assert factor_int(1) == {}
     big = 1000003 * 1000033
     assert factor_int(big) == {1000003: 1, 1000033: 1}
+
+
+def _refused_by_full_count(c):
+    """The refusal from both complete Gaussian factorizations, as it was
+    decided before the count was bounded while factoring."""
+    try:
+        f0, fn = gi_factor(c[0]), gi_factor(c[-1])
+    except uniroots.RootSearchOverflow:
+        return True
+    return 4 * math.prod(mult + 1 for _, mult in f0 + fn) > uniroots._CANDIDATE_CAP
+
+
+def _planted(rng, powers):
+    """A unit times the product of Gaussian primes to the given powers."""
+    u = rng.choice(_UNITS)
+    for pi, k in powers:
+        for _ in range(k):
+            u = gi_mul(u, pi)
+    return u
+
+
+# Gaussian primes over 2, inert 3 (mod 4) primes, and both primes over split 1 (mod 4) primes
+_GAUSSIAN_PRIMES = [(1, 1), (3, 0), (7, 0), (11, 0), (19, 0), (23, 0), (2, 1), (2, -1), (3, 2), (3, -2), (1, 4), (1, -4), (6, 5)]
+
+
+@pytest.mark.parametrize(
+    "c0, cn, refused",
+    [
+        # 4 * 16 * 5^5 = 200,000 candidates: exactly at the cap, searched
+        ([((1, 1), 15), ((3, 0), 4), ((7, 0), 4)], [((11, 0), 4), ((19, 0), 4), ((23, 0), 4)], False),
+        # 4 * 17 * 5^5 = 212,500: just over it
+        ([((1, 1), 16), ((3, 0), 4), ((7, 0), 4)], [((11, 0), 4), ((19, 0), 4), ((23, 0), 4)], True),
+        # a split prime's two factors: (a + 1)(b + 1) = 29 * 29 over 5, with (1 + i)^99 over the cap,
+        # although the bound from the primes of the norm alone, 4 * 57 * 100, is not
+        ([((2, 1), 28), ((2, -1), 28)], [((1, 1), 99)], True),
+        ([((2, 1), 28), ((2, -1), 28)], [((1, 1), 9)], False),
+        ([((2, 1), 56)], [((1, 1), 99)], False),  # all 56 over one prime: 4 * 57 * 100
+        # a norm past 10^40 at either end
+        ([((11, 0), 20)], [], True),
+        ([], [((3, 0), 43)], True),
+        ([], [((3, 0), 41)], False),
+    ],
+)
+def test_search_refused_planted(c0, cn, refused):
+    rng = random.Random(7)
+    c = [_planted(rng, c0), (1, 0), (0, 1), _planted(rng, cn)]
+    assert uniroots._search_refused(c) is refused is _refused_by_full_count(c)
+
+
+def test_search_refused_matches_the_full_count(rng):
+    for _ in range(300):
+        ends = [
+            _planted(rng, [(pi, rng.choice((0, 0, 1, 2, rng.randint(3, 12)))) for pi in rng.sample(_GAUSSIAN_PRIMES, 6)])
+            for _ in range(2)
+        ]
+        c = [ends[0], (rng.randint(-5, 5), 1), ends[1]]
+        assert uniroots._search_refused(c) == _refused_by_full_count(c), c
+
+
+def test_search_refused_stops_factoring_past_the_cap(monkeypatch):
+    # the primes of c[0] alone bound the count past the cap: Pollard's rho
+    # never starts on c[-1] and no Gaussian prime is split out
+    seen = []
+    rho = uniroots._pollard_rho
+    monkeypatch.setattr(uniroots, "_pollard_rho", lambda n: seen.append(n) or rho(n))
+    monkeypatch.setattr(uniroots, "_gi_split", None)
+    split = [p for p in range(5, 150, 4) if _is_probable_prime(p)][:16]  # 4 * 2^16 candidates at least
+    c0 = _planted(random.Random(1), [(uniroots._gaussian_prime_above(p), 1) for p in split])
+    assert gi_norm(c0) <= uniroots._FACTOR_DIGIT_CAP
+    assert uniroots._search_refused([c0, (1, 0), (1000003 * 1000033, 0)])
+    assert seen and all(gi_norm(c0) % n == 0 for n in seen)
+
+
+def test_search_refused_counts_the_small_primes_of_both_ends_first(monkeypatch):
+    # 2^20 and 3^20 in the norm of c[0], 5^20, 7^20 and 11^2 in that of c[-1]:
+    # refused before Pollard's rho starts on the large cofactor of c[0]
+    monkeypatch.setattr(uniroots, "_pollard_rho", None)
+    c = [(2**10 * 3**10 * 1000003 * 1000033, 0), (1, 0), (5**10 * 7**10 * 11, 0)]
+    assert max(gi_norm(c[0]), gi_norm(c[-1])) <= uniroots._FACTOR_DIGIT_CAP
+    assert uniroots._search_refused(c)
 
 
 def test_gaussian_integer_basics():

@@ -8,7 +8,7 @@ The first form regenerates the workload's pool entries (the (kind, index)
 pairs recorded in perfbench/answers.json) and its named jobs with
 perfbench/gen.py, runs each one in this process through `foltools.cli.run`
 imported from DIR (default: this checkout's src/), and prints one row per
-job: id, exit code, a sha256 prefix of stdout, for an `ovals` job a sha256
+job: id, exit code, sha256 prefixes of stdout and stderr, for an `ovals` job a sha256
 prefix of the polylines it writes with `--emit-polylines` into the work
 directory ("-" when it writes none), so a moved vertex shows even when the
 counts do not change, for a `certify` job a sha256 prefix of its JSON payload
@@ -29,9 +29,10 @@ rows, writes those of `--src` to `--out` and those of the `--against` tree
 beside them as `<stem>.against.json`, and prints the `--compare` report of
 the two files.
 
-The third form lists every job whose exit code, stdout, polylines, certify
-verdict or report differ between two such files, naming the fields that
-differ, prints the summed wall seconds of each job kind (the id before its
+The third form lists every job whose exit code, stdout, stderr, polylines,
+certify verdict or report differ between two such files, naming the fields
+that differ (a field that one file does not record, such as `stderr_sha` in
+files written before it was recorded, is not compared), prints the summed wall seconds of each job kind (the id before its
 "/") and of each command in both files, and exits 1 if a job differs, so a
 change that must keep output byte-identical can be checked by replaying the
 parent's tree and the change's tree, and its time moves show per kind and
@@ -63,7 +64,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as `foltools.cli.main` exits when stdout is closed early
 PERFBENCH = ROOT / "perfbench"
-FIELDS = ("rc", "stdout_sha", "polylines_sha", "verdict_sha", "report_sha")  # what --compare compares
+FIELDS = ("rc", "stdout_sha", "stderr_sha", "polylines_sha", "verdict_sha", "report_sha")  # what --compare compares
 # certify payload fields that carry float digits; the verdict is everything else
 FLOAT_KEYS = frozenset(
     {
@@ -96,16 +97,16 @@ def job_argv(job, work: Path) -> list[str]:
     return job.args(None if path is None else str(path))
 
 
-def run_cli(cli, argv: list[str]) -> tuple[int | str, str]:
-    """(exit code, or "crash: ..." when it raised; stdout) of one command run
-    in this process, its stderr discarded."""
-    out = io.StringIO()
+def run_cli(cli, argv: list[str]) -> tuple[int | str, str, str]:
+    """(exit code, or "crash: ..." when it raised; stdout; stderr) of one
+    command run in this process."""
+    out, err = io.StringIO(), io.StringIO()
     try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             rc = cli.run(argv)
     except Exception as exc:  # a crash is a result, not the end of the run
         rc = f"crash: {type(exc).__name__}: {exc}"
-    return rc, out.getvalue()
+    return rc, out.getvalue(), err.getvalue()
 
 
 def import_cli(src: Path):
@@ -146,20 +147,21 @@ def run_row(cli, job_id: str, argv: list[str], polylines: Path | None = None, re
     """Run one command in this process; hash its stdout and the files it wrote
     ("-" for a file it was not asked for or did not write)."""
     start = time.perf_counter()
-    rc, stdout = run_cli(cli, argv)
+    rc, stdout, stderr = run_cli(cli, argv)
     seconds = time.perf_counter() - start
     row = {
         "id": job_id,
         "command": argv[0],
         "rc": rc,
         "stdout_sha": _sha(stdout.encode("utf-8")),
+        "stderr_sha": _sha(stderr.encode("utf-8")),
         "polylines_sha": _file_sha(polylines),
         "verdict_sha": verdict_sha(stdout) if argv[0] == "certify" else "-",
         "report_sha": _file_sha(report),
         "seconds": round(seconds, 4),
     }
     print(
-        f"{row['id']:<28} {str(row['rc']):>4} {row['stdout_sha']} {row['polylines_sha']:<16} "
+        f"{row['id']:<28} {str(row['rc']):>4} {row['stdout_sha']} {row['stderr_sha']} {row['polylines_sha']:<16} "
         f"{row['verdict_sha']:<16} {row['report_sha']:<16} {row['seconds']:9.3f}",
         flush=True,
     )
@@ -219,7 +221,7 @@ def compare(a_path: Path, b_path: Path) -> int:
         ra, rb = a.get(job_id), b.get(job_id)
         if ra is None or rb is None:
             print(f"{job_id}: only in {a_path if rb is None else b_path}")
-        elif moved := [k for k in FIELDS if ra.get(k) != rb.get(k)]:
+        elif moved := [k for k in FIELDS if k in ra and k in rb and ra[k] != rb[k]]:
             print(f"{job_id}: " + ", ".join(f"{k} {ra.get(k)} -> {rb.get(k)}" for k in moved))
         else:
             continue

@@ -52,7 +52,7 @@ def sweep(workload: str, lo: int, hi: int, src: Path, work: Path) -> dict[str, l
     cli = replay.import_cli(src)
     tally: dict[str, list[int]] = {}
     for job in held_out(workload, lo, hi):
-        rc, stdout = replay.run_cli(cli, replay.job_argv(job, work))
+        rc, stdout, _stderr = replay.run_cli(cli, replay.job_argv(job, work))
         crashed = isinstance(rc, str)  # judge takes None for a crash
         ok, _summary, reason = checks.judge(job.command, None if crashed else rc, stdout, job.expect, seed=None)
         if not ok:
