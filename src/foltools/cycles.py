@@ -55,7 +55,8 @@ def _require_real(field: AffineVectorField):
 
 def _unit_scale(field: AffineVectorField) -> int:
     """e such that 2^-e times the field has its largest coefficient magnitude in [1, 2)."""
-    top = max(abs(c.re) for part in (field.component_x, field.component_y) for c in part.terms.values())
+    parts = (p for p in (field.component_x, field.component_y) if p.num)
+    top = max(Fraction(max(abs(re) for re, _ in p.num.values()), p.den) for p in parts)
     e = top.numerator.bit_length() - top.denominator.bit_length()
     return e - (Fraction(2) ** e > top)
 
@@ -115,9 +116,7 @@ def divergence_integral(
     div_ev, fx_ev, fy_ev = (_horner(p) for p in (divergence(field).scale(unit), px, py))
     speeds = np.hypot(fx_ev(*pts.T), fy_ev(*pts.T))
     radius = float(np.max(np.abs(pts)))
-    coeff_scale = sum(
-        abs(float(c.re)) * max(radius, 1.0) ** sum(exp) for part in (px, py) for exp, c in part.terms.items()
-    )
+    coeff_scale = sum(abs(re / part.den) * max(radius, 1.0) ** sum(exp) for part in (px, py) for exp, (re, _) in part.num.items())
     if speeds.max() < 1e-9 * coeff_scale:
         raise DegenerateInput("vector field vanishes along the oval; not a periodic orbit")
     if speeds.min() < 1e-9 * speeds.max():
@@ -162,10 +161,9 @@ def certify_cycle(
 def _scaled_residual(V: MultiPoly, pts) -> float:
     """Largest |V| / max(1, |grad V|) over the points, V at unit scale
     (`_horner_with_gradient`), so the scale of V does not matter."""
-    ev, gx, gy = _horner_with_gradient(V)
     x, y = np.asarray(pts, dtype=np.float64).reshape(-1, 2).T
-    scale = np.fmax(1.0, np.hypot(gx(x, y), gy(x, y)))
-    return float(np.max(np.abs(ev(x, y)) / scale, initial=0.0))
+    v, gx, gy = _horner_with_gradient(V)(x, y)
+    return float(np.max(np.abs(v) / np.fmax(1.0, np.hypot(gx, gy)), initial=0.0))
 
 
 def location_check(

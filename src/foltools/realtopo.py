@@ -264,34 +264,6 @@ def _sign_grid(f: MultiPoly, ax: int, sx: int, dx: int, ay: int, sy: int, dy: in
     return _filtered_signs(rows, _node_range(ax, sx, n)), rows
 
 
-# -- exact rational interval arithmetic ----------------------------------------------
-
-
-def _interval_pow(lo: Fraction, hi: Fraction, e: int) -> tuple[Fraction, Fraction]:
-    if e == 0:
-        return Fraction(1), Fraction(1)
-    if e % 2 == 1 or lo >= 0:
-        return lo**e, hi**e
-    if hi <= 0:
-        return hi**e, lo**e
-    return Fraction(0), max(lo**e, hi**e)
-
-
-def _interval_eval(coeffs: list[int], lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
-    """Bounds of the polynomial with coefficients `coeffs` (low to high) on
-    [lo, hi], term by term."""
-    lo_total, hi_total = Fraction(0), Fraction(0)
-    for k, c in enumerate(coeffs):
-        tlo, thi = _interval_pow(lo, hi, k)
-        if c >= 0:
-            lo_total += c * tlo
-            hi_total += c * thi
-        else:
-            lo_total += c * thi
-            hi_total += c * tlo
-    return lo_total, hi_total
-
-
 class _LatticeLines:
     """Exact proofs that f has no zero on the uncrossed edges of a stretch of
     a lattice line.
@@ -378,42 +350,78 @@ def compactness_check(f: MultiPoly) -> bool:
 
 
 def _min_abs_on_interval(coeffs: list[int], lo: Fraction, hi: Fraction, depth: int = 14) -> Fraction:
-    """Positive lower bound for |poly| on [lo, hi]; poly must be zero-free there."""
+    """Positive lower bound for |poly| on [lo, hi]; poly must be zero-free there.
 
-    def rec(a: Fraction, b: Fraction, d: int) -> Fraction:
-        vlo, vhi = _interval_eval(coeffs, a, b)
-        if vlo > 0:
-            return vlo
-        if vhi < 0:
-            return -vhi
-        if d == 0:
+    The term-by-term interval bound is taken on [lo, hi] and, where it does
+    not exclude zero, on its halves, down to `depth` bisections.  A
+    subinterval of level k is [p, q] / s with integers p, q and s = d 2^k, d
+    the common denominator of lo and hi, and its bounds are kept as integers
+    times s^n (n = len(coeffs) - 1): term e contributes coeffs[e] s^(n-e)
+    times the interval power of p and q.  Raises DegenerateInput when the
+    depth runs out.
+    """
+    n = len(coeffs) - 1
+    d = lo.denominator * hi.denominator // math.gcd(lo.denominator, hi.denominator)
+    weights: list[list[int]] = []  # weights[k][e] = coeffs[e] * (d 2^k)^(n - e)
+    best: tuple[int, int] | None = None  # the least bound so far: (bound * s^n, its level k)
+    stack = [(int(lo * d), int(hi * d), 0)]
+    while stack:
+        p, q, k = stack.pop()
+        if k == len(weights):
+            s = d << k
+            weights.append([c * s ** (n - e) for e, c in enumerate(coeffs)])
+        w_k = weights[k]
+        v_lo = v_hi = w_k[0]  # the constant term
+        pe = qe = 1
+        for e in range(1, n + 1):
+            pe, qe = pe * p, qe * q
+            if e % 2 or p >= 0:
+                t_lo, t_hi = pe, qe
+            elif q <= 0:
+                t_lo, t_hi = qe, pe
+            else:
+                t_lo, t_hi = 0, max(pe, qe)
+            w = w_k[e]
+            if w >= 0:
+                v_lo, v_hi = v_lo + w * t_lo, v_hi + w * t_hi
+            else:
+                v_lo, v_hi = v_lo + w * t_hi, v_hi + w * t_lo
+        if v_lo > 0 or v_hi < 0:
+            v = v_lo if v_lo > 0 else -v_hi
+            # v / s_k^n against the best b / s_j^n, over the common d^n
+            if best is None or v << (best[1] * n) < best[0] << (k * n):
+                best = v, k
+        elif k == depth:
             raise DegenerateInput("could not bound the top form away from zero")
-        m = (a + b) / 2
-        return min(rec(a, m, d - 1), rec(m, b, d - 1))
-
-    return rec(lo, hi, depth)
+        else:
+            stack += [(p + q, 2 * q, k + 1), (2 * p, p + q, k + 1)]
+    v, k = best
+    return Fraction(v, d**n << (k * n))
 
 
 def default_box(f: MultiPoly) -> Box:
-    """A rigorous bounding box: beyond it the top form dominates the rest."""
+    """A rigorous bounding box: beyond it the top form dominates the rest.
+
+    B = 2, 4, 8, ... up to 2^40, the first with lam B^n > sum_d mass_d B^d,
+    lam a lower bound for |L| on the boundary of the square [-1, 1]^2 and
+    mass_d the sum of |coefficient| over the terms of degree d < n, compared
+    in integers.
+    """
     if not compactness_check(f):
         raise PreconditionError("real locus is unbounded; supply a box explicitly")
     L = leading_form(f)
     n = int(f.degree)
     lam = min(_min_abs_on_interval(_top_form_on(L, var), Fraction(-1), Fraction(1)) for var in (1, 0)) / L.den
-    lower_mass: dict[int, Fraction] = {}
-    for (a, b), c in f.terms.items():
-        d = a + b
-        if d < n:
-            lower_mass[d] = lower_mass.get(d, Fraction(0)) + abs(c.re)
-    B = Fraction(2)
-    while True:
-        slack = sum(mass * B**d for d, mass in lower_mass.items())
-        if lam * B**n > slack:
-            return Box(-B, B, -B, B)
-        B *= 2
-        if B > 2**40:
-            raise DegenerateInput("failed to find a bounding box")
+    lower_mass: dict[int, int] = {}  # f.den times the mass of each lower degree
+    for (a, b), (re, _) in f.num.items():
+        if a + b < n:
+            lower_mass[a + b] = lower_mass.get(a + b, 0) + abs(re)
+    # lam B^n > sum_d (mass_d / f.den) B^d at B = 2^j, times f.den and lam's denominator
+    num, den = lam.numerator * f.den, lam.denominator
+    for j in range(1, 41):
+        if num << (j * n) > den * sum(mass << (j * d) for d, mass in lower_mass.items()):
+            return Box.square(1 << j)
+    raise DegenerateInput("failed to find a bounding box")
 
 
 # -- marching squares -----------------------------------------------------------------
@@ -695,47 +703,54 @@ def _horner_expr(coeffs: dict[int, str], var: str) -> str:
     return expr
 
 
-@functools.lru_cache(maxsize=32)
-def _horner(f: MultiPoly) -> Callable:
-    """Float evaluator of f: one straight-line Horner expression in x over
-    Horner rows in y, compiled once per polynomial (memoised: MultiPoly is
-    immutable and hashable, and the code depends only on its terms).
+def _horner_source(f: MultiPoly) -> str:
+    """f as one straight-line Horner expression in x over Horner rows in y.
 
-    Each coefficient is the correctly rounded float of f's, written by
-    float.__repr__, which reads back to the same float.  The expression uses
-    only + and *, so it takes Python floats or float64 arrays and gives the
-    same bits on both; a constant is written c + 0.0*x, so arrays keep their
-    shape.
+    Each coefficient is the correctly rounded float of f's (an int/int true
+    division of its numerator by f.den), written by float.__repr__, which
+    reads back to the same float.  The expression uses only + and *, so it
+    takes Python floats or float64 arrays and gives the same bits on both; a
+    constant is written c + 0.0*x, so arrays keep their shape.
     """
     if not f.has_real_coefficients():
         raise PreconditionError("real coefficients required")
     rows: dict[int, dict[int, str]] = {}
-    for (a, b), c in f.terms.items():
+    for (a, b), (re, _) in f.num.items():
         try:
-            rows.setdefault(a, {})[b] = repr(float(c.re))
+            rows.setdefault(a, {})[b] = repr(re / f.den)
         except OverflowError:
             raise UncertifiedResult(f"a coefficient is {_BEYOND_FLOAT}") from None
     if f.is_constant():
-        expr = f"{rows.get(0, {}).get(0, '0.0')} + 0.0*x"
-    else:
-        expr = _horner_expr({a: f"({_horner_expr(row, 'y')})" for a, row in rows.items()}, "x")
-    return eval(f"lambda x, y: {expr}")
+        return f"{rows.get(0, {}).get(0, '0.0')} + 0.0*x"
+    return _horner_expr({a: f"({_horner_expr(row, 'y')})" for a, row in rows.items()}, "x")
 
 
 @functools.lru_cache(maxsize=32)
-def _horner_with_gradient(f: MultiPoly) -> tuple[Callable, Callable, Callable]:
-    """Float evaluators of f, df/dx and df/dy at unit scale: f times the positive
-    rational that makes its largest coefficient magnitude 1 (memoised)."""
+def _horner(f: MultiPoly) -> Callable:
+    """Float evaluator of f (`_horner_source`), compiled once per polynomial
+    (memoised: MultiPoly is immutable and hashable, and the code depends only
+    on its terms)."""
+    return eval(f"lambda x, y: {_horner_source(f)}")
+
+
+@functools.lru_cache(maxsize=32)
+def _horner_with_gradient(f: MultiPoly) -> Callable:
+    """One compiled evaluator of the triple (f, df/dx, df/dy) at unit scale: f
+    times the positive rational that makes its largest coefficient magnitude
+    1 (memoised).  The three are the Horner expressions `_horner` compiles for
+    each, so each entry has the bits of its own evaluator."""
     if f.num:
         f = f.scale(Fraction(f.den, max(max(abs(re), abs(im)) for re, im in f.num.values())))
-    return _horner(f), _horner(f.partial(0)), _horner(f.partial(1))
+    parts = ", ".join(_horner_source(p) for p in (f, f.partial(0), f.partial(1)))
+    return eval(f"lambda x, y: ({parts})")
 
 
 _CORRECTOR_TOL = 1e-12
 _CORRECTOR_ITER = 12
 _SINGULAR_G2 = 1e-18
 _MAX_STEPS = 2_000_000
-_FILL_ROUNDS = 2  # each fill round halves the chords, so the sequential pass steps at 2**_FILL_ROUNDS * spacing
+_FILL_ROUNDS = 4  # each fill round halves the chords, so the sequential pass steps at 2**_FILL_ROUNDS * spacing
+_RETRY_ROUNDS = 2  # a coarse pass refused at 2**_FILL_ROUNDS * spacing is retried at 2**_RETRY_ROUNDS * spacing
 _MIN_COARSE = 64  # fewer coarse vertices than this: the coarse step is too long for the oval
 _COARSE_MIN_COS = math.cos(math.radians(45))  # a coarse step may turn the gradient by at most 45 degrees
 
@@ -746,11 +761,10 @@ def newton_project(f: MultiPoly, pt):
     return (float(out[0, 0]), float(out[0, 1])) if ok[0] else None
 
 
-def _project_all(evaluators, seeds: np.ndarray):
+def _project_all(ev: Callable, seeds: np.ndarray):
     """The corrector on every row of an (n, 2) array at once, with the bits of
     `_trace`'s scalar loop: (points, converged); a row that does not converge,
-    or meets a singular point, keeps its seed."""
-    ev, gx, gy = evaluators
+    or meets a singular point, keeps its seed.  `ev` gives (f, f_x, f_y)."""
     out, ok = seeds.copy(), np.zeros(len(seeds), dtype=bool)
     live = np.arange(len(seeds))  # rows still iterating
     x, y = seeds[:, 0], seeds[:, 1]
@@ -758,8 +772,7 @@ def _project_all(evaluators, seeds: np.ndarray):
         for _ in range(_CORRECTOR_ITER):
             if not live.size:
                 break
-            v = ev(x, y)
-            dx, dy = gx(x, y), gy(x, y)
+            v, dx, dy = ev(x, y)
             g2 = dx * dx + dy * dy
             going = ~(g2 < _SINGULAR_G2)
             done = going & (np.abs(v) <= _CORRECTOR_TOL * np.sqrt(g2))
@@ -773,21 +786,22 @@ def _project_all(evaluators, seeds: np.ndarray):
     return out, ok
 
 
-def _midpoints(evaluators, pts: np.ndarray) -> tuple[np.ndarray, bool]:
+def _midpoints(ev: Callable, pts: np.ndarray) -> tuple[np.ndarray, bool]:
     """A closed (n, 2) polyline with the projection of every chord midpoint
     inserted, as (2n - 1, 2) rows, and whether every midpoint converged (one
     that did not stays at the chord's midpoint)."""
-    mids, ok = _project_all(evaluators, 0.5 * (pts[:-1] + pts[1:]))
+    mids, ok = _project_all(ev, 0.5 * (pts[:-1] + pts[1:]))
     out = np.empty((2 * len(pts) - 1, 2))
     out[0::2] = pts
     out[1::2] = mids
     return out, bool(ok.all())
 
 
-def _trace(evaluators, start: tuple[float, float], step: float, min_cos: float | None = None) -> np.ndarray | None:
+def _trace(ev: Callable, start: tuple[float, float], step: float, min_cos: float | None = None) -> np.ndarray | None:
     """Sequential predictor-corrector from `start`, a point on the curve, at
     step length `step`: an Euler step along the tangent, then the corrector
-    (a failed corrector halves the step, which then grows back).
+    (a failed corrector halves the step, which then grows back).  `ev` gives
+    (f, f_x, f_y).
 
     The loop closes when, after at least five accepted vertices, it is back
     within 0.9 * step of `start` travelling the same way (its gradient has a
@@ -796,22 +810,20 @@ def _trace(evaluators, start: tuple[float, float], step: float, min_cos: float |
     `start`; with `min_cos`, None as soon as one step turns the gradient by
     an angle whose cosine is below it (the step is too long for the curve).
     """
-    ev, gx, gy = evaluators
     x, y = start
     pts = [start]
     h = step
-    sdx, sdy = dx, dy = gx(x, y), gy(x, y)  # the start's gradient; (dx, dy) later the corrector's at its accepted point
+    _, sdx, sdy = ev(x, y)  # the start's gradient
+    dx, dy = sdx, sdy  # later the corrector's gradient at its accepted point
     for _ in range(_MAX_STEPS):
         norm = math.hypot(dx, dy)
         if norm < 1e-9:
             raise DegenerateInput("trace approached a singular point of the curve")
         tx, ty = -dy / norm, dx / norm
-        px, py = x + h * tx, y + h * ty
-        # corrector: Newton along the gradient
-        cx, cy = px, py
+        # corrector: Newton along the gradient from the Euler predictor
+        cx, cy = x + h * tx, y + h * ty
         for _ in range(_CORRECTOR_ITER):
-            v = ev(cx, cy)
-            ddx, ddy = gx(cx, cy), gy(cx, cy)
+            v, ddx, ddy = ev(cx, cy)
             g2 = ddx * ddx + ddy * ddy
             if g2 < _SINGULAR_G2:
                 raise DegenerateInput("trace approached a singular point of the curve")
@@ -841,12 +853,13 @@ def trace_oval(f: MultiPoly, seed: tuple[float, float], spacing: float = 1.5e-3)
     an (n, 2) float array whose last row equals its first.
 
     The seed is projected by `_project_all`.  The sequential loop (`_trace`)
-    then follows the curve at 4 * spacing; two rounds of `_midpoints` place
-    the other vertices by projecting every chord midpoint at once, so
-    consecutive vertices end up about `spacing` apart.  When the coarse step
-    is too long for the curve (one step turns the gradient by more than 45
-    degrees, or the loop has fewer than 64 vertices) or a midpoint does not
-    converge, the result is instead the sequential loop at `spacing` itself.
+    then follows the curve at 16 * spacing; four rounds of `_midpoints`
+    place the other vertices by projecting every chord midpoint at once, so
+    consecutive vertices end up about `spacing` apart.  When that coarse
+    step is too long for the curve (one step turns the gradient by more than
+    45 degrees, or the loop has fewer than 64 vertices) or a midpoint does
+    not converge, the same is tried at 4 * spacing with two rounds, and
+    after that the result is the sequential loop at `spacing` itself.
     Either way every vertex, the first too, passes the corrector's rule, and
     the loop closes only when it is back near the seed travelling the same
     way.  Raises PreconditionError on a spacing that is not a positive finite
@@ -855,20 +868,22 @@ def trace_oval(f: MultiPoly, seed: tuple[float, float], spacing: float = 1.5e-3)
     """
     if not 0 < spacing < math.inf:
         raise PreconditionError(f"spacing must be a positive finite number, not {spacing!r}")
-    evaluators = _horner_with_gradient(f)
-    out, ok = _project_all(evaluators, np.array([seed], dtype=np.float64))
+    ev = _horner_with_gradient(f)
+    out, ok = _project_all(ev, np.array([seed], dtype=np.float64))
     if not ok[0]:
         raise UncertifiedResult("seed failed to project onto the curve")
     start = float(out[0, 0]), float(out[0, 1])
-    pts = _trace(evaluators, start, 2**_FILL_ROUNDS * spacing, _COARSE_MIN_COS)
-    if pts is not None and len(pts) >= _MIN_COARSE:
-        for _ in range(_FILL_ROUNDS):
-            pts, ok = _midpoints(evaluators, pts)
+    for rounds in (_FILL_ROUNDS, _RETRY_ROUNDS):
+        pts = _trace(ev, start, 2**rounds * spacing, _COARSE_MIN_COS)
+        if pts is None or len(pts) < _MIN_COARSE:
+            continue
+        for _ in range(rounds):
+            pts, ok = _midpoints(ev, pts)
             if not ok:
                 break
         else:
             return pts
-    return _trace(evaluators, start, spacing)
+    return _trace(ev, start, spacing)
 
 
 def refine_polyline(f: MultiPoly, pts) -> np.ndarray:

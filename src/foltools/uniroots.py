@@ -278,7 +278,8 @@ def _pollard_rho(n: int) -> int:
 def _prime_factors(ns: list[int]) -> Iterator[tuple[int, int]]:
     """(k, p) for each prime factor p of the positive integer ns[k], with
     repetition: the primes below 17 of every ns[k] first, then the others
-    in the order Pollard's rho finds them."""
+    in the order Pollard's rho finds them.  A perfect square is split into
+    its two roots first: rho takes about sqrt(p) steps on p^2."""
     ns = list(ns)
     for k, n in enumerate(ns):
         for p in (2, 3, 5, 7, 11, 13):
@@ -294,6 +295,10 @@ def _prime_factors(ns: list[int]) -> Iterator[tuple[int, int]]:
                 continue
             if _is_probable_prime(m):
                 yield k, m
+                continue
+            r = math.isqrt(m)
+            if r * r == m:
+                stack.extend([r, r])
                 continue
             d = _pollard_rho(m)
             stack.extend([d, m // d])

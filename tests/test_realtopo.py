@@ -8,6 +8,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
+import fraction_box
 from conftest import affine_vars, const2
 from foltools import realtopo
 from foltools.construct import gallery
@@ -227,17 +228,29 @@ def _fine_trace(f, pts: np.ndarray) -> np.ndarray:
     return realtopo._trace(realtopo._horner_with_gradient(f), tuple(map(float, pts[0])), SPACING)
 
 
-def _coarse_trace(f, pts: np.ndarray):
-    return realtopo._trace(realtopo._horner_with_gradient(f), tuple(map(float, pts[0])), 4 * SPACING, realtopo._COARSE_MIN_COS)
+def _coarse_trace(f, pts: np.ndarray, rounds: int = realtopo._FILL_ROUNDS):
+    """The coarse sequential loop at 2**rounds * SPACING from the trace's first
+    vertex: 16 * SPACING, or 4 * SPACING for the retry."""
+    step = 2**rounds * SPACING
+    return realtopo._trace(realtopo._horner_with_gradient(f), tuple(map(float, pts[0])), step, realtopo._COARSE_MIN_COS)
+
+
+def _filled_from(f, pts: np.ndarray) -> tuple[np.ndarray, int]:
+    """(coarse loop, stride): the loop at 16 * SPACING when the coarse pass
+    accepts it, else the retry's at 4 * SPACING."""
+    for rounds in (realtopo._FILL_ROUNDS, realtopo._RETRY_ROUNDS):
+        coarse = _coarse_trace(f, pts, rounds)
+        if coarse is not None and len(coarse) >= realtopo._MIN_COARSE:
+            return coarse, 2**rounds
+    raise AssertionError("both coarse passes refused")
 
 
 def _scalar_corrector(f, x: float, y: float):
     """The trace's corrector for one point, as a scalar loop: the projected
     point, or None when 12 Newton steps do not reach |f| <= tol * |grad f|."""
-    ev, gx, gy = realtopo._horner_with_gradient(f)
+    ev = realtopo._horner_with_gradient(f)
     for _ in range(12):
-        v = ev(x, y)
-        dx, dy = gx(x, y), gy(x, y)
+        v, dx, dy = ev(x, y)
         g2 = dx * dx + dy * dy
         if g2 < 1e-18:
             raise DegenerateInput("singular")
@@ -265,25 +278,29 @@ def test_trace_vertices_satisfy_the_contract():
     seeds = [(circle, (1.01, 0.0)), (ellipse, (0.0, 0.8))]
     seeds += [(quartic, ov.vertices[0]) for ov in count_ovals(quartic, None, 64).ovals]
     assert len(seeds) == 6
+    strides = []
     for f, seed in seeds:
         pts = trace_oval(f, seed, spacing=SPACING)
         assert pts.dtype == np.float64 and pts.ndim == 2 and pts.shape[1] == 2
         assert np.array_equal(pts[0], pts[-1])
-        ev, gx, gy = realtopo._horner_with_gradient(f)
-        dx, dy = gx(*pts.T), gy(*pts.T)
-        assert np.all(np.abs(ev(*pts.T)) <= TOL * np.sqrt(dx * dx + dy * dy))
-        # the coarse path: every fourth vertex is the sequential loop at 4 * spacing
-        assert np.array_equal(pts[::4], _coarse_trace(f, pts))
+        v, dx, dy = realtopo._horner_with_gradient(f)(*pts.T)
+        assert np.all(np.abs(v) <= TOL * np.sqrt(dx * dx + dy * dy))
+        # the coarse path: every 16th vertex is the sequential loop at 16 * spacing,
+        # or, where that is refused, every fourth the loop at 4 * spacing
+        coarse, stride = _filled_from(f, pts)
+        assert np.array_equal(pts[::stride], coarse)
+        strides.append(stride)
         assert np.max(np.hypot(*np.diff(pts, axis=0).T)) < 2 * SPACING  # the closing chord is the longest
+    assert 16 in strides and 4 in strides
 
 
 def test_fill_matches_the_scalar_corrector():
-    evaluators = realtopo._horner_with_gradient
+    evaluator = realtopo._horner_with_gradient
     product = (x**2 + const2(2) * y**2 - const2(1)) * (x**2 + y**2 - const2(9))
     for f, seed in ((circle, (1.01, 0.0)), (product, (1.01, 0.0)), (quartic, count_ovals(quartic, None, 64).ovals[0].vertices[0])):
-        coarse = _coarse_trace(f, trace_oval(f, seed, spacing=SPACING))
-        for pts in (coarse, realtopo._midpoints(evaluators(f), coarse)[0]):
-            filled, converged = realtopo._midpoints(evaluators(f), pts)
+        coarse, _ = _filled_from(f, trace_oval(f, seed, spacing=SPACING))
+        for pts in (coarse, realtopo._midpoints(evaluator(f), coarse)[0]):
+            filled, converged = realtopo._midpoints(evaluator(f), pts)
             expected = [tuple(pts[0])]
             for a, b in zip(pts, pts[1:]):
                 expected += [_scalar_corrector(f, 0.5 * (a[0] + b[0]), 0.5 * (a[1] + b[1])), tuple(b)]
@@ -293,12 +310,12 @@ def test_fill_matches_the_scalar_corrector():
     # scalar loop does, and the midpoint stays where it is
     far = np.array([(1.0, 0.0), (1e6, 0.0), (1.0, 0.0)])
     assert _scalar_corrector(circle, 500000.5, 0.0) is None
-    filled, converged = realtopo._midpoints(evaluators(circle), far)
+    filled, converged = realtopo._midpoints(evaluator(circle), far)
     assert not converged and tuple(filled[1]) == (500000.5, 0.0)
     # a midpoint at the centre has no gradient: the round fails instead of raising
     with pytest.raises(DegenerateInput):
         _scalar_corrector(circle, 0.0, 0.0)
-    filled, converged = realtopo._midpoints(evaluators(circle), np.array([(1.0, 0.0), (-1.0, 0.0), (1.0, 0.0)]))
+    filled, converged = realtopo._midpoints(evaluator(circle), np.array([(1.0, 0.0), (-1.0, 0.0), (1.0, 0.0)]))
     assert not converged and tuple(filled[1]) == (0.0, 0.0)
 
 
@@ -308,28 +325,48 @@ def test_small_circles_take_the_sequential_trace(r):
     pts = trace_oval(f, (1.01 * float(r), 0.0), spacing=SPACING)
     assert np.array_equal(pts, _fine_trace(f, pts))
     assert abs(_length(pts) / (2 * math.pi * float(r)) - 1) < 0.05
-    if r == Fraction(1, 40):  # no step turns by 45 degrees: the vertex count alone refuses
-        coarse = _coarse_trace(f, pts)
+    assert _coarse_trace(f, pts) is None  # a 16 * SPACING step turns by more than 45 degrees
+    if r == Fraction(1, 40):  # at 4 * SPACING no step turns by 45 degrees: the vertex count alone refuses
+        coarse = _coarse_trace(f, pts, realtopo._RETRY_ROUNDS)
         assert coarse is not None and len(coarse) < 64
 
 
 def test_a_failed_midpoint_falls_back_to_the_sequential_trace(monkeypatch):
     midpoints = realtopo._midpoints
-    monkeypatch.setattr(realtopo, "_midpoints", lambda evaluators, pts: (midpoints(evaluators, pts)[0], False))
+    monkeypatch.setattr(realtopo, "_midpoints", lambda ev, pts: (midpoints(ev, pts)[0], False))
     pts = trace_oval(circle, (1.01, 0.0), spacing=SPACING)
     assert np.array_equal(pts, _fine_trace(circle, pts)) and len(pts) > 3000
 
 
 @pytest.mark.parametrize("w", [Fraction(1, 1000), Fraction(1, 1414)])
 def test_cassini_oval_is_traced_whole(w):
-    # w = 1/1414 is eps = w^4 + 2w^2 ~ 1e-6; the coarse step turns back at
+    # w = 1/1414 is eps = w^4 + 2w^2 ~ 1e-6; both coarse steps turn back at
     # the waist, so the trace is the sequential one at the spacing
     f = _cassini(w)
     pts = trace_oval(f, (1.42, 0.0), spacing=SPACING)
-    assert _coarse_trace(f, pts) is None
+    assert _coarse_trace(f, pts) is None and _coarse_trace(f, pts, realtopo._RETRY_ROUNDS) is None
     assert np.array_equal(pts, _fine_trace(f, pts))
     assert pts[:, 0].min() < -1.41 and pts[:, 0].max() > 1.41  # both lobes
     assert 7.40 < _length(pts) < 7.43  # once around: one lobe is 3.71
+
+
+def test_a_refused_coarse_pass_is_retried_at_four_times_the_spacing():
+    # a circle of radius 0.2 has 40 vertices at 16 * SPACING, too few, and
+    # 158 at 4 * SPACING: it is traced from the retry, not at SPACING itself
+    f = x**2 + y**2 - const2(gr(Fraction(1, 25)))
+    pts = trace_oval(f, (0.202, 0.0), spacing=SPACING)
+    coarse = _coarse_trace(f, pts)
+    assert coarse is not None and len(coarse) < realtopo._MIN_COARSE
+    assert np.array_equal(pts[::4], _coarse_trace(f, pts, realtopo._RETRY_ROUNDS))
+    assert not np.array_equal(pts, _fine_trace(f, pts))
+    assert abs(_length(pts) / (0.4 * math.pi) - 1) < 1e-4
+    # a Cassini waist of half-width 1/100 turns the 16 * SPACING step back;
+    # the retry traces it as the 4 * SPACING pass alone did, to the same length
+    f = _cassini(Fraction(1, 100))
+    pts = trace_oval(f, (1.42, 0.0), spacing=SPACING)
+    assert _coarse_trace(f, pts) is None
+    assert np.array_equal(pts[::4], _coarse_trace(f, pts, realtopo._RETRY_ROUNDS))
+    assert len(pts) == 3697 and abs(_length(pts) - 7.392865853164973) < 1e-12
 
 
 @pytest.mark.parametrize("b", [Fraction(1, 3000), Fraction(1, 30000)])
@@ -390,6 +427,36 @@ def test_horner_scalar_and_array_bits_agree():
                 array = ev(xs, ys)
                 assert array.shape == xs.shape  # constants too
                 assert np.array_equal(np.array(scalar).view(np.int64), array.view(np.int64))
+
+
+def test_gradient_evaluator_has_the_bits_of_three_evaluators():
+    # one compiled triple (f, f_x, f_y) of f at unit scale: each entry is the
+    # Horner expression of its own evaluator, on scalars and arrays alike
+    rng = random.Random(13)
+    xs = np.array([rng.uniform(-3, 3) for _ in range(50)])
+    ys = np.array([rng.uniform(-3, 3) for _ in range(50)])
+    for degree in range(5):
+        for _ in range(4):
+            f = _random_poly(rng, degree).scale(gr(Fraction(rng.randint(1, 10**9), rng.randint(1, 10**6))))
+            unit = f.scale(gr(Fraction(f.den, max(abs(re) for re, _ in f.num.values())))) if f.num else f
+            singles = [_horner(p) for p in (unit, unit.partial(0), unit.partial(1))]
+            triple = realtopo._horner_with_gradient(f)
+            got = triple(xs, ys)
+            assert len(got) == 3
+            for g, single in zip(got, singles):
+                assert g.shape == xs.shape
+                assert np.array_equal(g.view(np.int64), single(xs, ys).view(np.int64))
+            a, b = float(xs[0]), float(ys[0])
+            assert all(type(g) is float for g in triple(a, b))
+            assert triple(a, b) == tuple(single(a, b) for single in singles)
+
+
+def test_horner_coefficients_are_correctly_rounded():
+    # f.num over f.den by int/int true division: the float of each coefficient,
+    # also for numerators and denominators far beyond float range
+    for c in (Fraction(1, 3), Fraction(-2, 7), Fraction(10**400 + 1, 10**399), Fraction(1, 10**320), Fraction(3, 2**1074)):
+        f = x.scale(gr(c)) + const2(gr(c))
+        assert _horner(f)(1.0, 0.0) == float(c) + float(c) and _horner(f)(0.0, 5.0) == float(c)
 
 
 def test_horner_within_forward_error_bound():
@@ -492,9 +559,8 @@ def test_numeric_tracing_does_not_depend_on_the_scale_of_f(name, c):
 ])
 def test_the_seed_vertex_satisfies_the_contract(f, seed):
     pts = trace_oval(f, seed, spacing=SPACING)
-    ev, gx, gy = realtopo._horner_with_gradient(f)
-    dx, dy = gx(*pts[0]), gy(*pts[0])
-    assert abs(ev(*pts[0])) <= TOL * math.sqrt(dx * dx + dy * dy)
+    v, dx, dy = realtopo._horner_with_gradient(f)(*pts[0])
+    assert abs(v) <= TOL * math.sqrt(dx * dx + dy * dy)
 
 
 @pytest.mark.parametrize("spacing", [0.0, -1e-3, float("nan"), float("inf")])
@@ -812,8 +878,8 @@ def _oracle_interval_eval(f, xlo, xhi, ylo, yhi):
     """Oracle: the bivariate term-by-term interval bound."""
     lo_total, hi_total = Fraction(0), Fraction(0)
     for (a, b), c in f.terms.items():
-        plo, phi = realtopo._interval_pow(xlo, xhi, a)
-        qlo, qhi = realtopo._interval_pow(ylo, yhi, b)
+        plo, phi = fraction_box.interval_pow(xlo, xhi, a)
+        qlo, qhi = fraction_box.interval_pow(ylo, yhi, b)
         cands = (plo * qlo, plo * qhi, phi * qlo, phi * qhi)
         tlo, thi = min(cands), max(cands)
         if c.re >= 0:
@@ -896,6 +962,80 @@ def test_top_form_restrictions_match_dict_loops():
         if compactness_check(f):
             assert default_box(f) == _oracle_default_box(f), text
     assert compact >= 12
+
+
+def _gen_ellipse(rng: random.Random) -> MultiPoly:
+    """An axis-parallel ellipse drawn as perfbench's oval generator draws
+    one: centre coordinates k/4 in [-3/2, 3/2], semi-axes k/4 in [1/2, 2]."""
+    cx, cy = (Fraction(rng.randint(-6, 6), 4) for _ in range(2))
+    a, b = (Fraction(rng.randint(2, 8), 4) for _ in range(2))
+    return (x - const2(cx)).scale(gr(1 / a)) ** 2 + (y - const2(cy)).scale(gr(1 / b)) ** 2 - const2(1)
+
+
+def _gen_crossing_pair(rng: random.Random) -> MultiPoly:
+    """The level set E1*E2 = -eps of two crossing ellipses a X^2 + b Y^2 = 1
+    and b X^2 + a Y^2 = 1 in shifted, scaled coordinates, as perfbench draws it."""
+    a = rng.choice((Fraction(1, 2), Fraction(1), Fraction(3, 2)))
+    b = a * rng.choice((Fraction(3, 2), Fraction(2), Fraction(3)))
+    eps = rng.choice((Fraction(1, 20), Fraction(2, 25), Fraction(1, 8), Fraction(1, 5), Fraction(3, 10))) * (a - b) ** 2 / (4 * a * b)
+    cx, cy = (Fraction(rng.randint(-6, 6), 8) for _ in range(2))
+    s = rng.choice((Fraction(1), Fraction(3, 2), Fraction(2)))
+    X, Y = (x - const2(cx)).scale(gr(1 / s)), (y - const2(cy)).scale(gr(1 / s))
+    return (const2(a) * X**2 + const2(b) * Y**2 - const2(1)) * (const2(b) * X**2 + const2(a) * Y**2 - const2(1)) + const2(eps)
+
+
+def _needle(delta: Fraction) -> MultiPoly:
+    """(3y - x)^2 + delta x^2 - 1: the top form is small only near the
+    direction (3 : 1), so its lower bound on [-1, 1] needs deep bisection,
+    more the smaller delta is."""
+    return (const2(3) * y - x) ** 2 + const2(delta) * x**2 - const2(1)
+
+
+def test_default_box_matches_the_fraction_bisection():
+    # the integer bisection gives the Box of the Fraction one (tests/fraction_box.py)
+    rng = random.Random(33)
+    curves = []
+    for _ in range(220):
+        f = const2(1)
+        for _ in range(rng.choice((1, 2, 3))):
+            f = f * _gen_ellipse(rng)
+        curves.append(f)
+    curves += [_gen_crossing_pair(rng) for _ in range(100)]
+    curves += [gallery(name).curve for name in ("circle", "quartic-4-ovals")]
+    curves += [_needle(Fraction(1, 10**k)) for k in range(1, 4)] + [quartic.scale(gr(Fraction(10**30, 7)))]
+    for f in curves:
+        assert default_box(f) == fraction_box.default_box(f), print_poly(f)
+    assert len(curves) >= 300 and len({default_box(f) for f in curves}) >= 3
+    # the needle at delta = 1/1000 needs at least 10 of the 14 bisections
+    coeffs = realtopo._top_form_on(leading_form(_needle(Fraction(1, 1000))), 1)
+    with pytest.raises(DegenerateInput):
+        realtopo._min_abs_on_interval(coeffs, Fraction(-1), Fraction(1), depth=9)
+    # where the depth runs out, both raise
+    for delta in (Fraction(1, 10**6), Fraction(1, 10**9)):
+        for box in (default_box, fraction_box.default_box):
+            with pytest.raises(DegenerateInput, match="could not bound"):
+                box(_needle(delta))
+
+
+def test_min_abs_on_interval_matches_the_fraction_bisection():
+    # any Fraction endpoints, not only the dyadic ones default_box passes, and
+    # any depth: the same lower bound, or DegenerateInput from both
+    rng = random.Random(34)
+    decided = 0
+    for _ in range(400):
+        coeffs = [rng.randint(-20, 20) for _ in range(rng.randint(1, 7))]
+        lo = Fraction(rng.randint(-30, 30), rng.randint(1, 12))
+        hi = lo + Fraction(rng.randint(1, 30), rng.randint(1, 12))
+        depth = rng.randint(0, 8)
+        try:
+            want = fraction_box.min_abs_on_interval(coeffs, lo, hi, depth)
+        except DegenerateInput:
+            with pytest.raises(DegenerateInput):
+                realtopo._min_abs_on_interval(coeffs, lo, hi, depth)
+            continue
+        decided += 1
+        assert realtopo._min_abs_on_interval(coeffs, lo, hi, depth) == want, (coeffs, lo, hi, depth)
+    assert decided >= 150
 
 
 def _lattice_lines(f, lattice) -> _LatticeLines:

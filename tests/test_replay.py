@@ -121,6 +121,23 @@ def test_a_changed_field_fails_and_names_the_job(replay, tmp_path, capsys, field
     assert "1 of 3 job(s) differ" in out
 
 
+def test_certify_rows_that_move_only_float_digits_are_counted(replay, tmp_path, capsys):
+    # stdout moved under an equal verdict: listed, counted in one summary line,
+    # and still a difference; a moved verdict or exit code, or a non-certify
+    # row, is not counted there
+    a_rows = [row(f"certify/{k}", stdout_sha="aaaa", verdict_sha="vvvv") for k in range(5)] + BASE
+    b_rows = [dict(r, stdout_sha="bbbb") for r in a_rows[:3]]
+    b_rows += [dict(a_rows[3], stdout_sha="bbbb", verdict_sha="wwww"), dict(a_rows[4], stdout_sha="bbbb", rc=3)]
+    b_rows += [dict(BASE[0], stdout_sha="bbbb")] + BASE[1:]
+    assert compare(replay, tmp_path, a_rows, b_rows) == 1
+    out = capsys.readouterr().out
+    assert "3 certify rows differ in float digits only" in out
+    assert all(f"certify/{k}: " in out for k in range(5)) and "ovals/1: stdout_sha" in out
+    assert "6 of 8 job(s) differ" in out
+    assert compare(replay, tmp_path, a_rows, a_rows) == 0
+    assert "float digits" not in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("field, value", [("rc", 1), ("stdout_sha", "dddd"), ("report_sha", "eeee")])
 def test_a_changed_paper_suite_row_fails(replay, tmp_path, capsys, field, value):
     changed = BASE[:2] + [dict(BASE[2], **{field: value})]

@@ -90,6 +90,19 @@ def test_factor_int():
     assert factor_int(big) == {1000003: 1, 1000033: 1}
 
 
+def test_a_perfect_square_is_split_before_pollard_rho(monkeypatch):
+    # rho takes about sqrt(p) steps on p^2, about 10^6 for p near 10^12: the
+    # square root is pushed twice instead, and rho only sees non-squares
+    seen = []
+    rho = uniroots._pollard_rho
+    monkeypatch.setattr(uniroots, "_pollard_rho", lambda n: seen.append(n) or rho(n))
+    p, q = 1000000000039, 299336483
+    assert factor_int(p**2 * 31**2 * 1000003**2) == {p: 2, 31: 2, 1000003: 2}
+    assert factor_int(p**2 * 1000003 * 1000033) == {p: 2, 1000003: 1, 1000033: 1}
+    assert factor_int(q**4) == {q: 4} and factor_int(2**5 * (q * 31) ** 2) == {2: 5, q: 2, 31: 2}
+    assert seen and all(math.isqrt(n) ** 2 != n for n in seen)
+
+
 def _refused_by_full_count(c):
     """The refusal from both complete Gaussian factorizations, as it was
     decided before the count was bounded while factoring."""

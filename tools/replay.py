@@ -32,8 +32,12 @@ the two files.
 The third form lists every job whose exit code, stdout, stderr, polylines,
 certify verdict or report differ between two such files, naming the fields
 that differ (a field that one file does not record, such as `stderr_sha` in
-files written before it was recorded, is not compared), prints the summed wall seconds of each job kind (the id before its
-"/") and of each command in both files, and exits 1 if a job differs, so a
+files written before it was recorded, is not compared), counts in one line
+the `certify` rows among them whose stdout differs with an equal verdict
+and nothing else ("N certify rows differ in float digits only"), so a
+planned move of D, T and their precisions reads at a glance, prints the
+summed wall seconds of each job kind (the id before its "/") and of each
+command in both files, and exits 1 if a job differs, so a
 change that must keep output byte-identical can be checked by replaying the
 parent's tree and the change's tree, and its time moves show per kind and
 per command (every `algebra` pool job has the kind `algebra`, whichever
@@ -216,16 +220,19 @@ def median_rows(passes: list[list[dict]]) -> tuple[list[dict], int]:
 def compare(a_path: Path, b_path: Path) -> int:
     a = {r["id"]: r for r in json.loads(a_path.read_text(encoding="utf-8"))}
     b = {r["id"]: r for r in json.loads(b_path.read_text(encoding="utf-8"))}
-    differ = 0
+    differ = float_only = 0
     for job_id in sorted(a.keys() | b.keys()):
         ra, rb = a.get(job_id), b.get(job_id)
         if ra is None or rb is None:
             print(f"{job_id}: only in {a_path if rb is None else b_path}")
         elif moved := [k for k in FIELDS if k in ra and k in rb and ra[k] != rb[k]]:
             print(f"{job_id}: " + ", ".join(f"{k} {ra.get(k)} -> {rb.get(k)}" for k in moved))
+            float_only += moved == ["stdout_sha"] and ra.get("verdict_sha", "-") != "-"
         else:
             continue
         differ += 1
+    if float_only:
+        print(f"{float_only} certify rows differ in float digits only")
     for title, seconds in (("job kind", kind_seconds), ("command", command_seconds)):
         sums_a, sums_b = seconds(a.values()), seconds(b.values())
         print(f"seconds per {title}, {a_path.name} | {b_path.name}:")
