@@ -8,12 +8,17 @@ rounding-error bound, and every other node is evaluated in exact integers
 (a filtered predicate in the sense of Shewchuk, 1997).  The exact values
 come from the lattice rows (`_LineRows`: f on one lattice line as an
 integer polynomial in the edge coordinate), each row built the first time
-it is read.  Each vertex is the zero of the linear interpolant on its edge,
-placed from the exact values of the same rows (`_edge_point`), so no count
-or vertex sees the scale of f.  Ambiguous cells are resolved by
-subdivision, never by a midpoint heuristic: a cell's sub-lattice is again
-an integer lattice, evaluated the same way as the coarse grid; when depth
-runs out the affected ovals are reported uncertified with a warning.
+it is read; the first exact zero at a node ends a lattice, which no
+caller can use.  The mesher joins segments into chains of integer edge ids
+and places no vertex until it is read: each vertex is the zero of the
+linear interpolant on its edge, placed from the exact values of the same
+rows (`_edge_points`), so no count or vertex sees the scale of f.  Counts
+and certificates read only the chains, and the ovals' sort key reads the
+vertices of each loop's least column and row (`_Mesher.sort_keys`).
+Ambiguous cells are resolved by subdivision, never by a midpoint
+heuristic: a cell's sub-lattice is again an integer lattice, evaluated the
+same way as the coarse grid; when depth runs out the affected ovals are
+reported uncertified with a warning.
 Uncrossed cell edges of each loop are proven zero-free from the sign grid
 and the rows (`_LatticeLines`): a line whose sign changes reach its degree
 needs nothing more; on any other line, over the loop's stretch of it, one
@@ -66,13 +71,24 @@ class Box:
         }
 
 
-@dataclass
 class Oval:
-    vertices: list[tuple[float, float]]
-    certified: bool
+    """One closed chain of `count_ovals` and whether it is certified.
+
+    `vertices` is the closed polyline, its last vertex equal to its first.
+    It is placed on first read and kept: counting, certifying and `to_dict`
+    read only the chain, so no vertex is placed that nothing reads.
+    """
+
+    def __init__(self, chain: list[int], certified: bool, mesher: "_Mesher"):
+        self.chain, self.certified, self._mesher = chain, certified, mesher
+
+    @functools.cached_property
+    def vertices(self) -> list[tuple[float, float]]:
+        xy = self._mesher.place(np.array(self.chain))
+        return list(zip(xy[:, 0].tolist(), xy[:, 1].tolist()))
 
     def to_dict(self) -> dict:
-        return {"vertex_count": len(self.vertices), "certified": self.certified}
+        return {"vertex_count": len(self.chain), "certified": self.certified}
 
 
 @dataclass
@@ -154,11 +170,12 @@ def _gamma(k: int) -> float:
     return k * u / (1 - k * u)
 
 
-def _true_nodes(mask: np.ndarray) -> list[tuple[int, int]]:
+def _true_nodes(mask: np.ndarray, first_row: int = 0) -> list[tuple[int, int]]:
     """(j, i) of every True entry of a 2-D mask, row by row, as np.nonzero
-    gives them, from the much cheaper flat index search."""
+    gives them, from the much cheaper flat index search; j counts from
+    `first_row`, the row of the grid the mask's first row is."""
     cols = mask.shape[1]
-    return [divmod(k, cols) for k in np.flatnonzero(mask).tolist()]
+    return [divmod(k, cols) for k in (np.flatnonzero(mask) + first_row * cols).tolist()]
 
 
 def _float_powers(coords: range, deg: int) -> np.ndarray:
@@ -176,7 +193,7 @@ def _float_powers(coords: range, deg: int) -> np.ndarray:
     return table
 
 
-def _filtered_signs(rows: _LineRows, nx: range) -> np.ndarray:
+def _filtered_signs(rows: _LineRows, nx: range) -> np.ndarray | None:
     """Exact signs of the row polynomials rows[j] at the abscissae nx[i].
 
     The values are P = Y W X with Y[j, b] = ny_j^b (ny = rows.lines), W the
@@ -199,39 +216,45 @@ def _filtered_signs(rows: _LineRows, nx: range) -> np.ndarray:
     products, so their nodes read P^ = M^ = 0 and no sign rests on NaN,
     infinity or an inexact abscissa.
     Every other node, and the whole grid when a weight is beyond float
-    range, is evaluated by the exact integer Horner of its row.
+    range, is evaluated by the exact integer Horner of its row, a block of
+    rows at a time after that block's products.  A lattice with a node on
+    the curve is of no use to any caller, so the first exact zero ends the
+    work: the result is then None instead of the signs.
     """
     deg_y, deg_x = len(rows.weights) - 1, len(rows.weights[0]) - 1
     signs = np.zeros((len(rows.lines), len(nx)), dtype=np.int8)
-    decided = np.zeros(signs.shape, dtype=bool)
     try:
         w = np.array([[float(c) for c in row] for row in rows.weights])
     except OverflowError:
         w = None  # a weight beyond float range: every node is evaluated exactly
-    if w is not None:
-        with np.errstate(over="ignore", invalid="ignore"):
+    # a block of rows at a time into reused buffers: fresh full-grid float
+    # arrays cost more than the arithmetic
+    block = len(signs) if w is None else min(max(_BLOCK // len(nx), 1), len(signs))
+    decided = np.zeros((block, len(nx)), dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if w is not None:
             ys, xs = _float_powers(rows.lines, deg_y), _float_powers(nx, deg_x)
             yw, m_rows = ys.T @ w, np.abs(ys.T) @ np.abs(w)
             rows_ok = np.isfinite(yw).all(axis=1) & np.isfinite(m_rows).all(axis=1)
             yw[~rows_ok] = m_rows[~rows_ok] = 0.0
-            # a block of rows at a time into two reused buffers: fresh full-grid
-            # float arrays cost more than the arithmetic
             ax_abs, scale = np.abs(xs), 2 * _gamma(2 * (deg_x + deg_y) + 2)
-            block = min(max(_BLOCK // len(nx), 1), len(yw))
             p_buf, m_buf = np.empty((2, block, len(nx)))
-            for lo in range(0, len(yw), block):
-                hi = min(lo + block, len(yw))
+        for lo in range(0, len(signs), block):
+            hi = min(lo + block, len(signs))
+            d = decided[: hi - lo]
+            if w is not None:
                 p, m = p_buf[: hi - lo], m_buf[: hi - lo]
                 np.matmul(yw[lo:hi], xs, out=p)
                 np.matmul(m_rows[lo:hi], ax_abs, out=m)
                 signs[lo:hi] = (p > 0).view(np.int8) - (p < 0).view(np.int8)  # undecided nodes are redone below
                 m *= scale
-                d = decided[lo:hi]
                 np.greater(np.abs(p, out=p), m, out=d)  # False where m is infinite or NaN
                 d &= np.isfinite(p)
-    for j, i in _true_nodes(~decided):
-        v = ueval(rows[j], nx[i])
-        signs[j, i] = 0 if v == 0 else (1 if v > 0 else -1)
+            for j, i in _true_nodes(~d, lo):
+                v = ueval(rows[j], nx[i])
+                if v == 0:
+                    return None
+                signs[j, i] = 1 if v > 0 else -1
     return signs
 
 
@@ -258,8 +281,9 @@ def _node_range(a: int, s: int, n: int) -> range:
 
 def _sign_grid(f: MultiPoly, ax: int, sx: int, dx: int, ay: int, sy: int, dy: int, n: int):
     """(signs, rows): the exact signs of f at the (n+1)^2 lattice nodes,
-    indexed [j][i], from the filtered product of `_filtered_signs`, and the
-    `_LineRows` of the horizontal lattice lines that give them."""
+    indexed [j][i], from the filtered product of `_filtered_signs` (None
+    when a node is a zero of f), and the `_LineRows` of the horizontal
+    lattice lines that give them."""
     rows = _LineRows(f, 0, _node_range(ay, sy, n), dy, dx)
     return _filtered_signs(rows, _node_range(ax, sx, n)), rows
 
@@ -288,8 +312,8 @@ class _LatticeLines:
     reads it.
     """
 
-    def __init__(self, f: MultiPoly, lattice: tuple, signs: np.ndarray, rows: _LineRows):
-        if (signs == 0).any():
+    def __init__(self, f: MultiPoly, lattice: tuple, signs: np.ndarray | None, rows: _LineRows):
+        if signs is None:
             raise ValueError("a lattice node is a zero of f; shift the lattice off the curve")
         self.lattice, self.signs = lattice, signs
         ax, sx, dx, ay, sy, dy, n = lattice
@@ -425,32 +449,29 @@ def default_box(f: MultiPoly) -> Box:
 
 
 # -- marching squares -----------------------------------------------------------------
+# Cell (i, j) of an n x n lattice is c = j*n + i.  Its edges are numbered as
+# the vertices on them: the horizontal edge from node (i, j) along x is
+# j*n + i, and the vertical edge from node (i, j) along y is H + j*(n+1) + i,
+# H = (n+1)*n.  So cell c has B = c, T = c + n, L = H + c + j and R = L + 1.
 
 # segments per 4-bit corner sign pattern (c0=bl, c1=br, c2=tr, c3=tl; bit = negative)
 _SEGMENTS = {
-    1: [("B", "L")],
-    2: [("B", "R")],
-    3: [("L", "R")],
-    4: [("R", "T")],
-    6: [("B", "T")],
-    7: [("L", "T")],
-    8: [("L", "T")],
-    9: [("B", "T")],
-    11: [("R", "T")],
-    12: [("L", "R")],
-    13: [("B", "R")],
-    14: [("B", "L")],
+    1: ("B", "L"),
+    2: ("B", "R"),
+    3: ("L", "R"),
+    4: ("R", "T"),
+    6: ("B", "T"),
+    7: ("L", "T"),
+    8: ("L", "T"),
+    9: ("B", "T"),
+    11: ("R", "T"),
+    12: ("L", "R"),
+    13: ("B", "R"),
+    14: ("B", "L"),
 }
 _AMBIGUOUS = (5, 10)
-
-
-def _cell_edges(i: int, j: int) -> dict[str, tuple]:
-    return {
-        "B": ("h", i, j),
-        "T": ("h", i, j + 1),
-        "L": ("v", i, j),
-        "R": ("v", i + 1, j),
-    }
+# the two ends of each pattern's segment as rows of `_edge_ids` (B, T, L, R)
+_SEGMENT_ENDS = np.array([["BTLR".index(_SEGMENTS.get(p, "BB")[end]) for p in range(16)] for end in (0, 1)])
 
 
 def _cases(signs: np.ndarray) -> np.ndarray:
@@ -459,165 +480,252 @@ def _cases(signs: np.ndarray) -> np.ndarray:
     return neg[:-1, :-1] + 2 * neg[:-1, 1:] + 4 * neg[1:, 1:] + 8 * neg[1:, :-1]
 
 
-def _edge_point(rows: _LineRows, lattice: tuple, kind: str, i: int, j: int) -> tuple[float, float]:
-    """Zero of the linear interpolant of f on the lattice edge from node (i, j)
-    along x ("h") or y ("v"), from the exact values va and vb of the lattice
-    rows at its ends (their signs differ): x + t * (sx/dx) or y + t * (sy/dy)
-    with t = va/(va - vb), each quotient of integers correctly rounded, so any
-    positive multiple of f gives the same bits."""
-    ax, sx, dx, ay, sy, dy, _ = lattice
-    nx = ax + i * sx
-    va = ueval(rows[j], nx)
-    x, y = nx / dx, (ay + j * sy) / dy
-    if kind == "h":
-        return x + va / (va - ueval(rows[j], nx + sx)) * (sx / dx), y
-    return x, y + va / (va - ueval(rows[j + 1], nx)) * (sy / dy)
+def _edge_ids(cells: np.ndarray, n: int) -> np.ndarray:
+    """The ids of the B, T, L and R edges of flat cells of an n x n lattice,
+    as the rows of a (4, k) array."""
+    left = (n + 1) * n + cells + cells // n
+    return np.stack((cells, cells + n, left, left + 1))
+
+
+def _cell_segments(cases: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(cells, a, b, ambiguous): the segment from edge a to edge b of every
+    crossed cell of a case grid that is not ambiguous, its flat cells in
+    row-major order, and the ambiguous cells."""
+    flat = cases.ravel()
+    crossed = np.flatnonzero((flat != 0) & (flat != 15))
+    pattern = flat[crossed]
+    ambiguous = (pattern == _AMBIGUOUS[0]) | (pattern == _AMBIGUOUS[1])
+    cells, pattern = crossed[~ambiguous], pattern[~ambiguous]
+    edges, k = _edge_ids(cells, cases.shape[1]), np.arange(len(cells))
+    return cells, edges[_SEGMENT_ENDS[0, pattern], k], edges[_SEGMENT_ENDS[1, pattern], k], crossed[ambiguous]
+
+
+def _edge_points(rows: _LineRows, lattice: tuple, edges: np.ndarray) -> np.ndarray:
+    """The vertices on lattice edges (ids as above), as a (k, 2) float array.
+
+    Each is the zero of the linear interpolant of f on its edge, from node
+    (i, j) along x or along y: x + t * (sx/dx) or y + t * (sy/dy), with
+    t = va/(va - vb) from the exact values va and vb of the lattice rows at
+    the edge's ends (their signs differ).  Each node is evaluated once; each
+    quotient of integers is correctly rounded, and the product and the sum
+    are single float64 operations, so any positive multiple of f gives the
+    same bits.
+    """
+    ax, sx, dx, ay, sy, dy, n = lattice
+    vertical = edges >= (n + 1) * n
+    j, i = np.divmod(edges - vertical * ((n + 1) * n), n + vertical)
+    first = j * (n + 1) + i  # the edge's two nodes, numbered j*(n+1) + i
+    nodes, ends = np.unique(np.concatenate((first, first + np.where(vertical, n + 1, 1))), return_inverse=True)
+    values = [ueval(rows[jn], ax + i_n * sx) for jn, i_n in (divmod(node, n + 1) for node in nodes.tolist())]
+    ends = ends.tolist()
+    t = np.array([values[a] / (values[a] - values[b]) for a, b in zip(ends[: len(edges)], ends[len(edges) :])])
+    x = np.array([(ax + k * sx) / dx for k in i.tolist()])
+    y = np.array([(ay + k * sy) / dy for k in j.tolist()])
+    return np.column_stack((np.where(vertical, x, x + t * (sx / dx)), np.where(vertical, y + t * (sy / dy), y)))
 
 
 class _Mesher:
-    """Extracts closed contours from exact signs on an integer lattice.
+    """Closed contours from exact signs on an integer lattice, as chains of
+    integer vertex ids whose positions are placed only when read.
 
     The lattice is (ax, sx, dx, ay, sy, dy, n) as from `_box_lattice`, with
-    the signs and rows `_sign_grid` gives for it.  The m x m sub-lattice of
-    cell (i, j) is again an integer lattice, so subdivision takes its signs
-    and rows from `_sign_grid` too, and `_edge_point` places the vertices of
-    both from their rows.
+    the signs and rows `_sign_grid` gives for it.  Every crossed cell that
+    is not ambiguous gives one segment between two of its edges.  The m x m
+    sub-lattice of an ambiguous cell is again an integer lattice, so
+    subdivision takes its signs and rows from `_sign_grid` too; its edges
+    get ids of their own after those of the lattices before it, except that
+    a side of the cell crossed once is the coarse edge.  The segments are
+    arrays in row-major order of their coarse cells (a subdivided cell's in
+    the order they are made), each with its coarse cell.  `assemble` joins
+    them into chains over compact ids, and `place` gives the positions of
+    any of those, coarse or sub-lattice, each placed by `_edge_points` from
+    its own lattice's rows the first time it is asked for: when an oval's
+    vertices are read, and for the few vertices `sort_keys` needs (see the
+    lemma there).
     """
 
     def __init__(self, f: MultiPoly, lattice: tuple, signs: np.ndarray, rows: _LineRows):
-        self.f, self.lattice, self.signs, self.rows = f, lattice, signs, rows
-        self.segments: list[tuple] = []
-        self.vertex_pos: dict[tuple, tuple[float, float]] = {}
-        self.uncertified_cells: set[tuple[int, int]] = set()
+        self.f, self.lattice, self.signs = f, lattice, signs
+        self.lattices = [(0, lattice, rows)]  # (first edge id, lattice, rows): the coarse one, then each sub-lattice
+        self._next_id = 2 * (lattice[-1] + 1) * lattice[-1]
+        self._parts: list[tuple] = []  # (cells, a, b) arrays of segments
+        self.uncertified_cells: set[int] = set()
         self.warnings: list[str] = []
 
-    def _edge_vertex(self, kind: str, i: int, j: int) -> tuple:
-        key = (kind, i, j)
-        if key not in self.vertex_pos:
-            self.vertex_pos[key] = _edge_point(self.rows, self.lattice, kind, i, j)
-        return key
-
     def run(self):
-        self._march(_cases(self.signs), self._edge_vertex)
+        n = self.lattice[-1]
+        cells, a, b, ambiguous = _cell_segments(_cases(self.signs))
+        self._parts.append((cells, a, b))
+        for c in ambiguous.tolist():
+            self._subdivide_cell(c % n, c // n)
+        cells, a, b = (np.concatenate(arrays) for arrays in zip(*self._parts))
+        order = np.argsort(cells, kind="stable")  # a subdivided cell's segments go in at its place
+        self.cells, self.a, self.b = cells[order], a[order], b[order]
 
-    def _march(self, cases: np.ndarray, vertex: Callable, cell: tuple[int, int] | None = None):
-        """Emit the segments of every crossed cell; `vertex(kind, a, b)` names the
-        crossing on an edge.  On the coarse grid each segment is tagged with its
-        cell and ambiguous cells are subdivided; a subgrid has no ambiguous cell
-        and tags its segments with the parent `cell`."""
-        for j, i in _true_nodes((cases != 0) & (cases != 15)):
-            pattern = int(cases[j, i])
-            if pattern in _AMBIGUOUS:
-                self._subdivide_cell(i, j)
-                continue
-            edges = _cell_edges(i, j)
-            for a, b in _SEGMENTS[pattern]:
-                self.segments.append((vertex(*edges[a]), vertex(*edges[b]), cell or (i, j)))
+    def _add(self, c: int, a, b):
+        self._parts.append((np.full(len(a), c), np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)))
 
     # ---- ambiguous-cell subdivision
 
     def _subdivide_cell(self, i: int, j: int):
-        ax, sx, dx, ay, sy, dy, _ = self.lattice
+        ax, sx, dx, ay, sy, dy, n = self.lattice
         for depth in range(1, MAX_SUBDIVISION_DEPTH + 1):
             m = 1 << depth
             sub = (m * (ax + i * sx), sx, m * dx, m * (ay + j * sy), sy, m * dy, m)
             signs, rows = _sign_grid(self.f, *sub)
-            if (signs == 0).any():
+            if signs is None:
                 continue  # a finer lattice node hit the curve; deepen
             cases = _cases(signs)
             if not np.isin(cases, _AMBIGUOUS).any():
                 self._emit_subgrid(i, j, sub, signs, rows, cases)
                 return
-        self.uncertified_cells.add((i, j))
+        c = j * n + i
+        self.uncertified_cells.add(c)
         self.warnings.append(
             f"cell ({i},{j}) still ambiguous at depth {MAX_SUBDIVISION_DEPTH}; "
             "count may be unreliable there"
         )
         # fall back to one diagonal pairing so chains still close
-        edges = _cell_edges(i, j)
-        for a, b in (("B", "L"), ("T", "R")):
-            self.segments.append((self._edge_vertex(*edges[a]), self._edge_vertex(*edges[b]), (i, j)))
+        bottom, top, left, right = _edge_ids(np.array([c]), n)[:, 0]
+        self._add(c, [bottom, top], [left, right])
 
     def _emit_subgrid(self, i: int, j: int, sub: tuple, signs: np.ndarray, rows: _LineRows, cases: np.ndarray):
-        m = sub[-1]
-
-        def sub_vertex(kind: str, a: int, b: int) -> tuple:
-            key = ("s", i, j, kind, a, b)
-            if key not in self.vertex_pos:
-                self.vertex_pos[key] = _edge_point(rows, sub, kind, a, b)
-            return key
-
+        n, m = self.lattice[-1], sub[-1]
+        c, h, base = j * n + i, (m + 1) * m, self._next_id
+        self._next_id += 2 * h
+        self.lattices.append((base, sub, rows))
+        ids = base + np.arange(2 * h)  # the id of each sub-lattice edge's vertex
+        parent = _edge_ids(np.array([c]), n)[:, 0].tolist()
+        a: list[int] = []
+        b: list[int] = []
         # a side crossed once maps to its parent edge's vertex; a side crossed
         # more often is chord-paired locally
-        parent_edges = _cell_edges(i, j)
-        sides = {  # side: (edge kind, its index in the sub-lattice, its signs)
-            "B": ("h", 0, signs[0]),
-            "T": ("h", m, signs[m]),
-            "L": ("v", 0, signs[:, 0]),
-            "R": ("v", m, signs[:, m]),
-        }
-        to_parent: dict[tuple, tuple] = {}
-        for side, (kind, at, line) in sides.items():
-            crossed = np.flatnonzero(line[:-1] != line[1:]).tolist()
-            keys = [(kind, k, at) if kind == "h" else (kind, at, k) for k in crossed]
-            if len(keys) == 1:
-                to_parent[keys[0]] = self._edge_vertex(*parent_edges[side])
-            elif len(keys) > 1:
-                self.uncertified_cells.add((i, j))
+        k = np.arange(m)
+        sides = (  # (signs along the side, its edges) for B, T, L, R
+            (signs[0], k),
+            (signs[m], m * m + k),
+            (signs[:, 0], h + k * (m + 1)),
+            (signs[:, m], h + k * (m + 1) + m),
+        )
+        for side, (line, edges) in enumerate(sides):
+            crossed = edges[line[:-1] != line[1:]]
+            if len(crossed) == 1:
+                ids[crossed[0]] = parent[side]
+            elif len(crossed) > 1:
+                self.uncertified_cells.add(c)
                 self.warnings.append(
-                    f"cell ({i},{j}): {len(keys)} crossings on one shared edge; "
+                    f"cell ({i},{j}): {len(crossed)} crossings on one shared edge; "
                     "neighbor resolution too coarse, pairing locally"
                 )
-                keys = [sub_vertex(*k) for k in keys]
+                keys = (base + crossed).tolist()
                 # leave one crossing to link with the coarse neighbor if it saw one
                 start = len(keys) % 2
                 if start:
-                    self.segments.append((keys[0], self._edge_vertex(*parent_edges[side]), (i, j)))
-                self.segments.extend((p, q, (i, j)) for p, q in zip(keys[start::2], keys[start + 1 :: 2]))
-
-        def vertex(kind: str, a: int, b: int) -> tuple:
-            return to_parent.get((kind, a, b)) or sub_vertex(kind, a, b)
-
-        self._march(cases, vertex, (i, j))
+                    a.append(keys[0])
+                    b.append(parent[side])
+                a += keys[start::2]
+                b += keys[start + 1 :: 2]
+        _, sa, sb, _ = _cell_segments(cases)
+        self._add(c, np.concatenate((np.array(a, dtype=np.int64), ids[sa])), np.concatenate((np.array(b, dtype=np.int64), ids[sb])))
 
     # ---- chain assembly
 
-    def assemble(self) -> tuple[list[tuple[list[tuple], set]], int]:
-        """(closed chains, each with the cells it crosses; number of open chains)."""
-        adjacency: dict[tuple, list[int]] = {}
-        for idx, (ka, kb, _cell) in enumerate(self.segments):
-            adjacency.setdefault(ka, []).append(idx)
-            adjacency.setdefault(kb, []).append(idx)
-        used = [False] * len(self.segments)
+    def assemble(self) -> tuple[list[tuple[list[int], list[int]]], int]:
+        """(closed chains, each as its vertices with the first repeated at
+        the end and its segments; number of open chains).
 
-        def extend(chain: list[tuple], cells: set):
+        A chain starts at the first unused segment and takes, at its tail,
+        the first unused segment of the tail vertex until it closes or
+        stops; then it does the same from its other end.  Vertices are
+        compact ids, indices into `vertex_ids`, and each vertex's segments
+        are one list of the CSR `adjacency`, in segment order.
+        """
+        count = len(self.a)
+        self.vertex_ids, ends = np.unique(np.concatenate((self.a, self.b)), return_inverse=True)
+        self.ends = ends.reshape(2, count)  # the compact ids of each segment's two ends
+        self._xy = np.empty((len(self.vertex_ids), 2))
+        self._placed = np.zeros(len(self.vertex_ids), dtype=bool)
+        segment = np.tile(np.arange(count), 2)
+        adjacency = segment[np.lexsort((segment, ends))].tolist()
+        first = np.concatenate(([0], np.cumsum(np.bincount(ends, minlength=len(self.vertex_ids))))).tolist()
+        seg_a, seg_b = self.ends.tolist()
+        used = [False] * count
+
+        def extend(chain: list[int], segments: list[int]):
             """Append unused segments at the chain's end until it closes or stops."""
             while not (chain[-1] == chain[0] and len(chain) > 2):
                 tail = chain[-1]
-                idx = next((k for k in adjacency.get(tail, []) if not used[k]), None)
-                if idx is None:
+                for k in adjacency[first[tail] : first[tail + 1]]:
+                    if not used[k]:
+                        break
+                else:
                     return
-                ka, kb, cell = self.segments[idx]
-                used[idx] = True
-                cells.add(cell)
-                chain.append(kb if ka == tail else ka)
+                used[k] = True
+                segments.append(k)
+                chain.append(seg_b[k] if seg_a[k] == tail else seg_a[k])
 
-        loops: list[tuple[list[tuple], set]] = []
+        loops: list[tuple[list[int], list[int]]] = []
         open_chains = 0
-        for start, (ka, kb, cell) in enumerate(self.segments):
+        for start in range(count):
             if used[start]:
                 continue
             used[start] = True
-            chain, cells = [ka, kb], {cell}
-            extend(chain, cells)
+            chain, segments = [seg_a[start], seg_b[start]], [start]
+            extend(chain, segments)
             chain.reverse()
-            extend(chain, cells)
+            extend(chain, segments)
             chain.reverse()
             if chain[0] == chain[-1] and len(chain) > 2:
-                loops.append((chain, cells))
+                loops.append((chain, segments))
             else:
                 open_chains += 1
         return loops, open_chains
+
+    # ---- vertices, placed when read
+
+    def place(self, vertices: np.ndarray) -> np.ndarray:
+        """The positions of compact vertex ids as a (k, 2) float array; each
+        vertex is placed the first time any call asks for it, all of one
+        call's new vertices of a lattice in one `_edge_points` batch."""
+        new = np.unique(vertices[~self._placed[vertices]])
+        if new.size:
+            ids = self.vertex_ids[new]
+            which = np.searchsorted([base for base, _, _ in self.lattices], ids, side="right") - 1
+            for k in np.unique(which).tolist():
+                base, lattice, rows = self.lattices[k]
+                here = which == k
+                self._xy[new[here]] = _edge_points(rows, lattice, ids[here] - base)
+            self._placed[new] = True
+        return self._xy[vertices]
+
+    def sort_keys(self, loops: list[tuple[list[int], list[int]]]) -> list[tuple[float, float]]:
+        """(min x, min y) over all vertices of each closed chain, from the
+        vertices of its cells in its least column and in its least row, all
+        loops' in one batch.
+
+        Lemma: let c be the least column of a loop's cells.  Every vertex of
+        a cell in a column >= c + 1 has x >= fl(x_{c+1}), as its edge's
+        first node is at or right of x_{c+1}, rounding is monotone and
+        t * step >= 0.  A closed loop either lies wholly in column c, or
+        passes from a column-c cell into column c + 1 through a vertex on
+        the line x = x_{c+1}, whose x is exactly fl(x_{c+1}), and that vertex
+        belongs to a column-c cell.  Either way min x over the vertices of
+        the loop's column-c cells is min x over all its vertices.  The same
+        holds for y with the loop's bottom row.
+        """
+        n, count = self.lattice[-1], len(loops)
+        lengths = [len(segments) for _, segments in loops]
+        segments = np.fromiter(itertools.chain.from_iterable(s for _, s in loops), dtype=np.int64, count=sum(lengths))
+        loop = np.repeat(np.arange(count), lengths)
+        cells = self.cells[segments]
+        picks, sizes = [], []
+        for along in (cells % n, cells // n):  # each loop's least column, then its least row
+            least = along == np.minimum.reduceat(along, np.cumsum([0] + lengths[:-1]))[loop]
+            picks.append(self.ends[:, segments[least]].T.ravel())  # both ends of each picked segment, loop by loop
+            sizes.append(2 * np.bincount(loop[least], minlength=count))
+        xy = self.place(np.concatenate(picks))
+        low = np.minimum.reduceat(xy, np.cumsum(np.concatenate(([0], *sizes)))[:-1], axis=0)
+        return list(zip(low[:count, 0].tolist(), low[count:, 1].tolist()))
 
 
 def count_ovals(
@@ -625,7 +733,15 @@ def count_ovals(
     box: Box | None = None,
     resolution: int = 256,
 ) -> OvalSet:
-    """Count closed real components by adaptive marching squares on exact signs."""
+    """Count closed real components by adaptive marching squares on exact signs.
+
+    Counting and certification read only the chains: each oval's vertices
+    are placed when `Oval.vertices` is first read.  The ovals are sorted by
+    (min x, min y) over all their vertices; by the lemma of
+    `_Mesher.sort_keys` those minima are the minima over the vertices of
+    each loop's cells in its least column and in its least row, so only
+    those are placed to sort.
+    """
     if resolution < 2:
         raise PreconditionError("resolution must be at least 2")
     if f.arity != 2:
@@ -637,15 +753,13 @@ def count_ovals(
     if box is None:
         box = default_box(f)
     warnings: list[str] = []
-    shift_num = 0
-    while True:
+    for shift_num in range(17):
         lattice = _box_lattice(box, resolution, shift_num)
         signs, rows = _sign_grid(f, *lattice)
-        if not (signs == 0).any():
+        if signs is not None:
             break
-        shift_num += 1
-        if shift_num > 16:
-            raise DegenerateInput("could not shift the lattice off the curve")
+    else:
+        raise DegenerateInput("could not shift the lattice off the curve")
     if shift_num:
         warnings.append(f"lattice shifted {shift_num} time(s) to avoid exact zeros at nodes")
 
@@ -658,21 +772,27 @@ def count_ovals(
 
     result = OvalSet(box=box, resolution=resolution, warnings=warnings, open_chains=open_chains)
     lines = _LatticeLines(f, lattice, signs, rows)
-    for chain, cells in loops:
-        verts = [mesher.vertex_pos[k] for k in chain]
-        ok = not any(c in mesher.uncertified_cells for c in cells) and _certify_loop(cells, lines)
-        result.ovals.append(Oval(verts, ok))
-    result.ovals.sort(key=lambda o: (min(v[0] for v in o.vertices), min(v[1] for v in o.vertices)))
+    n = lattice[-1]
+    uncertified = np.array(sorted(mesher.uncertified_cells), dtype=np.int64)
+    for chain, segments in loops:
+        cells = mesher.cells[segments]
+        ok = not (uncertified.size and np.isin(cells, uncertified).any())
+        ok = ok and _certify_loop(np.column_stack((cells % n, cells // n)), lines)
+        result.ovals.append(Oval(chain, ok, mesher))
+    if len(loops) > 1:
+        keys = mesher.sort_keys(loops)
+        result.ovals = [result.ovals[k] for k in sorted(range(len(loops)), key=keys.__getitem__)]
     return result
 
 
 def _certify_loop(cells, lines: _LatticeLines) -> bool:
-    """Whether each edge of the loop's cells is crossed (its end signs differ:
+    """Whether each edge of the loop's cells, given as (i, j) pairs (a set, or
+    the rows of an array, repeats allowed), is crossed (its end signs differ:
     in a certified cell, exactly the edges the loop passes through) or
     zero-free.  The crossings and the lines whose sign changes reach the
     degree are read off the sign grid for all edges at once; the uncrossed
     edges left on each other line go to `edges_are_zero_free` together."""
-    i, j = np.array(list(cells)).T
+    i, j = (cells if isinstance(cells, np.ndarray) else np.array(list(cells))).T
     n = lines.lattice[-1]
     # each cell's bottom and top edges lie on lines j, j + 1 ("h", edge i); its
     # left and right edges on lines i, i + 1 ("v", edge j)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import fraction_box
+import tuple_mesher
 from conftest import affine_vars, const2
 from foltools import realtopo
 from foltools.construct import gallery
@@ -597,13 +598,15 @@ def _scaled_row(f, ny, dx, dy) -> list[int]:
 
 def _check_grid(f, ax, sx, dx, ay, sy, dy, n) -> dict:
     """Compare _sign_grid with an exact node-by-node evaluation; return path
-    facts.  The grid must come from one filtered float product.
-    "exact_nodes" are the (j, i) the filter left to the exact Horner."""
+    facts.  The grid must come from one filtered float product, and a
+    lattice with a node on the curve must give None.  "exact_nodes" are the
+    (j, i) the filter left to the exact Horner; "zeros" counts the nodes
+    where the exact oracle is zero."""
     exact_nodes = []
     true_nodes = realtopo._true_nodes
 
-    def recording(mask):
-        nodes = true_nodes(mask)
+    def recording(mask, first_row=0):
+        nodes = true_nodes(mask, first_row)
         exact_nodes.extend(nodes)
         return nodes
 
@@ -615,12 +618,16 @@ def _check_grid(f, ax, sx, dx, ay, sy, dy, n) -> dict:
     built = [rows[j] for j in range(n + 1)]
     assert built == [_scaled_row(f, ay + j * sy, dx, dy) for j in range(n + 1)]
     overflowing_rows = [j for j, w in enumerate(built) if any(abs(c) > 2**1023 for c in w)]
-    for j in range(n + 1):
-        for i in range(n + 1):
-            v = exact[j][i]
-            assert signs[j, i] == (v > 0) - (v < 0), (j, i)
+    zeros = sum(v == 0 for row in exact for v in row)
+    if zeros:
+        assert signs is None
+    else:
+        for j in range(n + 1):
+            for i in range(n + 1):
+                v = exact[j][i]
+                assert signs[j, i] == (v > 0) - (v < 0), (j, i)
     return {
-        "zeros": int((signs == 0).sum()),
+        "zeros": zeros,
         "overflowing_rows": overflowing_rows,
         "exact_nodes": set(exact_nodes),
         "max_abs": max(abs(v) for row in exact for v in row),
@@ -1210,6 +1217,11 @@ def test_proven_lines_match_the_fraction_oracle(monkeypatch):
     assert min(tally.values()) > 0 and roots_on_same_sign_edges > 0
 
 
+def _cell_edges(i, j) -> list[tuple]:
+    """The (kind, i, j) keys of the bottom, top, left and right edges of cell (i, j)."""
+    return [("h", i, j), ("h", i, j + 1), ("v", i, j), ("v", i + 1, j)]
+
+
 def test_certify_loop_matches_the_edge_oracle_on_any_cells():
     # `_certify_loop` tells whether every edge of a set of cells is crossed or
     # zero-free; on random blocks and scatters of cells of shifted lattices
@@ -1227,7 +1239,7 @@ def test_certify_loop_matches_the_edge_oracle_on_any_cells():
                 i, j, w, h = rng.randrange(n), rng.randrange(n), rng.randint(1, 6), rng.randint(1, 6)
                 cells = {(a, b) for a in range(i, min(i + w, n)) for b in range(j, min(j + h, n))}
                 cells |= {(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 3))}
-                keys = {key for c in cells for key in realtopo._cell_edges(*c).values()}
+                keys = {key for c in cells for key in _cell_edges(*c)}
                 want = all(not _ends_agree(lines, *key) or expected[key] for key in keys)
                 assert realtopo._certify_loop(cells, lines) == want, (degree, box, sorted(cells))
                 answers.append(want)
@@ -1314,11 +1326,14 @@ def test_subdivision_lattices_refine_their_cell(monkeypatch):
         assert (Fraction(sax, sdx), Fraction(sax + m * ssx, sdx)) == (x1, x2)
         assert (Fraction(say, sdy), Fraction(say + m * ssy, sdy)) == (y1, y2)
         if m <= 8:
+            # a sub-lattice with a node on the curve has no signs
             signs, _ = plain(f, sax, ssx, sdx, say, ssy, sdy, m)
+            values = [[f.evaluate((x1 + (x2 - x1) * a / m, y1 + (y2 - y1) * b / m)).re for a in range(m + 1)] for b in range(m + 1)]
+            assert (signs is None) == any(v == 0 for row in values for v in row), m
             for b in range(m + 1):
                 for a in range(m + 1):
-                    v = f.evaluate((x1 + (x2 - x1) * a / m, y1 + (y2 - y1) * b / m)).re
-                    assert signs[b, a] == (v > 0) - (v < 0), (m, a, b)
+                    v = values[b][a]
+                    assert signs is None or signs[b, a] == (v > 0) - (v < 0), (m, a, b)
 
 
 # -- characterization of the mesher's output ------------------------------------------
@@ -1430,26 +1445,38 @@ def test_ovals_do_not_depend_on_the_scale_of_f(curve, box, res):
         assert _mesh(count_ovals(f.scale(gr(c)), box, res)) == expected, c
 
 
+def _edge_key(n, edge) -> tuple:
+    """(kind, i, j) of a lattice edge id: horizontal edges j*n + i come
+    first, then vertical edges H + j*(n+1) + i, H = (n+1)*n."""
+    if edge < (n + 1) * n:
+        j, i = divmod(edge, n)
+        return "h", i, j
+    j, i = divmod(edge - (n + 1) * n, n + 1)
+    return "v", i, j
+
+
 def test_vertices_are_the_zeros_of_the_linear_interpolant(monkeypatch):
     # oracle: the zero of the linear interpolant of each edge, in Fractions
-    # from f at the edge's rational end nodes; each vertex lies within 2 ulps
-    # of max(|coordinate|, step) of it, on the coarse lattice and on the
+    # from f at the edge's rational end nodes; each vertex read through
+    # `Oval.vertices` is placed by `_edge_points` and lies within 2 ulps of
+    # max(|coordinate|, step) of it, on the coarse lattice and on the
     # sub-lattices of subdivided cells alike
     placed = []
-    edge_point = realtopo._edge_point
+    edge_points = realtopo._edge_points
 
-    def recording(rows, lattice, kind, i, j):
-        point = edge_point(rows, lattice, kind, i, j)
-        placed.append((lattice, kind, i, j, point))
-        return point
+    def recording(rows, lattice, edges):
+        points = edge_points(rows, lattice, edges)
+        placed.extend((lattice, _edge_key(lattice[-1], e), tuple(p)) for e, p in zip(edges.tolist(), points.tolist()))
+        return points
 
-    monkeypatch.setattr(realtopo, "_edge_point", recording)
+    monkeypatch.setattr(realtopo, "_edge_points", recording)
     coarse = sub = 0
     for curve, box, res in VERTEX_CASES:
         f = parse_poly(curve, 2)
         placed.clear()
-        count_ovals(f, box, res)
-        for (ax, sx, dx, ay, sy, dy, n), kind, i, j, point in placed:
+        read = {v for o in count_ovals(f, box, res).ovals for v in o.vertices}
+        assert read <= {point for *_, point in placed}
+        for (ax, sx, dx, ay, sy, dy, n), (kind, i, j), point in placed:
             ends = [(Fraction(ax + i * sx, dx), Fraction(ay + j * sy, dy))]
             ends.append((ends[0][0] + Fraction(sx, dx), ends[0][1]) if kind == "h" else (ends[0][0], ends[0][1] + Fraction(sy, dy)))
             va, vb = (f.evaluate(end).re for end in ends)
@@ -1461,3 +1488,151 @@ def test_vertices_are_the_zeros_of_the_linear_interpolant(monkeypatch):
             # the sub-lattices have 2 to 64 steps, never res + 2
             coarse, sub = (coarse + 1, sub) if n == res + 2 else (coarse, sub + 1)
     assert coarse > 200 and sub > 20
+
+
+# -- the integer-id mesher against the tuple-keyed one ----------------------------------
+
+
+def _bits(mesh) -> tuple:
+    """A `_mesh` or `tuple_mesher.mesh` result with every coordinate as float.hex."""
+    ovals, warnings, open_chains = mesh
+    return [([(vx.hex(), vy.hex()) for vx, vy in verts], ok) for verts, ok in ovals], warnings, open_chains
+
+
+def _ellipse_product(rng: random.Random, k: int) -> MultiPoly:
+    """k axis-parallel ellipses drawn as perfbench draws them, kept pairwise
+    apart by their bounding boxes unless `rng` lets them overlap."""
+    f, boxes = const2(1), []
+    while len(boxes) < k:
+        cx, cy = (Fraction(rng.randint(-6, 6), 4) for _ in range(2))
+        a, b = (Fraction(rng.randint(2, 8), 4) for _ in range(2))
+        box = (cx - a, cx + a, cy - b, cy + b)
+        apart = all(p[1] < box[0] or box[1] < p[0] or p[3] < box[2] or box[3] < p[2] for p in boxes)
+        if apart or rng.random() < 0.15:
+            boxes.append(box)
+            f = f * ((x - const2(cx)).scale(gr(1 / a)) ** 2 + (y - const2(cy)).scale(gr(1 / b)) ** 2 - const2(1))
+    return f
+
+
+def _differential_cases() -> list[tuple]:
+    """(f, box, res) at res 2 to 64: products of ellipses and crossing pairs
+    on their default boxes and on boxes that cut them, the vertex cases, and
+    non-compact curves on explicit boxes."""
+    rng = random.Random(35)
+    cases = []
+    for _ in range(130):
+        f = _ellipse_product(rng, rng.choice((1, 2, 3))) if rng.random() < 0.7 else _gen_crossing_pair(rng)
+        res = rng.randint(2, 64)
+        cases.append((f, None, res))
+        lo_x, lo_y = (Fraction(rng.randint(-12, 4), 8) for _ in range(2))
+        cut = Box(lo_x, lo_x + Fraction(rng.randint(4, 16), 8), lo_y, lo_y + Fraction(rng.randint(4, 16), 8))
+        cases.append((f, cut, rng.randint(2, 32)))
+    cases += [(parse_poly(curve, 2), box, res) for curve, box, res in VERTEX_CASES]
+    cases += [(parse_poly(curve, 2), box, res) for curve, box, res in TINY_OVAL_CASES]
+    for _ in range(50):
+        c = const2(Fraction(rng.randint(-9, 9), rng.randint(10, 100)))
+        f = rng.choice((x * y + c, y - x**2 + c, _seeded_curve(rng, 3), _seeded_curve(rng, 5) * (x - y + c)))
+        half = Fraction(rng.randint(2, 12), 4)
+        cases.append((f, Box(-half, half, -half, half + Fraction(rng.randint(0, 4), 8)), rng.randint(2, 48)))
+    return cases
+
+
+# tiny ovals inside one subdivided coarse cell, beside larger ovals
+TINY_OVAL_CASES = [
+    ("(((x+7/8)^2+(y+3/4)^2)^2 - 25/16*(x+7/8)*(y+3/4) + 9/100*(5/8)^4)*((x+1/8)^2 + 2*(y+1/4)^2 - 1/4)", Box.square(2), 4),
+    ("(((x-1/4)^2+(y+1/4)^2)^2 - 4*(x-1/4)*(y+1/4) + 3/25)*((x+1)^2 + 2*(y+3/8)^2 - 5/16)", Box.square(2), 4),
+]
+
+
+def test_integer_id_mesher_matches_the_tuple_keyed_mesher(monkeypatch):
+    # the parent design (tests/tuple_mesher.py) places every vertex when it
+    # names it and sorts by every vertex; the arrays, the CSR chains, the
+    # lazy placement and the sort lemma give the same vertices to the bit,
+    # the same certified flags, warnings, open chains and oval order
+    subdivided = []
+    plain = realtopo._Mesher._subdivide_cell
+
+    def spy(self, i, j):
+        subdivided.append((i, j))
+        return plain(self, i, j)
+
+    monkeypatch.setattr(realtopo._Mesher, "_subdivide_cell", spy)
+    cases = _differential_cases()
+    seen = {"multi": 0, "open": 0, "subdivided": 0, "uncertified": 0}
+    for f, box, res in cases:
+        subdivided.clear()
+        ovals = count_ovals(f, box, res)
+        got = _bits(_mesh(ovals))
+        assert got == _bits(tuple_mesher.mesh(f, box, res)), (print_poly(f), box, res)
+        assert [o.to_dict()["vertex_count"] for o in ovals.ovals] == [len(o.vertices) for o in ovals.ovals]
+        seen["multi"] += ovals.count > 1
+        seen["open"] += ovals.open_chains > 0
+        seen["subdivided"] += bool(subdivided)
+        seen["uncertified"] += ovals.certified_count < ovals.count
+    assert len(cases) >= 300 and min(seen.values()) >= 30, seen
+
+
+def _spy_placements(monkeypatch) -> list[int]:
+    """Spy on `_edge_points`: the number of vertices each call places."""
+    placed = []
+    edge_points = realtopo._edge_points
+
+    def recording(rows, lattice, edges):
+        placed.append(len(edges))
+        return edge_points(rows, lattice, edges)
+
+    monkeypatch.setattr(realtopo, "_edge_points", recording)
+    return placed
+
+
+def test_counting_places_fewer_vertices_than_the_ovals_hold(monkeypatch):
+    # `to_dict` reads the chain lengths, and the sort key reads the vertices
+    # of each loop's least column and row; the rest is placed only when read
+    placed = _spy_placements(monkeypatch)
+    ovals = count_ovals(quartic, None, 256)
+    payload = ovals.to_dict()
+    held = sum(o["vertex_count"] - 1 for o in payload["ovals"])  # each closed polyline repeats its first vertex
+    assert ovals.count == 4 and 0 < sum(placed) < held / 4
+    assert [o["vertex_count"] for o in payload["ovals"]] == [len(o.vertices) for o in ovals.ovals]
+    assert sum(placed) == held
+
+
+def test_reading_vertices_twice_places_nothing_the_second_time(monkeypatch):
+    placed = _spy_placements(monkeypatch)
+    ovals = count_ovals(parse_poly(TWO_ELLIPSES, 2), Box.square(1), 16)
+    before = sum(placed)
+    first = [o.vertices for o in ovals.ovals]
+    after = sum(placed)
+    assert after > before
+    assert [o.vertices for o in ovals.ovals] == first and sum(placed) == after
+    assert all(o.vertices is v for o, v in zip(ovals.ovals, first))
+
+
+@pytest.mark.parametrize("curve, box, res", TINY_OVAL_CASES)
+def test_ovals_are_sorted_by_the_least_coordinates_of_every_vertex(curve, box, res):
+    # the sort key comes from the vertices of each loop's least column and
+    # row; it equals (min x, min y) over all of the loop's vertices, also
+    # with a tiny oval wholly inside one subdivided coarse cell
+    ovals = count_ovals(parse_poly(curve, 2), box, res)
+    keys = [(min(vx for vx, _ in o.vertices), min(vy for _, vy in o.vertices)) for o in ovals.ovals]
+    assert ovals.count == 3 and keys == sorted(keys)
+    ax, sx, dx, ay, sy, dy, _ = _box_lattice(box, res, 0)
+    assert ovals.warnings == []  # the lattice was not shifted
+
+    def one_cell(values, a, s, d):
+        cells = {math.floor((Fraction(v) * d - a) / s) for v in values}
+        return len(cells) == 1 and all(Fraction(v) * d != a + s * c for v in values for c in cells)
+
+    assert any(one_cell([vx for vx, _ in o.vertices], ax, sx, dx) and one_cell([vy for _, vy in o.vertices], ay, sy, dy) for o in ovals.ovals)
+
+
+def test_seeded_multi_oval_curves_are_sorted_by_every_vertex():
+    rng = random.Random(351)
+    multi = 0
+    for _ in range(60):
+        f = _ellipse_product(rng, 3) if rng.random() < 0.5 else _gen_crossing_pair(rng)
+        ovals = count_ovals(f, None, rng.randint(48, 128))
+        keys = [(min(vx for vx, _ in o.vertices), min(vy for _, vy in o.vertices)) for o in ovals.ovals]
+        assert keys == sorted(keys), print_poly(f)
+        multi += ovals.count > 1
+    assert multi >= 30
