@@ -36,14 +36,7 @@ from .construct import (
     ratio_condition_report,
     thm2b_configuration,
 )
-from .cycles import (
-    CycleCertificate,
-    certify_cycle,
-    divergence_integral,
-    integrate_orbit,
-    location_check,
-    stability_against_orbit,
-)
+from .cycles import CycleCertificate, certify_cycle, divergence_integral, location_check
 from .errors import (
     ArityMismatch,
     DegenerateInput,

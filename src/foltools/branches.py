@@ -51,9 +51,6 @@ class Branch:
     phi2: PowerSeries
     truncation: int
 
-    def center(self) -> tuple[GaussianRational, GaussianRational]:
-        return self.phi1.coefficient(0), self.phi2.coefficient(0)
-
 
 def _solve_series(h: MultiPoly, w0: GaussianRational, truncation: int) -> PowerSeries:
     """Series w(t), w(0) = w0, with h(t, w(t)) = 0 mod t^(N+1), by Newton's

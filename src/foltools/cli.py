@@ -5,20 +5,21 @@ True (proven), False (refuted) or None (undecided); `run` alone emits the
 output and turns the verdict into the exit code.
 
 Exit codes: 0 the answer is proven, 1 a verification failed (and, for
-now, DegenerateInput), 2 usage or parse error or a failed precondition (a
-curve that is not invariant, a non-compact curve with no --box, a field
-whose components share a factor: NonIsolatedSingularities, polynomials over
-different variable sets: ArityMismatch), 3 an undecided outcome (Unknown,
-Unsupported, uncertified, an oval count with an uncertified oval, a
-`certify` that finds no oval, a numerical step that failed inside the
-program), 141 (128 + SIGPIPE) stdout was closed before the output was
-written.
+now, DegenerateInput), 2 usage or parse error, a file that cannot be read
+or written, or a failed precondition (a curve that is not invariant, a
+non-compact curve with no --box, a field whose components share a factor:
+NonIsolatedSingularities, polynomials over different variable sets:
+ArityMismatch), 3 an undecided outcome (Unknown, Unsupported, uncertified,
+an oval count with an uncertified oval, a `certify` that finds no oval, a
+numerical step that failed inside the program), 141 (128 + SIGPIPE) stdout
+was closed before the output was written.
 Machine-readable JSON (--json / --report) accompanies every verdict.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -75,6 +76,8 @@ from .singularities import (
     is_nodal,
 )
 from .textio import (
+    CurveEntry,
+    FieldEntry,
     SystemDocument,
     format_system,
     parse_poly,
@@ -90,8 +93,26 @@ EXIT_UNKNOWN = 3
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE: what a shell shows for a writer whose reader left early
 
 
+@contextlib.contextmanager
+def _file_errors(path: str):
+    """A file that cannot be read or written is a usage error (exit 2), one line on stderr."""
+    try:
+        yield
+    except UnicodeDecodeError:
+        raise PreconditionError(f"{path}: not UTF-8 text") from None
+    except OSError as exc:
+        raise PreconditionError(f"{path}: {exc.strerror or exc}") from None
+
+
 def _load_document(path: str) -> SystemDocument:
-    return parse_system(Path(path).read_text(encoding="utf-8"))
+    with _file_errors(path):
+        text = Path(path).read_text(encoding="utf-8")
+    return parse_system(text)
+
+
+def _write_text(path: str, text: str) -> None:
+    with _file_errors(path):
+        Path(path).write_text(text, encoding="utf-8")
 
 
 def _get_field(doc: SystemDocument, name: str) -> AffineVectorField:
@@ -147,7 +168,7 @@ def _emit(args, payload, text_lines: list[str]) -> None:
             print(line)
     report_path = getattr(args, "report", None)
     if report_path:
-        Path(report_path).write_text(report_json(payload) + "\n", encoding="utf-8")
+        _write_text(report_path, report_json(payload) + "\n")
 
 
 # -- subcommand handlers -----------------------------------------------------------
@@ -365,16 +386,12 @@ def cmd_bounds(args):
     return payload, lines, True
 
 
-def _document_from_parts(fields=None, curves=None, params=None) -> SystemDocument:
+def _document_from_parts(fields=None, curves=None) -> SystemDocument:
     doc = SystemDocument()
-    from .textio import CurveEntry, FieldEntry
-
     for name, fld in (fields or {}).items():
         doc.fields[name] = FieldEntry(fld.p, fld.q, fld.r)
     for name, poly in (curves or {}).items():
         doc.curves[name] = CurveEntry(poly)
-    for name, value in (params or {}).items():
-        doc.params[name] = value
     return doc
 
 
@@ -428,7 +445,7 @@ def cmd_construct(args):
         raise ParseError(f"unknown construct kind {kind!r}")
     text = format_system(doc)
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        _write_text(args.out, text)
         lines.append(f"# wrote {args.out}")
     else:
         lines.append(text)
@@ -482,7 +499,7 @@ def cmd_ovals(args):
         chunks = []
         for ov in ovals.ovals:
             chunks.append("\n".join(f"{x:.17g} {y:.17g}" for x, y in ov.vertices))
-        Path(args.emit_polylines).write_text("\n\n".join(chunks) + "\n", encoding="utf-8")
+        _write_text(args.emit_polylines, "\n\n".join(chunks) + "\n")
     return payload, lines, ovals.certified_count == ovals.count or None
 
 
@@ -497,7 +514,7 @@ def cmd_certify(args):
     results = []
     lines = [f"cofactor = {print_poly(cert.cofactor)}", f"ovals found: {ovals.count}"]
     for idx, ov in enumerate(selected):
-        pts = trace_oval(curve, ov.vertices[0], spacing=args.spacing)
+        pts = trace_oval(curve, ov.seed, spacing=args.spacing)
         c = certify_cycle(field, pts, idx, f=curve, v_poly=curve)
         results.append(c.to_dict())
         lines.append(
@@ -843,7 +860,7 @@ def run(argv: list[str]) -> int:
     except (UnsupportedBranch, UncertifiedResult) as exc:
         print(f"unsupported/uncertified: {exc}", file=sys.stderr)
         return EXIT_UNKNOWN
-    except (PreconditionError, NonIsolatedSingularities, ArityMismatch, FileNotFoundError) as exc:
+    except (PreconditionError, NonIsolatedSingularities, ArityMismatch) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except FolError as exc:

@@ -216,20 +216,17 @@ class GalleryEntry:
     notes: tuple[str, ...] = ()
 
 
-def _example1(alpha: GaussianRational, beta: GaussianRational) -> GalleryEntry:
-    if alpha.is_zero() or beta.is_zero():
-        raise PreconditionError("alpha and beta must be nonzero")
+EXAMPLE1_ALPHA, EXAMPLE1_BETA = gr(1, 2), gr(1)  # Example 1's weights of X and Y; alpha/beta is real
+
+
+def _example1() -> GalleryEntry:
+    alpha, beta = EXAMPLE1_ALPHA, EXAMPLE1_BETA
     X, Y, Z = (MultiPoly.variable(3, k) for k in range(3))
-    lam3 = -(alpha + beta)
-    spec = None if lam3.is_zero() else LogarithmicSpec.make([X, Y, Z], [alpha, beta, lam3])
+    spec = LogarithmicSpec.make([X, Y, Z], [alpha, beta, -(alpha + beta)])
     P = (Y * Z).scale(alpha)
     Q = (X * Z).scale(beta)
     R = (X * Y).scale(-(alpha + beta))
     form = ProjectiveOneForm.make(P, Q, R)
-    ratio = alpha / beta
-    notes = ()
-    if ratio.is_real():
-        notes = ("alpha/beta is real: the non-dicriticality guarantee does not apply",)
     return GalleryEntry(
         name="example1",
         form=form,
@@ -238,7 +235,7 @@ def _example1(alpha: GaussianRational, beta: GaussianRational) -> GalleryEntry:
         log_spec=spec,
         weights=(alpha, beta, -(alpha + beta)),
         expected_mu=(("(0 : 1 : 0)", 1), ("(0 : 0 : 1)", 1)),
-        notes=notes,
+        notes=("alpha/beta is real: the non-dicriticality guarantee does not apply",),
     )
 
 
@@ -270,14 +267,10 @@ GALLERY_NAMES = (
 )
 
 
-def gallery(
-    name: str,
-    alpha: GaussianRational | None = None,
-    beta: GaussianRational | None = None,
-) -> GalleryEntry:
+def gallery(name: str) -> GalleryEntry:
     """Reference objects used across the verification suites."""
     if name == "example1":
-        return _example1(alpha if alpha is not None else gr(1, 2), beta if beta is not None else gr(1))
+        return _example1()
     if name in ("example2", "example3"):
         Ps, Qs, Rs, mus = _forms_catalog()[name]
         form = ProjectiveOneForm.make(parse_poly(Ps, 3), parse_poly(Qs, 3), parse_poly(Rs, 3))

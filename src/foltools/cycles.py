@@ -22,6 +22,9 @@ from .polyring import MultiPoly
 from .realtopo import _BEYOND_FLOAT, _horner, _horner_with_gradient, refine_polyline
 
 THRESHOLD_FACTOR = 1000.0  # |D| must exceed this multiple of the error estimate
+TARGET_REL = 1e-6  # the two densities of `divergence_integral` must agree this closely
+MAX_REFINEMENTS = 8  # midpoint refinements `divergence_integral` may make
+LOCATION_TOLERANCE = 1e-8  # an oval passes `location_check` when its residual is below this
 
 
 @dataclass
@@ -87,8 +90,6 @@ def divergence_integral(
     field: AffineVectorField,
     oval: list[tuple[float, float]],
     f: MultiPoly | None = None,
-    target_rel: float = 1e-6,
-    max_refinements: int = 8,
 ) -> tuple[float, float, float]:
     """(D, T, rel_err): divergence integral and period along a closed polyline.
 
@@ -99,7 +100,7 @@ def divergence_integral(
 
     Two vertex densities (the polyline and its half-density decimation) are
     compared and Richardson-combined; when the invariant curve f is supplied
-    the polyline is midpoint-refined until the densities agree to target_rel.
+    the polyline is midpoint-refined until the densities agree to TARGET_REL.
     A refined polyline keeps the old vertices at its even indices, so its
     decimation is the previous polyline and is not summed again; the last
     round refines nothing.
@@ -125,12 +126,12 @@ def divergence_integral(
     if (coarse[-1] != pts[-1]).any():
         coarse = np.vstack([coarse, pts[-1:]])
     D1, T1 = _midpoint_sums(div_ev, fx_ev, fy_ev, coarse)
-    for refinements in range(max_refinements + 1):
+    for refinements in range(MAX_REFINEMENTS + 1):
         D2, T2 = _midpoint_sums(div_ev, fx_ev, fy_ev, pts)
         D = (4.0 * D2 - D1) / 3.0
         T = (4.0 * T2 - T1) / 3.0
         rel = abs(D2 - D1) / max(abs(D), 1e-300)
-        if rel <= target_rel or f is None or refinements == max_refinements:
+        if rel <= TARGET_REL or f is None or refinements == MAX_REFINEMENTS:
             return D, _unscaled_period(T, e), rel
         pts = refine_polyline(f, pts)
         D1, T1 = D2, T2  # the refined polyline's decimation is the one just summed
@@ -170,7 +171,6 @@ def location_check(
     field: AffineVectorField,
     V: MultiPoly,
     ovals: list[list[tuple[float, float]]],
-    tolerance: float = 1e-8,
     mode: str = "iif",
 ) -> list[dict]:
     """Per-oval max |V| (gradient-scaled) against the zero set of V.
@@ -190,74 +190,12 @@ def location_check(
             raise PreconditionError("V is not an invariant curve of the field")
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    return location_rows([_scaled_residual(V, oval) for oval in ovals], tolerance)
+    return location_rows([_scaled_residual(V, oval) for oval in ovals])
 
 
-def location_rows(residuals: list[float], tolerance: float = 1e-8) -> list[dict]:
+def location_rows(residuals: list[float]) -> list[dict]:
     """`location_check`'s per-oval rows from residuals already computed."""
     return [
-        {"oval_id": idx, "residual": residual, "residual_precision": tolerance, "pass": residual < tolerance}
+        {"oval_id": idx, "residual": residual, "residual_precision": LOCATION_TOLERANCE, "pass": residual < LOCATION_TOLERANCE}
         for idx, residual in enumerate(residuals)
     ]
-
-
-def integrate_orbit(
-    field: AffineVectorField,
-    start: tuple[float, float],
-    duration: float,
-    step: float = 1e-3,
-    blowup: float = 1e6,
-) -> list[tuple[float, float]]:
-    """Classical fixed-step RK4 trajectory sample."""
-    _require_real(field)
-    if step <= 0:
-        raise PreconditionError("step must be positive")
-    fx = _horner(field.component_x)
-    fy = _horner(field.component_y)
-
-    def rhs(x: float, y: float) -> tuple[float, float]:
-        return fx(x, y), fy(x, y)
-
-    x, y = float(start[0]), float(start[1])
-    out = [(x, y)]
-    steps = int(round(duration / step))
-    for _ in range(steps):
-        k1x, k1y = rhs(x, y)
-        k2x, k2y = rhs(x + 0.5 * step * k1x, y + 0.5 * step * k1y)
-        k3x, k3y = rhs(x + 0.5 * step * k2x, y + 0.5 * step * k2y)
-        k4x, k4y = rhs(x + step * k3x, y + step * k3y)
-        x += step * (k1x + 2 * k2x + 2 * k3x + k4x) / 6.0
-        y += step * (k1y + 2 * k2y + 2 * k3y + k4y) / 6.0
-        if math.hypot(x, y) > blowup:
-            raise DegenerateInput("trajectory blew up")
-        out.append((x, y))
-    return out
-
-
-def stability_against_orbit(
-    field: AffineVectorField,
-    f: MultiPoly,
-    certificate: CycleCertificate,
-    seed: tuple[float, float],
-    duration: float | None = None,
-    step: float = 1e-3,
-) -> bool:
-    """Cross-validate a certificate's stability sign with a forward orbit.
-
-    |f| along the orbit must trend away from 0 for Unstable, toward 0 for
-    Stable (f is the invariant curve carrying the cycle).  The default
-    duration is one period, so the transversal exponent dominates.
-    """
-    if duration is None:
-        duration = certificate.period
-    traj = integrate_orbit(field, seed, duration, step)
-    ev = _horner(f)
-    first = abs(ev(*traj[0]))
-    last = abs(ev(*traj[-1]))
-    if first < 1e-13:
-        raise PreconditionError("seed lies on the curve; start slightly off it")
-    if certificate.stability == "Unstable":
-        return last > first
-    if certificate.stability == "Stable":
-        return last < first
-    raise PreconditionError("certificate is inconclusive; nothing to cross-validate")

@@ -250,32 +250,6 @@ class MultiPoly:
         den, (value,) = _specialize(self, -1, ws, d)
         return from_gint(value, den)
 
-    def substitute(self, values: dict[int, "MultiPoly"]) -> "MultiPoly":
-        """Substitute polynomials (same arity as the replacements) for variables.
-
-        Every variable must be covered by `values`; result arity is the
-        replacements' arity.
-        """
-        if not values:
-            raise ValueError("no substitutions given")
-        target_arity = next(iter(values.values())).arity
-        result = MultiPoly.zero(target_arity)
-        powers: dict[int, list[MultiPoly]] = {}
-        for var in range(self.arity):
-            if var not in values:
-                raise ValueError(f"missing substitution for variable {var}")
-            powers[var] = [MultiPoly.constant(target_arity, 1)]
-        for exp, u in self.num.items():
-            term = powers[0][0]
-            for var, e in enumerate(exp):
-                plist = powers[var]
-                while len(plist) <= e:
-                    plist.append(plist[-1] * values[var])
-                if e:
-                    term = term * plist[e]
-            result = result + term._times(u, term.den * self.den)
-        return result
-
     def shift(self, point: Iterable) -> "MultiPoly":
         """Translate so the given point moves to the origin: f(v + point).
 

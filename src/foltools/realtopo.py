@@ -75,8 +75,9 @@ class Oval:
     """One closed chain of `count_ovals` and whether it is certified.
 
     `vertices` is the closed polyline, its last vertex equal to its first.
-    It is placed on first read and kept: counting, certifying and `to_dict`
-    read only the chain, so no vertex is placed that nothing reads.
+    It is placed on first read and kept: counting and `to_dict` read only
+    the chain, and `seed` places only the first vertex, so no vertex is
+    placed that nothing reads.
     """
 
     def __init__(self, chain: list[int], certified: bool, mesher: "_Mesher"):
@@ -86,6 +87,12 @@ class Oval:
     def vertices(self) -> list[tuple[float, float]]:
         xy = self._mesher.place(np.array(self.chain))
         return list(zip(xy[:, 0].tolist(), xy[:, 1].tolist()))
+
+    @property
+    def seed(self) -> tuple[float, float]:
+        """`vertices[0]`, placed alone: where a trace of the oval starts."""
+        x, y = self._mesher.place(np.array(self.chain[:1]))[0].tolist()
+        return x, y
 
     def to_dict(self) -> dict:
         return {"vertex_count": len(self.chain), "certified": self.certified}

@@ -173,10 +173,6 @@ def parse_poly(text: str, arity: int, params: dict[str, GaussianRational] | None
 # -- printing -----------------------------------------------------------------
 
 
-def _frac_str(q: Fraction) -> str:
-    return str(q)
-
-
 def _monomial_str(exp, names) -> str:
     parts = []
     for e, name in zip(exp, names):
@@ -194,12 +190,12 @@ def _coeff_str(c: GaussianRational, monomial: str) -> tuple[str, str]:
         mag = abs(c.re)
         if monomial and mag == 1:
             return sign, monomial
-        body = _frac_str(mag)
+        body = str(mag)
         return sign, f"{body}*{monomial}" if monomial else body
     if not c.re:  # purely imaginary
         sign = "-" if c.im < 0 else "+"
         mag = abs(c.im)
-        head = "i" if mag == 1 else f"{_frac_str(mag)}*i"
+        head = "i" if mag == 1 else f"{mag}*i"
         return sign, f"{head}*{monomial}" if monomial else head
     # mixed complex coefficient: parenthesize, never split the sign out
     re_sign, re_body = _coeff_str(GaussianRational(c.re, Fraction(0)), "")
@@ -356,11 +352,9 @@ def _coeff_literal(c: GaussianRational) -> str:
 
 def to_jsonable(value):
     """Normalize report values into JSON-safe structures with stable text."""
-    from fractions import Fraction as _F
-
     if isinstance(value, GaussianRational):
         return _coeff_literal(value)
-    if isinstance(value, _F):
+    if isinstance(value, Fraction):
         return str(value)
     if isinstance(value, MultiPoly):
         return print_poly(value)

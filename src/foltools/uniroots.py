@@ -304,32 +304,14 @@ def _prime_factors(ns: list[int]) -> Iterator[tuple[int, int]]:
             stack.extend([d, m // d])
 
 
-def factor_int(n: int) -> dict[int, int]:
-    """Prime factorization of a positive integer."""
-    if n <= 0:
-        raise ValueError("factor_int expects a positive integer")
-    if n > _FACTOR_DIGIT_CAP:
-        raise RootSearchOverflow("integer too large for exact factorization")
-    out: dict[int, int] = {}
-    for _, p in _prime_factors([n]):
-        out[p] = out.get(p, 0) + 1
-    return out
-
-
 def _gaussian_prime_above(p: int) -> GInt:
     """A Gaussian prime dividing the split rational prime p (p % 4 == 1)."""
     return gi_gcd((p, 0), (_sqrt_minus_one(p), 1))
 
 
-def gi_factor(u: GInt) -> list[tuple[GInt, int]]:
-    """Gaussian prime factorization up to units."""
-    if u == (0, 0):
-        raise ValueError("cannot factor zero")
-    return _gi_split(u, factor_int(gi_norm(u)))
-
-
 def _gi_split(u: GInt, norm_factors: dict[int, int]) -> list[tuple[GInt, int]]:
-    """gi_factor(u) from the prime factorization of the norm of u."""
+    """The Gaussian prime factorization of u up to units, from the prime
+    factorization of the norm of u."""
     out: list[tuple[GInt, int]] = []
     for p in sorted(norm_factors):
         if p == 2:

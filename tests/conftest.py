@@ -23,6 +23,33 @@ def const2(value) -> MultiPoly:
     return MultiPoly.constant(2, gr(value) if isinstance(value, (int, str, Fraction)) else value)
 
 
+def substitute(p: MultiPoly, values: dict[int, MultiPoly]) -> MultiPoly:
+    """Substitute polynomials (same arity as the replacements) for variables.
+
+    Every variable must be covered by `values`; result arity is the
+    replacements' arity.
+    """
+    if not values:
+        raise ValueError("no substitutions given")
+    target_arity = next(iter(values.values())).arity
+    result = MultiPoly.zero(target_arity)
+    powers: dict[int, list[MultiPoly]] = {}
+    for var in range(p.arity):
+        if var not in values:
+            raise ValueError(f"missing substitution for variable {var}")
+        powers[var] = [MultiPoly.constant(target_arity, 1)]
+    for exp, u in p.num.items():
+        term = powers[0][0]
+        for var, e in enumerate(exp):
+            plist = powers[var]
+            while len(plist) <= e:
+                plist.append(plist[-1] * values[var])
+            if e:
+                term = term * plist[e]
+        result = result + term._times(u, term.den * p.den)
+    return result
+
+
 def random_coeff(rng: random.Random, complex_prob: float = 0.3) -> GaussianRational:
     num = rng.randint(-9, 9)
     den = rng.randint(1, 4)

@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from conftest import affine_vars, const2, projective_vars, random_poly, random_real_poly
+from conftest import affine_vars, const2, projective_vars, random_poly, random_real_poly, substitute
 from foltools.bounds import (
     harnack_bound,
     mk_argmax,
@@ -314,6 +314,11 @@ def _random_invariant_branch(rng):
     return field, f, branches[0]
 
 
+def _center(br):
+    """The branch's center point (phi1(0), phi2(0))."""
+    return br.phi1.coefficient(0), br.phi2.coefficient(0)
+
+
 def test_criterion_8e_pullback_consistency():
     rng = random.Random(805)
     from foltools.series import compose_poly
@@ -371,7 +376,7 @@ def test_criterion_8f_chart_independence_of_mu():
         # swap X and Y: same geometric point through the other chart
         subs = {0: Y, 1: X, 2: Z}
         swapped = type(form).make(
-            form.Q.substitute(subs), form.P.substitute(subs), form.R.substitute(subs)
+            substitute(form.Q, subs), substitute(form.P, subs), substitute(form.R, subs)
         )
         sw_field = deprojectivize(swapped)
         sw_line = x - y.scale(gr(s)) - const2(offsets[0])
@@ -389,7 +394,7 @@ def test_criterion_8g_truncation_stability():
     for _ in range(220):
         field, f, br = _random_invariant_branch(rng)
         mu1, cert1 = branch_multiplicity(field, br)
-        x0, y0 = br.center()
+        x0, y0 = _center(br)
         big = local_branches(f, ProjectivePoint.affine(x0, y0), truncation=2 * br.truncation)[0]
         mu2, cert2 = branch_multiplicity(field, big)
         assert cert1 and cert2 and mu1 == mu2

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import affine_vars, const2, random_coeff, random_poly
+from conftest import affine_vars, const2, random_coeff, random_poly, substitute
 from foltools.branches import (
     Branch,
     _branches_at_chart_point,
@@ -247,7 +247,7 @@ def _oracle_node_branch(local, base, chart, u0, v0, slope, truncation, by_u):
     """The branch along one node tangent: substitute t*(slope + z), divide by t^2."""
     uu, vv = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
     scaled = uu * (MultiPoly.constant(2, slope) + vv)
-    reduced = exact_divide(local.substitute({0: uu, 1: scaled} if by_u else {0: scaled, 1: uu}), uu * uu)
+    reduced = exact_divide(substitute(local, {0: uu, 1: scaled} if by_u else {0: scaled, 1: uu}), uu * uu)
     z = _oracle_solve_series(reduced, truncation, solve_var=1)
     t = PowerSeries.identity(truncation)
     co = (t.scale(slope) + t * z).truncate(truncation)

@@ -728,3 +728,68 @@ def test_certify_does_not_see_the_scale_of_the_field(tmp_path, c, rc, shown, cap
         assert shown in err and out == ""
     else:
         assert f"D = +9.720121498e-01 {shown}" in out and "Unstable hyperbolic = True" in out
+
+
+# -- files that cannot be read or written: one line on stderr, exit 2 ------------
+
+
+def _file_error(argv, capsys, shown):
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and shown in err and err.count("\n") == 1
+
+
+def test_a_directory_as_the_document_is_a_usage_error(tmp_path, capsys):
+    _file_error(["ovals", str(tmp_path), "--curve", "c"], capsys, "Is a directory")
+
+
+def test_a_document_that_is_not_utf8_is_a_usage_error(tmp_path, capsys):
+    doc = tmp_path / "latin1.fol"
+    doc.write_bytes("[curve c]\nf = x^2 + y^2 - 1  # \xe9\n".encode("latin-1"))
+    _file_error(["ovals", str(doc), "--curve", "c"], capsys, "not UTF-8 text")
+
+
+def test_a_report_into_a_directory_is_a_usage_error(tmp_path, capsys):
+    _file_error(["bounds", "--theorem", "t1", "--m", "3", "--report", str(tmp_path)], capsys, "Is a directory")
+
+
+def test_construct_out_into_a_directory_is_a_usage_error(tmp_path, capsys):
+    _file_error(["construct", "gallery", "circle", "--out", str(tmp_path)], capsys, "Is a directory")
+
+
+def test_polylines_into_a_directory_are_a_usage_error(eee_doc, tmp_path, capsys):
+    argv = ["ovals", eee_doc, "--curve", "circle", "--res", "16", "--emit-polylines", str(tmp_path)]
+    _file_error(argv, capsys, "Is a directory")
+
+
+@pytest.mark.parametrize(
+    "curve, count",
+    [("x^2 + y^2 - 1", 1), ("2*x^4 + 5*x^2*y^2 + 2*y^4 - 3*x^2 - 3*y^2 + 101/100", 4)],
+)
+def test_certify_places_one_vertex_per_traced_oval(tmp_path, monkeypatch, curve, count, capsys):
+    # a trace starts from each oval's first vertex: `Oval.seed` places that
+    # one vertex (if counting has not placed it already), not the polyline
+    from foltools import realtopo
+
+    doc = tmp_path / "eee.fol"
+    assert run(["construct", "eee", "--g", curve, "--h", "x - 3", "--out", str(doc)]) == 0
+    placed, counted = [], []
+    edge_points, count_ovals = realtopo._edge_points, cli.count_ovals
+
+    def recording(rows, lattice, edges):
+        placed.append(len(edges))
+        return edge_points(rows, lattice, edges)
+
+    def counting(*args):
+        ovals = count_ovals(*args)
+        counted.append(len(placed))
+        return ovals
+
+    monkeypatch.setattr(realtopo, "_edge_points", recording)
+    monkeypatch.setattr(cli, "count_ovals", counting)
+    assert run(["certify", str(doc), "--field", "eee", "--curve", "g", "--all-ovals", "--res", "64"]) == 0
+    assert f"ovals found: {count}" in capsys.readouterr().out
+    after = placed[counted[0] :]
+    assert after == [1] * len(after) and len(after) <= count
+    if count == 1:  # one loop gets no sort key, so counting placed nothing
+        assert placed == [1]

@@ -145,5 +145,5 @@ def test_gallery_quartic_shape():
 
 
 def test_gallery_example1_real_ratio_notes():
-    entry = gallery("example1", alpha=gr(2), beta=gr(1))
+    entry = gallery("example1")
     assert entry.notes  # warns that the non-dicriticality guarantee is off

@@ -8,16 +8,17 @@ from conftest import affine_vars, const2
 from foltools import cycles
 from foltools.construct import eee_system
 from foltools.cycles import (
+    CycleCertificate,
     _midpoint_sums,
+    _require_real,
     certify_cycle,
     divergence_integral,
-    integrate_orbit,
     location_check,
-    stability_against_orbit,
 )
 from foltools.errors import DegenerateInput, PreconditionError
 from foltools.fields import AffineVectorField, divergence
 from foltools.gaussian import GaussianRational, gr
+from foltools.polyring import MultiPoly
 from foltools.realtopo import _horner, refine_polyline, trace_oval
 
 x, y = affine_vars()
@@ -107,7 +108,8 @@ def test_divergence_integral_sums_each_polyline_once(eee_circle, monkeypatch, sp
 
     monkeypatch.setattr(cycles, "_midpoint_sums", counted("sums", _midpoint_sums))
     monkeypatch.setattr(cycles, "refine_polyline", counted("refinements", refine_polyline))
-    got = divergence_integral(eee_circle, coarse, f=circle, target_rel=target_rel)
+    monkeypatch.setattr(cycles, "TARGET_REL", target_rel)
+    got = divergence_integral(eee_circle, coarse, f=circle)
     assert got == want  # D, T and rel to the last bit
     # one sum for the first decimation, one per polyline; the last polyline is not refined
     assert calls["refinements"] >= 2 and calls["sums"] == calls["refinements"] + 2
@@ -159,6 +161,71 @@ def test_location_check_iif_mode_on_rotation(circle_polyline):
     # div = 0 and X(circle) = 0, so the circle is a genuine iif of the rotation
     rows = location_check(rotation, circle, [circle_polyline], mode="iif")
     assert rows[0]["pass"]
+
+
+# -- RK4 orbits: the numeric cross-check of a certificate's stability sign -------
+
+
+def integrate_orbit(
+    field: AffineVectorField,
+    start: tuple[float, float],
+    duration: float,
+    step: float = 1e-3,
+    blowup: float = 1e6,
+) -> list[tuple[float, float]]:
+    """Classical fixed-step RK4 trajectory sample."""
+    _require_real(field)
+    if step <= 0:
+        raise PreconditionError("step must be positive")
+    fx = _horner(field.component_x)
+    fy = _horner(field.component_y)
+
+    def rhs(x: float, y: float) -> tuple[float, float]:
+        return fx(x, y), fy(x, y)
+
+    x, y = float(start[0]), float(start[1])
+    out = [(x, y)]
+    steps = int(round(duration / step))
+    for _ in range(steps):
+        k1x, k1y = rhs(x, y)
+        k2x, k2y = rhs(x + 0.5 * step * k1x, y + 0.5 * step * k1y)
+        k3x, k3y = rhs(x + 0.5 * step * k2x, y + 0.5 * step * k2y)
+        k4x, k4y = rhs(x + step * k3x, y + step * k3y)
+        x += step * (k1x + 2 * k2x + 2 * k3x + k4x) / 6.0
+        y += step * (k1y + 2 * k2y + 2 * k3y + k4y) / 6.0
+        if math.hypot(x, y) > blowup:
+            raise DegenerateInput("trajectory blew up")
+        out.append((x, y))
+    return out
+
+
+def stability_against_orbit(
+    field: AffineVectorField,
+    f: MultiPoly,
+    certificate: CycleCertificate,
+    seed: tuple[float, float],
+    duration: float | None = None,
+    step: float = 1e-3,
+) -> bool:
+    """Cross-validate a certificate's stability sign with a forward orbit.
+
+    |f| along the orbit must trend away from 0 for Unstable, toward 0 for
+    Stable (f is the invariant curve carrying the cycle).  The default
+    duration is one period, so the transversal exponent dominates.
+    """
+    if duration is None:
+        duration = certificate.period
+    traj = integrate_orbit(field, seed, duration, step)
+    ev = _horner(f)
+    first = abs(ev(*traj[0]))
+    last = abs(ev(*traj[-1]))
+    if first < 1e-13:
+        raise PreconditionError("seed lies on the curve; start slightly off it")
+    if certificate.stability == "Unstable":
+        return last > first
+    if certificate.stability == "Stable":
+        return last < first
+    raise PreconditionError("certificate is inconclusive; nothing to cross-validate")
 
 
 def test_integrate_orbit_rotation():

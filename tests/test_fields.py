@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import affine_vars, const2, projective_vars, random_coeff, random_poly
+from conftest import affine_vars, const2, projective_vars, random_coeff, random_poly, substitute
 from foltools.errors import DegenerateInput, PreconditionError
 from foltools.fields import (
     AffineVectorField,
@@ -94,8 +94,8 @@ def test_projectivize_roundtrip_and_one_form(rng):
         # Z = 1 restriction of the form is the affine one-form (q+yr, -(p+xr))
         a, b = fld.component_y, -fld.component_x
         subs = {0: x, 1: y, 2: const2(1)}
-        assert form.P.substitute(subs) == a
-        assert form.Q.substitute(subs) == b
+        assert substitute(form.P, subs) == a
+        assert substitute(form.Q, subs) == b
 
 
 def test_deprojectivize_radial_part():
@@ -158,9 +158,9 @@ CHART_SUBS = {  # chart -> substitution turning a projective form into its chart
 def _oracle_chart_components(form, chart):
     subs = CHART_SUBS[chart]
     a, b = {
-        "z": (-form.Q.substitute(subs), form.P.substitute(subs)),
-        "y": (-form.R.substitute(subs), form.P.substitute(subs)),
-        "x": (-form.R.substitute(subs), form.Q.substitute(subs)),
+        "z": (-substitute(form.Q, subs), substitute(form.P, subs)),
+        "y": (-substitute(form.R, subs), substitute(form.P, subs)),
+        "x": (-substitute(form.R, subs), substitute(form.Q, subs)),
     }[chart]
     g = poly_gcd(a, b)
     if not g.is_constant():
@@ -200,7 +200,7 @@ def test_dehomogenize_matches_chart_substitution(rng):
     for _ in range(60):
         F = _random_form(rng, rng.randint(0, 4))
         for chart, subs in CHART_SUBS.items():
-            assert dehomogenize(F, chart_var(chart)) == F.substitute(subs)
+            assert dehomogenize(F, chart_var(chart)) == substitute(F, subs)
 
 
 def test_chart_components_match_substitution_tables(rng):

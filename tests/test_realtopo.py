@@ -1608,6 +1608,25 @@ def test_reading_vertices_twice_places_nothing_the_second_time(monkeypatch):
     assert all(o.vertices is v for o, v in zip(ovals.ovals, first))
 
 
+def test_an_oval_seed_is_its_first_vertex_to_the_bit(monkeypatch):
+    # `seed` places chain[0] alone; `vertices` places it in a batch with the
+    # rest of the polyline; both give the same bits, also where the oval
+    # starts on a sub-lattice of a subdivided cell
+    placed = _spy_placements(monkeypatch)
+    on_sub_lattice = 0
+    for curve, box, res in VERTEX_CASES + TINY_OVAL_CASES:
+        f = parse_poly(curve, 2)
+        firsts = [o.vertices[0] for o in count_ovals(f, box, res).ovals]
+        for o, first in zip(count_ovals(f, box, res).ovals, firsts):
+            o._mesher._placed[:] = False  # as if counting had placed nothing: the seed is placed alone
+            del placed[:]
+            seed = o.seed
+            assert placed == [1] and [c.hex() for c in seed] == [c.hex() for c in first]
+            sub_bases = [base for base, _, _ in o._mesher.lattices[1:]]
+            on_sub_lattice += bool(sub_bases) and o._mesher.vertex_ids[o.chain[0]] >= sub_bases[0]
+    assert on_sub_lattice >= 3
+
+
 @pytest.mark.parametrize("curve, box, res", TINY_OVAL_CASES)
 def test_ovals_are_sorted_by_the_least_coordinates_of_every_vertex(curve, box, res):
     # the sort key comes from the vertices of each loop's least column and

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import affine_vars, const2, projective_vars, random_coeff, random_poly
+from conftest import affine_vars, const2, projective_vars, random_coeff, random_poly, substitute
 from foltools.branches import branch_multiplicity, local_branches
 from foltools.errors import DegenerateInput, NonIsolatedSingularities, PreconditionError
 from foltools.fields import AffineVectorField, ProjectiveOneForm, projectivize
@@ -223,7 +223,7 @@ def _swap_xy_form(form):
     u, v, w = (MP.variable(3, k) for k in (1, 0, 2))
     subs = {0: u, 1: v, 2: w}
     return ProjectiveOneForm.make(
-        form.Q.substitute(subs), form.P.substitute(subs), form.R.substitute(subs)
+        substitute(form.Q, subs), substitute(form.P, subs), substitute(form.R, subs)
     )
 
 

