@@ -19,15 +19,6 @@ class BoundReport:
     notes: tuple[str, ...] = ()
     clamped: bool = False
 
-    def to_dict(self) -> dict:
-        return {
-            "theorem": self.theorem,
-            "inputs": self.inputs,
-            "bound": self.bound,
-            "notes": list(self.notes),
-            "clamped": self.clamped,
-        }
-
 
 def harnack_bound(n: int, orders: list[int] | None = None) -> BoundReport:
     """Oval bound for a degree-n real curve with singular points of the
@@ -129,9 +120,6 @@ class MkResult:
     k: int
     partition: tuple[int, ...]
     value: int
-
-    def to_dict(self) -> dict:
-        return {"m": self.m, "k": self.k, "partition": list(self.partition), "value": self.value}
 
 
 def mk_argmax(m: int) -> MkResult:

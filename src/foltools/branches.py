@@ -114,7 +114,7 @@ def _branches_at_chart_point(
     return branches
 
 
-def local_branches(f: MultiPoly, point: ProjectivePoint, truncation: int | None = None) -> list[Branch]:
+def local_branches(f: MultiPoly, point: ProjectivePoint, truncation: int) -> list[Branch]:
     """Branches of the (closure of the) affine curve f at a projective point.
 
     Smooth point: one branch.  Node with Q(i)-rational tangents: two branches.
@@ -124,11 +124,10 @@ def local_branches(f: MultiPoly, point: ProjectivePoint, truncation: int | None 
         raise PreconditionError("curve must be nonconstant")
     if not is_squarefree(f):
         raise PreconditionError("curve must be squarefree")
-    n = truncation if truncation is not None else default_truncation(2, int(f.degree))
     chart = point.chart()
     g = dehomogenize(homogenize(f, int(f.degree)), chart_var(chart))
     u0, v0 = point.chart_coords(chart)
-    return _branches_at_chart_point(g, point, chart, u0, v0, n)
+    return _branches_at_chart_point(g, point, chart, u0, v0, truncation)
 
 
 def branch_multiplicity(
@@ -200,24 +199,12 @@ class EulerReport:
 
     curve_degree: int
     foliation_degree: int
-    table: list[dict] = dfield(default_factory=list)  # point / branch / mu rows
+    multiplicities: list[dict] = dfield(default_factory=list)  # point / branch / mu rows
     sum_mu: int = 0
     chi_claimed: int = 0
     identity_holds: bool = False
     checkable: bool = True
     notes: list[str] = dfield(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "curve_degree": self.curve_degree,
-            "foliation_degree": self.foliation_degree,
-            "multiplicities": self.table,
-            "sum_mu": self.sum_mu,
-            "chi_claimed": self.chi_claimed,
-            "identity_holds": self.identity_holds,
-            "checkable": self.checkable,
-            "notes": self.notes,
-        }
 
 
 def singular_points_on_curve(
@@ -270,7 +257,7 @@ def euler_identity_check(
             report.notes.append(str(exc))
             return report
         for idx, (mu, _br) in enumerate(rows):
-            report.table.append({"point": str(pt), "branch": idx, "mu": mu})
+            report.multiplicities.append({"point": str(pt), "branch": idx, "mu": mu})
             total += mu
     report.sum_mu = total
     report.identity_holds = chi == total - n * (m - 1)

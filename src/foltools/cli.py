@@ -31,10 +31,10 @@ from pathlib import Path
 
 from . import bounds as bounds_mod
 from .branches import (
+    _resolved_multiplicity,
     corollary2_check,
+    default_truncation,
     euler_identity_check,
-    invariant_branch_multiplicity,
-    local_branches,
     singular_points_on_curve,
 )
 from .construct import (
@@ -161,14 +161,15 @@ def _parse_weights(text: str) -> list[GaussianRational]:
 
 
 def _emit(args, payload, text_lines: list[str]) -> None:
+    # the report first: a report that cannot be written leaves stdout empty
+    report_path = getattr(args, "report", None)
+    if report_path:
+        _write_text(report_path, report_json(payload) + "\n")
     if getattr(args, "json", False):
         print(report_json(payload))
     else:
         for line in text_lines:
             print(line)
-    report_path = getattr(args, "report", None)
-    if report_path:
-        _write_text(report_path, report_json(payload) + "\n")
 
 
 # -- subcommand handlers -----------------------------------------------------------
@@ -181,7 +182,7 @@ def cmd_check_invariant(args):
     cert = invariance_check(field, curve)
     if cert is None:
         return {"invariant": False}, [f"curve {args.curve!r} is NOT invariant"], False
-    payload = {"invariant": True, "certificate": cert.to_dict()}
+    payload = {"invariant": True, "certificate": cert}
     lines = [
         f"curve {args.curve!r} is invariant",
         f"cofactor = {print_poly(cert.cofactor)}",
@@ -255,7 +256,7 @@ def cmd_classify(args):
     inf = infinite_singularities(field.one_form)
     records = [classify_dicritical(field, p) for p in aff.points + inf.points]
     payload = {
-        "records": [r.to_dict() for r in records],
+        "records": records,
         "residual": aff.residual + inf.residual,
         "uncertain": aff.uncertain + inf.uncertain,
     }
@@ -294,17 +295,17 @@ def cmd_multiplicity(args):
     else:
         points, enumerations = singular_points_on_curve(field, curve)
         undecided = sum(e.undecided_on(curve) for e in enumerations)
+    # the truncation doubles until every branch is certified, as in euler-check
+    N = default_truncation(field.m, int(curve.degree))
     rows = []
     for pt in points:
-        branches = local_branches(curve, pt, args.truncation)
-        for idx, br in enumerate(branches):
-            mu, certified = invariant_branch_multiplicity(field, br)
-            rows.append({"point": str(pt), "branch": idx, "mu": mu, "certified": certified})
+        for idx, (mu, _br) in enumerate(_resolved_multiplicity(field, curve, pt, N)):
+            rows.append({"point": str(pt), "branch": idx, "mu": mu, "certified": True})
     payload = {"multiplicities": rows, "undecided_coordinates": undecided}
-    lines = [f"{r['point']} branch {r['branch']}: mu = {r['mu']} (certified: {r['certified']})" for r in rows]
+    lines = [f"{r['point']} branch {r['branch']}: mu = {r['mu']} (certified: True)" for r in rows]
     if undecided:
         lines.append(f"warning: {undecided} singular coordinate(s) could not be resolved")
-    return payload, lines, not (undecided or any(not r["certified"] for r in rows)) or None
+    return payload, lines, not undecided or None
 
 
 def cmd_euler_check(args):
@@ -315,7 +316,7 @@ def cmd_euler_check(args):
     lines = [
         f"curve degree n = {report.curve_degree}, foliation degree m = {report.foliation_degree}",
     ]
-    for row in report.table:
+    for row in report.multiplicities:
         lines.append(f"  {row['point']} branch {row['branch']}: mu = {row['mu']}")
     lines.append(f"sum(mu) = {report.sum_mu}, claimed chi = {report.chi_claimed}")
     status = "UNDECIDED" if not report.checkable else "HOLDS" if report.identity_holds else "FAILS"
@@ -333,7 +334,7 @@ def cmd_corollary2(args):
     chi = -n * (n - 3)
     lines = [
         f"degree n = {n}, expected chi = {chi}",
-        f"sum(mu) = {report.sum_mu} over {len(report.table)} infinity branches",
+        f"sum(mu) = {report.sum_mu} over {len(report.multiplicities)} infinity branches",
         f"verified: {ok}",
     ]
     return report, lines, ok
@@ -341,7 +342,6 @@ def cmd_corollary2(args):
 
 def cmd_bounds(args):
     t = args.theorem
-    payload: dict
     if t == "t1":
         value = bounds_mod.thm1_bound(args.m)
         payload = {"theorem": "t1", "m": args.m, "bound": value}
@@ -356,17 +356,14 @@ def cmd_bounds(args):
         lines = [str(value)]
     elif t == "harnack":
         orders = _parse_ints(args.orders) if args.orders else []
-        rep = bounds_mod.harnack_bound(args.m, orders)
-        payload = rep.to_dict()
-        lines = [str(rep.bound)]
+        payload = bounds_mod.harnack_bound(args.m, orders)
+        lines = [str(payload.bound)]
     elif t == "degree-nodal":
-        rep = bounds_mod.nodal_degree_bound(args.m)
-        payload = rep.to_dict()
-        lines = [str(rep.bound), f"note: {rep.notes[0]}"]
+        payload = bounds_mod.nodal_degree_bound(args.m)
+        lines = [str(payload.bound), f"note: {payload.notes[0]}"]
     elif t == "degree-nondicritical":
-        rep = bounds_mod.nondicritical_degree_bound(args.m)
-        payload = rep.to_dict()
-        lines = [str(rep.bound)]
+        payload = bounds_mod.nondicritical_degree_bound(args.m)
+        lines = [str(payload.bound)]
     elif t == "mk":
         if args.partition:
             partition = _parse_ints(args.partition)
@@ -374,9 +371,8 @@ def cmd_bounds(args):
             payload = {"m": args.m, "partition": partition, "value": value, "envelope": envelope}
             lines = [str(value)]
         else:
-            result = bounds_mod.mk_argmax(args.m)
-            payload = result.to_dict()
-            lines = [f"k = {result.k}, partition = {list(result.partition)}, value = {result.value}"]
+            payload = bounds_mod.mk_argmax(args.m)
+            lines = [f"k = {payload.k}, partition = {list(payload.partition)}, value = {payload.value}"]
     else:
         raise ParseError(f"unknown theorem {t!r}")
     if args.table:
@@ -481,7 +477,6 @@ def _checked(convert, ok, message: str):
 
 
 _resolution = _checked(int, lambda res: res >= 2, "resolution must be at least 2")
-_truncation = _checked(int, lambda n: n >= 2, "truncation must be at least 2")
 _spacing = _checked(float, lambda h: math.isfinite(h) and h > 0, "spacing must be a positive finite number")
 
 
@@ -490,7 +485,6 @@ def cmd_ovals(args):
     curve = _get_curve(doc, args.curve)
     box = _parse_box(args.box) if args.box else None
     ovals = count_ovals(curve, box, args.res)
-    payload = ovals.to_dict()
     lines = [
         f"ovals: {ovals.count} (certified: {ovals.certified_count})",
     ]
@@ -500,7 +494,7 @@ def cmd_ovals(args):
         for ov in ovals.ovals:
             chunks.append("\n".join(f"{x:.17g} {y:.17g}" for x, y in ov.vertices))
         _write_text(args.emit_polylines, "\n\n".join(chunks) + "\n")
-    return payload, lines, ovals.certified_count == ovals.count or None
+    return ovals, lines, ovals.certified_count == ovals.count or None
 
 
 def cmd_certify(args):
@@ -516,14 +510,14 @@ def cmd_certify(args):
     for idx, ov in enumerate(selected):
         pts = trace_oval(curve, ov.seed, spacing=args.spacing)
         c = certify_cycle(field, pts, idx, f=curve, v_poly=curve)
-        results.append(c.to_dict())
+        results.append(c)
         lines.append(
             f"oval {idx}: D = {c.divergence_integral:+.9e} T = {c.period:.9e} "
             f"rel_err = {c.quadrature_rel_err:.2e} {c.stability} hyperbolic = {c.hyperbolic}"
         )
     # location_check(mode="invariant-curve") rows: the invariance was checked
     # above and certify_cycle(v_poly=curve) computed each oval's residual
-    loc = location_rows([r["v_residual"] for r in results])
+    loc = location_rows([c.v_residual for c in results])
     payload = {
         "cofactor": cert.cofactor,
         "oval_count": ovals.count,
@@ -537,7 +531,7 @@ def cmd_certify(args):
     if not results:
         lines.append("no oval found; nothing certified")
         return payload, lines, None
-    return payload, lines, all(r["hyperbolic"] for r in results) or None
+    return payload, lines, all(c.hyperbolic for c in results) or None
 
 
 def cmd_iif_check(args):
@@ -757,7 +751,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("multiplicity", help="branch multiplicities at singular points")
     add_common(p, field=True, curve=True)
     p.add_argument("--point", help="affine x,y or projective X:Y:Z")
-    p.add_argument("--truncation", type=_truncation, default=None)
     p.set_defaults(handler=cmd_multiplicity)
 
     p = sub.add_parser("euler-check", help="chi = sum(mu) - n(m-1) identity")

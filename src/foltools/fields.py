@@ -155,21 +155,9 @@ class CofactorCertificate:
     curve: MultiPoly
     cofactor: MultiPoly
     residual_check: bool
-    cofactor_degree: int | float
+    cofactor_degree: int | None  # None for the zero cofactor
     degree_bound: int
     degree_bound_ok: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "curve": self.curve,
-            "cofactor": self.cofactor,
-            "residual_check": self.residual_check,
-            "cofactor_degree": None
-            if self.cofactor_degree == float("-inf")
-            else int(self.cofactor_degree),
-            "degree_bound": self.degree_bound,
-            "degree_bound_ok": self.degree_bound_ok,
-        }
 
 
 # -- core operations -----------------------------------------------------------
@@ -195,9 +183,8 @@ def invariance_check(field: AffineVectorField, f: MultiPoly) -> CofactorCertific
     if cofactor is None:
         return None
     bound = field.m if not field.r.is_zero() else max(field.m - 1, 0)
-    deg = cofactor.degree
-    ok = deg == float("-inf") or deg <= bound
-    return CofactorCertificate(f, cofactor, True, deg, bound, ok)
+    deg = None if cofactor.is_zero() else cofactor.degree
+    return CofactorCertificate(f, cofactor, True, deg, bound, deg is None or deg <= bound)
 
 
 def divergence(field: AffineVectorField) -> MultiPoly:

@@ -30,9 +30,6 @@ Exponent = tuple[int, ...]
 #: Degree of the zero polynomial: a sentinel smaller than every integer.
 MINUS_INFINITY = float("-inf")
 
-AFFINE_VARS = ("x", "y")
-PROJECTIVE_VARS = ("X", "Y", "Z")
-
 
 def _grlex_key(exp: Exponent):
     return (sum(exp), exp)

@@ -62,14 +62,6 @@ class Box:
         b = Fraction(b)
         return Box(-b, b, -b, b)
 
-    def to_dict(self) -> dict:
-        return {
-            "x_lo": str(self.x_lo),
-            "x_hi": str(self.x_hi),
-            "y_lo": str(self.y_lo),
-            "y_hi": str(self.y_hi),
-        }
-
 
 class Oval:
     """One closed chain of `count_ovals` and whether it is certified.
@@ -116,7 +108,7 @@ class OvalSet:
 
     def to_dict(self) -> dict:
         return {
-            "box": self.box.to_dict(),
+            "box": self.box,
             "resolution": self.resolution,
             "count": self.count,
             "certified_count": self.certified_count,

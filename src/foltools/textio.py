@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field as dfield
+from dataclasses import dataclass, field as dfield, fields as dfields, is_dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -351,7 +351,10 @@ def _coeff_literal(c: GaussianRational) -> str:
 
 
 def to_jsonable(value):
-    """Normalize report values into JSON-safe structures with stable text."""
+    """Normalize report values into JSON-safe structures with stable text.
+
+    The one rule for every report: a value with `to_dict` renders as what
+    that returns, and any other dataclass instance as its fields."""
     if isinstance(value, GaussianRational):
         return _coeff_literal(value)
     if isinstance(value, Fraction):
@@ -366,10 +369,11 @@ def to_jsonable(value):
         return [to_jsonable(v) for v in value]
     if hasattr(value, "to_dict"):
         return to_jsonable(value.to_dict())
+    if is_dataclass(value) and not isinstance(value, type):
+        return {f.name: to_jsonable(getattr(value, f.name)) for f in dfields(value)}
     return value
 
 
 def report_json(report) -> str:
     """Deterministic machine-readable rendering of any report object."""
-    payload = report.to_dict() if hasattr(report, "to_dict") else report
-    return json.dumps(to_jsonable(payload), indent=2, sort_keys=True)
+    return json.dumps(to_jsonable(report), indent=2, sort_keys=True)

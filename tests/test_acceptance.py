@@ -97,7 +97,7 @@ def test_criterion_2_hamiltonian_chi():
     for n, text, chi in cases:
         f = parse_poly(text, 2)
         ok, rep = corollary2_check(n, f)
-        mus_one = all(row["mu"] == 1 for row in rep.table)
+        mus_one = all(row["mu"] == 1 for row in rep.multiplicities)
         got_chi = rep.sum_mu - n * ((n - 1) - 1)
         all_ok &= ok and mus_one and rep.chi_claimed == chi and got_chi == chi
         details.append(f"n={n}: chi={got_chi}")

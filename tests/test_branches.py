@@ -66,13 +66,13 @@ def test_branch_residual_always_vanishes(rng):
 
 def test_unsupported_branches():
     with pytest.raises(UnsupportedBranch):
-        local_branches(y**2 - x**3, ProjectivePoint.affine(0, 0))  # cusp
+        local_branches(y**2 - x**3, ProjectivePoint.affine(0, 0), 8)  # cusp
     with pytest.raises(UnsupportedBranch) as exc:
         # tangents y = +-sqrt(2) x are outside Q(i)
-        local_branches(y**2 - (x**2).scale(gr(2)) + x**3, ProjectivePoint.affine(0, 0))
+        local_branches(y**2 - (x**2).scale(gr(2)) + x**3, ProjectivePoint.affine(0, 0), 8)
     assert "Q(i)" in str(exc.value)
     # complex tangents inside Q(i) are fine: y^2 + x^2 factors (y-ix)(y+ix)
-    branches = local_branches(y**2 + x**2 + x**3, ProjectivePoint.affine(0, 0))
+    branches = local_branches(y**2 + x**2 + x**3, ProjectivePoint.affine(0, 0), 8)
     assert len(branches) == 2
 
 
@@ -109,7 +109,7 @@ def test_euler_identity_reference_foliations():
         rep = euler_identity_check(entry.form, entry.curve, 2)
         assert rep.checkable and rep.identity_holds
         assert (rep.sum_mu, rep.curve_degree, rep.foliation_degree) == (smu, n, m)
-        mus = {row["point"]: row["mu"] for row in rep.table}
+        mus = {row["point"]: row["mu"] for row in rep.multiplicities}
         assert mus == dict(entry.expected_mu)
 
 
@@ -209,7 +209,7 @@ def test_corollary2_values():
     for n, text, chi in ((1, "x + y - 1", 2), (2, "x^2 + 4*y^2 - 1", 2), (3, "x^2*y + x*y^2 - 1", 0)):
         ok, rep = corollary2_check(n, parse_poly(text, 2))
         assert ok and rep.chi_claimed == chi and rep.identity_holds
-        assert all(row["mu"] == 1 for row in rep.table)
+        assert all(row["mu"] == 1 for row in rep.multiplicities)
 
 
 def test_corollary2_rejects_bad_curves():

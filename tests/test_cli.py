@@ -358,14 +358,6 @@ def test_resolution_below_two_is_a_usage_error(eee_doc, res, capsys):
     assert "resolution must be at least 2" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("n", ["0", "1", "-3"])
-def test_truncation_below_two_is_a_usage_error(eee_doc, n, capsys):
-    argv = ["multiplicity", eee_doc, "--field", "eee", "--curve", "circle", "--point", "1,0", f"--truncation={n}"]
-    assert run(argv) == 2
-    assert "truncation must be at least 2" in capsys.readouterr().err
-    assert run(argv[:-1] + ["--truncation=2"]) == 0
-
-
 EEE_ARGS = ["construct", "eee", "--g", "x^2 + y^2 - 1", "--h", "x - 2"]
 POINT_ARGS = ["multiplicity", "EX1", "--field", "example1", "--curve", "line"]
 CERTIFY_ARGS = ["certify", "EEE", "--field", "eee", "--curve", "circle", "--res", "8"]
@@ -705,6 +697,39 @@ def test_multiplicity_discharges_a_residual_that_misses_the_curve(tmp_path, caps
     assert run(["euler-check", str(doc), "--field", "log", "--curve", "line", "--chi", "2"]) == 0
 
 
+X9_DOC = """
+[field x9]
+p = x^9
+q = y
+
+[curve axis]
+f = y
+"""
+
+
+def test_multiplicity_takes_the_truncation_euler_check_takes(tmp_path, capsys):
+    # the branch (t, 0) of y at the origin pulls (x^9, y) back to t^9, which a
+    # truncation fixed by the curve's degree alone (8) sees as zero
+    doc = tmp_path / "x9.fol"
+    doc.write_text(X9_DOC, encoding="utf-8")
+    assert run(["multiplicity", str(doc), "--field", "x9", "--curve", "axis", "--json"]) == 0
+    rows = json.loads(capsys.readouterr().out)["multiplicities"]
+    assert [(r["point"], r["mu"], r["certified"]) for r in rows] == [("(0 : 0 : 1)", 9, True), ("(1 : 0 : 0)", 1, True)]
+    assert run(["euler-check", str(doc), "--field", "x9", "--curve", "axis", "--chi", "2"]) == 0
+    assert "(0 : 0 : 1) branch 0: mu = 9" in capsys.readouterr().out
+
+
+def test_multiplicity_undecided_after_the_doublings_is_undecided(ex1_doc, monkeypatch, capsys):
+    from foltools import branches
+
+    monkeypatch.setattr(branches, "branch_multiplicity", lambda _field, _branch: (None, False))
+    assert run(["multiplicity", ex1_doc, "--field", "example1", "--curve", "line"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "uncertified up to truncation 64" in captured.err
+    assert run(["euler-check", ex1_doc, "--field", "example1", "--curve", "line", "--chi", "2"]) == 3
+    assert "NOT CHECKABLE: multiplicity at (0 : 0 : 1) uncertified up to truncation 64" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize(
     "c, rc, shown",
     [
@@ -735,8 +760,8 @@ def test_certify_does_not_see_the_scale_of_the_field(tmp_path, c, rc, shown, cap
 
 def _file_error(argv, capsys, shown):
     assert run(argv) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and shown in err and err.count("\n") == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and shown in err and err.count("\n") == 1
 
 
 def test_a_directory_as_the_document_is_a_usage_error(tmp_path, capsys):
@@ -750,6 +775,7 @@ def test_a_document_that_is_not_utf8_is_a_usage_error(tmp_path, capsys):
 
 
 def test_a_report_into_a_directory_is_a_usage_error(tmp_path, capsys):
+    # the report is written before the verdict is printed, so no verdict reaches stdout
     _file_error(["bounds", "--theorem", "t1", "--m", "3", "--report", str(tmp_path)], capsys, "Is a directory")
 
 
@@ -793,3 +819,139 @@ def test_certify_places_one_vertex_per_traced_oval(tmp_path, monkeypatch, curve,
     assert after == [1] * len(after) and len(after) <= count
     if count == 1:  # one loop gets no sort key, so counting placed nothing
         assert placed == [1]
+
+
+# --report / --json payloads that no replay job runs, pinned byte for byte
+HARNACK_CLAMPED = """\
+{
+  "bound": 0,
+  "clamped": true,
+  "inputs": {
+    "n": 3,
+    "orders": [
+      2,
+      2
+    ],
+    "raw": -3
+  },
+  "notes": [],
+  "theorem": "harnack"
+}
+"""
+
+MK_ARGMAX = """\
+{
+  "k": 3,
+  "m": 4,
+  "partition": [
+    4,
+    1,
+    1
+  ],
+  "value": 4
+}
+"""
+
+MK_PARTITION = """\
+{
+  "envelope": 4,
+  "m": 4,
+  "partition": [
+    3,
+    2,
+    1
+  ],
+  "value": 2
+}
+"""
+
+DEGREE_NODAL = """\
+{
+  "bound": 5,
+  "clamped": false,
+  "inputs": {
+    "m": 3
+  },
+  "notes": [
+    "equality forces a reducible curve and a logarithmic foliation with weights satisfying sum(lambda_i * deg F_i) = 0"
+  ],
+  "theorem": "degree-nodal"
+}
+"""
+
+MK_TABLE = """\
+{
+  "single": {
+    "k": 3,
+    "m": 3,
+    "partition": [
+      2,
+      2,
+      1
+    ],
+    "value": 2
+  },
+  "table": [
+    {
+      "degree_cap": 3,
+      "m": 1,
+      "nodal_cycles": 0,
+      "nondicritical_cycles_r0": 0,
+      "nondicritical_cycles_r1": 1,
+      "three_curve_cycles": null
+    },
+    {
+      "degree_cap": 4,
+      "m": 2,
+      "nodal_cycles": 1,
+      "nondicritical_cycles_r0": 2,
+      "nondicritical_cycles_r1": 4,
+      "three_curve_cycles": 1
+    },
+    {
+      "degree_cap": 5,
+      "m": 3,
+      "nodal_cycles": 1,
+      "nondicritical_cycles_r0": 3,
+      "nondicritical_cycles_r1": 6,
+      "three_curve_cycles": 1
+    }
+  ]
+}
+"""
+
+FIRST_INTEGRAL = """\
+{
+  "certificate": {
+    "cofactor": "0",
+    "cofactor_degree": null,
+    "curve": "x^2 + y^2 - 1",
+    "degree_bound": 0,
+    "degree_bound_ok": true,
+    "residual_check": true
+  },
+  "invariant": true
+}
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["--theorem", "harnack", "--m", "3", "--orders", "2,2"], HARNACK_CLAMPED),
+        (["--theorem", "mk", "--m", "4"], MK_ARGMAX),
+        (["--theorem", "mk", "--m", "4", "--partition", "3,2,1"], MK_PARTITION),
+        (["--theorem", "degree-nodal", "--m", "3"], DEGREE_NODAL),
+        (["--theorem", "mk", "--m", "3", "--table", "--table-from", "1", "--table-to", "3"], MK_TABLE),
+    ],
+)
+def test_bounds_reports_are_pinned(tmp_path, argv, expected, capsys):
+    report = tmp_path / "bounds.json"
+    assert run(["bounds", *argv, "--report", str(report)]) == 0
+    assert report.read_text(encoding="utf-8") == expected
+
+
+def test_a_first_integral_certificate_is_pinned(eee_doc, capsys):
+    # the rotation field's cofactor on the circle is zero, whose degree reads null
+    assert run(["check-invariant", eee_doc, "--field", "rotation", "--curve", "circle", "--json"]) == 0
+    assert capsys.readouterr().out == FIRST_INTEGRAL

@@ -13,6 +13,7 @@ from foltools.textio import (
     parse_system,
     print_poly,
     report_json,
+    to_jsonable,
 )
 
 x, y = affine_vars()
@@ -248,3 +249,24 @@ def test_report_json_stable():
     out2 = report_json(payload)
     assert out1 == out2
     assert '"a"' in out1 and "x + y" in out1
+
+
+def test_a_dataclass_renders_as_its_fields():
+    from dataclasses import dataclass
+
+    from foltools.realtopo import Box
+
+    @dataclass
+    class Report:
+        box: Box
+        value: object
+        kind: type
+
+    # fields are rendered one level at a time, so a Q(i) value (itself a
+    # dataclass) keeps its literal and a class stays as it is
+    report = Report(Box.square(Fraction(1, 2)), gr("1/2", 1), Box)
+    assert to_jsonable(report) == {
+        "box": {"x_lo": "-1/2", "x_hi": "1/2", "y_lo": "-1/2", "y_hi": "1/2"},
+        "value": "(1/2 + i)",
+        "kind": Box,
+    }
