@@ -378,8 +378,18 @@ def cmd_bounds(args):
     if args.table:
         rows = bounds_mod.bound_table(list(range(args.table_from, args.table_to + 1)))
         payload = {"table": rows, "single": payload}
-        lines += [str(row) for row in rows]
+        lines += _table_lines(rows)
     return payload, lines, True
+
+
+def _table_lines(rows: list[dict]) -> list[str]:
+    """A header of the rows' keys, then one line per row, each column right
+    aligned to its widest entry; None reads "-"."""
+    if not rows:
+        return []
+    cells = [list(rows[0])] + [["-" if v is None else str(v) for v in row.values()] for row in rows]
+    widths = [max(len(line[c]) for line in cells) for c in range(len(cells[0]))]
+    return ["  ".join(v.rjust(w) for v, w in zip(line, widths)) for line in cells]
 
 
 def _document_from_parts(fields=None, curves=None) -> SystemDocument:

@@ -19,10 +19,11 @@ Ambiguous cells are resolved by subdivision, never by a midpoint
 heuristic: a cell's sub-lattice is again an integer lattice, evaluated the
 same way as the coarse grid; when depth runs out the affected ovals are
 reported uncertified with a warning.
-Uncrossed cell edges of each loop are proven zero-free from the sign grid
-and the rows (`_LatticeLines`): a line whose sign changes reach its degree
-needs nothing more; on any other line, over the loop's stretch of it, one
-Descartes count, then one Sturm count, and last a Sturm count per edge.
+The uncrossed cell edges of all loops are proven zero-free together
+(`_certify_loops`, `_LatticeLines`), again as a filtered predicate: one
+float pass per lattice axis takes each edge's Descartes coefficients as a
+matrix product with a rigorous rounding bound, and each edge it cannot
+prove gets an exact Sturm count on its line's row.
 Numeric tracing sees f only at unit scale and puts every float point on
 the curve with one Newton corrector (see the numeric tracing section).
 """
@@ -40,7 +41,7 @@ import numpy as np
 
 from .errors import DegenerateInput, PreconditionError, UncertifiedResult
 from .polyring import MultiPoly, _specialize, leading_form
-from .uniroots import _descartes, count_real_roots, sturm_counter, ueval, utrim
+from .uniroots import count_real_roots, sturm_counter, ueval, utrim
 
 MAX_SUBDIVISION_DEPTH = 6
 _BLOCK = 1 << 15  # entries of each buffer of the filtered float product
@@ -153,6 +154,12 @@ class _LineRows:
             row = self._built[l] = [ueval(col, t) if col else 0 for col in self._columns]
         return row
 
+    @functools.cached_property
+    def powers(self) -> np.ndarray:
+        """The float power table of the line coordinates up to the line
+        degree (`_float_powers`), built on first use."""
+        return _float_powers(self.lines, len(self.weights) - 1)
+
 
 def _lattice(lo: Fraction, hi: Fraction, n: int) -> tuple[int, int, int]:
     """(a, s, d) with node_i = (a + i*s)/d for i in 0..n."""
@@ -232,7 +239,7 @@ def _filtered_signs(rows: _LineRows, nx: range) -> np.ndarray | None:
     decided = np.zeros((block, len(nx)), dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):
         if w is not None:
-            ys, xs = _float_powers(rows.lines, deg_y), _float_powers(nx, deg_x)
+            ys, xs = rows.powers, _float_powers(nx, deg_x)
             yw, m_rows = ys.T @ w, np.abs(ys.T) @ np.abs(w)
             rows_ok = np.isfinite(yw).all(axis=1) & np.isfinite(m_rows).all(axis=1)
             yw[~rows_ok] = m_rows[~rows_ok] = 0.0
@@ -287,28 +294,70 @@ def _sign_grid(f: MultiPoly, ax: int, sx: int, dx: int, ay: int, sy: int, dy: in
     return _filtered_signs(rows, _node_range(ax, sx, n)), rows
 
 
+@functools.lru_cache(maxsize=None)
+def _descartes_binomials(d: int) -> np.ndarray:
+    """G[a, c, i] = C(a, c) C(d - a + c, i) as an object array, built once per degree."""
+    ranks = range(d + 1)
+    return np.array([[[math.comb(a, c) * math.comb(d - a + c, i) for i in ranks] for c in ranks] for a in ranks], dtype=object)
+
+
+def _descartes_kernel(weights: list[list[int]], s: int) -> np.ndarray:
+    """V[i, b*C + c] (C = len(weights[0])), exact integers in an object
+    array: for the edge from p to p + s of the line t, D_i = sum over (b, c)
+    of t^b p^c V[i, b*C + c] are the coefficients of (1 + u)^d row(p + s/(1 + u)),
+    row the line's polynomial sum_{a,b} weights[b][a] t^b n^a and d = C - 1.
+
+    With n = p + s/(1 + u), (1 + u)^d n^a = sum_c C(a, c) p^c s^(a-c) (1 + u)^(d-a+c),
+    so V = W K with K[a, c, i] = G[a, c, i] s^(a-c) (`_descartes_binomials`;
+    G is 0 for c > a).  u > 0 maps onto the open edge (p, p + s), so the
+    sign variations of D bound the roots there, with multiplicity and of
+    their parity (Descartes' rule of signs, as Collins & Akritas, SYMSAC
+    1976, use it), and D_0 = row(p + s), D_d = row(p) are the values at the
+    ends.
+    """
+    d = len(weights[0]) - 1
+    powers = np.array([s**e for e in range(d + 1)], dtype=object)
+    shift = np.subtract.outer(np.arange(d + 1), np.arange(d + 1)).clip(0)  # a - c where G is not 0
+    k = _descartes_binomials(d) * powers[shift][:, :, None]
+    v = np.array(weights, dtype=object) @ k.reshape(d + 1, -1)  # [b, c*I + i]
+    return v.reshape(len(weights), d + 1, d + 1).transpose(2, 0, 1).reshape(d + 1, -1)
+
+
 class _LatticeLines:
-    """Exact proofs that f has no zero on the uncrossed edges of a stretch of
-    a lattice line.
+    """Exact proofs that f has no zero on uncrossed edges of lattice lines,
+    all of one axis's edges at once.
 
     No node of the lattice may be a zero of f (`count_ovals` shifts the
-    lattice until none is).  On a stretch of a line, let S be the number of
-    sign changes between its consecutive nodes (read off the sign grid).
-    Each crossed edge holds a root in its interior, so f has at least S
-    distinct roots on the stretch.  If it has exactly S there, each crossed
-    edge holds exactly one root and every other edge of the stretch is
-    zero-free.  That equality holds on a whole line whose S equals the
-    degree of f in the line's variable (deg_x f for a horizontal line, deg_y
-    f for a vertical one), which bounds the roots with multiplicity, so
-    `_certify_loop` skips such lines; on any other stretch
-    `edges_are_zero_free` checks it.
+    lattice until none is).  An edge runs from node p to node p + s of the
+    line t, in the integer coordinates of the line's row (`_LineRows`: a
+    positive multiple of f on the line, nx = dx*x along a horizontal line,
+    ny = dy*y along a vertical one).  It is zero-free when its Descartes
+    coefficients D (`_descartes_kernel`) are all nonzero and of one sign:
+    D_0 and D_d are the row's values at its ends, and no sign variation
+    leaves no root inside.
 
-    Counts run on the line's row (a positive multiple of f on the line as a
-    polynomial in the integer lattice coordinate nx = dx*x or ny = dy*y)
-    between integer endpoints; a line's Sturm chain is built once.  The
-    horizontal rows are the `_LineRows` of `_sign_grid`; the vertical ones
-    are a second `_LineRows`, so each row is built once, when a proof first
-    reads it.
+    D = V Z, Z[b*C + c] = t^b p^c, is decided as a filtered predicate, the
+    way `_filtered_signs` decides node signs.  In float64, Z^ comes from the
+    power tables of the exact t and p (`_float_powers`, max(b - 1, 0) and
+    max(c - 1, 0) roundings) and one product, V^ is V correctly rounded,
+    and D^ = V^ Z^ and M^ = |V^| |Z^| are two matrix products of N = B*C
+    terms (B = deg_line + 1, C = d + 1): each term carries at most B + C +
+    N - 2 roundings, fewer than k = B + C + N, in whatever order the sums
+    are taken (Higham, Accuracy and Stability of Numerical Algorithms, 3.1),
+    so |D^ - D| <= gamma_k M with M the exact |V| |Z|.  M^ is the same sums
+    over nonnegative terms, so M^ >= (1 - gamma_k) M and the error is at
+    most 2 gamma_{k+1} M^, the factor 2 leaving room for the rounding of
+    the bound itself.  All values are integers, so nothing underflows.  An
+    edge is proven when every D^_i is finite, has the sign of D^_0 and
+    exceeds that bound.  An edge whose coordinates are not exact in float64
+    or whose powers overflow reads Z^ = 0 and is not proven; nor is any
+    edge of an axis whose V is beyond float range.  Every edge the floats
+    do not prove gets an exact Sturm count of its own, on one chain per
+    line (`sturm_counter`).
+
+    The horizontal rows are the `_LineRows` of `_sign_grid`; the vertical
+    ones are a second `_LineRows`, so each row is built once, when an
+    exact count first reads it.
     """
 
     def __init__(self, f: MultiPoly, lattice: tuple, signs: np.ndarray | None, rows: _LineRows):
@@ -318,35 +367,58 @@ class _LatticeLines:
         ax, sx, dx, ay, sy, dy, n = lattice
         self.rows = {"h": rows, "v": _LineRows(f, 1, _node_range(ax, sx, n), dx, dy)}
         self.along = {"h": (ax, sx), "v": (ay, sy)}  # (first node, step) in each line's edge coordinate
-        self.degree = {"h": max(f.degree_in(0), 0), "v": max(f.degree_in(1), 0)}
-        # crossed[kind][line, k]: the line's k-th edge joins nodes of opposite sign
-        self.crossed = {"h": signs[:, :-1] != signs[:, 1:], "v": (signs[:-1, :] != signs[1:, :]).T}
-        self.changes = {kind: np.count_nonzero(c, axis=1) for kind, c in self.crossed.items()}  # S of every line
-        self._counters: dict[tuple[str, int], Callable] = {}
+        self._tables: dict[str, tuple | None] = {}
 
-    def _counter(self, kind: str, line: int) -> Callable:
-        """The line's Sturm count in its integer edge coordinate."""
-        if (kind, line) not in self._counters:
-            self._counters[kind, line] = sturm_counter(self.rows[kind][line])
-        return self._counters[kind, line]
+    def _float_tables(self, kind: str) -> tuple | None:
+        """(V^, |V^|, the bound's factor, t powers, p powers) of the kind's
+        lines, or None when V is beyond float range; built on first use.
+        The nodes along a horizontal line are the vertical lines, and the
+        other way round, so the p powers are the other axis's t powers."""
+        if kind not in self._tables:
+            rows, across = self.rows[kind], self.rows["v" if kind == "h" else "h"]
+            b, c = len(rows.weights), len(rows.weights[0])
+            try:
+                v = _descartes_kernel(rows.weights, self.along[kind][1]).astype(float)
+            except OverflowError:
+                self._tables[kind] = None
+            else:
+                self._tables[kind] = (v, np.abs(v), 2 * _gamma(b + c + b * c + 1), rows.powers, across.powers)
+        return self._tables[kind]
 
-    def edges_are_zero_free(self, kind: str, line: int, ks: list[int]) -> bool:
-        """Whether the uncrossed edges ks (ascending) of the line are zero-free.
+    def float_proofs(self, kind: str, line: np.ndarray, k: np.ndarray) -> np.ndarray:
+        """Whether the float Descartes test proves each edge k of the line
+        `line` (integer arrays) zero-free; False where it cannot tell."""
+        tables = self._float_tables(kind)
+        if tables is None:
+            return np.zeros(len(line), dtype=bool)
+        v, v_abs, scale, t_powers, p_powers = tables
+        with np.errstate(over="ignore", invalid="ignore"):
+            z = (np.take(t_powers, line, axis=1)[:, None] * np.take(p_powers, k, axis=1)).reshape(v.shape[1], -1)
+            d, m = v @ z, v_abs @ np.abs(z)
+            return ((d * np.sign(d[0]) > scale * m) & np.isfinite(d)).all(axis=0)
 
-        Over the stretch from node ks[0] to node ks[-1] + 1, with S sign
-        changes: first one Descartes count, which bounds the roots there from
-        above, with multiplicity and with their parity; then one Sturm count
-        of the distinct roots on (first node, last node].  Either equal to S
-        leaves no root for the uncrossed edges.  Otherwise each edge gets a
-        Sturm count of its own on (lo, hi].
-        """
+    def zero_free(self, kind: str, line: np.ndarray, k: np.ndarray) -> np.ndarray:
+        """Whether f has no zero on each edge k of the line `line` (integer
+        arrays): the float test, then an exact count where it fails."""
+        proven = self.float_proofs(kind, line, k)
         first, step = self.along[kind]
-        lo, hi = first + ks[0] * step, first + (ks[-1] + 1) * step
-        s = np.count_nonzero(self.crossed[kind][line, ks[0] : ks[-1] + 1])
-        if _descartes(self.rows[kind][line], lo, hi) == s:
-            return True
-        count = self._counter(kind, line)
-        return count(lo, hi) == s or all(count(first + k * step, first + (k + 1) * step) == 0 for k in ks)
+        todo = np.flatnonzero(~proven)
+        todo = todo[np.argsort(line[todo], kind="stable")]
+        for at, group in itertools.groupby(zip(line[todo].tolist(), k[todo].tolist(), todo.tolist()), lambda e: e[0]):
+            count = sturm_counter(self.rows[kind][at])
+            for _, edge, e in group:
+                proven[e] = count(first + edge * step, first + (edge + 1) * step) == 0
+        return proven
+
+    def proven(self, kind: str, line: np.ndarray, k: np.ndarray) -> np.ndarray:
+        """Whether each edge k of the line `line` (integer arrays) is crossed,
+        its end signs differing, or zero-free."""
+        signs, width = self.signs.ravel(), self.lattice[-1] + 1
+        start, step = (line * width + k, 1) if kind == "h" else (k * width + line, width)  # the edge's nodes, flat
+        good = np.take(signs, start) != np.take(signs, start + step)
+        if not good.all():
+            good[~good] = self.zero_free(kind, line[~good], k[~good])
+        return good
 
 
 # -- compactness and the default box --------------------------------------------------
@@ -770,39 +842,39 @@ def count_ovals(
         warnings.append(f"{open_chains} open chain(s) reached the search boundary")
 
     result = OvalSet(box=box, resolution=resolution, warnings=warnings, open_chains=open_chains)
-    lines = _LatticeLines(f, lattice, signs, rows)
     n = lattice[-1]
     uncertified = np.array(sorted(mesher.uncertified_cells), dtype=np.int64)
-    for chain, segments in loops:
-        cells = mesher.cells[segments]
-        ok = not (uncertified.size and np.isin(cells, uncertified).any())
-        ok = ok and _certify_loop(np.column_stack((cells % n, cells // n)), lines)
-        result.ovals.append(Oval(chain, ok, mesher))
+    cells = [mesher.cells[segments] for _, segments in loops]
+    clean = [not (uncertified.size and np.isin(c, uncertified).any()) for c in cells]
+    # a loop with an uncertified cell asks about no edge
+    asked = [np.column_stack((c % n, c // n)) if ok else np.empty((0, 2), dtype=np.int64) for c, ok in zip(cells, clean)]
+    proven = _certify_loops(asked, _LatticeLines(f, lattice, signs, rows))
+    result.ovals = [Oval(chain, ok and p, mesher) for (chain, _), ok, p in zip(loops, clean, proven)]
     if len(loops) > 1:
         keys = mesher.sort_keys(loops)
         result.ovals = [result.ovals[k] for k in sorted(range(len(loops)), key=keys.__getitem__)]
     return result
 
 
-def _certify_loop(cells, lines: _LatticeLines) -> bool:
-    """Whether each edge of the loop's cells, given as (i, j) pairs (a set, or
-    the rows of an array, repeats allowed), is crossed (its end signs differ:
-    in a certified cell, exactly the edges the loop passes through) or
-    zero-free.  The crossings and the lines whose sign changes reach the
-    degree are read off the sign grid for all edges at once; the uncrossed
-    edges left on each other line go to `edges_are_zero_free` together."""
-    i, j = (cells if isinstance(cells, np.ndarray) else np.array(list(cells))).T
+def _certify_loops(loops: list, lines: _LatticeLines) -> list[bool]:
+    """Whether each edge of each loop's cells, given as (i, j) pairs (a set,
+    or the rows of an array, repeats allowed), is crossed (its end signs
+    differ: in a certified cell, exactly the edges the loop passes through)
+    or zero-free.  The distinct edges of all loops are decided together, one
+    `_LatticeLines.proven` pass per axis."""
+    cells = [c if isinstance(c, np.ndarray) else np.array(list(c), dtype=np.int64).reshape(-1, 2) for c in loops]
+    if not cells:
+        return []
+    i, j = np.concatenate(cells).T
+    owner = np.tile(np.repeat(np.arange(len(cells)), [len(c) for c in cells]), 2)
     n = lines.lattice[-1]
+    failed = np.zeros(len(cells), dtype=bool)
     # each cell's bottom and top edges lie on lines j, j + 1 ("h", edge i); its
     # left and right edges on lines i, i + 1 ("v", edge j)
     for kind, line, k in (("h", (j, j + 1), (i, i)), ("v", (i, i + 1), (j, j))):
-        line, k = np.concatenate(line), np.concatenate(k)
-        open_ = ~lines.crossed[kind][line, k] & (lines.changes[kind][line] != lines.degree[kind])
-        keys = np.unique(line[open_] * n + k[open_]).tolist()  # ascending by line, then by edge
-        for at, group in itertools.groupby(keys, lambda key: key // n):
-            if not lines.edges_are_zero_free(kind, at, [key % n for key in group]):
-                return False
-    return True
+        edges, which = np.unique(np.concatenate(line) * n + np.concatenate(k), return_inverse=True)
+        failed[owner[~lines.proven(kind, edges // n, edges % n)[which]]] = True
+    return (~failed).tolist()
 
 
 # -- numeric tracing -------------------------------------------------------------------

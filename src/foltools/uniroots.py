@@ -15,7 +15,7 @@ count.  Gcds over Q(i), and with them squarefree parts and coprimality,
 are modular: images modulo primes P = 1 (mod 4), with i mapped to a square
 root of -1 mod P, are combined and rebuilt, and the result is returned only
 once exact division in Z[i][x] has verified it.  Sturm chains are built
-and evaluated in integers, and so are Descartes bounds on an interval.
+and evaluated in integers.
 """
 
 from __future__ import annotations
@@ -625,25 +625,6 @@ def _int_sturm_chain(c: list[int]) -> list[list[int]]:
 def _sign_variations(vals: list[int]) -> int:
     signs = [v for v in vals if v]
     return sum(1 for a, b in zip(signs, signs[1:]) if a * b < 0)
-
-
-def _descartes(c: list[int], lo: int, hi: int) -> int:
-    """Sign variations of (1 + t)^d c((hi + lo t)/(1 + t)), d = deg c, for
-    integers lo < hi: at least the number of roots of c in the open interval
-    (lo, hi), counted with multiplicity, and of the same parity (Descartes'
-    rule of signs on the image of t > 0; Collins & Akritas, SYMSAC 1976).
-    """
-
-    def shift(p: list[int], s: int) -> list[int]:
-        """p(x + s), by Taylor shift in place."""
-        for i in range(len(p) - 1):
-            for k in range(len(p) - 2, i - 1, -1):
-                p[k] += s * p[k + 1]
-        return p
-
-    p, w = shift(utrim(list(c)), lo), hi - lo  # p(x) = c(lo + x)
-    p = [a * w**k for k, a in enumerate(p)]  # c(lo + w x): (0, 1) onto (lo, hi)
-    return _sign_variations(shift(p[::-1], 1))  # (1 + t)^d p(1/(1 + t))
 
 
 def sturm_counter(c: list[int]) -> Callable[[Fraction | None, Fraction | None], int]:

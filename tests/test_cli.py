@@ -951,6 +951,22 @@ def test_bounds_reports_are_pinned(tmp_path, argv, expected, capsys):
     assert report.read_text(encoding="utf-8") == expected
 
 
+BOUND_TABLE_TEXT = """\
+1
+m  nodal_cycles  nondicritical_cycles_r0  nondicritical_cycles_r1  three_curve_cycles  degree_cap
+1             0                        0                        1                   -           3
+2             1                        2                        4                   1           4
+3             1                        3                        6                   1           5
+"""
+
+
+def test_bound_table_text_is_aligned(capsys):
+    # the text form of --table: a header of the JSON keys, then one line per
+    # degree, each column right-aligned; the absent m = 1 three-curve bound reads "-"
+    assert run(["bounds", "--theorem", "t1", "--m", "3", "--table", "--table-from", "1", "--table-to", "3"]) == 0
+    assert capsys.readouterr().out == BOUND_TABLE_TEXT
+
+
 def test_a_first_integral_certificate_is_pinned(eee_doc, capsys):
     # the rotation field's cofactor on the circle is zero, whose degree reads null
     assert run(["check-invariant", eee_doc, "--field", "rotation", "--curve", "circle", "--json"]) == 0

@@ -33,7 +33,7 @@ from foltools.realtopo import (
     trace_oval,
 )
 from foltools.textio import parse_poly, print_poly
-from foltools.uniroots import count_real_roots, sturm_counter, utrim
+from foltools.uniroots import _int_sturm_chain, count_real_roots, sturm_counter, ueval, utrim
 
 x, y = affine_vars()
 circle = x**2 + y**2 - const2(1)
@@ -154,9 +154,11 @@ def test_each_lattice_row_is_built_once(monkeypatch, curve, box, res):
     # `_sign_grid` makes one `_LineRows` for the horizontal lines of each
     # lattice, coarse or subdivision, and `_LatticeLines` one for the vertical
     # lines of the coarse lattice; each builds a row at most once, and only
-    # when the row is read
-    axes, reads, builds, grids = {}, [], [], []
+    # when the row is read: a vertical row exactly when an edge of its line
+    # goes to an exact count
+    axes, reads, builds, grids, refused = {}, [], [], [], set()
     init, getitem, sign_grid = _LineRows.__init__, _LineRows.__getitem__, realtopo._sign_grid
+    floats = _LatticeLines.float_proofs
 
     def recording_init(self, f, axis, lines, d_line, d_edge):
         axes[self] = (axis, lines)
@@ -174,17 +176,24 @@ def test_each_lattice_row_is_built_once(monkeypatch, curve, box, res):
         grids.append(lattice)
         return sign_grid(f, *lattice)
 
+    def recording_floats(self, kind, line, k):
+        proven = floats(self, kind, line, k)
+        refused.update((kind, at) for at in line[~proven].tolist())
+        return proven
+
     monkeypatch.setattr(_LineRows, "__init__", recording_init)
     monkeypatch.setattr(_LineRows, "__getitem__", recording_getitem)
     monkeypatch.setattr(realtopo, "_sign_grid", recording_grid)
+    monkeypatch.setattr(_LatticeLines, "float_proofs", recording_floats)
     ovals = count_ovals(parse_poly(curve, 2), box, res)
+    assert all(o.vertices for o in ovals.ovals)  # placing the vertices reads rows
     horizontal = [lines for axis, lines in axes.values() if axis == 0]
     vertical = [obj for obj, (axis, _) in axes.items() if axis == 1]
     assert len(grids) > 1 and len(horizontal) == len(grids) and len(vertical) == 1
     assert all(len(lines) == n + 1 for lines, (*_, n) in zip(horizontal, grids))
     assert len(set(builds)) == len(builds) and set(builds) == {(obj, l) for obj in axes for l in obj._built}
     assert 0 < len(builds) < sum(len(lines) for _, lines in axes.values())
-    assert any(obj in vertical for obj, _ in builds) == (ovals.certified_count > 0)
+    assert {l for obj, l in builds if obj in vertical} == {at for kind, at in refused if kind == "v"}
 
 
 def test_trace_circle_accuracy():
@@ -1051,37 +1060,42 @@ def _lattice_lines(f, lattice) -> _LatticeLines:
     return _LatticeLines(f, lattice, signs, rows)
 
 
+def _zero_free(lines, kind, line, ks) -> list[bool]:
+    """The prover's answers for the edges ks of one line, asked together."""
+    return lines.zero_free(kind, np.full(len(ks), line), np.array(ks, dtype=np.int64)).tolist()
+
+
 def _edge_is_zero_free(lines, kind, i, j) -> bool:
-    """One edge's answer: a crossed edge is not zero-free; any other is a stretch of its own."""
+    """One edge's answer: a crossed edge is not zero-free; any other goes to the prover alone."""
     line, k = (j, i) if kind == "h" else (i, j)
-    return not lines.crossed[kind][line, k] and lines.edges_are_zero_free(kind, line, [k])
+    return _ends_agree(lines, kind, i, j) and _zero_free(lines, kind, line, [k])[0]
 
 
 def _uncrossed_edges(lines, kind, line) -> tuple[list[int], list[tuple]]:
     """The line's uncrossed edges: their indices along it and their (kind, i, j) keys."""
-    ks = np.flatnonzero(~lines.crossed[kind][line]).tolist()
+    along = lines.signs[line] if kind == "h" else lines.signs[:, line]
+    ks = np.flatnonzero(along[:-1] == along[1:]).tolist()
     return ks, [(kind, k, line) if kind == "h" else (kind, line, k) for k in ks]
 
 
-def _tally_stretch_proofs(monkeypatch) -> dict:
-    """Spy on `edges_are_zero_free`: tally each call by the count that decided
-    it, from the Sturm counts it ran: none (the Descartes count), one (the
-    stretch's Sturm count) or more (a Sturm count per edge)."""
-    tally, counts = {"descartes": 0, "stretch": 0, "per edge": 0}, []
-    prover, chain = _LatticeLines.edges_are_zero_free, realtopo.sturm_counter
+def _tally_edge_proofs(monkeypatch) -> dict:
+    """Spy on the prover: tally the edges it decides by the float Descartes
+    test and by exact Sturm counts, and the Sturm chains it builds."""
+    tally = {"float": 0, "exact": 0, "chains": 0}
+    floats, chain = _LatticeLines.float_proofs, realtopo.sturm_counter
+
+    def recording_floats(self, kind, line, k):
+        proven = floats(self, kind, line, k)
+        tally["float"] += int(proven.sum())
+        return proven
 
     def recording_chain(c):
         count = chain(c)
-        return lambda lo, hi: counts.append((lo, hi)) or count(lo, hi)
-
-    def recording_prover(self, kind, line, ks):
-        counts.clear()
-        answer = prover(self, kind, line, ks)
-        tally[("descartes", "stretch", "per edge")[min(len(counts), 2)]] += 1
-        return answer
+        tally["chains"] += 1
+        return lambda lo, hi: tally.__setitem__("exact", tally["exact"] + 1) or count(lo, hi)
 
     monkeypatch.setattr(realtopo, "sturm_counter", recording_chain)
-    monkeypatch.setattr(_LatticeLines, "edges_are_zero_free", recording_prover)
+    monkeypatch.setattr(_LatticeLines, "float_proofs", recording_floats)
     return tally
 
 
@@ -1124,6 +1138,75 @@ def test_lattice_lines_match_per_edge_sturm_counts():
         _lattice_lines(y * f, lattice)
 
 
+def _exact_descartes(lines, kind, line, k) -> list[int]:
+    """The Descartes coefficients D of one edge, summed in integers from
+    `_descartes_kernel` and the exact t^b p^c."""
+    rows, (first, step) = lines.rows[kind], lines.along[kind]
+    t, p = rows.lines[line], first + k * step
+    z = [t**b * p**c for b in range(len(rows.weights)) for c in range(len(rows.weights[0]))]
+    return [sum(v * w for v, w in zip(row, z)) for row in realtopo._descartes_kernel(rows.weights, step).tolist()]
+
+
+def _sign_variations(values) -> int:
+    signs = [v > 0 for v in values if v]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def _int_poly_from_roots(roots: list[int], tail: list[int]) -> list[int]:
+    """tail * prod (x - r) over the integer list roots, low to high."""
+    c = list(tail)
+    for r in roots:
+        c = [a - r * b for a, b in zip([0] + c, c + [0])]
+    return c
+
+
+def _edge_descartes(c: list[int], lo: int, hi: int) -> list[int]:
+    """D of the one-line row c (weights [c], t^0 = 1) on the edge from lo to hi."""
+    return [sum(v * lo**k for k, v in enumerate(row)) for row in realtopo._descartes_kernel([list(c)], hi - lo).tolist()]
+
+
+def test_descartes_coefficients_bound_the_roots_in_an_edge_with_their_parity():
+    # on random integer polynomials (untrimmed: d may exceed the degree) and
+    # edges with nonzero ends, the sign variations of D are at least the
+    # number of distinct roots that Sturm finds there, and for a squarefree
+    # polynomial of the same parity; on products of known integer roots,
+    # repeated ones too, and a factor x^2 + k with no real root, at least the
+    # roots counted with multiplicity, again of the same parity; D_0 and D_d
+    # are the values at the ends
+    rng = random.Random(2027)
+    exact = 0
+    for _ in range(600):
+        c = [rng.randint(-30, 30) for _ in range(rng.randint(1, 9))]
+        lo = rng.randint(-12, 11)
+        hi = rng.randint(lo + 1, 13)
+        if not any(c) or ueval(c, lo) == 0 or ueval(c, hi) == 0:
+            continue
+        d = _edge_descartes(c, lo, hi)
+        assert (d[0], d[-1]) == (ueval(c, hi), ueval(c, lo)), (c, lo, hi)
+        v, roots = _sign_variations(d), count_real_roots(c, Fraction(lo), Fraction(hi))
+        assert v >= roots, (c, lo, hi)
+        if len(_int_sturm_chain(utrim(list(c)))[-1]) == 1:
+            assert (v - roots) % 2 == 0, (c, lo, hi)
+        exact += v == roots
+    assert exact > 300
+    for _ in range(300):
+        roots = [rng.randint(-6, 6) for _ in range(rng.randint(0, 5))]
+        c = _int_poly_from_roots(roots, [rng.randint(1, 9), 0, rng.randint(1, 9)])
+        lo = rng.randint(-8, 5) * 2 + 1  # odd ends are never roots
+        hi = lo + 2 * rng.randint(1, 6)
+        inside = sum(lo < r < hi for r in roots)
+        v = _sign_variations(_edge_descartes(c, lo, hi))
+        assert v >= inside and (v - inside) % 2 == 0, (roots, lo, hi)
+    assert _sign_variations(_edge_descartes([1, -2, 1], 0, 2)) == 2  # (x - 1)^2
+    assert _sign_variations(_edge_descartes([1, -2, 1], 2, 5)) == 0
+    assert _edge_descartes([5], -3, 4) == [5]
+
+
+def _sign_changes(signs) -> int:
+    """S: the sign changes between consecutive nodes of one lattice line."""
+    return int(np.count_nonzero(signs[:-1] != signs[1:]))
+
+
 def _ends_agree(lines, kind, i, j):
     """Whether a proof that trusts the sign changes alone would call the edge
     zero-free: the edge's ends agree."""
@@ -1144,7 +1227,7 @@ def test_two_roots_on_one_same_sign_edge_are_refused():
     ax, sx, dx, ay, sy, dy, _ = lattice
     assert (Fraction(ax + 7 * sx, dx), Fraction(ay + 6 * sy, dy)) == (1, Fraction(1, 2))
     lines = _lattice_lines(f, lattice)
-    assert lines.changes["h"][6] == 2 and lines.degree["h"] == 4
+    assert _sign_changes(lines.signs[6]) == 2 and f.degree_in(0) == 4
     assert _ends_agree(lines, "h", 7, 6)
     assert not _edge_is_zero_free(lines, "h", 7, 6)
     assert _oracle_edge_answers(f, lattice)["h", 7, 6] is False
@@ -1158,47 +1241,50 @@ def test_a_double_root_inside_an_uncrossed_edge_is_refused(monkeypatch):
     # a circle of radius 1/20 tangent to the lattice line y = 1/2 from above
     # at x = 5/4, inside a cell of the big circle's loop: on that line f has
     # a double root inside the uncrossed edge from x = 1 to x = 3/2, so the
-    # loop's stretch there has more roots, counted with multiplicity, than
-    # sign changes; the Descartes count cannot prove it, the stretch's Sturm
-    # count sees the extra root, and the edge's own Sturm count finds it
+    # edge's Descartes coefficients change sign twice; the float test cannot
+    # prove it, and the edge's own Sturm count, on the one chain built for
+    # that line, finds the root
     big = x**2 + y**2 - const2("6/5")
     f = big * ((x - const2("5/4")) ** 2 + (y - const2("11/20")) ** 2 - const2("1/400"))
     lattice = _box_lattice(Box.square(2), 8, 0)
     lines = _lattice_lines(f, lattice)
     row = lines.rows["h"][6]  # y = 1/2, in nx = 2x
-    assert count_real_roots(row) == 3 and lines.changes["h"][6] == 2 and _ends_agree(lines, "h", 7, 6)
-    descartes, chains = [], []
-    plain_descartes = realtopo._descartes
+    assert count_real_roots(row) == 3 and _sign_changes(lines.signs[6]) == 2 and _ends_agree(lines, "h", 7, 6)
+    first, step = lines.along["h"]
+    assert _sign_variations(_exact_descartes(lines, "h", 6, 7)) == 2
+    assert count_real_roots(row, Fraction(first + 7 * step), Fraction(first + 8 * step)) == 1
+    refused, chains = [], []
+    floats = _LatticeLines.float_proofs
 
-    def spy_descartes(c, lo, hi):
-        descartes.append((list(c), plain_descartes(c, lo, hi)))
-        return descartes[-1][1]
+    def spy_floats(self, kind, line, k):
+        proven = floats(self, kind, line, k)
+        refused.extend((kind, at, e) for at, e, ok in zip(line.tolist(), k.tolist(), proven.tolist()) if not ok)
+        return proven
 
     def spy_chain(c):
         chains.append(list(c))
         return sturm_counter(c)
 
-    monkeypatch.setattr(realtopo, "_descartes", spy_descartes)
+    monkeypatch.setattr(_LatticeLines, "float_proofs", spy_floats)
     monkeypatch.setattr(realtopo, "sturm_counter", spy_chain)
     ovals = count_ovals(f, Box.square(2), 8)
     assert (ovals.count, ovals.certified_count, ovals.open_chains, ovals.warnings) == (1, 0, 0, [])
-    assert [v for c, v in descartes if c == row] == [4] and row in chains
+    assert ("h", 6, 7) in refused and chains.count(row) == 1
     assert count_ovals(big, Box.square(2), 8).certified_count == 1
 
 
 def test_proven_lines_match_the_fraction_oracle(monkeypatch):
     # on coarse shifted lattices around seeded curves of degree 2 to 6, single
-    # edges and each line's whole stretch of uncrossed edges are decided by
-    # the Descartes count, by the stretch's Sturm count and per edge, some
-    # same-sign edges hold roots, and every answer equals the Fraction Sturm
-    # oracle
+    # edges and each line's uncrossed edges asked together are decided by
+    # the float Descartes test and by exact Sturm counts, some same-sign
+    # edges hold roots, and every answer equals the Fraction Sturm oracle
     rng = random.Random(7)
     lattices = (
         (Box.square(2), 6, 2),
         (Box.square(1), 5, 5),
         (Box(Fraction(-1), Fraction(3, 2), Fraction(-5, 4), Fraction(1)), 11, 7),
     )
-    tally = _tally_stretch_proofs(monkeypatch)
+    tally = _tally_edge_proofs(monkeypatch)
     roots_on_same_sign_edges = 0
     for degree in (2, 3, 4, 5, 6):
         f = _seeded_curve(rng, degree)
@@ -1212,9 +1298,87 @@ def test_proven_lines_match_the_fraction_oracle(monkeypatch):
             for kind in ("h", "v"):
                 for line in range(lattice[-1] + 1):
                     ks, keys = _uncrossed_edges(lines, kind, line)
-                    if ks and lines.changes[kind][line] < lines.degree[kind]:
-                        assert lines.edges_are_zero_free(kind, line, ks) == all(expected[key] for key in keys)
+                    assert _zero_free(lines, kind, line, ks) == [expected[key] for key in keys]
     assert min(tally.values()) > 0 and roots_on_same_sign_edges > 0
+
+
+def _float_test_lattices(rng) -> list[tuple]:
+    """(f, lattice, kind of case) for the float Descartes test: seeded curves
+    of degree 2 to 6 on lattices near them, the same curves moved far from
+    the origin under a lattice of the same small step (so each edge's
+    coefficients cancel heavily), circles touching a lattice line from above
+    at a double root or a hair from it, a lattice whose coordinates reach
+    2^53 and a curve whose weights are beyond float range."""
+    out = []
+    for degree in (2, 3, 4, 5, 6):
+        f = _seeded_curve(rng, degree)
+        out.append((f, _box_lattice(Box.square(2), 9, 1), "near"))
+        for off in (10**3, 10**5):
+            box = Box(Fraction(off - 2), Fraction(off + 2), Fraction(off - 2), Fraction(off + 2))
+            out.append((f.shift((-off, -off)), _box_lattice(box, 9, 1), "far"))
+    big = x**2 + y**2 - const2("6/5")
+    for gap in (0, Fraction(1, 10**12), -Fraction(1, 10**12), Fraction(1, 10**3)):
+        small = (x - const2("5/4")) ** 2 + (y - const2(Fraction(11, 20) + gap)) ** 2 - const2("1/400")
+        out.append((big * small, _box_lattice(Box.square(2), 8, 0), "tangent"))
+    huge = Box(Fraction(-2) + Fraction(1, 2**55), Fraction(2), Fraction(-2), Fraction(2))
+    out.append((quartic, _box_lattice(huge, 6, 0), "exact"))
+    out.append((quartic.scale(gr(10**400)), _box_lattice(Box.square(2), 6, 1), "exact"))
+    return out
+
+
+def _float_test_answers(f, lattice) -> list[tuple]:
+    """(kind, line, k, float proof, prover's answer, exact Sturm answer) for
+    every edge of the lattice, the exact answer from a per-edge Sturm count
+    on a chain of the edge's own row."""
+    lines, n = _lattice_lines(f, lattice), lattice[-1]
+    out = []
+    for kind in ("h", "v"):
+        line, k = np.divmod(np.arange((n + 1) * n), n)
+        floats, answers = lines.float_proofs(kind, line, k).tolist(), lines.zero_free(kind, line, k).tolist()
+        first, step = lines.along[kind]
+        for at, e, fl, ans in zip(line.tolist(), k.tolist(), floats, answers):
+            want = sturm_counter(lines.rows[kind][at])(first + e * step, first + (e + 1) * step) == 0
+            out.append((kind, at, e, fl, ans, want))
+    return out
+
+
+def test_the_float_descartes_test_matches_exact_sturm_counts(monkeypatch):
+    # on seeded lattices every float proof is right and every answer equals
+    # the exact per-edge Sturm count; floats prove most zero-free edges near
+    # the curves, the far lattices and tangencies send edges to the exact
+    # path, and lattices with coordinates reaching 2^53 or weights beyond
+    # float range prove nothing by floats
+    rng = random.Random(11)
+    cases = _float_test_lattices(rng)
+    tally, touching = {}, []
+    for f, lattice, case in cases:
+        rows = _float_test_answers(f, lattice)
+        assert all(ans == want and (want or not fl) for *_, fl, ans, want in rows), (case, lattice)
+        floats, free = tally.get(case, (0, 0))
+        tally[case] = floats + sum(fl for *_, fl, _, _ in rows), free + sum(want for *_, want in rows)
+        if case == "tangent":
+            touching += [(fl, want) for *key, fl, _, want in rows if key == ["h", 6, 7]]
+    # the uncrossed edge from x = 1 to 3/2 on y = 1/2 holds the double root
+    # (gap 0) and the two close roots (gap -1e-12), and no root at the gaps
+    # 1e-12 and 1e-3; the floats prove none of the four
+    assert touching == [(False, False), (False, True), (False, False), (False, True)]
+    assert tally["exact"][0] == 0 and tally["exact"][1] > 0
+    assert tally["near"][0] > 0.9 * tally["near"][1]
+    assert 0 < tally["far"][0] < tally["far"][1] and tally["tangent"][0] < tally["tangent"][1]
+    # mutation check: with the rounding bound scaled to 0 (sign grids built
+    # first, with the true bound), some seeded edge is proven wrongly
+    grids = [(f, lattice, _lattice_lines(f, lattice)) for f, lattice, case in cases if case == "far"]
+    monkeypatch.setattr(realtopo, "_gamma", lambda k: 0.0)
+    wrong = 0
+    for f, lattice, lines in grids:
+        n = lattice[-1]
+        for kind in ("h", "v"):
+            line, k = np.divmod(np.arange((n + 1) * n), n)
+            proven = lines.float_proofs(kind, line, k)
+            first, step = lines.along[kind]
+            for at, e in zip(line[proven].tolist(), k[proven].tolist()):
+                wrong += sturm_counter(lines.rows[kind][at])(first + e * step, first + (e + 1) * step) > 0
+    assert wrong > 0
 
 
 def _cell_edges(i, j) -> list[tuple]:
@@ -1223,9 +1387,10 @@ def _cell_edges(i, j) -> list[tuple]:
 
 
 def test_certify_loop_matches_the_edge_oracle_on_any_cells():
-    # `_certify_loop` tells whether every edge of a set of cells is crossed or
-    # zero-free; on random blocks and scatters of cells of shifted lattices
-    # around seeded curves, it agrees with the Fraction Sturm oracle edge by
+    # `_certify_loops` tells whether every edge of each set of cells is
+    # crossed or zero-free; on random blocks and scatters of cells of shifted
+    # lattices around seeded curves, asked one set at a time and all of a
+    # lattice's sets at once, it agrees with the Fraction Sturm oracle edge by
     # edge, and gives both answers
     rng = random.Random(31)
     answers = []
@@ -1235,42 +1400,53 @@ def test_certify_loop_matches_the_edge_oracle_on_any_cells():
             lattice = _box_lattice(box, res, shift)
             n = lattice[-1]
             lines, expected = _lattice_lines(f, lattice), _oracle_edge_answers(f, lattice)
+            loops, wants = [], []
             for _ in range(30):
                 i, j, w, h = rng.randrange(n), rng.randrange(n), rng.randint(1, 6), rng.randint(1, 6)
                 cells = {(a, b) for a in range(i, min(i + w, n)) for b in range(j, min(j + h, n))}
                 cells |= {(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 3))}
                 keys = {key for c in cells for key in _cell_edges(*c)}
                 want = all(not _ends_agree(lines, *key) or expected[key] for key in keys)
-                assert realtopo._certify_loop(cells, lines) == want, (degree, box, sorted(cells))
-                answers.append(want)
+                assert realtopo._certify_loops([cells], lines) == [want], (degree, box, sorted(cells))
+                loops.append(cells)
+                wants.append(want)
+            assert realtopo._certify_loops(loops, _lattice_lines(f, lattice)) == wants, (degree, box)
+            answers += wants
     assert 0 < sum(answers) < len(answers)
 
 
-def test_a_line_whose_sign_changes_reach_the_degree_builds_no_chain(monkeypatch):
-    built, counted = [], []
-    descartes = realtopo._descartes
+def test_edges_the_float_test_proves_build_no_chain(monkeypatch):
+    built, asked = [], []
+    floats = _LatticeLines.float_proofs
 
     def spy_chain(c):
         built.append(list(c))
         return sturm_counter(c)
 
-    def spy_descartes(c, lo, hi):
-        counted.append(list(c))
-        return descartes(c, lo, hi)
+    def spy_floats(self, kind, line, k):
+        proven = floats(self, kind, line, k)
+        asked.extend(zip([kind] * len(line), line.tolist(), k.tolist(), proven.tolist()))
+        return proven
 
     monkeypatch.setattr(realtopo, "sturm_counter", spy_chain)
-    monkeypatch.setattr(realtopo, "_descartes", spy_descartes)
+    monkeypatch.setattr(_LatticeLines, "float_proofs", spy_floats)
     lattice = _box_lattice(Box.square(2), 8, 0)  # nodes at k/2 - 5/2 on both axes
     lines = _lattice_lines(x**2 + y**2 - const2("6/5"), lattice)
     # y = 1/2, 1 (j = 6, 7) and x = -1/2, 0 (i = 4, 5) each cross the circle
-    # twice: S = 2 = degree on all four sides of the cell (4, 6)
-    assert lines.changes["h"][6] == lines.changes["h"][7] == lines.changes["v"][4] == lines.changes["v"][5] == 2
-    assert realtopo._certify_loop({(4, 6)}, lines)
-    assert built == counted == []
-    # y = 3/2, 2 (j = 8, 9) miss the circle: S = 0 < 2, and their stretches
-    # go to the prover, while x = -1, -1/2 (i = 3, 4) still need nothing
-    assert realtopo._certify_loop({(3, 8)}, lines)
-    assert counted == [lines.rows["h"][8], lines.rows["h"][9]]
+    # twice, and it passes through the cell (4, 6) across its top and left
+    # sides: those are never asked, and the float test proves the other two,
+    # so no row is read
+    assert _sign_changes(lines.signs[6]) == _sign_changes(lines.signs[7]) == 2
+    assert _sign_changes(lines.signs[:, 4]) == _sign_changes(lines.signs[:, 5]) == 2
+    assert realtopo._certify_loops([{(4, 6)}], lines) == [True]
+    assert sorted(asked) == [("h", 6, 4, True), ("v", 5, 6, True)]
+    assert built == [] and lines.rows["h"]._built == lines.rows["v"]._built == {}
+    # the cell (3, 8) outside the circle, and (5, 6), which it crosses at its
+    # top and right sides: the uncrossed sides are proven by floats
+    asked.clear()
+    assert realtopo._certify_loops([{(3, 8)}, {(5, 6)}], lines) == [True, True]
+    assert all(proven for *_, proven in asked) and ("v", 6, 6, True) not in asked
+    assert len(asked) == 4 + 2 and built == []
 
 
 def test_a_box_that_cuts_an_oval_keeps_the_oracle_answers():
@@ -1296,7 +1472,7 @@ def test_a_box_that_cuts_an_oval_keeps_the_oracle_answers():
             inside = count_real_roots(coeffs, lo, hi)
             ks, keys = _uncrossed_edges(lines, kind, line)
             # the stretch of all the line's uncrossed edges counts only the roots inside it
-            proven = bool(ks) and lines.edges_are_zero_free(kind, line, ks)
+            proven = bool(ks) and all(_zero_free(lines, kind, line, ks))
             assert proven == (bool(ks) and all(answers[key] for key in keys)), (kind, line)
             cut += proven and 0 < inside < count_real_roots(coeffs)
     assert cut > 0

@@ -82,7 +82,7 @@ def test_compare_prints_seconds_per_job_kind(replay, tmp_path, capsys):
         "quartic-4-ovals": ["0.000", "|", "0.750"],
     }
     assert "seconds per job kind, a.json | b.json:" in out
-    assert replay.kind_seconds(a_rows) == {"ovals": 0.75, "nodal": 0.5, "paper-suite": 0.5, "certify": 1.0}
+    assert replay.seconds_by(a_rows, replay.job_kind) == {"ovals": 0.75, "nodal": 0.5, "paper-suite": 0.5, "certify": 1.0}
 
 
 def test_compare_prints_seconds_per_command(replay, tmp_path, capsys):
@@ -105,7 +105,7 @@ def test_compare_prints_seconds_per_command(replay, tmp_path, capsys):
         "euler-check": ["0.000", "|", "0.750"],
         "paper-suite": ["0.000", "|", "2.000"],
     }
-    assert replay.command_seconds(b_rows) == {"classify": 0.625, "euler-check": 0.75, "paper-suite": 2.0}
+    assert replay.seconds_by(b_rows, replay.job_command) == {"classify": 0.625, "euler-check": 0.75, "paper-suite": 2.0}
 
 
 @pytest.mark.parametrize(
@@ -274,13 +274,34 @@ def test_repeat_records_median_seconds_and_fails_on_unstable_hashes(replay, tmp_
     assert replay.main(["--workload", "geometry", "--repeat", "3", "--out", str(out)]) == 0
     assert calls == ["geometry"] * 3
     rows = json.loads(out.read_text(encoding="utf-8"))
-    assert [(r["id"], r["seconds"]) for r in rows] == [("ovals/1", 0.2), ("paper-suite", 2.0)]
+    assert [(r["id"], r["seconds"], r["pass_seconds"]) for r in rows] == [("ovals/1", 0.2, [0.3, 0.1, 0.2]), ("paper-suite", 2.0, [2.0, 1.0, 3.0])]
     passes[2][0] = row("ovals/1", polylines_sha="dddd")
     calls.clear()
     assert replay.main(["--workload", "geometry", "--repeat", "3"]) == 1
     assert "ovals/1: polylines_sha differ between passes" in capsys.readouterr().out
     with pytest.raises(SystemExit):
         replay.main(["--workload", "geometry", "--repeat", "0"])
+
+
+def test_compare_prints_the_pass_to_pass_spread_beside_the_median(replay, tmp_path, capsys):
+    # rows that record their seconds in every pass give each kind and command
+    # the median of its per-pass sums and their min-max; a group whose rows
+    # lack them, or record different numbers of passes, keeps its plain sum
+    a_rows = [
+        dict(row("ovals/1", seconds=0.2), command="ovals", pass_seconds=[0.3, 0.1, 0.2]),
+        dict(row("ovals/2", seconds=0.2), command="ovals", pass_seconds=[0.1, 0.4, 0.2]),
+        dict(row("certify/1", seconds=1.0), command="certify", pass_seconds=[1.0, 1.5]),
+        dict(row("certify/2", seconds=1.0), command="certify", pass_seconds=[1.0, 1.0, 1.0]),
+    ]
+    b_rows = [dict(row("ovals/1", seconds=0.25), command="ovals"), dict(row("ovals/2", seconds=0.5), command="ovals")]
+    compare(replay, tmp_path, a_rows, b_rows)
+    out = capsys.readouterr().out
+    assert replay.pass_sums(a_rows, replay.job_kind) == {"ovals": [0.4, 0.5, 0.4]}
+    assert table(out, "seconds per job kind") == {
+        "certify": ["2.000", "|", "0.000"],
+        "ovals": ["0.400", "[0.400-0.500]", "|", "0.750"],
+    }
+    assert table(out, "seconds per command")["ovals"] == ["0.400", "[0.400-0.500]", "|", "0.750"]
 
 
 def test_against_alternates_the_two_trees_and_compares_their_medians(replay, tmp_path, monkeypatch, capsys):
@@ -308,8 +329,8 @@ def test_against_alternates_the_two_trees_and_compares_their_medians(replay, tmp
     out_text = capsys.readouterr().out
     assert "ovals/1: polylines_sha cccc -> eeee" in out_text
     assert table(out_text, "seconds per job kind, rows.against.json | rows.json") == {
-        "ovals": ["0.300", "|", "0.300"],
-        "paper-suite": ["1.000", "|", "1.000"],
+        "ovals": ["0.300", "[0.200-0.400]", "|", "0.300", "[0.100-0.500]"],
+        "paper-suite": ["1.000", "[1.000-1.000]", "|", "1.000", "[1.000-1.000]"],
     }
     monkeypatch.setattr(replay, "child_pass", lambda workload, src, work: [row("ovals/1")])
     assert replay.main(argv[:-4] + ["--out", str(out)]) == 0  # one pass each, identical rows

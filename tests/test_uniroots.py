@@ -19,7 +19,6 @@ from foltools.uniroots import (
     _P,
     _I_MOD_P,
     _as_gaussian_rational,
-    _descartes,
     _gi_primitive,
     _gi_quotient,
     _gi_vanishes,
@@ -272,47 +271,6 @@ def test_sturm_counts():
     assert count_real_roots(c, Fraction(3), None) == 0
     # repeated roots counted once
     assert count_real_roots([1, -2, 1]) == 1
-
-
-def _int_poly_from_roots(roots: list[int], tail: list[int]) -> list[int]:
-    """tail * prod (x - r) over the integer list roots, low to high."""
-    c = list(tail)
-    for r in roots:
-        c = [a - r * b for a, b in zip([0] + c, c + [0])]
-    return c
-
-
-def test_descartes_bounds_the_roots_in_an_interval_with_their_parity():
-    # on random integer polynomials and intervals with nonzero ends, the
-    # count is at least the number of distinct roots that Sturm finds there,
-    # and for a squarefree polynomial of the same parity; on products of
-    # known integer roots, repeated ones too, and a factor x^2 + k with no
-    # real root, it is at least the roots counted with multiplicity, again
-    # of the same parity
-    rng = random.Random(2027)
-    exact = 0
-    for _ in range(600):
-        c = [rng.randint(-30, 30) for _ in range(rng.randint(1, 9))]
-        lo = rng.randint(-12, 11)
-        hi = rng.randint(lo + 1, 13)
-        if not any(c) or ueval(c, lo) == 0 or ueval(c, hi) == 0:
-            continue
-        v, roots = _descartes(c, lo, hi), count_real_roots(c, Fraction(lo), Fraction(hi))
-        assert v >= roots, (c, lo, hi)
-        if len(_int_sturm_chain(utrim(list(c)))[-1]) == 1:
-            assert (v - roots) % 2 == 0, (c, lo, hi)
-        exact += v == roots
-    assert exact > 300
-    for _ in range(300):
-        roots = [rng.randint(-6, 6) for _ in range(rng.randint(0, 5))]
-        c = _int_poly_from_roots(roots, [rng.randint(1, 9), 0, rng.randint(1, 9)])
-        lo = rng.randint(-8, 5) * 2 + 1  # odd ends are never roots
-        hi = lo + 2 * rng.randint(1, 6)
-        inside = sum(lo < r < hi for r in roots)
-        v = _descartes(c, lo, hi)
-        assert v >= inside and (v - inside) % 2 == 0, (roots, lo, hi)
-    assert _descartes([1, -2, 1], 0, 2) == 2 and _descartes([1, -2, 1], 2, 5) == 0  # (x - 1)^2
-    assert _descartes([5], -3, 4) == 0
 
 
 def test_udivmod_and_gcd():

@@ -23,7 +23,7 @@ from foltools.realtopo import (
     _LatticeLines,
     _box_lattice,
     _cases,
-    _certify_loop,
+    _certify_loops,
     _sign_grid,
     default_box,
 )
@@ -206,11 +206,10 @@ def mesh(f, box=None, resolution: int = 256) -> tuple:
     warnings.extend(mesher.warnings)
     if open_chains:
         warnings.append(f"{open_chains} open chain(s) reached the search boundary")
-    lines = _LatticeLines(f, lattice, signs, rows)
+    proven = _certify_loops([cells for _, cells in loops], _LatticeLines(f, lattice, signs, rows))
     ovals = []
-    for chain, cells in loops:
+    for (chain, cells), ok in zip(loops, proven):
         verts = [mesher.vertex_pos[k] for k in chain]
-        ok = not any(c in mesher.uncertified_cells for c in cells) and _certify_loop(cells, lines)
-        ovals.append((verts, ok))
+        ovals.append((verts, ok and not any(c in mesher.uncertified_cells for c in cells)))
     ovals.sort(key=lambda o: (min(v[0] for v in o[0]), min(v[1] for v in o[0])))
     return ovals, warnings, open_chains

@@ -17,9 +17,9 @@ moves only the digits of D, T and the residuals keeps it, and wall seconds;
 each row also records its command (the CLI subcommand, argv[0]).  A last
 row, `paper-suite`, runs `paper-suite --report` and hashes its stdout and
 the JSON report it writes.  `--repeat N` runs the whole job list N times
-and records each job's median seconds; it exits 1, naming the jobs, if a
-job's exit code or hashes differ between passes.  `--out` also writes the
-rows as JSON.
+and records each job's median seconds and its seconds in every pass
+(`pass_seconds`); it exits 1, naming the jobs, if a job's exit code or
+hashes differ between passes.  `--out` also writes the rows as JSON.
 
 The second form replays two trees: it runs the passes of the `--against`
 tree and of `--src` alternately, each pass in a child process of its own
@@ -41,7 +41,10 @@ command in both files, and exits 1 if a job differs, so a
 change that must keep output byte-identical can be checked by replaying the
 parent's tree and the change's tree, and its time moves show per kind and
 per command (every `algebra` pool job has the kind `algebra`, whichever
-command it runs).
+command it runs).  Where every row of a kind or command records the same
+number of passes (two or more), it prints the median of that group's
+per-pass sums and their min-max beside it, so a move inside the
+pass-to-pass spread reads as noise.
 
 Every form exits 141 (128 + SIGPIPE) without a traceback when its stdout
 is closed early, as in `... --compare A.json B.json | head -1`.
@@ -213,7 +216,8 @@ def median_rows(passes: list[list[dict]]) -> tuple[list[dict], int]:
         if moved := [k for k in FIELDS if len({r.get(k) for r in same}) > 1]:
             print(f"{same[0]['id']}: {', '.join(moved)} differ between passes")
             unstable += 1
-        rows.append(dict(same[0], seconds=round(statistics.median(r["seconds"] for r in same), 4)))
+        seconds = [r["seconds"] for r in same]
+        rows.append(dict(same[0], seconds=round(statistics.median(seconds), 4), pass_seconds=seconds))
     return rows, unstable
 
 
@@ -233,17 +237,29 @@ def compare(a_path: Path, b_path: Path) -> int:
         differ += 1
     if float_only:
         print(f"{float_only} certify rows differ in float digits only")
-    for title, seconds in (("job kind", kind_seconds), ("command", command_seconds)):
-        sums_a, sums_b = seconds(a.values()), seconds(b.values())
+    for title, key in (("job kind", job_kind), ("command", job_command)):
+        columns = [_group_seconds(rows.values(), key) for rows in (a, b)]
         print(f"seconds per {title}, {a_path.name} | {b_path.name}:")
-        for name in sorted(sums_a.keys() | sums_b.keys()):
-            print(f"  {name:<26} {sums_a.get(name, 0.0):8.3f} | {sums_b.get(name, 0.0):8.3f}")
+        for name in sorted(columns[0].keys() | columns[1].keys()):
+            print(f"  {name:<26} " + " | ".join(column.get(name, f"{0.0:8.3f}") for column in columns))
     time_a, time_b = (sum(r["seconds"] for r in rows.values()) for rows in (a, b))
     print(f"{differ} of {len(a.keys() | b.keys())} job(s) differ; {time_a:.1f} s -> {time_b:.1f} s")
     return 1 if differ else 0
 
 
-def _seconds_by(rows, key) -> dict[str, float]:
+def job_kind(r) -> str:
+    """The job kind, the id up to its first "/" (`ovals`, `certify`, a named
+    job's name, `paper-suite`)."""
+    return r["id"].split("/", 1)[0]
+
+
+def job_command(r) -> str:
+    """The CLI command; rows written before commands were recorded read "-"."""
+    return r.get("command", "-")
+
+
+def seconds_by(rows, key) -> dict[str, float]:
+    """Summed wall seconds per group, `key` naming each row's group."""
     out: dict[str, float] = {}
     for r in rows:
         name = key(r)
@@ -251,16 +267,27 @@ def _seconds_by(rows, key) -> dict[str, float]:
     return out
 
 
-def kind_seconds(rows) -> dict[str, float]:
-    """Summed wall seconds per job kind, the id up to its first "/"
-    (`ovals`, `certify`, a named job's name, `paper-suite`)."""
-    return _seconds_by(rows, lambda r: r["id"].split("/", 1)[0])
+def pass_sums(rows, key) -> dict[str, list[float]]:
+    """Each group's summed seconds in every pass, for the groups whose rows
+    all record the same number of passes, two or more."""
+    groups: dict[str, list] = {}
+    for r in rows:
+        groups.setdefault(key(r), []).append(r.get("pass_seconds") or [])
+    return {
+        name: [sum(p) for p in zip(*lists)]
+        for name, lists in groups.items()
+        if len({len(seconds) for seconds in lists}) == 1 and len(lists[0]) > 1
+    }
 
 
-def command_seconds(rows) -> dict[str, float]:
-    """Summed wall seconds per CLI command; rows written before commands
-    were recorded group under "-"."""
-    return _seconds_by(rows, lambda r: r.get("command", "-"))
+def _group_seconds(rows, key) -> dict[str, str]:
+    """The --compare column of each group: the median of its per-pass sums
+    and their min-max where `pass_sums` has them, else its summed seconds."""
+    rows = list(rows)
+    out = {name: f"{total:8.3f}" for name, total in seconds_by(rows, key).items()}
+    for name, sums in pass_sums(rows, key).items():
+        out[name] = f"{statistics.median(sums):8.3f} [{min(sums):.3f}-{max(sums):.3f}]"
+    return out
 
 
 def main(argv=None) -> int:
