@@ -75,14 +75,33 @@ def _unscaled_period(T: float, e: int) -> float:
     return T
 
 
+def _hypot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sqrt(a^2 + b^2) elementwise, with np.hypot's range at a fraction of
+    its cost (np.hypot takes several times as long as this square root of a
+    sum of squares, and the quadrature calls it on every midpoint).
+
+    When the largest magnitude in the arrays is outside [2^-500, 2^500),
+    both are scaled by the power of two 2^-e that brings it into [1/2, 1)
+    and the result by 2^e; a power-of-two scale is exact, so it moves no
+    digit, and no square overflows.  An element more than 2^500 below the
+    largest may lose digits to underflow, where np.hypot would keep them.
+    """
+    top = max(np.max(np.abs(a), initial=0.0), np.max(np.abs(b), initial=0.0))
+    e = math.frexp(top)[1] if math.isfinite(top) else 0
+    if -500 < e < 500:
+        return np.sqrt(a * a + b * b)
+    a, b = np.ldexp(a, -e), np.ldexp(b, -e)
+    return np.ldexp(np.sqrt(a * a + b * b), e)
+
+
 def _midpoint_sums(div_ev, fx_ev, fy_ev, pts: np.ndarray) -> tuple[float, float]:
     """Midpoint-rule D = sum div * dt and T = sum dt along a closed polyline,
     an (n, 2) array."""
     mx, my = (0.5 * (pts[:-1] + pts[1:])).T
-    speed = np.hypot(fx_ev(mx, my), fy_ev(mx, my))
+    speed = _hypot(fx_ev(mx, my), fy_ev(mx, my))
     if (speed < 1e-12).any():
         raise DegenerateInput("vector field vanishes on the oval; not a periodic orbit")
-    dt = np.hypot(*np.diff(pts, axis=0).T) / speed
+    dt = _hypot(*np.diff(pts, axis=0).T) / speed
     return float(np.sum(div_ev(mx, my) * dt)), float(np.sum(dt))
 
 
@@ -115,7 +134,7 @@ def divergence_integral(
     unit = Fraction(2) ** -e
     px, py = field.component_x.scale(unit), field.component_y.scale(unit)
     div_ev, fx_ev, fy_ev = (_horner(p) for p in (divergence(field).scale(unit), px, py))
-    speeds = np.hypot(fx_ev(*pts.T), fy_ev(*pts.T))
+    speeds = _hypot(fx_ev(*pts.T), fy_ev(*pts.T))
     radius = float(np.max(np.abs(pts)))
     coeff_scale = sum(abs(re / part.den) * max(radius, 1.0) ** sum(exp) for part in (px, py) for exp, (re, _) in part.num.items())
     if speeds.max() < 1e-9 * coeff_scale:
@@ -164,7 +183,7 @@ def _scaled_residual(V: MultiPoly, pts) -> float:
     (`_horner_with_gradient`), so the scale of V does not matter."""
     x, y = np.asarray(pts, dtype=np.float64).reshape(-1, 2).T
     v, gx, gy = _horner_with_gradient(V)(x, y)
-    return float(np.max(np.abs(v) / np.fmax(1.0, np.hypot(gx, gy)), initial=0.0))
+    return float(np.max(np.abs(v) / np.fmax(1.0, _hypot(gx, gy)), initial=0.0))
 
 
 def location_check(

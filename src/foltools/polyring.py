@@ -17,7 +17,7 @@ import itertools
 from fractions import Fraction
 from functools import reduce
 from math import comb, gcd
-from operator import add, sub
+from operator import add, mul, sub
 from types import MappingProxyType
 from typing import Iterable
 
@@ -290,17 +290,22 @@ class MultiPoly:
 def _specialize(p: MultiPoly, var: int, ws: list[GInt], d: int) -> tuple[int, list[GInt]]:
     """p with each variable v but `var` set to ws[v] / d: (den, numerators of
     the coefficients in `var`, low to high); var = -1 sets every variable."""
-    pows = [list(itertools.accumulate([w] * p.degree_in(v), gi_mul, initial=(1, 0))) for v, w in enumerate(ws)]
+    pows = [list(itertools.accumulate([w] * p.degree_in(v), gi_mul, initial=(1, 0))) if v != var else None for v, w in enumerate(ws)]
     top = max((sum(e) - (e[var] if var >= 0 else 0) for e in p.num), default=0)
-    out = [(0, 0)] * (p.degree_in(var) + 1 if var >= 0 else 1)
-    for exp, u in p.num.items():
-        k = exp[var] if var >= 0 else 0
+    scale = [d**j for j in range(top + 1)]  # a term of degree s in the set variables takes d^(top - s)
+    size = p.degree_in(var) + 1 if var >= 0 else 1
+    re, im = [0] * size, [0] * size
+    for exp, (ur, ui) in p.num.items():
+        k, j = (exp[var] if var >= 0 else 0), top
         for v, e in enumerate(exp):
             if e and v != var:
-                u = gi_mul(u, pows[v][e])
-        s = d ** (top - sum(exp) + k)
-        out[k] = (out[k][0] + u[0] * s, out[k][1] + u[1] * s)
-    return p.den * d**top, out
+                wr, wi = pows[v][e]
+                ur, ui, j = ur * wr - ui * wi, ur * wi + ui * wr, j - e
+        if d != 1:
+            ur, ui = ur * scale[j], ui * scale[j]
+        re[k] += ur
+        im[k] += ui
+    return p.den * scale[top], list(zip(re, im))
 
 
 def homogenize(f: MultiPoly, n: int) -> MultiPoly:
@@ -329,25 +334,32 @@ def dehomogenize(F: MultiPoly, var: int = 2) -> MultiPoly:
 def exact_divide(a: MultiPoly, b: MultiPoly) -> MultiPoly | None:
     """Return q with a = q*b exactly, or None when b does not divide a.
 
-    Leading-term division in graded-lex order; with lb = g * l0 b's leading
-    numerator, 1 / lb = conj(l0) / (g |l0|^2), so every step is in integers.
+    Leading-term division in graded-lex order of a's numerators by b's, in
+    Q(i) scalars: a = A / da and b = B / db give q = (A / B) * db / da.
     """
     if b.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
     a._check_arity(b)
     lb_exp = max(b.num, key=_grlex_key)
-    br, bi = b.num[lb_exp]
-    g = gcd(br, bi)
-    w, n = (br // g * b.den, -bi // g * b.den), (br * br + bi * bi) // g
-    quotient, rem = MultiPoly.zero(a.arity), a
+    inv = from_gint(b.num[lb_exp]).inverse()
+    rest = [(e, from_gint(u)) for e, u in b.num.items() if e != lb_exp]
+    rem = {e: from_gint(u) for e, u in a.num.items()}
+    quotient = {}
     while rem:
-        lr_exp = max(rem.num, key=_grlex_key)
+        lr_exp = max(rem, key=_grlex_key)
         qe = tuple(map(sub, lr_exp, lb_exp))
         if min(qe) < 0:
             return None
-        term = MultiPoly._of(a.arity, rem.den * n, {qe: gi_mul(rem.num[lr_exp], w)})
-        quotient, rem = quotient + term, rem - term * b
-    return quotient
+        c = quotient[qe] = rem.pop(lr_exp) * inv
+        for e, u in rest:
+            k = tuple(map(add, qe, e))
+            v = rem.get(k, ZERO) - c * u
+            if v:
+                rem[k] = v
+            else:
+                del rem[k]
+    den, nums = lift(quotient.values())
+    return MultiPoly._of(a.arity, den * a.den, {e: (x * b.den, y * b.den) for e, (x, y) in zip(quotient, nums)})
 
 
 def leading_form(f: MultiPoly) -> MultiPoly:
@@ -405,11 +417,12 @@ def _coprime_images(a: MultiPoly, b: MultiPoly, variables: Iterable[int]) -> boo
     return True
 
 
-def _y_rows(p: MultiPoly) -> list[list[GInt]]:
-    """The coefficients of affine p in y, low to high, each as its Z[i] numerator list in x."""
-    rows = [[(0, 0)] * (p.degree_in(0) + 1) for _ in range(p.degree_in(1) + 1)]
-    for (i, j), u in p.num.items():
-        rows[j][i] = u
+def _rows(p: MultiPoly, var: int) -> list[list[GInt]]:
+    """The coefficients of affine p in `var`, low to high, each as its Z[i] numerator list in the other variable."""
+    other = 1 - var
+    rows = [[(0, 0)] * (p.degree_in(other) + 1) for _ in range(p.degree_in(var) + 1)]
+    for exp, u in p.num.items():
+        rows[exp[var]][exp[other]] = u
     return rows
 
 
@@ -430,7 +443,7 @@ def _evaluation_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     deg_y G, so H = G.  Otherwise each image kept had too high a degree,
     which only finitely many t give.
     """
-    rows_a, rows_b = _y_rows(a), _y_rows(b)
+    rows_a, rows_b = _rows(a, 1), _rows(b, 1)
     content = _univariate(reduce(ugcd, rows_a + rows_b, []), 2, 0)  # gcd(ca, cb)
     gamma = ugcd(rows_a[-1], rows_b[-1])
     need = udeg(gamma) + min(a.degree_in(0), b.degree_in(0)) + 1
@@ -450,7 +463,7 @@ def _evaluation_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
         if len(ts) == need:
             parts = [(_interpolate_at(ts, [v[k].re for v in images]), _interpolate_at(ts, [v[k].im for v in images])) for k in range(size)]
             h = MultiPoly(2, {(i, k): GaussianRational(r, s) for k, (re, im) in enumerate(parts) for i, (r, s) in enumerate(zip(re, im))})
-            h = exact_divide(h, _univariate(reduce(ugcd, _y_rows(h), []), 2, 0))
+            h = exact_divide(h, _univariate(reduce(ugcd, _rows(h, 1), []), 2, 0))
             if exact_divide(a, h) is not None and exact_divide(b, h) is not None:
                 return content * h
             size, ts, images = size - 1, [], []
@@ -598,20 +611,63 @@ def _interpolate_at(ts: list[int], values: list[Fraction]) -> list[Fraction]:
     return _from_newton(newton, ts)
 
 
+def _gi_add(u: GInt, v: GInt) -> GInt:
+    return (u[0] + v[0], u[1] + v[1])
+
+
+def _gi_sub(u: GInt, v: GInt) -> GInt:
+    return (u[0] - v[0], u[1] - v[1])
+
+
+def _hybrid_bezout(a: list, b: list, zero=0, mul=mul, add=add, sub=sub) -> list[list]:
+    """The hybrid Bezout matrix of a(z) = sum a[i] z^i and b(z) = sum b[l] z^l,
+    m = len(a) - 1 >= n = len(b) - 1 >= 1, over the ring of `zero`, `mul`,
+    `add` and `sub` (the integers by default).
+
+    Row k < m - n holds z^k b(z); then row t < n holds the coefficients of
+    s^t in the Bezoutian (a(s) b(z) - a(z) b(s)) / (s - z); column u holds
+    the coefficients of z^u, u < m.  Its rows of s^t with t >= n are
+    combinations of the rows z^k b(z), which is why they are replaced.
+    """
+    m, n = len(a) - 1, len(b) - 1
+    rows = [[zero] * k + b + [zero] * (m - n - 1 - k) for k in range(m - n)]
+    bez = [[zero] * m for _ in range(n)]
+    b = b + [zero] * (m - n)
+    for l in range(n):
+        for i in range(l + 1, m + 1):
+            # (a_i b_l - a_l b_i)(s^i z^l - s^l z^i) / (s - z) = that times the sum over t = l..i-1 of s^t z^(i+l-1-t)
+            c = sub(mul(a[i], b[l]), mul(a[l], b[i]))
+            for t in range(l, min(i, n)):
+                row = bez[t]
+                row[i + l - 1 - t] = add(row[i + l - 1 - t], c)
+    return rows + bez
+
+
 def resultant(a: MultiPoly, b: MultiPoly, var: int) -> list[GInt]:
     """Res_var(a, b) of two affine polynomials as a polynomial in the other
     variable: its trimmed Z[i] numerators, low to high, up to a positive
     scalar, the form `uniroots` takes.
 
-    Collins' evaluation method without primes: the Sylvester determinant of
-    the numerators sa*a and sb*b (sa, sb the denominators) is taken by
-    Bareiss elimination at t = 0, 1, ... in the other variable, one point
-    more than a bound on the resultant's degree, and interpolated exactly.
-    Each Sylvester entry is one column of numerators in the other variable,
-    evaluated by Horner's rule; with real inputs the rows are integers and
-    the determinant is `_int_det`, otherwise `_gi_det` over Z[i].
-    Evaluation commutes with the determinant, so a leading coefficient that
-    vanishes at a point does no harm.
+    Collins' evaluation method without primes: the determinant of the
+    numerators sa*a and sb*b (sa, sb the denominators) is taken by Bareiss
+    elimination at t = 0, 1, ... in the other variable, one point more than
+    a bound on the resultant's degree, and interpolated exactly.  The matrix
+    is the hybrid Bezout matrix (`_hybrid_bezout`), max(da, db) square
+    instead of the (da + db)-square Sylvester matrix; for m = deg a >= n =
+    deg b, taken as formal degrees,
+
+        det Bez(a, b) = (-1)^(n(n-1)/2) Res(a, b),  Res(b, a) = (-1)^(mn) Res(a, b),
+
+    so the inputs are ordered by degree and the sign restored, and the list
+    is the one the Sylvester determinant gives.  At each point the
+    coefficients in `var`, numerator lists in the other variable, are
+    evaluated by Horner's rule and the matrix is built from their values
+    (an entry of the Bezoutian is a sum of 2x2 minors a_i b_l - a_l b_i, so
+    building it from values costs less than evaluating it as a polynomial
+    of twice the degree); with real inputs the values are integers and the
+    determinant is `_int_det`, otherwise `_gi_det` over Z[i].  Both
+    identities hold for every value of the coefficients, so a leading
+    coefficient that vanishes at a point does no harm.
     """
     if a.arity != 2 or b.arity != 2:
         raise ValueError("resultant takes affine (arity-2) polynomials")
@@ -625,34 +681,24 @@ def resultant(a: MultiPoly, b: MultiPoly, var: int) -> list[GInt]:
         return [(1, 0)]
     if da == 0 or db == 0:
         return _specialize_keeping(a**db if da == 0 else b**da, other, [ZERO, ZERO])
-
-    def columns(p: MultiPoly) -> list[tuple[list[int], list[int]]]:
-        """p's coefficients in `var`, highest first, as real and imaginary numerator lists in `other`."""
-        width = p.degree_in(var)
-        cols = [[(0, 0)] * (p.degree_in(other) + 1) for _ in range(width + 1)]
-        for exp, u in p.num.items():
-            cols[width - exp[var]][exp[other]] = u
-        return [([u[0] for u in col], [u[1] for u in col]) for col in cols]
-
-    def entries(cols: list[tuple[list[int], list[int]]], t: int) -> list:
-        """The columns' values at t: integers when `real`, else Z[i] pairs."""
-        return [ueval(re, t) if real else (ueval(re, t), ueval(im, t)) for re, im in cols]
-
-    # A Sylvester entry a_e has total degree at most deg(a) - e, which bounds
-    # the resultant's total degree by db*deg(a) + da*deg(b) - da*db.
+    # An entry a_e of the Sylvester matrix (a's coefficients, highest first)
+    # has total degree at most deg(a) - e, which bounds the resultant's total
+    # degree by db*deg(a) + da*deg(b) - da*db.
     total = db * int(a.degree) + da * int(b.degree) - da * db
     size = min(da * b.degree_in(other) + db * a.degree_in(other), total) + 1
     real = a.has_real_coefficients() and b.has_real_coefficients()
-    zero = 0 if real else (0, 0)
-    det = _int_det if real else _gi_det
-    ca, cb = columns(a), columns(b)
+    sign = 1
+    if da < db:  # Res(b, a) = (-1)^(da db) Res(a, b)
+        a, b, da, db, sign = b, a, db, da, (-1) ** (da * db)
+    sign *= (-1) ** (db * (db - 1) // 2)
+    ca, cb = ([([u[0] for u in c], [u[1] for u in c]) for c in _rows(p, var)] for p in (a, b))
     dets = []
     for t in range(size):
-        ea, eb = entries(ca, t), entries(cb, t)
-        # row i of a's block holds a's coefficients, highest first, from column i
-        rows = [[zero] * i + ea + [zero] * (db - 1 - i) for i in range(db)]
-        rows += [[zero] * i + eb + [zero] * (da - 1 - i) for i in range(da)]
-        dets.append(det(rows))
+        if real:
+            dets.append(_int_det(_hybrid_bezout([ueval(re, t) for re, _ in ca], [ueval(re, t) for re, _ in cb])))
+        else:
+            at, bt = ([(ueval(re, t), ueval(im, t)) for re, im in c] for c in (ca, cb))
+            dets.append(_gi_det(_hybrid_bezout(at, bt, (0, 0), gi_mul, _gi_add, _gi_sub)))
     if real:
-        return utrim([(c, 0) for c in _interpolate(dets)])
-    return utrim(list(zip(_interpolate([d[0] for d in dets]), _interpolate([d[1] for d in dets]))))
+        return utrim([(sign * c, 0) for c in _interpolate(dets)])
+    return utrim([(sign * r, sign * i) for r, i in zip(_interpolate([d[0] for d in dets]), _interpolate([d[1] for d in dets]))])

@@ -545,6 +545,14 @@ _AMBIGUOUS = (5, 10)
 _SEGMENT_ENDS = np.array([["BTLR".index(_SEGMENTS.get(p, "BB")[end]) for p in range(16)] for end in (0, 1)])
 
 
+def _unique(a: np.ndarray) -> np.ndarray:
+    """The sorted distinct values of a 1-D array, by one sort: numpy's plain
+    `np.unique` imports `numpy.ma` on its first call, which costs a short
+    `ovals` or `certify` run more than its lattice does."""
+    a = np.sort(a)
+    return a[np.concatenate(([True], a[1:] != a[:-1]))] if a.size else a
+
+
 def _cases(signs: np.ndarray) -> np.ndarray:
     """The corner sign pattern of every cell of a sign grid indexed [j][i]."""
     neg = (signs < 0).astype(np.int8)
@@ -758,11 +766,11 @@ class _Mesher:
         """The positions of compact vertex ids as a (k, 2) float array; each
         vertex is placed the first time any call asks for it, all of one
         call's new vertices of a lattice in one `_edge_points` batch."""
-        new = np.unique(vertices[~self._placed[vertices]])
+        new = _unique(vertices[~self._placed[vertices]])
         if new.size:
             ids = self.vertex_ids[new]
             which = np.searchsorted([base for base, _, _ in self.lattices], ids, side="right") - 1
-            for k in np.unique(which).tolist():
+            for k in _unique(which).tolist():
                 base, lattice, rows = self.lattices[k]
                 here = which == k
                 self._xy[new[here]] = _edge_points(rows, lattice, ids[here] - base)

@@ -971,3 +971,20 @@ def test_a_first_integral_certificate_is_pinned(eee_doc, capsys):
     # the rotation field's cofactor on the circle is zero, whose degree reads null
     assert run(["check-invariant", eee_doc, "--field", "rotation", "--curve", "circle", "--json"]) == 0
     assert capsys.readouterr().out == FIRST_INTEGRAL
+
+
+def test_ovals_and_certify_leave_numpy_ma_unimported(tmp_path):
+    # numpy's plain np.unique imports numpy.ma, which alone costs a short run
+    # more than its lattice; the mesher takes distinct values by one sort
+    doc = tmp_path / "eee.fol"
+    doc.write_text(EEE_DOC, encoding="utf-8")
+    code = (
+        "import sys\n"
+        "from foltools.cli import run\n"
+        f"codes = [run(['ovals', {str(doc)!r}, '--curve', 'circle', '--res', '64']),\n"
+        f"         run(['certify', {str(doc)!r}, '--field', 'eee', '--curve', 'circle', '--res', '64'])]\n"
+        "print(codes, 'numpy.ma' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(foltools.__file__).resolve().parent.parent))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.stdout.splitlines()[-1] == "[0, 0] False", proc.stdout + proc.stderr

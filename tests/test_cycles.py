@@ -9,6 +9,7 @@ from foltools import cycles
 from foltools.construct import eee_system
 from foltools.cycles import (
     CycleCertificate,
+    _hypot,
     _midpoint_sums,
     _require_real,
     certify_cycle,
@@ -255,3 +256,22 @@ def test_orbit_cross_validation(circle_polyline, eee_circle):
 def test_orbit_blowup_detection(eee_circle):
     with pytest.raises(DegenerateInput):
         integrate_orbit(eee_circle, (50.0, 50.0), 10.0, step=1e-3)
+
+
+def test_hypot_keeps_the_range_of_np_hypot():
+    rng = np.random.default_rng(39)
+    a, b = rng.normal(size=2000), rng.normal(size=2000)
+    b[:10] = 0.0
+    for scale in (1.0, 1e300, 1e-300, 2.0**1000, 2.0**-1000, 1e150, 1e-150):
+        got, want = _hypot(a * scale, b * scale), np.hypot(a * scale, b * scale)
+        assert np.all(np.isfinite(got)) and np.all(got > 0)
+        assert np.all(np.abs(got - want) <= np.spacing(want)), scale  # within one ulp
+    # the power-of-two scale is exact: the same digits at every exponent
+    for k in (-1000, -600, 600, 1000):
+        assert np.array_equal(_hypot(np.ldexp(a, k), np.ldexp(b, k)), np.ldexp(_hypot(a, b), k))
+    # the squares of 1e300 overflow and those of 1e-300 underflow; hypot's do not
+    big, small = np.array([1e300, 3e300]), np.array([1e-300, 4e-300])
+    assert np.allclose(_hypot(big, big[::-1]), np.hypot(big, big[::-1]), rtol=1e-15, atol=0)
+    assert np.allclose(_hypot(small, small), np.hypot(small, small), rtol=1e-15, atol=0)
+    assert _hypot(np.array([]), np.array([])).size == 0
+    assert _hypot(np.array([np.inf, 0.0]), np.array([1.0, 0.0])).tolist() == [np.inf, 0.0]

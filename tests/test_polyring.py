@@ -423,8 +423,25 @@ def _sylvester_bareiss(a, b, var):
     return m[n - 1][n - 1] if sign > 0 else -m[n - 1][n - 1]
 
 
+def _numerators(p):
+    """p times its denominator: the polynomial whose coefficients are p's Z[i] numerators."""
+    return MultiPoly._of(p.arity, 1, dict(p.num))
+
+
+def _shaped(rng, deg, var, lc, complex_):
+    """c_0 + c_1 v + ... + lc v^deg in v = the variable `var`, integer c_k
+    (Gaussian when complex_); only lc depends on the other variable."""
+    v = x if var == 0 else y
+
+    def c():
+        return const2(gr(rng.randint(-3, 3), rng.randint(-3, 3) if complex_ else 0))
+
+    return sum((c() * v**k for k in range(deg)), lc * v**deg)
+
+
 @pytest.mark.parametrize("arity,var", [(2, 0), (2, 1)])
 def test_resultant_matches_sylvester_bareiss(arity, var):
+    # the list is the Sylvester determinant of the numerators itself, not a multiple of it
     rnd = random.Random(31 + 7 * arity + var)
     checked = 0
     while checked < 25:
@@ -432,8 +449,28 @@ def test_resultant_matches_sylvester_bareiss(arity, var):
         b = random_poly(rnd, arity=arity, max_degree=3, nonzero=True)
         if a.degree_in(var) < 1 or b.degree_in(var) < 1:
             continue
-        _assert_positive_multiple(resultant(a, b, var), _oracle_list(a, b, var))
+        assert resultant(a, b, var) == _oracle_list(_numerators(a), _numerators(b), var)
         checked += 1
+    # every formal-degree pair 1 <= db <= da <= 8 in one of the two variables, in
+    # both orders, so the Bezout sign law (-1)^(n(n-1)/2) and the swap sign
+    # (-1)^(mn) are both exercised; a's leading coefficient vanishes at the grid
+    # points t = 0 and 2, and so does b's when 3 divides db
+    w = y if var == 0 else x
+    vanishing = w * (w - const2(2))
+    kinds = Counter()
+    for da, db in itertools.combinations_with_replacement(range(1, 9), 2):
+        da, db = db, da
+        if (da + db) % 2 != var:
+            continue
+        complex_ = da % 2 == 0
+        a = _shaped(rnd, da, var, vanishing, complex_)
+        b = _shaped(rnd, db, var, vanishing if db % 3 == 0 else const2(2), complex_)
+        assert (a.degree_in(var), b.degree_in(var), a.has_real_coefficients()) == (da, db, not complex_)
+        assert resultant(a, b, var) == _oracle_list(a, b, var), (da, db)
+        if da != db:  # equal degrees are not reordered
+            assert resultant(b, a, var) == _oracle_list(b, a, var), (db, da)
+        kinds[complex_] += 1
+    assert kinds[True] >= 6 and kinds[False] >= 6
 
 
 def _fraction_det(m):

@@ -181,7 +181,7 @@ def test_a_job_in_one_file_only_differs(replay, tmp_path, capsys):
 
 
 def test_paper_suite_row_hashes_stdout_and_report(replay, tmp_path, capsys):
-    got = replay.paper_suite_row(cli, tmp_path)
+    got = replay.run_row(cli, *replay.paper_suite_job(tmp_path))
     printed = capsys.readouterr().out
     report = (tmp_path / "paper-suite.json").read_bytes()
     assert cli.run(["paper-suite"]) == 0
@@ -305,23 +305,31 @@ def test_compare_prints_the_pass_to_pass_spread_beside_the_median(replay, tmp_pa
 
 
 def test_against_alternates_the_two_trees_and_compares_their_medians(replay, tmp_path, monkeypatch, capsys):
-    # --against DIR runs the passes of DIR and --src in turn, each through
-    # child_pass; each tree keeps its median rows, --src's go to --out and
-    # DIR's beside them, and the --compare report of the two follows
+    # --against DIR runs every job on DIR and on --src in turn, the tree that
+    # goes first alternating from job to job and from pass to pass; each tree
+    # keeps its median rows, --src's go to --out and DIR's beside them, and
+    # the --compare report of the two follows
     base_dir, src_dir = tmp_path / "parent", tmp_path / "change"
-    seconds = {base_dir: iter([0.4, 0.2, 0.3]), src_dir: iter([0.1, 0.5, 0.3])}
+    seconds = {base_dir: iter([0.4, 1.0, 0.2, 1.0, 0.3, 1.0]), src_dir: iter([0.1, 1.0, 0.5, 1.0, 0.3, 1.0])}
     calls = []
 
-    def fake_child_pass(workload, src, work):
-        calls.append((workload, src))
-        polylines = "eeee" if src == src_dir else "cccc"
-        return [row("ovals/1", polylines_sha=polylines, seconds=next(seconds[src])), row("paper-suite", seconds=1.0)]
+    class FakeTree:
+        def __init__(self, src):
+            self.src = src
 
-    monkeypatch.setattr(replay, "child_pass", fake_child_pass)
+        def run(self, job_id, argv, polylines=None, report=None):
+            calls.append((self.src.name, job_id))
+            polylines = "eeee" if self.src == src_dir else "cccc"
+            return row(job_id, polylines_sha=polylines if job_id == "ovals/1" else "-", seconds=next(seconds[self.src]))
+
+    monkeypatch.setattr(replay, "Tree", FakeTree)
+    monkeypatch.setattr(replay, "job_list", lambda workload, work: [("ovals/1", ["ovals"], None, None), ("paper-suite", ["paper-suite"], None, None)])
     out = tmp_path / "rows.json"
     argv = ["--workload", "geometry", "--src", str(src_dir), "--against", str(base_dir), "--repeat", "3", "--out", str(out)]
     assert replay.main(argv) == 1  # the polylines differ between the trees
-    assert calls == [("geometry", base_dir), ("geometry", src_dir)] * 3
+    even = [("parent", "ovals/1"), ("change", "ovals/1"), ("change", "paper-suite"), ("parent", "paper-suite")]
+    odd = [even[1], even[0], even[3], even[2]]
+    assert calls == even + odd + even
     rows = json.loads(out.read_text(encoding="utf-8"))
     base = json.loads((tmp_path / "rows.against.json").read_text(encoding="utf-8"))
     assert [(r["id"], r["polylines_sha"], r["seconds"]) for r in rows] == [("ovals/1", "eeee", 0.3), ("paper-suite", "-", 1.0)]
@@ -332,7 +340,7 @@ def test_against_alternates_the_two_trees_and_compares_their_medians(replay, tmp
         "ovals": ["0.300", "[0.200-0.400]", "|", "0.300", "[0.100-0.500]"],
         "paper-suite": ["1.000", "[1.000-1.000]", "|", "1.000", "[1.000-1.000]"],
     }
-    monkeypatch.setattr(replay, "child_pass", lambda workload, src, work: [row("ovals/1")])
+    monkeypatch.setattr(FakeTree, "run", lambda self, job_id, *rest: row(job_id))
     assert replay.main(argv[:-4] + ["--out", str(out)]) == 0  # one pass each, identical rows
     with pytest.raises(SystemExit):
         replay.main(argv[:-2])  # --against needs --out
@@ -359,12 +367,30 @@ def test_closed_stdout_exits_quietly(tmp_path):
     assert b"Traceback" not in proc.stderr and b"BrokenPipeError" not in proc.stderr
 
 
-def test_a_child_pass_that_lost_stdout_is_a_broken_pipe(replay, tmp_path, monkeypatch):
-    # --against replays each tree in a child that shares this stdout; a child
-    # that exits 141 ends the replay as a broken pipe, any other failure raises
-    codes = iter([cli.EXIT_BROKEN_PIPE, 1])
-    monkeypatch.setattr(replay.subprocess, "run", lambda argv: subprocess.CompletedProcess(argv, next(codes)))
-    with pytest.raises(BrokenPipeError):
-        replay.child_pass("geometry", tmp_path, tmp_path)
-    with pytest.raises(subprocess.CalledProcessError):
-        replay.child_pass("geometry", tmp_path, tmp_path)
+def _fake_tree(root: Path, answer: str) -> Path:
+    """A source tree whose `foltools` prints `answer` from a submodule it imports only when it runs."""
+    package = root / "foltools"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("", encoding="utf-8")
+    (package / "cli.py").write_text("def run(argv):\n    from .late import ANSWER\n    print(ANSWER, argv[0])\n    return 0\n", encoding="utf-8")
+    (package / "late.py").write_text(f"ANSWER = {answer!r}\n", encoding="utf-8")
+    return root
+
+
+def test_two_trees_run_in_one_process_each_on_its_own_modules(replay, tmp_path, monkeypatch, capsys):
+    # each tree's modules are in sys.modules only while it runs, so a module
+    # imported at run time comes from the tree that runs, on every later run too
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    saved = replay._package_modules()
+    try:
+        trees = [replay.Tree(_fake_tree(tmp_path / name, name)) for name in ("parent", "change")]
+        assert trees[0].cli is not trees[1].cli
+        expected = {name: hashlib.sha256(f"{name} ovals\n".encode()).hexdigest()[:16] for name in ("parent", "change")}
+        for tree, name in [(trees[1], "change"), (trees[0], "parent"), (trees[0], "parent"), (trees[1], "change")]:
+            assert tree.run("ovals/1", ["ovals"])["stdout_sha"] == expected[name]
+        assert trees[0].modules["foltools.late"].ANSWER == "parent"
+        assert sys.modules["foltools"] is trees[1].modules["foltools"]
+    finally:
+        for name in replay._package_modules():
+            del sys.modules[name]
+        sys.modules.update(saved)

@@ -21,13 +21,16 @@ and records each job's median seconds and its seconds in every pass
 (`pass_seconds`); it exits 1, naming the jobs, if a job's exit code or
 hashes differ between passes.  `--out` also writes the rows as JSON.
 
-The second form replays two trees: it runs the passes of the `--against`
-tree and of `--src` alternately, each pass in a child process of its own
-(both trees hold a package named `foltools`), so drift of the machine
-during the replay falls on both trees alike.  It keeps each tree's median
-rows, writes those of `--src` to `--out` and those of the `--against` tree
-beside them as `<stem>.against.json`, and prints the `--compare` report of
-the two files.
+The second form replays two trees job by job in this one process: it
+imports the `--against` tree, takes its `foltools` modules out of
+`sys.modules`, imports the `--src` tree beside it, and puts each tree's
+modules back in `sys.modules` while that tree runs (`Tree`).  Every job runs
+on both trees in turn, the tree that goes first alternating from job to job
+and from pass to pass, so drift of the machine falls on both trees alike and
+no process start or cold cache weighs on one of them.  It keeps each tree's
+median rows, writes those of `--src` to `--out` and those of the
+`--against` tree beside them as `<stem>.against.json`, and prints the
+`--compare` report of the two files.
 
 The third form lists every job whose exit code, stdout, stderr, polylines,
 certify verdict or report differ between two such files, naming the fields
@@ -62,7 +65,6 @@ import io
 import json
 import os
 import statistics
-import subprocess
 import sys
 import tempfile
 import time
@@ -71,6 +73,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as `foltools.cli.main` exits when stdout is closed early
 PERFBENCH = ROOT / "perfbench"
+PACKAGE = "foltools"
 FIELDS = ("rc", "stdout_sha", "stderr_sha", "polylines_sha", "verdict_sha", "report_sha")  # what --compare compares
 # certify payload fields that carry float digits; the verdict is everything else
 FLOAT_KEYS = frozenset(
@@ -124,6 +127,34 @@ def import_cli(src: Path):
     return cli
 
 
+def _package_modules() -> dict:
+    return {name: module for name, module in sys.modules.items() if name == PACKAGE or name.startswith(PACKAGE + ".")}
+
+
+class Tree:
+    """One source tree's `foltools`, imported beside another tree's in this process.
+
+    Importing a tree first takes every `foltools` module out of
+    `sys.modules`; `run` puts this tree's back while its job runs (a relative
+    import made at run time then finds this tree's module) and keeps any
+    module the job imported for the next run."""
+
+    def __init__(self, src: Path):
+        for name in _package_modules():
+            del sys.modules[name]
+        self.cli = import_cli(src)
+        self.modules = _package_modules()
+
+    def run(self, job_id: str, argv: list[str], polylines: Path | None = None, report: Path | None = None) -> dict:
+        for name in _package_modules():
+            del sys.modules[name]
+        sys.modules.update(self.modules)
+        try:
+            return run_row(self.cli, job_id, argv, polylines, report)
+        finally:
+            self.modules = _package_modules()
+
+
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:16]
 
@@ -152,7 +183,11 @@ def verdict_sha(stdout: str) -> str:
 
 def run_row(cli, job_id: str, argv: list[str], polylines: Path | None = None, report: Path | None = None) -> dict:
     """Run one command in this process; hash its stdout and the files it wrote
-    ("-" for a file it was not asked for or did not write)."""
+    ("-" for a file it was not asked for or did not write, so each file is
+    removed first)."""
+    for path in (polylines, report):
+        if path is not None:
+            path.unlink(missing_ok=True)
     start = time.perf_counter()
     rc, stdout, stderr = run_cli(cli, argv)
     seconds = time.perf_counter() - start
@@ -175,36 +210,42 @@ def run_row(cli, job_id: str, argv: list[str], polylines: Path | None = None, re
     return row
 
 
-def paper_suite_row(cli, work: Path) -> dict:
-    report = work / "paper-suite.json"
-    return run_row(cli, "paper-suite", ["paper-suite", "--report", str(report)], report=report)
-
-
-def replay(workload: str, src: Path, work: Path) -> list[dict]:
-    jobs = load_jobs(workload)
-    cli = import_cli(src)
-    rows = []
-    for job in jobs:
-        argv = job_argv(job, work)
-        polylines = None
+def job_list(workload: str, work: Path) -> list[tuple[str, list[str], Path | None, Path | None]]:
+    """`run_row`'s arguments after `cli` for every job, `paper-suite` last:
+    (id, argv, polylines file or None, report file or None)."""
+    out = []
+    for job in load_jobs(workload):
+        argv, polylines = job_argv(job, work), None
         if job.command == "ovals":
             polylines = work / (job.id.replace("/", "_") + ".polylines")
             argv += ["--emit-polylines", str(polylines)]
-        rows.append(run_row(cli, job.id, argv, polylines))
-    rows.append(paper_suite_row(cli, work))
+        out.append((job.id, argv, polylines, None))
+    return out + [paper_suite_job(work)]
+
+
+def paper_suite_job(work: Path) -> tuple[str, list[str], None, Path]:
+    report = work / "paper-suite.json"
+    return "paper-suite", ["paper-suite", "--report", str(report)], None, report
+
+
+def replay(workload: str, src: Path, work: Path) -> list[dict]:
+    jobs = job_list(workload, work)
+    cli = import_cli(src)
+    rows = [run_row(cli, *job) for job in jobs]
     print(f"{len(rows)} jobs, {sum(r['seconds'] for r in rows):.1f} s")
     return rows
 
 
-def child_pass(workload: str, src: Path, work: Path) -> list[dict]:
-    """One `replay` pass over the tree `src`, run in a child process."""
-    out = work / "pass.json"
-    argv = ["--workload", workload, "--src", str(src), "--work", str(work), "--out", str(out)]
-    proc = subprocess.run([sys.executable, str(Path(__file__).resolve()), *argv])
-    if proc.returncode == EXIT_BROKEN_PIPE:  # the child writes to this process's stdout
-        raise BrokenPipeError("stdout was closed")
-    proc.check_returncode()
-    return json.loads(out.read_text(encoding="utf-8"))
+def replay_against(workload: str, trees: list[Tree], work: Path, repeat: int) -> list[list[list[dict]]]:
+    """passes[tree][pass]: every job run on both trees in turn, `repeat` times;
+    the tree that runs a job first alternates between jobs and between passes."""
+    jobs = job_list(workload, work)
+    passes = [[[] for _ in range(repeat)] for _ in trees]
+    for r in range(repeat):
+        for k, job in enumerate(jobs):
+            for t in (0, 1) if (k + r) % 2 == 0 else (1, 0):
+                passes[t][r].append(trees[t].run(*job))
+    return passes
 
 
 def median_rows(passes: list[list[dict]]) -> tuple[list[dict], int]:
@@ -297,7 +338,7 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path, help="write the rows as JSON here")
     parser.add_argument("--work", type=Path, help="where to make the temporary directory for the generated documents (created if missing)")
     parser.add_argument("--repeat", type=int, default=1, metavar="N", help="run the job list N times; record each job's median seconds")
-    parser.add_argument("--against", type=Path, metavar="DIR", help="also replay this source tree, alternating passes in child processes")
+    parser.add_argument("--against", type=Path, metavar="DIR", help="also replay this source tree in this process, both trees job by job")
     parser.add_argument("--compare", nargs=2, type=Path, metavar=("A.json", "B.json"))
     args = parser.parse_args(argv)
     if args.compare:
@@ -310,13 +351,12 @@ def main(argv=None) -> int:
         parser.error("--against needs --out")
     if args.work:
         args.work.mkdir(parents=True, exist_ok=True)
-    trees = [args.src] if args.against is None else [args.against, args.src]
-    run_pass = replay if args.against is None else child_pass
-    passes: list[list[list[dict]]] = [[] for _ in trees]
     with tempfile.TemporaryDirectory(dir=args.work) as tmp:
-        for _ in range(args.repeat):
-            for tree, done in zip(trees, passes):
-                done.append(run_pass(args.workload, tree, Path(tmp)))
+        if args.against is None:
+            passes = [[replay(args.workload, args.src, Path(tmp)) for _ in range(args.repeat)]]
+        else:
+            trees = [Tree(args.against), Tree(args.src)]
+            passes = replay_against(args.workload, trees, Path(tmp), args.repeat)
     results = [median_rows(p) for p in passes]  # the --src tree's last
     unstable = sum(u for _, u in results)
     if unstable:
