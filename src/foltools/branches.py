@@ -53,13 +53,20 @@ class Branch:
 
 
 def _solve_series(h: MultiPoly, w0: GaussianRational, truncation: int) -> PowerSeries:
-    """Series w(t), w(0) = w0, with h(t, w(t)) = 0 mod t^(N+1), by Newton's
+    """Series w(t), w(0) = w0, with h(t, w(t)) = 0 mod t^(N+1).  Needs
+    h_w(0, w0) != 0.  When h = h0(t) + h1(t) w, as at every smooth point of
+    a line, w = -h0 / h1 by one series division.  Otherwise Newton's
     iteration w <- w - h(t, w) / h_w(t, w): a w right mod t^k is right mod
-    t^(2k), so each step composes at twice the last precision.  Needs
-    h_w(0, w0) != 0."""
+    t^(2k), so each step composes at twice the last precision."""
     hw = h.partial(1)
     if hw.evaluate((ZERO, w0)).is_zero():
         raise PreconditionError("series solve requires a transversal derivative")
+    if h.degree_in(1) == 1:
+        rows = ([(0, 0)] * (truncation + 1), [(0, 0)] * (truncation + 1))
+        for (i, j), u in h.num.items():
+            if i <= truncation:
+                rows[j][i] = u
+        return -PowerSeries(rows[0], 1).divide(PowerSeries(rows[1], 1))
     w = PowerSeries.constant(w0, 0)
     k = 1  # coefficients of w known
     while k <= truncation:

@@ -14,6 +14,21 @@ to 1 and keeps the other two coordinates in order, so Z = 0 is the chart
 line v = 0 in charts "x" and "y".  A one-form a*du + b*dv corresponds to the
 chart vector field (-b, a), so the Z = 1 chart of the projectivized form
 recovers (p + x*r, q + y*r) exactly.
+
+Reducedness.  Write u = p + x*r and v = q + y*r for the components and
+p_m, q_m for the degree-m parts of p and q.  The one-form (A, B, C) of a
+field is reduced, gcd(A, B, C) constant, unless gcd(u, v) is nonconstant,
+or r = 0 and y*p_m - x*q_m = 0.  Proof: A(x,y,1) = v, B(x,y,1) = -u and
+C(x,y,1) = y*u - x*v.  A common factor of A, B and C that Z does not
+divide dehomogenizes to a nonconstant common factor of u and v, and the
+homogenization of a common factor of u and v divides the homogenizations
+of u and v, hence A and B, and of y*u - x*v, hence C.  Z divides A, B and
+C iff they vanish on Z = 0, where A = Y*R, B = -X*R and C = Y*P - X*Q with
+R = r and P, Q the top forms p_m, q_m: iff R = 0 and C(X,Y,0) = 0.  So
+`projectivize` decides reducedness from the one gcd of u and v the field
+keeps (`component_gcd`) and one top-degree test, and builds the form
+without a gcd in three variables; `ProjectiveOneForm.make`, for forms read
+from input, takes that gcd and checks the projective identity.
 """
 
 from __future__ import annotations
@@ -37,6 +52,7 @@ CHART_Y = "y"  # coords (u, v) = (X/Y, Z/Y)
 CHART_X = "x"  # coords (u, v) = (Y/X, Z/X)
 CHARTS = (CHART_Z, CHART_Y, CHART_X)
 _CHART_VAR = {CHART_X: 0, CHART_Y: 1, CHART_Z: 2}
+_SHARED_FACTOR = "one-form coefficients share a factor; reduce first"
 
 
 def chart_var(chart: str) -> int:
@@ -86,10 +102,14 @@ class AffineVectorField:
         return self.q + MultiPoly.variable(2, 1) * self.r
 
     @cached_property
+    def component_gcd(self) -> MultiPoly:
+        """gcd(p + x*r, q + y*r), the one gcd of the components taken per field."""
+        return poly_gcd(self.component_x, self.component_y)
+
+    @cached_property
     def reduced_components(self) -> tuple[MultiPoly, MultiPoly]:
-        """The components over their gcd, once per field: isolated zeros in the Z chart."""
-        a, b = self.component_x, self.component_y
-        g = poly_gcd(a, b)
+        """The components over their gcd: isolated zeros in the Z chart."""
+        a, b, g = self.component_x, self.component_y, self.component_gcd
         return (a, b) if g.is_constant() else (exact_divide(a, g), exact_divide(b, g))
 
     def is_real(self) -> bool:
@@ -130,7 +150,7 @@ class ProjectiveOneForm:
             raise PreconditionError("projective condition X*P + Y*Q + Z*R = 0 violated")
         g = poly_gcd(poly_gcd(P, Q), R)
         if not g.is_constant():
-            raise DegenerateInput("one-form coefficients share a factor; reduce first")
+            raise DegenerateInput(_SHARED_FACTOR)
         return ProjectiveOneForm(P, Q, R, d - 1)
 
     def chart_components(self, chart: str) -> tuple[MultiPoly, MultiPoly]:
@@ -140,7 +160,7 @@ class ProjectiveOneForm:
         holomorphic representative with isolated zeros: a common factor h
         of the two would divide the third coefficient too, by the projective
         condition, and h homogenized would divide P, Q and R, whose gcd
-        `make` proves constant.
+        `make` or `projectivize` proves constant.
         """
         var = chart_var(chart)
         i, j = (k for k in range(3) if k != var)
@@ -221,22 +241,19 @@ def infinity_invariant(field: AffineVectorField) -> bool:
 
 
 def projectivize(field: AffineVectorField) -> ProjectiveOneForm:
-    """One-form (ZQ + YR, -(ZP + XR), YP - XQ) of the induced foliation."""
+    """One-form (ZQ + YR, -(ZP + XR), YP - XQ) of the induced foliation,
+    proven reduced by the rule in the module docstring."""
     m = field.m
-    P = homogenize(field.p, m) if not field.p.is_zero() else MultiPoly.zero(3)
-    Q = homogenize(field.q, m) if not field.q.is_zero() else MultiPoly.zero(3)
-    R = homogenize(field.r, m) if not field.r.is_zero() else MultiPoly.zero(3)
-    X, Y, Z = (MultiPoly.variable(3, k) for k in range(3))
-    A = Z * Q + Y * R
-    B = -(Z * P + X * R)
-    C = Y * P - X * Q
-    try:
-        return ProjectiveOneForm.make(A, B, C)
-    except DegenerateInput as exc:
+    x, y = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
+    radial_top = field.r.is_zero() and y * field.p.homogeneous_part(m) == x * field.q.homogeneous_part(m)
+    if radial_top or not field.component_gcd.is_constant():
         raise DegenerateInput(
             "field is not a reduced degree-m foliation representative "
-            f"(one-form coefficients share a factor): {exc}"
-        ) from exc
+            f"(one-form coefficients share a factor): {_SHARED_FACTOR}"
+        )
+    P, Q, R = (homogenize(part, m) for part in (field.p, field.q, field.r))
+    X, Y, Z = (MultiPoly.variable(3, k) for k in range(3))
+    return ProjectiveOneForm(Z * Q + Y * R, -(Z * P + X * R), Y * P - X * Q, m)
 
 
 def deprojectivize(form: ProjectiveOneForm) -> AffineVectorField:

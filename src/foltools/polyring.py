@@ -146,10 +146,6 @@ class MultiPoly:
     def is_homogeneous(self) -> bool:
         return len({sum(e) for e in self.num}) <= 1
 
-    def sorted_terms(self) -> list[tuple[Exponent, GaussianRational]]:
-        """Terms in descending graded-lex order (the canonical order)."""
-        return sorted(self.terms.items(), key=lambda t: _grlex_key(t[0]), reverse=True)
-
     def has_real_coefficients(self) -> bool:
         return not any(im for _, im in self.num.values())
 

@@ -64,13 +64,7 @@ class PowerSeries:
     def __mul__(self, other: "PowerSeries") -> "PowerSeries":
         """The product; zeros of self are skipped, so self should be the sparser factor."""
         n = min(self.truncation, other.truncation)
-        re_out, im_out = [0] * (n + 1), [0] * (n + 1)
-        for i, (ar, ai) in enumerate(self.num[: n + 1]):
-            if ar or ai:
-                for j, (br, bi) in enumerate(other.num[: n + 1 - i], i):
-                    re_out[j] += ar * br - ai * bi
-                    im_out[j] += ar * bi + ai * br
-        return PowerSeries(list(zip(re_out, im_out)), self.den * other.den)
+        return PowerSeries(_product(self.num, other.num, n), self.den * other.den)
 
     def scale(self, c: GaussianRational) -> "PowerSeries":
         d, ((cr, ci),) = lift((c,))
@@ -145,19 +139,44 @@ class PowerSeries:
         return f"{body} + O(t^{self.truncation + 1})"
 
 
+def _product(a, b, n: int) -> list[GInt]:
+    """Coefficients 0..n of a * b for Z[i] lists of n + 1 or more; zeros of a are skipped."""
+    re_out, im_out = [0] * (n + 1), [0] * (n + 1)
+    for i, (ar, ai) in enumerate(a[: n + 1]):
+        if ar or ai:
+            for j, (br, bi) in enumerate(b[: n + 1 - i], i):
+                re_out[j] += ar * br - ai * bi
+                im_out[j] += ar * bi + ai * br
+    return list(zip(re_out, im_out))
+
+
 def compose_poly(poly, phi1: PowerSeries, phi2: PowerSeries) -> PowerSeries:
-    """Evaluate an arity-2 MultiPoly on a pair of series (exact, truncated):
-    Horner's rule in phi1 over rows sum_b num[a, b] phi2^b, divided by den once."""
+    """Evaluate an arity-2 MultiPoly on a pair of series (exact, truncated).
+
+    With phi_k = n_k / d_k and A, B the degrees of poly in x and y, Horner's
+    rule in n_1 runs on Z[i] lists over the rows sum_b num[a, b] d_1^(A-a)
+    d_2^(B-b) n_2^b, and the sum is put over den d_1^A d_2^B once."""
     n = min(phi1.truncation, phi2.truncation)
-    zero = PowerSeries([(0, 0)] * (n + 1), 1)
-    powers = [PowerSeries([(1, 0)] + [(0, 0)] * n, 1)]
-    for _ in range(poly.degree_in(1)):
-        powers.append(powers[-1] * phi2)
-    rows: dict[int, PowerSeries] = {}
+    if poly.is_zero():
+        return PowerSeries([(0, 0)] * (n + 1), 1)
+    A, B = poly.degree_in(0), poly.degree_in(1)
+    d1, d2 = phi1.den, phi2.den
+    powers = [[(1, 0)] + [(0, 0)] * n]
+    for _ in range(B):
+        powers.append(_product(powers[-1], phi2.num, n))
+    rows: dict[int, tuple[list[int], list[int]]] = {}
     for (a, b), (ur, ui) in poly.num.items():
-        p = powers[b]
-        rows[a] = rows.get(a, zero) + PowerSeries([(re * ur - im * ui, re * ui + im * ur) for re, im in p.num], p.den)
-    total = zero
-    for a in range(poly.degree_in(0), -1, -1):
-        total = phi1 * total + rows.get(a, zero)
-    return PowerSeries(total.num, total.den * poly.den)
+        s = d1 ** (A - a) * d2 ** (B - b)
+        ur, ui = ur * s, ui * s
+        re_row, im_row = rows.setdefault(a, ([0] * (n + 1), [0] * (n + 1)))
+        for k, (re, im) in enumerate(powers[b]):
+            if re or im:
+                re_row[k] += re * ur - im * ui
+                im_row[k] += re * ui + im * ur
+    total = list(zip(*rows[A]))
+    for a in range(A - 1, -1, -1):
+        total = _product(phi1.num, total, n)
+        if a in rows:
+            re_row, im_row = rows[a]
+            total = [(re + x, im + y) for (re, im), x, y in zip(total, re_row, im_row)]
+    return PowerSeries(total, poly.den * d1**A * d2**B)

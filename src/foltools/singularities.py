@@ -167,6 +167,11 @@ def pair_common_zeros(A: MultiPoly, B: MultiPoly) -> Enumeration:
         raise PreconditionError("common zeros of a zero polynomial are not isolated")
     if not poly_gcd(A, B).is_constant():
         raise NonIsolatedSingularities("components share a polynomial factor")
+    return _coprime_common_zeros(A, B)
+
+
+def _coprime_common_zeros(A: MultiPoly, B: MultiPoly) -> Enumeration:
+    """`pair_common_zeros` for two nonzero polynomials already proven coprime."""
     out = Enumeration(system=(A, B))
     dA, dB = A.degree_in(1), B.degree_in(1)
     if dA == 0 and dB == 0:
@@ -249,7 +254,9 @@ def affine_singularities(field: AffineVectorField) -> Enumeration:
         if nz.is_constant():
             return Enumeration(system=(u, w))
         raise NonIsolatedSingularities("one component vanishes identically")
-    return pair_common_zeros(u, w)
+    if not field.component_gcd.is_constant():
+        raise NonIsolatedSingularities("components share a polynomial factor")
+    return _coprime_common_zeros(u, w)
 
 
 def _at_infinity(G: MultiPoly) -> Coeffs:

@@ -25,8 +25,8 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import ParseError
-from .gaussian import GaussianRational
-from .polyring import MultiPoly, _accumulate
+from .gaussian import GaussianRational, _parts, _rational_str
+from .polyring import MultiPoly, _accumulate, _grlex_key
 
 # one match per token, with the whitespace before it; the last group takes any other character
 _TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|(\*\*|[()+\-*/^])|(\S))")
@@ -183,37 +183,37 @@ def _monomial_str(exp, names) -> str:
     return "*".join(parts)
 
 
-def _coeff_str(c: GaussianRational, monomial: str) -> tuple[str, str]:
-    """Return (sign, body) where sign is '+' or '-' and body omits the sign."""
-    if c.is_real():
-        sign = "-" if c.re < 0 else "+"
-        mag = abs(c.re)
-        if monomial and mag == 1:
+def _coeff_str(x: int, y: int, d: int, monomial: str) -> tuple[str, str]:
+    """(sign, body) of the coefficient (x + y*i) / d, d > 0, before `monomial`:
+    sign is '+' or '-' and body omits it."""
+    if not y:
+        sign = "-" if x < 0 else "+"
+        if monomial and abs(x) == d:
             return sign, monomial
-        body = str(mag)
+        body = _rational_str(abs(x), d)
         return sign, f"{body}*{monomial}" if monomial else body
-    if not c.re:  # purely imaginary
-        sign = "-" if c.im < 0 else "+"
-        mag = abs(c.im)
-        head = "i" if mag == 1 else f"{mag}*i"
+    if not x:  # purely imaginary
+        sign = "-" if y < 0 else "+"
+        head = "i" if abs(y) == d else f"{_rational_str(abs(y), d)}*i"
         return sign, f"{head}*{monomial}" if monomial else head
     # mixed complex coefficient: parenthesize, never split the sign out
-    re_sign, re_body = _coeff_str(GaussianRational(c.re, Fraction(0)), "")
-    im_sign, im_body = _coeff_str(GaussianRational(Fraction(0), c.im), "")
+    re_sign, re_body = _coeff_str(x, 0, d, "")
+    im_sign, im_body = _coeff_str(0, y, d, "")
     inner = (re_body if re_sign == "+" else "-" + re_body) + f" {im_sign} {im_body}"
     body = f"({inner})"
     return "+", f"{body}*{monomial}" if monomial else body
 
 
 def print_poly(p: MultiPoly) -> str:
-    """Canonical text: graded-lex descending terms, normalized coefficients."""
+    """Canonical text: graded-lex descending terms, normalized coefficients,
+    read from the numerators over p.den."""
     if p.is_zero():
         return "0"
     names = ("x", "y") if p.arity == 2 else ("X", "Y", "Z")
     pieces = []
-    for exp, c in p.sorted_terms():
-        mono = _monomial_str(exp, names)
-        sign, body = _coeff_str(c, mono)
+    for exp in sorted(p.num, key=_grlex_key, reverse=True):
+        x, y = p.num[exp]
+        sign, body = _coeff_str(x, y, p.den, _monomial_str(exp, names))
         if not pieces:
             pieces.append(body if sign == "+" else f"-{body}")
         else:
@@ -343,7 +343,7 @@ def format_system(doc: SystemDocument) -> str:
 
 
 def _coeff_literal(c: GaussianRational) -> str:
-    sign, body = _coeff_str(c, "")
+    sign, body = _coeff_str(*_parts(c), "")
     return body if sign == "+" else f"-{body}"
 
 

@@ -35,7 +35,7 @@ Coeffs = list[GInt]  # Z[i] numerators, low to high, of a polynomial up to a non
 
 _FACTOR_DIGIT_CAP = 10**40  # norms beyond this abort rather than risk unsound output
 _CANDIDATE_CAP = 200_000
-_LIFT_ABOVE = 10**4  # the root search lifts from the first usable split prime above this
+_LIFT_ABOVE = 100  # the root search lifts from the first usable split prime above this
 
 
 # -- coefficient lists -----------------------------------------------------------

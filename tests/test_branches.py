@@ -10,6 +10,7 @@ from foltools.branches import (
     Branch,
     _branches_at_chart_point,
     _resolved_multiplicity,
+    _solve_series,
     branch_multiplicity,
     corollary2_check,
     euler_identity_check,
@@ -426,3 +427,95 @@ def test_integer_series_store_matches_gaussian_rational_arithmetic():
         same = a.scale(c).scale(c.inverse())
         assert same == a and hash(same) == hash(a)
         assert PowerSeries(tuple(ca)) == a
+
+
+# -- line branches by one division, and compose_poly on integer lists --
+
+
+def _newton_solve_series(h, w0, truncation):
+    """The Newton loop `_solve_series` runs for every strict transform of degree
+    2 or more in w, kept for the degree-1 case that one division now solves."""
+    hw = h.partial(1)
+    w = PowerSeries.constant(w0, 0)
+    k = 1
+    while k <= truncation:
+        k = min(2 * k, truncation + 1)
+        t = PowerSeries.identity(k - 1)
+        w = PowerSeries(w.num + ((0, 0),) * (k - len(w.num)), w.den)
+        w = w - compose_poly(h, t, w).divide(compose_poly(hw, t, w))
+    return w
+
+
+def _strict_transform(local, vertical):
+    """h(u, w) = local(u, u w) / u at a smooth point, with u and w swapped when vertical."""
+    return MultiPoly._of(2, local.den, {(i + j - 1, i if vertical else j): u for (i, j), u in local.num.items()})
+
+
+def test_line_branches_by_one_division_match_the_newton_loop():
+    rng = random.Random(6060)
+    u, v = affine_vars()
+    checked = 0
+    for n in range(240):
+        u0, v0 = (gr(rng.randint(-3, 3), rng.randint(-2, 2) if rng.random() < 0.3 else 0) for _ in range(2))
+        if n % 2 == 0:  # a line through (u0, v0), some of them vertical
+            a = random_coeff(rng) or gr(1)
+            b = random_coeff(rng) if n % 6 else ZERO
+            g = (u - const2(u0)).scale(a) + (v - const2(v0)).scale(b)
+        else:  # a curve a(x) + b(x) y, linear in y, with b(u0) != 0
+            a_x, b_x = (MultiPoly(2, {(i, 0): random_coeff(rng) for i in range(rng.randint(1, 5))}) for _ in range(2))
+            if not b_x.evaluate((u0, v0)):
+                continue
+            g = a_x + b_x * v
+            g = g - const2(g.evaluate((u0, v0)))  # through (u0, v0)
+        local = g.shift((u0, v0))
+        vertical = local.coefficient((0, 1)).is_zero()
+        h = _strict_transform(local, vertical)
+        assert h.degree_in(1) == 1
+        w0 = -local.coefficient((0, 1) if vertical else (1, 0)) / local.coefficient((1, 0) if vertical else (0, 1))
+        truncation = rng.randint(8, 32)
+        got = _solve_series(h, w0, truncation)
+        assert got == _newton_solve_series(h, w0, truncation), n
+        assert got.truncation == truncation and got.coefficient(0) == w0
+        checked += 1
+    assert checked > 200
+
+
+def _per_term_compose_poly(poly, phi1, phi2):
+    """compose_poly as it was: one PowerSeries per term and per Horner step."""
+    n = min(phi1.truncation, phi2.truncation)
+    zero = PowerSeries([(0, 0)] * (n + 1), 1)
+    powers = [PowerSeries([(1, 0)] + [(0, 0)] * n, 1)]
+    for _ in range(poly.degree_in(1)):
+        powers.append(powers[-1] * phi2)
+    rows = {}
+    for (a, b), (ur, ui) in poly.num.items():
+        p = powers[b]
+        rows[a] = rows.get(a, zero) + PowerSeries([(re * ur - im * ui, re * ui + im * ur) for re, im in p.num], p.den)
+    total = zero
+    for a in range(poly.degree_in(0), -1, -1):
+        total = phi1 * total + rows.get(a, zero)
+    return PowerSeries(total.num, total.den * poly.den)
+
+
+def test_compose_poly_on_integer_lists_matches_the_per_term_horner():
+    rng = random.Random(7070)
+
+    def series(sparse):
+        n = rng.randint(0, 14)
+        den = rng.choice((1, 2, 3, 6, 35, 2**20 + 7))
+        num = []
+        for _ in range(n + 1):
+            if sparse and rng.random() < 0.7:
+                num.append((0, 0))
+            else:
+                num.append((rng.randint(-50, 50), rng.randint(-50, 50) if rng.random() < 0.5 else 0))
+        return PowerSeries(num, den)
+
+    for n in range(300):
+        f = random_poly(rng, max_degree=rng.randint(0, 6), max_terms=rng.randint(0, 8), complex_prob=0.5)
+        phi1, phi2 = series(n % 3 == 0), series(n % 3 == 1)
+        if n % 5 == 0:
+            phi1 = PowerSeries.identity(rng.randint(0, 14)).shift_constant(_mixed(rng))
+        got = compose_poly(f, phi1, phi2)
+        _assert_canonical_series(got)
+        assert got == _per_term_compose_poly(f, phi1, phi2), n

@@ -1,6 +1,10 @@
+import random
+import sys
+
 import pytest
 
 from conftest import affine_vars, const2, projective_vars, random_coeff, random_poly, substitute
+from foltools import cli, polyring
 from foltools.errors import DegenerateInput, PreconditionError
 from foltools.fields import (
     AffineVectorField,
@@ -20,10 +24,12 @@ from foltools.polyring import (
     MultiPoly,
     dehomogenize,
     exact_divide,
+    homogenize,
+    leading_form,
     poly_gcd,
 )
 from foltools.singularities import ProjectivePoint
-from foltools.textio import parse_poly
+from foltools.textio import parse_poly, parse_system
 
 x, y = affine_vars()
 X, Y, Z = projective_vars()
@@ -239,3 +245,144 @@ def test_projective_point_charts_match_the_if_chains(rng):
                 assert pt.chart_coords(chart) == _oracle_chart_coords(pt, chart)
     with pytest.raises(ValueError):
         ProjectivePoint.affine(1, 2).chart_coords("w")
+
+
+# -- projectivize's reducedness rule against the three-variable gcd of `make` --
+
+
+def _projectivize_through_make(field):
+    """The one-form by the earlier route: build it, then let `ProjectiveOneForm.make`
+    check the projective identity and take gcd(P, Q, R) in three variables."""
+    m = field.m
+    P, Q, R = (homogenize(part, m) for part in (field.p, field.q, field.r))
+    try:
+        return ProjectiveOneForm.make(Z * Q + Y * R, -(Z * P + X * R), Y * P - X * Q)
+    except DegenerateInput as exc:
+        raise DegenerateInput(
+            "field is not a reduced degree-m foliation representative "
+            f"(one-form coefficients share a factor): {exc}"
+        ) from exc
+
+
+def _outcome(route, field):
+    try:
+        form = route(field)
+    except DegenerateInput as exc:
+        return "DegenerateInput", str(exc)
+    return "form", (form.P, form.Q, form.R, form.m)
+
+
+_FIELD_KINDS = ("random", "random-r", "shared", "shared-r", "radial", "radial-shared", "zero-component")
+
+
+def _seeded_field(rng, kind):
+    """A normal-form field (p, q, r) of the given kind; None when `make` refuses it."""
+    m = rng.randint(1, 3)
+
+    def poly(d, nonzero=False):
+        return random_poly(rng, max_degree=d, max_terms=4, nonzero=nonzero)
+
+    def form(d):  # a nonzero homogeneous polynomial of degree d
+        return MultiPoly(2, {(a, d - a): random_coeff(rng) or gr(1) for a in range(d + 1) if a == 0 or rng.random() < 0.6})
+
+    r = MultiPoly.zero(2)
+    if kind in ("random", "random-r"):
+        p, q = poly(m, True), poly(m)
+        if kind == "random-r":
+            r = form(int(max(p.degree, q.degree, 1)))
+    elif kind in ("shared", "radial-shared"):
+        h = poly(1, True) if rng.random() < 0.7 else x - const2(rng.randint(-2, 2))
+        if h.is_constant():
+            h = h + x
+        if kind == "shared":
+            p, q = h * poly(m - 1, True), h * poly(m - 1)
+        else:  # p = h*x*s + ..., q = h*y*s + ...: a radial top and a shared factor
+            s = form(m - 1) if m > 1 else const2(rng.randint(1, 3))
+            p, q = h * (x * s + poly(m - 1)), h * (y * s + poly(m - 1))
+    elif kind == "shared-r":
+        # u = h*a and v = h*b whose top forms are x*s and y*s, so r = s has degree m
+        h = x + y.scale(gr(rng.randint(-2, 2))) + const2(rng.randint(-2, 2))
+        a1 = form(m - 1) if m > 1 else const2(rng.randint(1, 3))
+        a, b = x * a1 + poly(m - 1), y * a1 + poly(m - 1)
+        r = leading_form(h) * a1
+        p, q = h * a - x * r, h * b - y * r
+    elif kind == "radial":  # r = 0 and y*p_m = x*q_m, e.g. p = x^2 + 1, q = x*y
+        s = form(m - 1) if m > 1 else const2(rng.randint(1, 3))
+        p, q = x * s + poly(m - 1), y * s + poly(m - 1)
+    else:  # one component is zero
+        p, q = poly(m, True), MultiPoly.zero(2)
+        if rng.random() < 0.5:
+            p, q = q, p
+    try:
+        return AffineVectorField.make(p, q, r)
+    except (DegenerateInput, PreconditionError):
+        return None
+
+
+def test_reducedness_rule_matches_the_three_variable_gcd():
+    rng = random.Random(4040)
+    seen = dict.fromkeys(_FIELD_KINDS, 0)
+    verdicts = {"form": 0, "DegenerateInput": 0}
+    n = 0
+    while n < 350:
+        kind = _FIELD_KINDS[n % len(_FIELD_KINDS)]
+        field = _seeded_field(rng, kind)
+        if field is None:
+            continue
+        want = _outcome(_projectivize_through_make, field)
+        assert _outcome(projectivize, field) == want, (kind, n)
+        seen[kind] += 1
+        verdicts[want[0]] += 1
+        n += 1
+    assert seen == dict.fromkeys(_FIELD_KINDS, 50)
+    assert min(verdicts.values()) >= 70  # both verdicts are well represented
+    assert _outcome(projectivize, AffineVectorField.make(x**2 + const2(1), x * y)) == (
+        "DegenerateInput",
+        "field is not a reduced degree-m foliation representative (one-form coefficients share a factor): "
+        "one-form coefficients share a factor; reduce first",
+    )
+
+
+_COMPONENTS_DOC = """
+[field eee]
+p = x^2 + y^2 - 1 - (x - 2)*2*y
+q = x^2 + y^2 - 1 + (x - 2)*2*x
+
+[field log3]
+p = x
+q = -y
+r = x + y
+
+[curve circle]
+f = x^2 + y^2 - 1
+
+[curve l1]
+f = x
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["singularities", "--field", "eee"],
+    ["classify", "--field", "eee"],
+    ["classify", "--field", "log3"],
+    ["euler-check", "--field", "eee", "--curve", "circle", "--chi", "0"],
+    ["euler-check", "--field", "log3", "--curve", "l1", "--chi", "2"],
+])
+def test_one_bivariate_gcd_of_the_components_per_run(argv, tmp_path, monkeypatch, capsys):
+    doc = tmp_path / "doc.fol"
+    doc.write_text(_COMPONENTS_DOC)
+    calls = []
+    real = polyring.poly_gcd
+
+    def spy(a, b):
+        calls.append((a, b))
+        return real(a, b)
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("foltools") and getattr(module, "poly_gcd", None) is real:
+            monkeypatch.setattr(module, "poly_gcd", spy)
+    assert cli.run([argv[0], str(doc), *argv[1:]]) in (0, 1, 3)
+    field = cli._get_field(parse_system(_COMPONENTS_DOC), argv[2])
+    components = {field.component_x, field.component_y}
+    assert sum({a, b} == components for a, b in calls) == 1
+    assert not any(a.arity == 3 for a, _ in calls)  # projectivize takes no gcd in three variables

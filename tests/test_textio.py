@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,7 +6,7 @@ import pytest
 import ll1_parser  # the parser before it read each term in one loop, kept as an oracle
 from conftest import affine_vars, const2, random_poly
 from foltools.errors import ParseError
-from foltools.gaussian import gr
+from foltools.gaussian import GaussianRational, gr
 from foltools.polyring import MultiPoly
 from foltools.textio import (
     format_system,
@@ -270,3 +271,65 @@ def test_a_dataclass_renders_as_its_fields():
         "value": "(1/2 + i)",
         "kind": Box,
     }
+
+
+# -- the printer on the integer store against the printer on Fraction views --
+
+
+def _fraction_coeff_str(c, monomial):
+    """(sign, body) of a coefficient as the printer built it from Fraction views."""
+    if c.is_real():
+        sign = "-" if c.re < 0 else "+"
+        mag = abs(c.re)
+        if monomial and mag == 1:
+            return sign, monomial
+        body = str(mag)
+        return sign, f"{body}*{monomial}" if monomial else body
+    if not c.re:
+        sign = "-" if c.im < 0 else "+"
+        mag = abs(c.im)
+        head = "i" if mag == 1 else f"{mag}*i"
+        return sign, f"{head}*{monomial}" if monomial else head
+    re_sign, re_body = _fraction_coeff_str(GaussianRational(c.re, Fraction(0)), "")
+    im_sign, im_body = _fraction_coeff_str(GaussianRational(Fraction(0), c.im), "")
+    inner = (re_body if re_sign == "+" else "-" + re_body) + f" {im_sign} {im_body}"
+    return "+", f"({inner})*{monomial}" if monomial else f"({inner})"
+
+
+def _fraction_print_poly(p):
+    """print_poly as it was: sorted GaussianRational terms through `_fraction_coeff_str`."""
+    if p.is_zero():
+        return "0"
+    names = ("x", "y") if p.arity == 2 else ("X", "Y", "Z")
+    pieces = []
+    for exp, c in sorted(p.terms.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True):
+        mono = "*".join(name if e == 1 else f"{name}^{e}" for e, name in zip(exp, names) if e)
+        sign, body = _fraction_coeff_str(c, mono)
+        pieces.append((body if sign == "+" else f"-{body}") if not pieces else f"{sign} {body}")
+    return " ".join(pieces)
+
+
+def _printer_coeff(rng):
+    """A real, imaginary or mixed coefficient, or one of +-1 and +-i."""
+    def part():
+        return Fraction(rng.randint(-30, 30), rng.choice((1, 1, 2, 3, 7, 12)))
+
+    kind = rng.randrange(4)
+    if kind == 0:
+        return gr(*rng.choice(((1, 0), (-1, 0), (0, 1), (0, -1))))
+    return gr(part() if kind != 2 else 0, part() if kind != 1 else 0)
+
+
+def test_printer_on_the_integer_store_matches_the_fraction_printer():
+    rng = random.Random(8080)
+    for n in range(600):
+        arity = 2 + n % 2
+        terms = {}
+        for _ in range(rng.randint(0, 7)):
+            exp = tuple(rng.randint(0, 3) for _ in range(arity))
+            terms[exp] = _printer_coeff(rng)
+        p = MultiPoly(arity, terms)
+        assert print_poly(p) == _fraction_print_poly(p), n
+        c = _printer_coeff(rng)
+        sign, body = _fraction_coeff_str(c, "")
+        assert to_jsonable(c) == (body if sign == "+" else f"-{body}")

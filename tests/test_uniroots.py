@@ -582,22 +582,64 @@ def _spy_lifting_primes(monkeypatch):
 
 def test_lifting_skips_primes_that_divide_the_leading_norm_or_repeat_a_root(monkeypatch):
     first, second = (p for p, _ in itertools.islice(uniroots._split_primes(_LIFT_ABOVE), 2))
-    assert (first, second) == (10009, 10037)
-    # (100 + 3i) x - 1: the leading norm is 10009, so 10009 is never tried
-    lead = (100, 3)
+    assert (first, second) == (101, 109)
+    # (10 + i) x - 1: the leading norm is 101, so 101 is never tried
+    lead = (10, 1)
     c = _gi_product([[(-1, 0), lead], [(-2, 0), (1, 0)], [(1, 0), (0, 0), (1, 0)]])
     seen = _spy_lifting_primes(monkeypatch)
     candidates = _lifted_roots(c)
     assert seen == [second]
     a = c[-1]
     assert {_as_gaussian_rational(w, a) for w in candidates} == {_as_gaussian_rational((1, 0), lead), gr(2), gr(0, 1), gr(0, -1)}
-    # (x - 1)(x - 10010) is squarefree over Q(i), but both roots are 1 mod 10009
-    c = _gi_product([[(-1, 0), (1, 0)], [(-10010, 0), (1, 0)]])
+    # (x - 1)(x - 102) is squarefree over Q(i), but both roots are 1 mod 101
+    c = _gi_product([[(-1, 0), (1, 0)], [(-102, 0), (1, 0)]])
     seen.clear()
-    assert sorted(_lifted_roots(c)) == [(1, 0), (10010, 0)]
+    assert sorted(_lifted_roots(c)) == [(1, 0), (102, 0)]
     assert seen == [first, second]
     monkeypatch.undo()
-    assert set(qi_roots(c).roots) == {gr(1), gr(10010)}
+    assert set(qi_roots(c).roots) == {gr(1), gr(102)}
+
+
+def _lifting_cases(seed, count):
+    """Seeded Z[i] lists of degree up to 31: 1-5 planted factors q x - p (p and q up to
+    2^40, a repeated factor now and then) times factors with unit end coefficients,
+    so most searches go ahead; then lists of degree 102-110, above the first prime."""
+    rnd = random.Random(seed)
+
+    def gint(bits):
+        return (rnd.randint(-(2**bits), 2**bits), rnd.randint(-(2**bits), 2**bits) if rnd.random() < 0.6 else 0)
+
+    for k in range(count):
+        factors = []
+        for _ in range(rnd.randint(1, 5)):
+            bits = rnd.choice((3, 8, 20, 40))
+            q = gint(bits)
+            factors.append([gint(bits), q if q != (0, 0) else (1, 0)])
+        if rnd.random() < 0.3:
+            factors.append(factors[0])
+        degree = sum(len(f) - 1 for f in factors)
+        while degree < 31 and rnd.random() < 0.8:
+            d = rnd.randint(1, min(8, 31 - degree))
+            factors.append([rnd.choice(_UNITS)] + [gint(3) for _ in range(d - 1)] + [rnd.choice(_UNITS)])
+            degree += d
+        yield _gi_product(factors)
+    for d in (102, 105, 110):  # (x - i)(x + 1)(x^d + x + 1), ends units
+        yield _gi_product([[(0, -1), (1, 0)], [(1, 0), (1, 0)], [(1, 0), (1, 0)] + [(0, 0)] * (d - 2) + [(1, 0)]])
+
+
+def _report(rep):
+    return set(rep.roots), len(rep.roots), rep.residual_degree, rep.unresolved, rep.uncertain_degree, rep.uncertain
+
+
+def test_small_prime_lifting_matches_lifting_above_ten_thousand(monkeypatch):
+    decided = 0
+    for c in _lifting_cases(40401, 120):
+        got = _report(qi_roots(c))
+        monkeypatch.setattr(uniroots, "_LIFT_ABOVE", 10**4)
+        assert got == _report(qi_roots(c)), c
+        monkeypatch.undo()
+        decided += not got[4]
+    assert decided >= 55
 
 
 def _gi_power(u, k):
