@@ -205,15 +205,16 @@ def thm2b_configuration(m: int) -> tuple[LogarithmicSpec, list[dict]]:
 
 @dataclass(frozen=True)
 class GalleryEntry:
+    """A named reference fixture: its foliation (form and field), its curve,
+    the logarithmic spec that built it and the branch multiplicities it
+    expects, each where it has one."""
+
     name: str
     form: ProjectiveOneForm | None = None
     field: AffineVectorField | None = None
     curve: MultiPoly | None = None
-    weights: tuple[GaussianRational, ...] = ()
     log_spec: LogarithmicSpec | None = None
     expected_mu: tuple[tuple[str, int], ...] = ()
-    expected_ovals: int | None = None
-    notes: tuple[str, ...] = ()
 
 
 EXAMPLE1_ALPHA, EXAMPLE1_BETA = gr(1, 2), gr(1)  # Example 1's weights of X and Y; alpha/beta is real
@@ -233,9 +234,7 @@ def _example1() -> GalleryEntry:
         field=deprojectivize(form),
         curve=parse_poly("x", 2),
         log_spec=spec,
-        weights=(alpha, beta, -(alpha + beta)),
         expected_mu=(("(0 : 1 : 0)", 1), ("(0 : 0 : 1)", 1)),
-        notes=("alpha/beta is real: the non-dicriticality guarantee does not apply",),
     )
 
 
@@ -274,44 +273,32 @@ def gallery(name: str) -> GalleryEntry:
     if name in ("example2", "example3"):
         Ps, Qs, Rs, mus = _forms_catalog()[name]
         form = ProjectiveOneForm.make(parse_poly(Ps, 3), parse_poly(Qs, 3), parse_poly(Rs, 3))
+        # degenerate points on the invariant line classify as unknown
         return GalleryEntry(
             name=name,
             form=form,
             field=deprojectivize(form),
             curve=parse_poly("x", 2),
             expected_mu=mus,
-            notes=("degenerate points on the invariant line classify as unknown",),
         )
     if name == "three-lines":
-        w = (gr(1), gr(1), gr(-2))
         X, Y, Z = (MultiPoly.variable(3, k) for k in range(3))
-        spec = LogarithmicSpec.make([X, Y, Y - X - Z], list(w))
+        spec = LogarithmicSpec.make([X, Y, Y - X - Z], [gr(1), gr(1), gr(-2)])
         form = logarithmic_form(spec)
         return GalleryEntry(
             name="three-lines",
             form=form,
             field=deprojectivize(form),
             curve=parse_poly("x*y*(y - x - 1)", 2),
-            weights=w,
             log_spec=spec,
         )
     if name == "circle":
-        return GalleryEntry(
-            name="circle", curve=parse_poly("x^2 + y^2 - 1", 2), expected_ovals=1
-        )
+        return GalleryEntry(name="circle", curve=parse_poly("x^2 + y^2 - 1", 2))
     if name == "nodal-cubic":
-        return GalleryEntry(
-            name="nodal-cubic",
-            curve=parse_poly("y^2 - x^2*(x + 1)", 2),
-            expected_ovals=0,
-            notes=("one node at the origin; the real loop passes through it",),
-        )
+        # one node at the origin; the real loop passes through it
+        return GalleryEntry(name="nodal-cubic", curve=parse_poly("y^2 - x^2*(x + 1)", 2))
     if name == "quartic-4-ovals":
+        # level +1/100 of the two-ellipse product: four lens-shaped ovals
         quartic = parse_poly("(x^2 + 2*y^2 - 1)*(2*x^2 + y^2 - 1) + 1/100", 2)
-        return GalleryEntry(
-            name="quartic-4-ovals",
-            curve=quartic,
-            expected_ovals=4,
-            notes=("level +1/100 of the two-ellipse product: four lens-shaped ovals",),
-        )
+        return GalleryEntry(name="quartic-4-ovals", curve=quartic)
     raise PreconditionError(f"unknown gallery name {name!r}; choose from {GALLERY_NAMES}")

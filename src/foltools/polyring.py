@@ -102,11 +102,6 @@ class MultiPoly:
             raise ValueError(f"variable index {index} out of range for arity {arity}")
         return MultiPoly._of(arity, 1, {tuple(int(v == index) for v in range(arity)): (1, 0)})
 
-    @staticmethod
-    def monomial(arity: int, exp: Exponent, coeff) -> "MultiPoly":
-        c = coeff if isinstance(coeff, GaussianRational) else GaussianRational.coerce(coeff)
-        return MultiPoly(arity, {tuple(exp): c})
-
     # -- basic queries --------------------------------------------------
 
     @property

@@ -3,7 +3,9 @@
 A series is known modulo t^(truncation+1): coefficient list indices
 0..truncation are meaningful, everything above is unknown (not zero).
 All operations track the truncation honestly, in integers: like `MultiPoly`,
-a series is num / den, Gaussian-integer numerators over one denominator.
+a series is num / den, Gaussian-integer numerators over one denominator,
+which `PowerSeries(num, den)` canonicalizes; `PowerSeries.from_list` lifts
+Gaussian-rational coefficients to that form.
 """
 
 from __future__ import annotations
@@ -17,13 +19,13 @@ from .gaussian import GInt, GaussianRational, ZERO, ONE, canonical, from_gint, l
 
 @dataclass(frozen=True)
 class PowerSeries:
-    """PowerSeries(coeffs), index k for t^k, or PowerSeries(numerators, den)."""
+    """num[k] / den is the coefficient of t^k."""
 
     num: tuple[GInt, ...]
-    den: int | None = None
+    den: int
 
     def __post_init__(self):
-        den, num = lift(self.num) if self.den is None else canonical(self.den, self.num)
+        den, num = canonical(self.den, self.num)
         object.__setattr__(self, "num", tuple(num))
         object.__setattr__(self, "den", den)
 
@@ -125,18 +127,6 @@ class PowerSeries:
             out.append((re // N, im // N))
         # self / other = (out / D) * (other.den / self.den)
         return PowerSeries([(re * other.den, im * other.den) for re, im in out], D * self.den)
-
-    def __str__(self) -> str:
-        parts = []
-        for k, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            if k == 0:
-                parts.append(str(a))
-            else:
-                parts.append(f"({a})*t^{k}")
-        body = " + ".join(parts) if parts else "0"
-        return f"{body} + O(t^{self.truncation + 1})"
 
 
 def _product(a, b, n: int) -> list[GInt]:

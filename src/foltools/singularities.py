@@ -93,9 +93,6 @@ class CurveSingularity:
     order: int
     is_node: bool
 
-    def to_dict(self) -> dict:
-        return {"point": str(self.point), "order": self.order, "is_node": self.is_node}
-
 
 @dataclass
 class Enumeration:

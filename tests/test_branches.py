@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import affine_vars, const2, random_coeff, random_poly, substitute
+from foltools import branches
 from foltools.branches import (
     Branch,
     _branches_at_chart_point,
@@ -213,6 +214,22 @@ def test_corollary2_values():
         assert all(row["mu"] == 1 for row in rep.multiplicities)
 
 
+def test_corollary2_takes_every_mu_from_one_euler_report(monkeypatch):
+    # the rows at infinity of the Euler report are the mu = 1 checks; no
+    # point is expanded a second time through infinity_branch_data
+    calls = dict.fromkeys(("euler_identity_check", "infinity_branch_data"), 0)
+    for name in calls:
+
+        def counting(*args, _name=name, _original=getattr(branches, name)):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(branches, name, counting)
+    ok, rep = corollary2_check(3, parse_poly("x^2*y + x*y^2 - 1", 2))
+    assert ok and rep.sum_mu == 3
+    assert calls == {"euler_identity_check": 1, "infinity_branch_data": 0}
+
+
 def test_corollary2_rejects_bad_curves():
     with pytest.raises(PreconditionError):
         corollary2_check(3, gallery("nodal-cubic").curve)  # singular
@@ -315,7 +332,7 @@ def _germ(rng, kind):
     for _ in range(rng.randint(1, 3)):
         d = rng.randint(order + 1, order + 2)
         i = rng.randint(0, d)
-        high = high + MultiPoly.monomial(2, (i, d - i), coeff())
+        high = high + MultiPoly(2, {(i, d - i): coeff()})
     return low + high
 
 
@@ -426,7 +443,7 @@ def test_integer_series_store_matches_gaussian_rational_arithmetic():
         # one value, two routes: equal and with one hash
         same = a.scale(c).scale(c.inverse())
         assert same == a and hash(same) == hash(a)
-        assert PowerSeries(tuple(ca)) == a
+        assert PowerSeries.from_list(ca, a.truncation) == a
 
 
 # -- line branches by one division, and compose_poly on integer lists --

@@ -166,6 +166,63 @@ def test_corollary2_cli(tmp_path, capsys):
     assert "verified: True" in capsys.readouterr().out
 
 
+# curve -> (chi, points at infinity) for smooth curves whose n points at
+# infinity are Q(i)-rational: each point is one branch with mu = 1
+COROLLARY2_VERIFIED = {
+    "x + y - 1": (2, ("(-1 : 1 : 0)",)),
+    "x^2 + 4*y^2 - 1": (2, ("(-2*i : 1 : 0)", "(2*i : 1 : 0)")),
+    "x^2*y + x*y^2 - 1": (0, ("(-1 : 1 : 0)", "(0 : 1 : 0)", "(1 : 0 : 0)")),
+    "x*y - 1": (2, ("(0 : 1 : 0)", "(1 : 0 : 0)")),
+    "x^2 - y^2 - 1": (2, ("(-1 : 1 : 0)", "(1 : 1 : 0)")),
+    "x*y*(x - y) - 1": (0, ("(0 : 1 : 0)", "(1 : 0 : 0)", "(1 : 1 : 0)")),
+    "x*y*(x+y)*(x-y) - 1": (-4, ("(-1 : 1 : 0)", "(0 : 1 : 0)", "(1 : 0 : 0)", "(1 : 1 : 0)")),
+    "(x-1)*(y+2)*(x+y) + 5": (0, ("(-1 : 1 : 0)", "(0 : 1 : 0)", "(1 : 0 : 0)")),
+}
+IRRATIONAL_AT_INFINITY = "unsupported/uncertified: infinity points not all Q(i)-rational\n"
+
+
+def _corollary2(tmp_path, capsys, curve, *options):
+    doc = tmp_path / "curve.fol"
+    doc.write_text(f"[curve c]\nf = {curve}\n")
+    rc = run(["corollary2", str(doc), "--curve", "c", *options])
+    out, err = capsys.readouterr()
+    return rc, out, err
+
+
+@pytest.mark.parametrize("curve", COROLLARY2_VERIFIED)
+def test_corollary2_output_is_pinned(tmp_path, curve, capsys):
+    chi, points = COROLLARY2_VERIFIED[curve]
+    n = len(points)
+    text = f"degree n = {n}, expected chi = {chi}\nsum(mu) = {n} over {n} infinity branches\nverified: True\n"
+    payload = {
+        "checkable": True,
+        "chi_claimed": chi,
+        "curve_degree": n,
+        "foliation_degree": n - 1,
+        "identity_holds": True,
+        "multiplicities": [{"branch": 0, "mu": 1, "point": p} for p in points],
+        "notes": [],
+        "sum_mu": n,
+    }
+    assert _corollary2(tmp_path, capsys, curve) == (0, text, "")
+    assert _corollary2(tmp_path, capsys, curve, "--json") == (0, json.dumps(payload, indent=2, sort_keys=True) + "\n", "")
+
+
+@pytest.mark.parametrize(
+    "curve, rc, err",
+    [
+        ("x^3 + y^3 - 1", 3, IRRATIONAL_AT_INFINITY),
+        ("x^4 + y^4 - 1", 3, IRRATIONAL_AT_INFINITY),
+        ("x^2 - 2*y^2 + 3*x - 1", 3, IRRATIONAL_AT_INFINITY),
+        ("y - x^2", 2, "error: curve meets the line at infinity in 1 rational points, need 2\n"),
+        ("x^2 + y^2", 2, "error: curve must be smooth\n"),
+    ],
+)
+def test_corollary2_refusals_are_pinned(tmp_path, curve, rc, err, capsys):
+    for options in ((), ("--json",)):
+        assert _corollary2(tmp_path, capsys, curve, *options) == (rc, "", err)
+
+
 def test_bounds_cli(capsys):
     assert run(["bounds", "--theorem", "t1", "--m", "4"]) == 0
     assert capsys.readouterr().out.strip() == "4"
@@ -385,6 +442,8 @@ CERTIFY_ARGS = ["certify", "EEE", "--field", "eee", "--curve", "circle", "--res"
         (CERTIFY_ARGS + ["--spacing", "nan"], "spacing must be a positive finite number"),
         (CERTIFY_ARGS + ["--spacing", "inf"], "spacing must be a positive finite number"),
         (CERTIFY_ARGS + ["--spacing", "fine"], "invalid float value"),
+        # crashed with ValueError
+        (POINT_ARGS + ["--point", "0:0:0"], "parse error: (0 : 0 : 0) is not a projective point"),
     ],
 )
 def test_malformed_value_is_a_usage_error(eee_doc, ex1_doc, argv, message, capsys):

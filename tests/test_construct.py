@@ -74,7 +74,7 @@ def test_log_form_factor_invariance_and_iif():
         cert = invariance_check(field, f_aff)
         assert cert is not None
         certs.append(cert)
-    assert darboux_check(certs, list(entry.weights))
+    assert darboux_check(certs, list(entry.log_spec.weights))
     assert iif_check(field, V)
     # the divergence equals the sum of the cofactors for this construction
     from foltools.fields import divergence
@@ -140,10 +140,5 @@ def test_gallery_names_load():
 
 def test_gallery_quartic_shape():
     q = gallery("quartic-4-ovals")
-    assert int(q.curve.degree) == 4 and q.expected_ovals == 4
+    assert int(q.curve.degree) == 4
     assert q.curve.evaluate((gr(0), gr(0))) == gr("101/100")
-
-
-def test_gallery_example1_real_ratio_notes():
-    entry = gallery("example1")
-    assert entry.notes  # warns that the non-dicriticality guarantee is off

@@ -7,7 +7,12 @@ written there.
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import foltools
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -37,3 +42,15 @@ def test_every_traced_name_exists_in_foltools():
         if owner is None or attr not in vars(owner):  # the tracer patches vars(owner)[attr]
             missing.append(".".join(filter(None, (layer, cls, attr))))
     assert missing == []
+
+
+def test_importing_the_cli_loads_every_traced_layer():
+    # the tracer looks each layer up in sys.modules right after importing
+    # foltools.cli, so a layer that the cli stops importing eagerly breaks
+    # traced runs; a fresh interpreter shows what the import alone loads
+    tables = _tables()
+    layers = sorted({*tables["SPANS"], *(layer for layer, _cls, _attr in tables["COUNTS"])})
+    code = "import sys, foltools.cli\nprint(*(m for m in sys.argv[1:] if 'foltools.' + m not in sys.modules))"
+    env = dict(os.environ, PYTHONPATH=str(Path(foltools.__file__).resolve().parent.parent))
+    proc = subprocess.run([sys.executable, "-c", code, *layers], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0 and proc.stdout == "\n", proc.stdout + proc.stderr
