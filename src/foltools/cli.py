@@ -364,7 +364,7 @@ def cmd_bounds(args):
     elif t == "degree-nondicritical":
         payload = bounds_mod.nondicritical_degree_bound(args.m)
         lines = [str(payload.bound)]
-    elif t == "mk":
+    else:  # mk
         if args.partition:
             partition = _parse_ints(args.partition)
             value, envelope = bounds_mod.mk_value(args.m, len(partition), partition)
@@ -373,8 +373,6 @@ def cmd_bounds(args):
         else:
             payload = bounds_mod.mk_argmax(args.m)
             lines = [f"k = {payload.k}, partition = {list(payload.partition)}, value = {payload.value}"]
-    else:
-        raise ParseError(f"unknown theorem {t!r}")
     if args.table:
         rows = bounds_mod.bound_table(list(range(args.table_from, args.table_to + 1)))
         payload = {"table": rows, "single": payload}
@@ -438,7 +436,7 @@ def cmd_construct(args):
         for row in report:
             if row["status"] == "Violated":
                 lines.append(f"# ratio condition violated for pair ({row['i']},{row['j']}): {row['ratio']}")
-    elif kind == "gallery":
+    else:  # gallery
         entry = gallery(args.name)
         fields = {}
         curves = {}
@@ -447,8 +445,6 @@ def cmd_construct(args):
         if entry.curve is not None:
             curves["curve"] = entry.curve
         doc = _document_from_parts(fields=fields, curves=curves)
-    else:
-        raise ParseError(f"unknown construct kind {kind!r}")
     text = format_system(doc)
     if args.out:
         _write_text(args.out, text)
@@ -643,8 +639,6 @@ def run_paper_suite() -> list[tuple[str, bool, str]]:
 
     # invariance + weighted-cofactor identity + inverse integrating factor
     for log_entry in (gallery("three-lines"), gallery("example1")):
-        if log_entry.log_spec is None:
-            continue
         field = log_entry.field
         certs = []
         all_inv = True

@@ -14,8 +14,8 @@ class ArityMismatch(FolError):
 class ParseError(FolError):
     """Syntax error in a polynomial or system document."""
 
-    def __init__(self, message: str, line: int = 1, column: int = 1):
-        super().__init__(f"{message} (line {line}, column {column})")
+    def __init__(self, message: str, line: int | None = None, column: int | None = None):
+        super().__init__(message if line is None else f"{message} (line {line}, column {column})")
         self.line = line
         self.column = column
 

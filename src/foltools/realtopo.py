@@ -40,7 +40,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DegenerateInput, PreconditionError, UncertifiedResult
-from .polyring import MultiPoly, _specialize, leading_form
+from .polyring import MultiPoly, _specialize, is_squarefree, leading_form
 from .uniroots import count_real_roots, sturm_counter, ueval, utrim
 
 MAX_SUBDIVISION_DEPTH = 6
@@ -829,6 +829,8 @@ def count_ovals(
         raise PreconditionError("real coefficients required")
     if f.is_constant():
         raise PreconditionError("curve must be nonconstant")
+    if not is_squarefree(f):  # a squared factor never changes sign, so the sign grid cannot see it
+        raise PreconditionError("curve must be squarefree")
     if box is None:
         box = default_box(f)
     warnings: list[str] = []

@@ -26,8 +26,6 @@ from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import RootSearchOverflow
 from .gaussian import GInt, GaussianRational, ZERO, from_gint
 
@@ -481,6 +479,8 @@ def _lifted_roots(c: Coeffs) -> list[GInt]:
     Gaussian integer congruent to a r mod G, and since |w| < |G| / 2 it is
     the remainder of a r under `gi_divmod` by G.
     """
+    import numpy as np  # the one numpy use in this module; the exact layers import without it
+
     a = c[-1]
     for p, iota in _split_primes(_LIFT_ABOVE):
         if gi_norm(a) % p:

@@ -2,13 +2,21 @@
 
 from __future__ import annotations
 
+import os
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import foltools
 from foltools.gaussian import GaussianRational, gr
 from foltools.polyring import MultiPoly
+
+
+def src_env() -> dict[str, str]:
+    """The environment of a fresh interpreter that imports the foltools under test."""
+    return dict(os.environ, PYTHONPATH=str(Path(foltools.__file__).resolve().parent.parent))
 
 
 def affine_vars() -> tuple[MultiPoly, MultiPoly]:

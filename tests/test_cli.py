@@ -2,12 +2,11 @@ import json
 import os
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import foltools
+from conftest import src_env
 from foltools import cli
 from foltools.cli import EXIT_BROKEN_PIPE, run
 from foltools.errors import ArityMismatch, PreconditionError
@@ -360,6 +359,17 @@ def test_usage_errors(tmp_path):
     bad.write_text("[field broken]\np = x +\nq = y\n")
     assert run(["check-invariant", str(bad), "--field", "broken", "--curve", "c"]) == 2
     assert run(["check-invariant", str(tmp_path / "missing.fol"), "--field", "a", "--curve", "b"]) == 2
+    assert run(["bounds", "--theorem", "t9", "--m", "3"]) == 2  # not a theorem choice
+    assert run(["construct", "nosuch"]) == 2  # not a construct kind
+
+
+def test_a_parse_error_with_no_position_names_none(ex1_doc, tmp_path, capsys):
+    assert run(["multiplicity", ex1_doc, "--field", "example1", "--curve", "line", "--point", "1:2"]) == 2
+    assert capsys.readouterr() == ("", "parse error: projective point must be X:Y:Z\n")
+    doc = tmp_path / "components.fol"
+    doc.write_text("[curve ab]\nf = x\ncomponents = missing\n")
+    assert run(["ovals", str(doc), "--curve", "ab"]) == 2
+    assert capsys.readouterr() == ("", "parse error: curve 'ab' references unknown component 'missing'\n")
 
 
 def test_paper_suite_exit_zero(capsys):
@@ -502,14 +512,13 @@ def test_closed_stdout_exits_quietly():
     # output): no traceback, the documented exit code
     read_end, write_end = os.pipe()
     os.close(read_end)
-    env = dict(os.environ, PYTHONPATH=str(Path(foltools.__file__).resolve().parent.parent))
     argv = ["construct", "log", "--curves", "X;Y;X+Y+Z", "--weights", "-3,1,2"]
     try:
         proc = subprocess.run(
             [sys.executable, "-m", "foltools.cli", *argv],
             stdout=write_end,
             stderr=subprocess.PIPE,
-            env=env,
+            env=src_env(),
             timeout=60,
         )
     finally:
@@ -521,13 +530,12 @@ def test_closed_stdout_exits_quietly():
 def test_no_stdout_at_all_keeps_the_exit_code_and_the_files(tmp_path):
     # started with fd 1 closed (`foltools ... >&-`), print writes nothing and
     # sys.stdout is None: the run's own exit code stands and --out is written
-    env = dict(os.environ, PYTHONPATH=str(Path(foltools.__file__).resolve().parent.parent))
     out = tmp_path / "circle.json"
     for argv, code in ((["construct", "gallery", "circle", "--out", str(out)], 0), (["construct", "gallery", "no-such-entry"], 2)):
         proc = subprocess.run(
             ["sh", "-c", 'exec "$0" -m foltools.cli "$@" >&-', sys.executable, *argv],
             stderr=subprocess.PIPE,
-            env=env,
+            env=src_env(),
             timeout=60,
         )
         assert proc.returncode == code, proc.stderr
@@ -549,8 +557,7 @@ def test_parser_is_built_once_and_a_usage_error_leaves_it_intact(eee_doc, monkey
     finally:
         cli._parser.cache_clear()
     assert builds == [1]
-    env = dict(os.environ, PYTHONPATH=str(Path(foltools.__file__).resolve().parent.parent))
-    fresh = subprocess.run([sys.executable, "-m", "foltools.cli", *valid], capture_output=True, text=True, env=env, timeout=120)
+    fresh = subprocess.run([sys.executable, "-m", "foltools.cli", *valid], capture_output=True, text=True, env=src_env(), timeout=120)
     assert (fresh.returncode, fresh.stdout) == (0, out)
 
 
@@ -598,6 +605,20 @@ def test_an_uncertified_oval_count_is_undecided(rules_doc, curve, res, shown, ca
     assert run(["ovals", rules_doc, "--curve", curve, "--res", res, "--json"]) == 3
     payload = json.loads(capsys.readouterr().out)
     assert payload["certified_count"] < payload["count"]
+
+
+def test_ovals_and_certify_need_a_squarefree_curve(tmp_path, capsys):
+    # a squared factor never changes sign, so the sign grid cannot see it: the
+    # squared circle was missed next to the other circle, or alone counted as 0
+    doc = tmp_path / "squares.fol"
+    doc.write_text(
+        "[field rotation]\np = -y\nq = x\n\n"
+        "[curve g2h]\nf = (x^2 + y^2 - 1)^2*((x - 5)^2 + y^2 - 1)\n\n"
+        "[curve g2]\nf = (x^2 + y^2 - 1)^2\n"
+    )
+    for argv in (["ovals", "--curve", "g2h"], ["ovals", "--curve", "g2"], ["certify", "--field", "rotation", "--curve", "g2"]):
+        assert run([argv[0], str(doc), *argv[1:], "--res", "64"]) == 2
+        assert capsys.readouterr() == ("", "error: curve must be squarefree\n")
 
 
 def test_a_non_compact_curve_with_no_box_is_a_usage_error(rules_doc, capsys):
@@ -1044,6 +1065,5 @@ def test_ovals_and_certify_leave_numpy_ma_unimported(tmp_path):
         f"         run(['certify', {str(doc)!r}, '--field', 'eee', '--curve', 'circle', '--res', '64'])]\n"
         "print(codes, 'numpy.ma' in sys.modules)\n"
     )
-    env = dict(os.environ, PYTHONPATH=str(Path(foltools.__file__).resolve().parent.parent))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=src_env(), timeout=120)
     assert proc.stdout.splitlines()[-1] == "[0, 0] False", proc.stdout + proc.stderr

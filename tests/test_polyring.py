@@ -1,18 +1,15 @@
 import itertools
 import math
-import os
 import random
 import subprocess
 import sys
 import time
 from collections import Counter
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
-from conftest import affine_vars, const2, projective_vars, random_coeff, random_poly, substitute
-import foltools
+from conftest import affine_vars, const2, projective_vars, random_coeff, random_poly, src_env, substitute
 from foltools import polyring
 from foltools.errors import ArityMismatch
 from foltools.gaussian import ZERO, GaussianRational, from_gint, gr
@@ -566,8 +563,7 @@ def test_int_det_check_survives_python_O():
         "except ArithmeticError as exc:\n"
         "    print(exc)\n"
     )
-    env = dict(os.environ, PYTHONPATH=str(Path(foltools.__file__).resolve().parent.parent))
-    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True, env=src_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["1", "-6", "Bareiss divisibility must hold"]
 
@@ -601,8 +597,7 @@ def test_exact_division_checks_survive_python_O():
         "    except ArithmeticError as exc:\n"
         "        print(exc)\n"
     )
-    env = dict(os.environ, PYTHONPATH=str(Path(foltools.__file__).resolve().parent.parent))
-    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True, env=src_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
         "1",

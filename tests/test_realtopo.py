@@ -135,6 +135,13 @@ def test_count_ovals_rejects_non_real_and_non_affine_curves():
         count_ovals(MultiPoly.variable(3, 0) ** 2 - MultiPoly.constant(3, 1), Box.square(2), 8)
 
 
+def test_count_ovals_rejects_a_curve_that_is_not_squarefree():
+    # the squared circle never changes sign: the sign grid saw only the other circle
+    other = (x - const2(5)) ** 2 + y**2 - const2(1)
+    with pytest.raises(PreconditionError, match="curve must be squarefree"):
+        count_ovals(circle**2 * other, None, 64)
+
+
 def test_denominator_beyond_float_range_is_counted():
     # numerators 1, 1 and -1 keep every weight small; signs and vertices come
     # from the integer rows and weights, so the denominator is never a float

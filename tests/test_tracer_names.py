@@ -7,12 +7,11 @@ written there.
 
 import ast
 import importlib
-import os
 import subprocess
 import sys
 from pathlib import Path
 
-import foltools
+from conftest import src_env
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -51,6 +50,5 @@ def test_importing_the_cli_loads_every_traced_layer():
     tables = _tables()
     layers = sorted({*tables["SPANS"], *(layer for layer, _cls, _attr in tables["COUNTS"])})
     code = "import sys, foltools.cli\nprint(*(m for m in sys.argv[1:] if 'foltools.' + m not in sys.modules))"
-    env = dict(os.environ, PYTHONPATH=str(Path(foltools.__file__).resolve().parent.parent))
-    proc = subprocess.run([sys.executable, "-c", code, *layers], capture_output=True, text=True, env=env, timeout=120)
+    proc = subprocess.run([sys.executable, "-c", code, *layers], capture_output=True, text=True, env=src_env(), timeout=120)
     assert proc.returncode == 0 and proc.stdout == "\n", proc.stdout + proc.stderr

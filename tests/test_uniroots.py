@@ -1,15 +1,13 @@
 import itertools
 import math
-import os
 import random
 import subprocess
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
-import foltools
+from conftest import src_env
 from foltools import uniroots
 from foltools.gaussian import GaussianRational, from_gint, gr, lift
 from foltools.uniroots import (
@@ -994,8 +992,7 @@ def test_ugcd_is_unchanged_under_python_O():
         "    g = [from_gint(u) for u in uniroots.ugcd(a, b)]\n"
         "    print([(str(c.re), str(c.im)) for c in (c / g[-1] for c in g)])  # made monic\n"
     )
-    env = dict(os.environ, PYTHONPATH=str(Path(foltools.__file__).resolve().parent.parent))
-    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True, env=src_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
     expected = [str([(str(c.re), str(c.im)) for c in _euclid_gcd(a, b)]) for a, b in pairs]
     assert proc.stdout.splitlines() == ["1"] + expected
