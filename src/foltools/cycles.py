@@ -2,9 +2,12 @@
 
 The hyperbolicity functional is the divergence integral D = closed-loop
 integral of div(X) dt along the periodic orbit; its sign gives stability and
-a confidently nonzero value gives hyperbolicity.  Numerics can confirm but
-not refute at this scale, so |D| below the threshold yields "inconclusive",
-never "not hyperbolic".
+a confidently nonzero value gives hyperbolicity.  D and the period T are
+Romberg estimates from midpoint sums along the traced polyline, and
+`quadrature_rel_err` is the relative change between the last two
+extrapolations: an estimate of the error of the reported D and T, not a
+proven bound.  Numerics can confirm but not refute at this scale, so |D|
+below the threshold yields "inconclusive", never "not hyperbolic".
 """
 
 from __future__ import annotations
@@ -19,10 +22,10 @@ import numpy as np
 from .errors import DegenerateInput, PreconditionError, UncertifiedResult
 from .fields import AffineVectorField, divergence, iif_check, invariance_check
 from .polyring import MultiPoly
-from .realtopo import _BEYOND_FLOAT, _horner, _horner_with_gradient, refine_polyline
+from .realtopo import _BEYOND_FLOAT, _gamma, _horner, _horner_with_gradient, refine_polyline
 
 THRESHOLD_FACTOR = 1000.0  # |D| must exceed this multiple of the error estimate
-TARGET_REL = 1e-6  # the two densities of `divergence_integral` must agree this closely
+TARGET_REL = 1e-6  # `divergence_integral` refines while its Romberg estimate exceeds this
 MAX_REFINEMENTS = 8  # midpoint refinements `divergence_integral` may make
 LOCATION_TOLERANCE = 1e-8  # an oval passes `location_check` when its residual is below this
 
@@ -94,15 +97,24 @@ def _hypot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.ldexp(np.sqrt(a * a + b * b), e)
 
 
-def _midpoint_sums(div_ev, fx_ev, fy_ev, pts: np.ndarray) -> tuple[float, float]:
-    """Midpoint-rule D = sum div * dt and T = sum dt along a closed polyline,
-    an (n, 2) array."""
+def _midpoint_sums(div_ev, fx_ev, fy_ev, pts: np.ndarray) -> np.ndarray:
+    """Midpoint-rule sums along a closed polyline, an (n, 2) array: D = sum
+    div * dt, T = sum dt and A = sum |div| * dt, as the array [D, T, A]."""
     mx, my = (0.5 * (pts[:-1] + pts[1:])).T
     speed = _hypot(fx_ev(mx, my), fy_ev(mx, my))
     if (speed < 1e-12).any():
         raise DegenerateInput("vector field vanishes on the oval; not a periodic orbit")
     dt = _hypot(*np.diff(pts, axis=0).T) / speed
-    return float(np.sum(div_ev(mx, my) * dt)), float(np.sum(dt))
+    terms = div_ev(mx, my) * dt
+    return np.array([np.sum(terms), np.sum(dt), np.sum(np.abs(terms))])
+
+
+def _decimated(pts: np.ndarray, k: int) -> np.ndarray:
+    """Every k-th vertex of a closed polyline, closed by its last vertex."""
+    out = pts[::k]
+    if (out[-1] != pts[-1]).any():
+        out = np.vstack([out, pts[-1:]])
+    return out
 
 
 def divergence_integral(
@@ -117,12 +129,20 @@ def divergence_integral(
     T = 2^-e T_U (UncertifiedResult when that leaves float range), and no
     threshold below depends on the scale of X.
 
-    Two vertex densities (the polyline and its half-density decimation) are
-    compared and Richardson-combined; when the invariant curve f is supplied
-    the polyline is midpoint-refined until the densities agree to TARGET_REL.
-    A refined polyline keeps the old vertices at its even indices, so its
-    decimation is the previous polyline and is not summed again; the last
-    round refines nothing.
+    Romberg's rule (Stoer & Bulirsch, Introduction to Numerical Analysis,
+    3.4): midpoint sums S on the polyline and on its decimations to every
+    second and every fourth vertex give two Richardson extrapolations,
+    R(n) = (4 S(n) - S(n/2)) / 3 and R(n/2) = (4 S(n/2) - S(n/4)) / 3, for D
+    and for T.  D and T are R(n), and rel_err, the largest of
+    |R(n) - R(n/2)| / |R(n)| over D and T, estimates their relative error.
+    When the invariant curve f is supplied the polyline is midpoint-refined,
+    at most MAX_REFINEMENTS times, while rel_err exceeds TARGET_REL and
+    |R(n) - R(n/2)| for D exceeds the sum's own rounding bound, gamma_n
+    times the sum of |div| * dt over the n chords (Higham, Accuracy and
+    Stability of Numerical Algorithms, 4.2): below that bound no refinement
+    sharpens D, as on an orbit whose D is zero to rounding.  A refined
+    polyline keeps the old vertices at its even indices, so its decimations
+    are the polylines already summed, and each polyline is summed once.
     """
     _require_real(field)
     pts = np.asarray(oval, dtype=np.float64)
@@ -141,19 +161,17 @@ def divergence_integral(
         raise DegenerateInput("vector field vanishes along the oval; not a periodic orbit")
     if speeds.min() < 1e-9 * speeds.max():
         raise DegenerateInput("vector field has a singularity on the oval")
-    coarse = pts[::2]
-    if (coarse[-1] != pts[-1]).any():
-        coarse = np.vstack([coarse, pts[-1:]])
-    D1, T1 = _midpoint_sums(div_ev, fx_ev, fy_ev, coarse)
+    quarter, half = (_midpoint_sums(div_ev, fx_ev, fy_ev, _decimated(pts, k)) for k in (4, 2))
     for refinements in range(MAX_REFINEMENTS + 1):
-        D2, T2 = _midpoint_sums(div_ev, fx_ev, fy_ev, pts)
-        D = (4.0 * D2 - D1) / 3.0
-        T = (4.0 * T2 - T1) / 3.0
-        rel = abs(D2 - D1) / max(abs(D), 1e-300)
-        if rel <= TARGET_REL or f is None or refinements == MAX_REFINEMENTS:
-            return D, _unscaled_period(T, e), rel
+        full = _midpoint_sums(div_ev, fx_ev, fy_ev, pts)
+        fine = (4.0 * full[:2] - half[:2]) / 3.0  # R(n) for D and T
+        change = np.abs(fine - (4.0 * half[:2] - quarter[:2]) / 3.0)
+        rel = float(np.max(change / np.maximum(np.abs(fine), 1e-300)))
+        at_floor = change[0] <= _gamma(len(pts) - 1) * full[2]
+        if rel <= TARGET_REL or at_floor or f is None or refinements == MAX_REFINEMENTS:
+            return float(fine[0]), _unscaled_period(float(fine[1]), e), rel
         pts = refine_polyline(f, pts)
-        D1, T1 = D2, T2  # the refined polyline's decimation is the one just summed
+        quarter, half = half, full  # the refined polyline's decimations are the ones just summed
 
 
 def certify_cycle(

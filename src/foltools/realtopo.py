@@ -977,13 +977,15 @@ def _project_all(ev: Callable, seeds: np.ndarray):
             g2 = dx * dx + dy * dy
             going = ~(g2 < _SINGULAR_G2)
             done = going & (np.abs(v) <= _CORRECTOR_TOL * np.sqrt(g2))
-            out[live[done], 0] = x[done]
-            out[live[done], 1] = y[done]
-            ok[live[done]] = True
+            if done.all():  # the common end: every live row converges at once
+                out[live, 0], out[live, 1], ok[live] = x, y, True
+                break
             keep = going & ~done
-            live, v, dx, dy, g2 = live[keep], v[keep], dx[keep], dy[keep], g2[keep]
-            x = x[keep] - v * dx / g2
-            y = y[keep] - v * dy / g2
+            if not keep.all():  # compact only when some rows stop and others go on
+                out[live[done], 0], out[live[done], 1], ok[live[done]] = x[done], y[done], True
+                live, x, y, v, dx, dy, g2 = (a[keep] for a in (live, x, y, v, dx, dy, g2))
+            x = x - v * dx / g2
+            y = y - v * dy / g2
     return out, ok
 
 

@@ -835,6 +835,31 @@ def test_certify_does_not_see_the_scale_of_the_field(tmp_path, c, rc, shown, cap
         assert f"D = +9.720121498e-01 {shown}" in out and "Unstable hyperbolic = True" in out
 
 
+@pytest.mark.parametrize(
+    "g, p, q",
+    [
+        ("1/4*x^2 + y^2 - 1", "(y - 3)*2*y", "(y - 3)*1/2*x"),
+        ("x^2 - 2/3*x + 1/2*y^2 - 8/9", "(y + 4)*y", "(y + 4)*(2*x - 2/3)"),
+    ],
+    ids=["ellipse", "shifted-ellipse"],
+)
+def test_an_orbit_with_zero_divergence_integral_stops_at_the_rounding_floor(tmp_path, monkeypatch, g, p, q, capsys):
+    # X = (g - h*g_y, h*g_x) is reversible under a reflection in x that keeps
+    # the oval g = 0, so D is zero and only rounding is left of it: no
+    # refinement can meet a relative target, and the quadrature stops within
+    # the sum's rounding bound instead of refining 8 times
+    from foltools import cycles
+
+    doc = tmp_path / "reversible.fol"
+    doc.write_text(f"[field rev]\np = {g} - {p}\nq = {q}\n\n[curve g]\nf = {g}\n", encoding="utf-8")
+    refinements = []
+    refine = cycles.refine_polyline
+    monkeypatch.setattr(cycles, "refine_polyline", lambda f, pts: refinements.append(len(pts)) or refine(f, pts))
+    assert run(["certify", str(doc), "--field", "rev", "--curve", "g"]) == 3
+    assert "inconclusive hyperbolic = False" in capsys.readouterr().out
+    assert len(refinements) <= 1
+
+
 # -- files that cannot be read or written: one line on stderr, exit 2 ------------
 
 

@@ -75,16 +75,24 @@ def test_reparameterization_stability(circle_polyline, eee_circle):
     assert abs(D1 - D2) / abs(D1) < 1e-6
 
 
+def _every(pts, k):
+    """Every k-th vertex of a closed polyline, closed by its last vertex."""
+    coarse = pts[::k]
+    return coarse if (coarse[-1] == pts[-1]).all() else np.vstack([coarse, pts[-1:]])
+
+
+def _evaluators(field):
+    return [_horner(p) for p in (divergence(field), field.component_x, field.component_y)]
+
+
 def _old_divergence_loop(field, pts, f, target_rel=1e-6, max_refinements=8):
-    """The loop that summed both densities every round: the reference."""
-    div_ev, fx_ev, fy_ev = (_horner(p) for p in (divergence(field), field.component_x, field.component_y))
+    """The loop that refined until the raw sums at two densities agreed: an
+    oracle for the value of D and T, not for their bits."""
+    evs = _evaluators(field)
     pts = np.asarray(pts, dtype=np.float64)
     for _ in range(max_refinements + 1):
-        coarse = pts[::2]
-        if (coarse[-1] != pts[-1]).any():
-            coarse = np.vstack([coarse, pts[-1:]])
-        D2, T2 = _midpoint_sums(div_ev, fx_ev, fy_ev, pts)
-        D1, T1 = _midpoint_sums(div_ev, fx_ev, fy_ev, coarse)
+        D2, T2, _ = _midpoint_sums(*evs, pts)
+        D1, T1, _ = _midpoint_sums(*evs, _every(pts, 2))
         D = (4.0 * D2 - D1) / 3.0
         T = (4.0 * T2 - T1) / 3.0
         rel = abs(D2 - D1) / max(abs(D), 1e-300)
@@ -94,10 +102,26 @@ def _old_divergence_loop(field, pts, f, target_rel=1e-6, max_refinements=8):
     return D, T, rel
 
 
+def _romberg_loop(field, pts, f, target_rel, max_refinements=8):
+    """Romberg's rule with all three densities summed afresh every round:
+    the reference for the bits of `divergence_integral`."""
+    evs = _evaluators(field)
+    pts = np.asarray(pts, dtype=np.float64)
+    for refinements in range(max_refinements + 1):
+        s4, s2, s1 = (_midpoint_sums(*evs, _every(pts, k)) for k in (4, 2, 1))
+        fine = [(4.0 * a - b) / 3.0 for a, b in zip(s1[:2], s2[:2])]
+        coarse = [(4.0 * a - b) / 3.0 for a, b in zip(s2[:2], s4[:2])]
+        rel = max(abs(a - b) / max(abs(a), 1e-300) for a, b in zip(fine, coarse))
+        n, u = len(pts) - 1, 2.0**-53
+        if rel <= target_rel or abs(fine[0] - coarse[0]) <= n * u / (1 - n * u) * s1[2] or refinements == max_refinements:
+            return fine[0], fine[1], rel
+        pts = refine_polyline(f, pts)
+
+
 @pytest.mark.parametrize("spacing, target_rel", [(0.05, 1e-6), (0.05, 1e-12), (1e-2, 1e-9)])
 def test_divergence_integral_sums_each_polyline_once(eee_circle, monkeypatch, spacing, target_rel):
     coarse = trace_oval(circle, (1.01, 0.0), spacing=spacing)
-    want = _old_divergence_loop(eee_circle, coarse, circle, target_rel)
+    want = _romberg_loop(eee_circle, coarse, circle, target_rel)
     calls = {"sums": 0, "refinements": 0}
 
     def counted(name, real):
@@ -112,8 +136,19 @@ def test_divergence_integral_sums_each_polyline_once(eee_circle, monkeypatch, sp
     monkeypatch.setattr(cycles, "TARGET_REL", target_rel)
     got = divergence_integral(eee_circle, coarse, f=circle)
     assert got == want  # D, T and rel to the last bit
-    # one sum for the first decimation, one per polyline; the last polyline is not refined
-    assert calls["refinements"] >= 2 and calls["sums"] == calls["refinements"] + 2
+    # one sum for each of the two first decimations, one per polyline; the last polyline is not refined
+    assert calls["refinements"] >= 2 and calls["sums"] == calls["refinements"] + 3
+    # the old rule's answer: the new D and T lie within its precision
+    D, T, rel = _old_divergence_loop(eee_circle, coarse, circle, target_rel)
+    assert abs(got[0] - D) <= rel * abs(D) and abs(got[1] - T) <= rel * T
+
+
+@pytest.mark.parametrize("spacing", [1.5e-3, 1e-2, 0.05])
+def test_reported_precision_bounds_the_error_against_the_closed_form(eee_circle, spacing):
+    D, T, rel = divergence_integral(eee_circle, trace_oval(circle, (1.01, 0.0), spacing=spacing), f=circle)
+    exact_D, exact_T = 4 * math.pi / math.sqrt(3) - 2 * math.pi, math.pi / math.sqrt(3)
+    assert 0 < rel <= 1e-6
+    assert abs(D - exact_D) <= rel * abs(exact_D) and abs(T - exact_T) <= rel * exact_T
 
 
 @pytest.mark.parametrize("e", [60, -60, -200])

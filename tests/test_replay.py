@@ -138,6 +138,31 @@ def test_certify_rows_that_move_only_float_digits_are_counted(replay, tmp_path, 
     assert "float digits" not in capsys.readouterr().out
 
 
+def test_compare_prints_float_moves_against_their_precisions(replay, tmp_path, capsys):
+    # over the rows that differ in float digits only, the largest |dD|/|D|
+    # and |dT|/|T| of a certificate, each as a multiple of rel_old + rel_new
+    a_rows = [
+        dict(row("certify/1", verdict_sha="vvvv"), certificates=[[1.0, 2.0, 1e-6]]),
+        dict(row("certify/2", verdict_sha="vvvv"), certificates=[[-0.5, 4.0, 1e-8], [2.0, 1.0, 1e-8]]),
+    ]
+    b_rows = [
+        dict(a_rows[0], stdout_sha="bbbb", certificates=[[1.0 + 1e-6, 2.0, 1e-6]]),
+        dict(a_rows[1], stdout_sha="bbbb", certificates=[[-0.5, 4.0, 3e-8], [2.0, 1.0 + 1e-8, 3e-8]]),
+    ]
+    assert compare(replay, tmp_path, a_rows + BASE, b_rows + BASE) == 1
+    out = capsys.readouterr().out
+    assert "2 certify rows differ in float digits only" in out
+    assert "largest move as a multiple of rel_old + rel_new: |dD|/|D| 0.5 (certify/1), |dT|/|T| 0.25 (certify/2)" in out
+    # a move beyond the precisions reads above 1; rows written before the
+    # certificates were recorded print no such line
+    b_rows[1]["certificates"][0][0] = -0.5 - 1e-7
+    compare(replay, tmp_path, a_rows + BASE, b_rows + BASE)
+    assert "|dD|/|D| 5 (certify/2)" in capsys.readouterr().out
+    old = [{k: v for k, v in r.items() if k != "certificates"} for r in a_rows]
+    compare(replay, tmp_path, old + BASE, b_rows + BASE)
+    assert "largest move" not in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("field, value", [("rc", 1), ("stdout_sha", "dddd"), ("report_sha", "eeee")])
 def test_a_changed_paper_suite_row_fails(replay, tmp_path, capsys, field, value):
     changed = BASE[:2] + [dict(BASE[2], **{field: value})]
@@ -235,8 +260,12 @@ def test_run_row_hashes_the_certify_verdict(replay, tmp_path, capsys):
     capsys.readouterr()
     assert got["command"] == "certify"
     assert cli.run(argv) == 0
-    assert got["verdict_sha"] == replay.verdict_sha(capsys.readouterr().out) != "-"
-    assert replay.run_row(cli, "ovals/eee", ["ovals", str(doc), "--curve", "g", "--res", "64"])["verdict_sha"] == "-"
+    out = capsys.readouterr().out
+    assert got["verdict_sha"] == replay.verdict_sha(out) != "-"
+    certificates = json.loads(out)["certificates"]
+    assert got["certificates"] == [[c["divergence_integral"], c["period"], c["quadrature_rel_err"]] for c in certificates]
+    ovals = replay.run_row(cli, "ovals/eee", ["ovals", str(doc), "--curve", "g", "--res", "64"])
+    assert ovals["verdict_sha"] == "-" and "certificates" not in ovals
 
 
 def test_work_directory_is_created_when_missing(replay, tmp_path, monkeypatch):

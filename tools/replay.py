@@ -14,7 +14,8 @@ directory ("-" when it writes none), so a moved vertex shows even when the
 counts do not change, for a `certify` job a sha256 prefix of its JSON payload
 without the float fields in FLOAT_KEYS ("-" for other jobs), so a change that
 moves only the digits of D, T and the residuals keeps it, and wall seconds;
-each row also records its command (the CLI subcommand, argv[0]).  A last
+each row also records its command (the CLI subcommand, argv[0]), and a
+`certify` row the (D, T, rel) of each of its certificates.  A last
 row, `paper-suite`, runs `paper-suite --report` and hashes its stdout and
 the JSON report it writes.  `--repeat N` runs the whole job list N times
 and records each job's median seconds and its seconds in every pass
@@ -37,7 +38,10 @@ certify verdict or report differ between two such files, naming the fields
 that differ (a field that one file does not record, such as `stderr_sha` in
 files written before it was recorded, is not compared), counts in one line
 the `certify` rows among them whose stdout differs with an equal verdict
-and nothing else ("N certify rows differ in float digits only"), so a
+and nothing else ("N certify rows differ in float digits only"), with
+the largest |dD|/|D| and |dT|/|T| over their certificates, each as a
+multiple of rel_old + rel_new (the tolerance of perfbench's
+`checks.compare`, so a move above 1 is one that check refuses), so a
 planned move of D, T and their precisions reads at a glance, prints the
 summed wall seconds of each job kind (the id before its "/") and of each
 command in both files, and exits 1 if a job differs, so a
@@ -63,6 +67,7 @@ import hashlib
 import importlib
 import io
 import json
+import math
 import os
 import statistics
 import sys
@@ -181,6 +186,37 @@ def verdict_sha(stdout: str) -> str:
     return _sha(json.dumps(_without_floats(payload), sort_keys=True).encode("utf-8"))
 
 
+def certificate_floats(stdout: str) -> list[list[float]] | None:
+    """[D, T, rel] of each certificate of a certify JSON payload (None if the
+    output is not one)."""
+    try:
+        certificates = json.loads(stdout)["certificates"]
+    except (ValueError, KeyError, TypeError):
+        return None
+    return [[c["divergence_integral"], c["period"], c["quadrature_rel_err"]] for c in certificates]
+
+
+def _multiple(old: float, new: float, rel: float) -> float:
+    """|new - old| / |old| as a multiple of rel (inf when rel * |old| is 0 and the value moved)."""
+    gap, bound = abs(new - old), rel * abs(old)
+    if not gap:
+        return 0.0
+    return gap / bound if bound else math.inf
+
+
+def float_moves(ra: dict, rb: dict) -> tuple[float, float] | None:
+    """The largest |dD|/|D| and |dT|/|T| between two certify rows'
+    certificates, each as a multiple of rel_old + rel_new, the tolerance of
+    perfbench's checks.compare (None unless both rows record certificates)."""
+    if not (ra.get("certificates") and rb.get("certificates")):
+        return None
+    moves = [
+        (_multiple(d0, d1, r0 + r1), _multiple(t0, t1, r0 + r1))
+        for (d0, t0, r0), (d1, t1, r1) in zip(ra["certificates"], rb["certificates"])
+    ]
+    return max(m[0] for m in moves), max(m[1] for m in moves)
+
+
 def run_row(cli, job_id: str, argv: list[str], polylines: Path | None = None, report: Path | None = None) -> dict:
     """Run one command in this process; hash its stdout and the files it wrote
     ("-" for a file it was not asked for or did not write, so each file is
@@ -202,6 +238,8 @@ def run_row(cli, job_id: str, argv: list[str], polylines: Path | None = None, re
         "report_sha": _file_sha(report),
         "seconds": round(seconds, 4),
     }
+    if argv[0] == "certify":
+        row["certificates"] = certificate_floats(stdout)
     print(
         f"{row['id']:<28} {str(row['rc']):>4} {row['stdout_sha']} {row['stderr_sha']} {row['polylines_sha']:<16} "
         f"{row['verdict_sha']:<16} {row['report_sha']:<16} {row['seconds']:9.3f}",
@@ -266,18 +304,28 @@ def compare(a_path: Path, b_path: Path) -> int:
     a = {r["id"]: r for r in json.loads(a_path.read_text(encoding="utf-8"))}
     b = {r["id"]: r for r in json.loads(b_path.read_text(encoding="utf-8"))}
     differ = float_only = 0
+    moves = {}  # job id -> its float_moves, for the rows that differ in float digits only
     for job_id in sorted(a.keys() | b.keys()):
         ra, rb = a.get(job_id), b.get(job_id)
         if ra is None or rb is None:
             print(f"{job_id}: only in {a_path if rb is None else b_path}")
         elif moved := [k for k in FIELDS if k in ra and k in rb and ra[k] != rb[k]]:
             print(f"{job_id}: " + ", ".join(f"{k} {ra.get(k)} -> {rb.get(k)}" for k in moved))
-            float_only += moved == ["stdout_sha"] and ra.get("verdict_sha", "-") != "-"
+            if moved == ["stdout_sha"] and ra.get("verdict_sha", "-") != "-":
+                float_only += 1
+                if (move := float_moves(ra, rb)) is not None:
+                    moves[job_id] = move
         else:
             continue
         differ += 1
     if float_only:
         print(f"{float_only} certify rows differ in float digits only")
+    if moves:
+        d_job, t_job = (max(moves, key=lambda job: moves[job][k]) for k in (0, 1))
+        print(
+            f"largest move as a multiple of rel_old + rel_new: |dD|/|D| {moves[d_job][0]:.3g} ({d_job}), "
+            f"|dT|/|T| {moves[t_job][1]:.3g} ({t_job})"
+        )
     for title, key in (("job kind", job_kind), ("command", job_command)):
         columns = [_group_seconds(rows.values(), key) for rows in (a, b)]
         print(f"seconds per {title}, {a_path.name} | {b_path.name}:")
