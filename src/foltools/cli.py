@@ -2,7 +2,11 @@
 
 Each subcommand handler returns (payload, text lines, verdict), the verdict
 True (proven), False (refuted) or None (undecided); `run` alone emits the
-output and turns the verdict into the exit code.
+output and turns the verdict into the exit code.  `run` alone also reads a
+document command's inputs: it loads the document, then builds the `--field`
+and looks up the `--curve` the command declared, and calls the handler
+with them, so a handler only computes (`darboux-check` looks up its
+`--curves` names itself, each just before its invariance check).
 
 Exit codes: 0 the answer is proven, 1 a verification failed (and, for
 now, DegenerateInput), 2 usage or parse error, a file that cannot be read
@@ -177,10 +181,7 @@ def _emit(args, payload, text_lines: list[str]) -> None:
 # -- subcommand handlers -----------------------------------------------------------
 
 
-def cmd_check_invariant(args):
-    doc = _load_document(args.document)
-    field = _get_field(doc, args.field)
-    curve = _get_curve(doc, args.curve)
+def cmd_check_invariant(args, doc, field, curve):
     cert = invariance_check(field, curve)
     if cert is None:
         return {"invariant": False}, [f"curve {args.curve!r} is NOT invariant"], False
@@ -193,10 +194,7 @@ def cmd_check_invariant(args):
     return payload, lines, True
 
 
-def cmd_cofactor(args):
-    doc = _load_document(args.document)
-    field = _get_field(doc, args.field)
-    curve = _get_curve(doc, args.curve)
+def cmd_cofactor(args, doc, field, curve):
     cert = invariance_check(field, curve)
     if cert is None:
         return {"invariant": False}, ["NotInvariant"], False
@@ -204,9 +202,7 @@ def cmd_cofactor(args):
     return {"invariant": True, "cofactor": K}, [K], True
 
 
-def cmd_projectivize(args):
-    doc = _load_document(args.document)
-    field = _get_field(doc, args.field)
+def cmd_projectivize(args, doc, field):
     form = projectivize(field)
     payload = {
         "P": form.P,
@@ -225,9 +221,7 @@ def cmd_projectivize(args):
     return payload, lines, True
 
 
-def cmd_singularities(args):
-    doc = _load_document(args.document)
-    field = _get_field(doc, args.field)
+def cmd_singularities(args, doc, field):
     aff = affine_singularities(field)
     inf = infinite_singularities(field.one_form)
     payload = {
@@ -251,9 +245,7 @@ def cmd_singularities(args):
     return payload, lines, not (aff.undecided or inf.undecided) or None
 
 
-def cmd_classify(args):
-    doc = _load_document(args.document)
-    field = _get_field(doc, args.field)
+def cmd_classify(args, doc, field):
     aff = affine_singularities(field)
     inf = infinite_singularities(field.one_form)
     records = [classify_dicritical(field, p) for p in aff.points + inf.points]
@@ -269,9 +261,7 @@ def cmd_classify(args):
     return payload, lines, not (unknown or aff.undecided or inf.undecided) or None
 
 
-def cmd_nodal(args):
-    doc = _load_document(args.document)
-    curve = _get_curve(doc, args.curve)
+def cmd_nodal(args, doc, curve):
     verdict = is_nodal(curve, include_infinity=args.with_infinity)
     payload = {"nodal": verdict, "with_infinity": args.with_infinity}
     return payload, [f"nodal: {verdict}"], verdict
@@ -286,10 +276,7 @@ def _invariance(field: AffineVectorField, curve: MultiPoly, message: str):
     return cert
 
 
-def cmd_multiplicity(args):
-    doc = _load_document(args.document)
-    field = _get_field(doc, args.field)
-    curve = _get_curve(doc, args.curve)
+def cmd_multiplicity(args, doc, field, curve):
     _invariance(field, curve, "curve is not invariant; multiplicities are undefined")
     undecided = 0
     if args.point:
@@ -310,10 +297,7 @@ def cmd_multiplicity(args):
     return payload, lines, not undecided or None
 
 
-def cmd_euler_check(args):
-    doc = _load_document(args.document)
-    field = _get_field(doc, args.field)
-    curve = _get_curve(doc, args.curve)
+def cmd_euler_check(args, doc, field, curve):
     report = euler_identity_check(field, curve, args.chi)
     lines = [
         f"curve degree n = {report.curve_degree}, foliation degree m = {report.foliation_degree}",
@@ -328,9 +312,7 @@ def cmd_euler_check(args):
     return report, lines, report.identity_holds if report.checkable else None
 
 
-def cmd_corollary2(args):
-    doc = _load_document(args.document)
-    curve = _get_curve(doc, args.curve)
+def cmd_corollary2(args, doc, curve):
     ok, report = corollary2_check(curve.degree, curve)
     lines = [
         f"degree n = {report.curve_degree}, expected chi = {report.chi_claimed}",
@@ -365,7 +347,7 @@ def cmd_bounds(args):
         payload = bounds_mod.nondicritical_degree_bound(args.m)
         lines = [str(payload.bound)]
     else:  # mk
-        if args.partition:
+        if args.partition is not None:
             partition = _parse_ints(args.partition)
             value, envelope = bounds_mod.mk_value(args.m, len(partition), partition)
             payload = {"m": args.m, "partition": partition, "value": value, "envelope": envelope}
@@ -486,9 +468,7 @@ _resolution = _checked(int, lambda res: res >= 2, "resolution must be at least 2
 _spacing = _checked(float, lambda h: math.isfinite(h) and h > 0, "spacing must be a positive finite number")
 
 
-def cmd_ovals(args):
-    doc = _load_document(args.document)
-    curve = _get_curve(doc, args.curve)
+def cmd_ovals(args, doc, curve):
     box = _parse_box(args.box) if args.box else None
     ovals = count_ovals(curve, box, args.res)
     lines = [
@@ -503,10 +483,7 @@ def cmd_ovals(args):
     return ovals, lines, ovals.certified_count == ovals.count or None
 
 
-def cmd_certify(args):
-    doc = _load_document(args.document)
-    field = _get_field(doc, args.field)
-    curve = _get_curve(doc, args.curve)
+def cmd_certify(args, doc, field, curve):
     cert = _invariance(field, curve, "curve is not invariant; nothing to certify")
     box = _parse_box(args.box) if args.box else None
     ovals = count_ovals(curve, box, args.res)
@@ -540,17 +517,12 @@ def cmd_certify(args):
     return payload, lines, all(c.hyperbolic for c in results) or None
 
 
-def cmd_iif_check(args):
-    doc = _load_document(args.document)
-    field = _get_field(doc, args.field)
-    V = _get_curve(doc, args.curve)
-    ok = iif_check(field, V)
+def cmd_iif_check(args, doc, field, curve):
+    ok = iif_check(field, curve)
     return {"iif": ok}, [f"inverse integrating factor: {ok}"], ok
 
 
-def cmd_darboux_check(args):
-    doc = _load_document(args.document)
-    field = _get_field(doc, args.field)
+def cmd_darboux_check(args, doc, field):
     names = [s.strip() for s in args.curves.split(",")]
     weights = _parse_weights(args.weights)
     certs = [_invariance(field, _get_curve(doc, name), f"curve {name!r} is not invariant") for name in names]
@@ -718,7 +690,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, field=False, curve=False):
+    def add_common(name, handler, summary, field=False, curve=False):
+        """Declare a document subcommand; `run` loads its document, builds the
+        field and looks up the curve it takes, and passes them to `handler`."""
+        p = sub.add_parser(name, help=summary)
         p.add_argument("document", help="path to a .fol system document")
         if field:
             p.add_argument("--field", required=True, help="field name in the document")
@@ -726,45 +701,21 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--curve", required=True, help="curve name in the document")
         p.add_argument("--json", action="store_true", help="machine-readable output")
         p.add_argument("--report", help="also write the JSON report to this path")
+        p.set_defaults(handler=handler)
+        return p
 
-    p = sub.add_parser("check-invariant", help="exact invariance certificate")
-    add_common(p, field=True, curve=True)
-    p.set_defaults(handler=cmd_check_invariant)
-
-    p = sub.add_parser("cofactor", help="print the exact cofactor")
-    add_common(p, field=True, curve=True)
-    p.set_defaults(handler=cmd_cofactor)
-
-    p = sub.add_parser("projectivize", help="homogeneous one-form of a field")
-    add_common(p, field=True)
-    p.set_defaults(handler=cmd_projectivize)
-
-    p = sub.add_parser("singularities", help="enumerate singular points")
-    add_common(p, field=True)
-    p.set_defaults(handler=cmd_singularities)
-
-    p = sub.add_parser("classify", help="dicritical classification of singular points")
-    add_common(p, field=True)
-    p.set_defaults(handler=cmd_classify)
-
-    p = sub.add_parser("nodal", help="decide nodality of a curve")
-    add_common(p, curve=True)
+    add_common("check-invariant", cmd_check_invariant, "exact invariance certificate", field=True, curve=True)
+    add_common("cofactor", cmd_cofactor, "print the exact cofactor", field=True, curve=True)
+    add_common("projectivize", cmd_projectivize, "homogeneous one-form of a field", field=True)
+    add_common("singularities", cmd_singularities, "enumerate singular points", field=True)
+    add_common("classify", cmd_classify, "dicritical classification of singular points", field=True)
+    p = add_common("nodal", cmd_nodal, "decide nodality of a curve", curve=True)
     p.add_argument("--with-infinity", action="store_true", default=False)
-    p.set_defaults(handler=cmd_nodal)
-
-    p = sub.add_parser("multiplicity", help="branch multiplicities at singular points")
-    add_common(p, field=True, curve=True)
+    p = add_common("multiplicity", cmd_multiplicity, "branch multiplicities at singular points", field=True, curve=True)
     p.add_argument("--point", help="affine x,y or projective X:Y:Z")
-    p.set_defaults(handler=cmd_multiplicity)
-
-    p = sub.add_parser("euler-check", help="chi = sum(mu) - n(m-1) identity")
-    add_common(p, field=True, curve=True)
+    p = add_common("euler-check", cmd_euler_check, "chi = sum(mu) - n(m-1) identity", field=True, curve=True)
     p.add_argument("--chi", type=int, required=True)
-    p.set_defaults(handler=cmd_euler_check)
-
-    p = sub.add_parser("corollary2", help="chi of a smooth curve via its Hamiltonian foliation")
-    add_common(p, curve=True)
-    p.set_defaults(handler=cmd_corollary2)
+    add_common("corollary2", cmd_corollary2, "chi of a smooth curve via its Hamiltonian foliation", curve=True)
 
     p = sub.add_parser("bounds", help="closed-form bound calculators")
     p.add_argument(
@@ -783,52 +734,40 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_bounds)
 
     p = sub.add_parser("construct", help="emit reference systems as .fol documents")
+    p.set_defaults(handler=cmd_construct)
     ksub = p.add_subparsers(dest="kind", required=True)
     pk = ksub.add_parser("log")
     pk.add_argument("--curves", required=True, help="semicolon-separated homogeneous polynomials")
     pk.add_argument("--weights", required=True, help="comma-separated weights")
     pk.add_argument("--out")
-    pk.set_defaults(handler=cmd_construct)
     pk = ksub.add_parser("eee")
     pk.add_argument("--g", required=True)
     pk.add_argument("--h", required=True)
     pk.add_argument("--a", default="1")
     pk.add_argument("--b", default="1")
     pk.add_argument("--out")
-    pk.set_defaults(handler=cmd_construct)
     pk = ksub.add_parser("thm2b")
     pk.add_argument("--m", type=int, required=True)
     pk.add_argument("--out")
-    pk.set_defaults(handler=cmd_construct)
     pk = ksub.add_parser("gallery")
     pk.add_argument("name", choices=list(GALLERY_NAMES))
     pk.add_argument("--out")
-    pk.set_defaults(handler=cmd_construct)
 
-    p = sub.add_parser("ovals", help="count real ovals by certified marching squares")
-    add_common(p, curve=True)
+    p = add_common("ovals", cmd_ovals, "count real ovals by certified marching squares", curve=True)
     p.add_argument("--box", help="x_lo:x_hi:y_lo:y_hi (rationals)")
     p.add_argument("--res", type=_resolution, default=256)
     p.add_argument("--emit-polylines", help="write oval polylines to this file")
-    p.set_defaults(handler=cmd_ovals)
 
-    p = sub.add_parser("certify", help="hyperbolic limit-cycle certificates")
-    add_common(p, field=True, curve=True)
+    p = add_common("certify", cmd_certify, "hyperbolic limit-cycle certificates", field=True, curve=True)
     p.add_argument("--all-ovals", action="store_true")
     p.add_argument("--box")
     p.add_argument("--res", type=_resolution, default=256)
     p.add_argument("--spacing", type=_spacing, default=1.5e-3)
-    p.set_defaults(handler=cmd_certify)
 
-    p = sub.add_parser("iif-check", help="inverse integrating factor identity")
-    add_common(p, field=True, curve=True)
-    p.set_defaults(handler=cmd_iif_check)
-
-    p = sub.add_parser("darboux-check", help="weighted cofactor identity")
-    add_common(p, field=True)
+    add_common("iif-check", cmd_iif_check, "inverse integrating factor identity", field=True, curve=True)
+    p = add_common("darboux-check", cmd_darboux_check, "weighted cofactor identity", field=True)
     p.add_argument("--curves", required=True, help="comma-separated curve names")
     p.add_argument("--weights", required=True, help="comma-separated weights")
-    p.set_defaults(handler=cmd_darboux_check)
 
     p = sub.add_parser("paper-suite", help="run every built-in reference fixture")
     p.add_argument("--report", help="write the JSON report to this path")
@@ -849,7 +788,15 @@ def run(argv: list[str]) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        payload, lines, verdict = args.handler(args)
+        inputs = ()
+        if "document" in args:
+            doc = _load_document(args.document)
+            inputs = (doc,)
+            if "field" in args:
+                inputs += (_get_field(doc, args.field),)
+            if "curve" in args:
+                inputs += (_get_curve(doc, args.curve),)
+        payload, lines, verdict = args.handler(args, *inputs)
         _emit(args, payload, lines)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

@@ -205,16 +205,14 @@ def thm2b_configuration(m: int) -> tuple[LogarithmicSpec, list[dict]]:
 
 @dataclass(frozen=True)
 class GalleryEntry:
-    """A named reference fixture: its foliation (form and field), its curve,
-    the logarithmic spec that built it and the branch multiplicities it
-    expects, each where it has one."""
+    """A named reference fixture: its foliation (form and field), its curve
+    and the logarithmic spec that built it, each where it has one."""
 
     name: str
     form: ProjectiveOneForm | None = None
     field: AffineVectorField | None = None
     curve: MultiPoly | None = None
     log_spec: LogarithmicSpec | None = None
-    expected_mu: tuple[tuple[str, int], ...] = ()
 
 
 EXAMPLE1_ALPHA, EXAMPLE1_BETA = gr(1, 2), gr(1)  # Example 1's weights of X and Y; alpha/beta is real
@@ -234,23 +232,20 @@ def _example1() -> GalleryEntry:
         field=deprojectivize(form),
         curve=parse_poly("x", 2),
         log_spec=spec,
-        expected_mu=(("(0 : 1 : 0)", 1), ("(0 : 0 : 1)", 1)),
     )
 
 
-def _forms_catalog() -> dict[str, tuple[str, str, str, tuple[tuple[str, int], ...]]]:
+def _forms_catalog() -> dict[str, tuple[str, str, str]]:
     return {
         "example2": (
             "(2*Y*Z - X^2)*Z",
             "X*(Y + Z)*Z",
             "X^3 - X*Y^2 - 3*X*Y*Z",
-            (("(0 : 1 : 0)", 2), ("(0 : 0 : 1)", 1)),
         ),
         "example3": (
             "(X^3 - 2*Y^2*Z)*Z",
             "-X*(Y^2 + Z^2)*Z",
             "-(X^4 - 2*X*Y^2*Z - X*Y*Z^2 - X*Y^3)",
-            (("(0 : 1 : 0)", 2), ("(0 : 0 : 1)", 2)),
         ),
     }
 
@@ -271,7 +266,7 @@ def gallery(name: str) -> GalleryEntry:
     if name == "example1":
         return _example1()
     if name in ("example2", "example3"):
-        Ps, Qs, Rs, mus = _forms_catalog()[name]
+        Ps, Qs, Rs = _forms_catalog()[name]
         form = ProjectiveOneForm.make(parse_poly(Ps, 3), parse_poly(Qs, 3), parse_poly(Rs, 3))
         # degenerate points on the invariant line classify as unknown
         return GalleryEntry(
@@ -279,7 +274,6 @@ def gallery(name: str) -> GalleryEntry:
             form=form,
             field=deprojectivize(form),
             curve=parse_poly("x", 2),
-            expected_mu=mus,
         )
     if name == "three-lines":
         X, Y, Z = (MultiPoly.variable(3, k) for k in range(3))

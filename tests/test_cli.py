@@ -473,6 +473,12 @@ def test_well_formed_values_still_read(ex1_doc, capsys):
     assert capsys.readouterr().out.strip() == "3"
 
 
+def test_an_empty_partition_given_explicitly_is_a_usage_error(capsys):
+    # an empty --partition read as no --partition and printed the argmax
+    assert run(["bounds", "--theorem", "mk", "--m", "3", "--partition", ""]) == 2
+    assert capsys.readouterr() == ("", "error: k must lie in [3, 5]\n")
+
+
 def _joined(argv):
     """argv with each `--option -value` pair written as `--option=-value`."""
     out = []
@@ -891,6 +897,67 @@ def test_construct_out_into_a_directory_is_a_usage_error(tmp_path, capsys):
 def test_polylines_into_a_directory_are_a_usage_error(eee_doc, tmp_path, capsys):
     argv = ["ovals", eee_doc, "--curve", "circle", "--res", "16", "--emit-polylines", str(tmp_path)]
     _file_error(argv, capsys, "Is a directory")
+
+
+# -- a document command's inputs: the document, then the field, then the curve ----
+
+INPUTS_DOC = """
+[field f]
+p = -y
+q = x
+
+[field zero]
+p = 0
+q = 0
+
+[curve c]
+f = x^2 + y^2 - 1
+"""
+
+# (command, takes --field, the option naming its curve or None, its other required options)
+DOCUMENT_COMMANDS = [
+    ("check-invariant", True, "--curve", []),
+    ("cofactor", True, "--curve", []),
+    ("projectivize", True, None, []),
+    ("singularities", True, None, []),
+    ("classify", True, None, []),
+    ("nodal", False, "--curve", []),
+    ("multiplicity", True, "--curve", []),
+    ("euler-check", True, "--curve", ["--chi", "2"]),
+    ("corollary2", False, "--curve", []),
+    ("ovals", False, "--curve", []),
+    ("certify", True, "--curve", []),
+    ("iif-check", True, "--curve", []),
+    ("darboux-check", True, "--curves", ["--weights", "1"]),
+]
+
+
+@pytest.mark.parametrize("name, takes_field, curve_option, extra", DOCUMENT_COMMANDS, ids=[c[0] for c in DOCUMENT_COMMANDS])
+def test_document_inputs_fail_in_order_document_field_curve(tmp_path, capsys, name, takes_field, curve_option, extra):
+    doc = tmp_path / "inputs.fol"
+    doc.write_text(INPUTS_DOC, encoding="utf-8")
+    latin1 = tmp_path / "latin1.fol"
+    latin1.write_bytes(b"[curve c]\nf = x  # \xe9\n")
+
+    def fails(document, field, curve):
+        argv = [name, str(document)] + (["--field", field] if takes_field else [])
+        argv += ([curve_option, curve] if curve_option else []) + extra
+        rc = run(argv)
+        out, err = capsys.readouterr()
+        assert out == ""
+        return rc, err
+
+    no_field = (2, "parse error: no field named 'nope' in the document\n")
+    no_curve = (2, "parse error: no curve named 'nope' in the document\n")
+    assert fails(tmp_path, "nope", "nope") == (2, f"error: {tmp_path}: Is a directory\n")
+    assert fails(latin1, "nope", "nope") == (2, f"error: {latin1}: not UTF-8 text\n")
+    assert fails(doc, "nope", "nope") == (no_field if takes_field else no_curve)
+    if takes_field:
+        assert fails(doc, "nope", "c") == no_field
+        # the field is built (and refused) before the curve is looked up
+        assert fails(doc, "zero", "nope") == (1, "error: zero vector field has no degree\n")
+    if curve_option:
+        assert fails(doc, "f", "nope") == no_curve
 
 
 @pytest.mark.parametrize(
