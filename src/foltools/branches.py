@@ -32,6 +32,7 @@ from .singularities import (
     affine_singularities,
     curve_singularities_decided,
     infinite_singularities,
+    line_singularities,
 )
 
 MAX_DOUBLINGS = 3
@@ -218,10 +219,13 @@ def singular_points_on_curve(
     field: AffineVectorField, f: MultiPoly
 ) -> tuple[list[ProjectivePoint], tuple[Enumeration, Enumeration]]:
     """The field's singular points on the projective closure of f, and the
-    affine and infinite enumerations they were taken from."""
+    affine and infinite enumerations they were taken from.  On a line the
+    affine points come from the components restricted to it; any other
+    curve has no polynomial parametrisation, and takes them from the
+    whole plane."""
     if f.is_constant():
         raise PreconditionError("curve must be a nonconstant polynomial")
-    aff = affine_singularities(field)
+    aff = line_singularities(field, f) if f.degree == 1 else affine_singularities(field)
     inf = infinite_singularities(field.one_form)
     F = homogenize(f, int(f.degree))
     return [p for p in aff.points + inf.points if F.evaluate(p.coords).is_zero()], (aff, inf)

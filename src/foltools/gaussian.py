@@ -109,10 +109,6 @@ class GaussianRational:
 
     __rmul__ = __mul__
 
-    def norm(self) -> Fraction:
-        """|z|^2 as an exact rational."""
-        return Fraction(self._x * self._x + self._y * self._y, self._d * self._d)
-
     def inverse(self) -> "GaussianRational":
         """d (x - y*i) / (x^2 + y^2)."""
         x, y, d = self._x, self._y, self._d
@@ -170,12 +166,7 @@ class GaussianRational:
             return None
         return _make(m * m, 2 * Y, 2 * m * d)
 
-    # -- ordering helpers (real values only) ---------------------------
-
-    def as_fraction(self) -> Fraction:
-        if self._y:
-            raise ValueError("value is not real")
-        return Fraction(self._x, self._d)
+    # -- conversion (real values only) ---------------------------------
 
     def __float__(self) -> float:
         if self._y:

@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
-from .gaussian import GInt, GaussianRational, ZERO, ONE, canonical, from_gint, lift
+from .gaussian import GInt, GaussianRational, ZERO, ONE, canonical, lift
 
 
 @dataclass(frozen=True)
@@ -28,11 +27,6 @@ class PowerSeries:
         den, num = canonical(self.den, self.num)
         object.__setattr__(self, "num", tuple(num))
         object.__setattr__(self, "den", den)
-
-    @cached_property
-    def coeffs(self) -> tuple[GaussianRational, ...]:
-        """Read-only view: index k = coefficient of t^k."""
-        return tuple(from_gint(u, self.den) for u in self.num)
 
     @property
     def truncation(self) -> int:
@@ -68,10 +62,6 @@ class PowerSeries:
         n = min(self.truncation, other.truncation)
         return PowerSeries(_product(self.num, other.num, n), self.den * other.den)
 
-    def scale(self, c: GaussianRational) -> "PowerSeries":
-        d, ((cr, ci),) = lift((c,))
-        return PowerSeries([(re * cr - im * ci, re * ci + im * cr) for re, im in self.num], self.den * d)
-
     def truncate(self, n: int) -> "PowerSeries":
         if n >= self.truncation:
             return self
@@ -90,11 +80,6 @@ class PowerSeries:
 
     def is_zero_to_truncation(self) -> bool:
         return self.order() is None
-
-    def coefficient(self, k: int) -> GaussianRational:
-        if k > self.truncation:
-            raise IndexError("coefficient beyond truncation")
-        return from_gint(self.num[k], self.den)
 
     def divide(self, other: "PowerSeries") -> "PowerSeries | None":
         """self / other when the division stays a power series.

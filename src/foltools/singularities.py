@@ -6,7 +6,9 @@ never guessed: their total degree is reported as a residual count, and the
 unresolved factors are kept so callers can prove (by exact gcd tests) that
 the missing points avoid a curve of interest.  Factors whose rational-root
 search exceeds the divisor budget are classified "uncertain" (they may
-still have rational roots) and are treated as fully undecided.
+still have rational roots) and are treated as fully undecided.  The points
+on one line need no eliminant: they are the roots of the gcd of the
+components restricted to the line (`line_singularities`).
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from .fields import (
 )
 from .gaussian import GaussianRational, ONE, ZERO, gr
 from .polyring import MultiPoly, _specialize_keeping, dehomogenize, exact_divide, homogenize, is_squarefree, poly_gcd, resultant
+from .series import PowerSeries, compose_poly
 from .uniroots import Coeffs, RootReport, qi_roots, ucoprime, ugcd
 
 
@@ -241,19 +244,48 @@ def residual_avoids_curve(enum: Enumeration, f: MultiPoly) -> bool:
 # -- foliation singularities -------------------------------------------------------
 
 
-def affine_singularities(field: AffineVectorField) -> Enumeration:
-    """All finite singular points with Q(i) coordinates, plus residual count."""
+def _isolated_components(field: AffineVectorField) -> tuple[MultiPoly, MultiPoly] | None:
+    """The field's two components once their common zeros are proven
+    isolated, or None when there are none: one component vanishes and the
+    other is a nonzero constant."""
     u, w = field.component_x, field.component_y
     if u.is_zero() and w.is_zero():
         raise DegenerateInput("identically zero field")
     if u.is_zero() or w.is_zero():
-        nz = w if u.is_zero() else u
-        if nz.is_constant():
-            return Enumeration(system=(u, w))
+        if (w if u.is_zero() else u).is_constant():
+            return None
         raise NonIsolatedSingularities("one component vanishes identically")
     if not field.component_gcd.is_constant():
         raise NonIsolatedSingularities("components share a polynomial factor")
-    return _coprime_common_zeros(u, w)
+    return u, w
+
+
+def affine_singularities(field: AffineVectorField) -> Enumeration:
+    """All finite singular points with Q(i) coordinates, plus residual count."""
+    components = _isolated_components(field)
+    return Enumeration() if components is None else _coprime_common_zeros(*components)
+
+
+def line_singularities(field: AffineVectorField, f: MultiPoly) -> Enumeration:
+    """The finite singular points on the line f = a x + b y + c = 0.
+
+    Along x = t, y = -(a t + c)/b when b != 0, else x = -c/a, y = t, each
+    component restricts to a polynomial in t of at most its own degree, and
+    the gcd of the two vanishes exactly at the singular points on the line.
+    That gcd is not zero: the line would divide both components, whose
+    common zeros `_isolated_components` proves isolated.  Its Q(i) roots
+    give every Q(i) point, in one root search and with no eliminant; the
+    degree left lies on the line, so it is a hard residual."""
+    components = _isolated_components(field)
+    if components is None:
+        return Enumeration()
+    a, b, c = (f.coefficient(e) for e in ((1, 0), (0, 1), (0, 0)))
+    line = ((ZERO, ONE), (-c / b, -a / b)) if b else ((-c / a, ZERO), (ZERO, ONE))  # x and y: (value at t = 0, slope)
+    n = max(int(u.degree) for u in components)
+    series = [PowerSeries.from_list(coords, n) for coords in line]
+    rep = qi_roots(ugcd(*(compose_poly(u, *series).num for u in components)))
+    points = {ProjectivePoint.affine(*(at0 + slope * t for at0, slope in line)) for t in rep.roots}
+    return Enumeration(points=sorted(points, key=str), hard_residual=rep.residual_degree + rep.uncertain_degree)
 
 
 def _at_infinity(G: MultiPoly) -> Coeffs:

@@ -10,8 +10,9 @@ from pathlib import Path
 import pytest
 
 import foltools
-from foltools.gaussian import GaussianRational, gr
+from foltools.gaussian import GaussianRational, from_gint, gr, lift
 from foltools.polyring import MultiPoly
+from foltools.series import PowerSeries
 
 
 def src_env() -> dict[str, str]:
@@ -29,6 +30,35 @@ def projective_vars() -> tuple[MultiPoly, MultiPoly, MultiPoly]:
 
 def const2(value) -> MultiPoly:
     return MultiPoly.constant(2, gr(value) if isinstance(value, (int, str, Fraction)) else value)
+
+
+def gr_norm(z: GaussianRational) -> Fraction:
+    """|z|^2 as an exact rational."""
+    return z.re * z.re + z.im * z.im
+
+
+def as_fraction(z: GaussianRational) -> Fraction:
+    """A real scalar as a Fraction; ValueError when it is not real."""
+    if not z.is_real():
+        raise ValueError("value is not real")
+    return z.re
+
+
+def series_coeffs(s: PowerSeries) -> tuple[GaussianRational, ...]:
+    """The coefficients of a series as scalars: index k is that of t^k."""
+    return tuple(from_gint(u, s.den) for u in s.num)
+
+
+def series_coefficient(s: PowerSeries, k: int) -> GaussianRational:
+    if k > s.truncation:
+        raise IndexError("coefficient beyond truncation")
+    return from_gint(s.num[k], s.den)
+
+
+def series_scale(s: PowerSeries, c: GaussianRational) -> PowerSeries:
+    """c times s."""
+    d, ((cr, ci),) = lift((c,))
+    return PowerSeries([(re * cr - im * ci, re * ci + im * cr) for re, im in s.num], s.den * d)
 
 
 def substitute(p: MultiPoly, values: dict[int, MultiPoly]) -> MultiPoly:

@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from conftest import affine_vars, const2, projective_vars, random_poly, random_real_poly, substitute
+from conftest import affine_vars, const2, projective_vars, random_poly, random_real_poly, series_coefficient, substitute
 from foltools.bounds import (
     harnack_bound,
     mk_argmax,
@@ -316,7 +316,7 @@ def _random_invariant_branch(rng):
 
 def _center(br):
     """The branch's center point (phi1(0), phi2(0))."""
-    return br.phi1.coefficient(0), br.phi2.coefficient(0)
+    return series_coefficient(br.phi1, 0), series_coefficient(br.phi2, 0)
 
 
 def test_criterion_8e_pullback_consistency():

@@ -1,11 +1,22 @@
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from conftest import affine_vars, const2, random_coeff, random_poly, substitute
+from conftest import (
+    affine_vars,
+    const2,
+    projective_vars,
+    random_coeff,
+    random_poly,
+    series_coefficient,
+    series_coeffs,
+    series_scale,
+    substitute,
+)
 from foltools import branches
 from foltools.branches import (
     Branch,
@@ -18,14 +29,21 @@ from foltools.branches import (
     genus_and_chi,
     infinity_branch_data,
     local_branches,
+    singular_points_on_curve,
 )
-from foltools.construct import gallery
-from foltools.errors import PreconditionError, UncertifiedResult, UnsupportedBranch
-from foltools.fields import AffineVectorField
+from foltools.construct import LogarithmicSpec, gallery, logarithmic_form
+from foltools.errors import DegenerateInput, FolError, PreconditionError, UncertifiedResult, UnsupportedBranch
+from foltools.fields import AffineVectorField, deprojectivize
 from foltools.gaussian import ZERO, gr
-from foltools.polyring import MultiPoly, exact_divide
+from foltools.polyring import MultiPoly, dehomogenize, exact_divide, homogenize
 from foltools.series import PowerSeries, compose_poly
-from foltools.singularities import ProjectivePoint, _order_and_node, is_nodal
+from foltools.singularities import (
+    ProjectivePoint,
+    _order_and_node,
+    affine_singularities,
+    infinite_singularities,
+    is_nodal,
+)
 from foltools.textio import parse_poly
 
 x, y = affine_vars()
@@ -36,17 +54,17 @@ rotation = AffineVectorField.make(-y, x)
 def test_circle_branch_series():
     (br,) = local_branches(circle, ProjectivePoint.affine(1, 0), truncation=8)
     # the transversal coordinate is y: phi = (psi(t), t)
-    assert br.phi2.coeffs[1] == gr(1)
-    assert br.phi1.coefficient(0) == gr(1)
-    assert br.phi1.coefficient(2) == gr("-1/2")
-    assert br.phi1.coefficient(4) == gr("-1/8")
+    assert series_coeffs(br.phi2)[1] == gr(1)
+    assert series_coefficient(br.phi1, 0) == gr(1)
+    assert series_coefficient(br.phi1, 2) == gr("-1/2")
+    assert series_coefficient(br.phi1, 4) == gr("-1/8")
     assert compose_poly(circle, br.phi1, br.phi2).is_zero_to_truncation()
 
 
 def test_node_branches():
     f = y**2 - x**2
     branches = local_branches(f, ProjectivePoint.affine(0, 0), truncation=6)
-    slopes = sorted(str(b.phi2.coefficient(1)) for b in branches)
+    slopes = sorted(str(series_coefficient(b.phi2, 1)) for b in branches)
     assert slopes == ["-1", "1"]
     for b in branches:
         assert compose_poly(f, b.phi1, b.phi2).is_zero_to_truncation()
@@ -259,7 +277,7 @@ def _oracle_solve_series(g, truncation, solve_var):
     t = PowerSeries.identity(truncation)
     for k in range(1, truncation + 1):
         residual = compose_poly(g, *((t, s) if solve_var == 1 else (s, t)))
-        ek = residual.coefficient(k)
+        ek = series_coefficient(residual, k)
         if not ek.is_zero():
             s = s + PowerSeries.from_list([ZERO] * k + [-ek * inv], truncation)
     return s
@@ -272,7 +290,7 @@ def _oracle_node_branch(local, base, chart, u0, v0, slope, truncation, by_u):
     reduced = exact_divide(substitute(local, {0: uu, 1: scaled} if by_u else {0: scaled, 1: uu}), uu * uu)
     z = _oracle_solve_series(reduced, truncation, solve_var=1)
     t = PowerSeries.identity(truncation)
-    co = (t.scale(slope) + t * z).truncate(truncation)
+    co = (series_scale(t, slope) + t * z).truncate(truncation)
     phi1, phi2 = (t, co) if by_u else (co, t)
     return Branch(base, chart, phi1.shift_constant(u0), phi2.shift_constant(v0), truncation)
 
@@ -384,7 +402,7 @@ def _ref_divide(a, b):
 def _assert_canonical_series(s):
     assert s.den > 0
     assert math.gcd(s.den, *itertools.chain.from_iterable(s.num)) == 1
-    assert s.coeffs == tuple(gr(Fraction(re, s.den), Fraction(im, s.den)) for re, im in s.num)
+    assert series_coeffs(s) == tuple(gr(Fraction(re, s.den), Fraction(im, s.den)) for re, im in s.num)
 
 
 def _mixed(rng):
@@ -403,7 +421,7 @@ def test_integer_series_store_matches_gaussian_rational_arithmetic():
     rng = random.Random(5150)
     for _ in range(150):
         a, b = _series(rng), _series(rng, rng.randint(0, 2))
-        ca, cb = list(a.coeffs), list(b.coeffs)
+        ca, cb = list(series_coeffs(a)), list(series_coeffs(b))
         n = min(len(ca), len(cb))
         c = _mixed(rng) or gr(3, -1)
         results = {
@@ -411,7 +429,7 @@ def test_integer_series_store_matches_gaussian_rational_arithmetic():
             "sub": (a - b, [u - v for u, v in zip(ca, cb)]),
             "neg": (-a, [-u for u in ca]),
             "mul": (a * b, _ref_mul(ca, cb)),
-            "scale": (a.scale(c), [u * c for u in ca]),
+            "scale": (series_scale(a, c), [u * c for u in ca]),
             "truncate": (a.truncate(2), ca[:3]),
             "shift_constant": (a.shift_constant(c), [ca[0] + c] + ca[1:]),
             "derivative": (a.derivative(), [u * k for k, u in enumerate(ca) if k] or [ZERO]),
@@ -423,7 +441,7 @@ def test_integer_series_store_matches_gaussian_rational_arithmetic():
                 assert got is None, name
                 continue
             _assert_canonical_series(got)
-            assert list(got.coeffs) == want, name
+            assert list(series_coeffs(got)) == want, name
             assert got.truncation == len(want) - 1, name
         assert (a + b).truncation == n - 1
         assert a.derivative().truncation == max(a.truncation - 1, 0)
@@ -437,15 +455,15 @@ def test_integer_series_store_matches_gaussian_rational_arithmetic():
         for (i, j), coeff in f.terms.items():
             term = [coeff] + [ZERO] * m
             for _ in range(i):
-                term = _ref_mul(term, list(phi1.coeffs))
+                term = _ref_mul(term, list(series_coeffs(phi1)))
             for _ in range(j):
-                term = _ref_mul(term, list(phi2.coeffs))
+                term = _ref_mul(term, list(series_coeffs(phi2)))
             want = [u + w for u, w in zip(want, term)]
         composed = compose_poly(f, phi1, phi2)
         _assert_canonical_series(composed)
-        assert list(composed.coeffs) == want
+        assert list(series_coeffs(composed)) == want
         # one value, two routes: equal and with one hash
-        same = a.scale(c).scale(c.inverse())
+        same = series_scale(series_scale(a, c), c.inverse())
         assert same == a and hash(same) == hash(a)
         assert PowerSeries.from_list(ca, a.truncation) == a
 
@@ -496,7 +514,7 @@ def test_line_branches_by_one_division_match_the_newton_loop():
         truncation = rng.randint(8, 32)
         got = _solve_series(h, w0, truncation)
         assert got == _newton_solve_series(h, w0, truncation), n
-        assert got.truncation == truncation and got.coefficient(0) == w0
+        assert got.truncation == truncation and series_coefficient(got, 0) == w0
         checked += 1
     assert checked > 200
 
@@ -540,3 +558,145 @@ def test_compose_poly_on_integer_lists_matches_the_per_term_horner():
         got = compose_poly(f, phi1, phi2)
         _assert_canonical_series(got)
         assert got == _per_term_compose_poly(f, phi1, phi2), n
+
+
+# -- singular points on a line: restriction against the plane enumeration --------
+
+
+def _plane_points_on_curve(field, f):
+    """The earlier route, kept as an oracle: every singular point of the
+    plane, those on the closure of f, and the degree left undecided on f."""
+    aff = affine_singularities(field)
+    inf = infinite_singularities(field.one_form)
+    F = homogenize(f, int(f.degree))
+    points = [p for p in aff.points + inf.points if F.evaluate(p.coords).is_zero()]
+    return points, aff.undecided_on(f) + inf.undecided_on(f)
+
+
+def _line_points_on_curve(field, f):
+    points, enumerations = singular_points_on_curve(field, f)
+    return points, sum(e.undecided_on(f) for e in enumerations)
+
+
+def _outcome(route, field, f):
+    """(points, undecided) of one route, or the class and message of its error."""
+    try:
+        return route(field, f)
+    except FolError as exc:
+        return type(exc), str(exc)
+
+
+def _arrangement_field(rng, complex_lines, complex_weights, conic):
+    """A logarithmic foliation of 3-5 random lines (one of them vertical and
+    one horizontal when the coin says so), with a conic when asked, and its
+    line components; None when the configuration degenerates."""
+    X, Y, Z = projective_vars()
+
+    def scalar():
+        return gr(rng.randint(-3, 3), rng.randint(-2, 2) if complex_lines else 0)
+
+    lines = []
+    if rng.random() < 0.5:
+        lines += [X - Z.scale(scalar()), Y - Z.scale(scalar())]
+    while len(lines) < rng.choice((3, 4, 5)):
+        a, b = scalar(), scalar()
+        if a or b:
+            lines.append(X.scale(a) + Y.scale(b) + Z.scale(scalar()))
+    curves = list(lines)
+    if conic:
+        a, c, r = (gr(rng.randint(1, 4)) for _ in range(3))
+        p, q = (gr(rng.randint(-2, 2)) for _ in range(2))
+        curves.insert(0, ((X - Z.scale(p)) ** 2).scale(a) + ((Y - Z.scale(q)) ** 2).scale(c) - (Z**2).scale(r))
+
+    def weight():
+        return gr(rng.choice((-4, -3, -2, -1, 1, 2, 3, 4)), rng.randint(-2, 2) if complex_weights else 0)
+
+    weights = [weight() for _ in curves[:-1]]
+    last = -sum((w * int(F.degree) for w, F in zip(weights, curves)), ZERO)  # the last curve is a line
+    if last.is_zero():
+        return None
+    try:
+        field = deprojectivize(logarithmic_form(LogarithmicSpec.make(curves, weights + [last])))
+    except (DegenerateInput, PreconditionError):
+        return None
+    return field, [dehomogenize(F) for F in lines]
+
+
+def test_singular_points_on_a_line_match_the_plane_enumeration():
+    rng = random.Random(4545)
+    kinds = ("decided", "more decided", "vertical", "horizontal", "complex line", "complex field", "conic")
+    tally = dict.fromkeys(kinds, 0)
+    cases = 0
+    while cases < 120:
+        kind = cases % 4  # real; Q(i) lines; Q(i) weights; both
+        made = _arrangement_field(rng, kind in (1, 3), kind in (2, 3), conic=rng.random() < 0.3)
+        if made is None:
+            continue
+        field, lines = made
+        for f in lines:
+            cases += 1
+            want = _outcome(_plane_points_on_curve, field, f)
+            got = _outcome(_line_points_on_curve, field, f)
+            if isinstance(want[0], type):
+                assert got == want
+                continue
+            (want_points, want_undecided), (got_points, got_undecided) = want, got
+            if want_undecided == 0:
+                assert got == (want_points, 0)
+                tally["decided"] += 1
+            else:
+                assert got_undecided <= want_undecided
+                assert set(want_points) <= set(got_points)
+                tally["more decided"] += got_undecided < want_undecided
+            tally["vertical"] += f.coefficient((0, 1)).is_zero()
+            tally["horizontal"] += f.coefficient((1, 0)).is_zero()
+            tally["complex line"] += not f.has_real_coefficients()
+            tally["complex field"] += not field.is_real()
+            tally["conic"] += field.m == len(lines)  # a conic adds 2 to k - 2
+    assert all(count >= 5 for count in tally.values()), tally
+
+
+@pytest.mark.parametrize(
+    "field, line",
+    [
+        (AffineVectorField(MultiPoly.zero(2), MultiPoly.zero(2), MultiPoly.zero(2), 1), x),  # zero field
+        (AffineVectorField.make(MultiPoly.zero(2), x * y), x),  # one component vanishes
+        (AffineVectorField.make(x * y, x * (x + y)), x - y),  # components share the factor x
+        (AffineVectorField.make(x, y), y - x),  # the star: the whole line at infinity is singular
+        (AffineVectorField.make(y + x**2, x * y), x),  # a radial top: the same at degree 2
+    ],
+)
+def test_a_line_raises_what_the_plane_enumeration_raises(field, line):
+    want = _outcome(_plane_points_on_curve, field, line)
+    assert isinstance(want[0], type) and issubclass(want[0], FolError)
+    assert _outcome(_line_points_on_curve, field, line) == want
+
+
+ONLY_ON_THE_LINE = """
+[field log]
+p = 255*x^2 + 152*x*y + 60*y^2 - 190*x - 36*y + 48
+q = 237*x*y + 86*y^2 + 36*x - 100*y - 24
+r = -117*x^2 - 129*x*y - 70*y^2
+
+[curve line]
+f = -x - 2*y
+"""
+
+
+def test_a_line_decides_what_the_plane_enumeration_leaves_open(tmp_path, capsys):
+    # four lines of a logarithmic foliation of degree 2: the plane eliminant's
+    # root search is refused, while the restriction to the line finds every point
+    from foltools.cli import run
+    from foltools.textio import parse_system
+
+    doc = parse_system(ONLY_ON_THE_LINE)
+    entry, line = doc.fields["log"], doc.curves["line"].f
+    field = AffineVectorField.make(entry.p, entry.q, entry.r)
+    assert _plane_points_on_curve(field, line)[1] > 0
+    points, undecided = _line_points_on_curve(field, line)
+    assert undecided == 0 and len(points) == 3
+    path = tmp_path / "log.fol"
+    path.write_text(ONLY_ON_THE_LINE)
+    assert run(["euler-check", str(path), "--field", "log", "--curve", "line", "--chi", "2", "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["checkable"] and report["identity_holds"] and report["sum_mu"] == 3

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from conftest import as_fraction, gr_norm
 from fraction_gaussian import FractionGaussian
 
 from foltools.gaussian import GaussianRational, I, ONE, ZERO, gr
@@ -52,7 +53,7 @@ def test_real_predicates():
     assert gr(3).is_real() and not gr(3, 1).is_real()
     assert float(gr("7/2")) == 3.5
     with pytest.raises(ValueError):
-        gr(1, 1).as_fraction()
+        as_fraction(gr(1, 1))
 
 
 def _oracle_pairs(count: int, seed: int):
@@ -98,7 +99,7 @@ def test_scalar_matches_the_fraction_oracle():
         _same(-z, -oz)
         assert (z == w) == (oz == ow) and (z != w) == (oz != ow) and z == GaussianRational(oz.re, oz.im)
         assert bool(z) == bool(oz) and z.is_zero() == oz.is_zero() and z.is_real() == oz.is_real()
-        assert z.norm() == oz.norm()
+        assert gr_norm(z) == oz.norm()
         k, q = -3, Fraction(7, 2**80 + 1)
         _same(z + k, oz + k)
         _same(k - z, k - oz)
@@ -122,9 +123,9 @@ def test_scalar_matches_the_fraction_oracle():
         if root is not None:
             _same(root, oroot)
         if oz.is_real():
-            assert z.as_fraction() == oz.as_fraction() and float(z) == float(oz)
+            assert as_fraction(z) == oz.as_fraction() and float(z) == float(oz)
         else:
-            for read in (GaussianRational.as_fraction, float):
+            for read in (as_fraction, float):
                 with pytest.raises(ValueError):
                     read(z)
 

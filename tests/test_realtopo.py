@@ -661,6 +661,16 @@ def test_sign_grid_bigint_matches_exact_horner():
     assert ovals.count == 1 and ovals.certified_count == 1
 
 
+def test_float_decided_nodes_of_value_one_keep_their_sign():
+    # on the integer lattice 0..6, 2x - 2y + 1 is exactly +1 on the diagonal
+    # and -1 just above it, never 0; one ulp of bound is far below 1, so the
+    # float product decides those nodes and must sign them +1 and -1
+    facts = _check_grid(const2(2) * x - const2(2) * y + const2(1), 0, 1, 1, 0, 1, 1, 6)
+    assert facts["zeros"] == 0 and facts["max_abs"] == 13
+    assert not {(j, j) for j in range(7)} & facts["exact_nodes"]
+    assert not {(j + 1, j) for j in range(6)} & facts["exact_nodes"]
+
+
 @pytest.mark.parametrize(
     "g, lattice, k, value_bits",
     [

@@ -10,8 +10,11 @@ in perfbench/answers.json, runs it in this process through
 `foltools.cli.run` imported from DIR (default: this checkout's src/), and
 judges its answer with `checks.judge(..., seed=None)`: against what is known
 by construction only, since no answer is recorded for it.  It prints one
-line per miss (id, exit code, reason) and then, per kind, the jobs run, the
-correct ratio and the decided ratio, the share of jobs that exit 0 or 1.
+line per miss (id, exit code, reason) and then, per job kind (the id before
+its "/") and per command, as `replay.py --compare` groups its seconds, the
+jobs run, the correct ratio and the decided ratio, the share of jobs that
+exit 0 or 1.  Every `algebra` job has the kind `algebra`, so its commands
+show only in the second table.
 
 The recorded pool is what the benchmark runs and what its answers were
 checked on; a sweep over fresh indices shows whether that pool flatters the
@@ -47,20 +50,22 @@ def held_out(workload: str, lo: int, hi: int) -> list:
     ]
 
 
-def sweep(workload: str, lo: int, hi: int, src: Path, work: Path) -> dict[str, list[int]]:
-    """Per job kind: [jobs, correct, decided]; each miss is printed as it happens."""
+def sweep(workload: str, lo: int, hi: int, src: Path, work: Path) -> dict[str, dict[str, list[int]]]:
+    """Per job kind and per command: [jobs, correct, decided]; each miss is
+    printed as it happens."""
     cli = replay.import_cli(src)
-    tally: dict[str, list[int]] = {}
+    tally: dict[str, dict[str, list[int]]] = {"job kind": {}, "command": {}}
     for job in held_out(workload, lo, hi):
         rc, stdout, _stderr = replay.run_cli(cli, replay.job_argv(job, work))
         crashed = isinstance(rc, str)  # judge takes None for a crash
         ok, _summary, reason = checks.judge(job.command, None if crashed else rc, stdout, job.expect, seed=None)
         if not ok:
             print(f"miss {job.id:<16} exit {rc}: {reason}", flush=True)
-        row = tally.setdefault(job.id.split("/", 1)[0], [0, 0, 0])
-        row[0] += 1
-        row[1] += ok
-        row[2] += rc in DECIDED
+        for title, name in (("job kind", job.id.split("/", 1)[0]), ("command", job.command)):
+            row = tally[title].setdefault(name, [0, 0, 0])
+            row[0] += 1
+            row[1] += ok
+            row[2] += rc in DECIDED
     return tally
 
 
@@ -75,9 +80,10 @@ def main(argv=None) -> int:
         parser.error("need 0 <= A <= B")
     with tempfile.TemporaryDirectory() as tmp:
         tally = sweep(args.workload, args.lo, args.hi, args.src, Path(tmp))
-    print(f"{'kind':<10} {'jobs':>5} {'correct':>8} {'ratio':>6} {'decided':>8} {'ratio':>6}")
-    for kind, (jobs, correct, decided) in tally.items():
-        print(f"{kind:<10} {jobs:>5} {correct:>8} {correct / jobs:>6.3f} {decided:>8} {decided / jobs:>6.3f}")
+    for title, rows in tally.items():
+        print(f"{title:<16} {'jobs':>5} {'correct':>8} {'ratio':>6} {'decided':>8} {'ratio':>6}")
+        for name, (jobs, correct, decided) in sorted(rows.items()):
+            print(f"  {name:<14} {jobs:>5} {correct:>8} {correct / jobs:>6.3f} {decided:>8} {decided / jobs:>6.3f}")
     return 0
 
 
