@@ -129,7 +129,7 @@ def local_branches(f: MultiPoly, point: ProjectivePoint, truncation: int) -> lis
     Everything else raises UnsupportedBranch.
     """
     if f.is_zero() or f.is_constant():
-        raise PreconditionError("curve must be nonconstant")
+        raise PreconditionError("curve must be a nonconstant polynomial")
     if not is_squarefree(f):
         raise PreconditionError("curve must be squarefree")
     chart = point.chart()
@@ -225,6 +225,8 @@ def singular_points_on_curve(
     whole plane."""
     if f.is_constant():
         raise PreconditionError("curve must be a nonconstant polynomial")
+    if not is_squarefree(f):
+        raise PreconditionError("curve must be squarefree")
     aff = line_singularities(field, f) if f.degree == 1 else affine_singularities(field)
     inf = infinite_singularities(field.one_form)
     F = homogenize(f, int(f.degree))

@@ -11,11 +11,13 @@ a root of c modulo a split prime P, Hensel-lifted until a x is the only
 Gaussian integer that small in its residue class.  Each candidate is
 accepted only by an exact test in Z[i] and then divided out.  Whatever is
 left provably has no roots in Q(i); its degree is reported as the residual
-count.  Gcds over Q(i), and with them squarefree parts and coprimality,
-are modular: images modulo primes P = 1 (mod 4), with i mapped to a square
-root of -1 mod P, are combined and rebuilt, and the result is returned only
-once exact division in Z[i][x] has verified it.  Sturm chains are built
-and evaluated in integers.
+count.  A search is refused when its end coefficients have too many
+Gaussian divisors, counted from their norms' primes and their contents.
+Gcds over Q(i), and with them squarefree parts and coprimality, are
+modular: images modulo primes P = 1 (mod 4), with i mapped to a square root
+of -1 mod P, are combined and rebuilt, and the result is returned only once
+exact division in Z[i][x] has verified it.  Sturm chains are built and
+evaluated in integers, as is everything here.
 """
 
 from __future__ import annotations
@@ -40,8 +42,8 @@ _LIFT_ABOVE = 100  # the root search lifts from the first usable split prime abo
 #
 # utrim, udeg, ueval and uderiv take the integer lists of the Sturm chains and
 # the lattice rows; utrim and udeg also take Z[i] lists.
-# Gcds are modular (`ugcd`) and checked, like every other division of Z[i]
-# lists, by long division in Z[i] (`_gi_quotient`).
+# Gcds are modular (`ugcd`) and checked, like every other exact division of
+# coefficient lists, by long division in Z[i] (`_gi_quotient`).
 
 
 def utrim(c: list) -> list:
@@ -302,38 +304,6 @@ def _prime_factors(ns: list[int]) -> Iterator[tuple[int, int]]:
             stack.extend([d, m // d])
 
 
-def _gaussian_prime_above(p: int) -> GInt:
-    """A Gaussian prime dividing the split rational prime p (p % 4 == 1)."""
-    return gi_gcd((p, 0), (_sqrt_minus_one(p), 1))
-
-
-def _gi_split(u: GInt, norm_factors: dict[int, int]) -> list[tuple[GInt, int]]:
-    """The Gaussian prime factorization of u up to units, from the prime
-    factorization of the norm of u."""
-    out: list[tuple[GInt, int]] = []
-    for p in sorted(norm_factors):
-        if p == 2:
-            pi: GInt = (1, 1)
-            cands = [pi]
-        elif p % 4 == 3:
-            cands = [(p, 0)]
-        else:
-            pi = _gaussian_prime_above(p)
-            cands = [pi, (pi[0], -pi[1])]
-        for pi in cands:
-            k = 0
-            while True:
-                q, r = gi_divmod(u, pi)
-                if r != (0, 0):
-                    break
-                u, k = q, k + 1
-            if k:
-                out.append((pi, k))
-    if gi_norm(u) != 1:
-        raise ArithmeticError("unit should remain after removing all primes")
-    return out
-
-
 # -- images modulo primes p = 1 (mod 4) ----------------------------------------
 
 
@@ -430,15 +400,32 @@ class RootReport:
     uncertain: list[Coeffs] = field(default_factory=list)
 
 
+def _divisor_count(p: int, e: int, content: int) -> int:
+    """The divisors, up to units, over the rational prime p of a Gaussian
+    integer u with p^e in its norm and content = gcd(re u, im u).
+
+    There are e + 1 over p = 2 and e/2 + 1 over an inert p = 3 (mod 4).  A
+    split p = pi conj(pi) has (a + 1)(b + 1) for u = pi^a conj(pi)^b w, w
+    prime to p: e = a + b, and the content holds p^k, k = min(a, b), so that
+    is (k + 1)(e - k + 1).  With content 1 it is a lower bound that only
+    grows with e, since (k + 1)(e - k + 1) - (e + 1) = k(e - k) >= 0.
+    """
+    if p % 4 != 1:
+        return e + 1 if p == 2 else e // 2 + 1
+    k = 0
+    while content % p == 0:
+        content, k = content // p, k + 1
+    return (k + 1) * (e - k + 1)
+
+
 def _search_refused(c: Coeffs) -> bool:
     """Whether the root search of c is refused as too large: a norm of an
     end coefficient is past _FACTOR_DIGIT_CAP, or their Gaussian divisors,
     times the four units, give more than _CANDIDATE_CAP candidates p/q.
     The norms are factored prime by prime, and the search is refused as
     soon as a lower bound on that count, from the primes found so far,
-    passes the cap; each prime's part of the bound only grows as its
-    exponent does, so it never exceeds the count, and the Gaussian primes
-    are split out only when the search goes ahead.
+    passes the cap; the ends' contents are read only when the search goes
+    ahead, to count the divisors exactly (`_divisor_count`).
 
     The lifting needs no such limit.  The refusal keeps the searches that
     are decided, and with them every payload, those of the divisor search
@@ -453,14 +440,11 @@ def _search_refused(c: Coeffs) -> bool:
     try:
         for k, p in _prime_factors(norms):
             found[k][p] = found[k].get(p, 0) + 1
-            # divisors over a prime of exponent e in the norm: e/2 + 1 if it is inert
-            # (3 mod 4), e + 1 over 2, at least (a + 1)(b + 1) >= e + 1 if it splits
-            least = math.prod(e // 2 + 1 if q % 4 == 3 else e + 1 for f in found for q, e in f.items())
-            if 4 * least > _CANDIDATE_CAP:
+            if 4 * math.prod(_divisor_count(q, e, 1) for f in found for q, e in f.items()) > _CANDIDATE_CAP:
                 return True
     except RootSearchOverflow:
         return True
-    return 4 * math.prod(mult + 1 for u, f in zip(ends, found) for _, mult in _gi_split(u, f)) > _CANDIDATE_CAP
+    return 4 * math.prod(_divisor_count(q, e, math.gcd(*u)) for u, f in zip(ends, found) for q, e in f.items()) > _CANDIDATE_CAP
 
 
 def _lifted_roots(c: Coeffs) -> list[GInt]:
@@ -471,7 +455,7 @@ def _lifted_roots(c: Coeffs) -> list[GInt]:
     integer, and by Cauchy's bound |w| <= B = |a| + max |c_k|.  P is the
     first prime = 1 (mod 4) above _LIFT_ABOVE with P not dividing N(a) and a
     squarefree image of c under i -> iota; every root of that image is
-    found by one vectorised Horner pass over F_P.  The map Z[i] -> Z/M,
+    found by Horner's rule at each residue mod P.  The map Z[i] -> Z/M,
     i -> iota, sends x to a root of the image of c mod M = P^k, and that
     root reduces to a simple root mod P, so it is the Hensel lift of one of
     them; Newton steps lift iota and the roots to M > 8 B^2.  The kernel of
@@ -479,21 +463,20 @@ def _lifted_roots(c: Coeffs) -> list[GInt]:
     Gaussian integer congruent to a r mod G, and since |w| < |G| / 2 it is
     the remainder of a r under `gi_divmod` by G.
     """
-    import numpy as np  # the one numpy use in this module; the exact layers import without it
-
     a = c[-1]
     for p, iota in _split_primes(_LIFT_ABOVE):
         if gi_norm(a) % p:
             image = _image_mod_p(c, p, iota)
             if len(_fp_gcd(image, utrim([k * u % p for k, u in enumerate(image)][1:]), p)) == 1:
                 break
-    xs = np.arange(p, dtype=np.int64)
-    acc = np.full(p, image[-1], dtype=np.int64)
-    for coeff in reversed(image[:-1]):  # every operand below p < 2^31
-        acc *= xs
-        acc += coeff
-        acc %= p
-    roots = np.flatnonzero(acc == 0).tolist()
+    high_first = image[::-1]
+    roots = []
+    for r in range(p):
+        acc = 0
+        for coeff in high_first:
+            acc = (acc * r + coeff) % p
+        if not acc:
+            roots.append(r)
     if not roots:
         return []
     size = math.isqrt(gi_norm(a)) + math.isqrt(max(map(gi_norm, c))) + 2  # >= B
@@ -590,17 +573,6 @@ def _prem(a: list[int], b: list[int]) -> list[int]:
     return utrim(r)
 
 
-def _exact_quotient(a: list[int], g: list[int]) -> list[int]:
-    """a / g in Z[x] for a primitive g that divides a (integral by Gauss's lemma)."""
-    r, lg, ng = list(a), g[-1], len(g) - 1
-    q = [0] * (len(a) - ng)
-    for k in range(len(q) - 1, -1, -1):
-        q[k] = f = r[k + ng] // lg
-        for j in range(ng):
-            r[k + j] -= f * g[j]
-    return q
-
-
 def _int_sturm_chain(c: list[int]) -> list[list[int]]:
     """Primitive Sturm chain of c in Z[x] (deg c >= 1).
 
@@ -645,7 +617,8 @@ def sturm_counter(c: list[int]) -> Callable[[Fraction | None, Fraction | None], 
     if len(g) > 1:
         # c has multiple roots and g = gcd(c, c') up to a positive constant:
         # the chain divided by g is a Sturm chain of c / g, which has each root of c once
-        chain = [_exact_quotient(p, g) for p in chain]
+        g = [(x, 0) for x in g]
+        chain = [[x for x, _ in _gi_quotient(g, [(x, 0) for x in p])] for p in chain]
     at_plus_inf = _sign_variations([1 if p[-1] > 0 else -1 for p in chain])
     at_minus_inf = _sign_variations([(1 if p[-1] > 0 else -1) * (-1) ** (len(p) - 1) for p in chain])
     memo: dict[Fraction, int] = {}

@@ -656,6 +656,25 @@ def test_a_constant_curve_fails_the_precondition(tmp_path, argv, capsys):
 @pytest.mark.parametrize(
     "argv, message",
     [
+        (["euler-check", "--field", "f", "--curve", "square", "--chi", "2"], "curve must be squarefree"),
+        (["multiplicity", "--field", "f", "--curve", "square"], "curve must be squarefree"),
+        (["euler-check", "--field", "f", "--curve", "const", "--chi", "2"], "curve must be a nonconstant polynomial"),
+        (["multiplicity", "--field", "f", "--curve", "const", "--point", "1,0"], "curve must be a nonconstant polynomial"),
+    ],
+    ids=["euler-check-square", "multiplicity-square", "euler-check-const", "multiplicity-point-const"],
+)
+def test_euler_check_and_multiplicity_prove_the_curve_before_its_points(tmp_path, argv, message, capsys):
+    # y^2 is invariant, and neither of its singular points (+-sqrt 2, 0) is in
+    # Q(i): the squared factor is refused before any point is decided or not
+    doc = tmp_path / "curves.fol"
+    doc.write_text("[field f]\np = x^2 - 2\nq = y\n\n[curve square]\nf = y^2\n\n[curve const]\nf = 3\n")
+    assert run([argv[0], str(doc), *argv[1:]]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
         (["ovals", "--curve", "zero"], "curve must be nonconstant"),
         (["ovals", "--curve", "const"], "curve must be nonconstant"),
         (["certify", "--field", "rotation", "--curve", "zero"], "invariance check on the zero curve"),

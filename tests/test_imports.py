@@ -1,4 +1,4 @@
-"""What an import loads: the package itself nothing, the exact layers no numpy.
+"""What an import loads: the package itself nothing, the exact layers no numpy, not even when they run.
 
 Each import runs in a fresh interpreter, since the test process has loaded
 every module already.
@@ -9,7 +9,7 @@ import sys
 
 from conftest import src_env
 
-EXACT_LAYERS = ("singularities", "branches", "construct", "textio", "bounds")
+EXACT_LAYERS = ("gaussian", "errors", "bounds", "uniroots", "polyring", "series", "fields", "textio", "singularities", "branches", "construct")
 NOT_NEEDED = ("numpy", "foltools.realtopo", "foltools.cycles", "foltools.cli")
 
 
@@ -28,3 +28,25 @@ def test_the_package_loads_no_module_and_the_exact_layers_load_no_numpy():
         f"print([m for m in {NOT_NEEDED!r} if m in sys.modules])\n"
     )
     assert _fresh(code) == "[]\n"
+
+
+def test_the_exact_layers_compute_without_numpy():
+    # (x - 1)(x - 2)(x^2 - 2): its root search lifts two roots and leaves x^2 - 2,
+    # and it has three real roots above 0; the field's singular points are (+-1, +-2)
+    code = (
+        "import importlib, sys\n"
+        f"for layer in {EXACT_LAYERS!r}:\n"
+        "    importlib.import_module('foltools.' + layer)\n"
+        "from fractions import Fraction\n"
+        "from foltools.fields import AffineVectorField\n"
+        "from foltools.singularities import affine_singularities\n"
+        "from foltools.textio import parse_poly\n"
+        "from foltools.uniroots import count_real_roots, qi_roots\n"
+        "rep = qi_roots([(-4, 0), (6, 0), (0, 0), (-3, 0), (1, 0)])\n"
+        "field = AffineVectorField.make(parse_poly('x^2 - 1', 2), parse_poly('y^2 - 4*x^2', 2))\n"
+        "points = sorted(str(pt) for pt in affine_singularities(field).points)\n"
+        "print(sorted(map(str, rep.roots)), rep.residual_degree, rep.uncertain_degree, points,\n"
+        "      count_real_roots([-4, 6, 0, -3, 1], Fraction(0), None), 'numpy' in sys.modules)\n"
+    )
+    points = ["(-1 : -2 : 1)", "(-1 : 2 : 1)", "(1 : -2 : 1)", "(1 : 2 : 1)"]
+    assert _fresh(code) == f"['1', '2'] 2 0 {points} 3 False\n"

@@ -26,6 +26,7 @@ from foltools.uniroots import (
     coprime_mod_p,
     count_real_roots,
     sturm_counter,
+    gi_divmod,
     gi_gcd,
     gi_mul,
     gi_norm,
@@ -90,11 +91,42 @@ def factor_int(n: int) -> dict[int, int]:
     return out
 
 
+def _gaussian_prime_above(p: int):
+    """A Gaussian prime dividing the split rational prime p (p % 4 == 1)."""
+    return gi_gcd((p, 0), (uniroots._sqrt_minus_one(p), 1))
+
+
+def _gi_split(u, norm_factors: dict[int, int]):
+    """The Gaussian prime factorization of u up to units, from the prime
+    factorization of the norm of u."""
+    out = []
+    for p in sorted(norm_factors):
+        if p == 2:
+            cands = [(1, 1)]
+        elif p % 4 == 3:
+            cands = [(p, 0)]
+        else:
+            pi = _gaussian_prime_above(p)
+            cands = [pi, (pi[0], -pi[1])]
+        for pi in cands:
+            k = 0
+            while True:
+                q, r = gi_divmod(u, pi)
+                if r != (0, 0):
+                    break
+                u, k = q, k + 1
+            if k:
+                out.append((pi, k))
+    if gi_norm(u) != 1:
+        raise ArithmeticError("unit should remain after removing all primes")
+    return out
+
+
 def gi_factor(u):
     """Gaussian prime factorization up to units."""
     if u == (0, 0):
         raise ValueError("cannot factor zero")
-    return uniroots._gi_split(u, factor_int(gi_norm(u)))
+    return _gi_split(u, factor_int(gi_norm(u)))
 
 
 def test_factor_int():
@@ -179,16 +211,37 @@ def test_search_refused_matches_the_full_count(rng):
 
 def test_search_refused_stops_factoring_past_the_cap(monkeypatch):
     # the primes of c[0] alone bound the count past the cap: Pollard's rho
-    # never starts on c[-1] and no Gaussian prime is split out
-    seen = []
-    rho = uniroots._pollard_rho
+    # never starts on c[-1], and neither end's content (3 and 1000003 * 1000033)
+    # is read, so every count made is the bound with content 1
+    seen, contents = [], []
+    rho, count = uniroots._pollard_rho, uniroots._divisor_count
     monkeypatch.setattr(uniroots, "_pollard_rho", lambda n: seen.append(n) or rho(n))
-    monkeypatch.setattr(uniroots, "_gi_split", None)
+    monkeypatch.setattr(uniroots, "_divisor_count", lambda p, e, content: contents.append(content) or count(p, e, content))
     split = [p for p in range(5, 150, 4) if _is_probable_prime(p)][:16]  # 4 * 2^16 candidates at least
-    c0 = _planted(random.Random(1), [(uniroots._gaussian_prime_above(p), 1) for p in split])
-    assert gi_norm(c0) <= uniroots._FACTOR_DIGIT_CAP
+    c0 = _planted(random.Random(1), [((3, 0), 1)] + [(_gaussian_prime_above(p), 1) for p in split])
+    assert gi_norm(c0) <= uniroots._FACTOR_DIGIT_CAP and math.gcd(*c0) == 3
     assert uniroots._search_refused([c0, (1, 0), (1000003 * 1000033, 0)])
     assert seen and all(gi_norm(c0) % n == 0 for n in seen)
+    assert contents and set(contents) == {1}
+
+
+def test_divisor_count_matches_the_gaussian_factorization(rng):
+    # u = unit * r * (1 + i)^a * inert primes * pi^a conj(pi)^b with a != b, both > 0,
+    # so the content of u holds each split prime to the power k = min(a, b) > 0
+    split = [p for p in range(5, 100, 4) if _is_probable_prime(p)]
+    for _ in range(200):
+        powers = [((1, 1), rng.randint(0, 6))] + [((q, 0), rng.randint(0, 1)) for q in rng.sample((3, 7, 11, 19), 2)]
+        for p in rng.sample(split, rng.randint(1, 2)):
+            pi = _gaussian_prime_above(p)
+            a, b = rng.sample(range(1, 5), 2)
+            powers += [(pi, a), ((pi[0], -pi[1]), b)]
+        r = rng.choice((1, 2, 3, 5, 6, 13, 15, 21, 65))
+        u = gi_mul(_planted(rng, powers), (r, 0))
+        norm_factors = factor_int(gi_norm(u))
+        full = math.prod(mult + 1 for _, mult in _gi_split(u, norm_factors))
+        exact = math.prod(uniroots._divisor_count(p, e, math.gcd(*u)) for p, e in norm_factors.items())
+        least = math.prod(uniroots._divisor_count(p, e, 1) for p, e in norm_factors.items())
+        assert exact == full and least < full, u  # least: k(e - k) > 0 less over each split prime
 
 
 def test_search_refused_counts_the_small_primes_of_both_ends_first(monkeypatch):
