@@ -6,18 +6,14 @@ inputs so every value is recomputable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import PreconditionError
 
 
-@dataclass(frozen=True)
 class BoundReport:
-    theorem: str
-    inputs: dict
-    bound: int
-    notes: tuple[str, ...] = ()
-    clamped: bool = False
+    __slots__ = _fields = ("theorem", "inputs", "bound", "notes", "clamped")
+
+    def __init__(self, theorem: str, inputs: dict, bound: int, notes: tuple[str, ...] = (), clamped: bool = False):
+        self.theorem, self.inputs, self.bound, self.notes, self.clamped = theorem, inputs, bound, notes, clamped
 
 
 def harnack_bound(n: int, orders: list[int] | None = None) -> BoundReport:
@@ -114,12 +110,11 @@ def mk_value(m: int, k: int, partition: list[int]) -> tuple[int, int]:
     return value, envelope
 
 
-@dataclass(frozen=True)
 class MkResult:
-    m: int
-    k: int
-    partition: tuple[int, ...]
-    value: int
+    __slots__ = _fields = ("m", "k", "partition", "value")
+
+    def __init__(self, m: int, k: int, partition: tuple[int, ...], value: int):
+        self.m, self.k, self.partition, self.value = m, k, partition, value
 
 
 def mk_argmax(m: int) -> MkResult:

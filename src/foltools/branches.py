@@ -8,8 +8,6 @@ explicit Unsupported outcome, never a silent wrong answer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dfield
-
 from .errors import PreconditionError, UncertifiedResult, UnsupportedBranch
 from .fields import (
     CHART_X,
@@ -42,15 +40,22 @@ def default_truncation(m: int, curve_degree: int) -> int:
     return max(8, 2 * (m + 2) * curve_degree)
 
 
-@dataclass(frozen=True)
 class Branch:
     """Truncated parameterization t -> (phi1(t), phi2(t)) of one local branch."""
 
-    base: ProjectivePoint
-    chart: str
-    phi1: PowerSeries
-    phi2: PowerSeries
-    truncation: int
+    __slots__ = _fields = ("base", "chart", "phi1", "phi2", "truncation")
+
+    def __init__(self, base: ProjectivePoint, chart: str, phi1: PowerSeries, phi2: PowerSeries, truncation: int):
+        self.base, self.chart, self.phi1, self.phi2, self.truncation = base, chart, phi1, phi2, truncation
+
+    def _key(self) -> tuple:
+        return self.base, self.chart, self.phi1, self.phi2, self.truncation
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Branch) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
 
 def _solve_series(h: MultiPoly, w0: GaussianRational, truncation: int) -> PowerSeries:
@@ -122,16 +127,27 @@ def _branches_at_chart_point(
     return branches
 
 
+def require_reduced_curve(f: MultiPoly) -> None:
+    """What the branches of a curve need of it, proven once per curve: that it
+    is nonconstant and squarefree."""
+    if f.is_constant():
+        raise PreconditionError("curve must be a nonconstant polynomial")
+    if not is_squarefree(f):
+        raise PreconditionError("curve must be squarefree")
+
+
 def local_branches(f: MultiPoly, point: ProjectivePoint, truncation: int) -> list[Branch]:
     """Branches of the (closure of the) affine curve f at a projective point.
 
     Smooth point: one branch.  Node with Q(i)-rational tangents: two branches.
     Everything else raises UnsupportedBranch.
     """
-    if f.is_zero() or f.is_constant():
-        raise PreconditionError("curve must be a nonconstant polynomial")
-    if not is_squarefree(f):
-        raise PreconditionError("curve must be squarefree")
+    require_reduced_curve(f)
+    return _branches_at(f, point, truncation)
+
+
+def _branches_at(f: MultiPoly, point: ProjectivePoint, truncation: int) -> list[Branch]:
+    """`local_branches` of a curve that `require_reduced_curve` has passed."""
     chart = point.chart()
     g = dehomogenize(homogenize(f, int(f.degree)), chart_var(chart))
     u0, v0 = point.chart_coords(chart)
@@ -184,10 +200,11 @@ def invariant_branch_multiplicity(field: AffineVectorField, branch: Branch) -> t
 def _resolved_multiplicity(
     field: AffineVectorField, f: MultiPoly, point: ProjectivePoint, truncation: int
 ) -> list[tuple[int, Branch]]:
-    """Multiplicities of all branches at a point, doubling truncation as needed."""
+    """Multiplicities of all branches at a point, doubling truncation as needed,
+    on a curve that `require_reduced_curve` has passed."""
     for doublings in range(MAX_DOUBLINGS + 1):
         n = truncation << doublings
-        branches = local_branches(f, point, n)
+        branches = _branches_at(f, point, n)
         result = []
         ok = True
         for br in branches:
@@ -201,18 +218,19 @@ def _resolved_multiplicity(
     raise UncertifiedResult(f"multiplicity at {point} uncertified up to truncation {n}")
 
 
-@dataclass
 class EulerReport:
-    """Outcome of the chi = sum(mu) - n(m-1) identity check."""
+    """Outcome of the chi = sum(mu) - n(m-1) identity check; `multiplicities`
+    holds its point / branch / mu rows."""
 
-    curve_degree: int
-    foliation_degree: int
-    multiplicities: list[dict] = dfield(default_factory=list)  # point / branch / mu rows
-    sum_mu: int = 0
-    chi_claimed: int = 0
-    identity_holds: bool = False
-    checkable: bool = True
-    notes: list[str] = dfield(default_factory=list)
+    __slots__ = _fields = (
+        "curve_degree", "foliation_degree", "multiplicities", "sum_mu", "chi_claimed", "identity_holds", "checkable", "notes"
+    )
+
+    def __init__(self, curve_degree: int, foliation_degree: int, chi_claimed: int):
+        self.curve_degree, self.foliation_degree, self.chi_claimed = curve_degree, foliation_degree, chi_claimed
+        self.multiplicities: list[dict] = []
+        self.sum_mu, self.identity_holds, self.checkable = 0, False, True
+        self.notes: list[str] = []
 
 
 def singular_points_on_curve(
@@ -223,10 +241,7 @@ def singular_points_on_curve(
     affine points come from the components restricted to it; any other
     curve has no polynomial parametrisation, and takes them from the
     whole plane."""
-    if f.is_constant():
-        raise PreconditionError("curve must be a nonconstant polynomial")
-    if not is_squarefree(f):
-        raise PreconditionError("curve must be squarefree")
+    require_reduced_curve(f)
     aff = line_singularities(field, f) if f.degree == 1 else affine_singularities(field)
     inf = infinite_singularities(field.one_form)
     F = homogenize(f, int(f.degree))

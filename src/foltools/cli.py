@@ -32,12 +32,12 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from . import bounds as bounds_mod
 from .branches import (
     _resolved_multiplicity,
     corollary2_check,
     default_truncation,
     euler_identity_check,
+    require_reduced_curve,
     singular_points_on_curve,
 )
 from .construct import (
@@ -281,6 +281,7 @@ def cmd_multiplicity(args, doc, field, curve):
     undecided = 0
     if args.point:
         points = [_parse_point(args.point)]
+        require_reduced_curve(curve)
     else:
         points, enumerations = singular_points_on_curve(field, curve)
         undecided = sum(e.undecided_on(curve) for e in enumerations)
@@ -323,6 +324,8 @@ def cmd_corollary2(args, doc, curve):
 
 
 def cmd_bounds(args):
+    from . import bounds as bounds_mod  # loaded by the commands that ask for a bound, not at start-up
+
     t = args.theorem
     if t == "t1":
         value = bounds_mod.thm1_bound(args.m)
@@ -536,6 +539,8 @@ def cmd_darboux_check(args, doc, field):
 
 def run_paper_suite() -> list[tuple[str, bool, str]]:
     """Every reference fixture end-to-end: deterministic (name, passed, detail) rows."""
+    from . import bounds as bounds_mod
+
     checks: list[tuple[str, bool, str]] = []
 
     def check(name: str, ok: bool, detail: str = ""):

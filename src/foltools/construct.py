@@ -7,8 +7,6 @@ projective condition, invariance of each factor, weight identity, degree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import DegenerateInput, PreconditionError
 from .fields import (
     AffineVectorField,
@@ -30,12 +28,13 @@ from .singularities import pair_common_zeros
 from .textio import parse_poly
 
 
-@dataclass(frozen=True)
 class LogarithmicSpec:
     """Homogeneous curves F_i with weights satisfying sum(w_i deg F_i) = 0."""
 
-    curves: tuple[MultiPoly, ...]
-    weights: tuple[GaussianRational, ...]
+    __slots__ = _fields = ("curves", "weights")
+
+    def __init__(self, curves: tuple[MultiPoly, ...], weights: tuple[GaussianRational, ...]):
+        self.curves, self.weights = curves, weights
 
     @staticmethod
     def make(curves, weights) -> "LogarithmicSpec":
@@ -203,16 +202,21 @@ def thm2b_configuration(m: int) -> tuple[LogarithmicSpec, list[dict]]:
 # -- fixture gallery -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class GalleryEntry:
     """A named reference fixture: its foliation (form and field), its curve
     and the logarithmic spec that built it, each where it has one."""
 
-    name: str
-    form: ProjectiveOneForm | None = None
-    field: AffineVectorField | None = None
-    curve: MultiPoly | None = None
-    log_spec: LogarithmicSpec | None = None
+    __slots__ = _fields = ("name", "form", "field", "curve", "log_spec")
+
+    def __init__(
+        self,
+        name: str,
+        form: ProjectiveOneForm | None = None,
+        field: AffineVectorField | None = None,
+        curve: MultiPoly | None = None,
+        log_spec: LogarithmicSpec | None = None,
+    ):
+        self.name, self.form, self.field, self.curve, self.log_spec = name, form, field, curve, log_spec
 
 
 EXAMPLE1_ALPHA, EXAMPLE1_BETA = gr(1, 2), gr(1)  # Example 1's weights of X and Y; alpha/beta is real

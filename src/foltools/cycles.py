@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -30,15 +29,21 @@ MAX_REFINEMENTS = 8  # midpoint refinements `divergence_integral` may make
 LOCATION_TOLERANCE = 1e-8  # an oval passes `location_check` when its residual is below this
 
 
-@dataclass
 class CycleCertificate:
-    oval_id: int
-    period: float
-    divergence_integral: float
-    stability: str  # "Stable" | "Unstable" | "inconclusive"
-    hyperbolic: bool
-    quadrature_rel_err: float
-    v_residual: float | None = None
+    __slots__ = _fields = ("oval_id", "period", "divergence_integral", "stability", "hyperbolic", "quadrature_rel_err", "v_residual")
+
+    def __init__(
+        self,
+        oval_id: int,
+        period: float,
+        divergence_integral: float,
+        stability: str,  # "Stable" | "Unstable" | "inconclusive"
+        hyperbolic: bool,
+        quadrature_rel_err: float,
+        v_residual: float | None = None,
+    ):
+        self.oval_id, self.period, self.divergence_integral, self.stability = oval_id, period, divergence_integral, stability
+        self.hyperbolic, self.quadrature_rel_err, self.v_residual = hyperbolic, quadrature_rel_err, v_residual
 
     def to_dict(self) -> dict:
         return {

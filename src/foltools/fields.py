@@ -33,7 +33,6 @@ from input, takes that gcd and checks the projective identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import DegenerateInput, PreconditionError
@@ -63,14 +62,15 @@ def chart_var(chart: str) -> int:
         raise ValueError(f"unknown chart {chart!r}") from None
 
 
-@dataclass(frozen=True)
 class AffineVectorField:
-    """Normal-form planar polynomial field (p + x r, q + y r) of degree m."""
+    """Normal-form planar polynomial field (p + x r, q + y r) of degree m.
 
-    p: MultiPoly
-    q: MultiPoly
-    r: MultiPoly
-    m: int
+    Not slotted: its cached properties are kept in the instance dict."""
+
+    _fields = ("p", "q", "r", "m")
+
+    def __init__(self, p: MultiPoly, q: MultiPoly, r: MultiPoly, m: int):
+        self.p, self.q, self.r, self.m = p, q, r, m
 
     @staticmethod
     def make(p: MultiPoly, q: MultiPoly, r: MultiPoly | None = None) -> "AffineVectorField":
@@ -121,14 +121,13 @@ class AffineVectorField:
         return projectivize(self)
 
 
-@dataclass(frozen=True)
 class ProjectiveOneForm:
     """Homogeneous one-form P dX + Q dY + R dZ of a degree-m foliation."""
 
-    P: MultiPoly
-    Q: MultiPoly
-    R: MultiPoly
-    m: int
+    __slots__ = _fields = ("P", "Q", "R", "m")
+
+    def __init__(self, P: MultiPoly, Q: MultiPoly, R: MultiPoly, m: int):
+        self.P, self.Q, self.R, self.m = P, Q, R, m
 
     @staticmethod
     def make(P: MultiPoly, Q: MultiPoly, R: MultiPoly) -> "ProjectiveOneForm":
@@ -168,16 +167,22 @@ class ProjectiveOneForm:
         return -dehomogenize(forms[j], var), dehomogenize(forms[i], var)
 
 
-@dataclass(frozen=True)
 class CofactorCertificate:
-    """Witness that X f = K f exactly."""
+    """Witness that X f = K f exactly; `cofactor_degree` is None for the zero cofactor."""
 
-    curve: MultiPoly
-    cofactor: MultiPoly
-    residual_check: bool
-    cofactor_degree: int | None  # None for the zero cofactor
-    degree_bound: int
-    degree_bound_ok: bool
+    __slots__ = _fields = ("curve", "cofactor", "residual_check", "cofactor_degree", "degree_bound", "degree_bound_ok")
+
+    def __init__(
+        self,
+        curve: MultiPoly,
+        cofactor: MultiPoly,
+        residual_check: bool,
+        cofactor_degree: int | None,
+        degree_bound: int,
+        degree_bound_ok: bool,
+    ):
+        self.curve, self.cofactor, self.residual_check = curve, cofactor, residual_check
+        self.cofactor_degree, self.degree_bound, self.degree_bound_ok = cofactor_degree, degree_bound, degree_bound_ok
 
 
 # -- core operations -----------------------------------------------------------

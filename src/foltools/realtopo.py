@@ -34,7 +34,6 @@ import functools
 import itertools
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field as dfield
 from fractions import Fraction
 
 import numpy as np
@@ -51,12 +50,20 @@ _BEYOND_FLOAT = "beyond float range (magnitude above 1.8e308)"
 # -- rational boxes ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Box:
-    x_lo: Fraction
-    x_hi: Fraction
-    y_lo: Fraction
-    y_hi: Fraction
+    __slots__ = _fields = ("x_lo", "x_hi", "y_lo", "y_hi")
+
+    def __init__(self, x_lo: Fraction, x_hi: Fraction, y_lo: Fraction, y_hi: Fraction):
+        self.x_lo, self.x_hi, self.y_lo, self.y_hi = x_lo, x_hi, y_lo, y_hi
+
+    def _key(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+        return self.x_lo, self.x_hi, self.y_lo, self.y_hi
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Box) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     @staticmethod
     def square(b) -> "Box":
@@ -91,13 +98,12 @@ class Oval:
         return {"vertex_count": len(self.chain), "certified": self.certified}
 
 
-@dataclass
 class OvalSet:
-    box: Box
-    resolution: int
-    ovals: list[Oval] = dfield(default_factory=list)
-    warnings: list[str] = dfield(default_factory=list)
-    open_chains: int = 0
+    __slots__ = _fields = ("box", "resolution", "ovals", "warnings", "open_chains")
+
+    def __init__(self, box: Box, resolution: int, warnings: list[str], open_chains: int):
+        self.box, self.resolution, self.warnings, self.open_chains = box, resolution, warnings, open_chains
+        self.ovals: list[Oval] = []
 
     @property
     def count(self) -> int:

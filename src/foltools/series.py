@@ -11,22 +11,24 @@ Gaussian-rational coefficients to that form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .gaussian import GInt, GaussianRational, ZERO, ONE, canonical, lift
 
 
-@dataclass(frozen=True)
 class PowerSeries:
     """num[k] / den is the coefficient of t^k."""
 
-    num: tuple[GInt, ...]
-    den: int
+    __slots__ = _fields = ("num", "den")
 
-    def __post_init__(self):
-        den, num = canonical(self.den, self.num)
-        object.__setattr__(self, "num", tuple(num))
-        object.__setattr__(self, "den", den)
+    def __init__(self, num, den: int):
+        self.den, num = canonical(den, num)
+        self.num: tuple[GInt, ...] = tuple(num)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, PowerSeries) and self.num == other.num and self.den == other.den
+
+    def __hash__(self) -> int:
+        return hash((self.num, self.den))
 
     @property
     def truncation(self) -> int:

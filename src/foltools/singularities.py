@@ -13,7 +13,6 @@ components restricted to the line (`line_singularities`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dfield
 from enum import Enum
 
 from .errors import DegenerateInput, NonIsolatedSingularities, PreconditionError
@@ -30,11 +29,19 @@ from .series import PowerSeries, compose_poly
 from .uniroots import Coeffs, RootReport, qi_roots, ucoprime, ugcd
 
 
-@dataclass(frozen=True)
 class ProjectivePoint:
     """Point of CP^2, normalized so the last nonzero coordinate is 1."""
 
-    coords: tuple[GaussianRational, GaussianRational, GaussianRational]
+    __slots__ = _fields = ("coords",)
+
+    def __init__(self, coords: tuple[GaussianRational, GaussianRational, GaussianRational]):
+        self.coords = coords
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, ProjectivePoint) and self.coords == other.coords
+
+    def __hash__(self) -> int:
+        return hash((self.coords,))
 
     @staticmethod
     def make(X, Y, Z) -> "ProjectivePoint":
@@ -72,13 +79,18 @@ class Verdict(str, Enum):
     UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
 class SingularityRecord:
-    point: ProjectivePoint
-    chart: str
-    jacobian: tuple[tuple[GaussianRational, GaussianRational], tuple[GaussianRational, GaussianRational]]
-    verdict: Verdict
-    verdict_reason: str
+    __slots__ = _fields = ("point", "chart", "jacobian", "verdict", "verdict_reason")
+
+    def __init__(
+        self,
+        point: ProjectivePoint,
+        chart: str,
+        jacobian: tuple[tuple[GaussianRational, GaussianRational], tuple[GaussianRational, GaussianRational]],
+        verdict: Verdict,
+        verdict_reason: str,
+    ):
+        self.point, self.chart, self.jacobian, self.verdict, self.verdict_reason = point, chart, jacobian, verdict, verdict_reason
 
     def to_dict(self) -> dict:
         return {
@@ -90,14 +102,13 @@ class SingularityRecord:
         }
 
 
-@dataclass(frozen=True)
 class CurveSingularity:
-    point: ProjectivePoint
-    order: int
-    is_node: bool
+    __slots__ = _fields = ("point", "order", "is_node")
+
+    def __init__(self, point: ProjectivePoint, order: int, is_node: bool):
+        self.point, self.order, self.is_node = point, order, is_node
 
 
-@dataclass
 class Enumeration:
     """Singular points found exactly, plus what could not be resolved.
 
@@ -106,14 +117,17 @@ class Enumeration:
     proof); residual counts the rest.
     """
 
-    points: list[ProjectivePoint] = dfield(default_factory=list)
-    residual: int = 0
-    hard_residual: int = 0
-    uncertain: int = 0
-    unresolved_x: list[Coeffs] = dfield(default_factory=list)
-    unresolved_y: list[tuple[GaussianRational, Coeffs]] = dfield(default_factory=list)
-    unresolved_inf: list[Coeffs] = dfield(default_factory=list)
-    system: tuple[MultiPoly, ...] = ()
+    __slots__ = _fields = (
+        "points", "residual", "hard_residual", "uncertain", "unresolved_x", "unresolved_y", "unresolved_inf", "system"
+    )
+
+    def __init__(self, points: list[ProjectivePoint] | None = None, hard_residual: int = 0, system: tuple[MultiPoly, ...] = ()):
+        self.points = [] if points is None else points
+        self.residual, self.hard_residual, self.uncertain = 0, hard_residual, 0
+        self.unresolved_x: list[Coeffs] = []
+        self.unresolved_y: list[tuple[GaussianRational, Coeffs]] = []
+        self.unresolved_inf: list[Coeffs] = []
+        self.system = system
 
     @property
     def undecided(self) -> int:

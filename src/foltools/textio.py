@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field as dfield, fields as dfields, is_dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -224,26 +223,29 @@ def print_poly(p: MultiPoly) -> str:
 # -- system documents (.fol) ----------------------------------------------------
 
 
-@dataclass
 class FieldEntry:
-    p: MultiPoly
-    q: MultiPoly
-    r: MultiPoly
+    __slots__ = _fields = ("p", "q", "r")
+
+    def __init__(self, p: MultiPoly, q: MultiPoly, r: MultiPoly):
+        self.p, self.q, self.r = p, q, r
 
 
-@dataclass
 class CurveEntry:
-    f: MultiPoly
-    components: list[str] = dfield(default_factory=list)
+    __slots__ = _fields = ("f", "components")
+
+    def __init__(self, f: MultiPoly, components: list[str] | None = None):
+        self.f, self.components = f, [] if components is None else components
 
 
-@dataclass
 class SystemDocument:
     """Named vector fields, curves and parameters from one `.fol` document."""
 
-    fields: dict[str, FieldEntry] = dfield(default_factory=dict)
-    curves: dict[str, CurveEntry] = dfield(default_factory=dict)
-    params: dict[str, GaussianRational] = dfield(default_factory=dict)
+    __slots__ = _fields = ("fields", "curves", "params")
+
+    def __init__(self):
+        self.fields: dict[str, FieldEntry] = {}
+        self.curves: dict[str, CurveEntry] = {}
+        self.params: dict[str, GaussianRational] = {}
 
 
 _SECTION_RE = re.compile(r"^\[(field|curve|param)\s+([A-Za-z_][A-Za-z_0-9-]*)\]$")
@@ -354,7 +356,9 @@ def to_jsonable(value):
     """Normalize report values into JSON-safe structures with stable text.
 
     The one rule for every report: a value with `to_dict` renders as what
-    that returns, and any other dataclass instance as its fields."""
+    that returns, and any other record as its fields: those its class
+    declares in `_fields` (foltools' records, and any NamedTuple), or a
+    dataclass instance's."""
     if isinstance(value, GaussianRational):
         return _coeff_literal(value)
     if isinstance(value, Fraction):
@@ -365,12 +369,16 @@ def to_jsonable(value):
         return float(f"{value:.15g}")
     if isinstance(value, dict):
         return {str(k): to_jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [to_jsonable(v) for v in value]
     if hasattr(value, "to_dict"):
         return to_jsonable(value.to_dict())
-    if is_dataclass(value) and not isinstance(value, type):
-        return {f.name: to_jsonable(getattr(value, f.name)) for f in dfields(value)}
+    if (names := getattr(type(value), "_fields", None)) is not None:
+        return {name: to_jsonable(getattr(value, name)) for name in names}
+    if isinstance(value, (list, tuple)):
+        return [to_jsonable(v) for v in value]
+    if hasattr(type(value), "__dataclass_fields__"):  # `dataclasses.is_dataclass` of an instance
+        from dataclasses import fields  # loaded already, by the module that declared the class
+
+        return {f.name: to_jsonable(getattr(value, f.name)) for f in fields(value)}
     return value
 
 

@@ -25,7 +25,6 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import RootSearchOverflow
@@ -383,7 +382,6 @@ def coprime_mod_p(a: list[GInt], b: list[GInt]) -> bool:
 # -- roots in Q(i) -------------------------------------------------------------
 
 
-@dataclass
 class RootReport:
     """Exact roots plus a provable account of what was not resolved.
 
@@ -393,11 +391,13 @@ class RootReport:
     treat them as entirely undecided.
     """
 
-    roots: list[GaussianRational] = field(default_factory=list)
-    residual_degree: int = 0
-    unresolved: list[Coeffs] = field(default_factory=list)
-    uncertain_degree: int = 0
-    uncertain: list[Coeffs] = field(default_factory=list)
+    __slots__ = _fields = ("roots", "residual_degree", "unresolved", "uncertain_degree", "uncertain")
+
+    def __init__(self):
+        self.roots: list[GaussianRational] = []
+        self.residual_degree, self.uncertain_degree = 0, 0
+        self.unresolved: list[Coeffs] = []
+        self.uncertain: list[Coeffs] = []
 
 
 def _divisor_count(p: int, e: int, content: int) -> int:

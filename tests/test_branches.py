@@ -468,6 +468,17 @@ def test_integer_series_store_matches_gaussian_rational_arithmetic():
         assert PowerSeries.from_list(ca, a.truncation) == a
 
 
+def test_a_series_is_canonical_when_it_is_built():
+    # (2 + 4t + (2 + 6i)t^2) / 6 over a scaled denominator is the same series
+    # as (1 + 2t + (1 + 3i)t^2) / 3: its numerators and its denominator are
+    # divided by their gcd at construction, so the two are equal, with one hash
+    scaled, reduced = PowerSeries([(2, 0), (4, 0), (2, 6)], 6), PowerSeries(((1, 0), (2, 0), (1, 3)), 3)
+    assert (scaled.num, scaled.den) == (((1, 0), (2, 0), (1, 3)), 3)
+    assert scaled == reduced and hash(scaled) == hash(reduced)
+    assert scaled != PowerSeries([(1, 0), (2, 0), (1, 3)], 6) and scaled != PowerSeries([(1, 0), (2, 0)], 3)
+    assert scaled != (scaled.num, scaled.den)
+
+
 # -- line branches by one division, and compose_poly on integer lists --
 
 

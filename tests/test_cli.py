@@ -673,6 +673,32 @@ def test_euler_check_and_multiplicity_prove_the_curve_before_its_points(tmp_path
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [["euler-check", "--chi", "2"], ["multiplicity"], ["multiplicity", "--point", "0,0"]],
+    ids=["euler-check", "multiplicity", "multiplicity-point"],
+)
+def test_a_command_proves_its_curve_squarefree_once(tmp_path, monkeypatch, argv, capsys):
+    # example1's line x = 0 holds two singular points, (0 : 0 : 1) and
+    # (0 : 1 : 0); the curve is proven once, not again at each of them
+    from foltools import polyring
+
+    doc = tmp_path / "example1.fol"
+    assert run(["construct", "gallery", "example1", "--out", str(doc)]) == 0
+    real, calls = polyring.is_squarefree, []
+
+    def spy(f):
+        calls.append(f)
+        return real(f)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("foltools.") and getattr(module, "is_squarefree", None) is real:
+            monkeypatch.setattr(module, "is_squarefree", spy)
+    assert run([argv[0], str(doc), "--field", "example1", "--curve", "curve", *argv[1:]]) == 0
+    assert "mu = 1" in capsys.readouterr().out
+    assert len(calls) <= 1
+
+
+@pytest.mark.parametrize(
     "argv, message",
     [
         (["ovals", "--curve", "zero"], "curve must be nonconstant"),

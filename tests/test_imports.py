@@ -50,3 +50,18 @@ def test_the_exact_layers_compute_without_numpy():
     )
     points = ["(-1 : -2 : 1)", "(-1 : 2 : 1)", "(1 : -2 : 1)", "(1 : 2 : 1)"]
     assert _fresh(code) == f"['1', '2'] 2 0 {points} 3 False\n"
+
+
+def test_the_cli_starts_without_dataclasses_or_bounds():
+    # every record is a plain class, so importing the cli generates no code;
+    # bounds loads when a command asks for a bound, and that command then runs
+    code = (
+        "import sys, foltools.cli\n"
+        "loaded = [m for name, m in sorted(sys.modules.items()) if name.startswith('foltools.')]\n"
+        "print([f'{m.__name__}.{c.__name__}' for m in loaded for c in vars(m).values()\n"
+        "       if isinstance(c, type) and c.__module__ == m.__name__ and hasattr(c, '__dataclass_fields__')])\n"
+        "print('foltools.bounds' in sys.modules)\n"
+        "rc = foltools.cli.run(['bounds', '--theorem', 't1', '--m', '3'])\n"
+        "print(rc, 'foltools.bounds' in sys.modules)\n"
+    )
+    assert _fresh(code) == "[]\nFalse\n1\n0 True\n"

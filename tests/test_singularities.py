@@ -39,6 +39,16 @@ def test_projective_point_normalization():
         ProjectivePoint.make(gr(0), gr(0), gr(0))
 
 
+def test_equal_projective_points_collapse_in_a_set_and_sort_by_their_text():
+    # the same point from scaled coordinates is one point: equal, one hash
+    twice = [ProjectivePoint.make(gr(2), gr(4), gr(2)), ProjectivePoint.affine(1, 2)]
+    assert twice[0] == twice[1] and hash(twice[0]) == hash(twice[1])
+    points = twice + [ProjectivePoint.make(gr(0), gr(3), gr(0)), ProjectivePoint.make(gr(0, 2), gr(0), gr(2)), ProjectivePoint.affine(0, 1)]
+    assert [str(pt) for pt in sorted(set(points), key=str)] == ["(0 : 1 : 0)", "(0 : 1 : 1)", "(1 : 2 : 1)", "(i : 0 : 1)"]
+    # a point equals no other kind of value, not even its own coordinates
+    assert twice[0] != twice[0].coords and ProjectivePoint.affine(1, 2) != ProjectivePoint.affine(2, 1)
+
+
 def test_affine_singularities_examples():
     rot = AffineVectorField.make(-y, x)
     enum = affine_singularities(rot)

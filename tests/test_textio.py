@@ -273,6 +273,24 @@ def test_a_dataclass_renders_as_its_fields():
     }
 
 
+def test_a_record_renders_as_its_declared_fields():
+    from typing import NamedTuple
+
+    from foltools.fields import AffineVectorField
+
+    # a field's cached properties live beside its fields and are not rendered
+    field = AffineVectorField.make(x * y, -y, x**2)
+    assert not field.component_gcd.is_zero()
+    assert to_jsonable(field) == {"p": "x*y", "q": "-y", "r": "x^2", "m": 2}
+
+    # a NamedTuple is a record, not a list
+    class Pair(NamedTuple):
+        left: object
+        right: object
+
+    assert to_jsonable([Pair(gr("1/2"), Fraction(3, 4))]) == [{"left": "1/2", "right": "3/4"}]
+
+
 # -- the printer on the integer store against the printer on Fraction views --
 
 
