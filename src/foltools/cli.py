@@ -69,7 +69,7 @@ from .fields import (
 )
 from .gaussian import GaussianRational, gr
 from .polyring import MultiPoly, dehomogenize
-from .realtopo import Box, count_ovals, trace_oval
+from .realtopo import Box, count_ovals, ellipse_loop, trace_oval
 from .singularities import (
     ProjectivePoint,
     Verdict,
@@ -494,7 +494,10 @@ def cmd_certify(args, doc, field, curve):
     results = []
     lines = [f"cofactor = {print_poly(cert.cofactor)}", f"ovals found: {ovals.count}"]
     for idx, ov in enumerate(selected):
-        pts = trace_oval(curve, ov.seed, spacing=args.spacing)
+        seed = ov.seed
+        pts = ellipse_loop(curve, seed, spacing=args.spacing)
+        if pts is None:  # not an ellipse: trace the curve
+            pts = trace_oval(curve, seed, spacing=args.spacing)
         c = certify_cycle(field, pts, idx, f=curve, v_poly=curve)
         results.append(c)
         lines.append(

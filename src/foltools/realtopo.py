@@ -1095,6 +1095,71 @@ def trace_oval(f: MultiPoly, seed: tuple[float, float], spacing: float = 1.5e-3)
     return _trace(ev, start, spacing)
 
 
+def ellipse_loop(f: MultiPoly, seed: tuple[float, float], spacing: float = 1.5e-3) -> np.ndarray | None:
+    """The ellipse f = 0 as a closed (n + 1, 2) float array whose first and
+    last rows are the projected seed, with no sequential trace; None when f
+    is not an ellipse.
+
+    f is an ellipse when it has degree 2, real coefficients and a definite
+    quadratic part, 4ac - b^2 > 0 in its integer numerators (an exact test),
+    and when the closed form gives it finite positive semi-axes.  The closed
+    form reads f at unit scale (as `_horner_with_gradient` does): the
+    center, the rotation phi = atan2(b, a - c) / 2 and the semi-axes
+    sqrt(-k / lambda_i), with k the value at the center and lambda_i the
+    eigenvalues of the quadratic part.  The seed is projected as
+    `trace_oval` projects it (UncertifiedResult when that fails); vertices
+    1 ... n - 1 are the points at eccentric anomaly t0 + 2 pi k / n, t0 the
+    seed's, projected by one `_project_all` call, and None when one of them
+    does not converge.  n = 4 ceil(P / (4 spacing)), at least _MIN_COARSE,
+    with P Ramanujan's perimeter.  `divergence_integral`'s Romberg rule sums
+    the decimations by 2 and by 4, which are nested polylines only when n is
+    a multiple of 4, and its error expansion needs a smooth parameter: a
+    uniform anomaly is one, an arc-length resampling is not.  Raises
+    PreconditionError on a spacing that is not a positive finite number and
+    DegenerateInput when n exceeds what `trace_oval` can fill,
+    2**_FILL_ROUNDS * _MAX_STEPS.
+    """
+    if not 0 < spacing < math.inf:
+        raise PreconditionError(f"spacing must be a positive finite number, not {spacing!r}")
+    if f.degree != 2 or not f.has_real_coefficients():
+        return None
+    num = {e: re for e, (re, _) in f.num.items()}
+    a, b, c = (num.get(e, 0) for e in ((2, 0), (1, 1), (0, 2)))
+    if 4 * a * c - b * b <= 0:
+        return None
+    top = max(map(abs, num.values()))
+    if a < 0:  # -f has the zero set of f and a positive definite quadratic part
+        top = -top
+    # float64 scalars, so a zero or an overflow below is a NaN or an inf, not an exception
+    a, b, c, d, e, g = (np.float64(num.get(p, 0) / top) for p in ((2, 0), (1, 1), (0, 2), (1, 0), (0, 1), (0, 0)))
+    with np.errstate(all="ignore"):
+        det = 4.0 * a * c - b * b
+        x0, y0 = (b * e - 2.0 * c * d) / det, (b * d - 2.0 * a * e) / det
+        k = g + 0.5 * (d * x0 + e * y0)
+        big = 0.5 * (a + c) + 0.5 * math.hypot(a - c, b)  # the larger eigenvalue, along phi
+        s1, s2 = np.sqrt(-k / big), np.sqrt(-k * 4.0 * big / det)  # det / (4 big) is the other eigenvalue
+    if not (0 < s1 < math.inf and 0 < s2 < math.inf):
+        return None
+    perimeter = math.pi * (3 * (s1 + s2) - math.sqrt((3 * s1 + s2) * (s1 + 3 * s2)))
+    quarters = perimeter / (4 * spacing)
+    if not quarters <= 2**_FILL_ROUNDS * _MAX_STEPS / 4:
+        raise DegenerateInput(f"an ellipse of perimeter {perimeter:.3g} needs more vertices at spacing {spacing!r} than the trace budget")
+    n = 4 * max(math.ceil(quarters), _MIN_COARSE // 4)
+    ev = _horner_with_gradient(f)
+    out, ok = _project_all(ev, np.array([seed], dtype=np.float64))
+    if not ok[0]:
+        raise UncertifiedResult("seed failed to project onto the curve")
+    phi = 0.5 * math.atan2(b, a - c)
+    cos, sin = math.cos(phi), math.sin(phi)
+    u, v = out[0, 0] - x0, out[0, 1] - y0
+    t = math.atan2((cos * v - sin * u) / s2, (cos * u + sin * v) / s1) + (2 * math.pi / n) * np.arange(1, n)
+    p, q = s1 * np.cos(t), s2 * np.sin(t)
+    pts, ok = _project_all(ev, np.column_stack([x0 + cos * p - sin * q, y0 + sin * p + cos * q]))
+    if not ok.all():
+        return None
+    return np.vstack([out, pts, out])
+
+
 def refine_polyline(f: MultiPoly, pts) -> np.ndarray:
     """Insert curve-projected midpoints between consecutive vertices of a
     closed polyline, given and returned as an (n, 2) float array; a midpoint

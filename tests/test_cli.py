@@ -1,7 +1,9 @@
 import json
+import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -376,6 +378,36 @@ def test_paper_suite_exit_zero(capsys):
     assert run(["paper-suite"]) == 0
     out = capsys.readouterr().out
     assert "21/21 fixture checks passed" in out
+
+
+@pytest.mark.parametrize("r", ["7/96", "1/15", "1/2", "3/2"])
+def test_certify_reports_a_rel_that_bounds_its_error_on_circles(tmp_path, r, capsys):
+    # g = x^2 + y^2 - r^2, h = x - c, a = b = 1: on the oval div X = 2x and
+    # dt = dtheta / (2 (c - r cos theta)), so T = pi / sqrt(c^2 - r^2) and
+    # D = 2 pi (c / sqrt(c^2 - r^2) - 1).  A sequential trace of the two
+    # small circles at this spacing has a chord count that is not a multiple
+    # of 4, so the Romberg decimations are not nested polylines
+    doc = tmp_path / "eee.fol"
+    assert run(["construct", "eee", "--g", f"x^2 + y^2 - ({r})^2", "--h", "x - 3", "--out", str(doc)]) == 0
+    capsys.readouterr()
+    argv = ["certify", str(doc), "--field", "eee", "--curve", "g", "--box=-2:2:-2:2", "--res", "64", "--spacing", "2e-3", "--json"]
+    assert run(argv) == 0
+    cert = json.loads(capsys.readouterr().out)["certificates"][0]
+    c, r = 3, float(Fraction(r))
+    T, D = math.pi / math.sqrt(c * c - r * r), 2 * math.pi * (c / math.sqrt(c * c - r * r) - 1)
+    rel = cert["quadrature_rel_err"]
+    assert abs(cert["divergence_integral"] - D) <= rel * abs(D) and abs(cert["period"] - T) <= rel * T
+
+
+@pytest.mark.parametrize("curve, traces", [("x^2 + y^2 - 1", 0), ("2*x^4 + 5*x^2*y^2 + 2*y^4 - 3*x^2 - 3*y^2 + 101/100", 4)])
+def test_certify_traces_only_what_is_not_an_ellipse(tmp_path, monkeypatch, curve, traces, capsys):
+    doc = tmp_path / "eee.fol"
+    assert run(["construct", "eee", "--g", curve, "--h", "x - 3", "--out", str(doc)]) == 0
+    calls, trace_oval = [], cli.trace_oval
+    monkeypatch.setattr(cli, "trace_oval", lambda *args, **kwargs: calls.append(args) or trace_oval(*args, **kwargs))
+    assert run(["certify", str(doc), "--field", "eee", "--curve", "g", "--all-ovals", "--res", "64"]) == 0
+    assert f"ovals found: {max(traces, 1)}" in capsys.readouterr().out
+    assert len(calls) == traces
 
 
 def test_paper_suite_deterministic_report(tmp_path):

@@ -12,7 +12,8 @@ import fraction_box
 import tuple_mesher
 from conftest import affine_vars, const2
 from foltools import realtopo
-from foltools.construct import gallery
+from foltools.construct import eee_system, gallery
+from foltools.cycles import divergence_integral
 from foltools.errors import DegenerateInput, PreconditionError, UncertifiedResult
 from foltools.gaussian import GaussianRational, gr, lift
 from foltools.polyring import MultiPoly, leading_form
@@ -28,6 +29,7 @@ from foltools.realtopo import (
     compactness_check,
     count_ovals,
     default_box,
+    ellipse_loop,
     newton_project,
     refine_polyline,
     trace_oval,
@@ -418,6 +420,99 @@ def test_newton_project():
     assert pt is not None and abs(math.hypot(*pt) - 1.0) < 1e-12
     far = newton_project(circle, (1e9, 1e9))  # far seeds may fail, but never land off the curve
     assert far is None or abs(math.hypot(*far) - 1.0) < 1e-12
+
+
+# -- an ellipse in closed form ---------------------------------------------------------
+
+# semi-axes 1 and 1/20 along (3/5, 4/5) and (-4/5, 3/5), centred at (1/4, -1/3)
+CENTER, AXES = np.array([0.25, -1 / 3]), np.array([[0.6, 0.8], [-0.04, 0.03]])
+rotated = parse_poly("(3*(x - 1/4) + 4*(y + 1/3))^2 + 400*(-4*(x - 1/4) + 3*(y + 1/3))^2 - 25", 2)
+
+
+def _at_anomaly(n: int) -> np.ndarray:
+    """`rotated` at eccentric anomaly 2 pi k / n, k = 0 ... n, closed."""
+    t = 2 * math.pi * np.arange(n + 1) / n
+    pts = CENTER + np.outer(np.cos(t), AXES[0]) + np.outer(np.sin(t), AXES[1])
+    pts[-1] = pts[0]
+    return pts
+
+
+@pytest.mark.parametrize(
+    "f, seed, n",
+    [
+        (circle, (1.01, 0.0), 3144),
+        (parse_poly("10^400*x^2 + 10^400*y^2 - 10^400", 2), (1.01, 0.0), 3144),
+        (x**2 + y**2 - const2(gr(Fraction(1, 10**6))), (0.00101, 0.0), 64),
+        (rotated, (0.85, 0.47), None),
+        (-rotated, (-0.35, -1.1), None),
+    ],
+)
+def test_ellipse_loop_satisfies_the_contract(f, seed, n):
+    pts = ellipse_loop(f, seed, SPACING)
+    assert pts.dtype == np.float64 and pts.ndim == 2 and pts.shape[1] == 2
+    assert n is None or len(pts) - 1 == n
+    assert (len(pts) - 1) % 4 == 0 and len(pts) - 1 >= realtopo._MIN_COARSE
+    assert tuple(pts[0]) == tuple(pts[-1]) == newton_project(f, seed)
+    v, dx, dy = realtopo._horner_with_gradient(f)(*pts.T)
+    assert np.all(np.abs(v) <= TOL * np.hypot(dx, dy))
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        x**2 - y**2 - const2(1),
+        y - x**2,
+        quartic,
+        x**2 + y**2 + const2(1),  # no real point
+        x**2 + y**2,  # one real point
+        circle.scale(gr(0, 1)),  # not real
+    ],
+)
+def test_ellipse_loop_refuses_what_is_not_an_ellipse(f):
+    assert ellipse_loop(f, (1.01, 0.0), SPACING) is None
+
+
+def test_ellipse_loop_refuses_at_once():
+    start = time.perf_counter()
+    for spacing in (0.0, -1e-3, float("nan"), float("inf")):
+        with pytest.raises(PreconditionError, match="spacing"):
+            ellipse_loop(circle, (1.01, 0.0), spacing)
+    for spacing in (1e-9, 1e-300):  # more vertices than the trace could fill
+        with pytest.raises(DegenerateInput, match="budget"):
+            ellipse_loop(circle, (1.01, 0.0), spacing)
+    with pytest.raises(UncertifiedResult, match="seed failed to project"):
+        ellipse_loop(circle, (0.0, 0.0), SPACING)
+    assert time.perf_counter() - start < 0.1
+
+
+def test_ellipse_loop_gives_up_when_a_vertex_does_not_converge(monkeypatch):
+    project_all = realtopo._project_all
+
+    def one_fails(ev, seeds):
+        out, ok = project_all(ev, seeds)
+        ok[len(ok) // 2] = False
+        return out, ok
+
+    assert ellipse_loop(circle, (1.01, 0.0), SPACING) is not None
+    monkeypatch.setattr(realtopo, "_project_all", lambda ev, seeds: one_fails(ev, seeds) if len(seeds) > 1 else project_all(ev, seeds))
+    assert ellipse_loop(circle, (1.01, 0.0), SPACING) is None
+
+
+def test_ellipse_loop_rel_bounds_the_error_of_certify():
+    # Romberg's rule sums the decimations by 2 and 4, which are nested only
+    # when the vertex count is a multiple of 4, and its error expansion needs
+    # a smooth parameter; then its rel bounds the error against a 2^16-vertex
+    # uniform-anomaly reference on a thin ellipse, and R(n) is of fourth
+    # order, so doubling the spacing multiplies rel by about 16
+    field, _ = eee_system(rotated, x - const2(2), gr(1), gr(1))
+    want_D, want_T, want_rel = divergence_integral(field, _at_anomaly(2**16))
+    assert want_rel < 1e-12
+    rels = []
+    for spacing in (SPACING, 2 * SPACING):
+        D, T, rel = divergence_integral(field, ellipse_loop(rotated, (0.85, 0.47), spacing), f=rotated)
+        assert abs(D - want_D) <= rel * abs(want_D) and abs(T - want_T) <= rel * want_T
+        rels.append(rel)
+    assert 8 * rels[0] < rels[1]
 
 
 def _random_poly(rng: random.Random, degree: int) -> MultiPoly:
