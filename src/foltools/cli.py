@@ -489,15 +489,22 @@ def cmd_ovals(args, doc, curve):
 def cmd_certify(args, doc, field, curve):
     cert = _invariance(field, curve, "curve is not invariant; nothing to certify")
     box = _parse_box(args.box) if args.box else None
-    ovals = count_ovals(curve, box, args.res)
-    selected = ovals.ovals if args.all_ovals else ovals.ovals[:1]
+    loops = ellipse_loop(curve, box, spacing=args.spacing)
+    if loops is None:  # not an ellipse strictly inside the box: the lattice counts, and each certified oval is traced
+        ovals = count_ovals(curve, box, args.res)
+        count = ovals.count
+        selected = ovals.ovals if args.all_ovals else ovals.ovals[:1]
+        loops = (trace_oval(curve, ov.seed, spacing=args.spacing) if ov.certified else None for ov in selected)
+    else:
+        count = len(loops)
     results = []
-    lines = [f"cofactor = {print_poly(cert.cofactor)}", f"ovals found: {ovals.count}"]
-    for idx, ov in enumerate(selected):
-        seed = ov.seed
-        pts = ellipse_loop(curve, seed, spacing=args.spacing)
-        if pts is None:  # not an ellipse: trace the curve
-            pts = trace_oval(curve, seed, spacing=args.spacing)
+    lines = [f"cofactor = {print_poly(cert.cofactor)}", f"ovals found: {count}"]
+    uncertified = False
+    for idx, pts in enumerate(loops):
+        if pts is None:
+            uncertified = True
+            lines.append(f"oval {idx}: not certified by the lattice; no certificate")
+            continue
         c = certify_cycle(field, pts, idx, f=curve, v_poly=curve)
         results.append(c)
         lines.append(
@@ -506,10 +513,10 @@ def cmd_certify(args, doc, field, curve):
         )
     # location_check(mode="invariant-curve") rows: the invariance was checked
     # above and certify_cycle(v_poly=curve) computed each oval's residual
-    loc = location_rows([c.v_residual for c in results])
+    loc = location_rows([(c.oval_id, c.v_residual) for c in results])
     payload = {
         "cofactor": cert.cofactor,
-        "oval_count": ovals.count,
+        "oval_count": count,
         "certificates": results,
         "location": loc,
     }
@@ -517,10 +524,10 @@ def cmd_certify(args, doc, field, curve):
         lines.append(f"oval {row['oval_id']}: |V| residual = {row['residual']:.2e} pass = {row['pass']}")
     if not all(row["pass"] for row in loc):
         return payload, lines, False
-    if not results:
+    if not count:
         lines.append("no oval found; nothing certified")
         return payload, lines, None
-    return payload, lines, all(c.hyperbolic for c in results) or None
+    return payload, lines, (not uncertified and all(c.hyperbolic for c in results)) or None
 
 
 def cmd_iif_check(args, doc, field, curve):

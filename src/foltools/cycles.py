@@ -232,12 +232,12 @@ def location_check(
             raise PreconditionError("V is not an invariant curve of the field")
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    return location_rows([_scaled_residual(V, oval) for oval in ovals])
+    return location_rows(enumerate(_scaled_residual(V, oval) for oval in ovals))
 
 
-def location_rows(residuals: list[float]) -> list[dict]:
-    """`location_check`'s per-oval rows from residuals already computed."""
+def location_rows(residuals) -> list[dict]:
+    """`location_check`'s per-oval rows from (oval_id, residual) pairs already computed."""
     return [
         {"oval_id": idx, "residual": residual, "residual_precision": LOCATION_TOLERANCE, "pass": residual < LOCATION_TOLERANCE}
-        for idx, residual in enumerate(residuals)
+        for idx, residual in residuals
     ]

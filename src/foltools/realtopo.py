@@ -995,11 +995,11 @@ def _project_all(ev: Callable, seeds: np.ndarray):
     return out, ok
 
 
-def _midpoints(ev: Callable, pts: np.ndarray) -> tuple[np.ndarray, bool]:
+def _midpoints(ev: Callable, pts: np.ndarray, guesses: np.ndarray | None = None) -> tuple[np.ndarray, bool]:
     """A closed (n, 2) polyline with the projection of every chord midpoint
-    inserted, as (2n - 1, 2) rows, and whether every midpoint converged (one
-    that did not stays at the chord's midpoint)."""
-    mids, ok = _project_all(ev, 0.5 * (pts[:-1] + pts[1:]))
+    (or of each of the n - 1 `guesses`) inserted, as (2n - 1, 2) rows, and
+    whether every one converged (one that did not stays where it started)."""
+    mids, ok = _project_all(ev, 0.5 * (pts[:-1] + pts[1:]) if guesses is None else guesses)
     out = np.empty((2 * len(pts) - 1, 2))
     out[0::2] = pts
     out[1::2] = mids
@@ -1068,7 +1068,11 @@ def trace_oval(f: MultiPoly, seed: tuple[float, float], spacing: float = 1.5e-3)
     step is too long for the curve (one step turns the gradient by more than
     45 degrees, or the loop has fewer than 64 vertices) or a midpoint does
     not converge, the same is tried at 4 * spacing with two rounds, and
-    after that the result is the sequential loop at `spacing` itself.
+    after that the sequential loop at `spacing` itself gets two rounds (or,
+    when one fails, is the result as it is).  So a polyline that the rounds
+    fill has a chord count that is a multiple of 4, and its decimations by 2
+    and by 4, which `divergence_integral`'s Romberg rule sums, are the
+    polylines it was filled from.
     Either way every vertex, the first too, passes the corrector's rule, and
     the loop closes only when it is back near the seed travelling the same
     way.  Raises PreconditionError on a spacing that is not a positive finite
@@ -1086,34 +1090,102 @@ def trace_oval(f: MultiPoly, seed: tuple[float, float], spacing: float = 1.5e-3)
         pts = _trace(ev, start, 2**rounds * spacing, _COARSE_MIN_COS)
         if pts is None or len(pts) < _MIN_COARSE:
             continue
-        for _ in range(rounds):
-            pts, ok = _midpoints(ev, pts)
-            if not ok:
-                break
-        else:
-            return pts
-    return _trace(ev, start, spacing)
+        filled = _filled(ev, pts, rounds)
+        if filled is not None:
+            return filled
+    pts = _trace(ev, start, spacing)
+    filled = _filled(ev, pts, _RETRY_ROUNDS)
+    return pts if filled is None else filled
 
 
-def ellipse_loop(f: MultiPoly, seed: tuple[float, float], spacing: float = 1.5e-3) -> np.ndarray | None:
-    """The ellipse f = 0 as a closed (n + 1, 2) float array whose first and
-    last rows are the projected seed, with no sequential trace; None when f
-    is not an ellipse.
+def _filled(ev: Callable, pts: np.ndarray, rounds: int) -> np.ndarray | None:
+    """`rounds` rounds of `_midpoints` on a closed polyline; None when a
+    midpoint does not converge."""
+    for _ in range(rounds):
+        pts, ok = _midpoints(ev, pts)
+        if not ok:
+            return None
+    return pts
 
-    f is an ellipse when it has degree 2, real coefficients and a definite
-    quadratic part, 4ac - b^2 > 0 in its integer numerators (an exact test),
-    and when the closed form gives it finite positive semi-axes.  The closed
-    form reads f at unit scale (as `_horner_with_gradient` does): the
-    center, the rotation phi = atan2(b, a - c) / 2 and the semi-axes
-    sqrt(-k / lambda_i), with k the value at the center and lambda_i the
-    eigenvalues of the quadratic part.  The seed is projected as
-    `trace_oval` projects it (UncertifiedResult when that fails); vertices
-    1 ... n - 1 are the points at eccentric anomaly t0 + 2 pi k / n, t0 the
-    seed's, projected by one `_project_all` call, and None when one of them
-    does not converge.  n = 4 ceil(P / (4 spacing)), at least _MIN_COARSE,
-    with P Ramanujan's perimeter.  `divergence_integral`'s Romberg rule sums
-    the decimations by 2 and by 4, which are nested polylines only when n is
-    a multiple of 4, and its error expansion needs a smooth parameter: a
+
+def _definite_conic(f: MultiPoly) -> tuple | None:
+    """(a, b, c, det, x0, y0, k) when f has degree 2, real coefficients and
+    a definite quadratic part, else None.  a, b, c are f's integer
+    numerators of x^2, xy and y^2, all signs flipped when a < 0 (-f has the
+    zero set of f), so a > 0 and det = 4ac - b^2 > 0; (x0, y0) is the
+    center, where the gradient vanishes, and k the value there, both exact
+    Fractions of the same numerators."""
+    if f.degree != 2 or not f.has_real_coefficients():
+        return None
+    num = {e: re for e, (re, _) in f.num.items()}
+    a, b, c, d, e, g = (num.get(p, 0) for p in ((2, 0), (1, 1), (0, 2), (1, 0), (0, 1), (0, 0)))
+    det = 4 * a * c - b * b
+    if det <= 0:
+        return None
+    if a < 0:
+        a, b, c, d, e, g = -a, -b, -c, -d, -e, -g
+    x0, y0 = Fraction(b * e - 2 * c * d, det), Fraction(b * d - 2 * a * e, det)
+    # the quadratic part is half its gradient's dot product with the point
+    return a, b, c, det, x0, y0, g + (d * x0 + e * y0) / 2
+
+
+def _ellipse_frame(conic: tuple) -> tuple[float, ...] | None:
+    """(x0, y0, cos phi, sin phi, s1, s2) in floats for an ellipse
+    `_definite_conic` gave with k < 0: the point at eccentric anomaly t is
+    (x0, y0) + s1 cos t (cos phi, sin phi) + s2 sin t (-sin phi, cos phi).
+    phi = atan2(b, a - c) / 2 is the axis of the larger eigenvalue lambda
+    of the quadratic part, s1 = sqrt(-k / lambda) and s2 = sqrt(-4 k lambda
+    / det), read at the scale max(a, c).  None when one of them is not a
+    finite float (or a semi-axis is 0)."""
+    a, b, c, det, x0, y0, k = conic
+    top = max(a, c)
+    a, b, c = a / top, b / top, c / top
+    big = 0.5 * (a + c) + 0.5 * math.hypot(a - c, b)
+    try:
+        k = float(k / top)
+        x0, y0, s1, s2 = float(x0), float(y0), math.sqrt(-k / big), math.sqrt(-4.0 * k * big / float(Fraction(det, top * top)))
+    except (OverflowError, ZeroDivisionError):
+        return None
+    if not (0 < s1 and s2 < math.inf):  # s1 <= s2
+        return None
+    phi = 0.5 * math.atan2(b, a - c)
+    return x0, y0, math.cos(phi), math.sin(phi), s1, s2
+
+
+def _at_anomaly(frame: tuple[float, ...], t: np.ndarray) -> np.ndarray:
+    """The points of the ellipse `frame` at eccentric anomalies t, as rows."""
+    x0, y0, cos, sin, s1, s2 = frame
+    p, q = s1 * np.cos(t), s2 * np.sin(t)
+    return np.column_stack([x0 + cos * p - sin * q, y0 + sin * p + cos * q])
+
+
+def ellipse_loop(f: MultiPoly, box: Box | None = None, spacing: float = 1.5e-3) -> list[np.ndarray] | None:
+    """The ovals of f = 0 when f is an ellipse, decided exactly and placed in
+    closed form: a list of closed (n + 1, 2) float arrays, [] when the real
+    locus is a point or empty; None when f is not an ellipse, or when box is
+    given and the oval does not lie strictly inside it.
+
+    f is an ellipse when it has degree 2, real coefficients and, with its
+    integer numerators signed so that a > 0, 4ac - b^2 > 0.  A definite
+    quadratic part makes f squarefree (a product of two lines, or a
+    square, has 4ac - b^2 <= 0) and bounded below by its value k at the
+    center, reached there alone.  So the real locus is one oval when k < 0,
+    the center alone when k = 0 and empty when k > 0, and no squarefree
+    test, bounding box or lattice is needed to count it; the center and k
+    are exact Fractions.  With a box, the oval counts when its bounding
+    rectangle lies strictly inside: the squared half-widths are -4ck/det
+    along x and -4ak/det along y, compared with the squared distances from
+    the center to the box's sides as exact rationals.
+
+    The polyline starts at eccentric anomaly 0, projected by `_project_all`
+    (UncertifiedResult when that fails, or when the closed form leaves float
+    range); vertices 1 ... n - 1 are the points at anomaly 2 pi k / n,
+    projected by one more `_project_all` call, and when one of them does not
+    converge the oval is traced instead (`trace_oval` from the projected
+    start).  n = 4 ceil(P / (4 spacing)), at least _MIN_COARSE, with P
+    Ramanujan's perimeter.  `divergence_integral`'s Romberg rule sums the
+    decimations by 2 and by 4, which are nested polylines only when n is a
+    multiple of 4, and its error expansion needs a smooth parameter: a
     uniform anomaly is one, an arc-length resampling is not.  Raises
     PreconditionError on a spacing that is not a positive finite number and
     DegenerateInput when n exceeds what `trace_oval` can fill,
@@ -1121,47 +1193,53 @@ def ellipse_loop(f: MultiPoly, seed: tuple[float, float], spacing: float = 1.5e-
     """
     if not 0 < spacing < math.inf:
         raise PreconditionError(f"spacing must be a positive finite number, not {spacing!r}")
-    if f.degree != 2 or not f.has_real_coefficients():
+    conic = _definite_conic(f)
+    if conic is None:
         return None
-    num = {e: re for e, (re, _) in f.num.items()}
-    a, b, c = (num.get(e, 0) for e in ((2, 0), (1, 1), (0, 2)))
-    if 4 * a * c - b * b <= 0:
-        return None
-    top = max(map(abs, num.values()))
-    if a < 0:  # -f has the zero set of f and a positive definite quadratic part
-        top = -top
-    # float64 scalars, so a zero or an overflow below is a NaN or an inf, not an exception
-    a, b, c, d, e, g = (np.float64(num.get(p, 0) / top) for p in ((2, 0), (1, 1), (0, 2), (1, 0), (0, 1), (0, 0)))
-    with np.errstate(all="ignore"):
-        det = 4.0 * a * c - b * b
-        x0, y0 = (b * e - 2.0 * c * d) / det, (b * d - 2.0 * a * e) / det
-        k = g + 0.5 * (d * x0 + e * y0)
-        big = 0.5 * (a + c) + 0.5 * math.hypot(a - c, b)  # the larger eigenvalue, along phi
-        s1, s2 = np.sqrt(-k / big), np.sqrt(-k * 4.0 * big / det)  # det / (4 big) is the other eigenvalue
-    if not (0 < s1 < math.inf and 0 < s2 < math.inf):
-        return None
+    a, _, c, det, x0, y0, k = conic
+    if k >= 0:
+        return []
+    if box is not None:
+        for lo, hi, mid, half2 in ((box.x_lo, box.x_hi, x0, -4 * c * k / det), (box.y_lo, box.y_hi, y0, -4 * a * k / det)):
+            if not (lo < mid < hi and min(mid - lo, hi - mid) ** 2 > half2):
+                return None
+    frame = _ellipse_frame(conic)
+    if frame is None:
+        raise UncertifiedResult("the ellipse's center or semi-axes leave float range")
+    s1, s2 = frame[4:]
     perimeter = math.pi * (3 * (s1 + s2) - math.sqrt((3 * s1 + s2) * (s1 + 3 * s2)))
     quarters = perimeter / (4 * spacing)
     if not quarters <= 2**_FILL_ROUNDS * _MAX_STEPS / 4:
         raise DegenerateInput(f"an ellipse of perimeter {perimeter:.3g} needs more vertices at spacing {spacing!r} than the trace budget")
     n = 4 * max(math.ceil(quarters), _MIN_COARSE // 4)
     ev = _horner_with_gradient(f)
-    out, ok = _project_all(ev, np.array([seed], dtype=np.float64))
+    start, ok = _project_all(ev, _at_anomaly(frame, np.zeros(1)))
     if not ok[0]:
         raise UncertifiedResult("seed failed to project onto the curve")
-    phi = 0.5 * math.atan2(b, a - c)
-    cos, sin = math.cos(phi), math.sin(phi)
-    u, v = out[0, 0] - x0, out[0, 1] - y0
-    t = math.atan2((cos * v - sin * u) / s2, (cos * u + sin * v) / s1) + (2 * math.pi / n) * np.arange(1, n)
-    p, q = s1 * np.cos(t), s2 * np.sin(t)
-    pts, ok = _project_all(ev, np.column_stack([x0 + cos * p - sin * q, y0 + sin * p + cos * q]))
+    pts, ok = _project_all(ev, _at_anomaly(frame, (2 * math.pi / n) * np.arange(1, n)))
     if not ok.all():
-        return None
-    return np.vstack([out, pts, out])
+        return [trace_oval(f, (float(start[0, 0]), float(start[0, 1])), spacing)]
+    return [np.vstack([start, pts, start])]
 
 
 def refine_polyline(f: MultiPoly, pts) -> np.ndarray:
-    """Insert curve-projected midpoints between consecutive vertices of a
-    closed polyline, given and returned as an (n, 2) float array; a midpoint
-    whose projection fails is kept as it is."""
-    return _midpoints(_horner_with_gradient(f), np.asarray(pts, dtype=np.float64))[0]
+    """Insert a curve-projected point between consecutive vertices of a
+    closed polyline, given and returned as an (n, 2) float array, keeping
+    the old vertices at the even rows; a point whose projection fails is
+    kept where it started.
+
+    On an ellipse (`_definite_conic`, k < 0) the point is the one at the
+    mean eccentric anomaly of the two vertices, so a polyline at uniform
+    anomaly stays one and its sums keep the Romberg expansion; on any other
+    curve it is the chord's midpoint."""
+    pts = np.asarray(pts, dtype=np.float64)
+    ev = _horner_with_gradient(f)
+    conic = _definite_conic(f)
+    frame = _ellipse_frame(conic) if conic is not None and conic[-1] < 0 else None
+    if frame is None:
+        return _midpoints(ev, pts)[0]
+    x0, y0, cos, sin, s1, s2 = frame
+    u, v = pts[:, 0] - x0, pts[:, 1] - y0
+    t = np.arctan2((cos * v - sin * u) / s2, (cos * u + sin * v) / s1)
+    step = np.remainder(np.diff(t) + math.pi, 2 * math.pi) - math.pi  # each step the short way round
+    return _midpoints(ev, pts, _at_anomaly(frame, t[:-1] + 0.5 * step))[0]

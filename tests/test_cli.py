@@ -772,8 +772,9 @@ def test_invariance_checks_still_refute_a_curve_that_is_not_invariant(rules_doc,
 
 
 def test_a_seed_the_corrector_cannot_place_is_undecided(eee_doc, monkeypatch, capsys):
-    # the oval's seed comes from the lattice, so a corrector that does not
-    # converge on it is the program's failure, not bad input
+    # the circle's start is the closed-form point at eccentric anomaly 0, on
+    # the curve to rounding, so a corrector that does not converge on it is
+    # the program's failure, not bad input
     from foltools import realtopo
 
     monkeypatch.setattr(realtopo, "_project_all", lambda _ev, seeds: (seeds.copy(), np.zeros(len(seeds), dtype=bool)))
@@ -799,20 +800,75 @@ def test_a_failed_pullback_check_on_an_invariant_curve_is_undecided(ex1_doc, mon
 
 
 def test_certify_that_finds_no_oval_is_undecided(tmp_path, capsys):
+    # an ellipse whose value at the center is positive has no real point, and
+    # one whose value there is 0 has the center alone: no oval, exactly
+    for g in ("x^2 + y^2 + 1", "x^2 + y^2"):
+        doc = tmp_path / "eee.fol"
+        assert run(["construct", "eee", "--g", g, "--h", "x - 2", "--out", str(doc)]) == 0
+        capsys.readouterr()
+        assert run(["certify", str(doc), "--field", "eee", "--curve", "g"]) == 3
+        assert capsys.readouterr().out.splitlines()[-2:] == ["ovals found: 0", "no oval found; nothing certified"]
+        assert run(["certify", str(doc), "--field", "eee", "--curve", "g", "--json"]) == 3
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["oval_count"], payload["certificates"]) == (0, [])
+
+
+def test_certify_finds_an_ellipse_the_lattice_steps_over(tmp_path, capsys):
     # an ellipse with semi-axes 1/2 and 2 inside [-1, 0] x [-3.5, 0.5]: the
     # default box is [-32, 32]^2, whose cells at res 64 are 1 wide, so the
-    # lattice steps over it and nothing is certified
+    # lattice steps over it; the closed form counts it at any --res
     doc = tmp_path / "eee.fol"
     g = "4*x^2 + 1/4*y^2 + 4*x + 3/4*y + 9/16"
     assert run(["construct", "eee", "--g", g, "--h", "x - 2", "--out", str(doc)]) == 0
     capsys.readouterr()
-    assert run(["certify", str(doc), "--field", "eee", "--curve", "g", "--res", "64"]) == 3
-    assert capsys.readouterr().out.splitlines()[-2:] == ["ovals found: 0", "no oval found; nothing certified"]
-    assert run(["certify", str(doc), "--field", "eee", "--curve", "g", "--res", "64", "--json"]) == 3
+    for res in ("64", "256"):
+        assert run(["certify", str(doc), "--field", "eee", "--curve", "g", "--res", res]) == 0
+        out = capsys.readouterr().out
+        assert "ovals found: 1" in out and "Unstable hyperbolic = True" in out
+
+
+def test_certify_counts_an_ellipse_inside_the_box_without_the_lattice(tmp_path, monkeypatch, capsys):
+    # the oval's bounding rectangle [-1, 1]^2 must lie strictly inside --box;
+    # otherwise the lattice counts in the box as for any other curve
+    doc = tmp_path / "eee.fol"
+    assert run(["construct", "eee", "--g", "x^2 + y^2 - 1", "--h", "x - 3", "--out", str(doc)]) == 0
+    counted, count_ovals = [], cli.count_ovals
+    monkeypatch.setattr(cli, "count_ovals", lambda *args: counted.append(args[1]) or count_ovals(*args))
+    argv = ["certify", str(doc), "--field", "eee", "--curve", "g", "--res", "64", "--spacing", "2e-3"]
+    # (a box whose side touches the oval at (-1, 0) is left to the lattice,
+    # which finds the whole oval there; one that cuts it finds none)
+    for box, ovals, lattice in (("-2:2:-2:2", 1, False), ("-3/2:3/2:-11/10:11/10", 1, False), ("-1:2:-2:2", 1, True), ("0:2:-2:2", 0, True)):
+        counted.clear()
+        assert run([*argv, f"--box={box}"]) == (0 if ovals else 3), box
+        assert f"ovals found: {ovals}" in capsys.readouterr().out
+        assert [f"{b.x_lo}:{b.x_hi}:{b.y_lo}:{b.y_hi}" for b in counted] == ([box] if lattice else []), box
+
+
+def test_certify_gives_an_uncertified_oval_no_certificate(tmp_path, monkeypatch, capsys):
+    # on the lattice route only a certified oval is traced; one the lattice
+    # has not proven makes the verdict undecided
+    from foltools import realtopo
+
+    doc = tmp_path / "eee.fol"
+    quartic = "2*x^4 + 5*x^2*y^2 + 2*y^4 - 3*x^2 - 3*y^2 + 101/100"
+    assert run(["construct", "eee", "--g", quartic, "--h", "x - 3", "--out", str(doc)]) == 0
+    capsys.readouterr()
+    certify_loops = realtopo._certify_loops
+    monkeypatch.setattr(realtopo, "_certify_loops", lambda loops, lines: [ok and k != 1 for k, ok in enumerate(certify_loops(loops, lines))])
+    traced, trace_oval = [], cli.trace_oval
+    monkeypatch.setattr(cli, "trace_oval", lambda *args, **kwargs: traced.append(args) or trace_oval(*args, **kwargs))
+    argv = ["certify", str(doc), "--field", "eee", "--curve", "g", "--all-ovals", "--res", "64"]
+    assert run(argv) == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert "ovals found: 4" in lines and len(traced) == 3
+    skipped = [int(line.split()[1][:-1]) for line in lines if line.endswith(": not certified by the lattice; no certificate")]
+    assert len(skipped) == 1 and sum(line.startswith("oval ") for line in lines) == 1 + 3 + 3
+    assert run([*argv, "--json"]) == 3
     payload = json.loads(capsys.readouterr().out)
-    assert (payload["oval_count"], payload["certificates"]) == (0, [])
-    # at res 256 the lattice finds the oval and certifies it
-    assert run(["certify", str(doc), "--field", "eee", "--curve", "g", "--res", "256"]) == 0
+    assert payload["oval_count"] == 4
+    ids = [k for k in range(4) if k != skipped[0]]
+    assert [c["oval_id"] for c in payload["certificates"]] == [row["oval_id"] for row in payload["location"]] == ids
+    assert all(c["hyperbolic"] for c in payload["certificates"])
 
 
 def test_a_field_whose_components_share_a_factor_is_a_usage_error(rules_doc, capsys):
@@ -1064,10 +1120,11 @@ def test_certify_places_one_vertex_per_traced_oval(tmp_path, monkeypatch, curve,
     monkeypatch.setattr(cli, "count_ovals", counting)
     assert run(["certify", str(doc), "--field", "eee", "--curve", "g", "--all-ovals", "--res", "64"]) == 0
     assert f"ovals found: {count}" in capsys.readouterr().out
-    after = placed[counted[0] :]
-    assert after == [1] * len(after) and len(after) <= count
-    if count == 1:  # one loop gets no sort key, so counting placed nothing
-        assert placed == [1]
+    if count == 1:  # an ellipse is counted and placed in closed form: no lattice, no lattice vertex
+        assert counted == placed == []
+    else:
+        after = placed[counted[0] :]
+        assert after == [1] * len(after) and len(after) <= count
 
 
 # --report / --json payloads that no replay job runs, pinned byte for byte

@@ -120,7 +120,9 @@ def _romberg_loop(field, pts, f, target_rel, max_refinements=8):
 
 @pytest.mark.parametrize("spacing, target_rel", [(0.05, 1e-6), (0.05, 1e-12), (1e-2, 1e-9)])
 def test_divergence_integral_sums_each_polyline_once(eee_circle, monkeypatch, spacing, target_rel):
-    coarse = trace_oval(circle, (1.01, 0.0), spacing=spacing)
+    # every fourth vertex of the trace: the sequential loop it was filled
+    # from, coarse enough that the quadrature refines it
+    coarse = trace_oval(circle, (1.01, 0.0), spacing=spacing)[::4]
     want = _romberg_loop(eee_circle, coarse, circle, target_rel)
     calls = {"sums": 0, "refinements": 0}
 

@@ -340,9 +340,10 @@ def test_fill_matches_the_scalar_corrector():
 
 @pytest.mark.parametrize("r", [Fraction(1, 1000), Fraction(1, 500), Fraction(1, 250), Fraction(1, 40)])
 def test_small_circles_take_the_sequential_trace(r):
+    # the sequential loop at SPACING, filled by two rounds of midpoints
     f = x**2 + y**2 - const2(gr(r * r))
     pts = trace_oval(f, (1.01 * float(r), 0.0), spacing=SPACING)
-    assert np.array_equal(pts, _fine_trace(f, pts))
+    assert np.array_equal(pts[::4], _fine_trace(f, pts))
     assert abs(_length(pts) / (2 * math.pi * float(r)) - 1) < 0.05
     assert _coarse_trace(f, pts) is None  # a 16 * SPACING step turns by more than 45 degrees
     if r == Fraction(1, 40):  # at 4 * SPACING no step turns by 45 degrees: the vertex count alone refuses
@@ -364,7 +365,7 @@ def test_cassini_oval_is_traced_whole(w):
     f = _cassini(w)
     pts = trace_oval(f, (1.42, 0.0), spacing=SPACING)
     assert _coarse_trace(f, pts) is None and _coarse_trace(f, pts, realtopo._RETRY_ROUNDS) is None
-    assert np.array_equal(pts, _fine_trace(f, pts))
+    assert np.array_equal(pts[::4], _fine_trace(f, pts))
     assert pts[:, 0].min() < -1.41 and pts[:, 0].max() > 1.41  # both lobes
     assert 7.40 < _length(pts) < 7.43  # once around: one lobe is 3.71
 
@@ -441,20 +442,26 @@ def _at_anomaly(n: int) -> np.ndarray:
     "f, seed, n",
     [
         (circle, (1.01, 0.0), 3144),
-        (parse_poly("10^400*x^2 + 10^400*y^2 - 10^400", 2), (1.01, 0.0), 3144),
-        (x**2 + y**2 - const2(gr(Fraction(1, 10**6))), (0.00101, 0.0), 64),
+        (parse_poly("10^400*x^2 + 10^400*y^2 - 10^400", 2), (-0.3, 0.99), 3144),
+        (x**2 + y**2 - const2(gr(Fraction(1, 10**6))), (0.0, -0.00101), 64),
         (rotated, (0.85, 0.47), None),
         (-rotated, (-0.35, -1.1), None),
     ],
 )
 def test_ellipse_loop_satisfies_the_contract(f, seed, n):
-    pts = ellipse_loop(f, seed, SPACING)
+    (pts,) = ellipse_loop(f, None, SPACING)
     assert pts.dtype == np.float64 and pts.ndim == 2 and pts.shape[1] == 2
     assert n is None or len(pts) - 1 == n
     assert (len(pts) - 1) % 4 == 0 and len(pts) - 1 >= realtopo._MIN_COARSE
-    assert tuple(pts[0]) == tuple(pts[-1]) == newton_project(f, seed)
+    assert tuple(pts[0]) == tuple(pts[-1])
     v, dx, dy = realtopo._horner_with_gradient(f)(*pts.T)
     assert np.all(np.abs(v) <= TOL * np.hypot(dx, dy))
+    # the loop goes all the way round: a point of the oval far from its
+    # start lies within a chord of a vertex
+    chord = np.max(np.hypot(*np.diff(pts, axis=0).T))
+    assert np.min(np.hypot(*(pts - newton_project(f, seed)).T)) <= chord
+    if n == 3144:  # a circle starts at anomaly 0, on the x axis
+        assert abs(pts[0, 0] - 1) < 1e-15 and abs(pts[0, 1]) < 1e-15
 
 
 @pytest.mark.parametrize(
@@ -463,39 +470,100 @@ def test_ellipse_loop_satisfies_the_contract(f, seed, n):
         x**2 - y**2 - const2(1),
         y - x**2,
         quartic,
-        x**2 + y**2 + const2(1),  # no real point
-        x**2 + y**2,  # one real point
         circle.scale(gr(0, 1)),  # not real
+        x * y - const2(1),
+        (x - y) ** 2 - const2(1),  # 4ac - b^2 = 0: two parallel lines
     ],
 )
 def test_ellipse_loop_refuses_what_is_not_an_ellipse(f):
-    assert ellipse_loop(f, (1.01, 0.0), SPACING) is None
+    assert ellipse_loop(f, None, SPACING) is None
+
+
+@pytest.mark.parametrize("f", [x**2 + y**2 + const2(1), x**2 + y**2, -(x - const2(3)) ** 2 - const2(2) * (y + x) ** 2])
+def test_an_ellipse_without_an_oval_has_none_in_any_box(f):
+    # k >= 0 at the center: the real locus is the center alone, or empty
+    assert ellipse_loop(f, None, SPACING) == []
+    assert ellipse_loop(f, Box.square(Fraction(1, 100)), SPACING) == []
+
+
+def test_ellipse_loop_counts_an_oval_strictly_inside_the_box():
+    # the bounding rectangle of `rotated` is 1/4 +- sqrt(0.3616) by -1/3 +-
+    # sqrt(0.6409): half-widths just above 0.6013 and 0.8005
+    inside = Box(Fraction(1, 4) - Fraction(602, 1000), Fraction(1, 4) + Fraction(602, 1000), Fraction(-1, 3) - Fraction(801, 1000), Fraction(-1, 3) + Fraction(801, 1000))
+    assert len(ellipse_loop(rotated, inside, SPACING)) == 1
+    for side, cut in (("x_lo", Fraction(1, 4) - Fraction(3, 5)), ("x_hi", Fraction(1, 4) + Fraction(3, 5)), ("y_lo", Fraction(-1, 3) - Fraction(4, 5)), ("y_hi", Fraction(-1, 3) + Fraction(4, 5))):
+        crossed = Box(inside.x_lo, inside.x_hi, inside.y_lo, inside.y_hi)
+        setattr(crossed, side, cut)
+        assert ellipse_loop(rotated, crossed, SPACING) is None, side
+    # a box that touches the oval, or misses its center, leaves it to the lattice
+    assert ellipse_loop(circle, Box.square(1), SPACING) is None
+    assert ellipse_loop(circle, Box(Fraction(2), Fraction(3), Fraction(-2), Fraction(2)), SPACING) is None
+    assert len(ellipse_loop(circle, Box.square(Fraction(1001, 1000)), SPACING)) == 1
+
+
+def _random_ellipse(rng: random.Random) -> tuple[MultiPoly, Box]:
+    """a (x - x0)^2 + b (x - x0)(y - y0) + c (y - y0)^2 + k with 4ac > b^2,
+    k of either sign or 0, and a box that holds its oval with room to spare."""
+    a, c = rng.randint(1, 9), rng.randint(1, 9)
+    b = rng.choice([b for b in range(-9, 10) if b * b < 4 * a * c])
+    x0, y0 = (Fraction(rng.randint(-40, 40), rng.randint(1, 8)) for _ in range(2))
+    k = Fraction(rng.randint(-30, 10), rng.randint(1, 5))
+    u, v = x - const2(gr(x0)), y - const2(gr(y0))
+    f = (const2(a) * u**2 + const2(b) * u * v + const2(c) * v**2 + const2(gr(k))).scale(gr(rng.choice([1, -1])))
+    det = 4 * a * c - b * b
+    half = [max(-4 * q * k / det, Fraction(1)) for q in (c, a)]  # squared half-widths, at least 1
+    wx, wy = (2 * math.isqrt(math.ceil(h)) + 1 for h in half)
+    return f, Box(x0 - wx, x0 + wx, y0 - wy, y0 + wy)
+
+
+def test_the_closed_form_counts_what_the_lattice_counts():
+    rng = random.Random(2024)
+    seen = set()
+    for _ in range(24):
+        f, box = _random_ellipse(rng)
+        loops = ellipse_loop(f, box, SPACING)
+        ovals = count_ovals(f, box, 256)
+        assert loops is not None and len(loops) == ovals.count == ovals.certified_count, print_poly(f)
+        seen.add(len(loops))
+    assert seen == {0, 1}
 
 
 def test_ellipse_loop_refuses_at_once():
     start = time.perf_counter()
     for spacing in (0.0, -1e-3, float("nan"), float("inf")):
         with pytest.raises(PreconditionError, match="spacing"):
-            ellipse_loop(circle, (1.01, 0.0), spacing)
+            ellipse_loop(circle, None, spacing)
     for spacing in (1e-9, 1e-300):  # more vertices than the trace could fill
         with pytest.raises(DegenerateInput, match="budget"):
-            ellipse_loop(circle, (1.01, 0.0), spacing)
-    with pytest.raises(UncertifiedResult, match="seed failed to project"):
-        ellipse_loop(circle, (0.0, 0.0), SPACING)
+            ellipse_loop(circle, None, spacing)
+    # an oval proven exactly, of radius 1e-350, which no float can place
+    with pytest.raises(UncertifiedResult, match="leave float range"):
+        ellipse_loop(x**2 + y**2 - const2(gr(Fraction(1, 10**700))), None, SPACING)
     assert time.perf_counter() - start < 0.1
 
 
+def test_an_ellipse_whose_start_cannot_be_projected_is_undecided(monkeypatch):
+    monkeypatch.setattr(realtopo, "_project_all", lambda _ev, seeds: (seeds.copy(), np.zeros(len(seeds), dtype=bool)))
+    with pytest.raises(UncertifiedResult, match="seed failed to project"):
+        ellipse_loop(circle, None, SPACING)
+
+
 def test_ellipse_loop_gives_up_when_a_vertex_does_not_converge(monkeypatch):
-    project_all = realtopo._project_all
+    # the closed form gives up, and the oval is traced from the projected start
+    project_all, trace = realtopo._project_all, realtopo.trace_oval
+    calls = []
 
     def one_fails(ev, seeds):
         out, ok = project_all(ev, seeds)
         ok[len(ok) // 2] = False
         return out, ok
 
-    assert ellipse_loop(circle, (1.01, 0.0), SPACING) is not None
-    monkeypatch.setattr(realtopo, "_project_all", lambda ev, seeds: one_fails(ev, seeds) if len(seeds) > 1 else project_all(ev, seeds))
-    assert ellipse_loop(circle, (1.01, 0.0), SPACING) is None
+    (placed,) = ellipse_loop(circle, None, SPACING)
+    monkeypatch.setattr(realtopo, "_project_all", lambda ev, seeds: one_fails(ev, seeds) if len(seeds) > 1000 else project_all(ev, seeds))
+    monkeypatch.setattr(realtopo, "trace_oval", lambda *args: calls.append(args) or trace(*args))
+    (traced,) = ellipse_loop(circle, None, SPACING)
+    assert calls == [(circle, tuple(placed[0]), SPACING)]
+    assert tuple(traced[0]) == tuple(placed[0]) and len(traced) != len(placed)
 
 
 def test_ellipse_loop_rel_bounds_the_error_of_certify():
@@ -509,10 +577,53 @@ def test_ellipse_loop_rel_bounds_the_error_of_certify():
     assert want_rel < 1e-12
     rels = []
     for spacing in (SPACING, 2 * SPACING):
-        D, T, rel = divergence_integral(field, ellipse_loop(rotated, (0.85, 0.47), spacing), f=rotated)
+        D, T, rel = divergence_integral(field, ellipse_loop(rotated, None, spacing)[0], f=rotated)
         assert abs(D - want_D) <= rel * abs(want_D) and abs(T - want_T) <= rel * want_T
         rels.append(rel)
     assert 8 * rels[0] < rels[1]
+
+
+def test_a_refined_ellipse_stays_at_uniform_anomaly(monkeypatch):
+    # a refinement inserts the point at the mean eccentric anomaly of each
+    # chord, not the chord's midpoint, so a polyline at uniform anomaly stays
+    # one, with the old vertices at its even rows, and rel still bounds the
+    # error after the refinement (with chord midpoints, from the tip, the
+    # error of D is about 10 times rel)
+    from foltools import cycles
+
+    pts = ellipse_loop(rotated, None, 1.5e-2)[0]
+    fine = refine_polyline(rotated, pts)
+    assert np.array_equal(fine[::2].view(np.int64), pts.view(np.int64))
+    cos, sin = ((fine - CENTER) @ AXES.T / np.sum(AXES * AXES, axis=1)).T
+    steps = np.diff(np.unwrap(np.arctan2(sin, cos)))
+    assert np.max(np.abs(np.abs(steps) - math.pi / (len(pts) - 1))) < 1e-12
+    field, _ = eee_system(rotated, x + y - const2(2), gr(1), gr(1))
+    want_D, want_T, _ = divergence_integral(field, _at_anomaly(2**16))
+    refinements = []
+    monkeypatch.setattr(cycles, "refine_polyline", lambda f, pts: refinements.append(len(pts)) or refine_polyline(f, pts))
+    for start in (pts, _at_anomaly(len(pts) - 1)):  # from anomaly 0, and from a tip of the long axis
+        refinements.clear()
+        D, T, rel = divergence_integral(field, start, f=rotated)
+        assert len(refinements) == 1
+        assert abs(D - want_D) <= rel * abs(want_D) and abs(T - want_T) <= rel * want_T
+
+
+@pytest.mark.parametrize("r", [Fraction(307, 5000), Fraction(729, 10000), Fraction(1, 15)])
+def test_a_sequential_trace_is_filled_so_rel_bounds_its_error(r):
+    # both coarse passes refuse these circles at spacing 2e-3, and the
+    # sequential loop at the spacing has 193, 229 and 209 chords; filled by
+    # two rounds of midpoints its chord count is a multiple of 4, so the
+    # Romberg decimations are the loops it was filled from.  g = x^2 + y^2 -
+    # r^2, h = x - c, a = b = 1: T = pi / sqrt(c^2 - r^2) and D = 2 pi (c /
+    # sqrt(c^2 - r^2) - 1)
+    g = x**2 + y**2 - const2(gr(r * r))
+    field, _ = eee_system(g, x - const2(3), gr(1), gr(1))
+    pts = trace_oval(g, (1.01 * float(r), 0.0), spacing=2e-3)
+    assert (len(pts) - 1) % 4 == 0
+    D, T, rel = divergence_integral(field, pts, f=g)
+    c, r = 3, float(r)
+    want_T, want_D = math.pi / math.sqrt(c * c - r * r), 2 * math.pi * (c / math.sqrt(c * c - r * r) - 1)
+    assert abs(D - want_D) <= rel * abs(want_D) and abs(T - want_T) <= rel * want_T
 
 
 def _random_poly(rng: random.Random, degree: int) -> MultiPoly:
@@ -635,6 +746,8 @@ def test_refine_polyline_matches_scalar_newton():
     # every midpoint gets the same bits as a scalar projection, or stays as
     # it is when that fails; a repeated vertex puts its own value at the
     # midpoint, to reach the other rules
+    # (on an ellipse `refine_polyline` projects other points, so the circle
+    # is refined by `_midpoints` itself)
     product = (x**2 + const2(2) * y**2 - const2(1)) * (x**2 + y**2 - const2(9))
     for f in (circle, product):
         pts = [tuple(p) for p in trace_oval(f, (1.01, 0.0), spacing=4e-3)] + [s for seed in NEWTON_SEEDS for s in (seed, seed)]
@@ -642,7 +755,7 @@ def test_refine_polyline_matches_scalar_newton():
         for a, b in zip(pts, pts[1:]):
             mid = (0.5 * (a[0] + b[0]), 0.5 * (a[1] + b[1]))
             expected += [_scalar_projection(f, mid) or mid, b]
-        refined = refine_polyline(f, pts)
+        refined = refine_polyline(f, pts) if f is product else realtopo._midpoints(realtopo._horner_with_gradient(f), np.array(pts))[0]
         assert refined.shape == (2 * len(pts) - 1, 2)
         assert np.array_equal(refined.view(np.int64), np.array(expected).view(np.int64))
 
