@@ -18,7 +18,7 @@ from .fields import (
     invariance_check,
 )
 from .gaussian import GaussianRational, ZERO, gr
-from .polyring import MultiPoly, dehomogenize, homogenize, is_squarefree
+from .polyring import MultiPoly, dehomogenize, homogenize, require_reduced_curve
 from .series import PowerSeries, compose_poly
 from .singularities import (
     Enumeration,
@@ -125,15 +125,6 @@ def _branches_at_chart_point(
         phi1, phi2 = (co, t) if vertical else (t, co)
         branches.append(Branch(base, chart, phi1.shift_constant(u0), phi2.shift_constant(v0), truncation))
     return branches
-
-
-def require_reduced_curve(f: MultiPoly) -> None:
-    """What the branches of a curve need of it, proven once per curve: that it
-    is nonconstant and squarefree."""
-    if f.is_constant():
-        raise PreconditionError("curve must be a nonconstant polynomial")
-    if not is_squarefree(f):
-        raise PreconditionError("curve must be squarefree")
 
 
 def local_branches(f: MultiPoly, point: ProjectivePoint, truncation: int) -> list[Branch]:

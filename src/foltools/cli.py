@@ -37,7 +37,6 @@ from .branches import (
     corollary2_check,
     default_truncation,
     euler_identity_check,
-    require_reduced_curve,
     singular_points_on_curve,
 )
 from .construct import (
@@ -68,8 +67,8 @@ from .fields import (
     projectivize,
 )
 from .gaussian import GaussianRational, gr
-from .polyring import MultiPoly, dehomogenize
-from .realtopo import Box, count_ovals, ellipse_loop, trace_oval
+from .polyring import MultiPoly, dehomogenize, require_reduced_curve
+from .realtopo import Box, count_ovals, ellipse_count, ellipse_loop, trace_oval
 from .singularities import (
     ProjectivePoint,
     Verdict,
@@ -225,10 +224,10 @@ def cmd_singularities(args, doc, field):
     aff = affine_singularities(field)
     inf = infinite_singularities(field.one_form)
     payload = {
-        "affine": [str(p) for p in aff.points],
+        "affine": aff.points,
         "affine_residual": aff.residual,
         "affine_uncertain": aff.uncertain,
-        "infinite": [str(p) for p in inf.points],
+        "infinite": inf.points,
         "infinite_residual": inf.residual,
         "infinite_uncertain": inf.uncertain,
     }
@@ -290,7 +289,7 @@ def cmd_multiplicity(args, doc, field, curve):
     rows = []
     for pt in points:
         for idx, (mu, _br) in enumerate(_resolved_multiplicity(field, curve, pt, N)):
-            rows.append({"point": str(pt), "branch": idx, "mu": mu, "certified": True})
+            rows.append({"point": pt, "branch": idx, "mu": mu, "certified": True})
     payload = {"multiplicities": rows, "undecided_coordinates": undecided}
     lines = [f"{r['point']} branch {r['branch']}: mu = {r['mu']} (certified: True)" for r in rows]
     if undecided:
@@ -474,6 +473,10 @@ _spacing = _checked(float, lambda h: math.isfinite(h) and h > 0, "spacing must b
 def cmd_ovals(args, doc, curve):
     box = _parse_box(args.box) if args.box else None
     ovals = count_ovals(curve, box, args.res)
+    exact = ellipse_count(curve, ovals.box)  # a conic's count is exact: the lattice may step over a small oval
+    agrees = exact in (None, ovals.count)
+    if not agrees:
+        ovals.warnings.append(f"the curve is an ellipse with exactly {exact} oval(s) in the box; the lattice counted {ovals.count}")
     lines = [
         f"ovals: {ovals.count} (certified: {ovals.certified_count})",
     ]
@@ -483,7 +486,7 @@ def cmd_ovals(args, doc, curve):
         for ov in ovals.ovals:
             chunks.append("\n".join(f"{x:.17g} {y:.17g}" for x, y in ov.vertices))
         _write_text(args.emit_polylines, "\n\n".join(chunks) + "\n")
-    return ovals, lines, ovals.certified_count == ovals.count or None
+    return ovals, lines, (agrees and ovals.certified_count == ovals.count) or None
 
 
 def cmd_certify(args, doc, field, curve):

@@ -30,7 +30,8 @@ LOCATION_TOLERANCE = 1e-8  # an oval passes `location_check` when its residual i
 
 
 class CycleCertificate:
-    __slots__ = _fields = ("oval_id", "period", "divergence_integral", "stability", "hyperbolic", "quadrature_rel_err", "v_residual")
+    __slots__ = ("oval_id", "period", "divergence_integral", "stability", "hyperbolic", "quadrature_rel_err", "v_residual")
+    _fields = __slots__ + ("period_precision", "divergence_integral_precision")
 
     def __init__(
         self,
@@ -45,18 +46,13 @@ class CycleCertificate:
         self.oval_id, self.period, self.divergence_integral, self.stability = oval_id, period, divergence_integral, stability
         self.hyperbolic, self.quadrature_rel_err, self.v_residual = hyperbolic, quadrature_rel_err, v_residual
 
-    def to_dict(self) -> dict:
-        return {
-            "oval_id": self.oval_id,
-            "period": self.period,
-            "period_precision": self.quadrature_rel_err,
-            "divergence_integral": self.divergence_integral,
-            "divergence_integral_precision": self.quadrature_rel_err,
-            "stability": self.stability,
-            "hyperbolic": self.hyperbolic,
-            "quadrature_rel_err": self.quadrature_rel_err,
-            "v_residual": self.v_residual,
-        }
+    @property
+    def period_precision(self) -> float:
+        return self.quadrature_rel_err
+
+    @property
+    def divergence_integral_precision(self) -> float:
+        return self.quadrature_rel_err
 
 
 def _require_real(field: AffineVectorField):

@@ -21,7 +21,7 @@ from operator import add, mul, sub
 from types import MappingProxyType
 from typing import Iterable
 
-from .errors import ArityMismatch
+from .errors import ArityMismatch, PreconditionError
 from .gaussian import GInt, GaussianRational, ZERO, canonical, from_gint, lift
 from .uniroots import coprime_mod_p, gi_mul, udeg, ueval, ugcd, utrim
 
@@ -502,6 +502,15 @@ def is_squarefree(f: MultiPoly) -> bool:
         raise ValueError("squarefree test on the zero polynomial")
     partials = reduce(poly_gcd, (f.partial(var) for var in range(f.arity)), MultiPoly.zero(f.arity))
     return poly_gcd(f, partials).is_constant()
+
+
+def require_reduced_curve(f: MultiPoly) -> None:
+    """What the exact layers need of a curve, proven once per curve: that it
+    is nonconstant and squarefree."""
+    if f.is_constant():
+        raise PreconditionError("curve must be a nonconstant polynomial")
+    if not is_squarefree(f):
+        raise PreconditionError("curve must be squarefree")
 
 
 # -- resultants by evaluation and interpolation over Z[i] -----------------------

@@ -75,13 +75,19 @@ class Oval:
     """One closed chain of `count_ovals` and whether it is certified.
 
     `vertices` is the closed polyline, its last vertex equal to its first.
-    It is placed on first read and kept: counting and `to_dict` read only
-    the chain, and `seed` places only the first vertex, so no vertex is
-    placed that nothing reads.
+    It is placed on first read and kept: counting and `vertex_count` read
+    only the chain, and `seed` places only the first vertex, so no vertex
+    is placed that nothing reads.
     """
+
+    _fields = ("vertex_count", "certified")
 
     def __init__(self, chain: list[int], certified: bool, mesher: "_Mesher"):
         self.chain, self.certified, self._mesher = chain, certified, mesher
+
+    @property
+    def vertex_count(self) -> int:
+        return len(self.chain)
 
     @functools.cached_property
     def vertices(self) -> list[tuple[float, float]]:
@@ -94,12 +100,10 @@ class Oval:
         x, y = self._mesher.place(np.array(self.chain[:1]))[0].tolist()
         return x, y
 
-    def to_dict(self) -> dict:
-        return {"vertex_count": len(self.chain), "certified": self.certified}
-
 
 class OvalSet:
-    __slots__ = _fields = ("box", "resolution", "ovals", "warnings", "open_chains")
+    __slots__ = ("box", "resolution", "ovals", "warnings", "open_chains")
+    _fields = __slots__ + ("count", "certified_count")
 
     def __init__(self, box: Box, resolution: int, warnings: list[str], open_chains: int):
         self.box, self.resolution, self.warnings, self.open_chains = box, resolution, warnings, open_chains
@@ -112,17 +116,6 @@ class OvalSet:
     @property
     def certified_count(self) -> int:
         return sum(1 for o in self.ovals if o.certified)
-
-    def to_dict(self) -> dict:
-        return {
-            "box": self.box,
-            "resolution": self.resolution,
-            "count": self.count,
-            "certified_count": self.certified_count,
-            "ovals": [o.to_dict() for o in self.ovals],
-            "warnings": self.warnings,
-            "open_chains": self.open_chains,
-        }
 
 
 # -- integer lattice rows --------------------------------------------------------------
@@ -872,19 +865,18 @@ def count_ovals(
     return result
 
 
-def _certify_loops(loops: list, lines: _LatticeLines) -> list[bool]:
-    """Whether each edge of each loop's cells, given as (i, j) pairs (a set,
-    or the rows of an array, repeats allowed), is crossed (its end signs
+def _certify_loops(loops: list[np.ndarray], lines: _LatticeLines) -> list[bool]:
+    """Whether each edge of each loop's cells, given as the (i, j) rows of a
+    (k, 2) integer array (repeats allowed), is crossed (its end signs
     differ: in a certified cell, exactly the edges the loop passes through)
     or zero-free.  The distinct edges of all loops are decided together, one
     `_LatticeLines.proven` pass per axis."""
-    cells = [c if isinstance(c, np.ndarray) else np.array(list(c), dtype=np.int64).reshape(-1, 2) for c in loops]
-    if not cells:
+    if not loops:
         return []
-    i, j = np.concatenate(cells).T
-    owner = np.tile(np.repeat(np.arange(len(cells)), [len(c) for c in cells]), 2)
+    i, j = np.concatenate(loops).T
+    owner = np.tile(np.repeat(np.arange(len(loops)), [len(c) for c in loops]), 2)
     n = lines.lattice[-1]
-    failed = np.zeros(len(cells), dtype=bool)
+    failed = np.zeros(len(loops), dtype=bool)
     # each cell's bottom and top edges lie on lines j, j + 1 ("h", edge i); its
     # left and right edges on lines i, i + 1 ("v", edge j)
     for kind, line, k in (("h", (j, j + 1), (i, i)), ("v", (i, i + 1), (j, j))):
@@ -1159,11 +1151,11 @@ def _at_anomaly(frame: tuple[float, ...], t: np.ndarray) -> np.ndarray:
     return np.column_stack([x0 + cos * p - sin * q, y0 + sin * p + cos * q])
 
 
-def ellipse_loop(f: MultiPoly, box: Box | None = None, spacing: float = 1.5e-3) -> list[np.ndarray] | None:
-    """The ovals of f = 0 when f is an ellipse, decided exactly and placed in
-    closed form: a list of closed (n + 1, 2) float arrays, [] when the real
-    locus is a point or empty; None when f is not an ellipse, or when box is
-    given and the oval does not lie strictly inside it.
+def ellipse_count(f: MultiPoly, box: Box | None = None) -> int | None:
+    """The number of ovals of f = 0 when f is an ellipse, decided exactly: 1,
+    or 0 when the real locus is a point or empty; None when f is not an
+    ellipse, or when box is given and the oval does not lie strictly inside
+    it.
 
     f is an ellipse when it has degree 2, real coefficients and, with its
     integer numerators signed so that a > 0, 4ac - b^2 > 0.  A definite
@@ -1176,6 +1168,24 @@ def ellipse_loop(f: MultiPoly, box: Box | None = None, spacing: float = 1.5e-3) 
     rectangle lies strictly inside: the squared half-widths are -4ck/det
     along x and -4ak/det along y, compared with the squared distances from
     the center to the box's sides as exact rationals.
+    """
+    conic = _definite_conic(f)
+    if conic is None:
+        return None
+    a, _, c, det, x0, y0, k = conic
+    if k >= 0:
+        return 0
+    if box is not None:
+        for lo, hi, mid, half2 in ((box.x_lo, box.x_hi, x0, -4 * c * k / det), (box.y_lo, box.y_hi, y0, -4 * a * k / det)):
+            if not (lo < mid < hi and min(mid - lo, hi - mid) ** 2 > half2):
+                return None
+    return 1
+
+
+def ellipse_loop(f: MultiPoly, box: Box | None = None, spacing: float = 1.5e-3) -> list[np.ndarray] | None:
+    """The ovals of f = 0 when f is an ellipse, counted by `ellipse_count`
+    and placed in closed form: a list of closed (n + 1, 2) float arrays, []
+    when the real locus is a point or empty; None when `ellipse_count` is.
 
     The polyline starts at eccentric anomaly 0, projected by `_project_all`
     (UncertifiedResult when that fails, or when the closed form leaves float
@@ -1193,17 +1203,10 @@ def ellipse_loop(f: MultiPoly, box: Box | None = None, spacing: float = 1.5e-3) 
     """
     if not 0 < spacing < math.inf:
         raise PreconditionError(f"spacing must be a positive finite number, not {spacing!r}")
-    conic = _definite_conic(f)
-    if conic is None:
-        return None
-    a, _, c, det, x0, y0, k = conic
-    if k >= 0:
-        return []
-    if box is not None:
-        for lo, hi, mid, half2 in ((box.x_lo, box.x_hi, x0, -4 * c * k / det), (box.y_lo, box.y_hi, y0, -4 * a * k / det)):
-            if not (lo < mid < hi and min(mid - lo, hi - mid) ** 2 > half2):
-                return None
-    frame = _ellipse_frame(conic)
+    count = ellipse_count(f, box)
+    if not count:
+        return None if count is None else []
+    frame = _ellipse_frame(_definite_conic(f))
     if frame is None:
         raise UncertifiedResult("the ellipse's center or semi-axes leave float range")
     s1, s2 = frame[4:]

@@ -24,7 +24,7 @@ from .fields import (
     chart_var,
 )
 from .gaussian import GaussianRational, ONE, ZERO, gr
-from .polyring import MultiPoly, _specialize_keeping, dehomogenize, exact_divide, homogenize, is_squarefree, poly_gcd, resultant
+from .polyring import MultiPoly, _specialize_keeping, dehomogenize, exact_divide, homogenize, poly_gcd, require_reduced_curve, resultant
 from .series import PowerSeries, compose_poly
 from .uniroots import Coeffs, RootReport, qi_roots, ucoprime, ugcd
 
@@ -32,7 +32,7 @@ from .uniroots import Coeffs, RootReport, qi_roots, ucoprime, ugcd
 class ProjectivePoint:
     """Point of CP^2, normalized so the last nonzero coordinate is 1."""
 
-    __slots__ = _fields = ("coords",)
+    __slots__ = ("coords",)
 
     def __init__(self, coords: tuple[GaussianRational, GaussianRational, GaussianRational]):
         self.coords = coords
@@ -91,15 +91,6 @@ class SingularityRecord:
         verdict_reason: str,
     ):
         self.point, self.chart, self.jacobian, self.verdict, self.verdict_reason = point, chart, jacobian, verdict, verdict_reason
-
-    def to_dict(self) -> dict:
-        return {
-            "point": str(self.point),
-            "chart": self.chart,
-            "jacobian": [[str(c) for c in row] for row in self.jacobian],
-            "verdict": self.verdict.value,
-            "verdict_reason": self.verdict_reason,
-        }
 
 
 class CurveSingularity:
@@ -166,12 +157,18 @@ def _elimination_in_x(A: MultiPoly, B: MultiPoly) -> Coeffs | None:
     if dA == 0 and dB == 0:
         g = ugcd(_univar(A, 0), _univar(B, 0))
         return None if len(g) > 1 else g  # constant: no common x
-    if dA == 0:
-        return _univar(A, 0)
-    if dB == 0:
-        return _univar(B, 0)
-    if not poly_gcd(A, B).is_constant():
+    if dA and dB and not poly_gcd(A, B).is_constant():
         return None
+    return _x_eliminant(A, B)
+
+
+def _x_eliminant(A: MultiPoly, B: MultiPoly) -> Coeffs:
+    """For A and B not both free of y: the first of them free of y, as an
+    x-polynomial, else Res_y(A, B), nonzero when A and B are coprime.  Either
+    vanishes at the x-coordinate of every common zero."""
+    for P in (A, B):
+        if P.degree_in(1) == 0:
+            return _univar(P, 0)
     return resultant(A, B, 1)
 
 
@@ -190,12 +187,9 @@ def _coprime_common_zeros(A: MultiPoly, B: MultiPoly) -> Enumeration:
     dA, dB = A.degree_in(1), B.degree_in(1)
     if dA == 0 and dB == 0:
         return out  # coprime x-polynomials: no common zeros at all
-    if dA == 0 or dB == 0:
-        eliminant = _univar(A if dA == 0 else B, 0)
-        if len(eliminant) == 1:
-            return out
-    else:
-        eliminant = resultant(A, B, 1)
+    eliminant = _x_eliminant(A, B)
+    if len(eliminant) == 1:
+        return out
     rep = qi_roots(eliminant)
     out.residual += rep.residual_degree
     out.uncertain += rep.uncertain_degree
@@ -402,10 +396,7 @@ def _order_and_node(f: MultiPoly, x0: GaussianRational, y0: GaussianRational) ->
 
 def curve_singularities(f: MultiPoly) -> tuple[list[CurveSingularity], Enumeration]:
     """Affine singular points of a squarefree curve, with residual accounting."""
-    if f.is_zero() or f.is_constant():
-        raise PreconditionError("curve must be a nonconstant polynomial")
-    if not is_squarefree(f):
-        raise PreconditionError("curve must be squarefree")
+    require_reduced_curve(f)
     fx, fy = f.partial(0), f.partial(1)
     merged = Enumeration(system=(fx, fy) if not (fx.is_zero() or fy.is_zero()) else (f,))
     candidates: list[ProjectivePoint] = []

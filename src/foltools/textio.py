@@ -26,6 +26,7 @@ from math import gcd
 from .errors import ParseError
 from .gaussian import GaussianRational, _parts, _rational_str
 from .polyring import MultiPoly, _accumulate, _grlex_key
+from .singularities import ProjectivePoint
 
 # one match per token, with the whitespace before it; the last group takes any other character
 _TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|(\*\*|[()+\-*/^])|(\S))")
@@ -355,13 +356,11 @@ def _coeff_literal(c: GaussianRational) -> str:
 def to_jsonable(value):
     """Normalize report values into JSON-safe structures with stable text.
 
-    The one rule for every report: a value with `to_dict` renders as what
-    that returns, and any other record as its fields: those its class
-    declares in `_fields` (foltools' records, and any NamedTuple), or a
-    dataclass instance's."""
-    if isinstance(value, GaussianRational):
-        return _coeff_literal(value)
-    if isinstance(value, Fraction):
+    The one rule for every report: a record renders as the names its class
+    declares in `_fields` (foltools' records, and any NamedTuple), each
+    value rendered in turn; a Q(i) value, a rational and a projective point
+    as their text, and a polynomial as `print_poly` writes it."""
+    if isinstance(value, (GaussianRational, Fraction, ProjectivePoint)):
         return str(value)
     if isinstance(value, MultiPoly):
         return print_poly(value)
@@ -369,16 +368,10 @@ def to_jsonable(value):
         return float(f"{value:.15g}")
     if isinstance(value, dict):
         return {str(k): to_jsonable(v) for k, v in value.items()}
-    if hasattr(value, "to_dict"):
-        return to_jsonable(value.to_dict())
     if (names := getattr(type(value), "_fields", None)) is not None:
         return {name: to_jsonable(getattr(value, name)) for name in names}
     if isinstance(value, (list, tuple)):
         return [to_jsonable(v) for v in value]
-    if hasattr(type(value), "__dataclass_fields__"):  # `dataclasses.is_dataclass` of an instance
-        from dataclasses import fields  # loaded already, by the module that declared the class
-
-        return {f.name: to_jsonable(getattr(value, f.name)) for f in fields(value)}
     return value
 
 

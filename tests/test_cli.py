@@ -827,6 +827,24 @@ def test_certify_finds_an_ellipse_the_lattice_steps_over(tmp_path, capsys):
         assert "ovals found: 1" in out and "Unstable hyperbolic = True" in out
 
 
+def test_ovals_refuses_a_lattice_count_the_ellipse_contradicts(tmp_path, capsys):
+    # the same ellipse: at res 64 the lattice counts no oval, and the exact
+    # count of the conic makes that a warning and exit 3; at res 256, or in a
+    # box that cuts the oval (where nothing is exact), the lattice stands
+    doc = tmp_path / "g.fol"
+    doc.write_text("[curve g]\nf = 4*x^2 + 1/4*y^2 + 4*x + 3/4*y + 9/16\n")
+    argv = ["ovals", str(doc), "--curve", "g", "--json"]
+    assert run([*argv, "--res", "64"]) == 3
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["count"] == payload["certified_count"] == 0
+    assert payload["warnings"] == ["the curve is an ellipse with exactly 1 oval(s) in the box; the lattice counted 0"]
+    for extra, count in ((["--res", "256"], 1), (["--res", "64", "--box=-3/4:1:-4:1"], 0)):
+        assert run([*argv, *extra]) == 0, extra
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["count"] == payload["certified_count"] == count, extra
+        assert not any("ellipse" in w for w in payload["warnings"]), extra
+
+
 def test_certify_counts_an_ellipse_inside_the_box_without_the_lattice(tmp_path, monkeypatch, capsys):
     # the oval's bounding rectangle [-1, 1]^2 must lie strictly inside --box;
     # otherwise the lattice counts in the box as for any other curve

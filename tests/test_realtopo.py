@@ -29,12 +29,13 @@ from foltools.realtopo import (
     compactness_check,
     count_ovals,
     default_box,
+    ellipse_count,
     ellipse_loop,
     newton_project,
     refine_polyline,
     trace_oval,
 )
-from foltools.textio import parse_poly, print_poly
+from foltools.textio import parse_poly, print_poly, to_jsonable
 from foltools.uniroots import _int_sturm_chain, count_real_roots, sturm_counter, ueval, utrim
 
 x, y = affine_vars()
@@ -476,7 +477,7 @@ def test_ellipse_loop_satisfies_the_contract(f, seed, n):
     ],
 )
 def test_ellipse_loop_refuses_what_is_not_an_ellipse(f):
-    assert ellipse_loop(f, None, SPACING) is None
+    assert ellipse_loop(f, None, SPACING) is None and ellipse_count(f) is None
 
 
 @pytest.mark.parametrize("f", [x**2 + y**2 + const2(1), x**2 + y**2, -(x - const2(3)) ** 2 - const2(2) * (y + x) ** 2])
@@ -523,7 +524,7 @@ def test_the_closed_form_counts_what_the_lattice_counts():
         f, box = _random_ellipse(rng)
         loops = ellipse_loop(f, box, SPACING)
         ovals = count_ovals(f, box, 256)
-        assert loops is not None and len(loops) == ovals.count == ovals.certified_count, print_poly(f)
+        assert loops is not None and len(loops) == ellipse_count(f, box) == ovals.count == ovals.certified_count, print_poly(f)
         seen.add(len(loops))
     assert seen == {0, 1}
 
@@ -1632,10 +1633,10 @@ def test_certify_loop_matches_the_edge_oracle_on_any_cells():
                 cells |= {(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 3))}
                 keys = {key for c in cells for key in _cell_edges(*c)}
                 want = all(not _ends_agree(lines, *key) or expected[key] for key in keys)
-                assert realtopo._certify_loops([cells], lines) == [want], (degree, box, sorted(cells))
+                assert realtopo._certify_loops([tuple_mesher.cell_array(cells)], lines) == [want], (degree, box, sorted(cells))
                 loops.append(cells)
                 wants.append(want)
-            assert realtopo._certify_loops(loops, _lattice_lines(f, lattice)) == wants, (degree, box)
+            assert realtopo._certify_loops([tuple_mesher.cell_array(c) for c in loops], _lattice_lines(f, lattice)) == wants, (degree, box)
             answers += wants
     assert 0 < sum(answers) < len(answers)
 
@@ -1663,13 +1664,13 @@ def test_edges_the_float_test_proves_build_no_chain(monkeypatch):
     # so no row is read
     assert _sign_changes(lines.signs[6]) == _sign_changes(lines.signs[7]) == 2
     assert _sign_changes(lines.signs[:, 4]) == _sign_changes(lines.signs[:, 5]) == 2
-    assert realtopo._certify_loops([{(4, 6)}], lines) == [True]
+    assert realtopo._certify_loops([np.array([[4, 6]])], lines) == [True]
     assert sorted(asked) == [("h", 6, 4, True), ("v", 5, 6, True)]
     assert built == [] and lines.rows["h"]._built == lines.rows["v"]._built == {}
     # the cell (3, 8) outside the circle, and (5, 6), which it crosses at its
     # top and right sides: the uncrossed sides are proven by floats
     asked.clear()
-    assert realtopo._certify_loops([{(3, 8)}, {(5, 6)}], lines) == [True, True]
+    assert realtopo._certify_loops([np.array([[3, 8]]), np.array([[5, 6]])], lines) == [True, True]
     assert all(proven for *_, proven in asked) and ("v", 6, 6, True) not in asked
     assert len(asked) == 4 + 2 and built == []
 
@@ -1965,7 +1966,7 @@ def test_integer_id_mesher_matches_the_tuple_keyed_mesher(monkeypatch):
         ovals = count_ovals(f, box, res)
         got = _bits(_mesh(ovals))
         assert got == _bits(tuple_mesher.mesh(f, box, res)), (print_poly(f), box, res)
-        assert [o.to_dict()["vertex_count"] for o in ovals.ovals] == [len(o.vertices) for o in ovals.ovals]
+        assert [o.vertex_count for o in ovals.ovals] == [len(o.vertices) for o in ovals.ovals]
         seen["multi"] += ovals.count > 1
         seen["open"] += ovals.open_chains > 0
         seen["subdivided"] += bool(subdivided)
@@ -1987,11 +1988,12 @@ def _spy_placements(monkeypatch) -> list[int]:
 
 
 def test_counting_places_fewer_vertices_than_the_ovals_hold(monkeypatch):
-    # `to_dict` reads the chain lengths, and the sort key reads the vertices
-    # of each loop's least column and row; the rest is placed only when read
+    # the report reads the chain lengths (`vertex_count`), and the sort key
+    # reads the vertices of each loop's least column and row; the rest is
+    # placed only when read
     placed = _spy_placements(monkeypatch)
     ovals = count_ovals(quartic, None, 256)
-    payload = ovals.to_dict()
+    payload = to_jsonable(ovals)
     held = sum(o["vertex_count"] - 1 for o in payload["ovals"])  # each closed polyline repeats its first vertex
     assert ovals.count == 4 and 0 < sum(placed) < held / 4
     assert [o["vertex_count"] for o in payload["ovals"]] == [len(o.vertices) for o in ovals.ovals]

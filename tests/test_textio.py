@@ -8,7 +8,10 @@ from conftest import affine_vars, const2, random_poly
 from foltools.errors import ParseError
 from foltools.gaussian import GaussianRational, gr
 from foltools.polyring import MultiPoly
+from foltools.realtopo import Box
+from foltools.singularities import ProjectivePoint
 from foltools.textio import (
+    _coeff_literal,
     format_system,
     parse_poly,
     parse_system,
@@ -252,27 +255,6 @@ def test_report_json_stable():
     assert '"a"' in out1 and "x + y" in out1
 
 
-def test_a_dataclass_renders_as_its_fields():
-    from dataclasses import dataclass
-
-    from foltools.realtopo import Box
-
-    @dataclass
-    class Report:
-        box: Box
-        value: object
-        kind: type
-
-    # fields are rendered one level at a time, so a Q(i) value (itself a
-    # dataclass) keeps its literal and a class stays as it is
-    report = Report(Box.square(Fraction(1, 2)), gr("1/2", 1), Box)
-    assert to_jsonable(report) == {
-        "box": {"x_lo": "-1/2", "x_hi": "1/2", "y_lo": "-1/2", "y_hi": "1/2"},
-        "value": "(1/2 + i)",
-        "kind": Box,
-    }
-
-
 def test_a_record_renders_as_its_declared_fields():
     from typing import NamedTuple
 
@@ -289,6 +271,20 @@ def test_a_record_renders_as_its_declared_fields():
         right: object
 
     assert to_jsonable([Pair(gr("1/2"), Fraction(3, 4))]) == [{"left": "1/2", "right": "3/4"}]
+
+    # fields are rendered one level at a time: a box is a record, a Q(i)
+    # value renders as its text, unparenthesised, and a class stays as it is
+    report = Pair(Box.square(Fraction(1, 2)), [gr("1/2", 1), Box])
+    assert to_jsonable(report) == {
+        "left": {"x_lo": "-1/2", "x_hi": "1/2", "y_lo": "-1/2", "y_hi": "1/2"},
+        "right": ["1/2 + i", Box],
+    }
+
+
+def test_a_point_renders_as_its_text():
+    point = ProjectivePoint.make(gr("1/2", -1), 3, 1)
+    assert to_jsonable(point) == str(point) == "(1/2 - i : 3 : 1)"
+    assert report_json({"points": [point, ProjectivePoint.make(1, 0, 0)]}) == '{\n  "points": [\n    "(1/2 - i : 3 : 1)",\n    "(1 : 0 : 0)"\n  ]\n}'
 
 
 # -- the printer on the integer store against the printer on Fraction views --
@@ -350,4 +346,5 @@ def test_printer_on_the_integer_store_matches_the_fraction_printer():
         assert print_poly(p) == _fraction_print_poly(p), n
         c = _printer_coeff(rng)
         sign, body = _fraction_coeff_str(c, "")
-        assert to_jsonable(c) == (body if sign == "+" else f"-{body}")
+        assert _coeff_literal(c) == (body if sign == "+" else f"-{body}")
+        assert to_jsonable(c) == str(c)

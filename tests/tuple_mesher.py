@@ -185,6 +185,11 @@ class TupleMesher:
         return loops, open_chains
 
 
+def cell_array(cells) -> np.ndarray:
+    """A set of (i, j) cells as the (k, 2) integer array `_certify_loops` takes."""
+    return np.array(sorted(cells), dtype=np.int64).reshape(-1, 2)
+
+
 def mesh(f, box=None, resolution: int = 256) -> tuple:
     """([(vertices, certified) per oval, in order], warnings, open chains)
     of `count_ovals(f, box, resolution)`, through the tuple-keyed mesher."""
@@ -206,7 +211,7 @@ def mesh(f, box=None, resolution: int = 256) -> tuple:
     warnings.extend(mesher.warnings)
     if open_chains:
         warnings.append(f"{open_chains} open chain(s) reached the search boundary")
-    proven = _certify_loops([cells for _, cells in loops], _LatticeLines(f, lattice, signs, rows))
+    proven = _certify_loops([cell_array(cells) for _, cells in loops], _LatticeLines(f, lattice, signs, rows))
     ovals = []
     for (chain, cells), ok in zip(loops, proven):
         verts = [mesher.vertex_pos[k] for k in chain]
