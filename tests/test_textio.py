@@ -255,6 +255,38 @@ def test_report_json_stable():
     assert '"a"' in out1 and "x + y" in out1
 
 
+def test_a_dataclass_renders_as_its_fields():
+    from dataclasses import dataclass
+    from typing import ClassVar
+
+    from foltools.realtopo import Box
+
+    # there is no dataclass rule: a dataclass is a record like any other once
+    # its class declares _fields, and a field it leaves out is not rendered
+    @dataclass
+    class Report:
+        _fields: ClassVar[tuple] = ("box", "value", "kind")
+        box: Box
+        value: object
+        kind: type
+        note: str = "not rendered"
+
+    report = Report(Box.square(Fraction(1, 2)), gr("1/2", 1), Box)
+    assert to_jsonable(report) == {
+        "box": {"x_lo": "-1/2", "x_hi": "1/2", "y_lo": "-1/2", "y_hi": "1/2"},
+        "value": "1/2 + i",
+        "kind": Box,
+    }
+
+    # without _fields a dataclass is not a record and passes through unchanged
+    @dataclass
+    class Bare:
+        box: Box
+
+    bare = Bare(Box.square(Fraction(1, 2)))
+    assert to_jsonable(bare) is bare
+
+
 def test_a_record_renders_as_its_declared_fields():
     from typing import NamedTuple
 
