@@ -4,9 +4,8 @@ Each subcommand handler returns (payload, text lines, verdict), the verdict
 True (proven), False (refuted) or None (undecided); `run` alone emits the
 output and turns the verdict into the exit code.  `run` alone also reads a
 document command's inputs: it loads the document, then builds the `--field`
-and looks up the `--curve` the command declared, and calls the handler
-with them, so a handler only computes (`darboux-check` looks up its
-`--curves` names itself, each just before its invariance check).
+and looks up the `--curve` (or each `--curves` name, in order) the command
+declared, and calls the handler with them, so a handler only computes.
 
 Exit codes: 0 the answer is proven, 1 a verification failed (and, for
 now, DegenerateInput), 2 usage or parse error, a file that cannot be read
@@ -180,7 +179,7 @@ def _emit(args, payload, text_lines: list[str]) -> None:
 # -- subcommand handlers -----------------------------------------------------------
 
 
-def cmd_check_invariant(args, doc, field, curve):
+def cmd_check_invariant(args, field, curve):
     cert = invariance_check(field, curve)
     if cert is None:
         return {"invariant": False}, [f"curve {args.curve!r} is NOT invariant"], False
@@ -193,7 +192,7 @@ def cmd_check_invariant(args, doc, field, curve):
     return payload, lines, True
 
 
-def cmd_cofactor(args, doc, field, curve):
+def cmd_cofactor(args, field, curve):
     cert = invariance_check(field, curve)
     if cert is None:
         return {"invariant": False}, ["NotInvariant"], False
@@ -201,7 +200,7 @@ def cmd_cofactor(args, doc, field, curve):
     return {"invariant": True, "cofactor": K}, [K], True
 
 
-def cmd_projectivize(args, doc, field):
+def cmd_projectivize(args, field):
     form = projectivize(field)
     payload = {
         "P": form.P,
@@ -220,7 +219,7 @@ def cmd_projectivize(args, doc, field):
     return payload, lines, True
 
 
-def cmd_singularities(args, doc, field):
+def cmd_singularities(args, field):
     aff = affine_singularities(field)
     inf = infinite_singularities(field.one_form)
     payload = {
@@ -244,7 +243,7 @@ def cmd_singularities(args, doc, field):
     return payload, lines, not (aff.undecided or inf.undecided) or None
 
 
-def cmd_classify(args, doc, field):
+def cmd_classify(args, field):
     aff = affine_singularities(field)
     inf = infinite_singularities(field.one_form)
     records = [classify_dicritical(field, p) for p in aff.points + inf.points]
@@ -260,7 +259,7 @@ def cmd_classify(args, doc, field):
     return payload, lines, not (unknown or aff.undecided or inf.undecided) or None
 
 
-def cmd_nodal(args, doc, curve):
+def cmd_nodal(args, curve):
     verdict = is_nodal(curve, include_infinity=args.with_infinity)
     payload = {"nodal": verdict, "with_infinity": args.with_infinity}
     return payload, [f"nodal: {verdict}"], verdict
@@ -275,7 +274,7 @@ def _invariance(field: AffineVectorField, curve: MultiPoly, message: str):
     return cert
 
 
-def cmd_multiplicity(args, doc, field, curve):
+def cmd_multiplicity(args, field, curve):
     _invariance(field, curve, "curve is not invariant; multiplicities are undefined")
     undecided = 0
     if args.point:
@@ -297,7 +296,7 @@ def cmd_multiplicity(args, doc, field, curve):
     return payload, lines, not undecided or None
 
 
-def cmd_euler_check(args, doc, field, curve):
+def cmd_euler_check(args, field, curve):
     report = euler_identity_check(field, curve, args.chi)
     lines = [
         f"curve degree n = {report.curve_degree}, foliation degree m = {report.foliation_degree}",
@@ -312,7 +311,7 @@ def cmd_euler_check(args, doc, field, curve):
     return report, lines, report.identity_holds if report.checkable else None
 
 
-def cmd_corollary2(args, doc, curve):
+def cmd_corollary2(args, curve):
     ok, report = corollary2_check(curve.degree, curve)
     lines = [
         f"degree n = {report.curve_degree}, expected chi = {report.chi_claimed}",
@@ -470,7 +469,7 @@ _resolution = _checked(int, lambda res: res >= 2, "resolution must be at least 2
 _spacing = _checked(float, lambda h: math.isfinite(h) and h > 0, "spacing must be a positive finite number")
 
 
-def cmd_ovals(args, doc, curve):
+def cmd_ovals(args, curve):
     box = _parse_box(args.box) if args.box else None
     ovals = count_ovals(curve, box, args.res)
     exact = ellipse_count(curve, ovals.box)  # a conic's count is exact: the lattice may step over a small oval
@@ -489,7 +488,7 @@ def cmd_ovals(args, doc, curve):
     return ovals, lines, (agrees and ovals.certified_count == ovals.count) or None
 
 
-def cmd_certify(args, doc, field, curve):
+def cmd_certify(args, field, curve):
     cert = _invariance(field, curve, "curve is not invariant; nothing to certify")
     box = _parse_box(args.box) if args.box else None
     loops = ellipse_loop(curve, box, spacing=args.spacing)
@@ -533,15 +532,14 @@ def cmd_certify(args, doc, field, curve):
     return payload, lines, (not uncertified and all(c.hyperbolic for c in results)) or None
 
 
-def cmd_iif_check(args, doc, field, curve):
+def cmd_iif_check(args, field, curve):
     ok = iif_check(field, curve)
     return {"iif": ok}, [f"inverse integrating factor: {ok}"], ok
 
 
-def cmd_darboux_check(args, doc, field):
-    names = [s.strip() for s in args.curves.split(",")]
+def cmd_darboux_check(args, field, curves):
     weights = _parse_weights(args.weights)
-    certs = [_invariance(field, _get_curve(doc, name), f"curve {name!r} is not invariant") for name in names]
+    certs = [_invariance(field, curve, f"curve {name!r} is not invariant") for name, curve in curves]
     ok = darboux_check(certs, weights)
     payload = {"darboux": ok, "cofactors": [c.cofactor for c in certs]}
     return payload, [f"sum(lambda_i * K_i) = 0: {ok}"], ok
@@ -710,7 +708,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(name, handler, summary, field=False, curve=False):
         """Declare a document subcommand; `run` loads its document, builds the
-        field and looks up the curve it takes, and passes them to `handler`."""
+        field and looks up the curves it takes, and passes them to `handler`."""
         p = sub.add_parser(name, help=summary)
         p.add_argument("document", help="path to a .fol system document")
         if field:
@@ -809,11 +807,13 @@ def run(argv: list[str]) -> int:
         inputs = ()
         if "document" in args:
             doc = _load_document(args.document)
-            inputs = (doc,)
             if "field" in args:
                 inputs += (_get_field(doc, args.field),)
             if "curve" in args:
                 inputs += (_get_curve(doc, args.curve),)
+            if "curves" in args:
+                names = [name.strip() for name in args.curves.split(",")]
+                inputs += ([(name, _get_curve(doc, name)) for name in names],)
         payload, lines, verdict = args.handler(args, *inputs)
         _emit(args, payload, lines)
     except ParseError as exc:

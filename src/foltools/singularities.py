@@ -385,7 +385,7 @@ def classify_dicritical(field: AffineVectorField, point: ProjectivePoint) -> Sin
 def _order_and_node(f: MultiPoly, x0: GaussianRational, y0: GaussianRational) -> tuple[int, bool, MultiPoly]:
     """Order of f at (x0, y0) (0 off the curve), whether it is a node, and f shifted there."""
     local = f.shift((x0, y0))
-    order = int(min(sum(e) for e in local.terms))
+    order = int(min(sum(e) for e in local.num))
     if order != 2:
         return order, False, local
     a = local.coefficient((2, 0))
@@ -395,53 +395,30 @@ def _order_and_node(f: MultiPoly, x0: GaussianRational, y0: GaussianRational) ->
 
 
 def curve_singularities(f: MultiPoly) -> tuple[list[CurveSingularity], Enumeration]:
-    """Affine singular points of a squarefree curve, with residual accounting."""
+    """Affine singular points of a squarefree curve, with residual accounting.
+
+    One enumeration: the common zeros of f_x / g and f_y / g, where g is
+    gcd(f_x, f_y).  The quotients are coprime by definition of the gcd.  No
+    singular point lies on g = 0: the gradient vanishes on every component
+    of g = 0, so f is constant there, and were that constant 0 the
+    component would divide f twice.  A curve in one variable is parallel
+    lines, on which f' does not vanish.
+    """
     require_reduced_curve(f)
     fx, fy = f.partial(0), f.partial(1)
-    merged = Enumeration(system=(fx, fy) if not (fx.is_zero() or fy.is_zero()) else (f,))
-    candidates: list[ProjectivePoint] = []
-
-    def absorb(enum: Enumeration, on_curve: bool):
-        # residuals from pairs involving f itself sit on the curve: hard
-        if on_curve:
-            merged.hard_residual += enum.residual + enum.uncertain
-        else:
-            merged.residual += enum.residual
-            merged.uncertain += enum.uncertain
-            merged.unresolved_x.extend(enum.unresolved_x)
-            merged.unresolved_y.extend(enum.unresolved_y)
-        candidates.extend(enum.points)
-
     if fx.is_zero() or fy.is_zero():
-        nz = fy if fx.is_zero() else fx
-        absorb(pair_common_zeros(f, nz), on_curve=True)
-    else:
-        g = poly_gcd(fx, fy)
-        if g.is_constant():
-            absorb(pair_common_zeros(fx, fy), on_curve=False)
-        else:
-            absorb(pair_common_zeros(g, f), on_curve=True)
-            qx, qy = exact_divide(fx, g), exact_divide(fy, g)
-            if qx is None or qy is None:
-                raise ArithmeticError("the gradient gcd must divide both components")
-            if not poly_gcd(qx, qy).is_constant():
-                raise NonIsolatedSingularities("gradient components stay coupled")
-            absorb(pair_common_zeros(qx, qy), on_curve=False)
-
+        return [], Enumeration()
+    g = poly_gcd(fx, fy)
+    if not g.is_constant():
+        fx, fy = exact_divide(fx, g), exact_divide(fy, g)
+    enum = _coprime_common_zeros(fx, fy)
     records = []
-    seen = set()
-    for pt in candidates:
-        if pt in seen:
-            continue
-        seen.add(pt)
+    for pt in enum.points:
         x0, y0 = pt.chart_coords(CHART_Z)
-        if not f.evaluate((x0, y0)).is_zero():
-            continue
-        order, node, _local = _order_and_node(f, x0, y0)
-        if order >= 2:
+        if f.evaluate((x0, y0)).is_zero():  # the gradient vanishes here: order at least 2
+            order, node, _local = _order_and_node(f, x0, y0)
             records.append(CurveSingularity(pt, order, node))
-    records.sort(key=lambda r: str(r.point))
-    return records, merged
+    return records, enum
 
 
 def _infinity_points_of_curve(F: MultiPoly) -> tuple[list[ProjectivePoint], int]:

@@ -352,6 +352,13 @@ def test_iif_and_darboux_cli(log3_doc, eee_doc, capsys):
         )
         == 1
     )
+    # a repeated name is a curve of its own: l1 twice at weight 1/2 each is l1 once at weight 1
+    argv = ["darboux-check", log3_doc, "--field", "log3", "--curves", "l1,l1,l2,l3", "--json"]
+    capsys.readouterr()
+    assert run(argv + ["--weights", "1/2,1/2,1,-2"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["cofactors"]) == 4
+    assert run(argv + ["--weights", "1,1,-2"]) == 2
+    assert capsys.readouterr().err == "error: one weight per certificate required\n"
 
 
 def test_usage_errors(tmp_path):
@@ -762,6 +769,13 @@ def test_a_curve_that_is_not_invariant_fails_a_precondition(rules_doc, argv, mes
     assert run([argv[0], rules_doc, "--field", "rotation", *argv[1:]]) == 2
     captured = capsys.readouterr()
     assert message in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("weights", ["1,1", "y,1"])
+def test_darboux_check_looks_up_every_curve_name_before_it_checks_one(rules_doc, weights, capsys):
+    # a missing name is reported before the earlier curve that is not invariant, and before malformed weights
+    assert run(["darboux-check", rules_doc, "--field", "rotation", "--curves", "line, nope", "--weights", weights]) == 2
+    assert capsys.readouterr() == ("", "parse error: no curve named 'nope' in the document\n")
 
 
 @pytest.mark.parametrize("command, shown", [("check-invariant", "curve 'line' is NOT invariant"), ("cofactor", "NotInvariant")])

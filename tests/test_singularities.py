@@ -321,6 +321,14 @@ def test_curve_singularities_examples():
     assert len(recs) == 1 and not recs[0].is_node
     with pytest.raises(PreconditionError):
         curve_singularities((x + y) ** 2)
+    # gcd(f_x, f_y) = 2x^2 + 2y^2 - 1 is divided out; the node at the origin is its quotients' zero
+    recs, enum = curve_singularities(parse_poly("(x^2 + y^2)*(x^2 + y^2 - 1)", 2))
+    assert [(str(r.point), r.order, r.is_node) for r in recs] == [("(0 : 0 : 1)", 2, True)]
+    assert enum.undecided == 0
+    # first g = x^2 + y^2, whose quotients vanish only at the origin, off the curve; then parallel lines
+    for text in ("(x^2 + y^2)^2 - 1", "x^2 - 2", "y^3 - y"):
+        recs, enum = curve_singularities(parse_poly(text, 2))
+        assert recs == [] and enum.undecided == 0
 
 
 def test_is_nodal_cases():
@@ -333,6 +341,13 @@ def test_is_nodal_cases():
     # transversally crossing circle and line stay nodal
     crossing = circle * y
     assert is_nodal(crossing, include_infinity=False) is True
+    # at (1 : +-i : 0) the lines x +- i*y = 0 touch the circle they are asymptotes of, and two concentric circles touch
+    for text in ("(x^2 + y^2)*(x^2 + y^2 - 1)", "(x^2 + y^2)^2 - 1"):
+        assert is_nodal(parse_poly(text, 2), include_infinity=True) is False
+        assert is_nodal(parse_poly(text, 2), include_infinity=False) is True
+    assert is_nodal(parse_poly("x^2 - 2", 2)) is True
+    # three parallel lines pass through (1 : 0 : 0)
+    assert is_nodal(parse_poly("y^3 - y", 2)) is False
 
 
 def test_is_nodal_transversal_product():

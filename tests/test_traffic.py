@@ -57,3 +57,18 @@ def test_one_job_reports_what_it_never_ran(traffic, monkeypatch, capsys):
 
 def test_ranges_join_consecutive_lines(traffic):
     assert traffic._ranges([3, 4, 5, 9, 11, 12]) == "3-5, 9, 11-12"
+
+
+def test_tests_mode_reports_what_a_test_file_never_ran(traffic, tmp_path, capsys):
+    test_file = tmp_path / "test_one_bound.py"
+    test_file.write_text("from foltools import bounds\n\n\ndef test_thm1():\n    assert bounds.thm1_bound(3) > 0\n")
+    assert traffic.main(["--tests", str(test_file), "-q", "-p", "no:cacheprovider"]) == 0
+    out = capsys.readouterr().out
+    assert "1 passed" in out and f"tests traced: pytest {test_file} -q -p no:cacheprovider (exit code 0)\n" in out
+    report = _section(out, "bounds.py")
+    never_entered = report.splitlines()[1]
+    assert "thm2_bound (" in never_entered and "thm1_bound (" not in never_entered
+    # the exit code is pytest's: 1 for a failing test
+    failing = tmp_path / "test_fails.py"
+    failing.write_text("def test_fails():\n    assert False\n")
+    assert traffic.main(["--tests", str(failing), "-q", "-p", "no:cacheprovider"]) == 1

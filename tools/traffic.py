@@ -1,6 +1,7 @@
-"""Which code of `foltools` a benchmark workload never runs.
+"""Which code of `foltools` a benchmark workload, or a test run, never runs.
 
     python3 tools/traffic.py --workload geometry [--src DIR]
+    python3 tools/traffic.py [--src DIR] --tests PYTEST_ARGS...
 
 It replays every job of the workload, as `tools/replay.py` does
 (`replay.job_list`, then `replay.run_row` per job, in this process through
@@ -15,6 +16,13 @@ code that a simplification can delete or code that the benchmark does not
 measure; the report says which code that is, and the reader decides which
 of the two.  The documents and files the jobs write go to a temporary
 directory; nothing under src/ or perfbench/ is written.
+
+With --tests, every argument after it goes to `pytest.main`, run in this
+process under the same tracer and against the same DIR, and the report says
+what those tests never run; the exit code is pytest's.  Code that a test
+runs in a subprocess (a command started as its own process, as the
+cold-start tests do) or in another thread is not traced, so it counts as
+never run.
 """
 
 from __future__ import annotations
@@ -120,25 +128,45 @@ def _ranges(lines: list[int]) -> str:
     return ", ".join(str(a) if a == b else f"{a}-{b}" for a, b in spans)
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--workload", required=True, choices=("algebra", "geometry"))
-    parser.add_argument("--src", type=Path, default=replay.ROOT / "src", help="source tree holding foltools/")
-    args = parser.parse_args(argv)
-    cli = replay.import_cli(args.src)
-    package = args.src / "foltools"
-    traffic = Traffic(package)
+def trace_workload(workload: str, cli, traffic: Traffic) -> str:
+    """Replay the workload's jobs under the tracer; return the report's header line."""
     with tempfile.TemporaryDirectory() as tmp:
-        jobs = replay.job_list(args.workload, Path(tmp))
+        jobs = replay.job_list(workload, Path(tmp))
         # each job's row line goes nowhere: the report is the output
         with contextlib.redirect_stdout(io.StringIO()), traffic.tracing():
             rows = [replay.run_row(cli, *job) for job in jobs]
     crashed = sum(isinstance(row["rc"], str) for row in rows)
-    print(f"{len(rows)} {args.workload} jobs traced ({crashed} crashed)")
+    return f"{len(rows)} {workload} jobs traced ({crashed} crashed)"
+
+
+def trace_tests(pytest_args: list[str], traffic: Traffic) -> tuple[str, int]:
+    """Run pytest in this process under the tracer; return the report's header line and pytest's exit code."""
+    import pytest
+
+    with traffic.tracing():
+        code = int(pytest.main(pytest_args))
+    return f"tests traced: pytest {' '.join(pytest_args)} (exit code {code})", code
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    mode = parser.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--workload", choices=("algebra", "geometry"))
+    mode.add_argument("--tests", nargs=argparse.REMAINDER, metavar="PYTEST_ARGS", help="trace these pytest arguments instead (last option)")
+    parser.add_argument("--src", type=Path, default=replay.ROOT / "src", help="source tree holding foltools/")
+    args = parser.parse_args(argv)
+    cli = replay.import_cli(args.src)  # the tests import this tree's foltools too
+    package = args.src / "foltools"
+    traffic = Traffic(package)
+    if args.tests is None:
+        header, code = trace_workload(args.workload, cli, traffic), 0
+    else:
+        header, code = trace_tests(args.tests, traffic)
+    print(header)
     for path in sorted(package.glob("*.py")):
         for line in traffic.report(path):
             print(line)
-    return 0
+    return code
 
 
 if __name__ == "__main__":
