@@ -33,10 +33,16 @@ from .singularities import (
     line_singularities,
 )
 
-MAX_DOUBLINGS = 3
-
 
 def default_truncation(m: int, curve_degree: int) -> int:
+    """Twice a truncation that certifies every branch of an invariant curve
+    of degree n under a degree-m foliation.  The chart field (a, b) has
+    degree at most m + 1 and isolated zeros, so one of a, b is not zero on
+    the branch's component; mu is at most its order along the branch, at
+    most n(m + 1) by Bezout.  `branch_multiplicity` knows R through
+    t^(N-1-v), where v, the order of the derivative it divides by, is the
+    branch's contact with its tangent line less one, so v <= n - 1 and
+    N = n(m + 2) suffices (Fulton, Algebraic Curves, ch. 3 and 5)."""
     return max(8, 2 * (m + 2) * curve_degree)
 
 
@@ -151,7 +157,8 @@ def branch_multiplicity(
     """Order at t=0 of the pullback R(t) d/dt of the field along the branch.
 
     Returns (mu, certified); mu is None when every computed coefficient of
-    R vanished up to the truncation (caller should retry with a larger one).
+    R vanished up to the truncation, which `default_truncation` rules out,
+    so only an explicit smaller truncation calls for a retry with a larger one.
     Raises PreconditionError when the pullback is inconsistent (branch not
     invariant under the field).
     """
@@ -189,24 +196,18 @@ def invariant_branch_multiplicity(field: AffineVectorField, branch: Branch) -> t
 
 
 def _resolved_multiplicity(
-    field: AffineVectorField, f: MultiPoly, point: ProjectivePoint, truncation: int
+    field: AffineVectorField, f: MultiPoly, point: ProjectivePoint
 ) -> list[tuple[int, Branch]]:
-    """Multiplicities of all branches at a point, doubling truncation as needed,
-    on a curve that `require_reduced_curve` has passed."""
-    for doublings in range(MAX_DOUBLINGS + 1):
-        n = truncation << doublings
-        branches = _branches_at(f, point, n)
-        result = []
-        ok = True
-        for br in branches:
-            mu, certified = invariant_branch_multiplicity(field, br)
-            if not certified:
-                ok = False
-                break
-            result.append((mu, br))
-        if ok:
-            return result
-    raise UncertifiedResult(f"multiplicity at {point} uncertified up to truncation {n}")
+    """Multiplicities of all branches at a point of a curve that `require_reduced_curve`
+    has passed, from one expansion at `default_truncation`: only a fault leaves one uncertified."""
+    truncation = default_truncation(field.m, int(f.degree))
+    result = []
+    for br in _branches_at(f, point, truncation):
+        mu, certified = invariant_branch_multiplicity(field, br)
+        if not certified:
+            raise UncertifiedResult(f"multiplicity at {point} uncertified up to truncation {truncation}")
+        result.append((mu, br))
+    return result
 
 
 class EulerReport:
@@ -251,7 +252,6 @@ def euler_identity_check(
     n = int(f.degree)
     m = field.m
     report = EulerReport(curve_degree=n, foliation_degree=m, chi_claimed=chi)
-    N = default_truncation(m, n)
 
     on_curve, enumerations = singular_points_on_curve(field, f)
     for enum, kind in zip(enumerations, ("affine", "infinite")):
@@ -266,7 +266,7 @@ def euler_identity_check(
     total = 0
     for pt in on_curve:
         try:
-            rows = _resolved_multiplicity(field, f, pt, N)
+            rows = _resolved_multiplicity(field, f, pt)
         except UnsupportedBranch as exc:
             report.checkable = False
             report.notes.append(f"unsupported branch at {pt}: {exc.reason}")

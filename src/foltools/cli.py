@@ -34,7 +34,6 @@ from pathlib import Path
 from .branches import (
     _resolved_multiplicity,
     corollary2_check,
-    default_truncation,
     euler_identity_check,
     singular_points_on_curve,
 )
@@ -283,11 +282,9 @@ def cmd_multiplicity(args, field, curve):
     else:
         points, enumerations = singular_points_on_curve(field, curve)
         undecided = sum(e.undecided_on(curve) for e in enumerations)
-    # the truncation doubles until every branch is certified, as in euler-check
-    N = default_truncation(field.m, int(curve.degree))
     rows = []
     for pt in points:
-        for idx, (mu, _br) in enumerate(_resolved_multiplicity(field, curve, pt, N)):
+        for idx, (mu, _br) in enumerate(_resolved_multiplicity(field, curve, pt)):
             rows.append({"point": pt, "branch": idx, "mu": mu, "certified": True})
     payload = {"multiplicities": rows, "undecided_coordinates": undecided}
     lines = [f"{r['point']} branch {r['branch']}: mu = {r['mu']} (certified: True)" for r in rows]
@@ -324,6 +321,8 @@ def cmd_corollary2(args, curve):
 def cmd_bounds(args):
     from . import bounds as bounds_mod  # loaded by the commands that ask for a bound, not at start-up
 
+    if args.table and args.table_from > args.table_to:
+        raise ParseError(f"--table-from {args.table_from} exceeds --table-to {args.table_to}")
     t = args.theorem
     if t == "t1":
         value = bounds_mod.thm1_bound(args.m)

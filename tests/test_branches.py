@@ -25,6 +25,7 @@ from foltools.branches import (
     _solve_series,
     branch_multiplicity,
     corollary2_check,
+    default_truncation,
     euler_identity_check,
     genus_and_chi,
     infinity_branch_data,
@@ -109,17 +110,45 @@ def test_multiplicity_requires_invariance():
         branch_multiplicity(rotation, br)
 
 
-@pytest.mark.parametrize("k, n", [(3, 4), (5, 8)])
-def test_multiplicity_doubles_the_truncation_until_it_is_certified(k, n):
-    # the branch of y at the origin is (t, 0), where (x^k, y) pulls back to t^k
-    ((mu, br),) = _resolved_multiplicity(AffineVectorField.make(x**k, y), y, ProjectivePoint.affine(0, 0), 2)
-    assert (mu, br.truncation) == (k, n)
+def _vertical_tangent_family(n, k):
+    """(n y^(n+k-1) + x - y^n, y^k), under which x - y^n is invariant with
+    cofactor 1.  Its branch (t^n, t) at the origin has a vertical tangent,
+    so R is A1 divided by n t^(n-1), of order v = n - 1, and mu = k."""
+    return AffineVectorField.make(const2(n) * y ** (n + k - 1) + x - y**n, y**k), x - y**n
 
 
-def test_multiplicity_names_the_last_truncation_tried():
-    # truncations 2, 4, 8 and 16 all see t^20 as zero
-    with pytest.raises(UncertifiedResult, match=r"uncertified up to truncation 16$"):
-        _resolved_multiplicity(AffineVectorField.make(x**20, y), y, ProjectivePoint.affine(0, 0), 2)
+# (field, curve, mu at the origin): (x^k, y) pulls the branch (t, 0) of y back to t^k
+ORIGIN_MULTIPLICITIES = [(AffineVectorField.make(x**k, y), y, k) for k in (3, 5, 20)] + [
+    (*_vertical_tangent_family(n, k), k) for n, k in [(3, 4), (5, 7)]
+]
+
+
+@pytest.mark.parametrize("field, f, mu", ORIGIN_MULTIPLICITIES)
+def test_multiplicity_is_one_expansion_at_the_default_truncation(field, f, mu, monkeypatch):
+    truncations = []
+    expand = branches._branches_at
+    monkeypatch.setattr(branches, "_branches_at", lambda g, pt, N: truncations.append(N) or expand(g, pt, N))
+    ((got, br),) = _resolved_multiplicity(field, f, ProjectivePoint.affine(0, 0))
+    want = default_truncation(field.m, int(f.degree))
+    assert (got, br.truncation, truncations) == (mu, want, [want])
+
+
+@pytest.mark.parametrize(
+    "field, f, mu, v",
+    [(AffineVectorField.make(x**20, y), y, 20, 0)] + [(*_vertical_tangent_family(n, k), k, n - 1) for n, k in [(3, 4), (5, 7)]],
+)
+def test_the_truncation_lemma_certifies_every_branch(field, f, mu, v):
+    # mu <= n(m + 1) and v <= n - 1, so N = n(m + 2) certifies mu; R is known
+    # through t^(N-1-v), so the least certifying N is mu + v + 1
+    def at(N):
+        (br,) = local_branches(f, ProjectivePoint.affine(0, 0), N)
+        return branch_multiplicity(field, br)
+
+    n = int(f.degree)
+    lemma = n * (field.m + 2)
+    assert mu + v + 1 <= lemma <= default_truncation(field.m, n) // 2
+    assert at(lemma) == at(mu + v + 1) == (mu, True)
+    assert at(mu + v) == (None, False)
 
 
 def test_euler_identity_reference_foliations():

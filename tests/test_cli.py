@@ -128,6 +128,13 @@ def test_singularities_and_classify(eee_doc, ex1_doc, capsys):
     assert "non-dicritical" in out and "resonant-ratio" in out
 
 
+def test_classify_at_a_point_with_a_zero_jacobian_is_undecided(tmp_path, capsys):
+    doc = tmp_path / "zero-jacobian.fol"
+    doc.write_text("[field f]\np = x^2 + y^3\nq = x*y\n")
+    assert run(["classify", str(doc), "--field", "f"]) == 3
+    assert capsys.readouterr().out == "(0 : 0 : 1)  [z-chart]  unknown  (zero-jacobian)\n(1 : 0 : 0)  [x-chart]  unknown  (zero-jacobian)\n"
+
+
 def test_classify_residual_exit(eee_doc, capsys):
     # the eee system's singular points all have non-Q(i) coordinates
     assert run(["singularities", eee_doc, "--field", "eee"]) == 3
@@ -493,6 +500,9 @@ CERTIFY_ARGS = ["certify", "EEE", "--field", "eee", "--curve", "circle", "--res"
         (CERTIFY_ARGS + ["--spacing", "fine"], "invalid float value"),
         # crashed with ValueError
         (POINT_ARGS + ["--point", "0:0:0"], "parse error: (0 : 0 : 0) is not a projective point"),
+        # printed the single bound and an empty table, and exited 0
+        (["bounds", "--theorem", "t1", "--m", "3", "--table", "--table-from", "5", "--table-to", "3"],
+         "parse error: --table-from 5 exceeds --table-to 3"),
     ],
 )
 def test_malformed_value_is_a_usage_error(eee_doc, ex1_doc, argv, message, capsys):
@@ -970,15 +980,29 @@ def test_multiplicity_takes_the_truncation_euler_check_takes(tmp_path, capsys):
     assert "(0 : 0 : 1) branch 0: mu = 9" in capsys.readouterr().out
 
 
-def test_multiplicity_undecided_after_the_doublings_is_undecided(ex1_doc, monkeypatch, capsys):
+def test_multiplicity_uncertified_at_the_default_truncation_is_undecided(ex1_doc, monkeypatch, capsys):
     from foltools import branches
 
     monkeypatch.setattr(branches, "branch_multiplicity", lambda _field, _branch: (None, False))
     assert run(["multiplicity", ex1_doc, "--field", "example1", "--curve", "line"]) == 3
     captured = capsys.readouterr()
-    assert captured.out == "" and "uncertified up to truncation 64" in captured.err
+    assert captured.out == "" and "uncertified up to truncation 8" in captured.err
     assert run(["euler-check", ex1_doc, "--field", "example1", "--curve", "line", "--chi", "2"]) == 3
-    assert "NOT CHECKABLE: multiplicity at (0 : 0 : 1) uncertified up to truncation 64" in capsys.readouterr().out
+    assert "NOT CHECKABLE: multiplicity at (0 : 0 : 1) uncertified up to truncation 8" in capsys.readouterr().out
+
+
+def test_a_cusp_on_the_curve_is_undecided(tmp_path, capsys):
+    # the Hamiltonian field of y^2 - x^3 leaves it invariant; its cusp at the
+    # origin has one repeated tangent, which no branch expansion here supports
+    doc = tmp_path / "cusp.fol"
+    doc.write_text("[field ham]\np = -2*y\nq = -3*x^2\n\n[curve cusp]\nf = y^2 - x^3\n")
+    argv = [str(doc), "--field", "ham", "--curve", "cusp"]
+    assert run(["euler-check", *argv, "--chi", "2"]) == 3
+    assert capsys.readouterr().out.endswith(
+        "NOT CHECKABLE: unsupported branch at (0 : 0 : 1): order-2 point with a repeated tangent (cusp-like)\n"
+    )
+    assert run(["multiplicity", *argv]) == 3
+    assert capsys.readouterr() == ("", "unsupported/uncertified: order-2 point with a repeated tangent (cusp-like)\n")
 
 
 @pytest.mark.parametrize(
