@@ -122,11 +122,14 @@ def eee_system(
 ) -> tuple[AffineVectorField, CofactorCertificate]:
     """The system (a*g - h*g_y, b*g + h*g_x) with its exact cofactor.
 
-    h must be a polynomial of degree exactly 1 and a*h_x + b*h_y != 0; the
-    returned certificate witnesses X g = (a*g_x + b*g_y) g.
+    g must be nonconstant, h a polynomial of degree exactly 1 and
+    a*h_x + b*h_y != 0; the returned certificate witnesses
+    X g = (a*g_x + b*g_y) g.
     """
     if g.arity != 2 or h.arity != 2:
         raise PreconditionError("g and h must be affine polynomials")
+    if g.is_constant():
+        raise PreconditionError("g must be a nonconstant polynomial (a curve)")
     if h.degree != 1:
         raise PreconditionError("h must have degree exactly 1 (a line)")
     hx = h.partial(0).constant_value()

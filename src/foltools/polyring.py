@@ -17,7 +17,7 @@ import itertools
 from fractions import Fraction
 from functools import reduce
 from math import comb, gcd
-from operator import add, mul, sub
+from operator import add, sub
 from types import MappingProxyType
 from typing import Iterable
 
@@ -543,38 +543,6 @@ def _int_det(m: list[list[int]]) -> int:
     return m[n - 1][n - 1] * sign
 
 
-def _gi_det(m: list[list[GInt]]) -> GInt:
-    """Determinant of a square Z[i] matrix by fraction-free Bareiss elimination (m is consumed).
-
-    Each Bareiss quotient is exact, so it is taken as u * conj(prev) divided
-    by the norm of the previous pivot, both computed once per pivot.
-    """
-    n = len(m)
-    sign, cr, ci, norm = 1, 1, 0, 1  # conj(prev) = cr + ci*i, norm = |prev|^2
-    for k in range(n - 1):
-        if m[k][k] == (0, 0):
-            pivot = next((r for r in range(k + 1, n) if m[r][k] != (0, 0)), None)
-            if pivot is None:
-                return (0, 0)
-            m[k], m[pivot] = m[pivot], m[k]
-            sign = -sign
-        rk, (pr, pi) = m[k], m[k][k]
-        for i in range(k + 1, n):
-            ri, (mr, mi) = m[i], m[i][k]
-            for j in range(k + 1, n):
-                (ar, ai), (br, bi) = ri[j], rk[j]
-                ur = ar * pr - ai * pi - (mr * br - mi * bi)
-                ui = ar * pi + ai * pr - (mr * bi + mi * br)
-                qr, rem_re = divmod(ur * cr - ui * ci, norm)
-                qi, rem_im = divmod(ur * ci + ui * cr, norm)
-                if rem_re or rem_im:
-                    raise ArithmeticError("Bareiss divisibility must hold")
-                ri[j] = (qr, qi)
-        cr, ci, norm = pr, -pi, pr * pr + pi * pi
-    det = m[n - 1][n - 1]
-    return det if sign > 0 else (-det[0], -det[1])
-
-
 def _from_newton(newton: list, points) -> list:
     """Coefficients, low to high, of the sum over k of newton[k] * (t - points[0]) ... (t - points[k - 1])."""
     coeffs: list = []
@@ -611,18 +579,9 @@ def _interpolate_at(ts: list[int], values: list[Fraction]) -> list[Fraction]:
     return _from_newton(newton, ts)
 
 
-def _gi_add(u: GInt, v: GInt) -> GInt:
-    return (u[0] + v[0], u[1] + v[1])
-
-
-def _gi_sub(u: GInt, v: GInt) -> GInt:
-    return (u[0] - v[0], u[1] - v[1])
-
-
-def _hybrid_bezout(a: list, b: list, zero=0, mul=mul, add=add, sub=sub) -> list[list]:
+def _hybrid_bezout(a: list[int], b: list[int]) -> list[list[int]]:
     """The hybrid Bezout matrix of a(z) = sum a[i] z^i and b(z) = sum b[l] z^l,
-    m = len(a) - 1 >= n = len(b) - 1 >= 1, over the ring of `zero`, `mul`,
-    `add` and `sub` (the integers by default).
+    m = len(a) - 1 >= n = len(b) - 1 >= 1, integer coefficients.
 
     Row k < m - n holds z^k b(z); then row t < n holds the coefficients of
     s^t in the Bezoutian (a(s) b(z) - a(z) b(s)) / (s - z); column u holds
@@ -630,16 +589,15 @@ def _hybrid_bezout(a: list, b: list, zero=0, mul=mul, add=add, sub=sub) -> list[
     combinations of the rows z^k b(z), which is why they are replaced.
     """
     m, n = len(a) - 1, len(b) - 1
-    rows = [[zero] * k + b + [zero] * (m - n - 1 - k) for k in range(m - n)]
-    bez = [[zero] * m for _ in range(n)]
-    b = b + [zero] * (m - n)
+    rows = [[0] * k + b + [0] * (m - n - 1 - k) for k in range(m - n)]
+    bez = [[0] * m for _ in range(n)]
+    b = b + [0] * (m - n)
     for l in range(n):
         for i in range(l + 1, m + 1):
             # (a_i b_l - a_l b_i)(s^i z^l - s^l z^i) / (s - z) = that times the sum over t = l..i-1 of s^t z^(i+l-1-t)
-            c = sub(mul(a[i], b[l]), mul(a[l], b[i]))
+            c = a[i] * b[l] - a[l] * b[i]
             for t in range(l, min(i, n)):
-                row = bez[t]
-                row[i + l - 1 - t] = add(row[i + l - 1 - t], c)
+                bez[t][i + l - 1 - t] += c
     return rows + bez
 
 
@@ -664,10 +622,19 @@ def resultant(a: MultiPoly, b: MultiPoly, var: int) -> list[GInt]:
     evaluated by Horner's rule and the matrix is built from their values
     (an entry of the Bezoutian is a sum of 2x2 minors a_i b_l - a_l b_i, so
     building it from values costs less than evaluating it as a polynomial
-    of twice the degree); with real inputs the values are integers and the
-    determinant is `_int_det`, otherwise `_gi_det` over Z[i].  Both
+    of twice the degree), and its determinant is `_int_det`.  Both
     identities hold for every value of the coefficients, so a leading
     coefficient that vanishes at a point does no harm.
+
+    Z[i] numerators take the same integer route: re + i*im is written as
+    the integer re + N*im.  Z[i] -> Z/(N^2 + 1), i -> N, is a ring map and
+    the resultant an integer polynomial in the coefficients, so each integer
+    coefficient c is congruent to x + N*y mod N^2 + 1, where x + i*y is the
+    Z[i] one.  A Sylvester row has one-norm ||a||_1 or ||b||_1 (||.||_1 the
+    sum of |re| + |im| over the numerators) and |zw|_1 <= |z|_1 |w|_1, so
+    |x|, |y| <= B = ||a||_1^db ||b||_1^da, and N = 2^(bit_length(B) + 1)
+    > 2B makes x + N*y the balanced residue of c and (x, y) its digits.
+    Real inputs have im = 0: their integers, and the list, are unchanged.
     """
     if a.arity != 2 or b.arity != 2:
         raise ValueError("resultant takes affine (arity-2) polynomials")
@@ -686,19 +653,15 @@ def resultant(a: MultiPoly, b: MultiPoly, var: int) -> list[GInt]:
     # degree by db*deg(a) + da*deg(b) - da*db.
     total = db * int(a.degree) + da * int(b.degree) - da * db
     size = min(da * b.degree_in(other) + db * a.degree_in(other), total) + 1
-    real = a.has_real_coefficients() and b.has_real_coefficients()
+    na, nb = (sum(abs(re) + abs(im) for re, im in p.num.values()) for p in (a, b))
+    half = 1 << (na**db * nb**da).bit_length()
+    base = 2 * half  # N
     sign = 1
     if da < db:  # Res(b, a) = (-1)^(da db) Res(a, b)
         a, b, da, db, sign = b, a, db, da, (-1) ** (da * db)
     sign *= (-1) ** (db * (db - 1) // 2)
-    ca, cb = ([([u[0] for u in c], [u[1] for u in c]) for c in _rows(p, var)] for p in (a, b))
-    dets = []
-    for t in range(size):
-        if real:
-            dets.append(_int_det(_hybrid_bezout([ueval(re, t) for re, _ in ca], [ueval(re, t) for re, _ in cb])))
-        else:
-            at, bt = ([(ueval(re, t), ueval(im, t)) for re, im in c] for c in (ca, cb))
-            dets.append(_gi_det(_hybrid_bezout(at, bt, (0, 0), gi_mul, _gi_add, _gi_sub)))
-    if real:
-        return utrim([(sign * c, 0) for c in _interpolate(dets)])
-    return utrim([(sign * r, sign * i) for r, i in zip(_interpolate([d[0] for d in dets]), _interpolate([d[1] for d in dets]))])
+    ca, cb = ([[re + base * im for re, im in c] for c in _rows(p, var)] for p in (a, b))
+    dets = [_int_det(_hybrid_bezout([ueval(c, t) for c in ca], [ueval(c, t) for c in cb])) for t in range(size)]
+    # x + N*y + half*(N + 1) = (x + half) + N*(y + half), both digits in [1, N - 1]
+    digits = (divmod((sign * c + half * (base + 1)) % (base * base + 1), base) for c in _interpolate(dets))
+    return utrim([(x - half, y - half) for y, x in digits])

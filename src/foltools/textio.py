@@ -70,6 +70,12 @@ class _Parser:
     def error(self, message: str, tok: tuple[str, str, int]) -> ParseError:
         return _error(message, self.text, tok[2], self.line)
 
+    def integer(self, tok: tuple[str, str, int]) -> int:
+        try:
+            return int(tok[1])
+        except ValueError:  # more digits than the interpreter converts
+            raise self.error(f"integer literal of {len(tok[1])} digits is too long", tok) from None
+
     def take(self) -> tuple[str, str, int]:
         tok = self.tokens[self.pos]
         self.pos += 1
@@ -107,7 +113,7 @@ class _Parser:
         tok = self.take()
         if tok[0] != "int":
             raise self.error("exponent must be a nonnegative integer literal", tok)
-        return int(tok[1])
+        return self.integer(tok)
 
     def term(self) -> tuple[int, list]:
         """(d, [(exponent, numerator), ...]): the term's value over d."""
@@ -120,13 +126,13 @@ class _Parser:
                 re, im = -re, -im
                 kind, text, _ = tok = self.take()
             if kind == "int":
-                a, b = int(text), 1
+                a, b = self.integer(tok), 1
                 if self.tokens[self.pos][1] == "/":
                     self.pos += 1
                     tok = self.take()
                     if tok[0] != "int":
                         raise self.error("denominator must be an integer literal", tok)
-                    b = int(tok[1])
+                    b = self.integer(tok)
                     if not b:
                         raise self.error("zero denominator", tok)
                 n = self.power()

@@ -240,6 +240,28 @@ def test_bounds_cli(capsys):
     assert capsys.readouterr().out.strip() == "0"
     assert run(["bounds", "--theorem", "mk", "--m", "4"]) == 0
     assert "k = 3" in capsys.readouterr().out
+    assert run(["bounds", "--theorem", "t4", "--m", "3"]) == 0
+    assert capsys.readouterr().out.strip() == "1"
+    assert run(["bounds", "--theorem", "degree-nondicritical", "--m", "3"]) == 0
+    assert capsys.readouterr().out.strip() == "5"
+
+
+def test_construct_thm2b_writes_its_configuration(tmp_path, capsys):
+    from foltools.construct import logarithmic_form, thm2b_configuration
+    from foltools.fields import deprojectivize
+    from foltools.textio import parse_system
+
+    out = tmp_path / "thm2b.fol"
+    assert run(["construct", "thm2b", "--m", "3", "--out", str(out)]) == 0
+    spec, report = thm2b_configuration(3)
+    field = deprojectivize(logarithmic_form(spec))
+    violated = [f"# ratio condition violated for pair ({r['i']},{r['j']}): {r['ratio']}" for r in report if r["status"] == "Violated"]
+    assert violated
+    assert capsys.readouterr().out.splitlines() == ["# degree m = 3, total invariant degree = 5", *violated, f"# wrote {out}"]
+    doc = parse_system(out.read_text())
+    assert list(doc.fields) == ["thm2b"]
+    assert (doc.fields["thm2b"].p, doc.fields["thm2b"].q) == (field.p, field.q)
+    assert list(doc.curves) == [f"component_{k}" for k in range(4)]
 
 
 def test_construct_gallery_roundtrip(tmp_path, capsys):
@@ -377,6 +399,22 @@ def test_usage_errors(tmp_path):
     assert run(["check-invariant", str(tmp_path / "missing.fol"), "--field", "a", "--curve", "b"]) == 2
     assert run(["bounds", "--theorem", "t9", "--m", "3"]) == 2  # not a theorem choice
     assert run(["construct", "nosuch"]) == 2  # not a construct kind
+
+
+def test_an_overlong_integer_literal_is_a_parse_error(ex1_doc, tmp_path, capsys):
+    digits = "7" * 5000
+    doc = tmp_path / "long.fol"
+    doc.write_text(f"[field f]\np = {digits}*x\nq = y\n")
+    assert run(["projectivize", str(doc), "--field", "f"]) == 2
+    assert capsys.readouterr() == ("", "parse error: integer literal of 5000 digits is too long (line 2, column 5)\n")
+    assert run(["multiplicity", ex1_doc, "--field", "example1", "--curve", "line", "--point", f"0:{digits}:1"]) == 2
+    assert capsys.readouterr() == ("", "parse error: integer literal of 5000 digits is too long (line 1, column 1)\n")
+
+
+def test_construct_eee_refuses_a_constant_curve(capsys):
+    for g in ("1", "0"):
+        assert run(["construct", "eee", "--g", g, "--h", "x"]) == 2
+        assert capsys.readouterr() == ("", "error: g must be a nonconstant polynomial (a curve)\n")
 
 
 def test_a_parse_error_with_no_position_names_none(ex1_doc, tmp_path, capsys):

@@ -117,6 +117,9 @@ def test_eee_preconditions():
         eee_system(g, y, gr(1), gr(0))  # a h_x + b h_y = 0
     with pytest.raises(PreconditionError):
         eee_system(g, x - const2(2), gr(0, 1), gr(1))  # complex a
+    for constant in (const2(1), MultiPoly.zero(2)):
+        with pytest.raises(PreconditionError):
+            eee_system(constant, x, gr(1), gr(1))  # g must be a curve
 
 
 def test_thm2b_configurations():

@@ -17,7 +17,6 @@ from foltools.polyring import (
     MINUS_INFINITY,
     MultiPoly,
     _coprime_images,
-    _gi_det,
     _int_det,
     _interpolate,
     _monic,
@@ -498,39 +497,6 @@ def _needs_row_swap(m):
     return any(_fraction_det([row[:k] for row in m[:k]]) == (0, 0) for k in range(1, len(m)))
 
 
-def test_gi_det_matches_fraction_elimination():
-    rnd = random.Random(20261018)
-    swapped = singular = 0
-    for trial in range(300):
-        n = 1 + trial % 7
-        zero_prob = (0.0, 0.3, 0.6)[trial % 3]
-        m = [[(0, 0) if rnd.random() < zero_prob else (rnd.randint(-40, 40), rnd.randint(-40, 40)) for _ in range(n)] for _ in range(n)]
-        if trial % 5 == 0 and n > 2:  # row 1 starts as (2 + i) * row 0: a zero leading 2x2 minor
-            m[1] = [(2 * re - im, re + 2 * im) for re, im in m[0][:2]] + m[1][2:]
-        expected = _fraction_det(m)
-        swapped += _needs_row_swap(m)
-        singular += expected == (0, 0)
-        assert _gi_det([row[:] for row in m]) == expected, m
-    assert swapped > 30 and singular > 5
-
-
-def test_gi_det_pivoting_cases():
-    # a zero (1,1) entry, a zero leading 2x2 minor, a zero column, and an
-    # anti-diagonal, where every pivot is swapped in
-    cases = [
-        [[(0, 0), (1, 2)], [(3, -1), (5, 0)]],
-        [[(1, 1), (2, 0), (0, 3)], [(2, 2), (4, 0), (1, 0)], [(0, 1), (7, -2), (1, 1)]],
-        [[(1, 0), (0, 0), (2, 0)], [(3, 1), (0, 0), (4, 0)], [(5, 0), (0, 0), (6, 1)]],
-        [[(0, 0), (0, 0), (0, 0), (1, 0)], [(0, 0), (0, 0), (0, 2), (0, 0)], [(0, 0), (3, 0), (0, 0), (0, 0)], [(1, 1), (0, 0), (0, 0), (0, 0)]],
-    ]
-    for m in cases:
-        assert _needs_row_swap(m)
-        assert _gi_det([row[:] for row in m]) == _fraction_det(m)
-    # (1 4)(2 3) is even: det = 1 * 2i * 3 * (1 + i) = -6 + 6i
-    assert _gi_det([row[:] for row in cases[3]]) == (-6, 6)
-    assert _gi_det([row[:] for row in cases[2]]) == (0, 0)
-
-
 def test_int_det_matches_fraction_elimination():
     rnd = random.Random(20261019)
     swapped = singular = 0
@@ -548,6 +514,19 @@ def test_int_det_matches_fraction_elimination():
         singular += expected == (0, 0)
         assert (_int_det([row[:] for row in m]), 0) == expected, m
     assert swapped > 30 and singular > 30
+
+
+def test_int_det_pivoting_cases():
+    # a zero column, and an anti-diagonal, where every pivot is swapped in
+    cases = [
+        [[1, 0, 2], [3, 0, 4], [5, 0, 6]],
+        [[0, 0, 0, 1], [0, 0, 2, 0], [0, 3, 0, 0], [4, 0, 0, 0]],
+    ]
+    for m in cases:
+        assert _needs_row_swap([[(v, 0) for v in row] for row in m])
+    assert _int_det([row[:] for row in cases[0]]) == 0
+    # (1 4)(2 3) is even: det = 1 * 2 * 3 * 4
+    assert _int_det([row[:] for row in cases[1]]) == 24
 
 
 def test_int_det_check_survives_python_O():
@@ -569,17 +548,16 @@ def test_int_det_check_survives_python_O():
 
 
 def test_exact_division_checks_survive_python_O():
-    # the Bareiss, Newton-difference, deflation and squarefree-quotient checks
-    # are `if`s, which -O keeps; a matrix entry outside Z[i], values of no
-    # integer polynomial, a deflation by a non-root and a gcd that does not
-    # divide must raise
+    # the Newton-difference, deflation and squarefree-quotient checks are
+    # `if`s, which -O keeps; values of no integer polynomial, a deflation by
+    # a non-root and a gcd that does not divide must raise (the Bareiss check
+    # is `test_int_det_check_survives_python_O`)
     script = (
         "import sys\n"
-        "from fractions import Fraction\n"
-        "from foltools.polyring import _gi_det, _interpolate\n"
+        "from foltools.polyring import _interpolate\n"
         "from foltools import uniroots\n"
         "print(sys.flags.optimize)\n"
-        "print(_gi_det([[(0, 0), (1, 2)], [(3, -1), (5, 0)]]), _interpolate([1, 3, 7]))\n"
+        "print(_interpolate([1, 3, 7]))\n"
         "def deflate_by_a_non_root():\n"
         "    uniroots._gi_vanishes = lambda ints, p, q: True  # take a lifted candidate as a root of x^3 + 2\n"
         "    return uniroots.qi_roots([(2, 0), (0, 0), (0, 0), (1, 0)])\n"
@@ -587,7 +565,6 @@ def test_exact_division_checks_survive_python_O():
         "    uniroots.ugcd = lambda a, b: [(2, 0), (1, 0)]  # x + 2 does not divide x^2 - 1\n"
         "    return uniroots.usquarefree([(-1, 0), (0, 0), (1, 0)])\n"
         "for call in (\n"
-        "    lambda: _gi_det([[(1, 0), (0, 0)], [(0, 0), (Fraction(1, 2), 0)]]),\n"
         "    lambda: _interpolate([0, 0, 1]),\n"
         "    deflate_by_a_non_root,\n"
         "    squarefree_by_a_non_divisor,\n"
@@ -601,8 +578,7 @@ def test_exact_division_checks_survive_python_O():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
         "1",
-        "(-5, -5) [1, 1, 1]",  # -(1 + 2i)(3 - i)
-        "Bareiss divisibility must hold",
+        "[1, 1, 1]",
         "Newton differences must divide exactly",
         "deflation by a non-root",
         "the gcd must divide exactly",
@@ -619,32 +595,79 @@ def test_resultant_gaussian_denominators_and_vanishing_leading_coefficients():
             _assert_positive_multiple(resultant(p, q, var), _oracle_list(p, q, var))
 
 
-@pytest.mark.parametrize("arity", [2])
-def test_resultant_takes_the_integer_determinant_exactly_for_real_inputs(arity, monkeypatch):
+def test_resultant_takes_the_integer_determinant_for_every_input(monkeypatch):
+    assert [name for name in vars(polyring) if name.endswith("_det")] == ["_int_det"]
     used = Counter()
-    for name in ("_int_det", "_gi_det"):
-        monkeypatch.setattr(polyring, name, lambda m, det=getattr(polyring, name), name=name: used.update([name]) or det(m))
-    rnd = random.Random(4100 + arity)
+    monkeypatch.setattr(polyring, "_int_det", lambda m, det=polyring._int_det: used.update(["_int_det"]) or det(m))
+    rnd = random.Random(4102)
     lc = x * (x - const2(2))  # zero at interpolation points 0 and 2
-    branches = Counter()
+    kinds = Counter()
     for complex_prob in (0.0, 0.5):
         checked = 0
         while checked < 16:
-            a = random_poly(rnd, arity=arity, max_degree=3, complex_prob=complex_prob, nonzero=True)
-            b = random_poly(rnd, arity=arity, max_degree=3, complex_prob=complex_prob, nonzero=True)
-            var = rnd.randrange(arity)
-            v = MultiPoly.variable(arity, var)
+            a = random_poly(rnd, max_degree=3, complex_prob=complex_prob, nonzero=True)
+            b = random_poly(rnd, max_degree=3, complex_prob=complex_prob, nonzero=True)
+            var = rnd.randrange(2)
+            v = MultiPoly.variable(2, var)
             if checked % 2:  # a leading coefficient that vanishes at grid points
                 a = lc * v ** (a.degree_in(var) + 1) + a
             if a.degree_in(var) < 1 or b.degree_in(var) < 1 or lc.degree_in(var):
                 continue
-            real = a.has_real_coefficients() and b.has_real_coefficients()
             used.clear()
             _assert_positive_multiple(resultant(a, b, var), _oracle_list(a, b, var))
-            assert set(used) == {"_int_det" if real else "_gi_det"}
-            branches[real] += 1
+            assert set(used) == {"_int_det"}
+            kinds[a.has_real_coefficients() and b.has_real_coefficients()] += 1
             checked += 1
-    assert branches[True] >= 6 and branches[False] >= 3
+    assert kinds[True] >= 6 and kinds[False] >= 6
+
+
+def _sylvester_numbers(a, b):
+    """The Sylvester matrix of two univariate Z[i] coefficient lists, highest coefficient first."""
+    n = len(a) + len(b) - 2
+    return [[(0, 0)] * k + a + [(0, 0)] * (n - k - len(a)) for k in range(len(b) - 1)] + [
+        [(0, 0)] * k + b + [(0, 0)] * (n - k - len(b)) for k in range(len(a) - 1)
+    ]
+
+
+def _in_y(coeffs):
+    """The polynomial in y with the Z[i] coefficients `coeffs`, highest first."""
+    return sum((const2(gr(re, im)) * y**k for k, (re, im) in enumerate(reversed(coeffs))), MultiPoly.zero(2))
+
+
+def test_resultant_of_large_gaussian_inputs_matches_the_fraction_oracle():
+    # Z[i] parts up to about 10^30 go through the integers as re + N*im and
+    # come back from their residues mod N^2 + 1.  The pairs p*y + q, r*y + s
+    # with s = u*conj(p) and r = -u*conj(q), u a unit, have the resultant
+    # u*(|p|^2 + |q|^2), a part within a factor 4 of the bound B; with p a
+    # power of 2 and q = 1 that part exceeds 2^(bit_length(B) - 1), so a
+    # modulus one bit smaller than N reads it back wrongly.
+    rnd = random.Random(20261022)
+    big = 10**30
+
+    def gint():
+        return (rnd.randint(-big, big), rnd.randint(-big, big))
+
+    def conj_times(u, z):
+        return gi_mul(u, (z[0], -z[1]))
+
+    pairs = []
+    for u in ((1, 0), (0, 1), (-1, 0), (0, -1)):
+        for p, q in [((1 << 100, 0), (1, 0)), ((0, 1 << 99), (1, 0))] + [(gint(), gint()) for _ in range(6)]:
+            s, r = conj_times(u, p), conj_times((-u[0], -u[1]), q)
+            pairs.append(([p, q], [r, s]))
+    for _ in range(40):
+        da, db = rnd.randint(1, 4), rnd.randint(1, 4)
+        pairs.append(([gint() for _ in range(da + 1)], [gint() for _ in range(db + 1)]))
+    for ca, cb in pairs:
+        want = _fraction_det(_sylvester_numbers(ca, cb))
+        assert resultant(_in_y(ca), _in_y(cb), 1) == utrim([want]), (ca, cb)
+    # and in both variables, against the Sylvester determinant with polynomial entries
+    for _ in range(30):
+        a, b = (MultiPoly._of(2, 1, {(i, j): gint() for i in range(3) for j in range(3 - i) if rnd.random() < 0.7}) for _ in range(2))
+        var = rnd.randrange(2)
+        if a.degree_in(var) < 1 or b.degree_in(var) < 1:
+            continue
+        assert resultant(a, b, var) == _oracle_list(a, b, var)
 
 
 def test_resultant_shortcuts_for_degree_zero():

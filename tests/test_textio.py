@@ -65,6 +65,18 @@ def test_parse_errors_carry_location():
     assert where("x +\n\n  y y") == ("unexpected 'y'", 3, 5)
 
 
+def test_an_overlong_integer_literal_is_a_parse_error():
+    # more digits than the interpreter converts: refused where the literal stands
+    digits = "7" * 5000
+    for text, column in ((f"{digits}*x", 1), (f"x + 1/{digits}", 7), (f"x^{digits}", 3)):
+        with pytest.raises(ParseError) as exc:
+            parse_poly(text, 2)
+        assert (str(exc.value).rpartition(" (")[0], exc.value.line, exc.value.column) == ("integer literal of 5000 digits is too long", 1, column)
+    with pytest.raises(ParseError) as exc:
+        parse_system(f"[field f]\np = x\nq = {digits}*y\n")
+    assert (exc.value.line, exc.value.column) == (3, 5)
+
+
 def test_document_errors_carry_document_positions():
     def where(doc):
         with pytest.raises(ParseError) as exc:
