@@ -11,8 +11,10 @@ Exit codes: 0 the answer is proven, 1 a verification failed (and, for
 now, DegenerateInput), 2 usage or parse error, a file that cannot be read
 or written, or a failed precondition (a curve that is not invariant, a
 non-compact curve with no --box, a field whose components share a factor:
-NonIsolatedSingularities, polynomials over different variable sets:
-ArityMismatch), 3 an undecided outcome (Unknown, Unsupported, uncertified,
+NonIsolatedSingularities, `construct log` curves that share a factor,
+polynomials over different variable sets: ArityMismatch, a computed
+coefficient with more digits than Python prints, 4,300 by default),
+3 an undecided outcome (Unknown, Unsupported, uncertified,
 an oval count with an uncertified oval, a `certify` that finds no oval, a
 numerical step that failed inside the program), 141 (128 + SIGPIPE) stdout
 was closed before the output was written.

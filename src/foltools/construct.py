@@ -7,6 +7,8 @@ projective condition, invariance of each factor, weight identity, degree.
 
 from __future__ import annotations
 
+import itertools
+
 from .errors import DegenerateInput, PreconditionError
 from .fields import (
     AffineVectorField,
@@ -67,7 +69,9 @@ def logarithmic_form(spec: LogarithmicSpec) -> ProjectiveOneForm:
 
     The projective condition follows from the weight identity by the Euler
     relation; it is asserted rather than trusted.  Every F_i is re-checked
-    to be invariant (with exact cofactor) for the affinized field.
+    to be invariant (with exact cofactor) for the affinized field.  When the
+    sum is refused as degenerate, a pair of curves with a common factor, which
+    divides every term, is named as the cause (PreconditionError).
     """
     parts = [MultiPoly.zero(3), MultiPoly.zero(3), MultiPoly.zero(3)]
     k = len(spec.curves)
@@ -78,7 +82,14 @@ def logarithmic_form(spec: LogarithmicSpec) -> ProjectiveOneForm:
                 cof = cof * spec.curves[i]
         for var in range(3):
             parts[var] = parts[var] + cof * spec.curves[j].partial(var)
-    form = ProjectiveOneForm.make(parts[0], parts[1], parts[2])
+    try:
+        form = ProjectiveOneForm.make(parts[0], parts[1], parts[2])
+    except DegenerateInput:
+        # a factor h of F_i and F_j divides every term of the sum: the input is at fault
+        for i, j in itertools.combinations(range(k), 2):
+            if not poly_gcd(spec.curves[i], spec.curves[j]).is_constant():
+                raise PreconditionError(f"curves {i + 1} and {j + 1} share a factor; a logarithmic form needs coprime curves") from None
+        raise
     expected_m = spec.total_degree - 2
     if form.m != expected_m:
         raise DegenerateInput(

@@ -13,7 +13,11 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
+from decimal import Decimal
 from fractions import Fraction
+
+from .errors import PreconditionError
 
 GInt = tuple[int, int]  # a + b*i, a Gaussian integer
 
@@ -219,9 +223,19 @@ def _make(x: int, y: int, d: int) -> GaussianRational:
 
 
 def _rational_str(n: int, d: int) -> str:
-    """n / d (d > 0) as Fraction prints it: 'p' or 'p/q' in lowest terms."""
+    """n / d (d > 0) as Fraction prints it: 'p' or 'p/q' in lowest terms.
+
+    A part past the interpreter's limit on integer strings (4,300 digits
+    unless set otherwise) raises PreconditionError naming its digit count;
+    the parser refuses such literals too, so whatever prints reads back.
+    """
     g = math.gcd(n, d)
-    return str(n // g) if d == g else f"{n // g}/{d // g}"
+    try:
+        return str(n // g) if d == g else f"{n // g}/{d // g}"
+    except ValueError:  # more digits than the interpreter converts
+        digits = Decimal(max(abs(n), d) // g).adjusted() + 1
+        limit = sys.get_int_max_str_digits()
+        raise PreconditionError(f"a coefficient of {digits} digits is past the {limit}-digit limit on printed integers") from None
 
 
 def _exact_isqrt(n: int) -> int | None:

@@ -23,7 +23,7 @@ from typing import Iterable
 
 from .errors import ArityMismatch, PreconditionError
 from .gaussian import GInt, GaussianRational, ZERO, canonical, from_gint, lift
-from .uniroots import coprime_mod_p, gi_mul, udeg, ueval, ugcd, utrim
+from .uniroots import gi_mul, udeg, ueval, ugcd, utrim
 
 Exponent = tuple[int, ...]
 
@@ -380,34 +380,6 @@ def _specialize_keeping(p: MultiPoly, var: int, point: list[GaussianRational]) -
     return utrim(_specialize(p, var, ws, d)[1])
 
 
-def _coprime_images(a: MultiPoly, b: MultiPoly, variables: Iterable[int]) -> bool:
-    """True proves deg_v gcd(a, b) = 0 for every v in `variables`; False proves nothing.
-
-    A variable v in which a or b has degree 0 needs no proof.  For each other
-    v, the remaining variables are set to each of 8 integer points in turn,
-    and the numerators' images in F_P[v] are compared (`coprime_mod_p`).
-    Proof: take G = gcd(a, b) primitive in Z[i][vars]; by Gauss's lemma it
-    divides both numerators there, so lc_v(G) divides lc_v(a) and lc_v(b).
-    At a point where the image of lc_v(a) is nonzero mod P, so is that of
-    lc_v(G): the image of G keeps its degree in v and divides both images,
-    so a coprime image there forces deg_v G = 0.  With every variable
-    given, True means gcd(a, b) = 1.
-    """
-    for var in variables:
-        if a.degree_in(var) < 1 or b.degree_in(var) < 1:
-            continue
-        others = [v for v in range(a.arity) if v != var]
-        for trial in range(8):
-            point = [(0, 0)] * a.arity
-            for idx, v in enumerate(others):
-                point[v] = (trial + idx + (1 if trial else 0), 0)
-            if coprime_mod_p(_specialize(a, var, point, 1)[1], _specialize(b, var, point, 1)[1]):
-                break
-        else:
-            return False
-    return True
-
-
 def _rows(p: MultiPoly, var: int) -> list[list[GInt]]:
     """The coefficients of affine p in `var`, low to high, each as its Z[i] numerator list in the other variable."""
     other = 1 - var
@@ -422,29 +394,41 @@ def _univariate(c: list[GInt], arity: int, var: int) -> MultiPoly:
     return MultiPoly._of(arity, 1, {tuple(k if v == var else 0 for v in range(arity)): u for k, u in enumerate(c) if u != (0, 0)})
 
 
-def _evaluation_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
-    """Gcd of two affine polynomials up to a constant, from images at x = t (Brown, JACM 18, 1971).
+def _leading_row(p: MultiPoly) -> list[GInt]:
+    """The leading coefficient of affine p in y, as its Z[i] numerator list in x, low to high."""
+    top, row = p.degree_in(1), [(0, 0)] * (p.degree_in(0) + 1)
+    for (i, j), u in p.num.items():
+        if j == top:
+            row[i] = u
+    return row
 
-    In Q(i)[x][y], gcd(a, b) = gcd(ca, cb) * G, ca and cb the contents.  Where
-    no leading coefficient in y vanishes, G(t, y) divides g_t = `ugcd`(a(t, y),
-    b(t, y)), and G scaled to leading coefficient gamma = `ugcd`(lc a, lc b),
-    of x-degree at most deg gamma + min deg_x, is g_t * gamma(t) / lc(g_t) if
-    deg g_t = deg_y G.  The interpolant's primitive part H in x is kept only
-    if it divides a and b: then H divides G (Gauss's lemma) and deg_y H >=
-    deg_y G, so H = G.  Otherwise each image kept had too high a degree,
-    which only finitely many t give.
+
+def _evaluation_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
+    """Monic gcd of two affine polynomials, from images at x = t (Brown, JACM 18, 1971).
+
+    In Q(i)[x][y], gcd(a, b) = gcd(ca, cb) * G, ca and cb the contents and G
+    primitive in y.  Where no leading coefficient in y vanishes, G(t, y) keeps
+    its degree and divides g_t = `ugcd`(a(t, y), b(t, y)), so a constant g_t
+    proves deg_y G = 0.  G scaled to leading coefficient gamma = `ugcd`(lc a,
+    lc b), of x-degree at most deg gamma + min deg_x, is g_t * gamma(t) /
+    lc(g_t) if deg g_t = deg_y G.  The interpolant's primitive part H in x is
+    kept only if it divides a and b: then H divides G (Gauss's lemma) and
+    deg_y H >= deg_y G, so H = G.  Otherwise each image kept had too high a
+    degree, which only finitely many t give.  gcd(ca, cb) divides gamma, so
+    the contents are read only when gamma is not a unit.
     """
-    rows_a, rows_b = _rows(a, 1), _rows(b, 1)
-    content = _univariate(reduce(ugcd, rows_a + rows_b, []), 2, 0)  # gcd(ca, cb)
-    gamma = ugcd(rows_a[-1], rows_b[-1])
+    gamma = ugcd(_leading_row(a), _leading_row(b))
+    content = MultiPoly.constant(2, 1)  # gcd(ca, cb), which divides gamma
+    if len(gamma) > 1:
+        content = _univariate(reduce(ugcd, _rows(a, 1) + _rows(b, 1), gamma), 2, 0)
     need = udeg(gamma) + min(a.degree_in(0), b.degree_in(0)) + 1
-    size, ts, images = min(len(rows_a), len(rows_b)) + 1, [], []  # size: one more than any image's
+    size, ts, images = min(a.degree_in(1), b.degree_in(1)) + 2, [], []  # size: one more than any image's
     for t in itertools.count():
         at, bt = (_specialize(p, 1, [(t, 0), (0, 0)], 1)[1] for p in (a, b))
         if at[-1] == (0, 0) or bt[-1] == (0, 0) or len(g := ugcd(at, bt)) > size:
             continue
         if len(g) == 1:
-            return content
+            return content if len(gamma) == 1 else _monic(content)
         if len(g) < size:
             size, ts, images = len(g), [], []
         # g * gamma(t) / lc(g) = g * gamma(t) * conj(lc(g)) / |lc(g)|^2
@@ -456,7 +440,7 @@ def _evaluation_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
             h = MultiPoly(2, {(i, k): GaussianRational(r, s) for k, (re, im) in enumerate(parts) for i, (r, s) in enumerate(zip(re, im))})
             h = exact_divide(h, _univariate(reduce(ugcd, _rows(h, 1), []), 2, 0))
             if exact_divide(a, h) is not None and exact_divide(b, h) is not None:
-                return content * h
+                return _monic(content * h)
             size, ts, images = size - 1, [], []
 
 
@@ -474,14 +458,15 @@ def _homogeneous_gcd(a: MultiPoly, b: MultiPoly, var: int) -> MultiPoly:
 
 
 def poly_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
-    """Gcd over Q(i), normalized monic in graded-lex, gcd(0, 0) = 0: `ugcd` in one variable,
-    `_homogeneous_gcd` for two forms, else (affine) `_coprime_images`, then `_evaluation_gcd`."""
+    """Gcd over Q(i), normalized monic in graded-lex, gcd(0, 0) = 0: 1 when either is a nonzero
+    constant, `ugcd` in one variable, `_homogeneous_gcd` for two forms, else (affine, in x and y)
+    `_evaluation_gcd`."""
     if a.is_zero() or b.is_zero():
         return _monic(a + b)
     a._check_arity(b)
-    occurring = [v for v in range(a.arity) if a.degree_in(v) > 0 or b.degree_in(v) > 0]
-    if not occurring:
+    if a.is_constant() or b.is_constant():
         return MultiPoly.constant(a.arity, 1)
+    occurring = [v for v in range(a.arity) if a.degree_in(v) > 0 or b.degree_in(v) > 0]
     var = occurring[-1]
     if len(occurring) == 1:
         # no other variable occurs, so there is nothing to substitute
@@ -491,9 +476,7 @@ def poly_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
         return _homogeneous_gcd(a, b, var)
     if a.arity == 3:
         raise ValueError("a gcd in homogeneous coordinates takes two forms")
-    if _coprime_images(a, b, occurring):
-        return MultiPoly.constant(2, 1)
-    return _monic(_evaluation_gcd(a, b))
+    return _evaluation_gcd(a, b)
 
 
 def is_squarefree(f: MultiPoly) -> bool:

@@ -75,10 +75,13 @@ def ugcd(a: Coeffs, b: Coeffs) -> Coeffs:
     and verified by exact division in Z[i][x].  a and b are mapped to F_p[x]
     for primes p = 1 (mod 4) under both embeddings i -> iota and
     i -> -iota, iota^2 = -1 (mod p).  A prime where either leading
-    coefficient vanishes is skipped; at any other, the gcd G over Q(i) maps
-    to a divisor of each image gcd (see `coprime_mod_p`), so an image of
-    degree 0 proves a and b coprime, and images of one degree d >= deg G
-    give the real and imaginary parts u, v mod p of G made monic as
+    coefficient vanishes is skipped.  At any other, the gcd G over Q(i),
+    taken primitive in Z[i][x], divides a and b there (Gauss's lemma), so
+    lc(G) divides both leading coefficients and does not vanish mod p: G
+    keeps its degree in F_p[x] and divides each image gcd.  Only the leading
+    coefficients' images matter, and a and b need not be primitive.  So an
+    image of degree 0 proves a and b coprime, and images of one degree
+    d >= deg G give the real and imaginary parts u, v mod p of G made monic as
     (g+ + g-)/2 and (g+ - g-)/(2 iota) whenever d = deg G.  Only the images
     of least degree are kept.  Their CRT combination is rebuilt
     coefficientwise into a candidate H of degree d, scaled primitive into
@@ -354,29 +357,7 @@ def _fp_gcd(a: list[int], b: list[int], p: int) -> list[int]:
     return a
 
 
-_P = 998244353  # prime, 1 (mod 4); 3 generates its multiplicative group
-_I_MOD_P = _sqrt_minus_one(_P)  # a square root of -1: the image of i
 _GCD_PRIMES = tuple(itertools.islice(_split_primes(2**62), 4))  # the first few, found once
-
-
-def coprime_mod_p(a: list[GInt], b: list[GInt]) -> bool:
-    """True proves gcd(a, b) = 1 over Q(i); False proves nothing.
-
-    a and b are Z[i] coefficients, low to high, such as the numerators of
-    two Q(i) polynomials, mapped to F_P[x] under i -> _I_MOD_P.  A common
-    factor g of positive degree can be taken primitive in Z[i][x], and by
-    Gauss's lemma it divides a and b there, so lc(g) divides both leading
-    coefficients.  When neither of those vanishes mod P, g keeps its degree
-    in F_P[x] and divides both images, which are then not coprime; only the
-    leading coefficients' images matter, and a and b need not be primitive.
-    The same holds for any prime p = 1 (mod 4) and either root of -1 mod p.
-    """
-    if len(a) < 2 or len(b) < 2:
-        return False
-    ia, ib = _image_mod_p(a, _P, _I_MOD_P), _image_mod_p(b, _P, _I_MOD_P)
-    if not ia[-1] or not ib[-1]:
-        return False
-    return len(_fp_gcd(ia, ib, _P)) == 1
 
 
 # -- roots in Q(i) -------------------------------------------------------------

@@ -278,6 +278,12 @@ def test_construct_log_prints_form(capsys):
     assert "# P = " in out and "[field log]" in out
 
 
+def test_construct_log_refuses_curves_that_share_a_factor(capsys):
+    for curves, weights in (("X;X*Y;Z", "1,1,-3"), ("X+Y;X+Y;Z", "1,2,-3")):
+        assert run(["construct", "log", "--curves", curves, "--weights", weights]) == 2
+        assert capsys.readouterr() == ("", "error: curves 1 and 2 share a factor; a logarithmic form needs coprime curves\n")
+
+
 def test_construct_eee_and_certify(tmp_path, capsys):
     out = tmp_path / "eee.fol"
     assert run(["construct", "eee", "--g", "x^2 + y^2 - 1", "--h", "x - 2", "--out", str(out)]) == 0
@@ -409,6 +415,13 @@ def test_an_overlong_integer_literal_is_a_parse_error(ex1_doc, tmp_path, capsys)
     assert capsys.readouterr() == ("", "parse error: integer literal of 5000 digits is too long (line 2, column 5)\n")
     assert run(["multiplicity", ex1_doc, "--field", "example1", "--curve", "line", "--point", f"0:{digits}:1"]) == 2
     assert capsys.readouterr() == ("", "parse error: integer literal of 5000 digits is too long (line 1, column 1)\n")
+
+
+def test_a_coefficient_too_long_to_print_is_a_usage_error(tmp_path, capsys):
+    doc = tmp_path / "big.fol"
+    doc.write_text("[field f]\np = 2^20000*x\nq = y\n")
+    assert run(["projectivize", str(doc), "--field", "f"]) == 2
+    assert capsys.readouterr() == ("", "error: a coefficient of 6021 digits is past the 4300-digit limit on printed integers\n")
 
 
 def test_construct_eee_refuses_a_constant_curve(capsys):

@@ -52,6 +52,14 @@ def test_two_curve_rational_pencil():
     assert (X * XX + Y * YY + Z * ZZ).is_zero()
 
 
+@pytest.mark.parametrize("curves, weights", [((X, X * Y, Z), (1, 1, -3)), ((X + Y, X + Y, Z), (1, 2, -3))])
+def test_logarithmic_form_names_two_curves_that_share_a_factor(curves, weights):
+    spec = LogarithmicSpec.make(curves, [gr(w) for w in weights])
+    with pytest.raises(PreconditionError) as exc:
+        logarithmic_form(spec)
+    assert str(exc.value) == "curves 1 and 2 share a factor; a logarithmic form needs coprime curves"
+
+
 def test_log_spec_validation():
     with pytest.raises(PreconditionError):
         LogarithmicSpec.make([X], [gr(1)])

@@ -16,7 +16,6 @@ from foltools.gaussian import ZERO, GaussianRational, from_gint, gr
 from foltools.polyring import (
     MINUS_INFINITY,
     MultiPoly,
-    _coprime_images,
     _int_det,
     _interpolate,
     _monic,
@@ -164,6 +163,15 @@ def test_univariate_gcd_is_the_planted_common_product(v):
         assert poly_gcd(a, b) == _linear_product(v, (ra & rb).elements())
 
 
+def _first_image_is_coprime(a: MultiPoly, b: MultiPoly) -> bool:
+    """Whether `ugcd`(a(t, y), b(t, y)) is constant at the least t = 0, 1, ... where
+    neither leading coefficient in y vanishes: `_evaluation_gcd`'s first image."""
+    for t in itertools.count():
+        at, bt = (polyring._specialize(p, 1, [(t, 0), (0, 0)], 1)[1] for p in (a, b))
+        if at[-1] != (0, 0) and bt[-1] != (0, 0):
+            return len(ugcd(at, bt)) == 1
+
+
 def test_specialisation_certificate_implies_trivial_gcd(rng):
     coprime = undecided = 0
     for _ in range(100):
@@ -173,9 +181,10 @@ def test_specialisation_certificate_implies_trivial_gcd(rng):
         if a.degree_in(1) < 1 or b.degree_in(1) < 1:
             continue
         pa, pb = primitive_part(a, 1), primitive_part(b, 1)
-        if _coprime_images(pa, pb, [1]):
+        if _first_image_is_coprime(pa, pb):
             coprime += 1
             assert subresultant_gcd(pa, pb, 1).is_constant()
+            assert poly_gcd(pa, pb) == const2(1)
         else:
             undecided += 1
     assert coprime > 10 and undecided > 10
@@ -233,11 +242,14 @@ def test_homogeneous_gcd_strips_powers_of_the_sliced_variable():
 
 def test_coprime_images_miss_a_common_factor_of_the_contents():
     a, b = x * (y + const2(1)), x * (y - const2(1))
-    assert not _coprime_images(a, b, (0, 1))
+    assert _first_image_is_coprime(a, b)
     assert poly_gcd(a, b) == x
 
 
 def test_coprime_images_never_certify_a_planted_factor(rng):
+    # x*y + 1 specialises to the constant 1 at x = 0, where the leading coefficients vanish
+    c = x * y + const2(1)
+    assert poly_gcd(c * (y - const2(1)), c * (y + const2(1))) == _monic(c)
     planted = 0
     for k in range(90):
         c = random_poly(rng, max_degree=2, nonzero=True)
@@ -247,10 +259,10 @@ def test_coprime_images_never_certify_a_planted_factor(rng):
             continue
         a = random_poly(rng, max_degree=2, nonzero=True) * c
         b = random_poly(rng, max_degree=2, nonzero=True) * c
-        assert not _coprime_images(a, b, (0, 1))
-        for v in (0, 1):
-            if c.degree_in(v) > 0:
-                assert not _coprime_images(a, b, [v])
+        g = poly_gcd(a, b)
+        assert exact_divide(g, c) is not None and exact_divide(a, g) is not None and exact_divide(b, g) is not None
+        if c.degree_in(1) > 0:
+            assert not _first_image_is_coprime(a, b)
         planted += 1
     assert planted > 40
 
@@ -259,13 +271,17 @@ def test_coprime_pairs_with_nonconstant_contents_never_take_a_content(monkeypatc
     a = (x + const2(1)) * (y + x)
     b = (x + const2(2)) * (y - x)
     assert not content(a, 1).is_constant() and not content(b, 1).is_constant()
+    reads, rows = [], polyring._rows
 
-    def no_evaluation_gcd(*args):
-        raise AssertionError("_evaluation_gcd called on a certified coprime pair")
+    def counting_rows(*args):
+        reads.append(args)
+        return rows(*args)
 
-    monkeypatch.setattr(polyring, "_evaluation_gcd", no_evaluation_gcd)
-    assert _coprime_images(a, b, (0, 1))
-    assert poly_gcd(a, b) == const2(1)
+    monkeypatch.setattr(polyring, "_rows", counting_rows)
+    # the leading coefficients x + 1 and x + 2 are coprime, so gcd(ca, cb), which divides theirs, is 1
+    assert poly_gcd(a, b) == const2(1) and not reads
+    # the leading coefficients share x, so the contents are read; they are coprime
+    assert poly_gcd(x * y + const2(1), x * y + const2(2)) == const2(1) and reads
 
 
 def _in_one_variable(rng, v, degree):
@@ -701,38 +717,12 @@ def test_resultant_takes_no_multipoly_determinant():
     assert not hasattr(polyring, "_bareiss_det")
 
 
-def test_fast_path_certifies_pairs_that_share_a_root_at_x_zero(monkeypatch):
+def test_pairs_that_share_a_root_at_x_zero_have_gcd_one():
     # at x = 0, A = y and B = y + y^2 share the root 0; at x = 1 they are coprime
     A = y + x
     B = y - x.scale(gr(2)) + y**2
-    assert _coprime_images(A, B, [1])
-    calls = []
-    evaluation_gcd = polyring._evaluation_gcd
-
-    def counting(*args):
-        calls.append(args)
-        return evaluation_gcd(*args)
-
-    monkeypatch.setattr(polyring, "_evaluation_gcd", counting)
-    assert poly_gcd(A, B) == const2(1)
-    assert not calls
-
-
-def test_fast_path_never_certifies_a_common_factor(rng):
-    # x*y + 1 specialises to the constant 1 at x = 0, where the leading coefficients vanish
-    c = x * y + const2(1)
-    assert not _coprime_images(c * (y - const2(1)), c * (y + const2(1)), [1])
-    planted = 0
-    for _ in range(60):
-        c = random_poly(rng, max_degree=2, nonzero=True)
-        if c.degree_in(1) < 1:
-            continue
-        a = random_poly(rng, max_degree=2, nonzero=True) * c
-        b = random_poly(rng, max_degree=2, nonzero=True) * c
-        pa, pb = primitive_part(a, 1), primitive_part(b, 1)
-        assert not _coprime_images(pa, pb, [1])
-        planted += 1
-    assert planted > 20
+    assert not _first_image_is_coprime(A, B)
+    assert poly_gcd(A, B) == const2(1) == poly_gcd(B, A)
 
 
 def test_evaluate_and_shift():

@@ -5,7 +5,7 @@ import pytest
 
 import ll1_parser  # the parser before it read each term in one loop, kept as an oracle
 from conftest import affine_vars, const2, random_poly
-from foltools.errors import ParseError
+from foltools.errors import ParseError, PreconditionError
 from foltools.gaussian import GaussianRational, gr
 from foltools.polyring import MultiPoly
 from foltools.realtopo import Box
@@ -185,6 +185,17 @@ def test_print_parse_roundtrip_random(rng):
     for _ in range(1000):
         p = random_poly(rng, arity=rng.choice((2, 3)), max_degree=5, max_terms=6)
         assert parse_poly(print_poly(p), p.arity) == p
+
+
+def test_a_coefficient_too_long_to_print_is_a_precondition_error():
+    # a numerator, a denominator or an imaginary part past the interpreter's 4,300-digit limit
+    x = MultiPoly.variable(2, 0)
+    cases = ((gr(2**20000), 6021), (gr(Fraction(1, 3**10000)), 4772), (gr(1, 2**20000), 6021))
+    for c, digits in cases:
+        with pytest.raises(PreconditionError) as exc:
+            print_poly(x.scale(c) + MultiPoly.constant(2, 1))
+        assert str(exc.value) == f"a coefficient of {digits} digits is past the 4300-digit limit on printed integers"
+    assert print_poly(x.scale(gr(10**4299))) == "1" + "0" * 4299 + "*x"  # at the limit it prints
 
 
 def test_print_idempotent_on_canonical(rng):

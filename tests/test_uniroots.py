@@ -14,8 +14,6 @@ from foltools.uniroots import (
     RootReport,
     _GCD_PRIMES,
     _LIFT_ABOVE,
-    _P,
-    _I_MOD_P,
     _as_gaussian_rational,
     _gi_primitive,
     _gi_quotient,
@@ -23,7 +21,6 @@ from foltools.uniroots import (
     _int_sturm_chain,
     _is_probable_prime,
     _lifted_roots,
-    coprime_mod_p,
     count_real_roots,
     sturm_counter,
     gi_divmod,
@@ -496,14 +493,18 @@ def test_root_search_matches_the_stepwise_loop():
     assert searched > 50
 
 
-# -- roots whose images vanish modulo _P ------------------------------------------
+# -- roots whose images vanish modulo the first gcd prime ---------------------------
+
+_P0, _IOTA0 = _GCD_PRIMES[0]  # the first prime `ugcd` takes, and its image of i
+_PI0 = gi_gcd((_P0, 0), (_IOTA0, -1))  # the Gaussian prime above _P0 that i -> _IOTA0 maps to 0
 
 
-@pytest.mark.parametrize("root_num, root_den", [((1, 0), (_I_MOD_P, -1)), ((_I_MOD_P, -1), (1, 0))])
+@pytest.mark.parametrize("root_num, root_den", [((1, 0), _PI0), (_PI0, (1, 0))])
 def test_root_whose_numerator_or_denominator_vanishes_mod_p_is_found(root_num, root_den):
-    # iota - i maps to 0 mod _P, so the root's image there is 0/0 or 0; the search does not read it
+    # the root's image mod _P0 is 0/0 or 0; the search does not read it, and with the
+    # leading coefficient _PI0 `ugcd` skips _P0 when it takes the squarefree part
     root = _as_gaussian_rational(root_num, root_den)
-    assert 0 in uniroots._image_mod_p([root_num, root_den], _P, _I_MOD_P)
+    assert gi_norm(_PI0) == _P0 and 0 in uniroots._image_mod_p([root_num, root_den], _P0, _IOTA0)
     c = _poly_from_roots([root], gr(1))
     c = _times(c, [gr(-2), gr(0), gr(1)])  # times x^2 - 2, which has no Q(i) root
     rep = qi_roots(_ints(c))
@@ -716,37 +717,36 @@ def test_roots_of_size_close_to_the_bound_are_found(a, w):
         assert rep.roots == [_as_gaussian_rational(w, a)] and rep.residual_degree == 2
 
 
-# -- coprimality certificate modulo a prime ----------------------------------------
+# -- coprimality modulo the first gcd prime ------------------------------------------
 
 
 def test_image_of_i_is_a_square_root_of_minus_one():
-    assert _P % 4 == 1 and _I_MOD_P * _I_MOD_P % _P == _P - 1
+    for p, iota in _GCD_PRIMES:
+        assert p % 4 == 1 and iota * iota % p == p - 1
 
 
 def test_squarefree_input_is_certified():
     c = _poly_from_roots([gr(1), gr(2), gr(0, -1)])
-    assert coprime_mod_p(_ints(c), _ints(uderiv(c)))
     assert _monic(usquarefree(_ints(c))) == umonic(c)
     assert ucoprime(_ints(c), _ints(uderiv(c)))
 
 
 def test_repeated_root_falls_back_to_exact_gcd():
     c = _poly_from_roots([gr(1), gr(1), gr(0, -1)])  # (x - 1)^2 (x + i)
-    assert not coprime_mod_p(_ints(c), _ints(uderiv(c)))
     assert not ucoprime(_ints(c), _ints(uderiv(c)))
     assert _monic(usquarefree(_ints(c))) == _poly_from_roots([gr(1), gr(0, -1)])
 
 
 def test_leading_coefficient_divisible_by_the_prime_falls_back():
-    c = [gr(1), gr(0), gr(_P)]  # P x^2 + 1 is squarefree but vanishes to degree 0 mod P
-    assert not coprime_mod_p(_ints(c), _ints(uderiv(c)))
+    c = [gr(1), gr(0), gr(_P0)]  # P0 x^2 + 1 is squarefree but vanishes to degree 0 mod P0: `ugcd` skips P0
+    assert uniroots._image_mod_p(_ints(c), _P0, _IOTA0)[-1] == 0
     assert ucoprime(_ints(c), _ints(uderiv(c)))
     assert _monic(usquarefree(_ints(c))) == umonic(c)
 
 
 def test_polynomials_equal_mod_p_are_still_coprime():
-    x, x_minus_p = [gr(0), gr(1)], [gr(-_P), gr(1)]
-    assert not coprime_mod_p(_ints(x), _ints(x_minus_p))
+    x, x_minus_p = [gr(0), gr(1)], [gr(-_P0), gr(1)]  # one image mod P0, of degree 1: the next prime decides
+    assert uniroots._image_mod_p(_ints(x), _P0, _IOTA0) == uniroots._image_mod_p(_ints(x_minus_p), _P0, _IOTA0)
     assert ucoprime(_ints(x), _ints(x_minus_p))
 
 
@@ -756,7 +756,6 @@ def test_zero_and_constant_inputs_take_the_exact_path():
     assert not ucoprime([], x)  # gcd(0, x) = x
     assert not ucoprime([], [])
     assert ucoprime([], [(5, 0)])
-    assert not coprime_mod_p([(3, 0)], x) and not coprime_mod_p([], x)
 
 
 def test_ucoprime_agrees_with_exact_gcd():
